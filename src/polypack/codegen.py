@@ -20,7 +20,8 @@ import numpy as np
 from .indexing import build_registry, hoist_schedule
 from .polyhedra import (
     EQ0, FALSE, GE0, MODEQ, AffineExpr, PolyhedronError, UnboundedError,
-    enumerate_points, fm_eliminate, iteration_space,
+    affine_columns, constraints_mask, enumerate_points, fm_eliminate,
+    iteration_space,
 )
 from .stur import build_compressed_summands
 
@@ -57,38 +58,6 @@ class LoopNest:
     guards: tuple          # parameter-only residual constraints
     empty: bool = False
 
-    def walk(self, binding):
-        """Yield visited iteration vectors in order (scalar reference path)."""
-        if self.empty:
-            return
-        env = {p: int(binding[p]) for p in self.params if p in binding}
-        if not all(g.satisfied(env) for g in self.guards):
-            return
-        yield from self._walk_level(0, env)
-
-    def _walk_level(self, k, env):
-        if k == len(self.levels):
-            yield tuple(env[d] for d in self.dims)
-            return
-        lv = self.levels[k]
-        if lv.kind == "fixed":
-            val = lv.expr.evaluate(env)
-            values = [int(val)] if val.denominator == 1 else []
-        else:
-            lo = max(int(e.evaluate(env)) for e in lv.lowers)
-            hi = min(int(e.evaluate(env)) for e in lv.uppers)
-            if lv.kind == "strided":
-                ph = int(lv.phase.evaluate(env))
-                lo = lo + (ph - lo) % lv.stride
-                values = range(lo, hi + 1, lv.stride)
-            else:
-                values = range(lo, hi + 1)
-        for v in values:
-            env[lv.var] = v
-            if all(g.satisfied(env) for g in lv.guards):
-                yield from self._walk_level(k + 1, env)
-        env.pop(lv.var, None)
-
 
 def _solve_unit(c, v):
     """a*v + e (>=|=) 0 with a = +-1: the bound/value expr for v."""
@@ -121,10 +90,8 @@ def build_loop_nest(space):
             return LoopNest(dims, space.params, (), (), empty=True)
         projections.append(cons)
 
-    top_guards = ()
-    if dims:
-        top_guards = tuple(c for c in projections[0]
-                           if not (set(c.expr.variables()) & set(dims)))
+    top_guards = tuple(c for c in (projections[0] if dims else space.constraints)
+                       if not (set(c.expr.variables()) & set(dims)))
     levels = []
     for k, v in enumerate(dims):
         on_v = [c for c in projections[k] if c.expr.coeff(v) != 0]
@@ -160,96 +127,73 @@ def build_loop_nest(space):
     return LoopNest(dims, space.params, tuple(levels), top_guards)
 
 
-def _chunk_affine(expr, cols, env, n):
-    out = np.full(n, int(expr.const), dtype=np.int64)
-    for var, a in expr.coeffs.items():
-        base = cols[var] if var in cols else int(env[var])
-        out = out + int(a) * base
-    return out
+# Most points one enumeration block expands to; a single longer row is
+# expanded whole.  Bounds the frontier's memory at any depth.
+BLOCK_POINTS = 1 << 13
 
 
-def _chunk_guard(c, cols, env, n):
-    scaled, _ = c.expr.scaled_integer()
-    vals = _chunk_affine(scaled, cols, env, n)
-    if c.kind == GE0:
-        return vals >= 0
-    if c.kind == EQ0:
-        return vals == 0
-    return (vals % c.modulus) == (c.residue % c.modulus)
+def _level_range(lv, cols, env, n):
+    """Inclusive int64 [lo, hi] columns of a level over n frontier rows: a
+    fixed level's one value, else max(lowers)..min(uppers) with a strided
+    level's lo moved up to its phase."""
+    lowers, uppers = ((lv.expr,),) * 2 if lv.kind == "fixed" else (lv.lowers, lv.uppers)
+    lo = np.max([-(-v // k) for v, k in
+                 (affine_columns(e, cols, env, n) for e in lowers)], axis=0)
+    hi = np.min([v // k for v, k in
+                 (affine_columns(e, cols, env, n) for e in uppers)], axis=0)
+    if lv.kind == "strided":
+        phase, _ = affine_columns(lv.phase, cols, env, n)
+        lo = lo + (phase - lo) % lv.stride
+    return lo, hi
+
+
+def _row_blocks(lengths):
+    """Consecutive row slices expanding to at most BLOCK_POINTS points each,
+    or to one row when that row alone is longer."""
+    ends = np.cumsum(lengths)
+    start, base = 0, 0
+    while start < len(lengths):
+        stop = max(int(np.searchsorted(ends, base + BLOCK_POINTS, "right")), start + 1)
+        yield start, stop
+        start, base = stop, int(ends[stop - 1])
+
+
+def _expand(nest, env, k, cols, n):
+    """Points below a frontier of n > 0 rows (cols: var -> int64 column)
+    that has set every level above k, in lexicographic order."""
+    if k == len(nest.levels):
+        yield np.array([cols[d] for d in nest.dims], dtype=np.int64).reshape(-1, n).T
+        return
+    lv = nest.levels[k]
+    lo, hi = _level_range(lv, cols, env, n)
+    lengths = np.maximum((hi - lo) // lv.stride + 1, 0)
+    for start, stop in _row_blocks(lengths):
+        counts = lengths[start:stop]
+        rows = np.repeat(np.arange(start, stop), counts)
+        offset = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        block = {d: c[rows] for d, c in cols.items()}
+        block[lv.var] = lo[rows] + offset * lv.stride
+        if lv.guards:
+            keep = constraints_mask(lv.guards, block, env, len(rows))
+            block = {d: c[keep] for d, c in block.items()}
+        if len(block[lv.var]):
+            yield from _expand(nest, env, k + 1, block, len(block[lv.var]))
 
 
 def iter_point_chunks(nest, binding):
-    """Yield the visited points as int64 matrices (columns = nest dims).
+    """Yield the visited points in lexicographic order as int64 matrices
+    (columns = nest dims).
 
-    Scalar levels are walked; the deepest non-fixed level becomes a vector
-    per chunk, with deeper fixed levels riding along as computed columns.
-    Used by pack/unpack paths that cannot afford the box-scan enumerator.
+    The frontier of partial points grows one level at a time: each row is
+    repeated over the level's [lo, hi] range (one value on a fixed level),
+    and the level's guards drop rows.  Used by pack/unpack, which cannot
+    afford the box-scan enumerator.
     """
     if nest.empty:
         return
     env = {p: int(binding[p]) for p in nest.params if p in binding}
-    if not all(g.satisfied(env) for g in nest.guards):
-        return
-    levels = nest.levels
-    if not levels:
-        yield np.zeros((1, 0), dtype=np.int64)
-        return
-    vec_level = -1
-    for k, lv in enumerate(levels):
-        if lv.kind != "fixed":
-            vec_level = k
-    if vec_level < 0:
-        for pt in nest.walk(binding):
-            yield np.array([pt], dtype=np.int64)
-        return
-
-    def emit(env):
-        lv = levels[vec_level]
-        lo = max(int(e.evaluate(env)) for e in lv.lowers)
-        hi = min(int(e.evaluate(env)) for e in lv.uppers)
-        if lv.kind == "strided":
-            ph = int(lv.phase.evaluate(env))
-            lo = lo + (ph - lo) % lv.stride
-            vec = np.arange(lo, hi + 1, lv.stride, dtype=np.int64)
-        else:
-            vec = np.arange(lo, hi + 1, dtype=np.int64)
-        n = len(vec)
-        if not n:
-            return None
-        cols = {d: env[d] for d in nest.dims[:vec_level]}
-        cols[lv.var] = vec
-        mask = np.ones(n, dtype=bool)
-        for g in lv.guards:
-            mask &= _chunk_guard(g, cols, env, n)
-        for deeper in levels[vec_level + 1:]:
-            cols[deeper.var] = _chunk_affine(deeper.expr, cols, env, n)
-            for g in deeper.guards:
-                mask &= _chunk_guard(g, cols, env, n)
-        pts = np.stack([np.broadcast_to(cols[d], (n,)) for d in nest.dims], axis=1)
-        pts = pts[mask]
-        return pts if len(pts) else None
-
-    def rec(k, env):
-        if k == vec_level:
-            pts = emit(env)
-            if pts is not None:
-                yield pts
-            return
-        lv = levels[k]
-        if lv.kind == "fixed":
-            val = lv.expr.evaluate(env)
-            values = [int(val)] if val.denominator == 1 else []
-        else:
-            lo = max(int(e.evaluate(env)) for e in lv.lowers)
-            hi = min(int(e.evaluate(env)) for e in lv.uppers)
-            values = range(lo, hi + 1)
-        for v in values:
-            env[lv.var] = v
-            if all(g.satisfied(env) for g in lv.guards):
-                yield from rec(k + 1, env)
-        env.pop(lv.var, None)
-
-    yield from rec(0, env)
+    if all(g.satisfied(env) for g in nest.guards):
+        yield from _expand(nest, env, 0, {}, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -649,14 +593,6 @@ def _zero_outputs(plan, shapes, lengths, dtype):
     return dense_out, comp
 
 
-def _outer_range(nest, binding):
-    env = {p: int(binding[p]) for p in nest.params if p in binding}
-    lv = nest.levels[0]
-    lo = max(int(e.evaluate(env)) for e in lv.lowers)
-    hi = min(int(e.evaluate(env)) for e in lv.uppers)
-    return lo, hi
-
-
 _BIG = 1 << 62
 
 _FORK_STATE = None
@@ -701,7 +637,7 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
         if not sp.parallelizable:
             per_worker[0].append((si, -_BIG, _BIG))
             continue
-        lo, hi = _outer_range(sp.nest, binding)
+        lo, hi = (int(x[0]) for x in _level_range(sp.nest.levels[0], {}, binding, 1))
         n = hi - lo + 1
         if n <= 0:
             continue

@@ -26,7 +26,7 @@ import numpy as np
 
 from .polyhedra import (
     EMPTY, EQ0, FALSE, GE0, MODEQ, AffineExpr, Constraint, Polyhedron, eq, ge,
-    enumerate_points, implies, is_empty, normalize_constraints,
+    constraints_mask, enumerate_points, implies, is_empty, normalize_constraints,
 )
 
 DEFAULT_MAX_DEGREE = 6
@@ -158,12 +158,6 @@ class QuasiPolynomial:
             out.setdefault(e, {})
             out[e][rest] = out[e].get(rest, Fraction(0)) + c
         return {e: QuasiPolynomial(ts) for e, ts in out.items()}
-
-    def degree_in(self, var):
-        return max((dict(m).get(var, 0) for m in self.terms), default=0)
-
-    def total_degree(self):
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def variables(self):
         out = set()
@@ -331,54 +325,25 @@ class PiecewiseQuasiPolynomial:
         """Vectorized evaluate over int point rows (columns = context.dims)."""
         points = np.asarray(points, dtype=np.int64)
         n = len(points)
+        cols = {d: points[:, k] for k, d in enumerate(self.context.dims)}
+        if not constraints_mask(self.context.constraints, cols, binding, n).all():
+            raise DomainError("points outside the domain")
         out = np.zeros(n, dtype=np.int64)
         covered = np.zeros(n, dtype=bool)
-        cols = {d: points[:, k] for k, d in enumerate(self.context.dims)}
-
-        def expr_vals(expr):
-            val = np.zeros(n, dtype=np.int64) + int(expr.const)
-            for var, a in expr.coeffs.items():
-                term = cols[var] if var in cols else int(binding[var])
-                val = val + int(a) * term
-            return val
-
-        inside = np.ones(n, dtype=bool)
-        for c in self.context.constraints:
-            scaled, _ = c.expr.scaled_integer()
-            vals = expr_vals(scaled)
-            if c.kind == GE0:
-                inside &= vals >= 0
-            elif c.kind == EQ0:
-                inside &= vals == 0
-            else:
-                inside &= (vals % c.modulus) == (c.residue % c.modulus)
-        if not inside.all():
-            raise DomainError("points outside the domain")
-
         for dom, poly in self.pieces:
-            mask = np.ones(n, dtype=bool)
-            for c in dom.constraints:
-                scaled, _ = c.expr.scaled_integer()
-                vals = expr_vals(scaled)
-                if c.kind == GE0:
-                    mask &= vals >= 0
-                elif c.kind == EQ0:
-                    mask &= vals == 0
-                else:
-                    mask &= (vals % c.modulus) == (c.residue % c.modulus)
+            mask = constraints_mask(dom.constraints, cols, binding, n)
             if not mask.any():
                 continue
             if (covered & mask).any():
                 raise CountingError("pieces overlap; internal invariant broken")
             covered |= mask
             scale = poly.denominator_lcm()
-            acc = np.zeros(mask.sum(), dtype=np.int64)
-            sub = points[mask]
-            subcols = {d: sub[:, k] for k, d in enumerate(self.context.dims)}
+            acc = np.zeros(int(mask.sum()), dtype=np.int64)
+            sub = {d: c[mask] for d, c in cols.items()}
             for mono, coeff in poly.terms.items():
-                term = np.full(len(sub), int(coeff * scale), dtype=np.int64)
+                term = np.full(len(acc), int(coeff * scale), dtype=np.int64)
                 for var, e in mono:
-                    base = subcols[var] if var in subcols else np.int64(int(binding[var]))
+                    base = sub[var] if var in sub else np.int64(int(binding[var]))
                     for _ in range(e):
                         term = term * base
                 acc = acc + term

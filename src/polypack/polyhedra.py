@@ -208,6 +208,33 @@ class Constraint:
     __repr__ = __str__
 
 
+def affine_columns(expr, cols, binding, n):
+    """Integer values of k*expr over n rows, and k (as in `scaled_integer`).
+
+    Variables found in `cols` (name -> int64 column) vary per row; every
+    other variable is read from `binding`.
+    """
+    scaled, k = expr.scaled_integer()
+    vals = np.full(n, int(scaled.const), dtype=np.int64)
+    for v, a in scaled.coeffs.items():
+        vals += int(a) * (cols[v] if v in cols else int(binding[v]))
+    return vals, k
+
+
+def constraints_mask(constraints, cols, binding, n):
+    """Rows of `cols` (see `affine_columns`) that satisfy every constraint."""
+    mask = np.ones(n, dtype=bool)
+    for c in constraints:
+        vals, _ = affine_columns(c.expr, cols, binding, n)
+        if c.kind == GE0:
+            mask &= vals >= 0
+        elif c.kind == EQ0:
+            mask &= vals == 0
+        else:
+            mask &= vals % c.modulus == c.residue % c.modulus
+    return mask
+
+
 def ge(expr):
     return Constraint(GE0, expr)
 
@@ -342,10 +369,6 @@ class Polyhedron:
             [c.rename(mapping) for c in self.constraints],
             self.exact,
         )
-
-    def dims_as_params(self):
-        """Reinterpret every dim as a parameter (used for piece-domain contexts)."""
-        return Polyhedron.build((), self.params + self.dims, self.constraints, self.exact)
 
     def contains(self, point, binding=None):
         env = dict(binding or {})
@@ -636,9 +659,10 @@ _empty_cache = {}
 
 def _rationally_infeasible(constraints):
     """Sound emptiness test: drop mod constraints, eliminate everything by FM."""
-    cons = [c for c in normalize_constraints(constraints) if c.kind != MODEQ]
-    if FALSE in normalize_constraints(constraints):
+    normalized = normalize_constraints(constraints)
+    if FALSE in normalized:
         return True
+    cons = [c for c in normalized if c.kind != MODEQ]
     variables = sorted(set().union(*[c.expr.variables() for c in cons])) if cons else []
     try:
         out, _ = fm_eliminate(cons, variables)
@@ -682,8 +706,3 @@ def implies(constraints, c):
     if c.kind == MODEQ:
         return False
     return all(_rationally_infeasible(list(constraints) + [n]) for n in c.negations())
-
-
-def provably_disjoint(a, b, context=()):
-    merged = list(a.constraints) + list(b.constraints) + list(context)
-    return _rationally_infeasible(merged)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codegen import IndexingFault, build_loop_nest, iter_point_chunks
-from .polyhedra import GE0, AffineExpr, Constraint, Polyhedron
+from .polyhedra import GE0, AffineExpr, Constraint, Polyhedron, affine_columns
 
 
 @dataclass
@@ -102,19 +102,6 @@ def pack(tensor, index, binding, axes=None, buffer_id=0):
     return CompressedBuffer(buffer_id, length, out)
 
 
-def _substitution_cols(expr, cols, binding, n):
-    scaled, scale = expr.scaled_integer()
-    vals = np.full(n, int(scaled.const), dtype=np.int64)
-    for var, a in scaled.coeffs.items():
-        base = cols[var] if var in cols else int(binding[var])
-        vals = vals + int(a) * base
-    if scale != 1:
-        if ((vals % scale) != 0).any():
-            raise IndexingFault("redundancy map lands between integer positions")
-        vals = vals // scale
-    return vals
-
-
 def _redmap_domain(rm, shape):
     cons = list(rm.domain)
     for a, name in enumerate(rm.iters):
@@ -152,12 +139,14 @@ def unpack(buf, index, shape, binding, axes=None, redmap=None):
     if redmap is not None:
         dom = _redmap_domain(redmap, shape)
         for pts in iter_point_chunks(build_loop_nest(dom), binding):
-            n = len(pts)
             cols = {d: pts[:, k] for k, d in enumerate(redmap.iters)}
             image = np.empty_like(pts)
             for k, pname in enumerate(redmap.primed):
-                image[:, k] = _substitution_cols(
-                    redmap.substitution[pname], cols, binding, n)
+                vals, scale = affine_columns(
+                    redmap.substitution[pname], cols, binding, len(pts))
+                if (vals % scale).any():
+                    raise IndexingFault("redundancy map lands between integer positions")
+                image[:, k] = vals // scale
             acc = np.empty_like(image)
             for pos, ax in enumerate(axes):
                 acc[:, pos] = image[:, ax]
@@ -296,27 +285,7 @@ def footprint_report(registry, binding, shapes, output):
 
 
 # ---------------------------------------------------------------------------
-# Tensor files and generated data
-
-def write_tensor(path, tensor):
-    with open(path, "w") as f:
-        f.write("shape: " + " ".join(str(e) for e in tensor.shape) + "\n")
-        if np.issubdtype(tensor.data.dtype, np.integer):
-            body = " ".join(str(int(v)) for v in tensor.data)
-        else:
-            body = " ".join(repr(float(v)) for v in tensor.data)
-        f.write(body + "\n")
-
-
-def read_tensor(path, dtype=np.float64):
-    with open(path) as f:
-        header = f.readline()
-        if not header.startswith("shape:"):
-            raise ValueError(f"{path}: first line must be 'shape: d1 d2 ...'")
-        shape = tuple(int(tok) for tok in header.split()[1:])
-        data = np.array([float(tok) for tok in f.read().split()], dtype=dtype)
-    return DenseTensor(shape, data)
-
+# Generated data
 
 def random_tensor(shape, seed, dtype=np.float64):
     rng = np.random.default_rng(seed)

@@ -8,10 +8,13 @@ reproduce the dense reference result built by direct gather/accumulate.
 import numpy as np
 import pytest
 
+from polypack.cli import BUILTIN_KERNELS
 from polypack.codegen import (
-    IndexingFault, KernelPlan, LoopNest, SummandPlan, Statement, AccessPlan,
-    build_loop_nest, build_plan, emit_c, execute, reference_execute,
+    BLOCK_POINTS, IndexingFault, KernelPlan, LoopNest, SummandPlan, Statement,
+    AccessPlan, build_loop_nest, build_plan, emit_c, execute, iter_point_chunks,
+    reference_execute,
 )
+from polypack.indexing import build_registry
 from polypack.polyhedra import (
     AffineExpr, Polyhedron, UnboundedError, enumerate_points, eq, ge,
     iteration_space, modeq,
@@ -58,6 +61,15 @@ B_U(i, j) := (0 <= i < n) * (0 <= j <= i) * (i - j <= 2)
 def space_of(text, rule="A", idx=0):
     s = build_compressed_summands(parse_program(text), rule)[idx]
     return iteration_space(s)
+
+
+def walk(nest, binding):
+    """The nest's points as tuples, chunks concatenated in yield order."""
+    return [tuple(p) for c in iter_point_chunks(nest, binding) for p in c.tolist()]
+
+
+def oracle(space, binding):
+    return [tuple(p) for p in enumerate_points(space, binding).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +168,7 @@ class TestLoopNest:
         assert nest.levels[1].kind == "loop"
         for n in range(1, 9):
             binding = {"n_i": n, "n_j": n}
-            pts = enumerate_points(space_of(LESLIE, idx=0), binding)
-            assert list(nest.walk(binding)) == [tuple(p) for p in pts.tolist()]
+            assert walk(nest, binding) == oracle(space_of(LESLIE, idx=0), binding)
 
     def test_scan_equivalence(self):
         cases = [
@@ -169,9 +180,7 @@ class TestLoopNest:
             (space_of(BANDED), {"n": 7}),
         ]
         for space, binding in cases:
-            nest = build_loop_nest(space)
-            pts = enumerate_points(space, binding)
-            assert list(nest.walk(binding)) == [tuple(p) for p in pts.tolist()]
+            assert walk(build_loop_nest(space), binding) == oracle(space, binding)
 
     def test_strided_level_from_mod(self):
         space = Polyhedron.build(
@@ -179,14 +188,13 @@ class TestLoopNest:
         nest = build_loop_nest(space)
         assert nest.levels[0].kind == "strided"
         assert nest.levels[0].stride == 4
-        pts = enumerate_points(space, {})
-        assert list(nest.walk({})) == [tuple(p) for p in pts.tolist()]
-        assert list(nest.walk({})) == [(3,), (7,), (11,), (15,), (19,)]
+        assert walk(nest, {}) == oracle(space, {})
+        assert walk(nest, {}) == [(3,), (7,), (11,), (15,), (19,)]
 
     def test_empty_nest(self):
         space = Polyhedron.build(("i",), (), [ge(v("i")), ge(-v("i") - k(1))])
         nest = build_loop_nest(space)
-        assert list(nest.walk({})) == []
+        assert walk(nest, {}) == [] == oracle(space, {})
 
     def test_unbounded_raises(self):
         space = Polyhedron.build(("i",), ("n",), [ge(v("i"))])
@@ -197,9 +205,71 @@ class TestLoopNest:
         space = Polyhedron.build(
             ("i",), (), [ge(v("i")), ge(k(9) - v("i")), ge(k(7) - v("i") * 2)])
         nest = build_loop_nest(space)
-        pts = enumerate_points(space, {})
-        assert list(nest.walk({})) == [tuple(p) for p in pts.tolist()]
-        assert list(nest.walk({})) == [(0,), (1,), (2,), (3,)]
+        assert walk(nest, {}) == oracle(space, {})
+        assert walk(nest, {}) == [(0,), (1,), (2,), (3,)]
+
+    def test_builtin_regions_and_spaces(self):
+        for kern in BUILTIN_KERNELS.values():
+            summands = build_compressed_summands(parse_program(kern.text), kern.rule)
+            polys = [iteration_space(s) for s in summands] + [
+                b.accessed for b in build_registry(summands).buffers
+                if b.layout == "compressed"]
+            for poly in polys:
+                nest = build_loop_nest(poly)
+                for size in (1, 2, 5, 9):
+                    binding = {p: size for p in poly.params}
+                    assert walk(nest, binding) == oracle(poly, binding), (
+                        kern.name, str(poly), size)
+
+    def test_strided_level_above_loop(self):
+        space = Polyhedron.build(("i", "j"), (), [
+            ge(v("i")), ge(k(9) - v("i")), ge(v("j")), ge(k(9) - v("j")),
+            modeq(v("i"), 3, 1)])
+        nest = build_loop_nest(space)
+        assert [lv.kind for lv in nest.levels] == ["strided", "loop"]
+        got = walk(nest, {})
+        assert len(got) == 30
+        assert got == oracle(space, {})
+
+    def test_row_longer_than_block(self):
+        space = Polyhedron.build(("i", "j"), ("n",), [
+            ge(v("i")), ge(k(2) - v("i")), ge(v("j")), ge(v("n") - v("j"))])
+        binding = {"n": BLOCK_POINTS + 100}
+        chunks = list(iter_point_chunks(build_loop_nest(space), binding))
+        assert [len(c) for c in chunks] == [BLOCK_POINTS + 101] * 3
+        assert walk(build_loop_nest(space), binding) == oracle(space, binding)
+
+    def test_short_rows_cross_block_boundaries(self):
+        # triangle rows of length 1..n; the total is no multiple of the block
+        space = Polyhedron.build(("i", "j"), ("n",), [
+            ge(v("i")), ge(v("n") - k(1) - v("i")), ge(v("j")), ge(v("i") - v("j"))])
+        binding = {"n": 170}
+        chunks = list(iter_point_chunks(build_loop_nest(space), binding))
+        assert len(chunks) > 1
+        assert max(len(c) for c in chunks) <= BLOCK_POINTS
+        assert walk(build_loop_nest(space), binding) == oracle(space, binding)
+
+    def test_rows_of_length_zero(self):
+        space = Polyhedron.build(("i", "j"), (), [
+            ge(v("i")), ge(k(6) - v("i")), ge(v("j") - k(3)), ge(v("i") - v("j"))])
+        got = walk(build_loop_nest(space), {})
+        assert got[0] == (3, 3)
+        assert got == oracle(space, {})
+
+    def test_all_fixed_nest(self):
+        space = Polyhedron.build(("i", "j"), ("n",), [
+            eq(v("i") - v("n")), eq(v("j") - v("i") + k(1)), ge(v("n"))])
+        nest = build_loop_nest(space)
+        assert [lv.kind for lv in nest.levels] == ["fixed", "fixed"]
+        assert walk(nest, {"n": 4}) == [(4, 3)] == oracle(space, {"n": 4})
+        assert walk(nest, {"n": -1}) == [] == oracle(space, {"n": -1})
+
+    def test_zero_dim_nest(self):
+        space = Polyhedron.build((), ("n",), [ge(v("n") - k(1))])
+        nest = build_loop_nest(space)
+        chunks = list(iter_point_chunks(nest, {"n": 3}))
+        assert [c.shape for c in chunks] == [(1, 0)]
+        assert walk(nest, {"n": 0}) == [] == oracle(space, {"n": 0})
 
 
 class TestExecute:

@@ -1,7 +1,5 @@
 """Dense <-> compressed movement, redundancy expansion, footprint math."""
 
-import os
-
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -12,7 +10,7 @@ from polypack.indexing import symbolic_indexing
 from polypack.polyhedra import AccessMap, iteration_space
 from polypack.runtime import (
     CompressedBuffer, DenseTensor, build_store, footprint_report,
-    gather_output, pack, random_tensor, read_tensor, unpack, write_tensor,
+    gather_output, pack, random_tensor, unpack,
 )
 from polypack.stur import build_compressed_summands, parse_program
 
@@ -254,43 +252,6 @@ class TestStoreAssembly:
                                 {"B": tensors["B"].data, "C": tensors["C"].data},
                                 {"n_i": n}, np.int64)
         assert out.data.tolist() == ref.tolist()
-
-
-class TestTensorFiles:
-    def test_round_trip_float(self, tmp_path):
-        t = random_tensor((3, 4), 5)
-        path = os.path.join(tmp_path, "t.tns")
-        write_tensor(path, t)
-        back = read_tensor(path)
-        assert back.shape == (3, 4)
-        assert (back.data == t.data).all()
-
-    def test_round_trip_int(self, tmp_path):
-        t = random_tensor((2, 3), 5, np.int64)
-        path = os.path.join(tmp_path, "t.tns")
-        write_tensor(path, t)
-        back = read_tensor(path, dtype=np.int64)
-        assert back.data.tolist() == t.data.tolist()
-
-    def test_header_format(self, tmp_path):
-        path = os.path.join(tmp_path, "t.tns")
-        write_tensor(path, DenseTensor.from_array(np.arange(6).reshape(2, 3)))
-        with open(path) as f:
-            assert f.readline() == "shape: 2 3\n"
-
-    def test_malformed_header_rejected(self, tmp_path):
-        path = os.path.join(tmp_path, "bad.tns")
-        with open(path, "w") as f:
-            f.write("2 3\n1 2 3 4 5 6\n")
-        with pytest.raises(ValueError):
-            read_tensor(path)
-
-    def test_wrong_element_count_rejected(self, tmp_path):
-        path = os.path.join(tmp_path, "short.tns")
-        with open(path, "w") as f:
-            f.write("shape: 2 3\n1 2 3\n")
-        with pytest.raises(ValueError):
-            read_tensor(path)
 
 
 class TestGenerated:
