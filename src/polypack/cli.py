@@ -234,6 +234,14 @@ def _corrupt_store(store):
                        "(compression level keeps inputs dense)")
 
 
+def _refuse_redundancy_maps(cfg):
+    # gather_output does not expand redundancy maps, so the packed result
+    # would miss every position a map sends to a stored one
+    if cfg.program.redundancy_maps:
+        names = ", ".join(f"{t}_R" for t in sorted(cfg.program.redundancy_maps))
+        raise CodegenError(f"redundancy maps ({names}) are not supported by run or bench")
+
+
 def cmd_compile(args):
     cfg = _resolve(args)
     plan = build_plan(cfg.program, cfg.rule, args.compression[-1])
@@ -256,6 +264,7 @@ def cmd_compile(args):
 
 def cmd_run(args):
     cfg = _resolve(args)
+    _refuse_redundancy_maps(cfg)
     dtype = _DTYPES[args.dtype]
     plan = build_plan(cfg.program, cfg.rule, args.compression[-1])
     tensors = _make_inputs(cfg, args.seed, dtype)
@@ -274,6 +283,7 @@ def cmd_run(args):
 
 
 def _bench_one(cfg, compression, args):
+    _refuse_redundancy_maps(cfg)
     dtype = _DTYPES[args.dtype]
     plan = build_plan(cfg.program, cfg.rule, compression)
     tensors = _make_inputs(cfg, args.seed, dtype)

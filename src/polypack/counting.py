@@ -19,14 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, lcm
 
 import numpy as np
 
 from .polyhedra import (
     EMPTY, EQ0, FALSE, GE0, MODEQ, AffineExpr, Constraint, Polyhedron, eq, ge,
-    constraints_mask, enumerate_points, implies, is_empty, normalize_constraints,
+    enumerate_points, guards_mask, implies, int_guard, is_empty,
+    normalize_constraints, poly_values,
 )
 
 DEFAULT_MAX_DEGREE = 6
@@ -230,6 +231,14 @@ class QuasiPolynomial:
     __repr__ = __str__
 
 
+def int_poly(qp, scale):
+    """scale*qp as an integer poly (see `polyhedra.int_form`); scale must
+    clear every denominator."""
+    terms = [(coeff * scale, mono) for mono, coeff in sorted(qp.terms.items())]
+    assert all(c.denominator == 1 for c, _ in terms)
+    return tuple((int(c), mono) for c, mono in terms)
+
+
 @lru_cache(maxsize=None)
 def _bernoulli_plus(n):
     """Bernoulli numbers with the B1 = +1/2 convention."""
@@ -321,34 +330,36 @@ class PiecewiseQuasiPolynomial:
             raise CountingError(f"non-integer value {val} at {binding}")
         return int(val)
 
+    @cached_property
+    def lowered(self):
+        """(context guards, ((guard, ...), s * poly, s) per piece) in the
+        integer form of `polyhedra.int_form`."""
+        return (tuple(map(int_guard, self.context.constraints)),
+                tuple((tuple(map(int_guard, dom.constraints)),
+                       int_poly(p, p.denominator_lcm()), p.denominator_lcm())
+                      for dom, p in self.pieces))
+
     def evaluate_many(self, points, binding):
         """Vectorized evaluate over int point rows (columns = context.dims)."""
         points = np.asarray(points, dtype=np.int64)
         n = len(points)
         cols = {d: points[:, k] for k, d in enumerate(self.context.dims)}
-        if not constraints_mask(self.context.constraints, cols, binding, n).all():
+        env = {p: int(v) for p, v in binding.items()}
+        context, pieces = self.lowered
+        if not np.all(guards_mask(context, cols, env)):
             raise DomainError("points outside the domain")
         out = np.zeros(n, dtype=np.int64)
         covered = np.zeros(n, dtype=bool)
-        for dom, poly in self.pieces:
-            mask = constraints_mask(dom.constraints, cols, binding, n)
+        for guards, poly, scale in pieces:
+            mask = np.broadcast_to(guards_mask(guards, cols, env), n)
             if not mask.any():
                 continue
             if (covered & mask).any():
                 raise CountingError("pieces overlap; internal invariant broken")
             covered |= mask
-            scale = poly.denominator_lcm()
-            acc = np.zeros(int(mask.sum()), dtype=np.int64)
-            sub = {d: c[mask] for d, c in cols.items()}
-            for mono, coeff in poly.terms.items():
-                term = np.full(len(acc), int(coeff * scale), dtype=np.int64)
-                for var, e in mono:
-                    base = sub[var] if var in sub else np.int64(int(binding[var]))
-                    for _ in range(e):
-                        term = term * base
-                acc = acc + term
+            acc = poly_values(poly, {d: c[mask] for d, c in cols.items()}, env)
             if scale != 1:
-                if (acc % scale).any():
+                if np.any(acc % scale):
                     raise CountingError("non-integer value in vectorized evaluation")
                 acc = acc // scale
             out[mask] = acc

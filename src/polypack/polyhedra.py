@@ -208,31 +208,46 @@ class Constraint:
     __repr__ = __str__
 
 
-def affine_columns(expr, cols, binding, n):
-    """Integer values of k*expr over n rows, and k (as in `scaled_integer`).
+# Integer evaluation over numpy columns.  Expressions are lowered once to
+# integer polys, ((coeff, ((name, exp), ...)), ...); evaluation reads a name
+# from `cols` (name -> int64 column) when it is there, else from `env`
+# (name -> int), and does no rational arithmetic.
 
-    Variables found in `cols` (name -> int64 column) vary per row; every
-    other variable is read from `binding`.
-    """
+
+def int_form(expr):
+    """(k, poly of k*expr) with k > 0 minimal, as in `scaled_integer`."""
     scaled, k = expr.scaled_integer()
-    vals = np.full(n, int(scaled.const), dtype=np.int64)
-    for v, a in scaled.coeffs.items():
-        vals += int(a) * (cols[v] if v in cols else int(binding[v]))
-    return vals, k
+    terms = [(int(scaled.const), ())] if scaled.const else []
+    terms += [(int(a), ((v, 1),)) for v, a in sorted(scaled.coeffs.items())]
+    return int(k), tuple(terms)
 
 
-def constraints_mask(constraints, cols, binding, n):
-    """Rows of `cols` (see `affine_columns`) that satisfy every constraint."""
-    mask = np.ones(n, dtype=bool)
-    for c in constraints:
-        vals, _ = affine_columns(c.expr, cols, binding, n)
-        if c.kind == GE0:
-            mask &= vals >= 0
-        elif c.kind == EQ0:
-            mask &= vals == 0
-        else:
-            mask &= vals % c.modulus == c.residue % c.modulus
-    return mask
+def int_guard(c):
+    """A constraint as (kind, poly of k*expr, modulus, residue)."""
+    residue = c.residue % c.modulus if c.kind == MODEQ else 0
+    return c.kind, int_form(c.expr)[1], c.modulus, residue
+
+
+def poly_values(poly, cols, env):
+    """Values over the rows of `cols`; a Python int when no column is read."""
+    total = 0
+    for c, mono in poly:
+        for v, e in mono:
+            x = cols[v] if v in cols else env[v]
+            c = c * (x if e == 1 else x ** e)
+        total = total + c
+    return total
+
+
+def guards_mask(guards, cols, env):
+    """Rows of `cols` satisfying every lowered constraint; a bool when no
+    column is read."""
+    keep = True
+    for kind, poly, modulus, residue in guards:
+        v = poly_values(poly, cols, env)
+        keep = keep & (v >= 0 if kind == GE0 else v == 0 if kind == EQ0
+                       else v % modulus == residue)
+    return keep
 
 
 def ge(expr):

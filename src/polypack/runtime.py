@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codegen import IndexingFault, build_loop_nest, iter_point_chunks
-from .polyhedra import GE0, AffineExpr, Constraint, Polyhedron, affine_columns
+from .polyhedra import GE0, AffineExpr, Constraint, Polyhedron, int_form, poly_values
 
 
 @dataclass
@@ -138,12 +138,12 @@ def unpack(buf, index, shape, binding, axes=None, redmap=None):
         out[_flat_offsets(coords, shape)] = buf.data[ranks]
     if redmap is not None:
         dom = _redmap_domain(redmap, shape)
+        subs = [int_form(redmap.substitution[p]) for p in redmap.primed]
         for pts in iter_point_chunks(build_loop_nest(dom), binding):
             cols = {d: pts[:, k] for k, d in enumerate(redmap.iters)}
             image = np.empty_like(pts)
-            for k, pname in enumerate(redmap.primed):
-                vals, scale = affine_columns(
-                    redmap.substitution[pname], cols, binding, len(pts))
+            for k, (scale, poly) in enumerate(subs):
+                vals = np.broadcast_to(poly_values(poly, cols, binding), len(pts))
                 if (vals % scale).any():
                     raise IndexingFault("redundancy map lands between integer positions")
                 image[:, k] = vals // scale

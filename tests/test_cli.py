@@ -104,6 +104,16 @@ class TestRun:
             f.write(PRISM)
         assert run_cli("run", "--stur", path) == 2
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_redundancy_map_rejected(self, command, tmp_path, capsys):
+        path = os.path.join(tmp_path, "sym.stur")
+        with open(path, "w") as f:
+            f.write("A(i) := B(i, j) * C(j)\n"
+                    "B_U(i, j) := (0 <= i < n) * (i <= j < n)\n"
+                    "B_R(i, j, i', j') := (j < i) * (i' = j) * (j' = i)\n")
+        assert run_cli(command, "--stur", path, "--bind", "n=5") == 2
+        assert "B_R" in capsys.readouterr().err
+
     def test_bad_bind_syntax_rejected(self):
         with pytest.raises(SystemExit) as e:
             run_cli("run", "--kernel", "SpMV_D", "--bind", "n_i")

@@ -8,6 +8,7 @@ reproduce the dense reference result built by direct gather/accumulate.
 import numpy as np
 import pytest
 
+from polypack import codegen
 from polypack.cli import BUILTIN_KERNELS
 from polypack.codegen import (
     BLOCK_POINTS, IndexingFault, KernelPlan, LoopNest, SummandPlan, Statement,
@@ -55,6 +56,18 @@ B_U(i, j) := (0 <= i < n) * (i <= j < n)
 BANDED = """
 A(i) := B(i, j)
 B_U(i, j) := (0 <= i < n) * (0 <= j <= i) * (i - j <= 2)
+"""
+
+BANDED_WIDE = """
+A(i) := B(i, j)
+B_U(i, j) := (0 <= i < n) * (0 <= j <= i) * (i - j <= 40)
+"""
+
+# two overlapping unique-set terms keep B dense, so the first summand's
+# non-unit constraint stays a guard on its innermost level
+HALF_GUARD = """
+A(i) := B(i, j)
+B_U(i, j) := (0 <= i < n) * (0 <= j < n) * (2*j <= i + 5) + (0 <= i < n) * (i <= j < n)
 """
 
 
@@ -326,6 +339,15 @@ class TestExecute:
         (LESLIE, "A", {"A": (5,), "B": (5, 5), "C": (5,)},
          {"n_i": 5, "n_j": 5}),
         (BANDED, "A", {"A": (7,), "B": (7, 7)}, {"n": 7}),
+        # several BLOCK_POINTS blocks per summand from here on
+        (SPMV_UT, "A", {"A": (300,), "B": (300, 300), "C": (300,)}, {"n": 300}),
+        (BUILTIN_KERNELS["MTT_J"].text, "A",
+         {"A": (20, 3), "B": (20, 100, 100), "C": (100, 3), "D": (100, 3)},
+         {"n_i": 20, "n_j": 3, "n_k": 100, "n_l": 100, "J": 2}),
+        (BUILTIN_KERNELS["THP_J"].text, "A", {t: (200, 3, 200) for t in "ABC"},
+         {"n_i": 200, "n_j": 3, "n_k": 200, "J": 2}),
+        (BANDED_WIDE, "A", {"A": (1000,), "B": (1000, 1000)}, {"n": 1000}),
+        (HALF_GUARD, "A", {"A": (300,), "B": (300, 300)}, {"n": 300}),
     ])
     def test_matches_reference(self, compression, text, rule, shapes, binding):
         got, want = run_and_compare(text, rule, shapes, binding, compression)
@@ -358,20 +380,52 @@ class TestExecute:
         assert np.array_equal(seq, par)
         assert np.array_equal(par, want)
 
-    def test_indexing_fault_on_short_buffer(self):
+    def test_indexing_fault_on_short_buffer(self, monkeypatch):
         program = parse_program(SPMV_D)
         plan = build_plan(program, "A", "input+output")
         shapes = {"A": (3,), "B": (3, 3), "C": (3,)}
         binding = {"n_i": 3}
         dense = {"B": np.ones(9), "C": np.ones(3)}
         store = pack_store(plan, shapes, dense, binding, np.float64)
-        sp = plan.summands[0]
-        out = np.zeros(3)
-        bad_lengths = {b.id: 1 for b in plan.registry.buffers
-                       if b.layout == "compressed"}
+        monkeypatch.setattr(codegen, "_buffer_lengths", lambda plan, binding: {
+            b.id: 1 for b in plan.registry.buffers if b.layout == "compressed"})
         with pytest.raises(IndexingFault):
-            sp.fn(out, store, shapes, bad_lengths,
-                  {"n_i": 3}, -(1 << 62), 1 << 62)
+            execute(plan, store, shapes, binding)
+
+    def test_int64_overflow_raises_before_allocating(self, monkeypatch):
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
+        n = 2 ** 32
+
+        def no_alloc(*args):
+            raise AssertionError("an output buffer was allocated")
+        monkeypatch.setattr(codegen, "_zero_outputs", no_alloc)
+        with pytest.raises(IndexingFault, match="of B "):
+            execute(plan, {}, {"A": (n,), "B": (n, n), "C": (n,)},
+                    {"n_i": n, "n_j": n})
+
+    def test_strided_outer_level_split_across_workers(self):
+        # i = 1 mod 3 outermost: at n = 302 the second worker's chunk starts
+        # at i = 152, off the phase, and must be re-aligned to it
+        space = Polyhedron.build(("i", "j"), ("n",), [
+            ge(v("i")), ge(v("n") - k(1) - v("i")), ge(v("j")),
+            ge(v("n") - k(1) - v("j")), modeq(v("i"), 3, 1)])
+        nest = build_loop_nest(space)
+        assert nest.levels[0].kind == "strided"
+        stmt = Statement(AccessPlan("A", "out", 0, "dense", ("i",)), (
+            AccessPlan("B", "in0", 1, "dense", ("i", "j")),
+            AccessPlan("C", "in1", 2, "dense", ("j",))))
+        plan = KernelPlan("A", (SummandPlan(nest, stmt, True),), None, "none")
+        n = 302
+        rng = np.random.default_rng(5)
+        store = {"B": rng.integers(-3, 4, n * n), "C": rng.integers(-3, 4, n)}
+        shapes = {"A": (n,), "B": (n, n), "C": (n,)}
+        seq = execute(plan, store, shapes, {"n": n}, dtype=np.int64).dense
+        par = execute(plan, store, shapes, {"n": n}, workers=2, dtype=np.int64).dense
+        want = np.zeros(n, dtype=np.int64)
+        want[1::3] = (store["B"].reshape(n, n) @ store["C"])[1::3]
+        assert np.array_equal(seq, want)
+        assert np.array_equal(par, seq)
 
     def test_all_empty_summands(self):
         text = "A(i) := B(i) * (0 <= i < n) * (i >= 5) * (i <= 3)"
