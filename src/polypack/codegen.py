@@ -65,10 +65,12 @@ class LoopNest:
     lowered: tuple = field(compare=False, default=None, repr=False)  # _lower_nest
 
 
-def _solve_unit(c, v):
-    """a*v + e (>=|=) 0 with a = +-1: the bound/value expr for v."""
+def _solve(c, v):
+    """a*v + e (>=|=) 0: the bound/value expr -e/a for v, rational unless
+    a = +-1 (a rational lower bound is rounded up, an upper one down)."""
     rest = c.expr.drop(v)
-    return -rest if c.expr.coeff(v) > 0 else rest
+    a = c.expr.coeff(v)
+    return -rest if a == 1 else rest if a == -1 else rest * (-1 / a)
 
 
 def build_loop_nest(space):
@@ -76,8 +78,10 @@ def build_loop_nest(space):
 
     Every original constraint is enforced: as a bound at the level of its
     deepest dim when the coefficient there is a unit, otherwise as a guard
-    at that level.  Projections only add implied constraints, so the nest
-    visits exactly the space's points in lexicographic order.
+    at that level.  A side with no unit bound is bounded by its non-unit
+    inequalities instead (a non-unit equality bounds both sides and stays a
+    guard).  Projections only add implied constraints, so the nest visits
+    exactly the space's points in lexicographic order.
     """
     dims = space.dims
     if space.trivially_empty:
@@ -105,17 +109,23 @@ def build_loop_nest(space):
         if unit_eqs:
             c0 = unit_eqs[0]
             guards = tuple(c for c in on_v if c is not c0)
-            levels.append(LoopLevel(v, "fixed", expr=_solve_unit(c0, v), guards=guards))
+            levels.append(LoopLevel(v, "fixed", expr=_solve(c0, v), guards=guards))
             continue
         lowers, uppers, mods, guards = [], [], [], []
         for c in on_v:
             a = c.expr.coeff(v)
             if c.kind == GE0 and abs(a) == 1:
-                (lowers if a > 0 else uppers).append(_solve_unit(c, v))
+                (lowers if a > 0 else uppers).append(_solve(c, v))
             elif c.kind == MODEQ and abs(a) == 1:
                 mods.append(c)
             else:
                 guards.append(c)
+        for side, sign in ((lowers, 1), (uppers, -1)):
+            if not side:
+                bounds = [c for c in guards if c.kind == EQ0
+                          or c.kind == GE0 and c.expr.coeff(v) * sign > 0]
+                side.extend(_solve(c, v) for c in bounds)
+                guards = [c for c in guards if c.kind != GE0 or c not in bounds]
         if not lowers or not uppers:
             raise UnboundedError(f"unbounded iterator {v}")
         if mods:
@@ -728,6 +738,13 @@ def _c_guard(c):
     return f"MODP({e}, {c.modulus}) == {c.residue % c.modulus}"
 
 
+def _c_bound(expr, rounding):
+    """A loop bound in C integer arithmetic; a rational one is rounded by
+    `rounding`, CEILD for a lower bound and FLOORD for an upper one."""
+    scaled, k = expr.scaled_integer()
+    return f"({_c_affine(scaled)})" if k == 1 else f"{rounding}({_c_affine(scaled)}, {k})"
+
+
 def _c_fold(parts, macro):
     out = parts[0]
     for p in parts[1:]:
@@ -741,6 +758,8 @@ _C_PRELUDE = [
     "#define MAX2(a, b) ((a) > (b) ? (a) : (b))",
     "#define MIN2(a, b) ((a) < (b) ? (a) : (b))",
     "#define MODP(a, m) ((((a) % (m)) + (m)) % (m))",
+    "#define FLOORD(a, k) (((a) >= 0 ? (a) : (a) - (k) + 1) / (k))",
+    "#define CEILD(a, k) (-FLOORD(-(a), (k)))",
     "",
 ]
 
@@ -816,8 +835,8 @@ def _emit_c_summand(rule, si, nest, stmt, dtype):
         if lv.kind == "fixed":
             put(f"int {v} = {_c_affine(lv.expr)};")
         else:
-            lo = _c_fold([f"({_c_affine(e)})" for e in lv.lowers], "MAX2")
-            hi = _c_fold([f"({_c_affine(e)})" for e in lv.uppers], "MIN2")
+            lo = _c_fold([_c_bound(e, "CEILD") for e in lv.lowers], "MAX2")
+            hi = _c_fold([_c_bound(e, "FLOORD") for e in lv.uppers], "MIN2")
             if lv.kind == "strided":
                 put(f"int {v}_lo = {lo};")
                 put(f"{v}_lo += MODP(({_c_affine(lv.phase)}) - {v}_lo, {lv.stride});")

@@ -6,12 +6,17 @@ piece domains of counting results are all `Polyhedron` values, i.e.
 finite conjunctions of affine constraints over an ordered list of
 dimensions plus a list of symbolic size parameters.
 
-All arithmetic is done with `fractions.Fraction`; no floating point is
-introduced anywhere.  Projection is rational Fourier-Motzkin elimination
-with equality pre-substitution and integer tightening.  Because FM over
-the rationals is not integer-exact in general, `image` records an
-exactness flag and the test suite re-validates every projection used by
-the kernel suite against the brute-force enumerator below.
+No floating point is introduced anywhere.  Affine expressions carry exact
+`fractions.Fraction` entries; normalizing a constraint gives it a
+canonical integer row (gcd-reduced integer coefficients sorted by name,
+integer constant, modulus and residue), and normalizing a normal
+constraint returns it unchanged.  Dedupe, parallel pruning, projection and
+the emptiness test all work on these rows with Python ints: projection is
+Fourier-Motzkin elimination with equality pre-substitution and gcd
+tightening, the real shadow of Pugh's Omega test (it has no dark or grey
+shadows).  Because FM over the rationals is not integer-exact in general,
+`image` records an exactness flag and the test suite re-validates
+projections against the brute-force enumerator below.
 """
 
 from __future__ import annotations
@@ -171,6 +176,8 @@ class Constraint:
     expr: AffineExpr
     modulus: int = 0
     residue: int = 0
+    # canonical integer row, set only by normalization (see `_row`)
+    row: tuple = field(default=None, compare=False, repr=False)
 
     def variables(self):
         return self.expr.variables()
@@ -191,6 +198,13 @@ class Constraint:
 
     def negations(self):
         """Integer complement as a list of alternative constraints (a disjunction)."""
+        if self.kind != MODEQ and self.row and self.row[1]:
+            # the complement of a normal row is normal: no gcd to divide out
+            _, vec, const = self.row[:3]
+            rows = [(GE0, tuple((v, -a) for v, a in vec), -const - 1, 0, 0)]
+            if self.kind == EQ0:
+                rows.insert(0, (GE0, vec, const - 1, 0, 0))
+            return [_constraint(r) for r in rows]
         if self.kind == GE0:
             return [Constraint(GE0, -self.expr - AffineExpr.constant(1))]
         if self.kind == EQ0:
@@ -264,93 +278,109 @@ def modeq(expr, modulus, residue):
     return Constraint(MODEQ, expr, int(modulus), int(residue) % int(modulus))
 
 
+# Canonical integer rows.  Normalization gives every constraint its row,
+# (kind, ((var, int), ...) sorted by var, const, modulus, residue): the
+# gcd-reduced integer form that dedupe, pruning and Fourier-Motzkin work on.
+_FALSE_ROW = (GE0, (), -1, 0, 0)
+
 # A constant-false marker used when normalization detects infeasibility.
-FALSE = Constraint(GE0, AffineExpr.constant(-1))
+FALSE = Constraint(GE0, AffineExpr.constant(-1), row=_FALSE_ROW)
+
+
+def _row(kind, coeffs, const, modulus=0, residue=0):
+    """Normal row of kind(sum coeffs[v]*v + const) over integers; None when
+    constant-true, _FALSE_ROW when constant-false."""
+    if kind == MODEQ:
+        m = modulus
+        # symmetric residues keep banded expressions like j - i recognizable
+        vec = []
+        for v, a in sorted(coeffs.items()):
+            a %= m
+            if a:
+                vec.append((v, a - m if a > m // 2 else a))
+        const, residue = const % m, residue % m
+        if not vec:
+            return None if const == residue else _FALSE_ROW
+        return MODEQ, tuple(vec), const, m, residue
+    vec = [(v, a) for v, a in sorted(coeffs.items()) if a]
+    if not vec:
+        return None if (const >= 0 if kind == GE0 else const == 0) else _FALSE_ROW
+    g = gcd(*(a for _, a in vec))
+    if kind == EQ0:
+        if const % g:
+            return _FALSE_ROW  # equality has no integer solution
+        if vec[0][1] < 0:
+            g = -g
+    # GE0 divides by the gcd of the variable coefficients, flooring the constant
+    return kind, tuple((v, a // g) for v, a in vec), const // g, 0, 0
+
+
+def _constraint(row):
+    if row is _FALSE_ROW:
+        return FALSE
+    kind, vec, const, modulus, residue = row
+    return Constraint(kind, AffineExpr(dict(vec), const), modulus, residue, row)
 
 
 def normalize_constraint(c):
     """Canonical integer form; returns None for constant-true, FALSE for constant-false."""
-    expr, _ = c.expr.scaled_integer()
-    if c.kind == MODEQ:
-        m = c.modulus
-        # symmetric residues keep banded expressions like j - i recognizable
-        coeffs = {v: (int(a) % m) - (m if int(a) % m > m // 2 else 0)
-                  for v, a in expr.coeffs.items()}
-        const = int(expr.const) % m
-        e = AffineExpr(coeffs, const)
-        r = c.residue % m
-        if e.is_constant:
-            return None if const % m == r else FALSE
-        return Constraint(MODEQ, e, m, r)
-    if expr.is_constant:
-        v = expr.const
-        ok = v >= 0 if c.kind == GE0 else v == 0
-        return None if ok else FALSE
-    g = gcd(*(abs(int(a)) for a in expr.coeffs.values()))
-    if c.kind == EQ0:
-        if int(expr.const) % g != 0:
-            return FALSE  # equality has no integer solution
-        expr = expr * Fraction(1, g)
-        lead = expr.coeffs[min(expr.coeffs)]
-        if lead < 0:
-            expr = -expr
-        return Constraint(EQ0, expr)
-    # GE0: divide by the gcd of the variable coefficients, flooring the constant.
-    expr = AffineExpr({v: a / g for v, a in expr.coeffs.items()}, Fraction(int(expr.const) // g))
-    return Constraint(GE0, expr)
+    if c.row is not None:
+        return c
+    coeffs, const = c.expr.coeffs, c.expr.const
+    k = lcm(const.denominator, *(a.denominator for a in coeffs.values()))
+    row = _row(c.kind, {v: a.numerator * (k // a.denominator) for v, a in coeffs.items()},
+               const.numerator * (k // const.denominator), c.modulus, c.residue)
+    return None if row is None else _constraint(row)
 
 
-def _prune_parallel(cons):
-    """Drop GE0 constraints dominated by a parallel one (same coefficient vector)."""
-    best = {}
+def _prune_parallel(rows):
+    """Drop GE0 rows dominated by a parallel one (same coefficient vector)
+    or decided by an equality on it; None when one contradicts an equality."""
+    best, fixed = {}, {}
+    for r in rows:
+        kind, vec, const = r[:3]
+        if kind == GE0:
+            if vec not in best or const < best[vec][2]:
+                best[vec] = r
+        elif kind == EQ0:
+            # V + k = 0 fixes the var part: value(V) = -k, value(-V) = k
+            fixed[vec] = -const
+            fixed[tuple((v, -a) for v, a in vec)] = const
     out = []
-    for c in cons:
-        if c.kind != GE0:
-            out.append(c)
-            continue
-        key = tuple(sorted(c.expr.coeffs.items()))
-        prev = best.get(key)
-        if prev is None or c.expr.const < prev.expr.const:
-            best[key] = c
-    eq_vecs = {}
-    for c in cons:
-        if c.kind == EQ0:
-            # expr = V + k = 0 fixes the var part: value(V) = -k, value(-V) = k
-            eq_vecs[tuple(sorted(c.expr.coeffs.items()))] = -c.expr.const
-            eq_vecs[tuple(sorted((-c.expr).coeffs.items()))] = c.expr.const
-    final = []
-    for c in cons:
-        if c.kind != GE0:
-            final.append(c)
-            continue
-        key = tuple(sorted(c.expr.coeffs.items()))
-        if key in eq_vecs:
-            # vars are fixed by an equality: constraint is true or false outright
-            if eq_vecs[key] + c.expr.const >= 0:
+    for r in rows:
+        if r[0] == GE0:
+            value = fixed.get(r[1])
+            if value is not None:
+                if value + r[2] < 0:
+                    return None
                 continue
-            return [FALSE]
-        if best.get(key) is c:
-            final.append(c)
-    return final
+            if best[r[1]] is not r:
+                continue
+        out.append(r)
+    return out
+
+
+def _normal_rows(rows):
+    """Rows from `_row` (None: true) deduplicated and pruned, in first-seen
+    order; [_FALSE_ROW] when infeasible."""
+    seen = {}
+    for r in rows:
+        if r is _FALSE_ROW:
+            return [_FALSE_ROW]
+        if r is not None:
+            seen[r] = None
+    out = _prune_parallel(list(seen))
+    return [_FALSE_ROW] if out is None else out
 
 
 def normalize_constraints(cons):
-    seen = set()
-    out = []
+    normal = {}
     for c in cons:
         n = normalize_constraint(c)
-        if n is None:
-            continue
-        if n is FALSE:
-            return (FALSE,)
-        k = (n.kind, n.expr.key(), n.modulus, n.residue)
-        if k not in seen:
-            seen.add(k)
-            out.append(n)
-    out = _prune_parallel(out)
-    if out == [FALSE]:
-        return (FALSE,)
-    return tuple(out)
+        if n is not None:
+            normal.setdefault(n.row, n)
+    # a row that pruning alone shows false has no constraint of its own
+    return tuple(normal.get(r, FALSE) for r in _normal_rows(normal))
 
 
 @dataclass(frozen=True)
@@ -446,85 +476,75 @@ def _check_bounded(space, d):
 # Fourier-Motzkin elimination
 
 
-def _substitute_equality(cons, v, rhs, divisor):
-    """Replace v by rhs/divisor in every constraint; divisor divides rhs on the set.
+def _coeff(row, v):
+    for u, a in row[1]:
+        if u == v:
+            return a
+    return 0
 
-    Constraints are scaled by |divisor| (positive, so GE0 direction is kept):
-    a*v + e  ->  sign(divisor)*a*rhs + |divisor|*e.
-    """
-    d = abs(divisor)
-    sign = 1 if divisor > 0 else -1
-    out = []
-    for c in cons:
-        a = c.expr.coeff(v)
-        if a == 0:
-            out.append(c)
-            continue
-        new_expr = c.expr.drop(v) * d + rhs * (a * sign)
-        if c.kind == MODEQ:
-            # the congruence scales exactly alongside: m*|d|, r*|d|
-            scaled, k = new_expr.scaled_integer()
-            if k != 1:
-                raise ModBlockedError("projection blocked by mod constraint")
-            out.append(Constraint(MODEQ, new_expr, int(c.modulus * d), int(c.residue * d)))
+
+def _combine(p, r, q, s, v):
+    """Coefficients of p*r + q*s for rows r and s, without v."""
+    cs = {u: p * a for u, a in r[1] if u != v}
+    for u, b in s[1]:
+        if u != v:
+            cs[u] = cs.get(u, 0) + q * b
+    return cs
+
+
+def _eliminate_one(rows, v):
+    """Eliminate v from normal rows; returns (normal rows, exact)."""
+    out, on_v = [], []
+    for r in rows:
+        a = _coeff(r, v)
+        if a:
+            on_v.append((r, a))
         else:
-            out.append(Constraint(c.kind, new_expr))
-    return out
-
-
-def _eliminate_one(cons, v):
-    """Eliminate v from the system; returns (constraints, exact)."""
-    exact = True
-    with_v = [c for c in cons if c.expr.coeff(v) != 0]
-    rest = [c for c in cons if c.expr.coeff(v) == 0]
-
-    eqs = [c for c in with_v if c.kind == EQ0]
+            out.append(r)
+    eqs = [(r, a) for r, a in on_v if r[0] == EQ0]
     if eqs:
-        c0 = min(eqs, key=lambda c: abs(c.expr.coeff(v)))
-        a = c0.expr.coeff(v)
-        rhs = -(c0.expr.drop(v))  # a * v = rhs
-        others = [c for c in with_v if c is not c0]
-        out = rest + _substitute_equality(others, v, rhs, a)
-        if abs(a) != 1:
-            scaled, k = rhs.scaled_integer()
-            if k == 1 and all(f.denominator == 1 for f in scaled.coeffs.values()):
-                out.append(Constraint(MODEQ, scaled, int(abs(a)), 0))
-            else:
-                exact = False
-        return out, exact
+        # substitute a0*v = -(r0 without v), scaling each row by d = |a0|:
+        # a*v + e  ->  d*e - sign(a0)*a*(r0 without v)
+        r0, a0 = min(eqs, key=lambda ra: abs(ra[1]))
+        d, s = abs(a0), (1 if a0 > 0 else -1)
+        for r, a in on_v:
+            if r is not r0:
+                out.append(_row(r[0], _combine(d, r, -s * a, r0, v),
+                                d * r[2] - s * a * r0[2], r[3] * d, r[4] * d))
+        if d != 1:   # v is integral: d divides -(r0 without v)
+            out.append(_row(MODEQ, {u: -a for u, a in r0[1] if u != v}, -r0[2], d))
+        return _normal_rows(out), True
 
-    if any(c.kind == MODEQ for c in with_v):
+    if any(r[0] == MODEQ for r, _ in on_v):
         raise ModBlockedError("projection blocked by mod constraint")
+    lowers = [(r, a) for r, a in on_v if a > 0]
+    uppers = [(r, -a) for r, a in on_v if a < 0]
+    exact = all(a == 1 for _, a in lowers) or all(b == 1 for _, b in uppers)
+    for lo, a in lowers:
+        for hi, b in uppers:
+            out.append(_row(GE0, _combine(a, hi, b, lo, v), a * hi[2] + b * lo[2]))
+    return _normal_rows(out), exact
 
-    lowers, uppers = [], []
-    for c in with_v:
-        a = c.expr.coeff(v)
-        (lowers if a > 0 else uppers).append(c)
-    if not (all(abs(c.expr.coeff(v)) == 1 for c in lowers)
-            or all(abs(c.expr.coeff(v)) == 1 for c in uppers)):
-        exact = False
-    out = list(rest)
-    for lo in lowers:
-        a = lo.expr.coeff(v)
-        e1 = lo.expr.drop(v)
-        for hi in uppers:
-            b = -hi.expr.coeff(v)
-            e2 = hi.expr.drop(v)
-            out.append(Constraint(GE0, e2 * a + e1 * b))
-    return out, exact
+
+def _project(rows, eliminate):
+    """Fourier-Motzkin with equality substitution and gcd tightening on
+    normal rows, eliminating in order; returns (rows, exact), stopping at
+    [_FALSE_ROW] once the system is infeasible."""
+    exact = True
+    for v in eliminate:
+        if _FALSE_ROW in rows:
+            break
+        rows, ok = _eliminate_one(rows, v)
+        exact = exact and ok
+    return rows, exact
 
 
 def fm_eliminate(constraints, eliminate):
     """Eliminate the given variables (in order); returns (constraints, exact)."""
-    cons = list(normalize_constraints(constraints))
-    exact = True
-    for v in eliminate:
-        if FALSE in cons:
-            return (FALSE,), exact
-        cons, ok = _eliminate_one(cons, v)
-        exact = exact and ok
-        cons = list(normalize_constraints(cons))
-    return tuple(cons), exact
+    cons = normalize_constraints(constraints)
+    given = {c.row: c for c in cons}
+    rows, exact = _project([c.row for c in cons], eliminate)
+    return tuple(given[r] if r in given else _constraint(r) for r in rows), exact
 
 
 def image(space, access_map):
@@ -674,16 +694,12 @@ _empty_cache = {}
 
 def _rationally_infeasible(constraints):
     """Sound emptiness test: drop mod constraints, eliminate everything by FM."""
-    normalized = normalize_constraints(constraints)
-    if FALSE in normalized:
-        return True
-    cons = [c for c in normalized if c.kind != MODEQ]
-    variables = sorted(set().union(*[c.expr.variables() for c in cons])) if cons else []
+    rows = [c.row for c in normalize_constraints(constraints) if c.kind != MODEQ]
     try:
-        out, _ = fm_eliminate(cons, variables)
+        rows, _ = _project(rows, sorted({v for r in rows for v, _ in r[1]}))
     except ModBlockedError:
         return False
-    return FALSE in out
+    return _FALSE_ROW in rows
 
 
 def is_empty(poly):

@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codegen import IndexingFault, build_loop_nest, iter_point_chunks
+from .codegen import (
+    _INT64_MAX, IndexingFault, _magnitude, build_loop_nest, iter_point_chunks,
+)
 from .polyhedra import GE0, AffineExpr, Constraint, Polyhedron, int_form, poly_values
 
 
@@ -73,17 +75,27 @@ def _check_box(coords, shape, tensor):
                 f"position outside the dense extent of {tensor} on axis {a}")
 
 
+def _check_rank_int64(index, shape, axes, binding):
+    """Raise IndexingFault when a scaled rank term can exceed int64 for
+    points within the dense extents along `axes`."""
+    ext = {p: abs(int(v)) for p, v in binding.items()}
+    ext.update((d, int(shape[ax])) for d, ax in zip(index.accessed.dims, axes))
+    if any(_magnitude(poly, ext) > _INT64_MAX for _, poly, _ in index.rank.lowered[1]):
+        raise IndexingFault(f"a rank of {index.tensor} can exceed int64 at this binding")
+
+
 def pack(tensor, index, binding, axes=None, buffer_id=0):
     """Gather accessed positions of a dense tensor into rank order.
 
     The rank map is a bijection onto [0, size), so every compressed slot
-    is written exactly once; a rank or coordinate out of range aborts
-    rather than wrap.
+    is written exactly once; a rank or coordinate out of range, or a rank
+    that could overflow int64, aborts rather than wrap.
     """
-    length = int(index.size.evaluate(binding))
-    out = np.zeros(length, dtype=tensor.data.dtype)
     if axes is None:
         axes = tuple(range(len(tensor.shape)))
+    _check_rank_int64(index, tensor.shape, axes, binding)
+    length = int(index.size.evaluate(binding))
+    out = np.zeros(length, dtype=tensor.data.dtype)
     nest = build_loop_nest(index.accessed)
     written = 0
     for pts in iter_point_chunks(nest, binding):
@@ -124,9 +136,10 @@ def unpack(buf, index, shape, binding, axes=None, redmap=None):
     raises (DomainError from the rank evaluation).
     """
     shape = tuple(int(e) for e in shape)
-    out = np.zeros(math.prod(shape), dtype=buf.data.dtype)
     if axes is None:
         axes = tuple(range(len(shape)))
+    _check_rank_int64(index, shape, axes, binding)
+    out = np.zeros(math.prod(shape), dtype=buf.data.dtype)
     nest = build_loop_nest(index.accessed)
     for pts in iter_point_chunks(nest, binding):
         ranks = index.rank.evaluate_many(pts, binding)

@@ -5,6 +5,9 @@ exactly the enumerated points in order, and compressed execution must
 reproduce the dense reference result built by direct gather/accumulate.
 """
 
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,13 @@ B_U(i, j) := (0 <= i < n) * (0 <= j <= i) * (i - j <= 40)
 HALF_GUARD = """
 A(i) := B(i, j)
 B_U(i, j) := (0 <= i < n) * (0 <= j < n) * (2*j <= i + 5) + (0 <= i < n) * (i <= j < n)
+"""
+
+# the first summand's j has no unit upper bound: simplification drops j < n
+# as implied by 2*j <= i <= n - 1, so 2*j <= i bounds it
+HALF_BOUND = """
+A(i) := B(i, j)
+B_U(i, j) := (0 <= i < n) * (0 <= j < n) * (2*j <= i) + (0 <= i < n) * (i <= j < n)
 """
 
 
@@ -221,6 +231,27 @@ class TestLoopNest:
         assert walk(nest, {}) == oracle(space, {})
         assert walk(nest, {}) == [(0,), (1,), (2,), (3,)]
 
+    def test_non_unit_bound_without_unit_bound(self):
+        program = parse_program(HALF_BOUND)
+        for level in ("none", "input", "input+output"):
+            for sp in build_plan(program, "A", level).summands:
+                assert all(lv.lowers and lv.uppers for lv in sp.nest.levels)
+        for idx in (0, 1):
+            space = space_of(HALF_BOUND, idx=idx)
+            nest = build_loop_nest(space)
+            for n in (1, 2, 7, 20):
+                assert walk(nest, {"n": n}) == oracle(space, {"n": n})
+
+    def test_non_unit_lower_bound_and_equality(self):
+        # 3*i >= n rounds up; 2*j = i bounds j on both sides
+        space = Polyhedron.build(("i", "j"), ("n",), [
+            ge(v("i") * 3 - v("n")), ge(v("n") - k(1) - v("i")),
+            eq(v("j") * 2 - v("i"))])
+        nest = build_loop_nest(space)
+        assert nest.levels[0].lowers and nest.levels[1].uppers
+        for n in (1, 2, 7, 20):
+            assert walk(nest, {"n": n}) == oracle(space, {"n": n})
+
     def test_builtin_regions_and_spaces(self):
         for kern in BUILTIN_KERNELS.values():
             summands = build_compressed_summands(parse_program(kern.text), kern.rule)
@@ -348,6 +379,8 @@ class TestExecute:
          {"n_i": 200, "n_j": 3, "n_k": 200, "J": 2}),
         (BANDED_WIDE, "A", {"A": (1000,), "B": (1000, 1000)}, {"n": 1000}),
         (HALF_GUARD, "A", {"A": (300,), "B": (300, 300)}, {"n": 300}),
+        (HALF_BOUND, "A", {"A": (7,), "B": (7, 7)}, {"n": 7}),
+        (HALF_BOUND, "A", {"A": (300,), "B": (300, 300)}, {"n": 300}),
     ])
     def test_matches_reference(self, compression, text, rule, shapes, binding):
         got, want = run_and_compare(text, rule, shapes, binding, compression)
@@ -457,6 +490,28 @@ class TestEmitC:
         text = emit_c(plan)
         assert "for (int i = (0); i <= MIN2((M - 1), (N - 1)); i++)" in text
         assert "for (int j = (i); j <= (N - 1); j++)" in text
+
+    def test_non_unit_bound_rounds_in_c(self, tmp_path):
+        plan = build_plan(parse_program(HALF_BOUND), "A", "input+output")
+        assert "j <= FLOORD(i, 2); j++)" in emit_c(plan)
+        gcc = shutil.which("gcc") or shutil.which("cc")
+        if gcc is None:
+            pytest.skip("no C compiler")
+        src = tmp_path / "round.c"
+        src.write_text("\n".join(codegen._C_PRELUDE) + """
+#include <stdio.h>
+int main(void) {
+  for (long a = -9; a <= 9; a++)
+    for (long k = 1; k <= 4; k++)
+      printf("%ld %ld\\n", FLOORD(a, k), CEILD(a, k));
+  return 0;
+}
+""")
+        exe = tmp_path / "round"
+        subprocess.run([gcc, "-o", str(exe), str(src)], check=True)
+        out = subprocess.run([str(exe)], check=True, capture_output=True, text=True)
+        want = [f"{a // k} {-(-a // k)}" for a in range(-9, 10) for k in range(1, 5)]
+        assert out.stdout.splitlines() == want
 
     def test_empty_summand_function_body(self):
         nest = LoopNest(("i",), (), (), (), empty=True)

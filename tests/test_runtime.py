@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from types import SimpleNamespace
 
+from polypack.cli import BUILTIN_KERNELS
 from polypack.codegen import IndexingFault, build_plan, execute, reference_execute
 from polypack.counting import DomainError, pqp_constant
 from polypack.indexing import symbolic_indexing
@@ -118,6 +120,24 @@ class TestPack:
         t = DenseTensor.from_array(np.arange(1, 5).reshape(2, 2))
         with pytest.raises(IndexingFault):
             pack(t, f, {"n": 3})  # region needs a 3x3 tensor
+
+    def test_int64_overflow_raises_before_allocating(self, monkeypatch):
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
+        b = [bb for bb in plan.registry.buffers if bb.tensor == "B"][0]
+        n = 2 ** 32
+        binding = {"n_i": n, "n_j": n}
+        # stand-ins: a 2^32 x 2^32 tensor cannot be allocated
+        tensor = SimpleNamespace(shape=(n, n), data=np.zeros(0))
+        buf = CompressedBuffer(b.id, 0, np.zeros(0))
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("a buffer was allocated")
+        monkeypatch.setattr(np, "zeros", no_alloc)
+        with pytest.raises(IndexingFault, match="of B "):
+            pack(tensor, b.index, binding, axes=b.axes)
+        with pytest.raises(IndexingFault, match="of B "):
+            unpack(buf, b.index, (n, n), binding, axes=b.axes)
 
     def test_empty_region(self):
         f = findex(HIGH_BAND, "B")
