@@ -4,10 +4,13 @@ A summand's iteration space becomes a nest of levels (loop / fixed /
 strided); every tensor access becomes either a compressed-buffer index
 plan (the rank polynomial, split by loop level) or a dense row-major
 offset, both lowered to integer polynomials once per plan.  One frontier
-expander walks a nest level by level over int64 columns: it yields the
-points to `iter_point_chunks`, and under `execute` it carries each access's
+expander walks a nest level by level over int64 columns, checking each
+level's values against the dense extents they index: it yields the points
+to `iter_point_chunks`, and under `execute` it carries each access's
 hoisted index as a column, adding every level's terms as array operations.
-emit_c renders the same plan as C text.
+`runtime.pack` and `unpack` run on it too, as a copy between a region's
+rank and its tensor's dense offset (`copy_program`).  emit_c renders the
+same plan as C text.
 """
 
 from __future__ import annotations
@@ -157,8 +160,9 @@ BLOCK_POINTS = 1 << 13
 # extents).  A fixed level has its expr as its only bound and is `single`
 # when that expr is integral.  A term (column, exp, poly) adds poly(parent
 # row) * var**exp to the column; keep names the parent columns the level's
-# points still need (None: all).
-_Level = namedtuple("_Level", "var stride lowers uppers phase guards single terms keep")
+# points still need (None: all); extents are the (tensor, env name of an axis
+# extent) the level's var indexes in a dense access.
+_Level = namedtuple("_Level", "var stride lowers uppers phase guards single terms keep extents")
 
 
 def _lower_nest(levels, guards):
@@ -171,7 +175,7 @@ def _lower_nest(levels, guards):
             lv.var, lv.stride, lowers, tuple(map(int_form, uppers)),
             int_form(lv.phase)[1] if lv.kind == "strided" else None,
             tuple(map(int_guard, lv.guards)),
-            lv.kind == "fixed" and lowers[0][0] == 1, (), None))
+            lv.kind == "fixed" and lowers[0][0] == 1, (), None, ()))
     return tuple(map(int_guard, guards)), tuple(out)
 
 
@@ -196,22 +200,60 @@ def _take(c, rows):
     return c[rows] if rows is not None and isinstance(c, np.ndarray) else c
 
 
+def _leaves_extents(lv, lo, hi, env):
+    """The tensor of the first dense extent that a level value in [lo, hi]
+    can leave along the axes the level's var indexes, else None."""
+    for tensor, extent in lv.extents:
+        if lo < 0 or hi >= env[extent]:
+            return tensor
+    return None
+
+
+def _check_extents(lv, lo, hi, env):
+    tensor = _leaves_extents(lv, lo, hi, env)
+    if tensor is not None:
+        raise IndexingFault(f"an index of {tensor} leaves its dense extent")
+
+
+def _least(v):
+    return v.min() if isinstance(v, np.ndarray) else v
+
+
+def _most(v):
+    return v.max() if isinstance(v, np.ndarray) else v
+
+
 def _spans(lv, cols, n, env, clamp):
     """(rows, x, start, counts) per block of a level's points: x is the
     level's value and rows the parent row at each point (None: point p is
     row p); parent rows start.. have `counts` points, at most BLOCK_POINTS
-    in all unless one row is longer."""
+    in all unless one row is longer.  Without guards, every value is checked
+    against the level's extents here, once per parent row."""
+    check = lv.extents and not lv.guards
     if lv.single and clamp is None:
-        yield None, _column(poly_values(lv.lowers[0][1], cols, env), n), 0, None
+        x = poly_values(lv.lowers[0][1], cols, env)
+        if check:
+            _check_extents(lv, _least(x), _most(x), env)
+        yield None, _column(x, n), 0, None
         return
     lo, hi = _level_range(lv, cols, env, clamp)
     if n == 1:
         lo, hi = (int(v[0]) if isinstance(v, np.ndarray) else int(v) for v in (lo, hi))
         if lo <= hi:
+            if check:
+                _check_extents(lv, lo, hi - (hi - lo) % lv.stride, env)
             x = np.arange(lo, hi + 1, lv.stride)
             yield np.zeros(len(x), dtype=np.intp), x, 0, np.array([len(x)])
         return
     lengths = _column(np.maximum((hi - lo) // lv.stride + 1, 0), n)
+    # every row's [lo, hi] inside is the common case; else check the values
+    # of the nonempty rows
+    if check and _leaves_extents(lv, _least(lo), _most(hi), env) is not None:
+        full = lengths > 0
+        if full.any():
+            first = _column(lo, n)[full]
+            _check_extents(lv, first.min(),
+                           (first + (lengths[full] - 1) * lv.stride).max(), env)
     lo = _column(lo, n)
     ends = np.cumsum(lengths)
     start, base = 0, 0
@@ -229,8 +271,9 @@ def _expand(levels, cols, n, env, clamp=None, k=0):
     set every level above k, in blocks and in lexicographic order.
 
     Each row is repeated over its level's [lo, hi] range (`clamp` narrows
-    the outermost level), the level's guards drop points and its terms are
-    added to their columns.  Yields (block, m, parent, start, counts) per
+    the outermost level), the level's guards drop points, the values kept
+    are checked against the level's extents and its terms are added to
+    their columns.  Yields (block, m, parent, start, counts) per
     innermost block of m points: parent rows start.. had `counts` points
     before the guards (None on a single-valued level).
     """
@@ -248,6 +291,8 @@ def _expand(levels, cols, n, env, clamp=None, k=0):
             rows = np.flatnonzero(keep) if rows is None else rows[keep]
             block = {d: _take(c, keep) for d, c in block.items()}
             x = block[lv.var]
+            if lv.extents and len(x):
+                _check_extents(lv, x.min(), x.max(), env)
         if not len(x):
             continue
         for col, e, c in coefs:
@@ -264,8 +309,8 @@ def _expand(levels, cols, n, env, clamp=None, k=0):
 def iter_point_chunks(nest, binding):
     """Yield the visited points in lexicographic order as int64 matrices
     (columns = nest dims), at most BLOCK_POINTS rows each unless one row is
-    longer.  Used by pack/unpack, which cannot afford the box-scan
-    enumerator.
+    longer.  Used by unpack's redundancy map, which cannot afford the
+    box-scan enumerator.
     """
     if nest.empty:
         return
@@ -290,6 +335,7 @@ class AccessPlan:
     rank: object = None    # PiecewiseQuasiPolynomial in iterator names
     plan: object = None    # HoistPlan when the rank is a single polynomial
     scale: int = 1         # lcm of rank denominators
+    strides: tuple = None  # dense: env name of each axis's stride (None: row-major)
 
 
 @dataclass(frozen=True)
@@ -331,12 +377,34 @@ def _access_plan(registry, si, slot, acc, compression, space):
     # buffer rank dims are the first access's iterators; rename to ours
     mapping = {d: acc.index_names[buf.axes[p]]
                for p, d in enumerate(buf.accessed.dims)}
-    rank = buf.index.rank.rename(mapping)
+    return _rank_access(acc.tensor, slot, bid, tuple(acc.index_names),
+                        buf.index.rank.rename(mapping), space.dims)
+
+
+def _rank_access(tensor, slot, bid, names, rank, dims):
+    """A compressed access whose rank is hoisted over the nest dims."""
     poly = rank.single_polynomial()
-    plan = hoist_schedule(poly, space.dims) if poly is not None else None
+    plan = hoist_schedule(poly, dims) if poly is not None else None
     scale = math.lcm(*(p.denominator_lcm() for _, p in rank.pieces))
-    return AccessPlan(acc.tensor, slot, bid, "compressed", tuple(acc.index_names),
+    return AccessPlan(tensor, slot, bid, "compressed", names,
                       rank=rank, plan=plan, scale=int(scale))
+
+
+def copy_program(index):
+    """The copy between an `IndexFunction`'s rank and its tensor's dense
+    row-major offset, lowered once for `runtime.pack` and `unpack`.
+
+    The nest walks the accessed region; leaf 0 is the dense offset, whose
+    axis p is the region's dim p, with its extent read from env[(tensor, p)]
+    and its stride from env[(tensor, p, "stride")], so the tensor's shape
+    and axis order come with each call; leaf 1 is the rank, checked against
+    lengths[0].
+    """
+    dims, tensor = index.accessed.dims, index.tensor
+    view = AccessPlan(tensor, "out", None, "dense", dims,
+                      strides=tuple((tensor, p, "stride") for p in range(len(dims))))
+    rank = _rank_access(tensor, "in0", 0, dims, index.rank, dims)
+    return _program(build_loop_nest(index.accessed), Statement(view, (rank,)))
 
 
 def build_plan(program, rule, compression="input+output"):
@@ -385,26 +453,30 @@ def _magnitude(poly, ext):
 # `pieces` evaluate it; `key` is its store key, a buffer id when compressed.
 _Leaf = namedtuple("_Leaf", "col key scale pieces")
 
-# root: column -> parameter-only part of each carried index; bounds: per
-# access, its tensor and the polys over env names that must fit int64;
-# crude: (sum of |coeff|, top degree) over them, a bound through the largest
-# env value; reduce: the output index is fixed along every innermost row.
-_Program = namedtuple("_Program", "levels root leaves bounds crude reduce")
+# guards: the nest's parameter-only guards; root: column -> parameter-only
+# part of each carried index; bounds: per access, its tensor and the polys
+# over env names that must fit int64; crude: (sum of |coeff|, top degree)
+# over them, a bound through the largest env value; reduce: the output
+# index is fixed along every innermost row.
+_Program = namedtuple("_Program", "guards levels root leaves bounds crude reduce")
 
 
 def _program(nest, stmt):
-    """A summand's nest and accesses in integer form for `execute`.
+    """A nest and a statement's accesses in integer form for `execute`.
 
     Every access whose rank is one polynomial carries its index down the
     levels as an accumulator column: the scaled rank's `HoistPlan` terms
-    for a compressed access, row-major strides (products of (tensor, axis)
-    extents) for a dense one.
+    for a compressed access, strides for a dense one (row-major, products
+    of (tensor, axis) extents, unless the access names its own), and each
+    level learns the dense extents its var indexes.
     """
     if nest.empty:
         return None
     dims = nest.dims
-    levels = list(nest.lowered[1])
+    guards, levels = nest.lowered
+    levels = list(levels)
     terms = [[] for _ in levels]
+    extents = [set() for _ in levels]
     root, leaves, bounds = {}, [], []
     for col, a in enumerate((stmt.output,) + tuple(stmt.inputs)):
         pieces = None
@@ -412,10 +484,12 @@ def _program(nest, stmt):
             const, stride = [], ()
             for axis in reversed(range(len(a.names))):
                 it = a.names[axis]
+                step = stride if a.strides is None else ((a.strides[axis], 1),)
                 if it in dims:
-                    terms[dims.index(it)].append((col, 1, ((1, stride),)))
+                    terms[dims.index(it)].append((col, 1, ((1, step),)))
+                    extents[dims.index(it)].add((a.tensor, (a.tensor, axis)))
                 else:
-                    const.append((1, stride + ((it, 1),)))
+                    const.append((1, step + ((it, 1),)))
                 stride += (((a.tensor, axis), 1),)
             root[col] = tuple(const)
         elif a.plan is not None:
@@ -449,12 +523,14 @@ def _program(nest, stmt):
     for k in range(last, -1, -1):
         lv = levels[k]
         keep = tuple((need | _poly_names(*(g[1] for g in lv.guards)) & dims) - {lv.var})
-        levels[k] = lv._replace(terms=tuple(terms[k]), keep=keep)
+        levels[k] = lv._replace(terms=tuple(terms[k]), keep=keep,
+                                extents=tuple(sorted(extents[k])))
         need = set(keep) | _poly_names(*(p for _, p in lv.lowers + lv.uppers),
                                        lv.phase or (), *(p for *_, p in terms[k])) & dims
         if reduce_rows and k == last:
             need.add(0)
-    return _Program(tuple(levels), root, tuple(leaves), tuple(bounds), crude, reduce_rows)
+    return _Program(guards, tuple(levels), root, tuple(leaves), tuple(bounds), crude,
+                    reduce_rows)
 
 
 def _check_int64(prog, ext, top):
@@ -583,7 +659,7 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
     env = {**binding, **{(t, axis): int(e) for t, shape in shapes.items()
                          for axis, e in enumerate(shape)}}
     live = [si for si, sp in enumerate(plan.summands)
-            if not sp.nest.empty and guards_mask(sp.nest.lowered[0], {}, env)]
+            if sp.program is not None and guards_mask(sp.program.guards, {}, env)]
     ext = {name: abs(v) for name, v in env.items()}
     top = max([1, *ext.values()])
     for si in live:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .counting import (
     QuasiPolynomial, count_points, fuse_piecewise, pqp_add, pqp_constant,
@@ -32,6 +33,13 @@ class IndexFunction:
     accessed: Polyhedron
     rank: object   # PiecewiseQuasiPolynomial over accessed.dims + params
     size: object   # PiecewiseQuasiPolynomial over params only
+
+    @cached_property
+    def program(self):
+        """The copy between rank and dense offset, lowered once for pack and
+        unpack (see `codegen.copy_program`); None when the region is empty."""
+        from .codegen import copy_program  # codegen imports this module
+        return copy_program(self)
 
 
 def _positivity(params):

@@ -2,7 +2,11 @@
 
 Packing gathers the accessed positions of a dense tensor into rank order;
 unpacking scatters a buffer back out, optionally expanding redundant
-positions through a redundancy map.  The footprint report prices a
+positions through a redundancy map.  Both are a copy statement between the
+compressed rank and the dense row-major offset, lowered once per index
+function (`IndexFunction.program`) and walked by the same frontier
+expander as `codegen.execute`, so each level adds its hoisted rank and
+offset terms as array operations.  The footprint report prices a
 registry's layout choices in exact element counts.
 """
 
@@ -15,9 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from .codegen import (
-    _INT64_MAX, IndexingFault, _magnitude, build_loop_nest, iter_point_chunks,
+    _INT64_MAX, IndexingFault, _expand, _leaf_index, _magnitude, build_loop_nest,
+    iter_point_chunks,
 )
-from .polyhedra import GE0, AffineExpr, Constraint, Polyhedron, int_form, poly_values
+from .polyhedra import (
+    GE0, AffineExpr, Constraint, Polyhedron, guards_mask, int_form, poly_values,
+)
 
 
 @dataclass
@@ -60,21 +67,6 @@ def _flat_offsets(coords, shape):
     return off
 
 
-def _tensor_coords(pts, axes):
-    coords = np.empty_like(pts)
-    for pos, ax in enumerate(axes):
-        coords[:, ax] = pts[:, pos]
-    return coords
-
-
-def _check_box(coords, shape, tensor):
-    for a, extent in enumerate(shape):
-        col = coords[:, a]
-        if len(col) and (col.min() < 0 or col.max() >= int(extent)):
-            raise IndexingFault(
-                f"position outside the dense extent of {tensor} on axis {a}")
-
-
 def _check_rank_int64(index, shape, axes, binding):
     """Raise IndexingFault when a scaled rank term can exceed int64 for
     points within the dense extents along `axes`."""
@@ -82,6 +74,31 @@ def _check_rank_int64(index, shape, axes, binding):
     ext.update((d, int(shape[ax])) for d, ax in zip(index.accessed.dims, axes))
     if any(_magnitude(poly, ext) > _INT64_MAX for _, poly, _ in index.rank.lowered[1]):
         raise IndexingFault(f"a rank of {index.tensor} can exceed int64 at this binding")
+
+
+def _copies(index, shape, axes, binding, length):
+    """(rank, dense offset) int64 columns per block of the accessed region,
+    walked as `execute` walks a summand (see `codegen.copy_program`).
+
+    Ranks are checked inside [0, length) and positions inside `shape`
+    before a block is yielded; the ranks must cover all `length` slots.
+    """
+    prog = index.program
+    env = {p: int(v) for p, v in binding.items()}
+    for p, ax in enumerate(axes):
+        env[(index.tensor, p)] = int(shape[ax])
+        env[(index.tensor, p, "stride")] = math.prod(int(e) for e in shape[ax + 1:])
+    written = 0
+    if prog is not None and guards_mask(prog.guards, {}, env):
+        root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
+        for block, m, *_ in _expand(prog.levels, root, 1, env):
+            offset, rank = (_leaf_index(a, block, m, {0: length}, env) for a in prog.leaves)
+            written += m
+            yield rank, offset
+    if written != length:
+        raise IndexingFault(
+            f"{written} of {length} slots of {index.tensor} visited; "
+            "rank map does not cover the buffer")
 
 
 def pack(tensor, index, binding, axes=None, buffer_id=0):
@@ -96,21 +113,8 @@ def pack(tensor, index, binding, axes=None, buffer_id=0):
     _check_rank_int64(index, tensor.shape, axes, binding)
     length = int(index.size.evaluate(binding))
     out = np.zeros(length, dtype=tensor.data.dtype)
-    nest = build_loop_nest(index.accessed)
-    written = 0
-    for pts in iter_point_chunks(nest, binding):
-        ranks = index.rank.evaluate_many(pts, binding)
-        if len(ranks) and (ranks.min() < 0 or ranks.max() >= length):
-            raise IndexingFault(
-                f"rank outside [0, {length}) while packing {index.tensor}")
-        coords = _tensor_coords(pts, axes)
-        _check_box(coords, tensor.shape, index.tensor)
-        out[ranks] = tensor.data[_flat_offsets(coords, tensor.shape)]
-        written += len(ranks)
-    if written != length:
-        raise IndexingFault(
-            f"packed {written} of {length} slots of {index.tensor}; "
-            "rank map does not cover the buffer")
+    for rank, offset in _copies(index, tensor.shape, axes, binding, length):
+        out[rank] = tensor.data[offset]
     return CompressedBuffer(buffer_id, length, out)
 
 
@@ -128,6 +132,12 @@ def _redmap_domain(rm, shape):
     return Polyhedron.build(rm.iters, params, cons)
 
 
+def _scatter(buf, index, shape, binding, axes, out):
+    """Write every slot of a compressed buffer to its flat position in `out`."""
+    for rank, offset in _copies(index, shape, axes, binding, buf.length):
+        out[offset] = buf.data[rank]
+
+
 def unpack(buf, index, shape, binding, axes=None, redmap=None):
     """Scatter a compressed buffer back into a dense tensor.
 
@@ -140,15 +150,7 @@ def unpack(buf, index, shape, binding, axes=None, redmap=None):
         axes = tuple(range(len(shape)))
     _check_rank_int64(index, shape, axes, binding)
     out = np.zeros(math.prod(shape), dtype=buf.data.dtype)
-    nest = build_loop_nest(index.accessed)
-    for pts in iter_point_chunks(nest, binding):
-        ranks = index.rank.evaluate_many(pts, binding)
-        if len(ranks) and (ranks.min() < 0 or ranks.max() >= buf.length):
-            raise IndexingFault(
-                f"rank outside [0, {buf.length}) while unpacking {index.tensor}")
-        coords = _tensor_coords(pts, axes)
-        _check_box(coords, shape, index.tensor)
-        out[_flat_offsets(coords, shape)] = buf.data[ranks]
+    _scatter(buf, index, shape, binding, axes, out)
     if redmap is not None:
         dom = _redmap_domain(redmap, shape)
         subs = [int_form(redmap.substitution[p]) for p in redmap.primed]
@@ -198,19 +200,17 @@ def gather_output(plan, result, shape, binding):
     if result.dense is not None:
         return DenseTensor(shape, result.dense)
     by_id = {b.id: b for b in plan.registry.buffers}
-    dtype = None
-    for data in result.compressed.values():
-        dtype = data.dtype
-        break
-    if dtype is None:
+    bufs = [(by_id[bid], CompressedBuffer(bid, len(data), data))
+            for bid, data in sorted(result.compressed.items())]
+    if not bufs:
         return DenseTensor.zeros(shape)
-    total = np.zeros(math.prod(shape), dtype=dtype)
-    # disjoint output buffers scatter to disjoint positions; summing is exact
-    for bid in sorted(result.compressed):
-        b = by_id[bid]
-        buf = CompressedBuffer(bid, len(result.compressed[bid]),
-                               result.compressed[bid])
-        total += unpack(buf, b.index, shape, binding, axes=b.axes).data
+    for b, _ in bufs:
+        _check_rank_int64(b.index, shape, b.axes, binding)
+    total = np.zeros(math.prod(shape), dtype=bufs[0][1].data.dtype)
+    # output buffers are disjoint, or the registry would have demoted the
+    # tensor: each position is written by one buffer at most
+    for b, buf in bufs:
+        _scatter(buf, b.index, shape, binding, b.axes, total)
     return DenseTensor(shape, total)
 
 

@@ -80,6 +80,13 @@ A(i) := B(i, j)
 B_U(i, j) := (0 <= i < n) * (0 <= j < n) * (2*j <= i) + (0 <= i < n) * (i <= j < n)
 """
 
+# two overlapping unique-set terms keep B dense; the first summand's j runs
+# to m - 1 but its guard 3*j <= i keeps j <= (n - 1) / 3
+THIRD_GUARD = """
+A(i) := B(i, j)
+B_U(i, j) := (0 <= i < n) * (0 <= j < m) * (3*j <= i) + (0 <= i < n) * (j = 0)
+"""
+
 
 def space_of(text, rule="A", idx=0):
     s = build_compressed_summands(parse_program(text), rule)[idx]
@@ -436,6 +443,30 @@ class TestExecute:
         with pytest.raises(IndexingFault, match="of B "):
             execute(plan, {}, {"A": (n,), "B": (n, n), "C": (n,)},
                     {"n_i": n, "n_j": n})
+
+    @pytest.mark.parametrize("shape_b,workers", [((8, 4), 1), ((8, 4), 2), ((4, 8), 1)])
+    def test_dense_access_outside_extent_raises(self, shape_b, workers):
+        # j (inner) or i (outer) runs past B's short axis: B[i, j] would
+        # read the next row instead
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        plan = build_plan(parse_program(kern.text), kern.rule, "none")
+        store = {"B": np.arange(32.0), "C": np.ones(6)}
+        shapes = {"A": (6,), "B": shape_b, "C": (6,)}
+        with pytest.raises(IndexingFault, match="of B "):
+            execute(plan, store, shapes, {"n_i": 6, "n_j": 6}, workers=workers)
+
+    def test_guard_drops_every_value_outside_extent(self):
+        # j in [0, 5] leaves B's axis of extent 2, but 3*j <= i <= 5 drops
+        # every j >= 2 before the check
+        program = parse_program(THIRD_GUARD)
+        plan = build_plan(program, "A", "none")
+        assert plan.summands[0].nest.levels[1].guards
+        shapes = {"A": (6,), "B": (6, 2)}
+        binding = {"n": 6, "m": 6}
+        dense = {"B": np.arange(12, dtype=np.int64)}
+        got = execute(plan, dense, shapes, binding, dtype=np.int64).dense
+        want = reference_execute(program, "A", shapes, dense, binding, dtype=np.int64)
+        assert np.array_equal(got, want)
 
     def test_strided_outer_level_split_across_workers(self):
         # i = 1 mod 3 outermost: at n = 302 the second worker's chunk starts

@@ -1,15 +1,18 @@
 """Dense <-> compressed movement, redundancy expansion, footprint math."""
 
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
 from types import SimpleNamespace
 
+from polypack import codegen, polyhedra, runtime
 from polypack.cli import BUILTIN_KERNELS
 from polypack.codegen import IndexingFault, build_plan, execute, reference_execute
-from polypack.counting import DomainError, pqp_constant
+from polypack.counting import DomainError, PiecewiseQuasiPolynomial, pqp_constant
 from polypack.indexing import symbolic_indexing
-from polypack.polyhedra import AccessMap, iteration_space
+from polypack.polyhedra import AccessMap, enumerate_points, iteration_space
 from polypack.runtime import (
     CompressedBuffer, DenseTensor, build_store, footprint_report,
     gather_output, pack, random_tensor, unpack,
@@ -50,6 +53,18 @@ B_U(i, j) := (0 <= i < n_i) * (i = j)
 HIGH_BAND = """
 A(i) := B(i)
 B_U(i) := (5 <= i) * (i < n)
+"""
+
+
+BANDED = """
+A(i) := B(i, j)
+B_U(i, j) := (0 <= i < n) * (0 <= j <= i) * (i - j <= 2)
+"""
+
+# the mod constraint splits into the bands j - i = -7, -3, 1, 5: four buffers
+BANDS = """
+A(i, j) := B(i, j) * (0 <= i < 9) * (0 <= j < 9)
+B_U(i, j) := ((j - i) % 4 = 1)
 """
 
 
@@ -145,6 +160,96 @@ class TestPack:
         assert buf.length == 0
         back = unpack(buf, f, (3,), {"n": 3})
         assert back.data.tolist() == [0, 0, 0]
+
+
+def naive_copy(data, index, shape, binding, axes):
+    """(compressed, dense) by the oracle: enumerate the region, evaluate
+    the rank point by point, gather row-major; None when a point lies
+    outside `shape`."""
+    pts = enumerate_points(index.accessed, binding)
+    buf = np.zeros(int(index.size.evaluate(binding)), dtype=data.dtype)
+    dense = np.zeros(math.prod(shape), dtype=data.dtype)
+    if len(pts):
+        coords = pts[:, np.argsort(axes)]  # column axes[p] of coords is dim p
+        if (coords < 0).any() or (coords >= np.array(shape)).any():
+            return None
+        flat = np.ravel_multi_index(tuple(coords.T), shape)
+        ranks = index.rank.evaluate_many(pts, binding)
+        buf[ranks] = data[flat]
+        dense[flat] = data[flat]
+    return buf, dense
+
+
+def oracle_cases():
+    """(label, index, binding, shape, axes) for every compressed buffer of
+    the builtins at sizes 1, 2, 5, 9, and of BANDED and BANDS."""
+    for name, kern in sorted(BUILTIN_KERNELS.items()):
+        plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
+        for size in (1, 2, 5, 9):
+            binding = dict(kern.defaults)
+            binding.update({s: size for s in binding if s.startswith("n_")})
+            for b in plan.registry.buffers:
+                if b.layout == "compressed":
+                    shape = tuple(binding[s] for s in kern.shapes[b.tensor])
+                    yield f"{name}.{b.id}.{size}", b.index, binding, shape, b.axes
+    for name, text, sizes in (("BANDED", BANDED, (1, 2, 5, 9)), ("BANDS", BANDS, (9,))):
+        plan = build_plan(parse_program(text), "A", "input+output")
+        for size in sizes:
+            binding = {"n": size} if text is BANDED else {}
+            for b in plan.registry.buffers:
+                if b.layout == "compressed" and b.tensor == "B":
+                    yield f"{name}.{b.id}.{size}", b.index, binding, (size, size), b.axes
+
+
+class TestAgainstOracle:
+    def test_pack_and_unpack_match_naive_copy(self):
+        seen = set()
+        rng = np.random.default_rng(17)
+        for label, index, binding, shape, axes in oracle_cases():
+            data = rng.integers(-2 ** 62, 2 ** 62, size=math.prod(shape))
+            want = naive_copy(data, index, shape, binding, axes)
+            tensor = DenseTensor(shape, data)
+            if want is None:
+                with pytest.raises(IndexingFault):
+                    pack(tensor, index, binding, axes=axes)
+                continue
+            buf = pack(tensor, index, binding, axes=axes)
+            assert buf.data.dtype == np.int64
+            assert np.array_equal(buf.data, want[0]), label
+            back = unpack(buf, index, shape, binding, axes=axes)
+            assert np.array_equal(back.data, want[1]), label
+            assert np.array_equal(pack(back, index, binding, axes=axes).data, buf.data)
+            if not len(buf.data):
+                continue
+            seen.add(label.split(".")[0])
+            if axes != tuple(sorted(axes)):
+                seen.add("permuted")
+            if len(index.rank.pieces) > 1:
+                seen.add("piecewise")
+            if any(lv.kind == "fixed" for lv in codegen.build_loop_nest(index.accessed).levels):
+                seen.add("fixed")
+        # the cases cover every builtin, permuted axes (MTT's C(k, j)),
+        # fixed levels, a piecewise rank and the bands of a mod constraint
+        assert seen >= set(BUILTIN_KERNELS) | {"BANDED", "BANDS", "permuted", "piecewise",
+                                               "fixed"}
+
+    def test_lowered_once(self, monkeypatch):
+        f = findex(PRISM, "B")
+        binding = {"M": 3, "N": 4, "Q": 2}
+        t = DenseTensor.from_array(np.arange(24).reshape(3, 4, 2))
+        first = pack(t, f, binding)
+
+        def no_lowering(*args, **kwargs):
+            raise AssertionError("lowered again")
+        for mod in (codegen, polyhedra, runtime):
+            for name in ("build_loop_nest", "fm_eliminate"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, no_lowering)
+        monkeypatch.setattr(PiecewiseQuasiPolynomial, "evaluate_many", no_lowering)
+        again = pack(t, f, binding)
+        assert np.array_equal(again.data, first.data)
+        back = unpack(again, f, (3, 4, 2), binding)
+        assert np.array_equal(pack(back, f, binding).data, first.data)
 
 
 class TestUnpack:
