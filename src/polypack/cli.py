@@ -188,9 +188,10 @@ def render_nest(sp):
         if opens:
             depth += 1
 
+    box = sp.program.box
     for g in sp.nest.guards:
         put(f"if {g}:", opens=True)
-    for lv in sp.nest.levels:
+    for k, lv in enumerate(sp.nest.levels):
         if lv.kind == "fixed":
             put(f"{lv.var} = {lv.expr}")
         elif lv.kind == "strided":
@@ -198,8 +199,12 @@ def render_nest(sp):
                 f"{_bounds(lv.uppers, 'min')} step {lv.stride} "
                 f"(aligned to {lv.phase} mod {lv.stride}):", opens=True)
         else:
+            note = ""
+            if box is not None and k == box.depth:
+                inner = ", ".join(v.var for v in sp.nest.levels[k:])
+                note = f"  ({inner} contracted as one block)"
             put(f"for {lv.var} = {_bounds(lv.lowers, 'max')} .. "
-                f"{_bounds(lv.uppers, 'min')}:", opens=True)
+                f"{_bounds(lv.uppers, 'min')}:{note}", opens=True)
         for g in lv.guards:
             put(f"if {g}:", opens=True)
     st = sp.statement

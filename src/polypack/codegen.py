@@ -8,9 +8,15 @@ expander walks a nest level by level over int64 columns, checking each
 level's values against the dense extents they index: it yields the points
 to `iter_point_chunks`, and under `execute` it carries each access's
 hoisted index as a column, adding every level's terms as array operations.
-`runtime.pack` and `unpack` run on it too, as a copy between a region's
-rank and its tensor's dense offset (`copy_program`).  emit_c renders the
-same plan as C text.
+Where a summand's innermost levels form a box (parameter bounds, stride 1,
+no guards, degree-1 index terms with parameter-only coefficients), the
+expander walks only the levels above it: each access's index is then
+base[outer row] + offset[box point], and every block of outer rows is one
+gather, one `matmul` or `einsum` and one scatter (`_Box`, lowered once per
+plan; the offsets are built on each call, `_Grid`).  `runtime.pack` and
+`unpack` run on the expander too, as a copy between a region's rank and its
+tensor's dense offset (`copy_program`), walking every point.  emit_c renders
+the same plan as C text.
 """
 
 from __future__ import annotations
@@ -404,7 +410,9 @@ def copy_program(index):
     view = AccessPlan(tensor, "out", None, "dense", dims,
                       strides=tuple((tensor, p, "stride") for p in range(len(dims))))
     rank = _rank_access(tensor, "in0", 0, dims, index.rank, dims)
-    return _program(build_loop_nest(index.accessed), Statement(view, (rank,)))
+    prog = _program(build_loop_nest(index.accessed), Statement(view, (rank,)))
+    # pack and unpack walk every point and bound their ranks themselves
+    return prog and prog._replace(bounds=None, crude=None, box=None)
 
 
 def build_plan(program, rule, compression="input+output"):
@@ -456,9 +464,27 @@ _Leaf = namedtuple("_Leaf", "col key scale pieces")
 # guards: the nest's parameter-only guards; root: column -> parameter-only
 # part of each carried index; bounds: per access, its tensor and the polys
 # over env names that must fit int64; crude: (sum of |coeff|, top degree)
-# over them, a bound through the largest env value; reduce: the output
-# index is fixed along every innermost row.
-_Program = namedtuple("_Program", "guards levels root leaves bounds crude reduce")
+# over them, a bound through the largest env value (both None for a copy,
+# see `copy_program`); reduce: the output index is fixed along every innermost
+# row; box: the inner levels that run as one array contraction, or None.
+_Program = namedtuple("_Program", "guards levels root leaves bounds crude reduce box")
+
+# The deepest suffix of a nest's levels (from `depth` on) that is a box:
+# loop levels of stride 1 without guards, bounded by parameters only, on
+# which every access's terms are degree 1 with parameter-only coefficients.
+# An access's index is then base[outer row] + offset[box point].
+# - coefs: per leaf column, (box dim, int poly) for each box dim the access
+#   reads, in order: the sum of its terms there, divided by the access's
+#   scale.
+# - varies: per leaf column, whether its base differs between outer rows
+#   (else the access is gathered once per call); repeat: outer rows can
+#   share an output index.
+# - spec: the einsum over the inputs, with a row axis "r" on each varying
+#   one and box dims as capitals.
+# - matmul: (column, einsum) when the one varying input with box dims runs
+#   as (rows, X) @ (X, Y), the einsum folding the constant inputs into that
+#   (X, Y) matrix and any other varying input scaling each row; else None.
+_Box = namedtuple("_Box", "depth coefs varies repeat spec matmul")
 
 
 def _program(nest, stmt):
@@ -500,7 +526,8 @@ def _program(nest, stmt):
             pieces = a.rank.lowered[1]
         polys = [p for _, p, _ in pieces] if pieces else [root[col] + tuple(
             (c, mono + ((levels[k].var, e),))
-            for k in range(len(levels)) for t, e, p in terms[k] if t == col for c, mono in p)]
+            for k in range(len(levels)) for t, e, p in terms[k] if t == col
+            for c, mono in p)]
         # an iterator is bounded by the extent of the axis it indexes here
         own = dict(reversed([(it, (a.tensor, axis)) for axis, it in enumerate(a.names)]))
         bounds.append((a.tensor, tuple(tuple((c, tuple((own.get(v, v), e) for v, e in mono))
@@ -515,6 +542,7 @@ def _program(nest, stmt):
     reduce_rows = (last >= 0 and leaves[0].pieces is None
                    and nest.levels[last].kind != "fixed" and not levels[last].guards
                    and all(t[0] != 0 for t in terms[last]))
+    box = _box(nest, levels, terms, leaves, stmt.output.names)
     # the columns each level's points must carry, innermost level first
     dims = set(dims)  # membership only from here on
     piece_polys = [p for a in leaves for gs, poly, _ in a.pieces or ()
@@ -530,7 +558,65 @@ def _program(nest, stmt):
         if reduce_rows and k == last:
             need.add(0)
     return _Program(guards, tuple(levels), root, tuple(leaves), tuple(bounds), crude,
-                    reduce_rows)
+                    reduce_rows, box)
+
+
+def _box(nest, levels, terms, leaves, out_names):
+    """The `_Box` of a nest's lowered levels and their terms, or None when
+    its deepest level is no box level, a rank is piecewise, a box term is not
+    a multiple of its access's scale, or an input reads no box dim that the
+    box has (the contraction would have to count repeats)."""
+    dims = set(nest.dims)
+
+    def is_box(k):
+        lv = levels[k]
+        return (nest.levels[k].kind == "loop" and not lv.guards
+                and not _poly_names(*(p for _, p in lv.lowers + lv.uppers)) & dims
+                and all(e == 1 and not _poly_names(p) & dims for _, e, p in terms[k]))
+    depth = len(levels)
+    while depth and is_box(depth - 1):
+        depth -= 1
+    if depth == len(levels) or any(a.pieces is not None for a in leaves):
+        return None
+    coefs = [{} for _ in leaves]
+    for k in range(depth, len(levels)):
+        for col, _, p in terms[k]:
+            if any(c % leaves[col].scale for c, _ in p):
+                return None
+            coefs[col][k - depth] = coefs[col].get(k - depth, ()) + tuple(
+                (c // leaves[col].scale, mono) for c, mono in p)
+    coefs = tuple(tuple(cs.items()) for cs in coefs)
+    box_dims = [tuple(j for j, _ in cs) for cs in coefs]
+    if set().union(*box_dims[1:]) != set(range(len(levels) - depth)):
+        return None
+    # rows differ in the outer levels' values, except where a level is
+    # fixed by the parameters and the fixed levels above it
+    moving = set()
+    for k in range(depth):
+        lv = levels[k]
+        if (nest.levels[k].kind != "fixed" or not lv.single
+                or _poly_names(lv.lowers[0][1]) & moving):
+            moving.add(lv.var)
+    varies = tuple(any(t == a.col and (levels[k].var in moving or _poly_names(p) & moving)
+                       for k in range(depth) for t, _, p in terms[k]) for a in leaves)
+    repeat = any(nest.levels[k].kind != "fixed" and levels[k].var not in out_names
+                 for k in range(depth))
+
+    def sub(js):
+        return "".join(chr(ord("A") + j) for j in js)
+    rowwise = varies[0] and any(varies[1:])
+    ins = [("r" if v else "") + sub(d) for v, d in zip(varies[1:], box_dims[1:])]
+    res = ("r" if rowwise else "") + sub(box_dims[0])
+    spec = ",".join(ins) + "->" + res
+    matmul = None
+    shaped = [c for c in range(1, len(leaves)) if varies[c] and box_dims[c]]
+    if rowwise and len(shaped) == 1:
+        v = shaped[0]
+        fixed = [box_dims[c] for c in range(1, len(leaves)) if not varies[c]]
+        if fixed and not set(box_dims[v]) & set(box_dims[0]) \
+                and set().union(*fixed) == set(box_dims[v]) | set(box_dims[0]):
+            matmul = (v, ",".join(map(sub, fixed)) + "->" + sub(box_dims[v]) + sub(box_dims[0]))
+    return _Box(depth, coefs, varies, repeat, spec, matmul)
 
 
 def _check_int64(prog, ext, top):
@@ -569,9 +655,140 @@ def _leaf_index(a, cols, n, lengths, env):
     return idx
 
 
+def _box_base(a, base, grid, lengths):
+    """An access's checked base index (an int, or a column over rows) under a
+    box whose offsets to it span [grid.least, grid.most]."""
+    if a.scale != 1:
+        base, rest = divmod(base, a.scale)
+        if rest.any() if isinstance(rest, np.ndarray) else rest:
+            raise IndexingFault("non-integer index")
+    if isinstance(a.key, int):
+        # every row's first index must lie in [0, span)
+        first, span = base + grid.least, lengths[a.key] - (grid.most - grid.least)
+        if span <= 0 or (first.view(np.uint64).max() >= span if isinstance(first, np.ndarray)
+                         else not 0 <= first < span):
+            raise IndexingFault(f"index out of range for buffer {a.key}")
+    return base
+
+
+_ORIGIN = np.zeros(1, dtype=np.int64)   # the offsets of an access no box dim moves
+
+
+# Where an access's values lie relative to its base, over a box at one
+# binding: off, the flat offsets in row-major box order; least and most,
+# their extremes; shape, the extent of each box dim it reads.
+_Grid = namedtuple("_Grid", "off least most shape")
+
+
+def _box_grids(prog, env, clamp):
+    """Per leaf, the `_Grid` of a box at a binding, after checking the box
+    ranges against their dense extents; None when the box is empty."""
+    box = prog.box
+    inner = prog.levels[box.depth:]
+    ranges = []
+    for lv in inner:
+        lo, hi = _level_range(lv, {}, env, clamp)
+        if lo > hi:
+            return None
+        ranges.append((int(lo), int(hi)))
+        clamp = None
+    for lv, (lo, hi) in zip(inner, ranges):
+        _check_extents(lv, lo, hi, env)
+    values = [np.arange(lo, hi + 1) for lo, hi in ranges]
+    grids = []
+    for a in prog.leaves:
+        off, least, most = _ORIGIN, 0, 0
+        for j, p in box.coefs[a.col]:
+            c = poly_values(p, {}, env)
+            ends = (c * ranges[j][0], c * ranges[j][1])
+            least, most = least + min(ends), most + max(ends)
+            step = values[j] if c == 1 else c * values[j]
+            off = step if off is _ORIGIN else (off[:, None] + step).ravel()
+        grids.append(_Grid(off, least, most, tuple(len(values[j]) for j, _ in box.coefs[a.col])))
+    return grids
+
+
+def _box_call(prog, env, store, lengths, block, clamp):
+    """What a box needs once per call, from the first block of outer rows:
+    its `_Grid`s, the checked bases of the accesses that do not vary by row,
+    the gathered constant inputs and the matmul's folded matrix.  None when
+    the box is empty."""
+    box = prog.box
+    grids = _box_grids(prog, env, clamp)
+    if grids is None:
+        return None
+    bases, consts = {}, {}
+    for a, g in zip(prog.leaves, grids):
+        if not box.varies[a.col]:
+            base = block[a.col]
+            base = int(base[0]) if isinstance(base, np.ndarray) else int(base)
+            bases[a.col] = base = _box_base(a, base, g, lengths)
+            if a.col:
+                consts[a.col] = store[a.key][base + g.off].reshape(g.shape)
+    matrix = None
+    if box.matmul is not None:
+        col, spec = box.matmul
+        matrix = np.einsum(spec, *consts.values(), optimize=False).reshape(
+            math.prod(grids[col].shape), -1)
+    return grids, bases, consts, matrix
+
+
+def _run_box(prog, env, out, store, lengths, clamp):
+    """Accumulate a summand through its box (`_Box`): the outer levels run on
+    `_expand`, and each slice of an outer block (at most BLOCK_POINTS gathered
+    values per varying access, unless one row has more) gathers every input
+    at base[row] + offset[box point], contracts them and adds the result to
+    the output at its base[row] + offset.  Every index is checked, once per
+    outer block, before the first store read that uses it."""
+    box = prog.box
+    outer = prog.levels[:box.depth]
+    root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
+    state = rows_per = None
+    moving = [a for a in prog.leaves if box.varies[a.col]]
+    per_row = any(box.varies[1:])
+    for block, m, *_ in _expand(outer, root, 1, env, clamp):
+        if rows_per is None:
+            state = _box_call(prog, env, store, lengths, block, None if outer else clamp)
+            rows_per = max(1, BLOCK_POINTS // max(
+                [math.prod(state[0][a.col].shape) for a in moving] or [1])) if state else 0
+        if state is None:
+            continue   # an empty box: the outer walk still checks its extents
+        grids, bases, consts, matrix = state
+        base = {a.col: _box_base(a, _column(block[a.col], m), grids[a.col], lengths)
+                for a in moving}
+        for s in range(0, m, rows_per):
+            rows = min(m, s + rows_per) - s
+            ops = [consts[a.col] if a.col in consts
+                   else store[a.key][base[a.col][s:s + rows, None] + grids[a.col].off]
+                   for a in prog.leaves[1:]]
+            if matrix is not None:
+                res = ops[box.matmul[0] - 1] @ matrix
+                for a in moving:   # the other varying inputs are one value per row
+                    if a.col and a.col != box.matmul[0]:
+                        res = res * ops[a.col - 1]
+            else:
+                ops = [op if a.col in consts else op.reshape((rows,) + grids[a.col].shape)
+                       for a, op in zip(prog.leaves[1:], ops)]
+                res = np.einsum(box.spec, *ops, optimize=False)
+            if not box.varies[0]:
+                if not per_row:
+                    res = res * rows
+                out[bases[0] + grids[0].off] += res.reshape(-1)
+                continue
+            idx = base[0][s:s + rows, None] + grids[0].off
+            res = res.reshape(rows if per_row else 1, -1)
+            if box.repeat:
+                np.add.at(out, idx, np.broadcast_to(res, idx.shape))
+            else:
+                out[idx] += res
+
+
 def _run_summand(prog, env, out, store, lengths, clamp=None):
     """Accumulate one summand into `out`; `clamp` narrows the outermost
     level to an inclusive range."""
+    if prog.box is not None:
+        _run_box(prog, env, out, store, lengths, clamp)
+        return
     root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
     for block, m, parent, start, counts in _expand(prog.levels, root, 1, env, clamp):
         if prog.reduce:   # the output index of each nonempty row
@@ -603,16 +820,23 @@ class ExecResult:
     compressed: dict       # output buffer id -> flat ndarray
 
 
+def buffer_length(size, binding, what):
+    """A lowered size (`PiecewiseQuasiPolynomial.lowered`) at an int binding;
+    `what` names the buffers in the errors."""
+    context, pieces = size
+    hits = [(poly, s) for guards, poly, s in pieces if guards_mask(guards, {}, binding)]
+    if not hits or not guards_mask(context, {}, binding):
+        raise DomainError(f"no size piece of {what} covers {binding}")
+    length, rest = divmod(poly_values(hits[0][0], {}, binding), hits[0][1])
+    if rest:
+        raise CountingError(f"non-integer size of {what}")
+    return length
+
+
 def _buffer_lengths(plan, binding):
     lengths = {}
-    for (context, pieces), bids in plan.sizes.items():
-        hits = [(poly, s) for guards, poly, s in pieces if guards_mask(guards, {}, binding)]
-        if not hits or not guards_mask(context, {}, binding):
-            raise DomainError(f"no size piece of buffers {bids} covers {binding}")
-        length, rest = divmod(poly_values(hits[0][0], {}, binding), hits[0][1])
-        if rest:
-            raise CountingError(f"non-integer size of buffers {bids}")
-        lengths.update(dict.fromkeys(bids, length))
+    for size, bids in plan.sizes.items():
+        lengths.update(dict.fromkeys(bids, buffer_length(size, binding, f"buffers {bids}")))
     return lengths
 
 

@@ -3,9 +3,9 @@
 For each tensor access, the accessed region is the image of the iteration
 space under the access map; its lexicographic rank (a piecewise polynomial)
 indexes a dense 1-d buffer holding exactly the region's values.  Accesses
-whose regions coincide share one buffer; distinct regions of a tensor must
-be provably disjoint, otherwise the whole tensor falls back to a dense
-uncompressed layout (the safe path when regions partially overlap).
+whose regions provably coincide share one buffer; distinct regions of a
+tensor must be provably disjoint, otherwise the whole tensor falls back to a
+dense uncompressed layout (the safe path when regions partially overlap).
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from .counting import (
 )
 from .polyhedra import (
     AccessMap, AffineExpr, Polyhedron, _rationally_infeasible,
-    enumerate_points, ge, image, implies, iteration_space, preceding_slices,
+    ge, image, implies, iteration_space, preceding_slices,
 )
-
-PROBE_VALUES = (2, 3, 5)
 
 
 @dataclass(frozen=True)
@@ -88,42 +86,20 @@ def _canonical_region(img, index_names):
 
 
 def regions_equal(a, b):
-    """Layered equality: syntactic, then mutual implication, then probes."""
+    """Syntactic equality, then mutual implication; equality that is not
+    proved counts as inequality, so the registry keeps the regions apart
+    or demotes the tensor rather than share one layout between them."""
     if a.dims != b.dims:
         return False
     if frozenset(a.constraints) == frozenset(b.constraints):
         return True
-    if all(implies(b.constraints, c) for c in a.constraints) and \
-       all(implies(a.constraints, c) for c in b.constraints):
-        return True
-    params = tuple(dict.fromkeys(a.params + b.params))
-    for val in PROBE_VALUES:
-        binding = {p: val for p in params}
-        try:
-            pa = enumerate_points(Polyhedron.build(a.dims, params, a.constraints), binding)
-            pb = enumerate_points(Polyhedron.build(b.dims, params, b.constraints), binding)
-        except Exception:
-            return False
-        if pa.tolist() != pb.tolist():
-            return False
-    return True
+    return (all(implies(b.constraints, c) for c in a.constraints)
+            and all(implies(a.constraints, c) for c in b.constraints))
 
 
 def regions_disjoint(a, b):
     """True only when provably disjoint; unknown counts as overlapping."""
-    merged = list(a.constraints) + list(b.constraints)
-    if _rationally_infeasible(merged):
-        return True
-    params = tuple(dict.fromkeys(a.params + b.params))
-    both = Polyhedron.build(a.dims, params, merged)
-    for val in PROBE_VALUES:
-        binding = {p: val for p in params}
-        try:
-            if len(enumerate_points(both, binding)):
-                return False
-        except Exception:
-            return False
-    return False  # empty at every probe yet not provably empty: play it safe
+    return _rationally_infeasible(list(a.constraints) + list(b.constraints))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .codegen import (
-    _INT64_MAX, IndexingFault, _expand, _leaf_index, _magnitude, build_loop_nest,
-    iter_point_chunks,
+    _INT64_MAX, IndexingFault, _expand, _leaf_index, _magnitude, buffer_length,
+    build_loop_nest, iter_point_chunks,
 )
 from .polyhedra import (
     GE0, AffineExpr, Constraint, Polyhedron, guards_mask, int_form, poly_values,
@@ -111,7 +111,8 @@ def pack(tensor, index, binding, axes=None, buffer_id=0):
     if axes is None:
         axes = tuple(range(len(tensor.shape)))
     _check_rank_int64(index, tensor.shape, axes, binding)
-    length = int(index.size.evaluate(binding))
+    length = buffer_length(index.size.lowered, {p: int(v) for p, v in binding.items()},
+                           f"{index.tensor}'s buffer")
     out = np.zeros(length, dtype=tensor.data.dtype)
     for rank, offset in _copies(index, tensor.shape, axes, binding, length):
         out[rank] = tensor.data[offset]

@@ -38,6 +38,14 @@ class TestCompile:
         assert "for j = i .. n_j - 1:" in out
         assert "A[i] += B[i, j] * C[j]" in out
 
+    def test_contracted_block_marked(self, capsys):
+        assert run_cli("compile", "--kernel", "TTM_UT") == 0
+        out = capsys.readouterr().out
+        assert "for k = 0 .. n_k - 1:  (k, l contracted as one block)" in out
+        assert "for j = i .. n_j - 1:\n" in out
+        assert run_cli("compile", "--kernel", "SpMV_UT") == 0
+        assert "contracted" not in capsys.readouterr().out
+
     def test_emit_c_writes_one_file_per_summand(self, tmp_path, capsys):
         target = os.path.join(tmp_path, "cdir")
         assert run_cli("compile", "--kernel", "SpMV_L",

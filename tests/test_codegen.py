@@ -88,6 +88,26 @@ B_U(i, j) := (0 <= i < n) * (0 <= j < m) * (3*j <= i) + (0 <= i < n) * (j = 0)
 """
 
 
+# the whole nest is one box
+FULL_RECT = """
+A(i) := B(i, j) * C(j)
+B_U(i, j) := (0 <= i < n) * (0 <= j < m)
+"""
+
+# B's two regions agree whenever m = p, but they are not equal: sharing one
+# buffer read summand 1's j >= m through a layout sized for j < m
+UNPROVED_EQUAL = """
+A(i) := B(i, j) * C(j) * (j < m) + B(i, j) * D(j) * (j < p) * (i + j <= n + m - 2)
+B_U(i, j) := (0 <= i < n) * (0 <= j < n)
+"""
+
+# dense, B's box offsets over l step by B's last extent
+STRIDED_BOX = """
+A(i, k) := B(i, l, k) * C(l)
+B_U(i, l, k) := (0 <= i < n) * (0 <= l < m) * (i <= k < n)
+"""
+
+
 def space_of(text, rule="A", idx=0):
     s = build_compressed_summands(parse_program(text), rule)[idx]
     return iteration_space(s)
@@ -388,6 +408,22 @@ class TestExecute:
         (HALF_GUARD, "A", {"A": (300,), "B": (300, 300)}, {"n": 300}),
         (HALF_BOUND, "A", {"A": (7,), "B": (7, 7)}, {"n": 7}),
         (HALF_BOUND, "A", {"A": (300,), "B": (300, 300)}, {"n": 300}),
+        # box path: several blocks of outer rows, a row whose gather alone
+        # exceeds BLOCK_POINTS, and a nest that is all box
+        (BUILTIN_KERNELS["TTM_UT"].text, "A",
+         {"A": (40, 40, 40), "B": (40, 40, 40), "C": (40, 40)},
+         {"n_i": 40, "n_j": 40, "n_k": 40, "n_l": 40}),
+        (BUILTIN_KERNELS["MTT_J"].text, "A",
+         {"A": (3, 4), "B": (3, 91, 91), "C": (91, 4), "D": (91, 4)},
+         {"n_i": 3, "n_j": 4, "n_k": 91, "n_l": 91, "J": 1}),
+        (FULL_RECT, "A", {"A": (7,), "B": (7, 9), "C": (9,)}, {"n": 7, "m": 9}),
+        (STRIDED_BOX, "A", {"A": (6, 6), "B": (6, 4, 6), "C": (4,)}, {"n": 6, "m": 4}),
+        # outer rows (i, k) repeat the output index A[i, J]
+        (BUILTIN_KERNELS["MTT_JUT"].text, "A",
+         {"A": (12, 3), "B": (12, 12, 9), "C": (12, 3), "D": (9, 3)},
+         {"n_i": 12, "n_j": 3, "n_k": 12, "n_l": 9, "J": 1}),
+        (UNPROVED_EQUAL, "A", {t: (6, 6) if t == "B" else (6,) for t in "ABCD"},
+         {"n": 6, "m": 3, "p": 6}),
     ])
     def test_matches_reference(self, compression, text, rule, shapes, binding):
         got, want = run_and_compare(text, rule, shapes, binding, compression)
@@ -419,6 +455,11 @@ class TestExecute:
                                     "input+output", workers=workers)
         assert np.array_equal(seq, par)
         assert np.array_equal(par, want)
+
+    def test_unproved_region_equality_demotes(self):
+        # B's regions overlap without being provably equal: B is demoted
+        plan = build_plan(parse_program(UNPROVED_EQUAL), "A", "input+output")
+        assert "tensor=B id=1 dense reason=partial-overlap" in plan.registry.dump()
 
     def test_indexing_fault_on_short_buffer(self, monkeypatch):
         program = parse_program(SPMV_D)
@@ -497,6 +538,155 @@ class TestExecute:
         plan = build_plan(program, "A", "input+output")
         res = execute(plan, {}, {"A": (4,)}, {"n": 4})
         assert res.dense is None and res.compressed == {}
+
+
+def box_of(name, level):
+    kern = BUILTIN_KERNELS[name]
+    plan = build_plan(parse_program(kern.text), kern.rule, level)
+    return [sp.program.box for sp in plan.summands]
+
+
+class TestBox:
+    @pytest.mark.parametrize("level", ["none", "input", "input+output"])
+    def test_which_builtins_contract(self, level):
+        # the depth of the first box level, or None for the point walk
+        want = {"TTM_DP": [2], "TTM_J": [2], "TTM_UT": [2], "THP_DP": [2],
+                "THP_I": [1], "THP_J": [2], "MTT_J": [2], "MTT_JUT": [3],
+                "MTT_D": [None], "SpMV_L": [1, None], "SpMV_UT": [None],
+                "SpMV_D": [None]}
+        got = {name: [b and b.depth for b in box_of(name, level)] for name in BUILTIN_KERNELS}
+        assert got == want
+
+    def test_contraction_forms(self):
+        ttm, = box_of("TTM_UT", "input+output")
+        assert ttm.varies == (True, True, False) and ttm.matmul == (1, "AB->BA")
+        mtt, = box_of("MTT_J", "input+output")
+        assert mtt.varies == (True, True, False, False) and mtt.matmul == (1, "A,B->AB")
+        thp, = box_of("THP_J", "input+output")
+        assert thp.spec == "rA,rA->rA" and thp.matmul is None
+        # C[k, J] is one value per outer row (i, J, k), which repeat A[i, J]
+        jut, = box_of("MTT_JUT", "input+output")
+        assert jut.repeat and jut.varies == (True, True, True, False)
+        assert jut.matmul == (1, "A->A")
+        first, _ = box_of("SpMV_L", "input+output")
+        assert first.varies == (False,) * 3 and first.spec == "A,A->"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_whole_nest_box_across_workers(self, workers):
+        plan = build_plan(parse_program(FULL_RECT), "A", "input+output")
+        assert plan.summands[0].program.box.depth == 0
+        assert plan.summands[0].parallelizable
+        got, want = run_and_compare(FULL_RECT, "A", {"A": (9,), "B": (9, 5), "C": (5,)},
+                                    {"n": 9, "m": 5}, "input+output", workers=workers)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("inputs", [(("i", "j"), ("i",)), (("j",),)])
+    def test_output_fixed_across_rows(self, inputs):
+        # A[j] over outer rows i = 1 mod 3: the rows' products are summed,
+        # or, when no input moves with i either, counted
+        space = Polyhedron.build(("i", "j"), ("n",), [
+            ge(v("i")), ge(v("n") - k(1) - v("i")), ge(v("j")),
+            ge(v("n") - k(1) - v("j")), modeq(v("i"), 3, 1)])
+        stmt = Statement(AccessPlan("A", "out", 0, "dense", ("j",)), tuple(
+            AccessPlan(t, f"in{c}", c + 1, "dense", names)
+            for c, (t, names) in enumerate(zip("BC", inputs))))
+        plan = KernelPlan("A", (SummandPlan(build_loop_nest(space), stmt, False),),
+                          None, "none")
+        box = plan.summands[0].program.box
+        assert box.depth == 1 and not box.varies[0]
+        n = 10
+        rng = np.random.default_rng(7)
+        shapes = {"A": (n,), **{t: (n,) * len(names) for t, names in zip("BC", inputs)}}
+        store = {t: rng.integers(-3, 4, n ** len(names)) for t, names in zip("BC", inputs)}
+        got = execute(plan, store, shapes, {"n": n}, dtype=np.int64).dense
+        if len(inputs) == 2:
+            want = store["C"][1::3] @ store["B"].reshape(n, n)[1::3]
+        else:
+            want = len(range(1, n, 3)) * store["B"]
+        assert np.array_equal(got, want)
+
+    def test_grids_follow_the_binding(self):
+        # one plan run at alternating bindings, shapes and worker counts
+        plan = build_plan(parse_program(FULL_RECT), "A", "none")
+        rng = np.random.default_rng(11)
+        for n, m, workers in [(9, 5, 1), (9, 5, 2), (4, 7, 1), (9, 5, 1), (9, 6, 1)]:
+            shapes = {"A": (n,), "B": (n, m), "C": (m,)}
+            dense = {t: rng.integers(-3, 4, int(np.prod(shapes[t]))) for t in "BC"}
+            got = execute(plan, dense, shapes, {"n": n, "m": m}, workers=workers,
+                          dtype=np.int64).dense
+            assert np.array_equal(got, dense["B"].reshape(n, m) @ dense["C"])
+        with pytest.raises(IndexingFault, match="of C "):
+            execute(plan, dense, {**shapes, "C": (m - 1,)}, {"n": n, "m": m})
+
+    def ttm_ut(self, level):
+        kern = BUILTIN_KERNELS["TTM_UT"]
+        plan = build_plan(parse_program(kern.text), kern.rule, level)
+        assert plan.summands[0].program.box is not None
+        n = 6
+        binding = {"n_i": n, "n_j": n, "n_k": n, "n_l": n}
+        shapes = {"A": (n, n, n), "B": (n, n, n), "C": (n, n)}
+        dense = {t: np.ones(int(np.prod(shapes[t]))) for t in "BC"}
+        return plan, pack_store(plan, shapes, dense, binding, np.float64), shapes, binding
+
+    def test_short_buffer_raises(self, monkeypatch):
+        plan, store, shapes, binding = self.ttm_ut("input+output")
+        b = plan.summands[0].statement.inputs[0].buffer_id
+        lengths = codegen._buffer_lengths(plan, binding)
+        monkeypatch.setattr(codegen, "_buffer_lengths",
+                            lambda plan, binding: {**lengths, b: lengths[b] - 1})
+        with pytest.raises(IndexingFault, match=f"buffer {b}$"):
+            execute(plan, store, shapes, binding)
+
+    def test_box_level_past_dense_extent_raises(self):
+        plan, store, shapes, binding = self.ttm_ut("none")
+        store["C"] = np.ones(6 * 5)
+        with pytest.raises(IndexingFault, match="of C "):
+            execute(plan, store, {**shapes, "C": (6, 5)}, binding)
+
+    def test_non_integral_base_raises(self):
+        plan, store, shapes, binding = self.ttm_ut("input+output")
+        sp = plan.summands[0]
+        b = sp.statement.inputs[0]
+        assert b.scale == 2
+        prog = sp.program
+        # one scaled unit off: half a slot
+        root = {**prog.root, 1: prog.root[1] + ((1, ()),)}
+        sp.__dict__["program"] = prog._replace(root=root)
+        with pytest.raises(IndexingFault, match="non-integer index"):
+            execute(plan, store, shapes, binding)
+
+    def test_coefficient_off_scale_walks_points(self):
+        # B's rank is lexicographic in (x, y, z), so x's coefficient is the
+        # triangle's size n(n+1)/2; iterating x innermost puts it in the box,
+        # where the scaled coefficient n^2 + n is no multiple of the scale 2
+        text = """
+        A(x) := B(x, y, z) * C(y, z)
+        B_U(x, y, z) := (0 <= x < m) * (0 <= y < n) * (y <= z < n)
+        """
+        program = parse_program(text)
+        plan = build_plan(program, "A", "input")
+        buf = plan.registry.buffer_for(0, "in0")
+        space = space_of(text)
+        dims = ("y", "z", "x")
+        nest = build_loop_nest(Polyhedron.build(dims, space.params, space.constraints))
+        rank = codegen._rank_access("B", "in0", buf.id, ("x", "y", "z"), buf.index.rank, dims)
+        assert rank.scale == 2
+        stmt = Statement(AccessPlan("A", "out", 0, "dense", ("x",)), (
+            rank, AccessPlan("C", "in1", 1, "dense", ("y", "z"))))
+        sp = SummandPlan(nest, stmt, False)
+        assert sp.program.box is None
+        dense_b = Statement(stmt.output, (AccessPlan("B", "in0", 1, "dense", ("x", "y", "z")),
+                                          stmt.inputs[1]))
+        assert SummandPlan(nest, dense_b, False).program.box.depth == 2
+        binding, shapes = {"m": 5, "n": 4}, {"A": (5,), "B": (5, 4, 4), "C": (4, 4)}
+        rng = np.random.default_rng(3)
+        dense = {t: rng.integers(-3, 4, int(np.prod(shapes[t]))) for t in "BC"}
+        kp = KernelPlan("A", (sp,), plan.registry, "input",
+                        sizes={buf.index.size.lowered: (buf.id,)})
+        store = pack_store(kp, shapes, dense, binding, np.int64)
+        got = execute(kp, store, shapes, binding, dtype=np.int64).dense
+        want = reference_execute(program, "A", shapes, dense, binding, dtype=np.int64)
+        assert np.array_equal(got, want)
 
 
 class TestEmitC:

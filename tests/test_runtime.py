@@ -245,11 +245,19 @@ class TestAgainstOracle:
             for name in ("build_loop_nest", "fm_eliminate"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, no_lowering)
+        # the rank and the size too: both are read in their lowered form
         monkeypatch.setattr(PiecewiseQuasiPolynomial, "evaluate_many", no_lowering)
+        monkeypatch.setattr(PiecewiseQuasiPolynomial, "evaluate", no_lowering)
         again = pack(t, f, binding)
         assert np.array_equal(again.data, first.data)
         back = unpack(again, f, (3, 4, 2), binding)
         assert np.array_equal(pack(back, f, binding).data, first.data)
+
+
+    def test_copy_keeps_no_int64_bounds(self):
+        # pack and unpack bound their ranks through _check_rank_int64
+        prog = findex(PRISM, "B").program
+        assert prog.bounds is None and prog.crude is None and prog.box is None
 
 
 class TestUnpack:
