@@ -15,8 +15,10 @@ base[outer row] + offset[box point], and every block of outer rows is one
 gather, one `matmul` or `einsum` and one scatter (`_Box`, lowered once per
 plan; the offsets are built on each call, `_Grid`).  `runtime.pack` and
 `unpack` run on the expander too, as a copy between a region's rank and its
-tensor's dense offset (`copy_program`), walking every point.  emit_c renders
-the same plan as C text.
+tensor's dense offset (`copy_program`), walking every point.  `build_plan`
+renders each summand as C text once (`SummandPlan.source`), and `emit_c`
+assembles those texts.  The compressed summands and the buffer registry are
+built once per (program, rule) and shared by all three compression levels.
 """
 
 from __future__ import annotations
@@ -418,8 +420,10 @@ def copy_program(index):
 def build_plan(program, rule, compression="input+output"):
     if compression not in ("none", "input", "input+output"):
         raise CodegenError(f"unknown compression level {compression!r}")
-    summands = build_compressed_summands(program, rule)
-    registry = build_registry(summands)
+    if rule not in program.compiled:
+        summands = build_compressed_summands(program, rule)
+        program.compiled[rule] = summands, build_registry(summands)
+    summands, registry = program.compiled[rule]
     plans, sizes, packed = [], {}, set()
     for si, s in enumerate(summands):
         space = iteration_space(s)
@@ -431,7 +435,7 @@ def build_plan(program, rule, compression="input+output"):
         par = (not nest.empty and len(nest.levels) > 0
                and nest.levels[0].kind != "fixed"
                and nest.dims[0] in s.output.index_names)
-        src = "\n".join(_emit_c_summand(rule, si, nest, stmt, "double"))
+        src = "\n".join(_emit_c_summand(rule, si, nest, stmt))
         plans.append(SummandPlan(nest, stmt, par, src))
         plans[-1].program  # lowered now, at compile time, not on first execute
         for a in (out_plan,) + ins:
@@ -1064,33 +1068,30 @@ _C_PRELUDE = [
 ]
 
 
-def emit_c(plan, dtype="double"):
+def _c_text(*sources):
+    """The prelude, then each summand's C function after a blank line."""
+    return "\n".join(_C_PRELUDE + ["\n\n".join(sources)]).rstrip() + "\n"
+
+
+def emit_c(plan):
     """Freestanding C99 text mirroring the plan, one function per summand."""
-    lines = list(_C_PRELUDE)
-    for si, sp in enumerate(plan.summands):
-        lines.extend(_emit_c_summand(plan.rule, si, sp.nest, sp.statement, dtype))
-        lines.append("")
-    return "\n".join(lines).rstrip() + "\n"
+    return _c_text(*(sp.source for sp in plan.summands))
 
 
-def emit_c_files(plan, dtype="double"):
+def emit_c_files(plan):
     """(filename, text) per summand, named <rule>_<summand index>.c."""
-    out = []
-    for si, sp in enumerate(plan.summands):
-        text = "\n".join(_C_PRELUDE + _emit_c_summand(
-            plan.rule, si, sp.nest, sp.statement, dtype))
-        out.append((f"{plan.rule}_{si}.c", text.rstrip() + "\n"))
-    return out
+    return [(f"{plan.rule}_{si}.c", _c_text(sp.source))
+            for si, sp in enumerate(plan.summands)]
 
 
-def _emit_c_summand(rule, si, nest, stmt, dtype):
+def _emit_c_summand(rule, si, nest, stmt):
     accesses = [stmt.output] + list(stmt.inputs)
     params = nest.params
-    args = [f"{dtype}* {stmt.output.tensor}"]
+    args = [f"double* {stmt.output.tensor}"]
     seen = {stmt.output.tensor}
     for a in stmt.inputs:
         if a.tensor not in seen:
-            args.append(f"const {dtype}* {a.tensor}")
+            args.append(f"const double* {a.tensor}")
             seen.add(a.tensor)
     for p in params:
         args.append(f"long {p}")

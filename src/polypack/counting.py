@@ -25,7 +25,7 @@ from math import comb, lcm
 import numpy as np
 
 from .polyhedra import (
-    EMPTY, EQ0, FALSE, GE0, MODEQ, AffineExpr, Constraint, Polyhedron, eq, ge,
+    EQ0, FALSE, GE0, MODEQ, AffineExpr, Constraint, Polyhedron, eq, ge,
     enumerate_points, guards_mask, implies, int_guard, is_empty,
     normalize_constraints, poly_values,
 )
@@ -392,10 +392,6 @@ class PiecewiseQuasiPolynomial:
     __repr__ = to_str
 
 
-def evaluate(q, binding):
-    return q.evaluate(binding)
-
-
 def _system(context, constraints):
     return Polyhedron.build(
         context.dims, context.params,
@@ -471,8 +467,8 @@ def _union_if_exact(da, db, context):
         for na in ca.negations():
             for cb in db.constraints:
                 for nb in cb.negations():
-                    if is_empty(Polyhedron.build(context.dims, context.params,
-                                                 base + [na, nb])) != EMPTY:
+                    if not is_empty(Polyhedron.build(context.dims, context.params,
+                                                     base + [na, nb])):
                         return None
     return Polyhedron.build(da.dims, da.params, survivors)
 
@@ -480,7 +476,7 @@ def _union_if_exact(da, db, context):
 def _normalize_pieces(pieces, context, absorb):
     out = []
     for dom, poly in pieces:
-        if is_empty(_system(context, dom.constraints)) == EMPTY:
+        if is_empty(_system(context, dom.constraints)):
             continue
         out.append((Polyhedron.build(dom.dims, dom.params, dom.constraints), poly))
     if absorb:
@@ -631,7 +627,7 @@ def count_points(p, count_dims=None, context=None, max_degree=DEFAULT_MAX_DEGREE
                 tuple(d for d in p.dims if d in remaining_dims),
                 tuple(dict.fromkeys(result_vars + context.params + context.dims)),
                 list(cons) + list(context.constraints))
-            return is_empty(sys) != EMPTY
+            return not is_empty(sys)
 
         for cons, weight in terms:
             cons = list(normalize_constraints(cons))

@@ -18,7 +18,7 @@ from .counting import (
     QuasiPolynomial, count_points, fuse_piecewise, pqp_add, pqp_constant,
 )
 from .polyhedra import (
-    AccessMap, AffineExpr, Polyhedron, _rationally_infeasible,
+    AccessMap, AffineExpr, Polyhedron, _empty_cache, _rationally_infeasible,
     ge, image, implies, iteration_space, preceding_slices,
 )
 
@@ -149,8 +149,10 @@ def build_registry(summands):
     Equal regions share; unequal regions of one tensor must be provably
     disjoint or the tensor is demoted to a dense layout for all accesses
     (reason "partial-overlap").  Index functions are only computed for
-    regions that survive as compressed buffers.
+    regions that survive as compressed buffers.  The emptiness cache is
+    cleared first, so it holds one build's systems at most.
     """
+    _empty_cache.clear()
     drafts = []      # per future buffer: dict of the data needed later
     assignment = {}
     by_tensor = {}

@@ -17,11 +17,15 @@ tightening, the real shadow of Pugh's Omega test (it has no dark or grey
 shadows).  Because FM over the rationals is not integer-exact in general,
 `image` records an exactness flag and the test suite re-validates
 projections against the brute-force enumerator below.
+
+`is_empty` decides by proof alone: a polyhedron is empty when FM derives a
+contradiction, and anything not proved empty is treated as possibly
+nonempty.  It never samples bindings; `enumerate_points` is the oracle of
+the tests and of literal domains in counting, not a compiler decision.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -31,10 +35,6 @@ import numpy as np
 GE0 = "ge0"    # expr >= 0
 EQ0 = "eq0"    # expr == 0
 MODEQ = "mod"  # expr ≡ residue (mod modulus)
-
-EMPTY = "empty"
-NONEMPTY = "nonempty"
-UNKNOWN = "unknown"
 
 # Safety valve for the brute-force enumerator.
 MAX_BOX_POINTS = 80_000_000
@@ -404,9 +404,6 @@ class Polyhedron:
     def trivially_empty(self):
         return FALSE in self.constraints
 
-    def conjoin(self, extra):
-        return Polyhedron.build(self.dims, self.params, list(self.constraints) + list(extra), self.exact)
-
     def rename(self, mapping):
         return Polyhedron.build(
             tuple(mapping.get(d, d) for d in self.dims),
@@ -414,11 +411,6 @@ class Polyhedron:
             [c.rename(mapping) for c in self.constraints],
             self.exact,
         )
-
-    def contains(self, point, binding=None):
-        env = dict(binding or {})
-        env.update(point)
-        return all(c.satisfied(env) for c in self.constraints)
 
     def constraints_on(self, v):
         return [c for c in self.constraints if v in c.expr.coeffs]
@@ -703,33 +695,20 @@ def _rationally_infeasible(constraints):
 
 
 def is_empty(poly):
-    """Tri-state emptiness; "empty" is sound, "nonempty" is witnessed."""
+    """True when the polyhedron provably has no integer point for any binding.
+
+    The proof is rational: a FALSE constraint, or Fourier-Motzkin eliminating
+    every dim and parameter down to a contradiction.  False means not proved
+    empty, which callers treat as possibly nonempty.  Answers are cached per
+    constraint system; `indexing.build_registry` clears the cache when it
+    starts, so it holds one registry build's systems at most.
+    """
     key = (poly.dims, poly.params, poly.constraints)
     hit = _empty_cache.get(key)
-    if hit is not None:
-        return hit
-    result = _is_empty_uncached(poly)
-    _empty_cache[key] = result
-    return result
-
-
-def _is_empty_uncached(poly):
-    if poly.trivially_empty:
-        return EMPTY
-    if _rationally_infeasible(poly.constraints):
-        return EMPTY
-    probes = [{p: v for p in poly.params} for v in (1, 2, 3, 5, 8)]
-    ordered = list(poly.params)
-    probes.append({p: 2 + i for i, p in enumerate(ordered)})
-    probes.append({p: 2 + len(ordered) - i for i, p in enumerate(ordered)})
-    for binding in probes:
-        try:
-            pts = enumerate_points(poly, binding)
-        except (UnboundedError, PolyhedronError):
-            continue
-        if len(pts):
-            return NONEMPTY
-    return UNKNOWN
+    if hit is None:
+        hit = _empty_cache[key] = (poly.trivially_empty
+                                   or _rationally_infeasible(poly.constraints))
+    return hit
 
 
 def implies(constraints, c):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .polyhedra import (
     EQ0, FALSE, GE0, MODEQ, AffineExpr, Constraint, Polyhedron, _refine_box,
@@ -123,6 +123,9 @@ class Program:
     rules: tuple
     unique_sets: dict
     redundancy_maps: dict
+    # rule name -> (compressed summands, buffer registry), filled once by
+    # `codegen.build_plan` and shared by the plans of every compression level
+    compiled: dict = field(default_factory=dict, compare=False, repr=False)
 
     def rule(self, name):
         for r in self.rules:

@@ -540,6 +540,22 @@ class TestExecute:
         assert res.dense is None and res.compressed == {}
 
 
+def test_levels_share_one_registry(monkeypatch):
+    built = []
+
+    def counted(summands):
+        built.append(build_registry(summands))
+        return built[-1]
+    monkeypatch.setattr(codegen, "build_registry", counted)
+    program = parse_program(SPMV_UT)
+    plans = [build_plan(program, "A", level)
+             for level in ("none", "input", "input+output")]
+    assert len(built) == 1
+    assert all(p.registry is built[0] for p in plans)
+    again = build_plan(parse_program(SPMV_UT), "A", "input+output")
+    assert len(built) == 2 and again.registry is built[1] is not built[0]
+
+
 def box_of(name, level):
     kern = BUILTIN_KERNELS[name]
     plan = build_plan(parse_program(kern.text), kern.rule, level)
@@ -736,9 +752,9 @@ int main(void) {
 
     def test_empty_summand_function_body(self):
         nest = LoopNest(("i",), (), (), (), empty=True)
-        out = AccessPlan("A", "out", 0, "dense", ("i",))
-        plan = KernelPlan(
-            "A", (SummandPlan(nest, Statement(out, ()), False),), None, "none")
+        stmt = Statement(AccessPlan("A", "out", 0, "dense", ("i",)), ())
+        src = "\n".join(codegen._emit_c_summand("A", 0, nest, stmt))
+        plan = KernelPlan("A", (SummandPlan(nest, stmt, False, src),), None, "none")
         text = emit_c(plan)
         assert "void a_s0" in text
         body = text.split("void a_s0", 1)[1]

@@ -10,6 +10,7 @@ intended change of output, regenerate the file with
 
 from pathlib import Path
 
+from polypack import codegen, polyhedra
 from polypack.cli import BUILTIN_KERNELS
 from polypack.codegen import build_plan
 from polypack.stur import parse_program
@@ -39,6 +40,19 @@ def test_compile_output_matches_golden():
     for w, g in zip(want, got):
         assert g == w, f"compile output differs at === {w.splitlines()[0]}"
     assert len(got) == len(want)
+
+
+def test_compile_decides_without_sampling(monkeypatch):
+    """Emptiness and registry decisions are proofs: with the enumerator
+    raising, only counting's literal-domain check (`_difference_vanishes`,
+    which holds its own reference) may enumerate, and the output is the
+    same."""
+    def refuse(poly, binding):
+        raise AssertionError(f"compiler sampled {poly}")
+    monkeypatch.setattr(polyhedra, "enumerate_points", refuse)
+    monkeypatch.setattr(codegen, "enumerate_points", refuse)
+    polyhedra._empty_cache.clear()   # no answer carried over from earlier tests
+    assert render_all() == GOLDEN.read_text()
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@ import pytest
 from fractions import Fraction
 
 from polypack.polyhedra import (
-    EMPTY, NONEMPTY, AccessMap, AffineExpr, Constraint, Polyhedron,
+    AccessMap, AffineExpr, Constraint, Polyhedron,
     UnboundedError, enumerate_points, eq, fm_eliminate, ge, image, implies,
     is_empty, modeq, normalize_constraints, preceding_slices,
 )
@@ -196,17 +196,18 @@ class TestPrecedingSlices:
 class TestEmptiness:
     def test_contradiction(self):
         p = Polyhedron.build(("i",), (), [ge(v("i")), ge(-v("i") - c(1))])
-        assert is_empty(p) == EMPTY
+        assert is_empty(p)
 
     def test_interval_is_nonempty(self):
         p = Polyhedron.build(("i",), ("n",), box(0, "i", "n"))
-        assert is_empty(p) == NONEMPTY
+        assert not is_empty(p)
+        assert len(enumerate_points(p, {"n": 3})) == 3
 
     def test_contradiction_after_substitution(self):
         p = Polyhedron.build(
             ("i", "j"), (),
             [eq(v("i") - v("j")), ge(v("j") - v("i") - c(1))])
-        assert is_empty(p) == EMPTY
+        assert is_empty(p)
 
     def test_implies(self):
         cons = [eq(v("i") - v("j")), ge(v("i"))]
