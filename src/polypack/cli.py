@@ -20,8 +20,10 @@ from .codegen import (
     CodegenError, IndexingFault, build_plan, emit_c_files, execute,
     reference_execute,
 )
-from .counting import CountingError, DomainError, enumerate_points
-from .polyhedra import AccessMap, PolyhedronError, image, iteration_space
+from .counting import CountingError, DomainError
+from .polyhedra import (
+    AccessMap, PolyhedronError, enumerate_points, image, iteration_space,
+)
 from .runtime import (
     build_store, footprint_report, gather_output, random_tensor,
 )

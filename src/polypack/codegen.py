@@ -16,7 +16,9 @@ gather, one `matmul` or `einsum` and one scatter (`_Box`, lowered once per
 plan; the offsets are built on each call, `_Grid`).  `runtime.pack` and
 `unpack` run on the expander too, as a copy between a region's rank and its
 tensor's dense offset (`copy_program`), walking every point.  `build_plan`
-renders each summand as C text once (`SummandPlan.source`), and `emit_c`
+renders each summand's lowered program once as C (`SummandPlan.source`):
+the same integer bounds, guards and index terms in int64_t, each scaled rank
+divided exactly at its leaf, so C and `execute` share one lowering; `emit_c`
 assembles those texts.  The compressed summands and the buffer registry are
 built once per (program, rule) and shared by all three compression levels.
 """
@@ -27,7 +29,6 @@ import math
 import pickle
 from collections import namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, reduce
 
 import numpy as np
@@ -435,9 +436,11 @@ def build_plan(program, rule, compression="input+output"):
         par = (not nest.empty and len(nest.levels) > 0
                and nest.levels[0].kind != "fixed"
                and nest.dims[0] in s.output.index_names)
-        src = "\n".join(_emit_c_summand(rule, si, nest, stmt))
-        plans.append(SummandPlan(nest, stmt, par, src))
-        plans[-1].program  # lowered now, at compile time, not on first execute
+        prog = _program(nest, stmt)
+        sp = SummandPlan(nest, stmt, par,
+                         "\n".join(_emit_c_summand(rule, si, nest.params, stmt, prog)))
+        sp.__dict__["program"] = prog   # lowered once, at compile time, for C and `execute`
+        plans.append(sp)
         for a in (out_plan,) + ins:
             if a.layout == "compressed" and a.buffer_id not in packed:
                 packed.add(a.buffer_id)
@@ -967,103 +970,58 @@ def reference_execute(program, rule, shapes, dense, binding, dtype=np.float64):
 # C emission
 
 
-def _c_float(f):
-    f = Fraction(f)
-    return str(f.numerator) if f.denominator == 1 else repr(float(f))
+def _c_name(v):
+    """The C name of an int poly's name: (tensor, axis) is that axis's extent."""
+    return v if isinstance(v, str) else f"n_{v[0]}{v[1]}"
 
 
-def _c_monomial(mono):
-    factors = []
-    for v, e in mono:
-        factors.extend([v] * e)
-    return "*".join(factors)
-
-
-def _c_poly(qp):
-    """Factored rendering: pull out the common monomial, constant term first,
-    e.g. (-1/2 + N)*Q prints as (( -0.5 + N)*Q)."""
-    terms = sorted(qp.terms.items())
-    if not terms:
-        return "0"
-    if len(terms) == 1:
-        mono, c = terms[0]
-        m = _c_monomial(mono)
-        if not m:
-            return _c_float(c)
-        return m if c == 1 else f"{_c_float(c)}*{m}"
-    common = None
-    for mono, _ in terms:
-        exps = dict(mono)
-        if common is None:
-            common = exps
-        else:
-            common = {v: min(e, exps.get(v, 0)) for v, e in common.items()}
-    common = {v: e for v, e in (common or {}).items() if e > 0}
-    reduced = []
-    for mono, c in terms:
-        red = tuple((v, e - common.get(v, 0)) for v, e in mono if e > common.get(v, 0))
-        reduced.append((sum(e for _, e in red), red, c))
-    reduced.sort(key=lambda t: (t[0], t[1]))
-    inner_parts = []
-    for _, red, c in reduced:
-        m = _c_monomial(red)
-        if not m:
-            inner_parts.append(_c_float(c))
-        elif c == 1:
-            inner_parts.append(m)
-        else:
-            inner_parts.append(f"{_c_float(c)}*{m}")
-    inner = " + ".join(inner_parts).replace("+ -", "- ")
-    if inner.startswith("-"):
-        inner = " " + inner
-    if not common:
-        return f"({inner})"
-    return f"(({inner})*{_c_monomial(tuple(sorted(common.items())))})"
-
-
-def _c_affine(expr):
+def _c_int(poly):
+    """An int poly (see `polyhedra.int_form`) as an int64_t expression."""
     parts = []
-    for v, a in sorted(expr.coeffs.items()):
-        a = int(a)
-        parts.append(v if a == 1 else f"{a}*{v}")
-    c = int(expr.const)
-    if c or not parts:
-        parts.append(str(c))
-    return " + ".join(parts).replace("+ -", "- ")
+    for c, mono in poly:
+        f = "*".join(_c_name(v) for v, e in mono for _ in range(e))
+        parts.append(str(c) if not f else f if c == 1 else "-" + f if c == -1 else f"{c}*{f}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
-def _c_guard(c):
-    scaled, _ = c.expr.scaled_integer()
-    e = _c_affine(scaled)
-    if c.kind == GE0:
+def _c_guard(g):
+    kind, poly, modulus, residue = g
+    e = _c_int(poly)
+    if kind == GE0:
         return f"{e} >= 0"
-    if c.kind == EQ0:
+    if kind == EQ0:
         return f"{e} == 0"
-    return f"MODP({e}, {c.modulus}) == {c.residue % c.modulus}"
+    return f"MODP({e}, {modulus}) == {residue}"
 
 
-def _c_bound(expr, rounding):
-    """A loop bound in C integer arithmetic; a rational one is rounded by
-    `rounding`, CEILD for a lower bound and FLOORD for an upper one."""
-    scaled, k = expr.scaled_integer()
-    return f"({_c_affine(scaled)})" if k == 1 else f"{rounding}({_c_affine(scaled)}, {k})"
+def _c_bound(bound, rounding):
+    """A lowered (k, poly) bound poly/k, rounded by `rounding` (CEILD for a
+    lower bound, FLOORD for an upper one) unless k is 1."""
+    k, poly = bound
+    return _c_int(poly) if k == 1 else f"{rounding}({_c_int(poly)}, {k})"
 
 
-def _c_fold(parts, macro):
-    out = parts[0]
-    for p in parts[1:]:
-        out = f"{macro}({out}, {p})"
-    return out
+def _c_exact(e, scale):
+    """e / scale, aborting on a remainder: a rank is integral."""
+    return e if scale == 1 else f"EXACTD({e}, {scale})"
+
+
+def _c_operand(a):
+    """An access's array in C: a compressed one is named after its buffer,
+    since one tensor can have several."""
+    return a.tensor if a.layout == "dense" else f"{a.tensor}_{a.buffer_id}"
 
 
 _C_PRELUDE = [
     "/* generated kernel code */",
+    "#include <stdint.h>",
     "#include <stdlib.h>",
     "#define MAX2(a, b) ((a) > (b) ? (a) : (b))",
     "#define MIN2(a, b) ((a) < (b) ? (a) : (b))",
     "#define MODP(a, m) ((((a) % (m)) + (m)) % (m))",
     "#define FLOORD(a, k) (((a) >= 0 ? (a) : (a) - (k) + 1) / (k))",
     "#define CEILD(a, k) (-FLOORD(-(a), (k)))",
+    "#define EXACTD(a, k) ((a) % (k) ? (abort(), 0) : (a) / (k))",
     "",
 ]
 
@@ -1084,107 +1042,70 @@ def emit_c_files(plan):
             for si, sp in enumerate(plan.summands)]
 
 
-def _emit_c_summand(rule, si, nest, stmt):
-    accesses = [stmt.output] + list(stmt.inputs)
-    params = nest.params
-    args = [f"double* {stmt.output.tensor}"]
-    seen = {stmt.output.tensor}
-    for a in stmt.inputs:
-        if a.tensor not in seen:
-            args.append(f"const double* {a.tensor}")
-            seen.add(a.tensor)
-    for p in params:
-        args.append(f"long {p}")
+def _emit_c_summand(rule, si, params, stmt, prog):
+    """A summand's C function, rendered from its lowered `_Program` (None
+    when the nest is empty): the integer bounds, guards and index terms that
+    `execute` walks, with every index accumulated in int64_t."""
+    accesses = (stmt.output,) + tuple(stmt.inputs)
+    args = [f"double* {_c_operand(stmt.output)}"]
+    args += dict.fromkeys(f"const double* {_c_operand(a)}" for a in stmt.inputs)
+    args += [f"int64_t {p}" for p in params]
     for a in accesses:
-        if a.layout == "dense":
-            for axis in range(len(a.names)):
-                arg = f"long n_{a.tensor}{axis}"
-                if arg not in args:
-                    args.append(arg)
-        else:
-            arg = f"long len{a.buffer_id}"
+        for arg in ([f"int64_t n_{a.tensor}{axis}" for axis in range(len(a.names))]
+                    if a.layout == "dense" else [f"int64_t len{a.buffer_id}"]):
             if arg not in args:
                 args.append(arg)
     out = [f"void {rule.lower()}_s{si}({', '.join(args)}) {{"]
-    ind = [1]
+    if prog is None:
+        return out + ["}"]
+    depth = 1
 
     def put(s):
-        out.append("  " * ind[0] + s)
+        out.append("  " * depth + s)
 
-    if nest.empty:
-        out.append("}")
-        return out
-    for g in nest.guards:
+    for g in prog.guards:
         put(f"if (!({_c_guard(g)})) return;")
-
-    hoist = {}
-    for ai, a in enumerate(accesses):
-        if a.plan is None:
-            continue
-        put(f"double r{ai}_c = {_c_poly(a.plan.const)};")
-        hoist[(ai, -1)] = f"r{ai}_c"
-        for k, parts in enumerate(a.plan.levels):
-            for e, coeff in parts:
-                if coeff.variables() and coeff.variables() <= set(params):
-                    name = f"h{ai}_{k}_{e}"
-                    put(f"double {name} = {_c_poly(coeff)};  /* hoisted */")
-                    hoist[(ai, k, e)] = name
-
-    closes = 0
-    for k, lv in enumerate(nest.levels):
+    acc = {}   # column -> the C variable holding its index so far
+    for col, poly in prog.root.items():
+        acc[col] = f"r{col}"
+        put(f"int64_t r{col} = {_c_int(poly)};")
+    for k, lv in enumerate(prog.levels):
         v = lv.var
-        if lv.kind == "fixed":
-            put(f"int {v} = {_c_affine(lv.expr)};")
+        if lv.single:
+            put(f"int64_t {v} = {_c_int(lv.lowers[0][1])};")
         else:
-            lo = _c_fold([_c_bound(e, "CEILD") for e in lv.lowers], "MAX2")
-            hi = _c_fold([_c_bound(e, "FLOORD") for e in lv.uppers], "MIN2")
-            if lv.kind == "strided":
-                put(f"int {v}_lo = {lo};")
-                put(f"{v}_lo += MODP(({_c_affine(lv.phase)}) - {v}_lo, {lv.stride});")
-                put(f"for (int {v} = {v}_lo; {v} <= {hi}; {v} += {lv.stride}) {{")
-            else:
-                put(f"for (int {v} = {lo}; {v} <= {hi}; {v}++) {{")
-            ind[0] += 1
-            closes += 1
-        for g in lv.guards:
-            put(f"if (!({_c_guard(g)})) continue;")
-        for ai, a in enumerate(accesses):
-            if a.plan is None:
-                continue
-            prev = hoist[(ai, k - 1)]
-            parts = []
-            for e, coeff in a.plan.levels[k]:
-                cexpr = hoist.get((ai, k, e)) or _c_poly(coeff)
-                parts.append(f"{cexpr}*" + "*".join([v] * e))
-            if parts:
-                put(f"double r{ai}_{k} = {prev} + " + " + ".join(parts) + ";")
-                hoist[(ai, k)] = f"r{ai}_{k}"
-            else:
-                hoist[(ai, k)] = prev
-
-    last = len(nest.levels) - 1
-    refs = []
-    for ai, a in enumerate(accesses):
-        if a.layout == "dense":
-            code = "0"
-            for axis, it in enumerate(a.names):
-                code = f"({code} * n_{a.tensor}{axis} + {it})"
-            put(f"long k{ai} = {code};")
-        elif a.plan is not None:
-            put(f"long k{ai} = (long)({hoist[(ai, last)]});")
-            put(f"if (k{ai} < 0 || k{ai} >= len{a.buffer_id}) abort();")
+            lo = reduce(lambda x, y: f"MAX2({x}, {y})", [_c_bound(b, "CEILD") for b in lv.lowers])
+            hi = reduce(lambda x, y: f"MIN2({x}, {y})", [_c_bound(b, "FLOORD") for b in lv.uppers])
+            if lv.phase is not None:
+                put(f"int64_t {v}_lo = {lo};")
+                put(f"{v}_lo += MODP({_c_int(lv.phase)} - {v}_lo, {lv.stride});")
+                lo = f"{v}_lo"
+            step = f"{v}++" if lv.stride == 1 else f"{v} += {lv.stride}"
+            put(f"for (int64_t {v} = {lo}; {v} <= {hi}; {step}) {{")
+            depth += 1
+        for g in lv.guards:   # outside every loop, skipping the point ends the call
+            put(f"if (!({_c_guard(g)})) {'continue' if depth > 1 else 'return'};")
+        for col in dict.fromkeys(t for t, _, _ in lv.terms):
+            # the column so far plus this level's terms, poly(outer) * v**e
+            step = ((1, ((acc[col], 1),)),) + tuple(
+                (c, mono + ((v, e),)) for t, e, p in lv.terms if t == col for c, mono in p)
+            put(f"int64_t r{col}_{k} = {_c_int(step)};")
+            acc[col] = f"r{col}_{k}"
+    for a, leaf in zip(accesses, prog.leaves):
+        key = f"k{leaf.col}"
+        if leaf.pieces is None:
+            put(f"int64_t {key} = {_c_exact(acc[leaf.col], leaf.scale)};")
         else:
-            put(f"long k{ai} = -1;")
-            for dom, poly in a.rank.pieces:
-                cond = " && ".join(f"({_c_guard(c)})" for c in dom.constraints) or "1"
-                put(f"if ({cond}) k{ai} = (long)({_c_poly(poly)});")
-            put(f"if (k{ai} < 0 || k{ai} >= len{a.buffer_id}) abort();")
-        refs.append(f"k{ai}")
-    prod = " * ".join(f"{a.tensor}[{refs[ai]}]"
-                      for ai, a in enumerate(accesses) if ai > 0)
-    put(f"{stmt.output.tensor}[{refs[0]}] += {prod};")
-    for _ in range(closes):
-        ind[0] -= 1
+            put(f"int64_t {key} = -1;")
+            for guards, poly, s in leaf.pieces:
+                cond = " && ".join(f"({_c_guard(g)})" for g in guards) or "1"
+                put(f"if ({cond}) {key} = {_c_exact(_c_int(poly), s)};")
+        if a.layout == "compressed":
+            put(f"if ({key} < 0 || {key} >= len{a.buffer_id}) abort();")
+    prod = " * ".join(f"{_c_operand(a)}[k{col}]" for col, a in enumerate(accesses) if col)
+    put(f"{_c_operand(stmt.output)}[k0] += {prod or 1};")
+    while depth > 1:
+        depth -= 1
         put("}")
     out.append("}")
     return out

@@ -175,18 +175,6 @@ class QuasiPolynomial:
             total += val
         return total
 
-    def to_affine(self):
-        """AffineExpr view when degree <= 1, else None."""
-        coeffs, const = {}, Fraction(0)
-        for m, c in self.terms.items():
-            if not m:
-                const = c
-            elif len(m) == 1 and m[0][1] == 1:
-                coeffs[m[0][0]] = c
-            else:
-                return None
-        return AffineExpr(coeffs, const)
-
     def denominator_lcm(self):
         return lcm(*(c.denominator for c in self.terms.values())) if self.terms else 1
 

@@ -139,10 +139,6 @@ class AffineExpr:
     def variables(self):
         return set(self.coeffs)
 
-    @property
-    def is_constant(self):
-        return not self.coeffs
-
     def scaled_integer(self):
         """Return (expr * k, k) with k > 0 minimal such that all entries are integers."""
         k = lcm(*(f.denominator for f in list(self.coeffs.values()) + [self.const])) if (self.coeffs or self.const) else 1

@@ -3,6 +3,8 @@
 import csv
 import io
 import os
+import shutil
+import subprocess
 
 import pytest
 
@@ -55,6 +57,13 @@ class TestCompile:
         text = open(os.path.join(target, "A_1.c")).read()
         assert text.startswith("/* generated kernel code */")
         assert "void a_s1(" in text
+        gcc = shutil.which("gcc")
+        if gcc is None:
+            pytest.skip("no gcc to compile the emitted C")
+        for name in names:   # each file is its own translation unit
+            subprocess.run([gcc, "-std=c99", "-Wall", "-Werror", "-Wno-unused-variable",
+                            "-c", "-o", os.path.join(tmp_path, name + ".o"),
+                            os.path.join(target, name)], check=True)
 
     def test_malformed_stur_exits_2(self, tmp_path, capsys):
         bad = os.path.join(tmp_path, "bad.stur")

@@ -5,6 +5,8 @@ exactly the enumerated points in order, and compressed execution must
 reproduce the dense reference result built by direct gather/accumulate.
 """
 
+import ctypes
+import re
 import shutil
 import subprocess
 
@@ -177,8 +179,10 @@ def unpack_output(plan, res, shapes, binding, rule, dtype):
 
 
 def run_and_compare(text, rule, shapes, binding, compression, workers=1,
-                    dtype=np.int64, seed=0):
-    program = parse_program(text)
+                    dtype=np.int64, seed=0, run=execute):
+    """(got, want) for a rule run by `run` and by the dense reference; `text`
+    is STUR text or a parsed program, whose levels share one registry."""
+    program = parse_program(text) if isinstance(text, str) else text
     plan = build_plan(program, rule, compression)
     rng = np.random.default_rng(seed)
     dense = {}
@@ -188,7 +192,7 @@ def run_and_compare(text, rule, shapes, binding, compression, workers=1,
         vals = rng.integers(-3, 4, size=n)
         dense[t] = vals.astype(dtype)
     store = pack_store(plan, shapes, dense, binding, dtype)
-    res = execute(plan, store, shapes, binding, workers=workers, dtype=dtype)
+    res = run(plan, store, shapes, binding, workers=workers, dtype=dtype)
     got = unpack_output(plan, res, shapes, binding, rule, dtype)
     want = reference_execute(program, rule, shapes, dense, binding, dtype=dtype)
     return got, want
@@ -705,17 +709,87 @@ class TestBox:
         assert np.array_equal(got, want)
 
 
-class TestEmitC:
-    def test_hoisted_constant_fragment(self):
-        plan = build_plan(parse_program(FIG3), "A", "input+output")
+GCC = shutil.which("gcc")
+LEVELS = ("none", "input", "input+output")
+
+# B is read through two buffers, one per access: the C names each
+TWO_BUFFERS = """
+A(i) := B(i, j) * B(j, i) * (i < j)
+B_U(i, j) := (0 <= i < n) * (0 <= j < n)
+"""
+
+# a cubic rank with denominator 6, which a floating-point rank truncates
+TETRAHEDRON = """
+A(i) := B(i, j, k) * C(k)
+B_U(i, j, k) := (0 <= i < n) * (i <= j < n) * (j <= k < n)
+"""
+
+# the mod constraint splits into the bands j - i = -7, -3, 1, 5: four buffers
+BANDS = """
+A(i, j) := B(i, j) * (0 <= i < 9) * (0 <= j < 9)
+B_U(i, j) := ((j - i) % 4 = 1)
+"""
+
+
+def c_execute(tmp_path):
+    """An `execute` on f64 data that compiles the plan's emitted C with gcc
+    and calls each summand's function through ctypes.
+
+    Each argument comes from its name in the signature: the output pointer
+    first, then <tensor> for a dense input, <tensor>_<b> for buffer b,
+    len<b> for its length, a parameter, or n_<tensor><axis> for an extent."""
+    def run(plan, store, shapes, binding, workers=1, dtype=np.float64):
+        # one library per level: dlopen would return the first one loaded
+        src, lib = (tmp_path / f"{plan.compression}{ext}" for ext in (".c", ".so"))
         text = emit_c(plan)
-        assert "(( -0.5 + N)*Q)" in text
-        assert "/* hoisted */" in text
+        src.write_text(text)
+        subprocess.run([GCC, "-std=c99", "-Wall", "-Werror", "-Wno-unused-variable", "-O0",
+                        "-shared", "-fPIC", "-o", str(lib), str(src)], check=True)
+        so = ctypes.CDLL(str(lib))
+        lengths = {a.buffer_id: int(plan.registry.buffers[a.buffer_id].index.size.evaluate(binding))
+                   for sp in plan.summands for a in (sp.statement.output, *sp.statement.inputs)
+                   if a.layout == "compressed"}
+        res = codegen.ExecResult(None, {})
+        for fname, sig in re.findall(r"^void (\w+)\((.*)\) \{$", text, re.M):
+            args = []
+            for ctype, name in (arg.rsplit(" ", 1) for arg in sig.split(", ")):
+                tensor, _, bid = name.rpartition("_")
+                if ctype == "double*" and tensor:
+                    args.append(res.compressed.setdefault(int(bid), np.zeros(lengths[int(bid)])))
+                elif ctype == "double*":
+                    if res.dense is None:
+                        res.dense = np.zeros(int(np.prod(shapes[name])))
+                    args.append(res.dense)
+                elif ctype == "const double*":
+                    args.append(store[int(bid)] if tensor else store[name])
+                elif name in binding:
+                    args.append(binding[name])
+                elif name.startswith("len"):
+                    args.append(lengths[int(name[3:])])
+                else:
+                    t, axis = re.fullmatch(r"n_(.+?)(\d+)", name).groups()
+                    args.append(shapes[t][int(axis)])
+            getattr(so, fname)(*(
+                a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+                if isinstance(a, np.ndarray) else ctypes.c_int64(int(a)) for a in args))
+        return res
+    return run
+
+
+class TestEmitC:
+    def test_ranks_are_exact_integers(self):
+        # FIG3's ranks have denominator 2: accumulated as 2*rank in int64_t
+        # and divided exactly, never held in a double
+        text = emit_c(build_plan(parse_program(FIG3), "A", "input+output"))
+        assert "int64_t r0_0 = r0 + 2*N*P*i - P*i - P*i*i;" in text
+        assert "int64_t k0 = EXACTD(r0_2, 2);" in text
+        assert "(long)" not in text
+        assert re.findall(r"double\b\S*", text) == ["double*"] * 3
 
     def test_fixed_level_fragment(self):
         plan = build_plan(parse_program(DIAG_HADAMARD), "T", "input+output")
         text = emit_c(plan)
-        assert "int y = x;" in text
+        assert "int64_t y = x;" in text
 
     def test_deterministic(self):
         a = emit_c(build_plan(parse_program(FIG3), "A", "input+output"))
@@ -725,8 +799,8 @@ class TestEmitC:
     def test_loop_bound_fragment(self):
         plan = build_plan(parse_program(FIG3), "A", "input+output")
         text = emit_c(plan)
-        assert "for (int i = (0); i <= MIN2((M - 1), (N - 1)); i++)" in text
-        assert "for (int j = (i); j <= (N - 1); j++)" in text
+        assert "for (int64_t i = 0; i <= MIN2(-1 + M, -1 + N); i++)" in text
+        assert "for (int64_t j = i; j <= -1 + N; j++)" in text
 
     def test_non_unit_bound_rounds_in_c(self, tmp_path):
         plan = build_plan(parse_program(HALF_BOUND), "A", "input+output")
@@ -753,9 +827,58 @@ int main(void) {
     def test_empty_summand_function_body(self):
         nest = LoopNest(("i",), (), (), (), empty=True)
         stmt = Statement(AccessPlan("A", "out", 0, "dense", ("i",)), ())
-        src = "\n".join(codegen._emit_c_summand("A", 0, nest, stmt))
+        src = "\n".join(codegen._emit_c_summand("A", 0, nest.params, stmt, None))
         plan = KernelPlan("A", (SummandPlan(nest, stmt, False, src),), None, "none")
         text = emit_c(plan)
         assert "void a_s0" in text
         body = text.split("void a_s0", 1)[1]
         assert body.split("{", 1)[1].strip().startswith("}")
+
+    def test_operands_named_after_their_buffers(self):
+        plan = build_plan(parse_program(TWO_BUFFERS), "A", "input")
+        ins = plan.summands[0].statement.inputs
+        assert [(a.tensor, a.layout) for a in ins] == [("B", "compressed")] * 2
+        b1, b2 = (a.buffer_id for a in ins)
+        assert b1 != b2
+        assert f"const double* B_{b1}, const double* B_{b2}," in plan.summands[0].source
+        assert f"A[k0] += B_{b1}[k1] * B_{b2}[k2];" in plan.summands[0].source
+
+
+@pytest.mark.skipif(GCC is None, reason="no gcc to compile the emitted C")
+class TestEmitCMatchesReference:
+    """The emitted C, compiled and called, against the dense reference."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_KERNELS))
+    def test_builtin(self, name, tmp_path):
+        kern = BUILTIN_KERNELS[name]
+        program = parse_program(kern.text)
+        binding = {s: 11 if s.startswith("n_") else v for s, v in kern.defaults.items()}
+        shapes = {t: tuple(binding[s] for s in syms) for t, syms in kern.shapes.items()}
+        for level in LEVELS:
+            got, want = run_and_compare(program, kern.rule, shapes, binding, level,
+                                        dtype=np.float64, run=c_execute(tmp_path))
+            assert np.array_equal(got, want), level
+
+    def test_tetrahedron(self, tmp_path):
+        # i*i*i/6 and its kin: 112 of the 200 outputs were wrong when the
+        # rank was a truncated double
+        shapes = {"A": (200,), "B": (200,) * 3, "C": (200,)}
+        got, want = run_and_compare(TETRAHEDRON, "A", shapes, {"n": 200}, "input",
+                                    dtype=np.float64, run=c_execute(tmp_path))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("text,shapes,binding", [
+        (LESLIE, {"A": (7,), "B": (7, 6), "C": (6,)}, {"n_i": 7, "n_j": 6}),
+        (BANDS, {"A": (9, 9), "B": (9, 9)}, {}),
+        (BANDED, {"A": (9,), "B": (9, 9)}, {"n": 9}),
+        (HALF_BOUND, {"A": (13,), "B": (13, 13)}, {"n": 13}),
+        (THIRD_GUARD, {"A": (13,), "B": (13, 6)}, {"n": 13, "m": 6}),
+        (STRIDED_BOX, {"A": (6, 6), "B": (6, 4, 6), "C": (4,)}, {"n": 6, "m": 4}),
+        (TWO_BUFFERS, {"A": (9,), "B": (9, 9)}, {"n": 9}),
+    ], ids=["leslie", "bands", "banded", "half_bound", "third_guard",
+            "strided_box", "two_buffers"])
+    def test_rule(self, text, shapes, binding, level, tmp_path):
+        got, want = run_and_compare(text, "A", shapes, binding, level,
+                                    dtype=np.float64, run=c_execute(tmp_path))
+        assert np.array_equal(got, want)

@@ -81,11 +81,9 @@ class TestQuasiPolynomial:
              + q("Q") * q("j") + q("l"))
         assert p.to_str(("i", "j", "l")) == "N*Q*i - 1/2*Q*i^2 + Q*j + l"
 
-    def test_affine_round_trip(self):
-        e = v("i") * 2 + v("j") * -1 + k(3)
-        p = QuasiPolynomial.from_affine(e)
-        assert p.to_affine() == e
-        assert (p * p).to_affine() is None
+    def test_from_affine(self):
+        p = QuasiPolynomial.from_affine(v("i") * 2 + v("j") * -1 + k(3))
+        assert p.terms == {(("i", 1),): 2, (("j", 1),): -1, (): 3}
 
 
 class TestFaulhaber:
