@@ -17,13 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import (
-    CodegenError, IndexingFault, build_plan, emit_c_files, execute,
-    reference_execute,
+    CodegenError, IndexingFault, build_loop_nest, build_plan, emit_c_files,
+    execute, iter_point_chunks, reference_execute,
 )
 from .counting import CountingError, DomainError
-from .polyhedra import (
-    AccessMap, PolyhedronError, enumerate_points, image, iteration_space,
-)
+from .polyhedra import AccessMap, PolyhedronError, image, iteration_space
 from .runtime import (
     build_store, footprint_report, gather_output, random_tensor,
 )
@@ -109,7 +107,8 @@ def derive_shapes(program, rule, binding):
     """Tight dense extents from the accessed regions at one binding.
 
     File-loaded programs carry no shape declarations, so the dense side is
-    sized to the bounding box of everything the rule touches.
+    sized to the bounding box of everything the rule touches, walked on
+    the region's loop nest.
     """
     extents = {}
     for s in build_compressed_summands(program, rule):
@@ -117,17 +116,19 @@ def derive_shapes(program, rule, binding):
         for acc in (s.output, *s.inputs):
             amap = AccessMap.from_indices(space.dims, acc.index_names)
             img = image(space, amap)
-            pts = enumerate_points(img, binding)
+            missing = [p for p in img.params if p not in binding]
+            if missing:
+                raise CodegenError(f"bindings missing parameters {missing}")
+            cols = [img.dims.index(name) for name in acc.index_names]
             ext = extents.setdefault(acc.tensor, [0] * len(acc.index_names))
-            if not len(pts):
-                continue
-            for a, name in enumerate(acc.index_names):
-                col = pts[:, img.dims.index(name)]
-                if col.min() < 0:
+            for pts in iter_point_chunks(build_loop_nest(img), binding):
+                pts = pts[:, cols]
+                if pts.size and pts.min() < 0:
                     raise CodegenError(
                         f"{acc.tensor} is accessed at negative positions; "
                         "cannot derive a dense shape")
-                ext[a] = max(ext[a], int(col.max()) + 1)
+                for a, top in enumerate(pts.max(axis=0, initial=-1).tolist()):
+                    ext[a] = max(ext[a], top + 1)
     return {t: tuple(e) for t, e in extents.items()}
 
 
@@ -173,48 +174,6 @@ def _make_inputs(cfg, seed, dtype):
             for k, t in enumerate(cfg.inputs)}
 
 
-def _bounds(parts, fn):
-    strs = [str(e) for e in parts]
-    return strs[0] if len(strs) == 1 else f"{fn}({', '.join(strs)})"
-
-
-def render_nest(sp):
-    """Loop-nest pseudocode for one summand plan."""
-    if sp.nest.empty:
-        return ["(empty iteration space)"]
-    lines, depth = [], 0
-
-    def put(text, opens=False):
-        nonlocal depth
-        lines.append("  " * depth + text)
-        if opens:
-            depth += 1
-
-    box = sp.program.box
-    for g in sp.nest.guards:
-        put(f"if {g}:", opens=True)
-    for k, lv in enumerate(sp.nest.levels):
-        if lv.kind == "fixed":
-            put(f"{lv.var} = {lv.expr}")
-        elif lv.kind == "strided":
-            put(f"for {lv.var} = {_bounds(lv.lowers, 'max')} .. "
-                f"{_bounds(lv.uppers, 'min')} step {lv.stride} "
-                f"(aligned to {lv.phase} mod {lv.stride}):", opens=True)
-        else:
-            note = ""
-            if box is not None and k == box.depth:
-                inner = ", ".join(v.var for v in sp.nest.levels[k:])
-                note = f"  ({inner} contracted as one block)"
-            put(f"for {lv.var} = {_bounds(lv.lowers, 'max')} .. "
-                f"{_bounds(lv.uppers, 'min')}:{note}", opens=True)
-        for g in lv.guards:
-            put(f"if {g}:", opens=True)
-    st = sp.statement
-    rhs = " * ".join(f"{a.tensor}[{', '.join(a.names)}]" for a in st.inputs)
-    put(f"{st.output.tensor}[{', '.join(st.output.names)}] += {rhs or '1'}")
-    return lines
-
-
 def _maxrel(got, ref):
     diff = np.abs(np.asarray(got, dtype=np.float64)
                   - np.asarray(ref, dtype=np.float64))
@@ -256,8 +215,12 @@ def cmd_compile(args):
     print(plan.registry.dump())
     for si, sp in enumerate(plan.summands):
         tag = " (parallel outer loop)" if sp.parallelizable else ""
+        box = sp.program and sp.program.box
+        if box is not None:
+            inner = ", ".join(lv.var for lv in sp.program.levels[box.depth:])
+            tag += f" ({inner} contracted as one block)"
         print(f"summand {si}:{tag}")
-        for line in render_nest(sp):
+        for line in sp.source.splitlines():
             print(f"  {line}")
     if args.emit_c:
         os.makedirs(args.emit_c, exist_ok=True)
@@ -387,7 +350,7 @@ def _parser():
                         help="layout level (repeatable for bench)")
 
     pc = sub.add_parser("compile", parents=[common],
-                        help="print buffers, polynomials, and loop nests")
+                        help="print buffers, polynomials, and each summand's C")
     pc.add_argument("--emit-c", metavar="DIR",
                     help="write one C file per summand into DIR")
     pr = sub.add_parser("run", parents=[common],

@@ -1,32 +1,35 @@
 """Loop nests, execution plans, and code emission.
 
-A summand's iteration space becomes a nest of levels (loop / fixed /
-strided); every tensor access becomes either a compressed-buffer index
-plan (the rank polynomial, split by loop level) or a dense row-major
+A summand's iteration space becomes one nest of levels (loop / fixed /
+strided, `_Level`) whose bounds, guards and phases are integer polynomials
+from the start; every tensor access becomes either a compressed-buffer
+index plan (the rank polynomial, split by loop level) or a dense row-major
 offset, both lowered to integer polynomials once per plan.  One frontier
 expander walks a nest level by level over int64 columns, checking each
 level's values against the dense extents they index: it yields the points
 to `iter_point_chunks`, and under `execute` it carries each access's
 hoisted index as a column, adding every level's terms as array operations.
-Where a summand's innermost levels form a box (parameter bounds, stride 1,
-no guards, degree-1 index terms with parameter-only coefficients), the
-expander walks only the levels above it: each access's index is then
-base[outer row] + offset[box point], and every block of outer rows is one
-gather, one `matmul` or `einsum` and one scatter (`_Box`, lowered once per
-plan; the offsets are built on each call, `_Grid`).  `runtime.pack` and
-`unpack` run on the expander too, as a copy between a region's rank and its
-tensor's dense offset (`copy_program`), walking every point.  `build_plan`
-renders each summand's lowered program once as C (`SummandPlan.source`):
-the same integer bounds, guards and index terms in int64_t, each scaled rank
-divided exactly at its leaf, so C and `execute` share one lowering; `emit_c`
-assembles those texts.  The compressed summands and the buffer registry are
-built once per (program, rule) and shared by all three compression levels.
+A parallel run gives each worker a share of a summand's outermost range as
+two more bounds on that level.  Where a summand's innermost levels form a
+box (parameter bounds, stride 1, no guards, degree-1 index terms with
+parameter-only coefficients), the expander walks only the levels above it:
+each access's index is then base[outer row] + offset[box point], and every
+block of outer rows is one gather, one `matmul` or `einsum` and one scatter
+(`_Box`, lowered once per plan; the offsets are built on each call,
+`_Grid`).  `runtime.pack` and `unpack` run on the expander too, as a copy
+between a region's rank and its tensor's dense offset (`copy_program`),
+walking every point.  `build_plan` renders each summand's lowered program
+once as C (`SummandPlan.source`): the same integer bounds, guards and index
+terms in int64_t, each scaled rank divided exactly at its leaf and every
+dense index checked against its extent, so C and `execute` share one
+lowering; `emit_c` assembles those texts and `polypack compile` prints
+them.  The compressed summands and the buffer registry are built once per
+(program, rule) and shared by all three compression levels.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -55,26 +58,35 @@ class IndexingFault(RuntimeError):
 # Loop nests
 
 
-@dataclass(frozen=True)
-class LoopLevel:
-    var: str
-    kind: str              # "loop" | "fixed" | "strided"
-    lowers: tuple = ()     # AffineExpr, inclusive; iterate from max(lowers)
-    uppers: tuple = ()     # AffineExpr, inclusive; iterate to min(uppers)
-    stride: int = 1
-    phase: AffineExpr = None   # strided: var congruent to phase mod stride
-    expr: AffineExpr = None    # fixed: var = expr, single pass
-    guards: tuple = ()         # residual constraints checked at this level
+# A nest level with its bounds, guards and phase in the integer polys of
+# `polyhedra.int_form`, whose names are read from the frontier's int64
+# columns, else from `env` (parameter values and (tensor, axis) shape
+# extents).  kind is "loop", "strided" (var congruent to phase mod stride)
+# or "fixed" (a single pass, whose expr is its only lower and upper bound;
+# `single` when that expr is integral).  A bound (k, poly) is poly/k,
+# rounded inward.  `_program` fills the rest: a term (column, exp, poly)
+# adds poly(parent row) * var**exp to the column; keep names the parent
+# columns the level's points still need (None: all); extents are the
+# (tensor, env name of an axis extent) the level's var indexes in a dense
+# access.
+_Level = namedtuple("_Level", "var kind stride lowers uppers phase guards single terms keep extents")
 
 
 @dataclass(frozen=True)
 class LoopNest:
     dims: tuple
     params: tuple
-    levels: tuple
-    guards: tuple          # parameter-only residual constraints
+    levels: tuple          # _Level per dim, outermost first
+    guards: tuple          # parameter-only residual constraints, as int_guard
     empty: bool = False
-    lowered: tuple = field(compare=False, default=None, repr=False)  # _lower_nest
+
+
+def _level(var, kind, lowers, uppers, guards, stride=1, phase=None):
+    """A `_Level` of AffineExpr bounds and phase and Constraint guards."""
+    lowers, uppers = tuple(map(int_form, lowers)), tuple(map(int_form, uppers))
+    phase = None if phase is None else int_form(phase)[1]
+    return _Level(var, kind, stride, lowers, uppers, phase, tuple(map(int_guard, guards)),
+                  kind == "fixed" and lowers[0][0] == 1, (), None, ())
 
 
 def _solve(c, v):
@@ -93,7 +105,8 @@ def build_loop_nest(space):
     at that level.  A side with no unit bound is bounded by its non-unit
     inequalities instead (a non-unit equality bounds both sides and stays a
     guard).  Projections only add implied constraints, so the nest visits
-    exactly the space's points in lexicographic order.
+    exactly the space's points in lexicographic order.  Bounds, phases and
+    guards are lowered to integer form here, once (`_Level`).
     """
     dims = space.dims
     if space.trivially_empty:
@@ -121,7 +134,8 @@ def build_loop_nest(space):
         if unit_eqs:
             c0 = unit_eqs[0]
             guards = tuple(c for c in on_v if c is not c0)
-            levels.append(LoopLevel(v, "fixed", expr=_solve(c0, v), guards=guards))
+            expr = (_solve(c0, v),)
+            levels.append(_level(v, "fixed", expr, expr, guards))
             continue
         lowers, uppers, mods, guards = [], [], [], []
         for c in on_v:
@@ -146,14 +160,12 @@ def build_loop_nest(space):
             sign = 1 if c0.expr.coeff(v) > 0 else -1
             # a*v + rest === r (mod m)  ->  v === sign*(r - rest) (mod m)
             phase = (AffineExpr.constant(c0.residue) - c0.expr.drop(v)) * sign
-            levels.append(LoopLevel(v, "strided", tuple(lowers), tuple(uppers),
-                                    stride=int(c0.modulus), phase=phase,
-                                    guards=tuple(guards)))
+            levels.append(_level(v, "strided", lowers, uppers, guards,
+                                 int(c0.modulus), phase))
         else:
-            levels.append(LoopLevel(v, "loop", tuple(lowers), tuple(uppers),
-                                    guards=tuple(guards)))
-    return LoopNest(dims, space.params, tuple(levels), top_guards,
-                    lowered=_lower_nest(levels, top_guards))
+            levels.append(_level(v, "loop", lowers, uppers, guards))
+    return LoopNest(dims, space.params, tuple(levels),
+                    tuple(map(int_guard, top_guards)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,39 +175,12 @@ def build_loop_nest(space):
 # expanded whole.  Bounds the frontier's memory at any depth.
 BLOCK_POINTS = 1 << 13
 
-# A nest level with its bounds, guards and terms lowered once to the integer
-# polys of `polyhedra.int_form`, whose names are read from the frontier's
-# int64 columns, else from `env` (parameter values and (tensor, axis) shape
-# extents).  A fixed level has its expr as its only bound and is `single`
-# when that expr is integral.  A term (column, exp, poly) adds poly(parent
-# row) * var**exp to the column; keep names the parent columns the level's
-# points still need (None: all); extents are the (tensor, env name of an axis
-# extent) the level's var indexes in a dense access.
-_Level = namedtuple("_Level", "var stride lowers uppers phase guards single terms keep extents")
-
-
-def _lower_nest(levels, guards):
-    """(parameter guards, levels) of a nest in integer form."""
-    out = []
-    for lv in levels:
-        lowers, uppers = ((lv.expr,),) * 2 if lv.kind == "fixed" else (lv.lowers, lv.uppers)
-        lowers = tuple(map(int_form, lowers))
-        out.append(_Level(
-            lv.var, lv.stride, lowers, tuple(map(int_form, uppers)),
-            int_form(lv.phase)[1] if lv.kind == "strided" else None,
-            tuple(map(int_guard, lv.guards)),
-            lv.kind == "fixed" and lowers[0][0] == 1, (), None, ()))
-    return tuple(map(int_guard, guards)), tuple(out)
-
-
-def _level_range(lv, cols, env, clamp=None):
+def _level_range(lv, cols, env):
     """Inclusive [lo, hi] of a level over frontier columns (plain ints when
-    no bound reads a column): max of the lowers and min of the uppers,
-    narrowed to `clamp`, with a strided level's lo moved up to its phase."""
+    no bound reads a column): max of the lowers and min of the uppers, with
+    a strided level's lo then moved up to its phase."""
     lo = reduce(np.maximum, [-(-poly_values(p, cols, env) // k) for k, p in lv.lowers])
     hi = reduce(np.minimum, [poly_values(p, cols, env) // k for k, p in lv.uppers])
-    if clamp is not None:
-        lo, hi = max(lo, clamp[0]), min(hi, clamp[1])
     if lv.phase is not None:
         lo = lo + (poly_values(lv.phase, cols, env) - lo) % lv.stride
     return lo, hi
@@ -232,20 +217,20 @@ def _most(v):
     return v.max() if isinstance(v, np.ndarray) else v
 
 
-def _spans(lv, cols, n, env, clamp):
+def _spans(lv, cols, n, env):
     """(rows, x, start, counts) per block of a level's points: x is the
     level's value and rows the parent row at each point (None: point p is
     row p); parent rows start.. have `counts` points, at most BLOCK_POINTS
     in all unless one row is longer.  Without guards, every value is checked
     against the level's extents here, once per parent row."""
     check = lv.extents and not lv.guards
-    if lv.single and clamp is None:
+    if lv.single:
         x = poly_values(lv.lowers[0][1], cols, env)
         if check:
             _check_extents(lv, _least(x), _most(x), env)
         yield None, _column(x, n), 0, None
         return
-    lo, hi = _level_range(lv, cols, env, clamp)
+    lo, hi = _level_range(lv, cols, env)
     if n == 1:
         lo, hi = (int(v[0]) if isinstance(v, np.ndarray) else int(v) for v in (lo, hi))
         if lo <= hi:
@@ -275,16 +260,16 @@ def _spans(lv, cols, n, env, clamp):
         start, base = stop, int(ends[stop - 1])
 
 
-def _expand(levels, cols, n, env, clamp=None, k=0):
+def _expand(levels, cols, n, env, k=0):
     """Expand a frontier of n > 0 rows (cols: name -> int64 column) that has
     set every level above k, in blocks and in lexicographic order.
 
-    Each row is repeated over its level's [lo, hi] range (`clamp` narrows
-    the outermost level), the level's guards drop points, the values kept
-    are checked against the level's extents and its terms are added to
-    their columns.  Yields (block, m, parent, start, counts) per
-    innermost block of m points: parent rows start.. had `counts` points
-    before the guards (None on a single-valued level).
+    Each row is repeated over its level's [lo, hi] range, the level's
+    guards drop points, the values kept are checked against the level's
+    extents and its terms are added to their columns.  Yields (block, m,
+    parent, start, counts) per innermost block of m points: parent rows
+    start.. had `counts` points before the guards (None on a single-valued
+    level).
     """
     if k == len(levels):
         yield cols, n, None, 0, None
@@ -292,7 +277,7 @@ def _expand(levels, cols, n, env, clamp=None, k=0):
     lv = levels[k]
     coefs = [(col, e, poly_values(p, cols, env)) for col, e, p in lv.terms]
     names = cols if lv.keep is None else lv.keep
-    for rows, x, start, counts in _spans(lv, cols, n, env, clamp):
+    for rows, x, start, counts in _spans(lv, cols, n, env):
         block = {d: _take(cols[d], rows) for d in names}
         block[lv.var] = x
         if lv.guards:
@@ -310,7 +295,7 @@ def _expand(levels, cols, n, env, clamp=None, k=0):
                 term = _take(c, rows) * term
             block[col] = block[col] + term
         if k + 1 < len(levels):
-            yield from _expand(levels, block, len(x), env, None, k + 1)
+            yield from _expand(levels, block, len(x), env, k + 1)
         else:
             yield block, len(x), cols, start, counts
 
@@ -318,15 +303,14 @@ def _expand(levels, cols, n, env, clamp=None, k=0):
 def iter_point_chunks(nest, binding):
     """Yield the visited points in lexicographic order as int64 matrices
     (columns = nest dims), at most BLOCK_POINTS rows each unless one row is
-    longer.  Used by unpack's redundancy map, which cannot afford the
-    box-scan enumerator.
+    longer.  Used by unpack's redundancy map and `cli.derive_shapes`, which
+    cannot afford the box-scan enumerator.
     """
     if nest.empty:
         return
     env = {p: int(binding[p]) for p in nest.params if p in binding}
-    guards, levels = nest.lowered
-    if guards_mask(guards, {}, env):
-        for block, n, *_ in _expand(levels, {}, 1, env):
+    if guards_mask(nest.guards, {}, env):
+        for block, n, *_ in _expand(nest.levels, {}, 1, env):
             yield np.array([block[d] for d in nest.dims], dtype=np.int64).reshape(-1, n).T
 
 
@@ -506,8 +490,7 @@ def _program(nest, stmt):
     if nest.empty:
         return None
     dims = nest.dims
-    guards, levels = nest.lowered
-    levels = list(levels)
+    levels = list(nest.levels)
     terms = [[] for _ in levels]
     extents = [set() for _ in levels]
     root, leaves, bounds = {}, [], []
@@ -547,9 +530,9 @@ def _program(nest, stmt):
 
     last = len(levels) - 1
     reduce_rows = (last >= 0 and leaves[0].pieces is None
-                   and nest.levels[last].kind != "fixed" and not levels[last].guards
+                   and levels[last].kind != "fixed" and not levels[last].guards
                    and all(t[0] != 0 for t in terms[last]))
-    box = _box(nest, levels, terms, leaves, stmt.output.names)
+    box = _box(dims, levels, terms, leaves, stmt.output.names)
     # the columns each level's points must carry, innermost level first
     dims = set(dims)  # membership only from here on
     piece_polys = [p for a in leaves for gs, poly, _ in a.pieces or ()
@@ -564,20 +547,20 @@ def _program(nest, stmt):
                                        lv.phase or (), *(p for *_, p in terms[k])) & dims
         if reduce_rows and k == last:
             need.add(0)
-    return _Program(guards, tuple(levels), root, tuple(leaves), tuple(bounds), crude,
+    return _Program(nest.guards, tuple(levels), root, tuple(leaves), tuple(bounds), crude,
                     reduce_rows, box)
 
 
-def _box(nest, levels, terms, leaves, out_names):
-    """The `_Box` of a nest's lowered levels and their terms, or None when
-    its deepest level is no box level, a rank is piecewise, a box term is not
-    a multiple of its access's scale, or an input reads no box dim that the
+def _box(dims, levels, terms, leaves, out_names):
+    """The `_Box` of a nest's levels and their terms, or None when its
+    deepest level is no box level, a rank is piecewise, a box term is not a
+    multiple of its access's scale, or an input reads no box dim that the
     box has (the contraction would have to count repeats)."""
-    dims = set(nest.dims)
+    dims = set(dims)
 
     def is_box(k):
         lv = levels[k]
-        return (nest.levels[k].kind == "loop" and not lv.guards
+        return (lv.kind == "loop" and not lv.guards
                 and not _poly_names(*(p for _, p in lv.lowers + lv.uppers)) & dims
                 and all(e == 1 and not _poly_names(p) & dims for _, e, p in terms[k]))
     depth = len(levels)
@@ -601,12 +584,12 @@ def _box(nest, levels, terms, leaves, out_names):
     moving = set()
     for k in range(depth):
         lv = levels[k]
-        if (nest.levels[k].kind != "fixed" or not lv.single
+        if (lv.kind != "fixed" or not lv.single
                 or _poly_names(lv.lowers[0][1]) & moving):
             moving.add(lv.var)
     varies = tuple(any(t == a.col and (levels[k].var in moving or _poly_names(p) & moving)
                        for k in range(depth) for t, _, p in terms[k]) for a in leaves)
-    repeat = any(nest.levels[k].kind != "fixed" and levels[k].var not in out_names
+    repeat = any(levels[k].kind != "fixed" and levels[k].var not in out_names
                  for k in range(depth))
 
     def sub(js):
@@ -687,18 +670,17 @@ _ORIGIN = np.zeros(1, dtype=np.int64)   # the offsets of an access no box dim mo
 _Grid = namedtuple("_Grid", "off least most shape")
 
 
-def _box_grids(prog, env, clamp):
+def _box_grids(prog, env):
     """Per leaf, the `_Grid` of a box at a binding, after checking the box
     ranges against their dense extents; None when the box is empty."""
     box = prog.box
     inner = prog.levels[box.depth:]
     ranges = []
     for lv in inner:
-        lo, hi = _level_range(lv, {}, env, clamp)
+        lo, hi = _level_range(lv, {}, env)
         if lo > hi:
             return None
         ranges.append((int(lo), int(hi)))
-        clamp = None
     for lv, (lo, hi) in zip(inner, ranges):
         _check_extents(lv, lo, hi, env)
     values = [np.arange(lo, hi + 1) for lo, hi in ranges]
@@ -715,13 +697,13 @@ def _box_grids(prog, env, clamp):
     return grids
 
 
-def _box_call(prog, env, store, lengths, block, clamp):
+def _box_call(prog, env, store, lengths, block):
     """What a box needs once per call, from the first block of outer rows:
     its `_Grid`s, the checked bases of the accesses that do not vary by row,
     the gathered constant inputs and the matmul's folded matrix.  None when
     the box is empty."""
     box = prog.box
-    grids = _box_grids(prog, env, clamp)
+    grids = _box_grids(prog, env)
     if grids is None:
         return None
     bases, consts = {}, {}
@@ -740,7 +722,7 @@ def _box_call(prog, env, store, lengths, block, clamp):
     return grids, bases, consts, matrix
 
 
-def _run_box(prog, env, out, store, lengths, clamp):
+def _run_box(prog, env, out, store, lengths):
     """Accumulate a summand through its box (`_Box`): the outer levels run on
     `_expand`, and each slice of an outer block (at most BLOCK_POINTS gathered
     values per varying access, unless one row has more) gathers every input
@@ -753,9 +735,9 @@ def _run_box(prog, env, out, store, lengths, clamp):
     state = rows_per = None
     moving = [a for a in prog.leaves if box.varies[a.col]]
     per_row = any(box.varies[1:])
-    for block, m, *_ in _expand(outer, root, 1, env, clamp):
+    for block, m, *_ in _expand(outer, root, 1, env):
         if rows_per is None:
-            state = _box_call(prog, env, store, lengths, block, None if outer else clamp)
+            state = _box_call(prog, env, store, lengths, block)
             rows_per = max(1, BLOCK_POINTS // max(
                 [math.prod(state[0][a.col].shape) for a in moving] or [1])) if state else 0
         if state is None:
@@ -790,14 +772,13 @@ def _run_box(prog, env, out, store, lengths, clamp):
                 out[idx] += res
 
 
-def _run_summand(prog, env, out, store, lengths, clamp=None):
-    """Accumulate one summand into `out`; `clamp` narrows the outermost
-    level to an inclusive range."""
+def _run_summand(prog, env, out, store, lengths):
+    """Accumulate one summand into `out`."""
     if prog.box is not None:
-        _run_box(prog, env, out, store, lengths, clamp)
+        _run_box(prog, env, out, store, lengths)
         return
     root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
-    for block, m, parent, start, counts in _expand(prog.levels, root, 1, env, clamp):
+    for block, m, parent, start, counts in _expand(prog.levels, root, 1, env):
         if prog.reduce:   # the output index of each nonempty row
             nonempty = counts > 0
             stop = start + len(counts)
@@ -859,14 +840,27 @@ def _zero_outputs(plan, shapes, lengths, dtype):
     return dense_out, comp
 
 
+# The env names of a worker's share [lo, hi] of a summand's outermost
+# range: no STUR identifier and no (tensor, axis) extent takes them.
+_SHARE = ("share.lo", "share.hi")
+
+
 def _run_chunks(plan, env, store, lengths, chunks, outputs):
-    """Run (summand index, clamp) chunks into outputs = (dense, compressed)."""
+    """Run (summand index, share) chunks into outputs = (dense, compressed);
+    a share (lo, hi) is two more bounds on the summand's outermost level."""
     dense_out, comp = outputs
-    for si, clamp in chunks:
+    for si, share in chunks:
         sp = plan.summands[si]
         o = sp.statement.output
         out = dense_out if o.layout == "dense" else comp[o.buffer_id]
-        _run_summand(sp.program, env, out, store, lengths, clamp)
+        prog, run_env = sp.program, env
+        if share is not None:
+            lo, hi = (int_form(AffineExpr.var(name)) for name in _SHARE)
+            top = prog.levels[0]
+            top = top._replace(lowers=top.lowers + (lo,), uppers=top.uppers + (hi,))
+            prog = prog._replace(levels=(top,) + prog.levels[1:])
+            run_env = {**env, **dict(zip(_SHARE, share))}
+        _run_summand(prog, run_env, out, store, lengths)
     return outputs
 
 
@@ -875,8 +869,8 @@ _FORK_STATE = None
 
 def _fork_worker(chunks):
     plan, env, store, shapes, lengths, dtype = _FORK_STATE
-    return pickle.dumps(_run_chunks(plan, env, store, lengths, chunks,
-                                    _zero_outputs(plan, shapes, lengths, dtype)))
+    return _run_chunks(plan, env, store, lengths, chunks,
+                       _zero_outputs(plan, shapes, lengths, dtype))
 
 
 def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
@@ -922,8 +916,7 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
             results = pool.map(_fork_worker, per_worker)
     finally:
         _FORK_STATE = None
-    for blob in results:
-        d, c = pickle.loads(blob)
+    for d, c in results:
         if d is not None:
             dense_out += d
         for bid, arr in c.items():
@@ -1085,6 +1078,8 @@ def _emit_c_summand(rule, si, params, stmt, prog):
             depth += 1
         for g in lv.guards:   # outside every loop, skipping the point ends the call
             put(f"if (!({_c_guard(g)})) {'continue' if depth > 1 else 'return'};")
+        for _, extent in lv.extents:   # the values the guards keep, as `execute` checks
+            put(f"if ({v} < 0 || {v} >= {_c_name(extent)}) abort();")
         for col in dict.fromkeys(t for t, _, _ in lv.terms):
             # the column so far plus this level's terms, poly(outer) * v**e
             step = ((1, ((acc[col], 1),)),) + tuple(

@@ -8,10 +8,16 @@ import subprocess
 
 import pytest
 
-from polypack.cli import BUILTIN_KERNELS, CSV_COLUMNS, main
+from polypack.cli import BUILTIN_KERNELS, CSV_COLUMNS, derive_shapes, main
+from polypack.codegen import CodegenError, build_plan, emit_c_files
+from polypack.stur import parse_program
 
 PRISM = """A(i, j) := B(i, j, l) * C(j, l)
 B_U(i, j, l) := (0 <= i < M) * (i <= j < N) * (0 <= l < Q)
+"""
+
+TRIANGLE = """A(i) := B(i, j) * C(j)
+B_U(i, j) := (0 <= i < n) * (i <= j < n)
 """
 
 
@@ -32,21 +38,51 @@ class TestCompile:
         assert "n_l*j + l" in out
         assert "n_j*n_l*i" in out
 
-    def test_loop_nest_pseudocode(self, capsys):
+    def test_loop_nest_c(self, capsys):
         assert run_cli("compile", "--kernel", "SpMV_UT") == 0
         out = capsys.readouterr().out
         # i <= j < n_j implies i < n_j; the projected bound keeps it
-        assert "for i = 0 .. min(n_i - 1, n_j - 1):" in out
-        assert "for j = i .. n_j - 1:" in out
-        assert "A[i] += B[i, j] * C[j]" in out
+        assert "for (int64_t i = 0; i <= MIN2(-1 + n_i, -1 + n_j); i++) {" in out
+        assert "for (int64_t j = i; j <= -1 + n_j; j++) {" in out
+        assert "A_0[k0] += B_1[k1] * C_2[k2];" in out
 
     def test_contracted_block_marked(self, capsys):
         assert run_cli("compile", "--kernel", "TTM_UT") == 0
         out = capsys.readouterr().out
-        assert "for k = 0 .. n_k - 1:  (k, l contracted as one block)" in out
-        assert "for j = i .. n_j - 1:\n" in out
+        assert "summand 0: (parallel outer loop) (k, l contracted as one block)\n" in out
+        assert "for (int64_t k = 0; k <= -1 + n_k; k++) {" in out
+        assert "for (int64_t j = i; j <= -1 + n_j; j++) {" in out
         assert run_cli("compile", "--kernel", "SpMV_UT") == 0
         assert "contracted" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("level", ["none", "input", "input+output"])
+    def test_prints_the_emitted_c(self, level, capsys):
+        # the functions `compile` shows are the ones `--emit-c` writes
+        for name in sorted(BUILTIN_KERNELS):
+            kern = BUILTIN_KERNELS[name]
+            assert run_cli("compile", "--kernel", name, "--compression", level) == 0
+            shown = capsys.readouterr().out.split("\nsummand ")[1:]
+            plan = build_plan(parse_program(kern.text), kern.rule, level)
+            files = emit_c_files(plan)
+            assert len(shown) == len(files), name
+            for text, (_, c_text) in zip(shown, files):
+                body = "\n".join(line[2:] for line in text.splitlines()[1:])
+                assert "void " + c_text.partition("\nvoid ")[2] == body + "\n", name
+
+    def test_stur_shapes_at_large_binding(self, tmp_path, capsys):
+        # compiling is symbolic: a 10^8-point bounding box must not matter
+        path = os.path.join(tmp_path, "tri.stur")
+        with open(path, "w") as f:
+            f.write(TRIANGLE)
+        shapes = derive_shapes(parse_program(TRIANGLE), "A", {"n": 10000})
+        assert shapes == {"A": (10000,), "B": (10000, 10000), "C": (10000,)}
+        assert run_cli("compile", "--stur", path, "--bind", "n=10000") == 0
+        assert "void a_s0(" in capsys.readouterr().out
+
+    def test_stur_shapes_refuse_negative_positions(self):
+        text = "A(i) := B(i) * (-2 <= i < n)\n"
+        with pytest.raises(CodegenError, match="negative positions"):
+            derive_shapes(parse_program(text), "A", {"n": 3})
 
     def test_emit_c_writes_one_file_per_summand(self, tmp_path, capsys):
         target = os.path.join(tmp_path, "cdir")
@@ -120,6 +156,7 @@ class TestRun:
         with open(path, "w") as f:
             f.write(PRISM)
         assert run_cli("run", "--stur", path) == 2
+        assert "bindings missing parameters" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "bench"])
     def test_redundancy_map_rejected(self, command, tmp_path, capsys):

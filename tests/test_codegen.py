@@ -8,6 +8,7 @@ reproduce the dense reference result built by direct gather/accumulate.
 import ctypes
 import re
 import shutil
+import signal
 import subprocess
 
 import numpy as np
@@ -17,8 +18,8 @@ from polypack import codegen
 from polypack.cli import BUILTIN_KERNELS
 from polypack.codegen import (
     BLOCK_POINTS, IndexingFault, KernelPlan, LoopNest, SummandPlan, Statement,
-    AccessPlan, build_loop_nest, build_plan, emit_c, execute, iter_point_chunks,
-    reference_execute,
+    AccessPlan, _c_bound, _c_int, build_loop_nest, build_plan, emit_c, execute,
+    iter_point_chunks, reference_execute,
 )
 from polypack.indexing import build_registry
 from polypack.polyhedra import (
@@ -204,21 +205,21 @@ class TestLoopNest:
         assert [lv.var for lv in nest.levels] == ["i", "j", "k", "l"]
         i = nest.levels[0]
         assert i.kind == "loop"
-        assert {str(e) for e in i.uppers} == {"M - 1", "N - 1"}
+        assert {_c_bound(b, "FLOORD") for b in i.uppers} == {"-1 + M", "-1 + N"}
         j = nest.levels[1]
-        assert [str(e) for e in j.lowers] == ["i"]
-        assert [str(e) for e in j.uppers] == ["N - 1"]
+        assert [_c_bound(b, "CEILD") for b in j.lowers] == ["i"]
+        assert [_c_bound(b, "FLOORD") for b in j.uppers] == ["-1 + N"]
 
     def test_diagonal_fixed_level(self):
         nest = build_loop_nest(space_of(SPMV_D))
         assert nest.levels[0].kind == "loop"
         assert nest.levels[1].kind == "fixed"
-        assert str(nest.levels[1].expr) == "i"
+        assert _c_int(nest.levels[1].lowers[0][1]) == "i"
 
     def test_leslie_degenerate_level(self):
         nest = build_loop_nest(space_of(LESLIE, idx=0))
         assert nest.levels[0].kind == "fixed"
-        assert str(nest.levels[0].expr) == "0"
+        assert _c_int(nest.levels[0].lowers[0][1]) == "0"
         assert nest.levels[1].kind == "loop"
         for n in range(1, 9):
             binding = {"n_i": n, "n_j": n}
@@ -833,6 +834,31 @@ int main(void) {
         assert "void a_s0" in text
         body = text.split("void a_s0", 1)[1]
         assert body.split("{", 1)[1].strip().startswith("}")
+
+    @pytest.mark.skipif(GCC is None, reason="no gcc to compile the emitted C")
+    @pytest.mark.parametrize("n_b1,aborts", [(2, True), (6, False)])
+    def test_dense_extent_aborts(self, n_b1, aborts, tmp_path):
+        # j runs to n_j - 1 = 5 over B's second axis: past an extent of 2
+        # the C must abort where `execute` raises, not read past B
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        plan = build_plan(parse_program(kern.text), kern.rule, "none")
+        src = tmp_path / "extent.c"
+        src.write_text(emit_c(plan) + f"""
+int main(void) {{
+  static double A[6], B[36], C[6];
+  a_s0(A, B, C, 6, 6, 6, 6, {n_b1}, 6);
+  return 0;
+}}
+""")
+        exe = tmp_path / "extent"
+        subprocess.run([GCC, "-std=c99", "-Wall", "-Werror", "-Wno-unused-variable",
+                        "-o", str(exe), str(src)], check=True)
+        assert subprocess.run([str(exe)]).returncode == (-signal.SIGABRT if aborts else 0)
+        if aborts:
+            store = {"B": np.zeros(6 * n_b1), "C": np.zeros(6)}
+            with pytest.raises(IndexingFault, match="of B "):
+                execute(plan, store, {"A": (6,), "B": (6, n_b1), "C": (6,)},
+                        {"n_i": 6, "n_j": 6})
 
     def test_operands_named_after_their_buffers(self):
         plan = build_plan(parse_program(TWO_BUFFERS), "A", "input")
