@@ -9,8 +9,12 @@ expander walks a nest level by level over int64 columns, checking each
 level's values against the dense extents they index: it yields the points
 to `iter_point_chunks`, and under `execute` it carries each access's
 hoisted index as a column, adding every level's terms as array operations.
-A parallel run gives each worker a share of a summand's outermost range as
-two more bounds on that level.  Where a summand's innermost levels form a
+Each compressed index is checked against `len()` of the array it indexes,
+so a size polynomial is evaluated only where an array is allocated (a
+compressed output here, an input in `runtime.pack`); every index must fit
+int64 by its program's bounds before anything is allocated.  A parallel
+run gives each worker a share of a summand's outermost range as two more
+bounds on that level.  Where a summand's innermost levels form a
 box (parameter bounds, stride 1, no guards, degree-1 index terms with
 parameter-only coefficients), the expander walks only the levels above it:
 each access's index is then base[outer row] + offset[box point], and every
@@ -239,21 +243,21 @@ def _spans(lv, cols, n, env):
             x = np.arange(lo, hi + 1, lv.stride)
             yield np.zeros(len(x), dtype=np.intp), x, 0, np.array([len(x)])
         return
-    lengths = _column(np.maximum((hi - lo) // lv.stride + 1, 0), n)
+    row_counts = _column(np.maximum((hi - lo) // lv.stride + 1, 0), n)
     # every row's [lo, hi] inside is the common case; else check the values
     # of the nonempty rows
     if check and _leaves_extents(lv, _least(lo), _most(hi), env) is not None:
-        full = lengths > 0
+        full = row_counts > 0
         if full.any():
             first = _column(lo, n)[full]
             _check_extents(lv, first.min(),
-                           (first + (lengths[full] - 1) * lv.stride).max(), env)
+                           (first + (row_counts[full] - 1) * lv.stride).max(), env)
     lo = _column(lo, n)
-    ends = np.cumsum(lengths)
+    ends = np.cumsum(row_counts)
     start, base = 0, 0
     while start < n:
         stop = max(int(np.searchsorted(ends, base + BLOCK_POINTS, "right")), start + 1)
-        counts = lengths[start:stop]
+        counts = row_counts[start:stop]
         x = np.arange(0, (int(ends[stop - 1]) - base) * lv.stride, lv.stride)
         x += np.repeat(lo[start:stop] - (ends[start:stop] - counts - base) * lv.stride, counts)
         yield np.repeat(np.arange(start, stop), counts), x, start, counts
@@ -321,7 +325,6 @@ def iter_point_chunks(nest, binding):
 @dataclass(frozen=True)
 class AccessPlan:
     tensor: str
-    slot: str              # "out" | "in<k>"
     buffer_id: int
     layout: str            # "compressed" | "dense"
     names: tuple           # iterator name per tensor axis
@@ -356,9 +359,6 @@ class KernelPlan:
     summands: tuple
     registry: object
     compression: str       # "none" | "input" | "input+output"
-    schedule: str = "identity"
-    # lowered size -> ids of the buffers with that size the plan accesses packed
-    sizes: dict = field(compare=False, default_factory=dict)
 
 
 def _access_plan(registry, si, slot, acc, compression, space):
@@ -366,20 +366,20 @@ def _access_plan(registry, si, slot, acc, compression, space):
     buf = registry.buffers[bid]
     wants = (compression == "input+output") if slot == "out" else (compression != "none")
     if buf.layout != "compressed" or not wants:
-        return AccessPlan(acc.tensor, slot, bid, "dense", tuple(acc.index_names))
+        return AccessPlan(acc.tensor, bid, "dense", tuple(acc.index_names))
     # buffer rank dims are the first access's iterators; rename to ours
     mapping = {d: acc.index_names[buf.axes[p]]
                for p, d in enumerate(buf.accessed.dims)}
-    return _rank_access(acc.tensor, slot, bid, tuple(acc.index_names),
+    return _rank_access(acc.tensor, bid, tuple(acc.index_names),
                         buf.index.rank.rename(mapping), space.dims)
 
 
-def _rank_access(tensor, slot, bid, names, rank, dims):
+def _rank_access(tensor, bid, names, rank, dims):
     """A compressed access whose rank is hoisted over the nest dims."""
     poly = rank.single_polynomial()
     plan = hoist_schedule(poly, dims) if poly is not None else None
     scale = math.lcm(*(p.denominator_lcm() for _, p in rank.pieces))
-    return AccessPlan(tensor, slot, bid, "compressed", names,
+    return AccessPlan(tensor, bid, "compressed", names,
                       rank=rank, plan=plan, scale=int(scale))
 
 
@@ -391,15 +391,16 @@ def copy_program(index):
     axis p is the region's dim p, with its extent read from env[(tensor, p)]
     and its stride from env[(tensor, p, "stride")], so the tensor's shape
     and axis order come with each call; leaf 1 is the rank, checked against
-    lengths[0].
+    the length of the buffer it indexes.  Both must fit int64 by the
+    program's bounds, as a summand's indices must (`_check_int64`).
     """
     dims, tensor = index.accessed.dims, index.tensor
-    view = AccessPlan(tensor, "out", None, "dense", dims,
+    view = AccessPlan(tensor, None, "dense", dims,
                       strides=tuple((tensor, p, "stride") for p in range(len(dims))))
-    rank = _rank_access(tensor, "in0", 0, dims, index.rank, dims)
+    rank = _rank_access(tensor, 0, dims, index.rank, dims)
     prog = _program(build_loop_nest(index.accessed), Statement(view, (rank,)))
-    # pack and unpack walk every point and bound their ranks themselves
-    return prog and prog._replace(bounds=None, crude=None, box=None)
+    # pack and unpack walk every point
+    return prog and prog._replace(box=None)
 
 
 def build_plan(program, rule, compression="input+output"):
@@ -409,7 +410,7 @@ def build_plan(program, rule, compression="input+output"):
         summands = build_compressed_summands(program, rule)
         program.compiled[rule] = summands, build_registry(summands)
     summands, registry = program.compiled[rule]
-    plans, sizes, packed = [], {}, set()
+    plans = []
     for si, s in enumerate(summands):
         space = iteration_space(s)
         nest = build_loop_nest(space)
@@ -425,12 +426,7 @@ def build_plan(program, rule, compression="input+output"):
                          "\n".join(_emit_c_summand(rule, si, nest.params, stmt, prog)))
         sp.__dict__["program"] = prog   # lowered once, at compile time, for C and `execute`
         plans.append(sp)
-        for a in (out_plan,) + ins:
-            if a.layout == "compressed" and a.buffer_id not in packed:
-                packed.add(a.buffer_id)
-                size = registry.buffers[a.buffer_id].index.size.lowered
-                sizes[size] = sizes.get(size, ()) + (a.buffer_id,)
-    return KernelPlan(rule, tuple(plans), registry, compression, sizes=sizes)
+    return KernelPlan(rule, tuple(plans), registry, compression)
 
 
 # ---------------------------------------------------------------------------
@@ -609,20 +605,24 @@ def _box(dims, levels, terms, leaves, out_names):
     return _Box(depth, coefs, varies, repeat, spec, matmul)
 
 
-def _check_int64(prog, ext, top):
-    """Raise IndexingFault when an index can exceed int64 for iterators
-    within the shape extents they index; ext: env name -> |value| <= top."""
-    coeffs, degree = prog.crude
-    if coeffs * top ** degree <= _INT64_MAX:
-        return
-    for tensor, polys in prog.bounds:
-        if any(_magnitude(p, ext) > _INT64_MAX for p in polys):
-            raise IndexingFault(f"an index of {tensor} can exceed int64 at this binding")
+def _check_int64(progs, env):
+    """Raise IndexingFault when an index of one of the programs can exceed
+    int64 for iterators within the shape extents they index, at the env's
+    values."""
+    ext = {name: abs(v) for name, v in env.items()}
+    top = max([1, *ext.values()])
+    for prog in progs:
+        coeffs, degree = prog.crude
+        if coeffs * top ** degree > _INT64_MAX:
+            for tensor, polys in prog.bounds:
+                if any(_magnitude(p, ext) > _INT64_MAX for p in polys):
+                    raise IndexingFault(f"an index of {tensor} can exceed int64 at this binding")
 
 
-def _leaf_index(a, cols, n, lengths, env):
-    """Checked int64 index of one access over n leaf rows; a piecewise rank
-    is evaluated piece by piece behind its masks, -1 where none covers."""
+def _leaf_index(a, cols, n, env, array):
+    """Int64 index of one access over n leaf rows, a compressed one checked
+    against the array it indexes; a piecewise rank is evaluated piece by
+    piece behind its masks, -1 where none covers."""
     if a.pieces is None:
         idx = _column(cols[a.col], n)
         if a.scale != 1:
@@ -640,21 +640,22 @@ def _leaf_index(a, cols, n, lengths, env):
                     raise IndexingFault("non-integer index")
                 idx[mask] = vals // s
     # as uint64 a negative index is huge: one pass checks both ends
-    if isinstance(a.key, int) and idx.view(np.uint64).max() >= lengths[a.key]:
+    if isinstance(a.key, int) and idx.view(np.uint64).max() >= len(array):
         raise IndexingFault(f"index out of range for buffer {a.key}")
     return idx
 
 
-def _box_base(a, base, grid, lengths):
-    """An access's checked base index (an int, or a column over rows) under a
-    box whose offsets to it span [grid.least, grid.most]."""
+def _box_base(a, base, grid, array):
+    """An access's base index (an int, or a column over rows) under a box
+    whose offsets to it span [grid.least, grid.most], checked against the
+    array it indexes when compressed."""
     if a.scale != 1:
         base, rest = divmod(base, a.scale)
         if rest.any() if isinstance(rest, np.ndarray) else rest:
             raise IndexingFault("non-integer index")
     if isinstance(a.key, int):
         # every row's first index must lie in [0, span)
-        first, span = base + grid.least, lengths[a.key] - (grid.most - grid.least)
+        first, span = base + grid.least, len(array) - (grid.most - grid.least)
         if span <= 0 or (first.view(np.uint64).max() >= span if isinstance(first, np.ndarray)
                          else not 0 <= first < span):
             raise IndexingFault(f"index out of range for buffer {a.key}")
@@ -697,7 +698,7 @@ def _box_grids(prog, env):
     return grids
 
 
-def _box_call(prog, env, store, lengths, block):
+def _box_call(prog, env, arrays, block):
     """What a box needs once per call, from the first block of outer rows:
     its `_Grid`s, the checked bases of the accesses that do not vary by row,
     the gathered constant inputs and the matmul's folded matrix.  None when
@@ -711,9 +712,9 @@ def _box_call(prog, env, store, lengths, block):
         if not box.varies[a.col]:
             base = block[a.col]
             base = int(base[0]) if isinstance(base, np.ndarray) else int(base)
-            bases[a.col] = base = _box_base(a, base, g, lengths)
+            bases[a.col] = base = _box_base(a, base, g, arrays[a.col])
             if a.col:
-                consts[a.col] = store[a.key][base + g.off].reshape(g.shape)
+                consts[a.col] = arrays[a.col][base + g.off].reshape(g.shape)
     matrix = None
     if box.matmul is not None:
         col, spec = box.matmul
@@ -722,14 +723,14 @@ def _box_call(prog, env, store, lengths, block):
     return grids, bases, consts, matrix
 
 
-def _run_box(prog, env, out, store, lengths):
+def _run_box(prog, env, arrays):
     """Accumulate a summand through its box (`_Box`): the outer levels run on
     `_expand`, and each slice of an outer block (at most BLOCK_POINTS gathered
     values per varying access, unless one row has more) gathers every input
     at base[row] + offset[box point], contracts them and adds the result to
     the output at its base[row] + offset.  Every index is checked, once per
     outer block, before the first store read that uses it."""
-    box = prog.box
+    box, out = prog.box, arrays[0]
     outer = prog.levels[:box.depth]
     root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
     state = rows_per = None
@@ -737,18 +738,18 @@ def _run_box(prog, env, out, store, lengths):
     per_row = any(box.varies[1:])
     for block, m, *_ in _expand(outer, root, 1, env):
         if rows_per is None:
-            state = _box_call(prog, env, store, lengths, block)
+            state = _box_call(prog, env, arrays, block)
             rows_per = max(1, BLOCK_POINTS // max(
                 [math.prod(state[0][a.col].shape) for a in moving] or [1])) if state else 0
         if state is None:
             continue   # an empty box: the outer walk still checks its extents
         grids, bases, consts, matrix = state
-        base = {a.col: _box_base(a, _column(block[a.col], m), grids[a.col], lengths)
+        base = {a.col: _box_base(a, _column(block[a.col], m), grids[a.col], arrays[a.col])
                 for a in moving}
         for s in range(0, m, rows_per):
             rows = min(m, s + rows_per) - s
             ops = [consts[a.col] if a.col in consts
-                   else store[a.key][base[a.col][s:s + rows, None] + grids[a.col].off]
+                   else arrays[a.col][base[a.col][s:s + rows, None] + grids[a.col].off]
                    for a in prog.leaves[1:]]
             if matrix is not None:
                 res = ops[box.matmul[0] - 1] @ matrix
@@ -772,11 +773,13 @@ def _run_box(prog, env, out, store, lengths):
                 out[idx] += res
 
 
-def _run_summand(prog, env, out, store, lengths):
-    """Accumulate one summand into `out`."""
+def _run_summand(prog, env, arrays):
+    """Accumulate one summand into arrays[0], reading each input access from
+    the array at its leaf's position."""
     if prog.box is not None:
-        _run_box(prog, env, out, store, lengths)
+        _run_box(prog, env, arrays)
         return
+    out = arrays[0]
     root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
     for block, m, parent, start, counts in _expand(prog.levels, root, 1, env):
         if prog.reduce:   # the output index of each nonempty row
@@ -784,10 +787,10 @@ def _run_summand(prog, env, out, store, lengths):
             stop = start + len(counts)
             block = {**block, 0: _column(parent[0], stop)[start:stop][nonempty]}
         # every index is checked before the first store read
-        idx = [_leaf_index(a, block, m, lengths, env) for a in prog.leaves]
+        idx = [_leaf_index(a, block, m, env, x) for a, x in zip(prog.leaves, arrays)]
         prod = np.ones(m, dtype=out.dtype) if len(idx) == 1 else None
-        for a, i in zip(prog.leaves[1:], idx[1:]):
-            prod = store[a.key][i] if prod is None else prod * store[a.key][i]
+        for x, i in zip(arrays[1:], idx[1:]):
+            prod = x[i] if prod is None else prod * x[i]
         o = idx[0]
         if prog.reduce:
             counts = counts[nonempty]
@@ -808,27 +811,22 @@ class ExecResult:
     compressed: dict       # output buffer id -> flat ndarray
 
 
-def buffer_length(size, binding, what):
-    """A lowered size (`PiecewiseQuasiPolynomial.lowered`) at an int binding;
-    `what` names the buffers in the errors."""
-    context, pieces = size
+def buffer_length(index, binding):
+    """The length of an `IndexFunction`'s buffer: its lowered size at an int
+    binding."""
+    context, pieces = index.size.lowered
     hits = [(poly, s) for guards, poly, s in pieces if guards_mask(guards, {}, binding)]
     if not hits or not guards_mask(context, {}, binding):
-        raise DomainError(f"no size piece of {what} covers {binding}")
+        raise DomainError(f"no size piece of {index.tensor}'s buffer covers {binding}")
     length, rest = divmod(poly_values(hits[0][0], {}, binding), hits[0][1])
     if rest:
-        raise CountingError(f"non-integer size of {what}")
+        raise CountingError(f"non-integer size of {index.tensor}'s buffer")
     return length
 
 
-def _buffer_lengths(plan, binding):
-    lengths = {}
-    for size, bids in plan.sizes.items():
-        lengths.update(dict.fromkeys(bids, buffer_length(size, binding, f"buffers {bids}")))
-    return lengths
-
-
-def _zero_outputs(plan, shapes, lengths, dtype):
+def _zero_outputs(plan, shapes, binding, dtype):
+    """The zeroed outputs (dense, compressed): a compressed output's length
+    is its size polynomial at the binding, evaluated here only."""
     dense_out, comp = None, {}
     for sp in plan.summands:
         o = sp.statement.output
@@ -836,7 +834,8 @@ def _zero_outputs(plan, shapes, lengths, dtype):
             if dense_out is None:
                 dense_out = np.zeros(math.prod(shapes[o.tensor]), dtype=dtype)
         elif o.buffer_id not in comp:
-            comp[o.buffer_id] = np.zeros(lengths[o.buffer_id], dtype=dtype)
+            index = plan.registry.buffers[o.buffer_id].index
+            comp[o.buffer_id] = np.zeros(buffer_length(index, binding), dtype=dtype)
     return dense_out, comp
 
 
@@ -845,22 +844,23 @@ def _zero_outputs(plan, shapes, lengths, dtype):
 _SHARE = ("share.lo", "share.hi")
 
 
-def _run_chunks(plan, env, store, lengths, chunks, outputs):
+def _run_chunks(plan, env, store, chunks, outputs):
     """Run (summand index, share) chunks into outputs = (dense, compressed);
     a share (lo, hi) is two more bounds on the summand's outermost level."""
     dense_out, comp = outputs
     for si, share in chunks:
         sp = plan.summands[si]
         o = sp.statement.output
-        out = dense_out if o.layout == "dense" else comp[o.buffer_id]
         prog, run_env = sp.program, env
+        arrays = (dense_out if o.layout == "dense" else comp[o.buffer_id],
+                  *[store[a.key] for a in prog.leaves[1:]])
         if share is not None:
             lo, hi = (int_form(AffineExpr.var(name)) for name in _SHARE)
             top = prog.levels[0]
             top = top._replace(lowers=top.lowers + (lo,), uppers=top.uppers + (hi,))
             prog = prog._replace(levels=(top,) + prog.levels[1:])
             run_env = {**env, **dict(zip(_SHARE, share))}
-        _run_summand(prog, run_env, out, store, lengths)
+        _run_summand(prog, run_env, arrays)
     return outputs
 
 
@@ -868,9 +868,11 @@ _FORK_STATE = None
 
 
 def _fork_worker(chunks):
-    plan, env, store, shapes, lengths, dtype = _FORK_STATE
-    return _run_chunks(plan, env, store, lengths, chunks,
-                       _zero_outputs(plan, shapes, lengths, dtype))
+    """Run chunks into zeroed outputs shaped like the parent's."""
+    plan, env, store, (dense_out, comp) = _FORK_STATE
+    outputs = (None if dense_out is None else np.zeros_like(dense_out),
+               {bid: np.zeros_like(x) for bid, x in comp.items()})
+    return _run_chunks(plan, env, store, chunks, outputs)
 
 
 def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
@@ -885,15 +887,11 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
                          for axis, e in enumerate(shape)}}
     live = [si for si, sp in enumerate(plan.summands)
             if sp.program is not None and guards_mask(sp.program.guards, {}, env)]
-    ext = {name: abs(v) for name, v in env.items()}
-    top = max([1, *ext.values()])
-    for si in live:
-        _check_int64(plan.summands[si].program, ext, top)
-    lengths = _buffer_lengths(plan, binding)
-    dense_out, comp = _zero_outputs(plan, shapes, lengths, dtype)
+    _check_int64([plan.summands[si].program for si in live], env)
+    dense_out, comp = _zero_outputs(plan, shapes, binding, dtype)
 
     if workers <= 1 or not any(plan.summands[si].parallelizable for si in live):
-        return ExecResult(*_run_chunks(plan, env, store, lengths,
+        return ExecResult(*_run_chunks(plan, env, store,
                                        [(si, None) for si in live], (dense_out, comp)))
 
     per_worker = [[] for _ in range(workers)]
@@ -908,7 +906,7 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
             per_worker[w].append((si, (clo, min(hi, clo + step - 1))))
 
     global _FORK_STATE
-    _FORK_STATE = (plan, env, store, shapes, lengths, dtype)
+    _FORK_STATE = (plan, env, store, (dense_out, comp))
     try:
         import multiprocessing
         ctx = multiprocessing.get_context("fork")

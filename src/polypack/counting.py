@@ -30,7 +30,7 @@ from .polyhedra import (
     normalize_constraints, poly_values,
 )
 
-DEFAULT_MAX_DEGREE = 6
+MAX_DEGREE = 6   # highest power of a variable that `faulhaber_sum` sums
 
 
 class CountingError(ValueError):
@@ -264,7 +264,7 @@ def power_sum(p, upper):
     return out
 
 
-def faulhaber_sum(p, var, lb, ub, max_degree=DEFAULT_MAX_DEGREE):
+def faulhaber_sum(p, var, lb, ub):
     """Closed form of sum_{var=lb..ub} p, valid whenever ub >= lb.
 
     lb and ub are affine in the remaining variables; callers guard the
@@ -277,8 +277,8 @@ def faulhaber_sum(p, var, lb, ub, max_degree=DEFAULT_MAX_DEGREE):
         ub = QuasiPolynomial.from_affine(ub)
     out = QuasiPolynomial()
     for e, coeff in p.coeffs_in(var).items():
-        if e > max_degree:
-            raise DegreeOverflowError(e, max_degree)
+        if e > MAX_DEGREE:
+            raise DegreeOverflowError(e, MAX_DEGREE)
         out = out + coeff * (power_sum(e, ub) - power_sum(e, lb - QuasiPolynomial.constant(1)))
     return out
 
@@ -584,7 +584,7 @@ def _term_to_total(cons, weight, result_vars, context):
         tuple(_normalize_pieces(pieces, context, absorb=False)), context)
 
 
-def count_points(p, count_dims=None, context=None, max_degree=DEFAULT_MAX_DEGREE):
+def count_points(p, count_dims=None, context=None):
     """Piecewise quasi-polynomial counting the integer points over count_dims.
 
     Uncounted dims are treated as parameters of the result.  `context`
@@ -653,7 +653,7 @@ def count_points(p, count_dims=None, context=None, max_degree=DEFAULT_MAX_DEGREE
                     cell = rest + lo_dom + hi_dom + [ge(ub - lb)]
                     if live(cell):
                         new_terms.append(
-                            (cell, faulhaber_sum(weight, var, lb, ub, max_degree)))
+                            (cell, faulhaber_sum(weight, var, lb, ub)))
         terms = new_terms
 
     result = None

@@ -111,7 +111,6 @@ class Buffer:
     id: int
     tensor: str
     layout: str            # "compressed" | "dense"
-    arity: int
     accessed: Polyhedron   # None for dense
     axes: tuple            # tensor axis feeding each accessed dim; None for dense
     index: IndexFunction   # None for dense
@@ -175,7 +174,6 @@ def build_registry(summands):
                     "tensor": acc.tensor, "space": space, "amap": amap,
                     "img": img, "canon": canon,
                     "axes": tuple(acc.index_names.index(d) for d in img.dims),
-                    "arity": len(acc.index_names),
                 })
                 by_tensor.setdefault(acc.tensor, []).append(hit)
             assignment[(si, slot)] = hit
@@ -197,15 +195,14 @@ def build_registry(summands):
                 dense_id[d["tensor"]] = len(buffers)
                 buffers.append(Buffer(
                     id=len(buffers), tensor=d["tensor"], layout="dense",
-                    arity=d["arity"], accessed=None, axes=None, index=None,
-                    reason="partial-overlap"))
+                    accessed=None, axes=None, index=None, reason="partial-overlap"))
             remap[bi] = dense_id[d["tensor"]]
             continue
         ix = symbolic_indexing(d["space"], d["amap"], d["tensor"])
         remap[bi] = len(buffers)
         buffers.append(Buffer(
             id=len(buffers), tensor=d["tensor"], layout="compressed",
-            arity=d["arity"], accessed=ix.accessed, axes=d["axes"], index=ix))
+            accessed=ix.accessed, axes=d["axes"], index=ix))
 
     assignment = {key: remap[bi] for key, bi in assignment.items()}
     return BufferRegistry(tuple(buffers), assignment)

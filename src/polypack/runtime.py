@@ -6,7 +6,10 @@ positions through a redundancy map.  Both are a copy statement between the
 compressed rank and the dense row-major offset, lowered once per index
 function (`IndexFunction.program`) and walked by the same frontier
 expander as `codegen.execute`, so each level adds its hoisted rank and
-offset terms as array operations.  The footprint report prices a
+offset terms as array operations; the copy's rank and offset are bounded
+by the same int64 rule as a summand's indices (`codegen._check_int64`)
+before any array is allocated, and each rank is checked against the
+compressed array it indexes.  The footprint report prices a
 registry's layout choices in exact element counts.
 """
 
@@ -19,8 +22,8 @@ from fractions import Fraction
 import numpy as np
 
 from .codegen import (
-    _INT64_MAX, IndexingFault, _expand, _leaf_index, _magnitude, buffer_length,
-    build_loop_nest, iter_point_chunks,
+    IndexingFault, _check_int64, _expand, _leaf_index, buffer_length, build_loop_nest,
+    iter_point_chunks,
 )
 from .polyhedra import (
     GE0, AffineExpr, Constraint, Polyhedron, guards_mask, int_form, poly_values,
@@ -67,37 +70,39 @@ def _flat_offsets(coords, shape):
     return off
 
 
-def _check_rank_int64(index, shape, axes, binding):
-    """Raise IndexingFault when a scaled rank term can exceed int64 for
-    points within the dense extents along `axes`."""
-    ext = {p: abs(int(v)) for p, v in binding.items()}
-    ext.update((d, int(shape[ax])) for d, ax in zip(index.accessed.dims, axes))
-    if any(_magnitude(poly, ext) > _INT64_MAX for _, poly, _ in index.rank.lowered[1]):
-        raise IndexingFault(f"a rank of {index.tensor} can exceed int64 at this binding")
-
-
-def _copies(index, shape, axes, binding, length):
-    """(rank, dense offset) int64 columns per block of the accessed region,
-    walked as `execute` walks a summand (see `codegen.copy_program`).
-
-    Ranks are checked inside [0, length) and positions inside `shape`
-    before a block is yielded; the ranks must cover all `length` slots.
-    """
-    prog = index.program
+def _copy_env(index, shape, axes, binding):
+    """The env of a copy between an index's region and a dense tensor of
+    `shape` read along `axes` (see `codegen.copy_program`), after checking
+    that no rank or dense offset can exceed int64 there."""
     env = {p: int(v) for p, v in binding.items()}
     for p, ax in enumerate(axes):
         env[(index.tensor, p)] = int(shape[ax])
         env[(index.tensor, p, "stride")] = math.prod(int(e) for e in shape[ax + 1:])
+    if index.program is not None:
+        _check_int64([index.program], env)
+    return env
+
+
+def _copies(index, env, data):
+    """(rank, dense offset) int64 columns per block of the accessed region,
+    walked as `execute` walks a summand.
+
+    Ranks are checked against the compressed array `data` and positions
+    against the dense shape before a block is yielded; the ranks must cover
+    all of `data`.
+    """
+    prog = index.program
     written = 0
     if prog is not None and guards_mask(prog.guards, {}, env):
         root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
         for block, m, *_ in _expand(prog.levels, root, 1, env):
-            offset, rank = (_leaf_index(a, block, m, {0: length}, env) for a in prog.leaves)
+            offset, rank = (_leaf_index(a, block, m, env, x)
+                            for a, x in zip(prog.leaves, (None, data)))
             written += m
             yield rank, offset
-    if written != length:
+    if written != len(data):
         raise IndexingFault(
-            f"{written} of {length} slots of {index.tensor} visited; "
+            f"{written} of {len(data)} slots of {index.tensor} visited; "
             "rank map does not cover the buffer")
 
 
@@ -110,11 +115,10 @@ def pack(tensor, index, binding, axes=None, buffer_id=0):
     """
     if axes is None:
         axes = tuple(range(len(tensor.shape)))
-    _check_rank_int64(index, tensor.shape, axes, binding)
-    length = buffer_length(index.size.lowered, {p: int(v) for p, v in binding.items()},
-                           f"{index.tensor}'s buffer")
+    env = _copy_env(index, tensor.shape, axes, binding)
+    length = buffer_length(index, {p: int(v) for p, v in binding.items()})
     out = np.zeros(length, dtype=tensor.data.dtype)
-    for rank, offset in _copies(index, tensor.shape, axes, binding, length):
+    for rank, offset in _copies(index, env, out):
         out[rank] = tensor.data[offset]
     return CompressedBuffer(buffer_id, length, out)
 
@@ -133,10 +137,10 @@ def _redmap_domain(rm, shape):
     return Polyhedron.build(rm.iters, params, cons)
 
 
-def _scatter(buf, index, shape, binding, axes, out):
-    """Write every slot of a compressed buffer to its flat position in `out`."""
-    for rank, offset in _copies(index, shape, axes, binding, buf.length):
-        out[offset] = buf.data[rank]
+def _scatter(data, index, env, out):
+    """Write every slot of a compressed array to its flat position in `out`."""
+    for rank, offset in _copies(index, env, data):
+        out[offset] = data[rank]
 
 
 def unpack(buf, index, shape, binding, axes=None, redmap=None):
@@ -149,9 +153,9 @@ def unpack(buf, index, shape, binding, axes=None, redmap=None):
     shape = tuple(int(e) for e in shape)
     if axes is None:
         axes = tuple(range(len(shape)))
-    _check_rank_int64(index, shape, axes, binding)
+    env = _copy_env(index, shape, axes, binding)
     out = np.zeros(math.prod(shape), dtype=buf.data.dtype)
-    _scatter(buf, index, shape, binding, axes, out)
+    _scatter(buf.data, index, env, out)
     if redmap is not None:
         dom = _redmap_domain(redmap, shape)
         subs = [int_form(redmap.substitution[p]) for p in redmap.primed]
@@ -184,10 +188,9 @@ def build_store(plan, tensors, binding):
                 comp_ids.add(a.buffer_id)
             else:
                 dense_names.add(a.tensor)
-    by_id = {b.id: b for b in plan.registry.buffers}
     store = {}
     for bid in sorted(comp_ids):
-        b = by_id[bid]
+        b = plan.registry.buffers[bid]
         store[bid] = pack(tensors[b.tensor], b.index, binding,
                           axes=b.axes, buffer_id=bid).data
     for t in sorted(dense_names):
@@ -200,18 +203,17 @@ def gather_output(plan, result, shape, binding):
     shape = tuple(int(e) for e in shape)
     if result.dense is not None:
         return DenseTensor(shape, result.dense)
-    by_id = {b.id: b for b in plan.registry.buffers}
-    bufs = [(by_id[bid], CompressedBuffer(bid, len(data), data))
-            for bid, data in sorted(result.compressed.items())]
-    if not bufs:
+    copies = []
+    for bid, data in sorted(result.compressed.items()):
+        b = plan.registry.buffers[bid]
+        copies.append((data, b.index, _copy_env(b.index, shape, b.axes, binding)))
+    if not copies:
         return DenseTensor.zeros(shape)
-    for b, _ in bufs:
-        _check_rank_int64(b.index, shape, b.axes, binding)
-    total = np.zeros(math.prod(shape), dtype=bufs[0][1].data.dtype)
+    total = np.zeros(math.prod(shape), dtype=copies[0][0].dtype)
     # output buffers are disjoint, or the registry would have demoted the
     # tensor: each position is written by one buffer at most
-    for b, buf in bufs:
-        _scatter(buf, b.index, shape, binding, b.axes, total)
+    for data, index, env in copies:
+        _scatter(data, index, env, total)
     return DenseTensor(shape, total)
 
 

@@ -6,6 +6,7 @@ reproduce the dense reference result built by direct gather/accumulate.
 """
 
 import ctypes
+import os
 import re
 import shutil
 import signal
@@ -466,16 +467,19 @@ class TestExecute:
         plan = build_plan(parse_program(UNPROVED_EQUAL), "A", "input+output")
         assert "tensor=B id=1 dense reason=partial-overlap" in plan.registry.dump()
 
-    def test_indexing_fault_on_short_buffer(self, monkeypatch):
+    def test_indexing_fault_on_short_buffer(self):
+        # B's packed diagonal one slot short: the point walk's last index
+        # is checked against the array it reads
         program = parse_program(SPMV_D)
         plan = build_plan(program, "A", "input+output")
+        assert plan.summands[0].program.box is None
         shapes = {"A": (3,), "B": (3, 3), "C": (3,)}
         binding = {"n_i": 3}
         dense = {"B": np.ones(9), "C": np.ones(3)}
         store = pack_store(plan, shapes, dense, binding, np.float64)
-        monkeypatch.setattr(codegen, "_buffer_lengths", lambda plan, binding: {
-            b.id: 1 for b in plan.registry.buffers if b.layout == "compressed"})
-        with pytest.raises(IndexingFault):
+        b = plan.summands[0].statement.inputs[0].buffer_id
+        store[b] = store[b][:-1]
+        with pytest.raises(IndexingFault, match=f"buffer {b}$"):
             execute(plan, store, shapes, binding)
 
     def test_int64_overflow_raises_before_allocating(self, monkeypatch):
@@ -522,9 +526,9 @@ class TestExecute:
             ge(v("n") - k(1) - v("j")), modeq(v("i"), 3, 1)])
         nest = build_loop_nest(space)
         assert nest.levels[0].kind == "strided"
-        stmt = Statement(AccessPlan("A", "out", 0, "dense", ("i",)), (
-            AccessPlan("B", "in0", 1, "dense", ("i", "j")),
-            AccessPlan("C", "in1", 2, "dense", ("j",))))
+        stmt = Statement(AccessPlan("A", 0, "dense", ("i",)), (
+            AccessPlan("B", 1, "dense", ("i", "j")),
+            AccessPlan("C", 2, "dense", ("j",))))
         plan = KernelPlan("A", (SummandPlan(nest, stmt, True),), None, "none")
         n = 302
         rng = np.random.default_rng(5)
@@ -543,6 +547,30 @@ class TestExecute:
         plan = build_plan(program, "A", "input+output")
         res = execute(plan, {}, {"A": (4,)}, {"n": 4})
         assert res.dense is None and res.compressed == {}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_KERNELS))
+    def test_sizes_evaluated_for_outputs_only(self, name, workers, monkeypatch):
+        # an input's length is its packed array's: execute evaluates a size
+        # polynomial once per compressed output buffer, and a fork worker none
+        kern = BUILTIN_KERNELS[name]
+        binding = {s: 7 if s.startswith("n_") else x for s, x in kern.defaults.items()}
+        shapes = {t: tuple(binding[s] for s in syms) for t, syms in kern.shapes.items()}
+        plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
+        dense = {t: np.ones(int(np.prod(shapes[t]))) for t in shapes if t != kern.rule}
+        store = pack_store(plan, shapes, dense, binding, np.float64)
+        parent, calls, real = os.getpid(), [], codegen.buffer_length
+
+        def counted(index, binding):
+            assert os.getpid() == parent, "a fork worker evaluated a size"
+            calls.append(index)
+            return real(index, binding)
+        monkeypatch.setattr(codegen, "buffer_length", counted)
+        res = execute(plan, store, shapes, binding, workers=workers)
+        outs = {sp.statement.output.buffer_id for sp in plan.summands
+                if sp.statement.output.layout == "compressed"}
+        assert outs and sorted(res.compressed) == sorted(outs)
+        assert sorted(map(id, calls)) == sorted(id(plan.registry.buffers[b].index) for b in outs)
 
 
 def test_levels_share_one_registry(monkeypatch):
@@ -608,8 +636,8 @@ class TestBox:
         space = Polyhedron.build(("i", "j"), ("n",), [
             ge(v("i")), ge(v("n") - k(1) - v("i")), ge(v("j")),
             ge(v("n") - k(1) - v("j")), modeq(v("i"), 3, 1)])
-        stmt = Statement(AccessPlan("A", "out", 0, "dense", ("j",)), tuple(
-            AccessPlan(t, f"in{c}", c + 1, "dense", names)
+        stmt = Statement(AccessPlan("A", 0, "dense", ("j",)), tuple(
+            AccessPlan(t, c + 1, "dense", names)
             for c, (t, names) in enumerate(zip("BC", inputs))))
         plan = KernelPlan("A", (SummandPlan(build_loop_nest(space), stmt, False),),
                           None, "none")
@@ -649,12 +677,12 @@ class TestBox:
         dense = {t: np.ones(int(np.prod(shapes[t]))) for t in "BC"}
         return plan, pack_store(plan, shapes, dense, binding, np.float64), shapes, binding
 
-    def test_short_buffer_raises(self, monkeypatch):
+    def test_short_buffer_raises(self):
+        # B's packed triangle one slot short: a box's gathers are checked
+        # against the array they read
         plan, store, shapes, binding = self.ttm_ut("input+output")
         b = plan.summands[0].statement.inputs[0].buffer_id
-        lengths = codegen._buffer_lengths(plan, binding)
-        monkeypatch.setattr(codegen, "_buffer_lengths",
-                            lambda plan, binding: {**lengths, b: lengths[b] - 1})
+        store[b] = store[b][:-1]
         with pytest.raises(IndexingFault, match=f"buffer {b}$"):
             execute(plan, store, shapes, binding)
 
@@ -690,20 +718,19 @@ class TestBox:
         space = space_of(text)
         dims = ("y", "z", "x")
         nest = build_loop_nest(Polyhedron.build(dims, space.params, space.constraints))
-        rank = codegen._rank_access("B", "in0", buf.id, ("x", "y", "z"), buf.index.rank, dims)
+        rank = codegen._rank_access("B", buf.id, ("x", "y", "z"), buf.index.rank, dims)
         assert rank.scale == 2
-        stmt = Statement(AccessPlan("A", "out", 0, "dense", ("x",)), (
-            rank, AccessPlan("C", "in1", 1, "dense", ("y", "z"))))
+        stmt = Statement(AccessPlan("A", 0, "dense", ("x",)), (
+            rank, AccessPlan("C", 1, "dense", ("y", "z"))))
         sp = SummandPlan(nest, stmt, False)
         assert sp.program.box is None
-        dense_b = Statement(stmt.output, (AccessPlan("B", "in0", 1, "dense", ("x", "y", "z")),
+        dense_b = Statement(stmt.output, (AccessPlan("B", 1, "dense", ("x", "y", "z")),
                                           stmt.inputs[1]))
         assert SummandPlan(nest, dense_b, False).program.box.depth == 2
         binding, shapes = {"m": 5, "n": 4}, {"A": (5,), "B": (5, 4, 4), "C": (4, 4)}
         rng = np.random.default_rng(3)
         dense = {t: rng.integers(-3, 4, int(np.prod(shapes[t]))) for t in "BC"}
-        kp = KernelPlan("A", (sp,), plan.registry, "input",
-                        sizes={buf.index.size.lowered: (buf.id,)})
+        kp = KernelPlan("A", (sp,), plan.registry, "input")
         store = pack_store(kp, shapes, dense, binding, np.int64)
         got = execute(kp, store, shapes, binding, dtype=np.int64).dense
         want = reference_execute(program, "A", shapes, dense, binding, dtype=np.int64)
@@ -827,7 +854,7 @@ int main(void) {
 
     def test_empty_summand_function_body(self):
         nest = LoopNest(("i",), (), (), (), empty=True)
-        stmt = Statement(AccessPlan("A", "out", 0, "dense", ("i",)), ())
+        stmt = Statement(AccessPlan("A", 0, "dense", ("i",)), ())
         src = "\n".join(codegen._emit_c_summand("A", 0, nest.params, stmt, None))
         plan = KernelPlan("A", (SummandPlan(nest, stmt, False, src),), None, "none")
         text = emit_c(plan)

@@ -140,11 +140,17 @@ class TestPack:
         kern = BUILTIN_KERNELS["SpMV_UT"]
         plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
         b = [bb for bb in plan.registry.buffers if bb.tensor == "B"][0]
+        # TTM_UT's packed output A(i, j, k) ranks past int64 at n = 2^32
+        kern = BUILTIN_KERNELS["TTM_UT"]
+        ttm = build_plan(parse_program(kern.text), kern.rule, "input+output")
+        a = ttm.summands[0].statement.output
+        assert a.layout == "compressed"
         n = 2 ** 32
         binding = {"n_i": n, "n_j": n}
         # stand-ins: a 2^32 x 2^32 tensor cannot be allocated
         tensor = SimpleNamespace(shape=(n, n), data=np.zeros(0))
         buf = CompressedBuffer(b.id, 0, np.zeros(0))
+        result = codegen.ExecResult(None, {a.buffer_id: np.zeros(0)})
 
         def no_alloc(*args, **kwargs):
             raise AssertionError("a buffer was allocated")
@@ -153,6 +159,8 @@ class TestPack:
             pack(tensor, b.index, binding, axes=b.axes)
         with pytest.raises(IndexingFault, match="of B "):
             unpack(buf, b.index, (n, n), binding, axes=b.axes)
+        with pytest.raises(IndexingFault, match="of A "):
+            gather_output(ttm, result, (n, n, n), {f"n_{d}": n for d in "ijkl"})
 
     def test_empty_region(self):
         f = findex(HIGH_BAND, "B")
@@ -254,10 +262,12 @@ class TestAgainstOracle:
         assert np.array_equal(pack(back, f, binding).data, first.data)
 
 
-    def test_copy_keeps_no_int64_bounds(self):
-        # pack and unpack bound their ranks through _check_rank_int64
+    def test_copy_keeps_int64_bounds(self):
+        # pack and unpack bound the rank and the dense offset through the
+        # program's int64 bounds, as execute bounds a summand's indices
         prog = findex(PRISM, "B").program
-        assert prog.bounds is None and prog.crude is None and prog.box is None
+        assert prog.box is None
+        assert [t for t, _ in prog.bounds] == ["B", "B"] and prog.crude is not None
 
 
 class TestUnpack:
