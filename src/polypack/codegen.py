@@ -12,12 +12,13 @@ hoisted index as a column, adding every level's terms as array operations.
 Each compressed index is checked against `len()` of the array it indexes,
 so a size polynomial is evaluated only where an array is allocated (a
 compressed output here, an input in `runtime.pack`); every index must fit
-int64 by its program's bounds before anything is allocated.  A parallel
-run gives each worker a share of a summand's outermost range as two more
-bounds on that level.  Where a summand's innermost levels form a
-box (parameter bounds, stride 1, no guards, degree-1 index terms with
-parameter-only coefficients), the expander walks only the levels above it:
-each access's index is then base[outer row] + offset[box point], and every
+int64 by its program's bounds, and every dense input must hold its shape's
+values, before anything is allocated.  A parallel run gives each worker a
+share of a summand's outermost range as two more bounds on that level.
+Where a summand's innermost levels form a box (parameter bounds, stride 1,
+no guards, degree-1 index terms with parameter-only coefficients), the
+expander walks only the levels above it: each access's index is then
+base[outer row] + offset[box point], and every
 block of outer rows is one gather, one `matmul` or `einsum` and one scatter
 (`_Box`, lowered once per plan; the offsets are built on each call,
 `_Grid`).  `runtime.pack` and `unpack` run on the expander too, as a copy
@@ -880,7 +881,9 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
 
     Parallel runs split the outermost range of parallelizable summands into
     per-worker chunks writing disjoint output slices, so results are
-    bitwise identical to the sequential path for integer data.
+    bitwise identical to the sequential path for integer data.  Index
+    ranges that can overflow int64 and a dense input shorter than its shape
+    raise IndexingFault before any output is allocated.
     """
     binding = {k: int(v) for k, v in binding.items()}
     env = {**binding, **{(t, axis): int(e) for t, shape in shapes.items()
@@ -888,6 +891,11 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
     live = [si for si, sp in enumerate(plan.summands)
             if sp.program is not None and guards_mask(sp.program.guards, {}, env)]
     _check_int64([plan.summands[si].program for si in live], env)
+    for t in sorted({a.tensor for si in live for a in plan.summands[si].statement.inputs
+                     if a.layout == "dense"}):
+        if len(store[t]) < math.prod(shapes[t]):
+            raise IndexingFault(f"dense input {t} holds {len(store[t])} values, "
+                                f"fewer than its shape {tuple(shapes[t])}")
     dense_out, comp = _zero_outputs(plan, shapes, binding, dtype)
 
     if workers <= 1 or not any(plan.summands[si].parallelizable for si in live):

@@ -9,6 +9,11 @@ sums, telescoped as S(ub) - S(lb-1)).  Each dominance cell also emits an
 explicit empty-range piece contributing 0, so the pieces of a result always
 partition the context; provably empty pieces are pruned.
 
+One pairwise loop, `_merge`, joins pieces whose union is a single
+conjunction.  Sums (`pqp_add`) use it to fold a zero piece into a neighbour
+whose polynomial vanishes there; fusion (`fuse_piecewise`) uses it to merge
+any pair whose polynomials agree on the absorbed domain.
+
 This covers the constraint class used here (boxes, triangles, fixed indices
 and mod-equalities after quotient splitting) and is validated against the
 brute-force enumerator by the test suite.  Inputs outside the class raise
@@ -299,11 +304,6 @@ class PiecewiseQuasiPolynomial:
     pieces: tuple
     context: Polyhedron
 
-    def piece_system(self, domain):
-        return Polyhedron.build(
-            self.context.dims, self.context.params,
-            list(domain.constraints) + list(self.context.constraints))
-
     def evaluate(self, binding):
         if not all(cc.satisfied(binding) for cc in self.context.constraints):
             raise DomainError(f"point outside the domain: {binding}")
@@ -461,49 +461,50 @@ def _union_if_exact(da, db, context):
     return Polyhedron.build(da.dims, da.params, survivors)
 
 
-def _normalize_pieces(pieces, context, absorb):
-    out = []
-    for dom, poly in pieces:
-        if is_empty(_system(context, dom.constraints)):
-            continue
-        out.append((Polyhedron.build(dom.dims, dom.params, dom.constraints), poly))
-    if absorb:
-        out = _absorb_zero_pieces(out, context)
-    out = [( _simplify_domain(dom, context), poly) for dom, poly in out]
+def _live(pieces, context):
+    """The pieces whose domain is not provably empty within the context."""
+    return [(dom, poly) for dom, poly in pieces
+            if not is_empty(_system(context, dom.constraints))]
+
+
+def _tidy(pieces, context):
+    """Simplify each domain against the context and sort the pieces."""
+    out = [(_simplify_domain(dom, context), poly) for dom, poly in pieces]
     out.sort(key=lambda dp: (len(dp[0].constraints), str(dp[0]), str(dp[1])))
     return out
 
 
-def _absorb_zero_pieces(pieces, context):
-    """Fold zero pieces into neighbors whose polynomial vanishes there."""
-    work = list(pieces)
+def _merge(pieces, context, vanishes):
+    """Let piece i absorb piece j while vanishes(P_i, P_j, D_j) holds and
+    D_i ∪ D_j is one conjunction (i keeps its polynomial); then tidy."""
+    pieces = list(pieces)
     changed = True
     while changed:
         changed = False
-        zeros = [i for i, (_, p) in enumerate(work) if p.is_zero]
-        for zi in zeros:
-            zdom, _ = work[zi]
-            for pi, (pdom, ppoly) in enumerate(work):
-                if pi == zi or ppoly.is_zero:
+        for i in range(len(pieces)):
+            for j in range(len(pieces)):
+                if i == j:
                     continue
-                restricted = _restrict(ppoly, list(zdom.constraints) + list(context.constraints))
-                if not restricted.is_zero:
+                (da, pa), (db, pb) = pieces[i], pieces[j]
+                if not vanishes(pa, pb, db):
                     continue
-                union = _union_if_exact(pdom, zdom, context)
+                union = _union_if_exact(da, db, context)
                 if union is None:
                     continue
-                work[pi] = (union, ppoly)
-                del work[zi]
+                pieces[i] = (union, pa)
+                del pieces[j]
                 changed = True
                 break
             if changed:
                 break
-    return work
+    return _tidy(pieces, context)
 
 
-def _pqp_add(a, b, absorb):
+def pqp_add(a, b):
+    """Pointwise sum; a zero piece folds into a neighbour that vanishes on it."""
     if a.context != b.context:
         raise CountingError("cannot add piecewise values over different contexts")
+    context = a.context
     pieces = []
     for da, pa in a.pieces:
         for db, pb in b.pieces:
@@ -511,12 +512,13 @@ def _pqp_add(a, b, absorb):
                 da.dims, tuple(dict.fromkeys(da.params + db.params)),
                 list(da.constraints) + list(db.constraints))
             pieces.append((dom, pa + pb))
+
+    def absorbs(pa, pb, db):
+        return (pb.is_zero and not pa.is_zero and _restrict(
+            pa, list(db.constraints) + list(context.constraints)).is_zero)
+
     return PiecewiseQuasiPolynomial(
-        tuple(_normalize_pieces(pieces, a.context, absorb)), a.context)
-
-
-def pqp_add(a, b):
-    return _pqp_add(a, b, absorb=True)
+        tuple(_merge(_live(pieces, context), context, absorbs)), context)
 
 
 def pqp_constant(value, context):
@@ -566,30 +568,30 @@ def _dominance(bounds, k, direction):
     return cons
 
 
-def _term_to_total(cons, weight, result_vars, context):
+def _term_to_total(cons, weight, params, context):
     """One summand term as a total piecewise value: the term's region keeps
     its weight, and disjoint complement cells (prefix negation) contribute 0.
     """
-    pieces = [(Polyhedron.build((), result_vars, cons), weight)]
+    pieces = [(Polyhedron.build((), params, cons), weight)]
     prefix = []
     for c in cons:
         if c.kind == MODEQ:
             raise PeriodicCountError("mod constraint in counted region")
         for branch in c.negations():
             pieces.append(
-                (Polyhedron.build((), result_vars, prefix + [branch]),
+                (Polyhedron.build((), params, prefix + [branch]),
                  QuasiPolynomial()))
         prefix.append(c)
     return PiecewiseQuasiPolynomial(
-        tuple(_normalize_pieces(pieces, context, absorb=False)), context)
+        tuple(_tidy(_live(pieces, context), context)), context)
 
 
-def count_points(p, count_dims=None, context=None):
-    """Piecewise quasi-polynomial counting the integer points over count_dims.
+def count_points(p, context=None):
+    """Piecewise quasi-polynomial counting the integer points of p.
 
-    Uncounted dims are treated as parameters of the result.  `context`
-    optionally restricts the parameter space; pieces provably empty within
-    it are dropped and never contribute.
+    The result is over p's params.  `context` optionally restricts the
+    parameter space; pieces provably empty within it are dropped and never
+    contribute.
 
     Elimination keeps a list of summand terms (region, weight); regions of
     distinct terms may overlap after a dim is projected away, so the final
@@ -597,23 +599,20 @@ def count_points(p, count_dims=None, context=None):
     zero cells and adding them, which restores disjoint pieces that cover
     the whole context.
     """
-    count_dims = list(p.dims if count_dims is None else count_dims)
-    result_vars = tuple(d for d in p.dims if d not in count_dims) + p.params
     if context is None:
-        context = Polyhedron.build((), result_vars, [])
+        context = Polyhedron.build((), p.params, [])
     terms = [(list(p.constraints), QuasiPolynomial.constant(1))]
     if p.trivially_empty:
         terms = []
 
-    for var in reversed([d for d in p.dims if d in count_dims]):
-        remaining_dims = [d for d in count_dims if d != var]
-        count_dims = remaining_dims
+    for k in reversed(range(len(p.dims))):
+        var = p.dims[k]
         new_terms = []
 
         def live(cons):
             sys = Polyhedron.build(
-                tuple(d for d in p.dims if d in remaining_dims),
-                tuple(dict.fromkeys(result_vars + context.params + context.dims)),
+                p.dims[:k],
+                tuple(dict.fromkeys(p.params + context.params + context.dims)),
                 list(cons) + list(context.constraints))
             return not is_empty(sys)
 
@@ -661,10 +660,10 @@ def count_points(p, count_dims=None, context=None):
         cons = list(normalize_constraints(cons))
         if FALSE in cons:
             continue
-        t = _term_to_total(cons, weight, result_vars, context)
-        result = t if result is None else _pqp_add(result, t, absorb=False)
+        t = _term_to_total(cons, weight, p.params, context)
+        result = t if result is None else pqp_add(result, t)
     if result is None:
-        top = Polyhedron.build((), result_vars, [])
+        top = Polyhedron.build((), p.params, [])
         result = PiecewiseQuasiPolynomial(((top, QuasiPolynomial()),), context)
     return result
 
@@ -687,7 +686,7 @@ def _implied_equalities(cons):
     return eqs
 
 
-def _difference_vanishes(diff, dom, pqp):
+def _difference_vanishes(diff, dom, context):
     """(P - P') restricted to dom is zero.
 
     Equalities (explicit or hidden as opposing inequality pairs) are
@@ -698,12 +697,12 @@ def _difference_vanishes(diff, dom, pqp):
     """
     if diff.is_zero:
         return True
-    cons = list(dom.constraints) + list(pqp.context.constraints)
+    cons = list(dom.constraints) + list(context.constraints)
     cons += _implied_equalities(cons)
     restricted = _restrict(diff, cons)
     if restricted.is_zero:
         return True
-    sys = pqp.piece_system(dom)
+    sys = _system(context, dom.constraints)
     if sys.params:
         return False
     try:
@@ -716,32 +715,14 @@ def _difference_vanishes(diff, dom, pqp):
 
 
 def fuse_piecewise(t):
-    """Merge pieces whose polynomials agree on a neighbor's domain.
+    """Merge pieces whose polynomials agree on a neighbour's domain.
 
-    For an ordered pair ((D,P), (D',P')): when (P-P')|_{D'} = 0 and the
-    union D ∪ D' has a single-conjunction representation, D absorbs D'.
-    Non-fusable pieces are retained.
+    Piece (D, P) absorbs (D', P') when (P - P')|_{D'} = 0 and D ∪ D' has a
+    single-conjunction representation; it is `_merge`, the loop that folds
+    zero pieces in `pqp_add`, with any vanishing pair allowed.  Pieces that
+    cannot fuse are kept.
     """
-    pieces = list(t.pieces)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(pieces)):
-            for j in range(len(pieces)):
-                if i == j:
-                    continue
-                (da, pa), (db, pb) = pieces[i], pieces[j]
-                if not _difference_vanishes(pa - pb, db, t):
-                    continue
-                union = _union_if_exact(da, db, t.context)
-                if union is None:
-                    continue
-                pieces[i] = (union, pa)
-                del pieces[j]
-                changed = True
-                break
-            if changed:
-                break
-    pieces = [(_simplify_domain(dom, t.context), poly) for dom, poly in pieces]
-    pieces.sort(key=lambda dp: (len(dp[0].constraints), str(dp[0]), str(dp[1])))
-    return PiecewiseQuasiPolynomial(tuple(pieces), t.context)
+    return PiecewiseQuasiPolynomial(tuple(_merge(
+        t.pieces, t.context,
+        lambda pa, pb, db: _difference_vanishes(pa - pb, db, t.context))),
+        t.context)

@@ -46,13 +46,12 @@ def _positivity(params):
         [ge(AffineExpr.var(p) - AffineExpr.constant(1)) for p in params])
 
 
-def symbolic_indexing(space, access, tensor):
-    """Accessed region, rank and size for one access.
+def symbolic_indexing(accessed, tensor):
+    """Rank and size over one accessed region (an access's `image`).
 
     rank sums the point counts of the region's preceding slices and fuses
     the pieces; size counts the whole region with all symbols positive.
     """
-    accessed = image(space, access)
     total = None
     for s in preceding_slices(accessed):
         c = count_points(s, context=accessed)
@@ -160,8 +159,7 @@ def build_registry(summands):
         space = iteration_space(s)
         slots = [("out", s.output)] + [(f"in{k}", a) for k, a in enumerate(s.inputs)]
         for slot, acc in slots:
-            amap = AccessMap.from_indices(space.dims, acc.index_names)
-            img = image(space, amap)
+            img = image(space, AccessMap.from_indices(space.dims, acc.index_names))
             canon = _canonical_region(img, acc.index_names)
             hit = None
             for bi in by_tensor.get(acc.tensor, []):
@@ -171,8 +169,7 @@ def build_registry(summands):
             if hit is None:
                 hit = len(drafts)
                 drafts.append({
-                    "tensor": acc.tensor, "space": space, "amap": amap,
-                    "img": img, "canon": canon,
+                    "tensor": acc.tensor, "img": img, "canon": canon,
                     "axes": tuple(acc.index_names.index(d) for d in img.dims),
                 })
                 by_tensor.setdefault(acc.tensor, []).append(hit)
@@ -198,7 +195,7 @@ def build_registry(summands):
                     accessed=None, axes=None, index=None, reason="partial-overlap"))
             remap[bi] = dense_id[d["tensor"]]
             continue
-        ix = symbolic_indexing(d["space"], d["amap"], d["tensor"])
+        ix = symbolic_indexing(d["img"], d["tensor"])
         remap[bi] = len(buffers)
         buffers.append(Buffer(
             id=len(buffers), tensor=d["tensor"], layout="compressed",

@@ -20,7 +20,7 @@ from polypack.counting import (
 )
 from polypack.indexing import build_registry, symbolic_indexing
 from polypack.polyhedra import (
-    AccessMap, AffineExpr, Polyhedron, enumerate_points, ge,
+    AccessMap, AffineExpr, Polyhedron, enumerate_points, ge, image,
     iteration_space, preceding_slices,
 )
 from polypack.runtime import build_store, footprint_report, gather_output, random_tensor
@@ -100,7 +100,8 @@ def test_criterion_1_indexing_polynomial():
     s = build_compressed_summands(parse_program(UHC), "A")[0]
     space = iteration_space(s)
     acc = [a for a in s.inputs if a.tensor == "B"][0]
-    ix = symbolic_indexing(space, AccessMap.from_indices(space.dims, acc.index_names), "B")
+    ix = symbolic_indexing(
+        image(space, AccessMap.from_indices(space.dims, acc.index_names)), "B")
     poly = ix.rank.single_polynomial()
     assert poly is not None, "rank fused to more than one piece"
     n, qq = q("N"), q("Q")

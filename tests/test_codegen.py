@@ -494,6 +494,22 @@ class TestExecute:
             execute(plan, {}, {"A": (n,), "B": (n, n), "C": (n,)},
                     {"n_i": n, "n_j": n})
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_short_dense_input_raises(self, workers, monkeypatch):
+        # B at `none` holds 35 of its 6x6 values: typed, before any output
+        # is allocated or a worker forked
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        plan = build_plan(parse_program(kern.text), kern.rule, "none")
+        assert plan.summands[0].program.box is None
+
+        def no_alloc(*args):
+            raise AssertionError("an output buffer was allocated")
+        monkeypatch.setattr(codegen, "_zero_outputs", no_alloc)
+        store = {"B": np.ones(35), "C": np.ones(6)}
+        shapes = {"A": (6,), "B": (6, 6), "C": (6,)}
+        with pytest.raises(IndexingFault, match=r"dense input B holds 35 values"):
+            execute(plan, store, shapes, {"n_i": 6, "n_j": 6}, workers=workers)
+
     @pytest.mark.parametrize("shape_b,workers", [((8, 4), 1), ((8, 4), 2), ((4, 8), 1)])
     def test_dense_access_outside_extent_raises(self, shape_b, workers):
         # j (inner) or i (outer) runs past B's short axis: B[i, j] would
@@ -685,6 +701,17 @@ class TestBox:
         store[b] = store[b][:-1]
         with pytest.raises(IndexingFault, match=f"buffer {b}$"):
             execute(plan, store, shapes, binding)
+
+    def test_short_dense_input_raises(self):
+        # TTM_UT at `none`, size 8, with B one value short of 8^3
+        kern = BUILTIN_KERNELS["TTM_UT"]
+        plan = build_plan(parse_program(kern.text), kern.rule, "none")
+        assert plan.summands[0].program.box is not None
+        shapes = {t: tuple(kern.defaults[s] for s in syms)
+                  for t, syms in kern.shapes.items()}
+        store = {"B": np.ones(511), "C": np.ones(64)}
+        with pytest.raises(IndexingFault, match=r"dense input B holds 511 values"):
+            execute(plan, store, shapes, kern.defaults)
 
     def test_box_level_past_dense_extent_raises(self):
         plan, store, shapes, binding = self.ttm_ut("none")

@@ -173,13 +173,13 @@ class TestCountPoints:
         assert got.pieces[0][1] == q("n")
 
     def test_partial_dims(self):
-        # count j within 0 <= i <= j < n; the result depends on i
+        # count j within 0 <= i <= j < n, i a parameter; the result depends on i
         p = Polyhedron.build(
-            ("i", "j"), ("n",),
+            ("j",), ("i", "n"),
             [ge(v("i")), ge(v("j") - v("i")), ge(v("n") - v("j") - k(1))])
         ctx = Polyhedron.build(
             (), ("i", "n"), [ge(v("i")), ge(v("n") - v("i") - k(1))])
-        got = count_points(p, count_dims=["j"], context=ctx)
+        got = count_points(p, context=ctx)
         assert len(got.pieces) == 1
         assert got.pieces[0][1] == q("n") - q("i")
         for n in range(1, 8):
@@ -192,10 +192,10 @@ class TestCountPoints:
         # max(0, i-2) <= j <= i gives a banded count: i+1 near the edge, then 3
         cons = [ge(v("j")), ge(v("j") - v("i") + k(2)), ge(v("i") - v("j")),
                 ge(v("i")), ge(v("n") - v("i") - k(1))]
-        p = Polyhedron.build(("i", "j"), ("n",), cons)
+        p = Polyhedron.build(("j",), ("i", "n"), cons)
         ctx = Polyhedron.build(
             (), ("i", "n"), [ge(v("i")), ge(v("n") - v("i") - k(1))])
-        got = count_points(p, count_dims=["j"], context=ctx)
+        got = count_points(p, context=ctx)
         assert len(got.pieces) == 2
         for n in range(1, 9):
             for i in range(n):

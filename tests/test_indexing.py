@@ -9,13 +9,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polypack.counting import QuasiPolynomial
 from polypack.indexing import (
     build_registry, hoist_schedule, regions_equal, symbolic_indexing,
 )
 from polypack.polyhedra import (
-    AccessMap, AffineExpr, Polyhedron, enumerate_points, ge, iteration_space,
+    AccessMap, AffineExpr, Polyhedron, enumerate_points, ge, image,
+    iteration_space,
 )
 from polypack.stur import build_compressed_summands, parse_program
 
@@ -55,7 +58,7 @@ def index_for(summand, slot):
     space = iteration_space(summand)
     acc = summand.output if slot == "out" else summand.inputs[int(slot[2:])]
     amap = AccessMap.from_indices(space.dims, acc.index_names)
-    return symbolic_indexing(space, amap, acc.tensor)
+    return symbolic_indexing(image(space, amap), acc.tensor)
 
 
 def check_bijection(ix, binding):
@@ -82,7 +85,8 @@ class TestSymbolicIndexing:
 
     def test_dense_vector_identity(self):
         space = Polyhedron.build(("j",), ("n",), [ge(v("j")), ge(v("n") - v("j") - k(1))])
-        ix = symbolic_indexing(space, AccessMap.from_indices(("j",), ("j",)), "C")
+        ix = symbolic_indexing(
+            image(space, AccessMap.from_indices(("j",), ("j",))), "C")
         assert ix.rank.to_str(("j",)) == "j"
         assert ix.size.to_str(()) == "n"
 
@@ -118,6 +122,28 @@ class TestSymbolicIndexing:
         ix0 = index_for(s0, "in0")  # B over {i = 0, 0 <= j < n_j}
         for n in range(1, 7):
             check_bijection(ix0, {"n_i": n, "n_j": n})
+
+    # a bound of y: None for the fixed end (0 below, n - 1 above), else
+    # the offset c of x + c
+    _Y_BOUND = st.one_of(st.none(), st.integers(-2, 2))
+    _UNIT = st.sampled_from((-1, 1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lo=_Y_BOUND, hi=_Y_BOUND,
+           cut=st.one_of(st.none(), st.tuples(_UNIT, _UNIT, st.integers(-3, 3))))
+    def test_random_triangles_and_bands(self, lo, hi, cut):
+        # 0 <= x < n, lo <= y <= hi, optionally a*x + b*y + c >= 0: size
+        # counts the points and rank numbers them in lexicographic order
+        x, y, n = v("x"), v("y"), v("n")
+        cons = [ge(x), ge(n - x - k(1)),
+                ge(y) if lo is None else ge(y - x - k(lo)),
+                ge(n - k(1) - y) if hi is None else ge(x + k(hi) - y)]
+        if cut is not None:
+            a, b, c = cut
+            cons.append(ge(x * a + y * b + k(c)))
+        ix = symbolic_indexing(Polyhedron.build(("x", "y"), ("n",), cons), "T")
+        for nn in range(1, 7):
+            check_bijection(ix, {"n": nn})
 
 
 class TestRegionsEqual:

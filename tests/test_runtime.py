@@ -12,7 +12,7 @@ from polypack.cli import BUILTIN_KERNELS
 from polypack.codegen import IndexingFault, build_plan, execute, reference_execute
 from polypack.counting import DomainError, PiecewiseQuasiPolynomial, pqp_constant
 from polypack.indexing import symbolic_indexing
-from polypack.polyhedra import AccessMap, enumerate_points, iteration_space
+from polypack.polyhedra import AccessMap, enumerate_points, image, iteration_space
 from polypack.runtime import (
     CompressedBuffer, DenseTensor, build_store, footprint_report,
     gather_output, pack, random_tensor, unpack,
@@ -73,7 +73,7 @@ def findex(text, tensor, rule="A", which=0):
     space = iteration_space(s)
     acc = [a for a in s.inputs if a.tensor == tensor][0]
     amap = AccessMap.from_indices(space.dims, acc.index_names)
-    return symbolic_indexing(space, amap, tensor)
+    return symbolic_indexing(image(space, amap), tensor)
 
 
 class TestPack:
