@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import (
-    CodegenError, IndexingFault, build_loop_nest, build_plan, emit_c_files,
-    execute, iter_point_chunks, reference_execute,
+    CodegenError, IndexingFault, build_loop_nest, build_plan, dim_ranges,
+    emit_c_files, execute, reference_execute,
 )
 from .counting import CountingError, DomainError
 from .polyhedra import AccessMap, PolyhedronError, image, iteration_space
@@ -107,8 +107,9 @@ def derive_shapes(program, rule, binding):
     """Tight dense extents from the accessed regions at one binding.
 
     File-loaded programs carry no shape declarations, so the dense side is
-    sized to the bounding box of everything the rule touches, walked on
-    the region's loop nest.
+    sized to the bounding box of everything the rule touches: the least and
+    most value of each dim on the region's loop nest, walked by rows where
+    its innermost level allows (`codegen.dim_ranges`).
     """
     extents = {}
     for s in build_compressed_summands(program, rule):
@@ -119,16 +120,17 @@ def derive_shapes(program, rule, binding):
             missing = [p for p in img.params if p not in binding]
             if missing:
                 raise CodegenError(f"bindings missing parameters {missing}")
-            cols = [img.dims.index(name) for name in acc.index_names]
             ext = extents.setdefault(acc.tensor, [0] * len(acc.index_names))
-            for pts in iter_point_chunks(build_loop_nest(img), binding):
-                pts = pts[:, cols]
-                if pts.size and pts.min() < 0:
+            ranges = dim_ranges(build_loop_nest(img), binding)
+            for a, name in enumerate(acc.index_names):
+                if name not in ranges:
+                    continue
+                least, most = ranges[name]
+                if least < 0:
                     raise CodegenError(
                         f"{acc.tensor} is accessed at negative positions; "
                         "cannot derive a dense shape")
-                for a, top in enumerate(pts.max(axis=0, initial=-1).tolist()):
-                    ext[a] = max(ext[a], top + 1)
+                ext[a] = max(ext[a], most + 1)
     return {t: tuple(e) for t, e in extents.items()}
 
 
@@ -219,6 +221,8 @@ def cmd_compile(args):
         if box is not None:
             inner = ", ".join(lv.var for lv in sp.program.levels[box.depth:])
             tag += f" ({inner} contracted as one block)"
+        elif sp.program and sp.program.run is not None:
+            tag += f" ({sp.program.levels[-1].var} walked as runs)"
         print(f"summand {si}:{tag}")
         for line in sp.source.splitlines():
             print(f"  {line}")

@@ -21,9 +21,16 @@ expander walks only the levels above it: each access's index is then
 base[outer row] + offset[box point], and every
 block of outer rows is one gather, one `matmul` or `einsum` and one scatter
 (`_Box`, lowered once per plan; the offsets are built on each call,
-`_Grid`).  `runtime.pack` and `unpack` run on the expander too, as a copy
-between a region's rank and its tensor's dense offset (`copy_program`),
-walking every point.  `build_plan` renders each summand's lowered program
+`_Grid`).  Elsewhere, an innermost loop without guards whose bounds may
+read outer vars, and on which every index term is degree 1 with a
+parameter-only coefficient that is a multiple of its access's scale, is
+walked as runs: the expander stops at its rows, each access's index on a
+row is base + step * (j - lo), each base is divided exactly and each run's
+first and last index checked once per row, and a block's indices are one
+`repeat` plus one `arange` (`_rows`, `_leaf_blocks`); any other level is
+walked point by point.  `runtime.pack` and `unpack` consume the same
+blocks, as a copy between a region's rank and its tensor's dense offset
+(`copy_program`).  `build_plan` renders each summand's lowered program
 once as C (`SummandPlan.source`): the same integer bounds, guards and index
 terms in int64_t, each scaled rank divided exactly at its leaf and every
 dense index checked against its extent, so C and `execute` share one
@@ -180,6 +187,10 @@ def build_loop_nest(space):
 # expanded whole.  Bounds the frontier's memory at any depth.
 BLOCK_POINTS = 1 << 13
 
+# [0]: the start of a block's only row, and the offsets of an access that
+# no box dim moves
+_ORIGIN = np.zeros(1, dtype=np.int64)
+
 def _level_range(lv, cols, env):
     """Inclusive [lo, hi] of a level over frontier columns (plain ints when
     no bound reads a column): max of the lowers and min of the uppers, with
@@ -305,11 +316,84 @@ def _expand(levels, cols, n, env, k=0):
             yield block, len(x), cols, start, counts
 
 
+def _rows(levels, cols, env):
+    """Expand every level above the last of `levels`, a run level
+    (`_is_run_level`), from one row of columns `cols`.  Yields (block, n,
+    lo, hi, counts) per block of n nonempty rows: the run level's values on
+    a row are [lo, hi], ints when no bound reads a column, counts = hi - lo
+    + 1, and every value is checked against the level's dense extents."""
+    lv = levels[-1]
+    for block, n, *_ in _expand(levels[:-1], cols, 1, env):
+        lo, hi = _level_range(lv, block, env)
+        counts = hi - lo + 1
+        if isinstance(counts, np.ndarray):
+            if counts.min() <= 0:
+                rows = np.flatnonzero(counts > 0)
+                if not len(rows):
+                    continue
+                block = {d: _take(c, rows) for d, c in block.items()}
+                lo, hi, counts, n = _take(lo, rows), _take(hi, rows), counts[rows], len(rows)
+        elif counts <= 0:
+            continue
+        if lv.extents:
+            _check_extents(lv, _least(lo), _most(hi), env)
+        yield block, n, lo, hi, counts
+
+
+def _row_blocks(counts, n):
+    """(s, e, starts, m) per block of rows s..e-1 of n rows of `counts`
+    points each (an int for every row, or a column): m points in all, at
+    most BLOCK_POINTS unless one row is longer, each row's first at
+    `starts` in the block."""
+    if not isinstance(counts, np.ndarray):
+        if n == 1:
+            yield 0, 1, _ORIGIN, int(counts)
+            return
+        per = max(1, BLOCK_POINTS // int(counts))
+        for s in range(0, n, per):
+            e = min(n, s + per)
+            yield s, e, counts * np.arange(e - s), int(counts) * (e - s)
+        return
+    ends = np.cumsum(counts)
+    s = done = 0
+    while s < n:
+        e = n if int(ends[-1]) - done <= BLOCK_POINTS else max(
+            int(np.searchsorted(ends, done + BLOCK_POINTS, "right")), s + 1)
+        stop = int(ends[e - 1])
+        yield s, e, _ORIGIN if e - s == 1 else ends[s:e] - counts[s:e] - done, stop - done
+        s, done = e, stop
+
+
+def dim_ranges(nest, binding):
+    """{dim: (least, most)} over a nest's points at a binding, {} when it
+    visits none.  On a run innermost level only the rows are walked, each
+    row's [lo, hi] standing for its points (`_rows`); else every point is."""
+    ranges = {}
+    if nest.empty or not nest.levels:
+        return ranges
+    env = {p: int(binding[p]) for p in nest.params if p in binding}
+    if not guards_mask(nest.guards, {}, env):
+        return ranges
+    inner = nest.levels[-1].var
+    if _is_run_level(nest.levels[-1]):
+        blocks = ((b, lo, hi) for b, _, lo, hi, _ in _rows(nest.levels, {}, env))
+    else:
+        blocks = ((b, b[inner], b[inner]) for b, *_ in _expand(nest.levels, {}, 1, env))
+    for block, lo, hi in blocks:
+        for d in nest.dims:
+            least, most = (lo, hi) if d == inner else (block[d], block[d])
+            least, most = int(_least(least)), int(_most(most))
+            if d in ranges:
+                least, most = min(least, ranges[d][0]), max(most, ranges[d][1])
+            ranges[d] = least, most
+    return ranges
+
+
 def iter_point_chunks(nest, binding):
     """Yield the visited points in lexicographic order as int64 matrices
     (columns = nest dims), at most BLOCK_POINTS rows each unless one row is
-    longer.  Used by unpack's redundancy map and `cli.derive_shapes`, which
-    cannot afford the box-scan enumerator.
+    longer.  Used by unpack's redundancy map, which cannot afford the
+    box-scan enumerator.
     """
     if nest.empty:
         return
@@ -393,15 +477,14 @@ def copy_program(index):
     and its stride from env[(tensor, p, "stride")], so the tensor's shape
     and axis order come with each call; leaf 1 is the rank, checked against
     the length of the buffer it indexes.  Both must fit int64 by the
-    program's bounds, as a summand's indices must (`_check_int64`).
+    program's bounds, as a summand's indices must (`_check_int64`).  A copy
+    has no box; its innermost level is walked as runs where it qualifies.
     """
     dims, tensor = index.accessed.dims, index.tensor
     view = AccessPlan(tensor, None, "dense", dims,
                       strides=tuple((tensor, p, "stride") for p in range(len(dims))))
     rank = _rank_access(tensor, 0, dims, index.rank, dims)
-    prog = _program(build_loop_nest(index.accessed), Statement(view, (rank,)))
-    # pack and unpack walk every point
-    return prog and prog._replace(box=None)
+    return _program(build_loop_nest(index.accessed), Statement(view, (rank,)), contract=False)
 
 
 def build_plan(program, rule, compression="input+output"):
@@ -454,8 +537,10 @@ _Leaf = namedtuple("_Leaf", "col key scale pieces")
 # over env names that must fit int64; crude: (sum of |coeff|, top degree)
 # over them, a bound through the largest env value (both None for a copy,
 # see `copy_program`); reduce: the output index is fixed along every innermost
-# row; box: the inner levels that run as one array contraction, or None.
-_Program = namedtuple("_Program", "guards levels root leaves bounds crude reduce box")
+# row; box: the inner levels that run as one array contraction, or None;
+# run: per leaf, the int poly step of its index along the innermost level
+# when that level is walked as runs (`_run_steps`), else None.
+_Program = namedtuple("_Program", "guards levels root leaves bounds crude reduce box run")
 
 # The deepest suffix of a nest's levels (from `depth` on) that is a box:
 # loop levels of stride 1 without guards, bounded by parameters only, on
@@ -475,14 +560,16 @@ _Program = namedtuple("_Program", "guards levels root leaves bounds crude reduce
 _Box = namedtuple("_Box", "depth coefs varies repeat spec matmul")
 
 
-def _program(nest, stmt):
+def _program(nest, stmt, contract=True):
     """A nest and a statement's accesses in integer form for `execute`.
 
     Every access whose rank is one polynomial carries its index down the
     levels as an accumulator column: the scaled rank's `HoistPlan` terms
     for a compressed access, strides for a dense one (row-major, products
     of (tensor, axis) extents, unless the access names its own), and each
-    level learns the dense extents its var indexes.
+    level learns the dense extents its var indexes.  Inner levels run as a
+    box when they form one and `contract` is set, else the innermost level
+    is walked as runs when it is a run level.
     """
     if nest.empty:
         return None
@@ -529,7 +616,8 @@ def _program(nest, stmt):
     reduce_rows = (last >= 0 and leaves[0].pieces is None
                    and levels[last].kind != "fixed" and not levels[last].guards
                    and all(t[0] != 0 for t in terms[last]))
-    box = _box(dims, levels, terms, leaves, stmt.output.names)
+    box = _box(dims, levels, terms, leaves, stmt.output.names) if contract else None
+    run = _run_steps(dims, levels, terms, leaves) if box is None else None
     # the columns each level's points must carry, innermost level first
     dims = set(dims)  # membership only from here on
     piece_polys = [p for a in leaves for gs, poly, _ in a.pieces or ()
@@ -545,7 +633,29 @@ def _program(nest, stmt):
         if reduce_rows and k == last:
             need.add(0)
     return _Program(nest.guards, tuple(levels), root, tuple(leaves), tuple(bounds), crude,
-                    reduce_rows, box)
+                    reduce_rows, box, run)
+
+
+def _is_run_level(lv):
+    """A level whose values on each row of the levels above are one run."""
+    return lv.kind == "loop" and not lv.guards
+
+
+def _run_steps(dims, levels, terms, leaves):
+    """Per leaf, the int poly its index moves by per step of the innermost
+    level, when that level is a run level on which every access's terms are
+    degree 1 with parameter-only coefficients that are multiples of its
+    scale (so each row's indices are base + step * (j - lo)); else None."""
+    if not levels or not _is_run_level(levels[-1]) \
+            or any(a.pieces is not None for a in leaves):
+        return None
+    steps = [() for _ in leaves]
+    for col, e, p in terms[-1]:
+        scale = leaves[col].scale
+        if e != 1 or _poly_names(p) & set(dims) or any(c % scale for c, _ in p):
+            return None
+        steps[col] += tuple((c // scale, mono) for c, mono in p)
+    return tuple(steps)
 
 
 def _box(dims, levels, terms, leaves, out_names):
@@ -620,40 +730,106 @@ def _check_int64(progs, env):
                     raise IndexingFault(f"an index of {tensor} can exceed int64 at this binding")
 
 
+def _exact(v, scale):
+    """v / scale for an int or a column v, raising on any remainder: a rank
+    is integral."""
+    if scale == 1:
+        return v
+    v, rest = divmod(v, scale)
+    if rest.any() if isinstance(rest, np.ndarray) else rest:
+        raise IndexingFault("non-integer index")
+    return v
+
+
 def _leaf_index(a, cols, n, env, array):
     """Int64 index of one access over n leaf rows, a compressed one checked
     against the array it indexes; a piecewise rank is evaluated piece by
     piece behind its masks, -1 where none covers."""
     if a.pieces is None:
-        idx = _column(cols[a.col], n)
-        if a.scale != 1:
-            if (idx % a.scale).any():
-                raise IndexingFault("non-integer index")
-            idx = idx // a.scale
+        idx = _exact(_column(cols[a.col], n), a.scale)
     else:
         idx = np.full(n, -1, dtype=np.int64)
         for guards, poly, s in a.pieces:
             mask = np.broadcast_to(guards_mask(guards, cols, env), n)
             if mask.any():
                 sub = {d: c[mask] for d, c in cols.items() if isinstance(d, str)}
-                vals = np.broadcast_to(poly_values(poly, sub, env), int(mask.sum()))
-                if s != 1 and (vals % s).any():
-                    raise IndexingFault("non-integer index")
-                idx[mask] = vals // s
+                idx[mask] = _exact(np.broadcast_to(poly_values(poly, sub, env),
+                                                   int(mask.sum())), s)
     # as uint64 a negative index is huge: one pass checks both ends
     if isinstance(a.key, int) and idx.view(np.uint64).max() >= len(array):
         raise IndexingFault(f"index out of range for buffer {a.key}")
     return idx
 
 
+def _leaf_blocks(prog, env, arrays):
+    """Walk a program's points from its root in lexicographic order, and
+    yield (idx, m, starts) per block of m points: idx holds each leaf's
+    int64 index, every one checked before the block is yielded.  Where the
+    output is fixed along every innermost row (`reduce`), idx[0] holds one
+    index per nonempty row, whose points start at `starts` in the block;
+    else starts is None.
+
+    On a run level (`prog.run`) only the rows are expanded: each access's
+    index on a row is base + step * (j - lo), its base divided exactly by
+    its scale and the run's first and last index checked against the array
+    it reads, once per row (`_run_base`); a block's indices are then one
+    `repeat` of the row bases plus one `arange`.  Elsewhere every point is
+    expanded and its indices checked (`_leaf_index`).
+    """
+    root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
+    if prog.run is None:
+        for block, m, parent, start, counts in _expand(prog.levels, root, 1, env):
+            starts = None
+            if prog.reduce:   # the output index of each nonempty row
+                nonempty = counts > 0
+                stop = start + len(counts)
+                block = {**block, 0: _column(parent[0], stop)[start:stop][nonempty]}
+                counts = counts[nonempty]
+                starts = np.cumsum(counts) - counts
+            yield ([_leaf_index(a, block, m, env, x) for a, x in zip(prog.leaves, arrays)],
+                   m, starts)
+        return
+    steps = [poly_values(p, {}, env) for p in prog.run]
+    for block, n, lo, _, counts in _rows(prog.levels, root, env):
+        width = counts - 1
+        bases = [_run_base(a, block[a.col] + step * a.scale * lo if step else block[a.col],
+                           step, width, x)
+                 for a, step, x in zip(prog.leaves, steps, arrays)]
+        for s, e, starts, m in _row_blocks(counts, n):
+            repeats = counts[s:e] if isinstance(counts, np.ndarray) else counts
+            at = np.arange(m)
+            idx = []
+            for a, base, step in zip(prog.leaves, bases, steps):
+                rows = base[s:e] if isinstance(base, np.ndarray) else base
+                if prog.reduce and not a.col:
+                    idx.append(_column(rows, e - s))
+                elif e - s == 1 and step:   # one row: its base broadcast over the steps
+                    idx.append(rows + (at if step == 1 else step * at))
+                else:   # each row's index at the block's point 0, were the row that long
+                    i = np.repeat(rows - (starts if step == 1 else step * starts), repeats)
+                    idx.append(i + at if step == 1 else i + step * at if step else i)
+            yield idx, m, starts if prog.reduce else None
+
+
+def _run_base(a, base, step, width, array):
+    """An access's index at the first point of each run (an int, or a column
+    over rows) from its scaled value there, divided exactly by its scale;
+    when compressed, each run's first and last index (width steps on) is
+    checked against the array it indexes."""
+    base = _exact(base, a.scale)
+    if isinstance(a.key, int):
+        last = base + step * width if step else base
+        low, high = (base, last) if step >= 0 else (last, base)
+        if _least(low) < 0 or _most(high) >= len(array):
+            raise IndexingFault(f"index out of range for buffer {a.key}")
+    return base
+
+
 def _box_base(a, base, grid, array):
     """An access's base index (an int, or a column over rows) under a box
     whose offsets to it span [grid.least, grid.most], checked against the
     array it indexes when compressed."""
-    if a.scale != 1:
-        base, rest = divmod(base, a.scale)
-        if rest.any() if isinstance(rest, np.ndarray) else rest:
-            raise IndexingFault("non-integer index")
+    base = _exact(base, a.scale)
     if isinstance(a.key, int):
         # every row's first index must lie in [0, span)
         first, span = base + grid.least, len(array) - (grid.most - grid.least)
@@ -661,9 +837,6 @@ def _box_base(a, base, grid, array):
                          else not 0 <= first < span):
             raise IndexingFault(f"index out of range for buffer {a.key}")
     return base
-
-
-_ORIGIN = np.zeros(1, dtype=np.int64)   # the offsets of an access no box dim moves
 
 
 # Where an access's values lie relative to its base, over a box at one
@@ -781,22 +954,13 @@ def _run_summand(prog, env, arrays):
         _run_box(prog, env, arrays)
         return
     out = arrays[0]
-    root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
-    for block, m, parent, start, counts in _expand(prog.levels, root, 1, env):
-        if prog.reduce:   # the output index of each nonempty row
-            nonempty = counts > 0
-            stop = start + len(counts)
-            block = {**block, 0: _column(parent[0], stop)[start:stop][nonempty]}
-        # every index is checked before the first store read
-        idx = [_leaf_index(a, block, m, env, x) for a, x in zip(prog.leaves, arrays)]
+    # every index is checked before the first store read
+    for idx, m, starts in _leaf_blocks(prog, env, arrays):
         prod = np.ones(m, dtype=out.dtype) if len(idx) == 1 else None
         for x, i in zip(arrays[1:], idx[1:]):
             prod = x[i] if prod is None else prod * x[i]
         o = idx[0]
-        if prog.reduce:
-            counts = counts[nonempty]
-            starts = np.cumsum(counts) - counts
-        else:   # collapse runs of equal output index; others may repeat
+        if starts is None:   # collapse runs of equal output index; others may repeat
             brk = o[1:] != o[:-1]
             if brk.all():
                 np.add.at(out, o, prod)

@@ -121,12 +121,6 @@ class BufferRegistry:
     buffers: tuple
     assignment: dict       # (summand index, slot) -> buffer id; slot "out"/"in<k>"
 
-    def buffer_for(self, summand_idx, slot):
-        return self.buffers[self.assignment[(summand_idx, slot)]]
-
-    def dense_tensors(self):
-        return sorted({b.tensor for b in self.buffers if b.layout == "dense"})
-
     def dump(self):
         lines = []
         for b in self.buffers:

@@ -4,13 +4,14 @@ Packing gathers the accessed positions of a dense tensor into rank order;
 unpacking scatters a buffer back out, optionally expanding redundant
 positions through a redundancy map.  Both are a copy statement between the
 compressed rank and the dense row-major offset, lowered once per index
-function (`IndexFunction.program`) and walked by the same frontier
-expander as `codegen.execute`, so each level adds its hoisted rank and
-offset terms as array operations; the copy's rank and offset are bounded
-by the same int64 rule as a summand's indices (`codegen._check_int64`)
-before any array is allocated, and each rank is checked against the
-compressed array it indexes.  The footprint report prices a
-registry's layout choices in exact element counts.
+function (`IndexFunction.program`) and walked by the same blocks of
+checked indices as `codegen.execute` (`codegen._leaf_blocks`): a region
+whose innermost level is a plain loop is walked as runs, one checked base
+per row, and any other point by point; the copy's rank and offset are
+bounded by the same int64 rule as a summand's indices
+(`codegen._check_int64`) before any array is allocated, and each rank is
+checked against the compressed array it indexes.  The footprint report
+prices a registry's layout choices in exact element counts.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codegen import (
-    IndexingFault, _check_int64, _expand, _leaf_index, buffer_length, build_loop_nest,
+    IndexingFault, _check_int64, _leaf_blocks, buffer_length, build_loop_nest,
     iter_point_chunks,
 )
 from .polyhedra import (
@@ -46,14 +47,6 @@ class DenseTensor:
     def zeros(shape, dtype=np.float64):
         return DenseTensor(tuple(shape), np.zeros(math.prod(
             int(e) for e in shape), dtype=dtype))
-
-    @staticmethod
-    def from_array(arr):
-        arr = np.asarray(arr)
-        return DenseTensor(arr.shape, np.ascontiguousarray(arr).ravel())
-
-    def reshaped(self):
-        return self.data.reshape(self.shape)
 
 
 @dataclass
@@ -94,10 +87,7 @@ def _copies(index, env, data):
     prog = index.program
     written = 0
     if prog is not None and guards_mask(prog.guards, {}, env):
-        root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
-        for block, m, *_ in _expand(prog.levels, root, 1, env):
-            offset, rank = (_leaf_index(a, block, m, env, x)
-                            for a, x in zip(prog.leaves, (None, data)))
+        for (offset, rank), m, _ in _leaf_blocks(prog, env, (None, data)):
             written += m
             yield rank, offset
     if written != len(data):

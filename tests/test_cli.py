@@ -8,9 +8,12 @@ import subprocess
 
 import pytest
 
+import numpy as np
+
 from polypack.cli import BUILTIN_KERNELS, CSV_COLUMNS, derive_shapes, main
 from polypack.codegen import CodegenError, build_plan, emit_c_files
-from polypack.stur import parse_program
+from polypack.polyhedra import enumerate_points, iteration_space
+from polypack.stur import build_compressed_summands, parse_program
 
 PRISM = """A(i, j) := B(i, j, l) * C(j, l)
 B_U(i, j, l) := (0 <= i < M) * (i <= j < N) * (0 <= l < Q)
@@ -53,7 +56,9 @@ class TestCompile:
         assert "for (int64_t k = 0; k <= -1 + n_k; k++) {" in out
         assert "for (int64_t j = i; j <= -1 + n_j; j++) {" in out
         assert run_cli("compile", "--kernel", "SpMV_UT") == 0
-        assert "contracted" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "contracted" not in out
+        assert "summand 0: (parallel outer loop) (j walked as runs)\n" in out
 
     @pytest.mark.parametrize("level", ["none", "input", "input+output"])
     def test_prints_the_emitted_c(self, level, capsys):
@@ -78,6 +83,45 @@ class TestCompile:
         assert shapes == {"A": (10000,), "B": (10000, 10000), "C": (10000,)}
         assert run_cli("compile", "--stur", path, "--bind", "n=10000") == 0
         assert "void a_s0(" in capsys.readouterr().out
+
+    def test_stur_shapes_walk_rows(self):
+        # a triangle of 4.5e8 points: only its 30000 rows are walked
+        shapes = derive_shapes(parse_program(TRIANGLE), "A", {"n": 30000})
+        assert shapes == {"A": (30000,), "B": (30000, 30000), "C": (30000,)}
+
+    def test_stur_shapes_match_enumeration(self):
+        # random triangles and bands walked by rows, and a diagonal and a
+        # strided band walked by points, against the accessed points' box
+        rng = np.random.default_rng(23)
+        texts = ["A(i) := B(i, j) * C(j)\nB_U(i, j) := (a <= i < n) * (i + b <= j < m)\n",
+                 "A(i) := B(i, j) * C(j)\nB_U(i, j) := (a <= i < n) * (i - b <= j <= i + m)\n",
+                 "A(j) := B(i, j)\nB_U(i, j) := (a <= i < n) * (b <= j <= i) * (i - j <= m)\n",
+                 "A(i) := B(i, j)\nB_U(i, j) := (a <= i < n) * (j = i + b - m)\n",
+                 "A(i) := B(i, j)\nB_U(i, j) := (0 <= i < 7) * (0 <= j < 8) * ((i + j) % 3 = 1)\n"]
+        refused = 0
+        for case in range(40):
+            program = parse_program(texts[case % len(texts)])
+            binding = {"a": int(rng.integers(0, 3)), "b": int(rng.integers(0, 3)),
+                       "n": int(rng.integers(0, 9)), "m": int(rng.integers(0, 9))}
+            want = {}
+            for s in build_compressed_summands(program, "A"):
+                space = iteration_space(s)
+                pts = enumerate_points(space, binding)
+                for acc in (s.output, *s.inputs):
+                    cols = pts[:, [space.dims.index(d) for d in acc.index_names]]
+                    top = cols.max(axis=0, initial=-1) + 1
+                    if cols.size and cols.min() < 0:
+                        want = None
+                    if want is not None:
+                        want[acc.tensor] = tuple(int(e) for e in np.maximum(
+                            want.get(acc.tensor, top), top))
+            if want is None:
+                refused += 1
+                with pytest.raises(CodegenError, match="negative positions"):
+                    derive_shapes(program, "A", binding)
+            else:
+                assert derive_shapes(program, "A", binding) == want, (case, binding)
+        assert 0 < refused < 20
 
     def test_stur_shapes_refuse_negative_positions(self):
         text = "A(i) := B(i) * (-2 <= i < n)\n"

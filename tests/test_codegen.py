@@ -29,6 +29,8 @@ from polypack.polyhedra import (
 )
 from polypack.stur import build_compressed_summands, parse_program
 
+from helpers import buffer_for
+
 
 def v(name):
     return AffineExpr.var(name)
@@ -741,7 +743,7 @@ class TestBox:
         """
         program = parse_program(text)
         plan = build_plan(program, "A", "input")
-        buf = plan.registry.buffer_for(0, "in0")
+        buf = buffer_for(plan.registry, 0, "in0")
         space = space_of(text)
         dims = ("y", "z", "x")
         nest = build_loop_nest(Polyhedron.build(dims, space.params, space.constraints))
@@ -762,6 +764,156 @@ class TestBox:
         got = execute(kp, store, shapes, binding, dtype=np.int64).dense
         want = reference_execute(program, "A", shapes, dense, binding, dtype=np.int64)
         assert np.array_equal(got, want)
+
+
+def walk_of(prog):
+    """How `execute` walks a summand's innermost levels."""
+    return "box" if prog.box is not None else "run" if prog.run is not None else "point"
+
+
+# rows start at i + 2 and end at m - 1; when m < n + 2 the rows from
+# i = m - 2 on would be empty, and the projection ends i at m - 3
+RAGGED = """
+A(i) := B(i, j) * C(j)
+B_U(i, j) := (0 <= i < n) * (i + 2 <= j < m)
+"""
+
+# B's band rows hold w values each, so summand 1's B(j, i) steps by w - 1
+# slots along its innermost j
+BAND_BOTH_WAYS = """
+A(i) := B(i, j) * C(j) + B(j, i) * C(j)
+B_U(i, j) := (0 <= i < n) * (i <= j < i + w)
+"""
+
+
+class TestRuns:
+    def test_which_builtins_walk_runs(self):
+        # the walk of every summand at input+output: a silent fallback to
+        # the point walk fails here
+        want = {"TTM_DP": ["box"], "TTM_J": ["box"], "TTM_UT": ["box"], "THP_DP": ["box"],
+                "THP_I": ["box"], "THP_J": ["box"], "MTT_J": ["box"], "MTT_JUT": ["box"],
+                "MTT_D": ["point"], "SpMV_L": ["box", "point"], "SpMV_UT": ["run"],
+                "SpMV_D": ["point"]}
+        got = {}
+        for name, kern in BUILTIN_KERNELS.items():
+            plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
+            got[name] = [walk_of(sp.program) for sp in plan.summands]
+        assert got == want
+
+    def test_copies_walk_runs(self):
+        # every pack/unpack copy whose innermost level is a plain loop (the
+        # registry, and so the copies, are shared by all levels)
+        runs = 0
+        for name, kern in BUILTIN_KERNELS.items():
+            plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
+            for b in plan.registry.buffers:
+                prog = b.index.program if b.layout == "compressed" else None
+                if prog is not None and codegen._is_run_level(prog.levels[-1]):
+                    assert walk_of(prog) == "run", (name, b.tensor)
+                    runs += 1
+        assert runs == 31
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("level", ["none", "input", "input+output"])
+    @pytest.mark.parametrize("n,m", [(6, 5), (6, 8), (6, 13), (5, 2)])
+    def test_ragged_rows(self, n, m, level, dtype):
+        plan = build_plan(parse_program(RAGGED), "A", level)
+        assert walk_of(plan.summands[0].program) == "run"
+        shapes = {"A": (n,), "B": (n, m), "C": (m,)}
+        got, want = run_and_compare(RAGGED, "A", shapes, {"n": n, "m": m}, level, dtype=dtype)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_empty_after_rounding(self, workers, dtype):
+        # j runs over [ceil(i/3), floor((i+1)/3)], which holds no integer when
+        # i = 1 mod 3: the projection keeps those i, so their rows are empty
+        space = Polyhedron.build(("i", "j"), ("n",), [
+            ge(v("i")), ge(v("n") - k(1) - v("i")),
+            ge(v("j") * 3 - v("i")), ge(v("i") + k(1) - v("j") * 3)])
+        nest = build_loop_nest(space)
+        stmt = Statement(AccessPlan("A", 0, "dense", ("i",)), (
+            AccessPlan("B", 1, "dense", ("i", "j")), AccessPlan("C", 2, "dense", ("j",))))
+        plan = KernelPlan("A", (SummandPlan(nest, stmt, True),), None, "none")
+        assert walk_of(plan.summands[0].program) == "run"
+        n = 20
+        pts = enumerate_points(space, {"n": n})
+        assert sorted(set(range(n)) - set(pts[:, 0].tolist())) == list(range(1, n, 3))
+        rng = np.random.default_rng(13)
+        store = {t: rng.integers(-3, 4, n ** len(a.names)).astype(dtype)
+                 for t, a in zip("BC", stmt.inputs)}
+        shapes = {"A": (n,), "B": (n, n), "C": (n,)}
+        want = np.zeros(n, dtype=dtype)
+        np.add.at(want, pts[:, 0], store["B"][pts[:, 0] * n + pts[:, 1]] * store["C"][pts[:, 1]])
+        got = execute(plan, store, shapes, {"n": n}, workers=workers, dtype=dtype).dense
+        assert np.array_equal(got, want)
+        assert codegen.dim_ranges(nest, {"n": n}) == {
+            d: (int(pts[:, c].min()), int(pts[:, c].max())) for c, d in enumerate("ij")}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("level", ["none", "input", "input+output"])
+    def test_blocks_split_rows(self, level, dtype, monkeypatch):
+        # at 7 points a block, SpMV_UT's rows of 12..7 points each take a
+        # block longer than BLOCK_POINTS, and the shorter rows of one outer
+        # block are split between several
+        monkeypatch.setattr(codegen, "BLOCK_POINTS", 7)
+        blocks, real = [], codegen._leaf_blocks
+
+        def recorded(prog, env, arrays):
+            for idx, m, starts in real(prog, env, arrays):
+                blocks.append((m, len(starts)))
+                yield idx, m, starts
+        monkeypatch.setattr(codegen, "_leaf_blocks", recorded)
+        shapes = {"A": (12,), "B": (12, 12), "C": (12,)}
+        got, want = run_and_compare(SPMV_UT, "A", shapes, {"n": 12}, level, dtype=dtype)
+        assert np.array_equal(got, want)
+        assert [m for m, _ in blocks] == [12, 11, 10, 9, 8, 7, 6, 5, 7, 3]
+        assert all(m <= 7 or rows == 1 for m, rows in blocks)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("n,w", [(7, 3), (9, 1), (4, 8)])
+    def test_transposed_packed_step(self, n, w, dtype):
+        plan = build_plan(parse_program(BAND_BOTH_WAYS), "A", "input+output")
+        sp = plan.summands[1]
+        assert sp.statement.inputs[0].layout == "compressed"
+        assert sp.program.run[1] == ((-1, ()), (1, (("w", 1),)))
+        size = n + w - 1
+        shapes = {"A": (size,), "B": (size, size), "C": (size,)}
+        got, want = run_and_compare(BAND_BOTH_WAYS, "A", shapes, {"n": n, "w": w},
+                                    "input+output", dtype=dtype)
+        assert np.array_equal(got, want)
+
+    def spmv_ut(self):
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
+        assert walk_of(plan.summands[0].program) == "run"
+        binding = {"n_i": 9, "n_j": 9}
+        shapes = {"A": (9,), "B": (9, 9), "C": (9,)}
+        store = pack_store(plan, shapes, {"B": np.ones(81), "C": np.ones(9)}, binding,
+                           np.float64)
+        return plan, store, shapes, binding
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_short_packed_input_raises(self, workers):
+        # B's packed triangle one slot short: the last row's last index
+        plan, store, shapes, binding = self.spmv_ut()
+        b = plan.summands[0].statement.inputs[0].buffer_id
+        store[b] = store[b][:-1]
+        with pytest.raises(IndexingFault, match=f"buffer {b}$"):
+            execute(plan, store, shapes, binding, workers=workers)
+
+    @pytest.mark.parametrize("shift,error", [(1, "non-integer index"),
+                                             (-2, "index out of range for buffer")])
+    def test_row_base_checked(self, shift, error):
+        # B's scaled rank moved by half a slot, or by one slot down: the
+        # first row's base is no integer, or lies before the buffer
+        plan, store, shapes, binding = self.spmv_ut()
+        sp = plan.summands[0]
+        assert sp.program.leaves[1].scale == 2
+        prog = sp.program
+        sp.__dict__["program"] = prog._replace(root={**prog.root, 1: prog.root[1] + ((shift, ()),)})
+        with pytest.raises(IndexingFault, match=error):
+            execute(plan, store, shapes, binding)
 
 
 GCC = shutil.which("gcc")

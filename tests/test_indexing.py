@@ -22,6 +22,8 @@ from polypack.polyhedra import (
 )
 from polypack.stur import build_compressed_summands, parse_program
 
+from helpers import buffer_for, dense_tensors
+
 
 def v(name):
     return AffineExpr.var(name)
@@ -173,14 +175,14 @@ class TestRegistry:
         assert reg.assignment[(0, "out")] == reg.assignment[(1, "out")]
         assert len({b.tensor for b in reg.buffers}) == 3
         assert len(reg.buffers) == 3
-        assert reg.dense_tensors() == []
+        assert dense_tensors(reg) == []
 
     def test_disjoint_read_regions_two_buffers(self):
         text = ("O(j) := A(i, j) * (i = 1) * (0 <= j < N)"
                 " + A(i, j) * (i = 3) * (0 <= j < N)")
         reg = build_registry(summands(text, "O"))
-        b0 = reg.buffer_for(0, "in0")
-        b1 = reg.buffer_for(1, "in0")
+        b0 = buffer_for(reg, 0, "in0")
+        b1 = buffer_for(reg, 1, "in0")
         assert b0.id != b1.id
         assert b0.layout == b1.layout == "compressed"
         assert reg.assignment[(0, "out")] == reg.assignment[(1, "out")]
@@ -193,15 +195,15 @@ class TestRegistry:
 
     def test_leslie_partial_overlap_demotes_tensor(self):
         reg = build_registry(summands(LESLIE))
-        assert reg.dense_tensors() == ["C"]
-        c0 = reg.buffer_for(0, "in1")
-        c1 = reg.buffer_for(1, "in1")
+        assert dense_tensors(reg) == ["C"]
+        c0 = buffer_for(reg, 0, "in1")
+        c1 = buffer_for(reg, 1, "in1")
         assert c0.id == c1.id
         assert c0.layout == "dense"
         assert c0.reason == "partial-overlap"
         # A and B both split into two disjoint compressed buffers
-        assert reg.buffer_for(0, "out").id != reg.buffer_for(1, "out").id
-        assert reg.buffer_for(0, "in0").id != reg.buffer_for(1, "in0").id
+        assert buffer_for(reg, 0, "out").id != buffer_for(reg, 1, "out").id
+        assert buffer_for(reg, 0, "in0").id != buffer_for(reg, 1, "in0").id
         assert len(reg.buffers) == 5
 
     def test_permuted_triangle_access_demotes(self):
@@ -210,15 +212,15 @@ class TestRegistry:
         text = ("O(i, j) := X(i, j) * (0 <= i <= j) * (j < n)"
                 " + X(j, i) * (0 <= i <= j) * (j < n)")
         reg = build_registry(summands(text, "O"))
-        assert reg.dense_tensors() == ["X"]
-        assert reg.buffer_for(0, "in0").reason == "partial-overlap"
+        assert dense_tensors(reg) == ["X"]
+        assert buffer_for(reg, 0, "in0").reason == "partial-overlap"
 
     def test_permuted_square_access_shares(self):
         text = ("O(i, j) := X(i, j) * (0 <= i < n) * (0 <= j < n)"
                 " + X(j, i) * (0 <= i < n) * (0 <= j < n)")
         reg = build_registry(summands(text, "O"))
         assert reg.assignment[(0, "in0")] == reg.assignment[(1, "in0")]
-        assert reg.buffer_for(0, "in0").layout == "compressed"
+        assert buffer_for(reg, 0, "in0").layout == "compressed"
 
     def test_strided_bands_disjoint_buffers(self):
         text = ("A(i, j) := B(i, j) * (0 <= i < 8) * (0 <= j < 8)\n"

@@ -19,6 +19,8 @@ from polypack.runtime import (
 )
 from polypack.stur import build_compressed_summands, parse_program
 
+from helpers import dense_tensor, reshaped
+
 LOWER = """
 A(i) := B(i, j)
 B_U(i, j) := (0 <= i < n) * (0 <= j <= i)
@@ -68,6 +70,19 @@ B_U(i, j) := ((j - i) % 4 = 1)
 """
 
 
+# rows start at i + 2 and end at m - 1, so the region is empty when m < 3
+RAGGED = """
+A(i) := B(i, j) * C(j)
+B_U(i, j) := (0 <= i < n) * (i + 2 <= j < m)
+"""
+
+# rows of w values, each starting one column further right
+BAND = """
+A(i) := B(i, j) * C(j)
+B_U(i, j) := (0 <= i < n) * (i <= j < i + w)
+"""
+
+
 def findex(text, tensor, rule="A", which=0):
     s = build_compressed_summands(parse_program(text), rule)[which]
     space = iteration_space(s)
@@ -80,20 +95,20 @@ class TestPack:
     def test_lower_triangle_golden(self):
         # [DERIVED] lex scan of {j <= i} over [[1..9]] keeps 1,4,5,7,8,9
         f = findex(LOWER, "B")
-        t = DenseTensor.from_array(np.arange(1, 10).reshape(3, 3))
+        t = dense_tensor(np.arange(1, 10).reshape(3, 3))
         buf = pack(t, f, {"n": 3})
         assert buf.data.tolist() == [1, 4, 5, 7, 8, 9]
         assert buf.length == 6
 
     def test_diag_golden(self):
         f = findex(DIAG, "B")
-        buf = pack(DenseTensor.from_array(np.diag([1, 2, 3])), f, {"n": 3})
+        buf = pack(dense_tensor(np.diag([1, 2, 3])), f, {"n": 3})
         assert buf.data.tolist() == [1, 2, 3]
 
     def test_prism_smallest_binding_length(self):
         # [DERIVED] 2x2x2 prism with i <= j keeps 6 of 8 cells
         f = findex(PRISM, "B")
-        t = DenseTensor.from_array(np.arange(8).reshape(2, 2, 2))
+        t = dense_tensor(np.arange(8).reshape(2, 2, 2))
         buf = pack(t, f, {"M": 2, "N": 2, "Q": 2})
         assert buf.length == 6
 
@@ -117,7 +132,7 @@ class TestPack:
         ]:
             f = findex(text, "B")
             dense = rng.integers(-9, 10, size=shape)
-            buf = pack(DenseTensor.from_array(dense), f, binding)
+            buf = pack(dense_tensor(dense), f, binding)
             back = unpack(buf, f, shape, binding)
             # off-structure positions zero, on-structure values restored
             again = pack(back, f, binding)
@@ -126,13 +141,13 @@ class TestPack:
     def test_rank_beyond_buffer_aborts(self):
         f = findex(LOWER, "B")
         lying = replace(f, size=pqp_constant(2, f.size.context))
-        t = DenseTensor.from_array(np.arange(1, 10).reshape(3, 3))
+        t = dense_tensor(np.arange(1, 10).reshape(3, 3))
         with pytest.raises(IndexingFault):
             pack(t, lying, {"n": 3})
 
     def test_region_outside_dense_shape_aborts(self):
         f = findex(LOWER, "B")
-        t = DenseTensor.from_array(np.arange(1, 5).reshape(2, 2))
+        t = dense_tensor(np.arange(1, 5).reshape(2, 2))
         with pytest.raises(IndexingFault):
             pack(t, f, {"n": 3})  # region needs a 3x3 tensor
 
@@ -164,7 +179,7 @@ class TestPack:
 
     def test_empty_region(self):
         f = findex(HIGH_BAND, "B")
-        buf = pack(DenseTensor.from_array(np.arange(3)), f, {"n": 3})
+        buf = pack(dense_tensor(np.arange(3)), f, {"n": 3})
         assert buf.length == 0
         back = unpack(buf, f, (3,), {"n": 3})
         assert back.data.tolist() == [0, 0, 0]
@@ -244,7 +259,7 @@ class TestAgainstOracle:
     def test_lowered_once(self, monkeypatch):
         f = findex(PRISM, "B")
         binding = {"M": 3, "N": 4, "Q": 2}
-        t = DenseTensor.from_array(np.arange(24).reshape(3, 4, 2))
+        t = dense_tensor(np.arange(24).reshape(3, 4, 2))
         first = pack(t, f, binding)
 
         def no_lowering(*args, **kwargs):
@@ -270,13 +285,38 @@ class TestAgainstOracle:
         assert [t for t, _ in prog.bounds] == ["B", "B"] and prog.crude is not None
 
 
+class TestRuns:
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("block", [7, codegen.BLOCK_POINTS])
+    @pytest.mark.parametrize("text,binding,shape", [
+        (RAGGED, {"n": 6, "m": 5}, (6, 5)),
+        (RAGGED, {"n": 6, "m": 13}, (6, 13)),
+        (RAGGED, {"n": 5, "m": 2}, (5, 2)),
+        (LOWER, {"n": 12}, (12, 12)),
+        (BAND, {"n": 7, "w": 3}, (7, 9)),
+    ], ids=["ragged", "ragged_wide", "ragged_empty", "lower", "band"])
+    def test_round_trip(self, text, binding, shape, block, dtype, monkeypatch):
+        # pack and unpack walk the region's rows as runs; with 7-point
+        # blocks, rows are split between blocks and rows longer than one
+        # take a block of their own
+        monkeypatch.setattr(codegen, "BLOCK_POINTS", block)
+        f = findex(text, "B")
+        assert f.program.run is not None
+        data = np.random.default_rng(5).integers(-9, 10, size=math.prod(shape)).astype(dtype)
+        want = naive_copy(data, f, shape, binding, (0, 1))
+        buf = pack(DenseTensor(shape, data), f, binding)
+        assert buf.data.dtype == dtype and np.array_equal(buf.data, want[0])
+        back = unpack(buf, f, shape, binding)
+        assert np.array_equal(back.data, want[1])
+
+
 class TestUnpack:
     def test_zeros_off_structure(self):
         f = findex(LOWER, "B")
-        buf = pack(DenseTensor.from_array(np.arange(1, 10).reshape(3, 3)),
+        buf = pack(dense_tensor(np.arange(1, 10).reshape(3, 3)),
                    f, {"n": 3})
         back = unpack(buf, f, (3, 3), {"n": 3})
-        assert back.reshaped().tolist() == [[1, 0, 0], [4, 5, 0], [7, 8, 9]]
+        assert reshaped(back).tolist() == [[1, 0, 0], [4, 5, 0], [7, 8, 9]]
 
     def test_symmetric_expansion(self):
         prog = parse_program(SYMMETRIC)
@@ -284,17 +324,17 @@ class TestUnpack:
         rng = np.random.default_rng(7)
         w = rng.integers(-3, 4, size=(4, 4))
         s = w + w.T
-        buf = pack(DenseTensor.from_array(s), f, {"n": 4})
+        buf = pack(dense_tensor(s), f, {"n": 4})
         assert buf.length == 10
         full = unpack(buf, f, (4, 4), {"n": 4},
                       redmap=prog.redundancy_maps["V"])
-        assert full.reshaped().tolist() == s.tolist()
+        assert reshaped(full).tolist() == s.tolist()
 
     def test_redundant_image_outside_region_is_an_error(self):
         bad = SYMMETRIC.replace("(x' = y) * (y' = x)", "(x' = x) * (y' = y)")
         prog = parse_program(bad)
         f = findex(SYMMETRIC, "V")
-        buf = pack(DenseTensor.from_array(np.eye(4, dtype=np.int64)),
+        buf = pack(dense_tensor(np.eye(4, dtype=np.int64)),
                    f, {"n": 4})
         with pytest.raises(DomainError):
             unpack(buf, f, (4, 4), {"n": 4}, redmap=prog.redundancy_maps["V"])
