@@ -109,7 +109,7 @@ def derive_shapes(program, rule, binding):
     File-loaded programs carry no shape declarations, so the dense side is
     sized to the bounding box of everything the rule touches: the least and
     most value of each dim on the region's loop nest, walked by rows where
-    its innermost level allows (`codegen.dim_ranges`).
+    its innermost level has no guards (`codegen.dim_ranges`).
     """
     extents = {}
     for s in build_compressed_summands(program, rule):

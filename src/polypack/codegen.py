@@ -5,9 +5,12 @@ strided, `_Level`) whose bounds, guards and phases are integer polynomials
 from the start; every tensor access becomes either a compressed-buffer
 index plan (the rank polynomial, split by loop level) or a dense row-major
 offset, both lowered to integer polynomials once per plan.  One frontier
-expander walks a nest level by level over int64 columns, checking each
-level's values against the dense extents they index: it yields the points
-to `iter_point_chunks`, and under `execute` it carries each access's
+expander walks a nest level by level over int64 columns.  Every level is a
+set of rows: each frontier row has a first value and a count there
+(`_ranges`, which checks a level without guards against the dense extents
+its var indexes once per row), and one cutter splits the rows into blocks
+of at most BLOCK_POINTS points (`_row_blocks`).  The expander yields the
+points to `iter_point_chunks`, and under `execute` it carries each access's
 hoisted index as a column, adding every level's terms as array operations.
 Each compressed index is checked against `len()` of the array it indexes,
 so a size polynomial is evaluated only where an array is allocated (a
@@ -27,15 +30,16 @@ parameter-only coefficient that is a multiple of its access's scale, is
 walked as runs: the expander stops at its rows, each access's index on a
 row is base + step * (j - lo), each base is divided exactly and each run's
 first and last index checked once per row, and a block's indices are one
-`repeat` plus one `arange` (`_rows`, `_leaf_blocks`); any other level is
-walked point by point.  `runtime.pack` and `unpack` consume the same
-blocks, as a copy between a region's rank and its tensor's dense offset
-(`copy_program`).  `build_plan` renders each summand's lowered program
-once as C (`SummandPlan.source`): the same integer bounds, guards and index
-terms in int64_t, each scaled rank divided exactly at its leaf and every
-dense index checked against its extent, so C and `execute` share one
-lowering; `emit_c` assembles those texts and `polypack compile` prints
-them.  The compressed summands and the buffer registry are built once per
+`repeat` plus one `arange` (`_rows`, `_leaf_blocks`); an output index fixed
+along every run is added to once per row.  Any other level is walked point
+by point, and equal output indices next to each other are summed first.
+`runtime.pack` and `unpack` consume the same blocks, as a copy between a
+region's rank and its tensor's dense offset (`copy_program`).  `build_plan`
+renders each summand's lowered program once as C (`SummandPlan.source`):
+the same integer bounds, guards and index terms in int64_t, each scaled
+rank divided exactly at its leaf and every dense index checked against its
+extent, so C and `execute` share one lowering; `emit_c` assembles those
+texts and `polypack compile` prints them.  The compressed summands and the buffer registry are built once per
 (program, rule) and shared by all three compression levels.
 """
 
@@ -233,111 +237,27 @@ def _most(v):
     return v.max() if isinstance(v, np.ndarray) else v
 
 
-def _spans(lv, cols, n, env):
-    """(rows, x, start, counts) per block of a level's points: x is the
-    level's value and rows the parent row at each point (None: point p is
-    row p); parent rows start.. have `counts` points, at most BLOCK_POINTS
-    in all unless one row is longer.  Without guards, every value is checked
-    against the level's extents here, once per parent row."""
-    check = lv.extents and not lv.guards
+def _ranges(lv, cols, n, env):
+    """(lo, counts): a level's first value and number of values on each of
+    n frontier rows, ints when no bound reads a column.  Without guards,
+    every value is checked against the level's dense extents here, once per
+    row."""
     if lv.single:
-        x = poly_values(lv.lowers[0][1], cols, env)
-        if check:
-            _check_extents(lv, _least(x), _most(x), env)
-        yield None, _column(x, n), 0, None
-        return
-    lo, hi = _level_range(lv, cols, env)
-    if n == 1:
-        lo, hi = (int(v[0]) if isinstance(v, np.ndarray) else int(v) for v in (lo, hi))
-        if lo <= hi:
-            if check:
-                _check_extents(lv, lo, hi - (hi - lo) % lv.stride, env)
-            x = np.arange(lo, hi + 1, lv.stride)
-            yield np.zeros(len(x), dtype=np.intp), x, 0, np.array([len(x)])
-        return
-    row_counts = _column(np.maximum((hi - lo) // lv.stride + 1, 0), n)
+        lo = hi = poly_values(lv.lowers[0][1], cols, env)
+        counts = 1
+    else:
+        lo, hi = _level_range(lv, cols, env)
+        counts = (hi - lo) // lv.stride + 1
+        counts = np.maximum(counts, 0) if isinstance(counts, np.ndarray) else max(counts, 0)
     # every row's [lo, hi] inside is the common case; else check the values
     # of the nonempty rows
-    if check and _leaves_extents(lv, _least(lo), _most(hi), env) is not None:
-        full = row_counts > 0
+    if lv.extents and not lv.guards and _leaves_extents(lv, _least(lo), _most(hi), env):
+        full = _column(counts, n) > 0
         if full.any():
             first = _column(lo, n)[full]
             _check_extents(lv, first.min(),
-                           (first + (row_counts[full] - 1) * lv.stride).max(), env)
-    lo = _column(lo, n)
-    ends = np.cumsum(row_counts)
-    start, base = 0, 0
-    while start < n:
-        stop = max(int(np.searchsorted(ends, base + BLOCK_POINTS, "right")), start + 1)
-        counts = row_counts[start:stop]
-        x = np.arange(0, (int(ends[stop - 1]) - base) * lv.stride, lv.stride)
-        x += np.repeat(lo[start:stop] - (ends[start:stop] - counts - base) * lv.stride, counts)
-        yield np.repeat(np.arange(start, stop), counts), x, start, counts
-        start, base = stop, int(ends[stop - 1])
-
-
-def _expand(levels, cols, n, env, k=0):
-    """Expand a frontier of n > 0 rows (cols: name -> int64 column) that has
-    set every level above k, in blocks and in lexicographic order.
-
-    Each row is repeated over its level's [lo, hi] range, the level's
-    guards drop points, the values kept are checked against the level's
-    extents and its terms are added to their columns.  Yields (block, m,
-    parent, start, counts) per innermost block of m points: parent rows
-    start.. had `counts` points before the guards (None on a single-valued
-    level).
-    """
-    if k == len(levels):
-        yield cols, n, None, 0, None
-        return
-    lv = levels[k]
-    coefs = [(col, e, poly_values(p, cols, env)) for col, e, p in lv.terms]
-    names = cols if lv.keep is None else lv.keep
-    for rows, x, start, counts in _spans(lv, cols, n, env):
-        block = {d: _take(cols[d], rows) for d in names}
-        block[lv.var] = x
-        if lv.guards:
-            keep = guards_mask(lv.guards, block, env)
-            rows = np.flatnonzero(keep) if rows is None else rows[keep]
-            block = {d: _take(c, keep) for d, c in block.items()}
-            x = block[lv.var]
-            if lv.extents and len(x):
-                _check_extents(lv, x.min(), x.max(), env)
-        if not len(x):
-            continue
-        for col, e, c in coefs:
-            term = x if e == 1 else x ** e
-            if isinstance(c, np.ndarray) or c != 1:
-                term = _take(c, rows) * term
-            block[col] = block[col] + term
-        if k + 1 < len(levels):
-            yield from _expand(levels, block, len(x), env, k + 1)
-        else:
-            yield block, len(x), cols, start, counts
-
-
-def _rows(levels, cols, env):
-    """Expand every level above the last of `levels`, a run level
-    (`_is_run_level`), from one row of columns `cols`.  Yields (block, n,
-    lo, hi, counts) per block of n nonempty rows: the run level's values on
-    a row are [lo, hi], ints when no bound reads a column, counts = hi - lo
-    + 1, and every value is checked against the level's dense extents."""
-    lv = levels[-1]
-    for block, n, *_ in _expand(levels[:-1], cols, 1, env):
-        lo, hi = _level_range(lv, block, env)
-        counts = hi - lo + 1
-        if isinstance(counts, np.ndarray):
-            if counts.min() <= 0:
-                rows = np.flatnonzero(counts > 0)
-                if not len(rows):
-                    continue
-                block = {d: _take(c, rows) for d, c in block.items()}
-                lo, hi, counts, n = _take(lo, rows), _take(hi, rows), counts[rows], len(rows)
-        elif counts <= 0:
-            continue
-        if lv.extents:
-            _check_extents(lv, _least(lo), _most(hi), env)
-        yield block, n, lo, hi, counts
+                           (first + (_column(counts, n)[full] - 1) * lv.stride).max(), env)
+    return lo, counts
 
 
 def _row_blocks(counts, n):
@@ -346,13 +266,12 @@ def _row_blocks(counts, n):
     most BLOCK_POINTS unless one row is longer, each row's first at
     `starts` in the block."""
     if not isinstance(counts, np.ndarray):
-        if n == 1:
-            yield 0, 1, _ORIGIN, int(counts)
-            return
-        per = max(1, BLOCK_POINTS // int(counts))
-        for s in range(0, n, per):
+        counts = int(counts)
+        per = max(1, BLOCK_POINTS // max(counts, 1))
+        for s in range(0, n if counts > 0 else 0, per):
             e = min(n, s + per)
-            yield s, e, counts * np.arange(e - s), int(counts) * (e - s)
+            m = counts * (e - s)
+            yield s, e, _ORIGIN if e - s == 1 else np.arange(0, m, counts), m
         return
     ends = np.cumsum(counts)
     s = done = 0
@@ -364,21 +283,96 @@ def _row_blocks(counts, n):
         s, done = e, stop
 
 
+def _expand(levels, cols, n, env, k=0):
+    """Expand a frontier of n > 0 rows (cols: name -> int64 column, or an
+    int shared by every row) that has set every level above k, in blocks
+    and in lexicographic order.
+
+    Each row is repeated over its level's values (`_ranges`), cut into
+    blocks (`_row_blocks`); the level's guards drop points, the values kept
+    are checked against the level's extents and its terms are added to
+    their columns.  Yields (block, m) per innermost block of m points.
+    """
+    if k == len(levels):
+        yield cols, n
+        return
+    lv = levels[k]
+    coefs = [(col, e, poly_values(p, cols, env)) for col, e, p in lv.terms]
+    names = cols if lv.keep is None else lv.keep
+    lo, counts = _ranges(lv, cols, n, env)
+    # a single-valued level whose frontier fits is one block of its own rows
+    single = lv.single and n <= BLOCK_POINTS
+    for s, e, starts, m in ((0, n, None, n),) if single else _row_blocks(counts, n):
+        if single:   # point p is row p
+            rows, x = None, _column(lo, n)
+        elif e - s == 1:   # one row: its values in every column broadcast
+            first = _take(lo, s)
+            rows, x = s, np.arange(first, first + m * lv.stride, lv.stride)
+        else:
+            repeats = counts[s:e] if isinstance(counts, np.ndarray) else counts
+            rows = np.repeat(np.arange(s, e), repeats)
+            x = np.repeat(_take(lo, slice(s, e)) - starts * lv.stride, repeats)
+            x += np.arange(0, m * lv.stride, lv.stride)
+        block = {d: _take(cols[d], rows) for d in names}
+        block[lv.var] = x
+        if lv.guards:
+            keep = guards_mask(lv.guards, block, env)
+            rows = np.flatnonzero(keep) if rows is None else _take(rows, keep)
+            block = {d: _take(c, keep) for d, c in block.items()}
+            x = block[lv.var]
+            if lv.extents and len(x):
+                _check_extents(lv, x.min(), x.max(), env)
+        if not len(x):
+            continue
+        for col, exp, c in coefs:
+            term = x if exp == 1 else x ** exp
+            if isinstance(c, np.ndarray) or c != 1:
+                term = _take(c, rows) * term
+            block[col] = block[col] + term
+        if k + 1 < len(levels):
+            yield from _expand(levels, block, len(x), env, k + 1)
+        else:
+            yield block, len(x)
+
+
+def _rows(levels, cols, env):
+    """Expand every level above the last of `levels` from one row of
+    columns `cols`, and yield (block, n, lo, counts) per block of n rows on
+    which the last level has points: `_ranges` of that level with its empty
+    rows dropped."""
+    lv = levels[-1]
+    for block, n in _expand(levels[:-1], cols, 1, env):
+        lo, counts = _ranges(lv, block, n, env)
+        if isinstance(counts, np.ndarray):
+            if counts.min() <= 0:
+                rows = np.flatnonzero(counts)
+                if not len(rows):
+                    continue
+                block = {d: _take(c, rows) for d, c in block.items()}
+                lo, counts, n = _take(lo, rows), counts[rows], len(rows)
+        elif counts <= 0:
+            continue
+        yield block, n, lo, counts
+
+
 def dim_ranges(nest, binding):
     """{dim: (least, most)} over a nest's points at a binding, {} when it
-    visits none.  On a run innermost level only the rows are walked, each
-    row's [lo, hi] standing for its points (`_rows`); else every point is."""
+    visits none.  On an innermost level without guards only the rows are
+    walked, each row's first and last value standing for its points
+    (`_rows`); else every point is."""
     ranges = {}
     if nest.empty or not nest.levels:
         return ranges
     env = {p: int(binding[p]) for p in nest.params if p in binding}
     if not guards_mask(nest.guards, {}, env):
         return ranges
-    inner = nest.levels[-1].var
-    if _is_run_level(nest.levels[-1]):
-        blocks = ((b, lo, hi) for b, _, lo, hi, _ in _rows(nest.levels, {}, env))
+    last = nest.levels[-1]
+    inner = last.var
+    if not last.guards:
+        blocks = ((b, lo, lo + (counts - 1) * last.stride)
+                  for b, _, lo, counts in _rows(nest.levels, {}, env))
     else:
-        blocks = ((b, b[inner], b[inner]) for b, *_ in _expand(nest.levels, {}, 1, env))
+        blocks = ((b, b[inner], b[inner]) for b, _ in _expand(nest.levels, {}, 1, env))
     for block, lo, hi in blocks:
         for d in nest.dims:
             least, most = (lo, hi) if d == inner else (block[d], block[d])
@@ -399,8 +393,9 @@ def iter_point_chunks(nest, binding):
         return
     env = {p: int(binding[p]) for p in nest.params if p in binding}
     if guards_mask(nest.guards, {}, env):
-        for block, n, *_ in _expand(nest.levels, {}, 1, env):
-            yield np.array([block[d] for d in nest.dims], dtype=np.int64).reshape(-1, n).T
+        for block, n in _expand(nest.levels, {}, 1, env):
+            yield np.array([_column(block[d], n) for d in nest.dims],
+                           dtype=np.int64).reshape(-1, n).T
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +531,11 @@ _Leaf = namedtuple("_Leaf", "col key scale pieces")
 # part of each carried index; bounds: per access, its tensor and the polys
 # over env names that must fit int64; crude: (sum of |coeff|, top degree)
 # over them, a bound through the largest env value (both None for a copy,
-# see `copy_program`); reduce: the output index is fixed along every innermost
-# row; box: the inner levels that run as one array contraction, or None;
-# run: per leaf, the int poly step of its index along the innermost level
-# when that level is walked as runs (`_run_steps`), else None.
+# see `copy_program`); box: the inner levels that run as one array
+# contraction, or None; run: per leaf, the int poly step of its index along
+# the innermost level when that level is walked as runs (`_run_steps`), else
+# None; reduce: the output index is fixed along every run (no run, no
+# reduce: the point walk collapses equal output indices instead).
 _Program = namedtuple("_Program", "guards levels root leaves bounds crude reduce box run")
 
 # The deepest suffix of a nest's levels (from `depth` on) that is a box:
@@ -612,28 +608,22 @@ def _program(nest, stmt, contract=True):
     crude = (sum(abs(c) for c, _ in every),
              max((sum(e for _, e in mono) for _, mono in every), default=0))
 
-    last = len(levels) - 1
-    reduce_rows = (last >= 0 and leaves[0].pieces is None
-                   and levels[last].kind != "fixed" and not levels[last].guards
-                   and all(t[0] != 0 for t in terms[last]))
     box = _box(dims, levels, terms, leaves, stmt.output.names) if contract else None
     run = _run_steps(dims, levels, terms, leaves) if box is None else None
     # the columns each level's points must carry, innermost level first
     dims = set(dims)  # membership only from here on
     piece_polys = [p for a in leaves for gs, poly, _ in a.pieces or ()
                    for p in (poly, *(g[1] for g in gs))]
-    need = (set(root) - {0} if reduce_rows else set(root)) | (_poly_names(*piece_polys) & dims)
-    for k in range(last, -1, -1):
+    need = set(root) | (_poly_names(*piece_polys) & dims)
+    for k in reversed(range(len(levels))):
         lv = levels[k]
         keep = tuple((need | _poly_names(*(g[1] for g in lv.guards)) & dims) - {lv.var})
         levels[k] = lv._replace(terms=tuple(terms[k]), keep=keep,
                                 extents=tuple(sorted(extents[k])))
         need = set(keep) | _poly_names(*(p for _, p in lv.lowers + lv.uppers),
                                        lv.phase or (), *(p for *_, p in terms[k])) & dims
-        if reduce_rows and k == last:
-            need.add(0)
     return _Program(nest.guards, tuple(levels), root, tuple(leaves), tuple(bounds), crude,
-                    reduce_rows, box, run)
+                    run is not None and not run[0], box, run)
 
 
 def _is_run_level(lv):
@@ -752,7 +742,7 @@ def _leaf_index(a, cols, n, env, array):
         for guards, poly, s in a.pieces:
             mask = np.broadcast_to(guards_mask(guards, cols, env), n)
             if mask.any():
-                sub = {d: c[mask] for d, c in cols.items() if isinstance(d, str)}
+                sub = {d: _take(c, mask) for d, c in cols.items() if isinstance(d, str)}
                 idx[mask] = _exact(np.broadcast_to(poly_values(poly, sub, env),
                                                    int(mask.sum())), s)
     # as uint64 a negative index is huge: one pass checks both ends
@@ -765,9 +755,8 @@ def _leaf_blocks(prog, env, arrays):
     """Walk a program's points from its root in lexicographic order, and
     yield (idx, m, starts) per block of m points: idx holds each leaf's
     int64 index, every one checked before the block is yielded.  Where the
-    output is fixed along every innermost row (`reduce`), idx[0] holds one
-    index per nonempty row, whose points start at `starts` in the block;
-    else starts is None.
+    output is fixed along every run (`reduce`), idx[0] holds one index per
+    row, whose points start at `starts` in the block; else starts is None.
 
     On a run level (`prog.run`) only the rows are expanded: each access's
     index on a row is base + step * (j - lo), its base divided exactly by
@@ -778,19 +767,11 @@ def _leaf_blocks(prog, env, arrays):
     """
     root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
     if prog.run is None:
-        for block, m, parent, start, counts in _expand(prog.levels, root, 1, env):
-            starts = None
-            if prog.reduce:   # the output index of each nonempty row
-                nonempty = counts > 0
-                stop = start + len(counts)
-                block = {**block, 0: _column(parent[0], stop)[start:stop][nonempty]}
-                counts = counts[nonempty]
-                starts = np.cumsum(counts) - counts
-            yield ([_leaf_index(a, block, m, env, x) for a, x in zip(prog.leaves, arrays)],
-                   m, starts)
+        for block, m in _expand(prog.levels, root, 1, env):
+            yield [_leaf_index(a, block, m, env, x) for a, x in zip(prog.leaves, arrays)], m, None
         return
     steps = [poly_values(p, {}, env) for p in prog.run]
-    for block, n, lo, _, counts in _rows(prog.levels, root, env):
+    for block, n, lo, counts in _rows(prog.levels, root, env):
         width = counts - 1
         bases = [_run_base(a, block[a.col] + step * a.scale * lo if step else block[a.col],
                            step, width, x)
@@ -910,7 +891,7 @@ def _run_box(prog, env, arrays):
     state = rows_per = None
     moving = [a for a in prog.leaves if box.varies[a.col]]
     per_row = any(box.varies[1:])
-    for block, m, *_ in _expand(outer, root, 1, env):
+    for block, m in _expand(outer, root, 1, env):
         if rows_per is None:
             state = _box_call(prog, env, arrays, block)
             rows_per = max(1, BLOCK_POINTS // max(

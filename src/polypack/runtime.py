@@ -273,8 +273,10 @@ def _frac(r):
 def footprint_report(registry, binding, shapes, output):
     """Exact element counts, dense vs registry layout, per tensor.
 
-    No data is allocated; sizes come from evaluating the size polynomials.
+    No data is allocated; each buffer is sized as `pack` and `execute` size
+    it, from its lowered size polynomial (`codegen.buffer_length`).
     """
+    binding = {p: int(v) for p, v in binding.items()}
     per = {}
     for b in registry.buffers:
         per.setdefault(b.tensor, []).append(b)
@@ -285,7 +287,7 @@ def footprint_report(registry, binding, shapes, output):
         if any(b.layout == "dense" for b in bufs):
             entries.append(TensorFootprint(tensor, dense, dense, False))
         else:
-            stored = sum(int(b.index.size.evaluate(binding)) for b in bufs)
+            stored = sum(buffer_length(b.index, binding) for b in bufs)
             entries.append(TensorFootprint(tensor, dense, stored, True))
     return FootprintReport(tuple(entries), output)
 

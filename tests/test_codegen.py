@@ -14,6 +14,8 @@ import subprocess
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polypack import codegen
 from polypack.cli import BUILTIN_KERNELS
@@ -126,6 +128,33 @@ def walk(nest, binding):
 
 def oracle(space, binding):
     return [tuple(p) for p in enumerate_points(space, binding).tolist()]
+
+
+@st.composite
+def mixed_spaces(draw):
+    """A 2- or 3-dim space over one parameter n whose nest mixes loop,
+    strided and fixed levels, guards and rows left empty by a mod
+    constraint or a guard.  Every dim is bounded on both sides with unit
+    coefficient by a constant, n or an outer dim, so the space is bounded."""
+    dims = ("a", "b", "c")[:draw(st.integers(2, 3))]
+    cons = []
+    for pos, d in enumerate(dims):
+        outer = dims[:pos]
+
+        def side(names):
+            by = draw(st.sampled_from(names))
+            e = k(draw(st.integers(-2, 2)))
+            return e if by is None else e + v(by)
+        cons += [ge(v(d) - side((None,) + outer)), ge(side(("n",) + outer) - v(d))]
+        kind = draw(st.sampled_from(["loop", "strided", "fixed"]))
+        if kind == "fixed":   # the bounds above turn into its guards
+            cons.append(eq(v(d) - side((None, "n") + outer)))
+        elif kind == "strided":
+            phase = v(draw(st.sampled_from(outer))) if outer and draw(st.booleans()) else k(0)
+            cons.append(modeq(v(d) + phase, draw(st.integers(2, 3)), draw(st.integers(0, 2))))
+        if outer and draw(st.booleans()):   # a non-unit coefficient: a guard
+            cons.append(ge(v(outer[-1]) + k(draw(st.integers(0, 3))) - v(d) * 2))
+    return Polyhedron.build(dims, ("n",), cons)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +378,25 @@ class TestLoopNest:
         chunks = list(iter_point_chunks(nest, {"n": 3}))
         assert [c.shape for c in chunks] == [(1, 0)]
         assert walk(nest, {"n": 0}) == [] == oracle(space, {"n": 0})
+
+    @settings(max_examples=100, deadline=None)
+    @given(space=mixed_spaces(), n=st.integers(0, 7))
+    def test_walker_matches_enumeration(self, space, n):
+        # the points in order, chunks of at most BLOCK_POINTS unless one
+        # innermost row is longer, and each dim's least and most value
+        nest = build_loop_nest(space)
+        binding = {"n": n}
+        want = oracle(space, binding)
+        pts = np.array(want, dtype=np.int64).reshape(-1, len(space.dims))
+        ranges = {d: (int(pts[:, c].min()), int(pts[:, c].max()))
+                  for c, d in enumerate(space.dims)} if len(pts) else {}
+        for block in (1, 5, BLOCK_POINTS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(codegen, "BLOCK_POINTS", block)
+                chunks = list(iter_point_chunks(nest, binding))
+                assert [tuple(p) for c in chunks for p in c.tolist()] == want
+                assert all(len(c) <= block or (c[:, :-1] == c[0, :-1]).all() for c in chunks)
+                assert codegen.dim_ranges(nest, binding) == ranges
 
 
 class TestExecute:
@@ -766,9 +814,14 @@ class TestBox:
         assert np.array_equal(got, want)
 
 
-def walk_of(prog):
-    """How `execute` walks a summand's innermost levels."""
-    return "box" if prog.box is not None else "run" if prog.run is not None else "point"
+def walk_of(prog, reduce=False):
+    """How `execute` walks a summand's innermost levels; with `reduce`, a run
+    walk whose output index is fixed along every run reads "run+reduce"."""
+    if prog.box is not None:
+        return "box"
+    if prog.run is None:
+        return "point"
+    return "run+reduce" if reduce and prog.reduce else "run"
 
 
 # rows start at i + 2 and end at m - 1; when m < n + 2 the rows from
@@ -789,15 +842,24 @@ B_U(i, j) := (0 <= i < n) * (i <= j < i + w)
 class TestRuns:
     def test_which_builtins_walk_runs(self):
         # the walk of every summand at input+output: a silent fallback to
-        # the point walk fails here
+        # the point walk, or losing SpMV_UT's one output add per row, fails
+        # here
         want = {"TTM_DP": ["box"], "TTM_J": ["box"], "TTM_UT": ["box"], "THP_DP": ["box"],
                 "THP_I": ["box"], "THP_J": ["box"], "MTT_J": ["box"], "MTT_JUT": ["box"],
-                "MTT_D": ["point"], "SpMV_L": ["box", "point"], "SpMV_UT": ["run"],
+                "MTT_D": ["point"], "SpMV_L": ["box", "point"], "SpMV_UT": ["run+reduce"],
                 "SpMV_D": ["point"]}
         got = {}
         for name, kern in BUILTIN_KERNELS.items():
-            plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
-            got[name] = [walk_of(sp.program) for sp in plan.summands]
+            program = parse_program(kern.text)
+            plans = {level: build_plan(program, kern.rule, level) for level in LEVELS}
+            for plan in plans.values():
+                # the per-row reduction rides on runs only; the point walk
+                # sums equal output indices itself
+                progs = [sp.program for sp in plan.summands] + [
+                    b.index.program for b in plan.registry.buffers if b.layout == "compressed"]
+                assert all(p is None or p.run is not None or not p.reduce for p in progs), name
+            got[name] = [walk_of(sp.program, reduce=True)
+                         for sp in plans["input+output"].summands]
         assert got == want
 
     def test_copies_walk_runs(self):
@@ -827,28 +889,37 @@ class TestRuns:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_rows_empty_after_rounding(self, workers, dtype):
         # j runs over [ceil(i/3), floor((i+1)/3)], which holds no integer when
-        # i = 1 mod 3: the projection keeps those i, so their rows are empty
-        space = Polyhedron.build(("i", "j"), ("n",), [
-            ge(v("i")), ge(v("n") - k(1) - v("i")),
-            ge(v("j") * 3 - v("i")), ge(v("i") + k(1) - v("j") * 3)])
-        nest = build_loop_nest(space)
-        stmt = Statement(AccessPlan("A", 0, "dense", ("i",)), (
-            AccessPlan("B", 1, "dense", ("i", "j")), AccessPlan("C", 2, "dense", ("j",))))
-        plan = KernelPlan("A", (SummandPlan(nest, stmt, True),), None, "none")
-        assert walk_of(plan.summands[0].program) == "run"
-        n = 20
-        pts = enumerate_points(space, {"n": n})
-        assert sorted(set(range(n)) - set(pts[:, 0].tolist())) == list(range(1, n, 3))
-        rng = np.random.default_rng(13)
-        store = {t: rng.integers(-3, 4, n ** len(a.names)).astype(dtype)
-                 for t, a in zip("BC", stmt.inputs)}
-        shapes = {"A": (n,), "B": (n, n), "C": (n,)}
-        want = np.zeros(n, dtype=dtype)
-        np.add.at(want, pts[:, 0], store["B"][pts[:, 0] * n + pts[:, 1]] * store["C"][pts[:, 1]])
-        got = execute(plan, store, shapes, {"n": n}, workers=workers, dtype=dtype).dense
-        assert np.array_equal(got, want)
-        assert codegen.dim_ranges(nest, {"n": n}) == {
-            d: (int(pts[:, c].min()), int(pts[:, c].max())) for c, d in enumerate("ij")}
+        # i = 1 mod 3: the projection keeps those i, so their rows are empty.
+        # Then a strided innermost level, walked point by point: j = 1 mod 3
+        # in [i, n) holds none from i = 17 on when n = 19, and the projection
+        # cannot see it past the mod constraint
+        spaces = [
+            ([ge(v("j") * 3 - v("i")), ge(v("i") + k(1) - v("j") * 3)],
+             "run", 20, list(range(1, 20, 3))),
+            ([ge(v("j") - v("i")), ge(v("n") - k(1) - v("j")), modeq(v("j"), 3, 1)],
+             "point", 19, [17, 18]),
+        ]
+        for inner, walked, n, empty in spaces:
+            space = Polyhedron.build(("i", "j"), ("n",), [
+                ge(v("i")), ge(v("n") - k(1) - v("i")), *inner])
+            nest = build_loop_nest(space)
+            stmt = Statement(AccessPlan("A", 0, "dense", ("i",)), (
+                AccessPlan("B", 1, "dense", ("i", "j")), AccessPlan("C", 2, "dense", ("j",))))
+            plan = KernelPlan("A", (SummandPlan(nest, stmt, True),), None, "none")
+            assert walk_of(plan.summands[0].program) == walked
+            pts = enumerate_points(space, {"n": n})
+            assert sorted(set(range(n)) - set(pts[:, 0].tolist())) == empty
+            rng = np.random.default_rng(13)
+            store = {t: rng.integers(-3, 4, n ** len(a.names)).astype(dtype)
+                     for t, a in zip("BC", stmt.inputs)}
+            shapes = {"A": (n,), "B": (n, n), "C": (n,)}
+            want = np.zeros(n, dtype=dtype)
+            np.add.at(want, pts[:, 0],
+                      store["B"][pts[:, 0] * n + pts[:, 1]] * store["C"][pts[:, 1]])
+            got = execute(plan, store, shapes, {"n": n}, workers=workers, dtype=dtype).dense
+            assert np.array_equal(got, want)
+            assert codegen.dim_ranges(nest, {"n": n}) == {
+                d: (int(pts[:, c].min()), int(pts[:, c].max())) for c, d in enumerate("ij")}
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("level", ["none", "input", "input+output"])
