@@ -333,6 +333,13 @@ def _bind_pair(text):
         raise argparse.ArgumentTypeError(f"binding {name!r} needs an integer")
 
 
+def _workers(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"needs at least 1 worker, got {n}")
+    return n
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="polypack",
@@ -348,7 +355,8 @@ def _parser():
                         metavar="NAME=INT", help="symbol binding (repeatable)")
     common.add_argument("--dtype", choices=sorted(_DTYPES), default="f64")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=_workers, default=1,
+                        help="processes for a large enough run (at most the usable CPUs)")
     common.add_argument("--compression", action="append",
                         choices=["none", "input", "input+output"],
                         help="layout level (repeatable for bench)")

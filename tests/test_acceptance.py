@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from polypack.cli import BUILTIN_KERNELS
+from polypack import codegen
 from polypack.codegen import build_plan, execute, reference_execute
 from polypack.counting import (
     QuasiPolynomial, count_points, fuse_piecewise, pqp_add,
@@ -212,9 +213,14 @@ def endtoend(built):
                                     binding, dtype)
             for level, plan in plans.items():
                 store = build_store(plan, tensors, binding)
-                for workers in (1, 2, 8):
-                    res = execute(plan, store, shapes, binding,
-                                  workers=workers, dtype=dtype)
+                # at the default floor workers > 1 runs in-process at these
+                # sizes; at floor 0 it forks
+                for workers, floor in ((1, None), (2, None), (8, None), (2, 0), (8, 0)):
+                    with pytest.MonkeyPatch.context() as mp:
+                        if floor is not None:
+                            mp.setattr(codegen, "FORK_POINTS", floor)
+                        res = execute(plan, store, shapes, binding,
+                                      workers=workers, dtype=dtype)
                     out = gather_output(plan, res, shapes[kern.rule], binding).data
                     results["runs"] += 1
                     if dtype is np.int64:
@@ -224,7 +230,7 @@ def endtoend(built):
                         ok = float(np.max(np.abs(out - ref))) / scale <= 1e-12
                     if not ok:
                         results["exec_failures"].append(
-                            (name, level, workers, str(dtype)))
+                            (name, level, workers, floor, str(dtype)))
         # hoisted index plans against direct polynomial evaluation,
         # at every point the kernel visits
         plan = plans["input+output"]
@@ -252,7 +258,8 @@ def test_criterion_5_end_to_end(built, endtoend):
     t0 = time.monotonic() - endtoend["elapsed"] - built["elapsed"]
     assert endtoend["exec_failures"] == []
     _pass(5, f"{endtoend['runs']} runs = 12 kernels x 2 dtypes x 3 levels "
-             "x workers {1,2,8} match the dense reference", t0, budget=120.0)
+             "x workers {1,2,8}, and {2,8} forked at floor 0, match the dense reference",
+          t0, budget=120.0)
 
 
 def test_criterion_8_hoisting_equivalence(built, endtoend):

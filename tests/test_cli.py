@@ -177,6 +177,13 @@ class TestRun:
                        "--workers", "2") == 0
         assert "PASS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, workers, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("run", "--kernel", "SpMV_D", "--workers", workers)
+        assert exit_info.value.code == 2
+        assert "at least 1 worker" in capsys.readouterr().err
+
     def test_corrupt_index_fails_with_exit_1(self, capsys):
         assert run_cli("run", "--kernel", "SpMV_UT", "--dtype", "i64",
                        "--seed", "3", "--corrupt-index") == 1

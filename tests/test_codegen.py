@@ -47,6 +47,8 @@ A(i, j, k) := B(i, j, l) * C(k, l) * (0 <= i < M) * (0 <= k < P)
 B_U(i, j, l) := (0 <= l) * (Q > l) * (i <= j) * (N > j) * (0 <= i)
 """
 
+LEVELS = ("none", "input", "input+output")
+
 SPMV_D = "A(i)=B(i,j)*C(j); B_U: (0<=i<n_i)*(i=j)"
 
 LESLIE = """
@@ -209,6 +211,16 @@ def unpack_output(plan, res, shapes, binding, rule, dtype):
             flat = flat * int(sh[axis]) + coords[:, axis]
         out[flat] += arr[ranks]
     return out
+
+
+def both_floors(monkeypatch):
+    """Yield twice: at the default FORK_POINTS, where a small `workers > 1`
+    call runs in-process, then at 0, where it forks."""
+    floor = codegen.FORK_POINTS
+    yield
+    monkeypatch.setattr(codegen, "FORK_POINTS", 0)
+    yield
+    monkeypatch.setattr(codegen, "FORK_POINTS", floor)
 
 
 def run_and_compare(text, rule, shapes, binding, compression, workers=1,
@@ -503,14 +515,15 @@ class TestExecute:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("workers", [2, 8])
-    def test_workers_bitwise_identical(self, workers):
+    def test_workers_bitwise_identical(self, workers, monkeypatch):
         shapes = {"A": (9,), "B": (9, 9), "C": (9,)}
         seq, _ = run_and_compare(SPMV_UT, "A", shapes, {"n": 9}, "input+output",
                                  workers=1)
-        par, want = run_and_compare(SPMV_UT, "A", shapes, {"n": 9},
-                                    "input+output", workers=workers)
-        assert np.array_equal(seq, par)
-        assert np.array_equal(par, want)
+        for _ in both_floors(monkeypatch):
+            par, want = run_and_compare(SPMV_UT, "A", shapes, {"n": 9},
+                                        "input+output", workers=workers)
+            assert np.array_equal(seq, par)
+            assert np.array_equal(par, want)
 
     def test_unproved_region_equality_demotes(self):
         # B's regions overlap without being provably equal: B is demoted
@@ -561,15 +574,16 @@ class TestExecute:
             execute(plan, store, shapes, {"n_i": 6, "n_j": 6}, workers=workers)
 
     @pytest.mark.parametrize("shape_b,workers", [((8, 4), 1), ((8, 4), 2), ((4, 8), 1)])
-    def test_dense_access_outside_extent_raises(self, shape_b, workers):
+    def test_dense_access_outside_extent_raises(self, shape_b, workers, monkeypatch):
         # j (inner) or i (outer) runs past B's short axis: B[i, j] would
         # read the next row instead
         kern = BUILTIN_KERNELS["SpMV_UT"]
         plan = build_plan(parse_program(kern.text), kern.rule, "none")
         store = {"B": np.arange(32.0), "C": np.ones(6)}
         shapes = {"A": (6,), "B": shape_b, "C": (6,)}
-        with pytest.raises(IndexingFault, match="of B "):
-            execute(plan, store, shapes, {"n_i": 6, "n_j": 6}, workers=workers)
+        for _ in both_floors(monkeypatch):
+            with pytest.raises(IndexingFault, match="of B "):
+                execute(plan, store, shapes, {"n_i": 6, "n_j": 6}, workers=workers)
 
     def test_guard_drops_every_value_outside_extent(self):
         # j in [0, 5] leaves B's axis of extent 2, but 3*j <= i <= 5 drops
@@ -584,7 +598,7 @@ class TestExecute:
         want = reference_execute(program, "A", shapes, dense, binding, dtype=np.int64)
         assert np.array_equal(got, want)
 
-    def test_strided_outer_level_split_across_workers(self):
+    def test_strided_outer_level_split_across_workers(self, monkeypatch):
         # i = 1 mod 3 outermost: at n = 302 the second worker's chunk starts
         # at i = 152, off the phase, and must be re-aligned to it
         space = Polyhedron.build(("i", "j"), ("n",), [
@@ -601,11 +615,12 @@ class TestExecute:
         store = {"B": rng.integers(-3, 4, n * n), "C": rng.integers(-3, 4, n)}
         shapes = {"A": (n,), "B": (n, n), "C": (n,)}
         seq = execute(plan, store, shapes, {"n": n}, dtype=np.int64).dense
-        par = execute(plan, store, shapes, {"n": n}, workers=2, dtype=np.int64).dense
         want = np.zeros(n, dtype=np.int64)
         want[1::3] = (store["B"].reshape(n, n) @ store["C"])[1::3]
         assert np.array_equal(seq, want)
-        assert np.array_equal(par, seq)
+        for _ in both_floors(monkeypatch):
+            par = execute(plan, store, shapes, {"n": n}, workers=2, dtype=np.int64).dense
+            assert np.array_equal(par, seq)
 
     def test_all_empty_summands(self):
         text = "A(i) := B(i) * (0 <= i < n) * (i >= 5) * (i <= 3)"
@@ -637,6 +652,136 @@ class TestExecute:
                 if sp.statement.output.layout == "compressed"}
         assert outs and sorted(res.compressed) == sorted(outs)
         assert sorted(map(id, calls)) == sorted(id(plan.registry.buffers[b].index) for b in outs)
+
+
+class InProcessPool:
+    """A stand-in for the fork context's Pool that records its process count
+    and runs the mapped work in this process."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def __call__(self, processes):
+        self.counts.append(processes)
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map_async(self, fn, items):
+        results = [fn(x) for x in items]
+        return type("Done", (), {"get": lambda _: results})()
+
+
+def default_run(name, level, dtype=np.int64):
+    """A builtin at its default binding: (plan, store, shapes, binding)."""
+    kern = BUILTIN_KERNELS[name]
+    binding = dict(kern.defaults)
+    shapes = {t: tuple(binding[s] for s in syms) for t, syms in kern.shapes.items()}
+    plan = build_plan(parse_program(kern.text), kern.rule, level)
+    rng = np.random.default_rng(17)
+    dense = {t: rng.integers(-3, 4, int(np.prod(shapes[t]))).astype(dtype)
+             for t in shapes if t != kern.rule}
+    return plan, pack_store(plan, shapes, dense, binding, dtype), shapes, binding
+
+
+def same_result(a, b):
+    return (np.array_equal(a.dense, b.dense) if a.dense is not None else b.dense is None) \
+        and sorted(a.compressed) == sorted(b.compressed) \
+        and all(np.array_equal(a.compressed[k], b.compressed[k]) for k in a.compressed)
+
+
+class TestFork:
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_small_call_starts_no_process(self, level, monkeypatch):
+        # every builtin at its default binding is far below FORK_POINTS:
+        # workers=2 runs in-process and gives workers=1's output bitwise
+        import multiprocessing
+
+        def no_fork(*args):
+            raise AssertionError("a process pool was requested")
+        runs = {name: default_run(name, level) for name in BUILTIN_KERNELS}
+        want = {name: execute(*run, dtype=np.int64) for name, run in runs.items()}
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        for name, run in runs.items():
+            assert same_result(execute(*run, workers=2, dtype=np.int64), want[name]), name
+
+    def test_shares_balance_points(self, monkeypatch):
+        # with the floor at 0, SpMV_UT at n=2000 forks; rows i hold n - i
+        # points, and the two shares differ by at most the row at the cut
+        import multiprocessing
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
+        n = 2000
+        binding = {"n_i": n, "n_j": n}
+        shapes = {"A": (n,), "B": (n, n), "C": (n,)}
+        rng = np.random.default_rng(19)
+        dense = {"B": rng.integers(-3, 4, n * n), "C": rng.integers(-3, 4, n)}
+        store = pack_store(plan, shapes, dense, binding, np.int64)
+        del dense
+        seq = execute(plan, store, shapes, binding, dtype=np.int64)
+        monkeypatch.setattr(codegen, "FORK_POINTS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        ctx = multiprocessing.get_context("fork")
+        pools, parent, real_pool, real_run = [], [], ctx.Pool, codegen._run_chunks
+
+        def pool(processes):
+            pools.append(processes)
+            return real_pool(processes)
+
+        def run_chunks(plan, env, store, chunks, outputs):
+            parent.append(chunks)
+            return real_run(plan, env, store, chunks, outputs)
+        monkeypatch.setattr(ctx, "Pool", pool)
+        monkeypatch.setattr(codegen, "_run_chunks", run_chunks)
+        par = execute(plan, store, shapes, binding, workers=2, dtype=np.int64)
+        assert pools == [1]
+        (chunk,), = parent   # the parent runs the first share, a child the rest
+        si, (lo, hi) = chunk
+        assert (si, lo) == (0, 0) and 0 < hi < n - 1
+        first = sum(n - i for i in range(lo, hi + 1))
+        rest = n * (n + 1) // 2 - first
+        assert abs(first - rest) <= n - hi
+        assert same_result(par, seq)
+
+    @pytest.mark.parametrize("workers,cpus,pool", [(8, 3, 2), (2, 3, 1), (8, 1, None),
+                                                   (3, 8, 2)])
+    def test_processes_capped_at_cpus(self, workers, cpus, pool, monkeypatch):
+        # the parent and at most cpus - 1 pool processes, never `workers` of
+        # them; the pool stands in and runs its work here
+        import multiprocessing
+        plan, store, shapes, binding = default_run("SpMV_UT", "input+output")
+        want = execute(plan, store, shapes, binding, dtype=np.int64)
+        counts = []
+        monkeypatch.setattr(codegen, "FORK_POINTS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool(counts))
+        got = execute(plan, store, shapes, binding, workers=workers, dtype=np.int64)
+        assert counts == ([] if pool is None else [pool])
+        assert same_result(got, want)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_work_bounds_points(self, level):
+        # the cheap bound is never below the walked work, and off a box the
+        # work per outermost value is never below that value's points
+        for name, kern in BUILTIN_KERNELS.items():
+            plan, _, shapes, binding = default_run(name, level)
+            env = {**binding, **{(t, a): e for t, sh in shapes.items() for a, e in enumerate(sh)}}
+            summands = build_compressed_summands(parse_program(kern.text), kern.rule)
+            for sp, summand in zip(plan.summands, summands):
+                if not sp.parallelizable:
+                    continue
+                prog = sp.program
+                lo, work = codegen._work(prog, env)
+                assert codegen._work_bound(prog, env) >= work.sum() > 0, name
+                if prog.box is None:
+                    pts = enumerate_points(iteration_space(summand), binding)
+                    values, counts = np.unique(pts[:, 0], return_counts=True)
+                    assert (work[values - lo] >= counts).all(), name
+                    assert work.sum() == len(pts), name   # no innermost guards here
 
 
 def test_levels_share_one_registry(monkeypatch):
@@ -687,13 +832,14 @@ class TestBox:
         assert first.varies == (False,) * 3 and first.spec == "A,A->"
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_whole_nest_box_across_workers(self, workers):
+    def test_whole_nest_box_across_workers(self, workers, monkeypatch):
         plan = build_plan(parse_program(FULL_RECT), "A", "input+output")
         assert plan.summands[0].program.box.depth == 0
         assert plan.summands[0].parallelizable
-        got, want = run_and_compare(FULL_RECT, "A", {"A": (9,), "B": (9, 5), "C": (5,)},
-                                    {"n": 9, "m": 5}, "input+output", workers=workers)
-        assert np.array_equal(got, want)
+        for _ in both_floors(monkeypatch):
+            got, want = run_and_compare(FULL_RECT, "A", {"A": (9,), "B": (9, 5), "C": (5,)},
+                                        {"n": 9, "m": 5}, "input+output", workers=workers)
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("inputs", [(("i", "j"), ("i",)), (("j",),)])
     def test_output_fixed_across_rows(self, inputs):
@@ -732,6 +878,39 @@ class TestBox:
             assert np.array_equal(got, dense["B"].reshape(n, m) @ dense["C"])
         with pytest.raises(IndexingFault, match="of C "):
             execute(plan, dense, {**shapes, "C": (m - 1,)}, {"n": n, "m": m})
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("sizes", [(8, 8, 8), (12, 5, 9), (13, 13, 2), (56, 56, 56)])
+    def test_repeated_output_rows_summed(self, sizes, level):
+        # MTT_JUT's outer rows (i, J, k) repeat A[i, J] next to each other:
+        # they are summed before one scatter
+        kern = BUILTIN_KERNELS["MTT_JUT"]
+        n_i, n_k, n_l = sizes
+        binding = {**kern.defaults, "n_i": n_i, "n_k": n_k, "n_l": n_l}
+        shapes = {t: tuple(binding[s] for s in syms) for t, syms in kern.shapes.items()}
+        jut, = box_of("MTT_JUT", level)
+        assert jut.repeat and jut.varies[0]
+        got, want = run_and_compare(kern.text, kern.rule, shapes, binding, level)
+        assert np.array_equal(got, want)
+
+    def test_repeated_output_rows_apart(self):
+        # outer rows (i, j) with j >= i repeat A[j] one i apart, not only
+        # next to each other: those bases still take np.add.at
+        space = Polyhedron.build(("i", "j", "k"), ("n", "m"), [
+            ge(v("i")), ge(v("j") - v("i")), ge(v("n") - k(1) - v("j")),
+            ge(v("k")), ge(v("m") - k(1) - v("k"))])
+        stmt = Statement(AccessPlan("A", 0, "dense", ("j",)), (
+            AccessPlan("B", 1, "dense", ("i", "j", "k")), AccessPlan("C", 2, "dense", ("k",))))
+        plan = KernelPlan("A", (SummandPlan(build_loop_nest(space), stmt, False),), None, "none")
+        box = plan.summands[0].program.box
+        assert box.depth == 2 and box.repeat and box.varies[0]
+        n, m = 7, 4
+        rng = np.random.default_rng(23)
+        store = {"B": rng.integers(-3, 4, n * n * m), "C": rng.integers(-3, 4, m)}
+        got = execute(plan, store, {"A": (n,), "B": (n, n, m), "C": (m,)},
+                      {"n": n, "m": m}, dtype=np.int64).dense
+        want = np.triu(store["B"].reshape(n, n, m) @ store["C"]).sum(axis=0)
+        assert np.array_equal(got, want)
 
     def ttm_ut(self, level):
         kern = BUILTIN_KERNELS["TTM_UT"]
@@ -887,7 +1066,7 @@ class TestRuns:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_rows_empty_after_rounding(self, workers, dtype):
+    def test_rows_empty_after_rounding(self, workers, dtype, monkeypatch):
         # j runs over [ceil(i/3), floor((i+1)/3)], which holds no integer when
         # i = 1 mod 3: the projection keeps those i, so their rows are empty.
         # Then a strided innermost level, walked point by point: j = 1 mod 3
@@ -916,8 +1095,9 @@ class TestRuns:
             want = np.zeros(n, dtype=dtype)
             np.add.at(want, pts[:, 0],
                       store["B"][pts[:, 0] * n + pts[:, 1]] * store["C"][pts[:, 1]])
-            got = execute(plan, store, shapes, {"n": n}, workers=workers, dtype=dtype).dense
-            assert np.array_equal(got, want)
+            for _ in both_floors(monkeypatch):
+                got = execute(plan, store, shapes, {"n": n}, workers=workers, dtype=dtype).dense
+                assert np.array_equal(got, want)
             assert codegen.dim_ranges(nest, {"n": n}) == {
                 d: (int(pts[:, c].min()), int(pts[:, c].max())) for c, d in enumerate("ij")}
 
@@ -965,13 +1145,14 @@ class TestRuns:
         return plan, store, shapes, binding
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_short_packed_input_raises(self, workers):
+    def test_short_packed_input_raises(self, workers, monkeypatch):
         # B's packed triangle one slot short: the last row's last index
         plan, store, shapes, binding = self.spmv_ut()
         b = plan.summands[0].statement.inputs[0].buffer_id
         store[b] = store[b][:-1]
-        with pytest.raises(IndexingFault, match=f"buffer {b}$"):
-            execute(plan, store, shapes, binding, workers=workers)
+        for _ in both_floors(monkeypatch):
+            with pytest.raises(IndexingFault, match=f"buffer {b}$"):
+                execute(plan, store, shapes, binding, workers=workers)
 
     @pytest.mark.parametrize("shift,error", [(1, "non-integer index"),
                                              (-2, "index out of range for buffer")])
@@ -988,7 +1169,6 @@ class TestRuns:
 
 
 GCC = shutil.which("gcc")
-LEVELS = ("none", "input", "input+output")
 
 # B is read through two buffers, one per access: the C names each
 TWO_BUFFERS = """
