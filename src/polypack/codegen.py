@@ -17,20 +17,20 @@ so a size polynomial is evaluated only where an array is allocated (a
 compressed output here, an input in `runtime.pack`); every index must fit
 int64 by its program's bounds, and every dense input must hold its shape's
 values, before anything is allocated.  A `workers > 1` call forks only
-where its work (`_work`: points, or a box's gathered values, per value of
-the outermost level) gives each process FORK_POINTS; each process then
-takes a share of a summand's outermost range, balanced by that work, as two
-more bounds on that level.
+where the points of its summands off a box (`_work`, per value of the
+outermost level) give each process FORK_POINTS, plus FORK_OUTPUT_POINTS
+per output value it sends back; each process then takes a share of a
+summand's outermost range, balanced by those points, as two more bounds on
+that level.
 Where a summand's innermost levels form a box (parameter bounds, stride 1,
 no guards, degree-1 index terms with parameter-only coefficients), the
 expander walks only the levels above it: each access's index is then
 base[outer row] + offset[box point], and every
-block of outer rows is one gather, one `matmul` or `einsum` and one scatter,
-rows next to each other that share an output base summed first (`_Box`,
-lowered once per plan; the offsets are built on each call, `_Grid`).
-Elsewhere, an innermost loop without guards whose bounds may read outer
-vars, and on which every index term is degree 1 with a parameter-only
-coefficient that is a multiple of its access's scale, is
+block of outer rows is one gather, one `matmul` or `einsum` and one scatter
+(`_Box`, lowered once per plan; the offsets are built on each call,
+`_Grid`).  Elsewhere, an innermost loop without guards whose bounds may
+read outer vars, and on which every index term is degree 1 with a
+parameter-only coefficient that is a multiple of its access's scale, is
 walked as runs: the expander stops at its rows, each access's index on a
 row is base + step * (j - lo), each base is divided exactly and each run's
 first and last index checked once per row, and a block's indices are one
@@ -196,8 +196,8 @@ def build_loop_nest(space):
 # expanded whole.  Bounds the frontier's memory at any depth.
 BLOCK_POINTS = 1 << 13
 
-# Least work (`_work`) per process for a `workers > 1` call to fork; with
-# less it runs in-process.  SpMV_UT swept with the floor at 0 on a 2-vCPU
+# Least points (`_work`) per process for a `workers > 1` call to fork; with
+# fewer it runs in-process.  SpMV_UT swept with the floor at 0 on a 2-vCPU
 # guest (f64, min of 7 calls, workers 1 over 2; a pool costs about 10 ms):
 #   points per worker   1.0M       2.0M       3.0M       4.0M       16.7M
 #   second vCPU free    0.73       1.10       1.12       1.20       1.90
@@ -206,6 +206,12 @@ BLOCK_POINTS = 1 << 13
 # about 2M the fork never repays its start; up to about 5M it repays it only
 # while the host leaves the second vCPU free.
 FORK_POINTS = 5_000_000
+
+# More points each process must hold per output value, since a child sends
+# its whole outputs back through a pipe: 100-140 ns a value on the same
+# guest, against 9 ns a point on SpMV_UT's run walk.  SpMV_D, one output
+# value per point, ran 2.8-4x slower forked at 1M to 8M points per process.
+FORK_OUTPUT_POINTS = 16
 
 # [0]: the start of a block's only row, and the offsets of an access that
 # no box dim moves
@@ -371,77 +377,23 @@ def _rows(levels, cols, env):
         yield block, n, lo, counts
 
 
-def _interval(poly, known, env):
-    """[least, most] of an affine int poly while each name in `known` lies in
-    its interval there, every other name at its env value."""
-    least = most = 0
-    for c, mono in poly:
-        if not mono:
-            least, most = least + c, most + c
-            continue
-        (v, _), = mono
-        lo, hi = known[v] if v in known else (env[v], env[v])
-        if c < 0:
-            lo, hi = hi, lo
-        least, most = least + c * lo, most + c * hi
-    return least, most
-
-
-def _intervals(levels, env):
-    """Per level, an interval [least, most] that holds its var on every row,
-    by interval arithmetic on the affine bounds, with no walk: exact on a
-    level bounded by parameters only, empty when least > most."""
-    known = {}
-    for lv in levels:
-        known[lv.var] = (max(-(-_interval(p, known, env)[0] // k) for k, p in lv.lowers),
-                         min(_interval(p, known, env)[1] // k for k, p in lv.uppers))
-    return list(known.values())
-
-
-def _row_work(prog, intervals):
-    """(depth, per_row): a summand's work is per_row for each point of its
-    first `depth` levels.  Off a box that is every level, one per point; on
-    a box it is each outer row times the most values one moving access
-    gathers for it (what BLOCK_POINTS bounds in `_run_box`), and a box of
-    the whole nest takes level 0's values as its rows."""
-    box = prog.box
-    if box is None:
-        return len(prog.levels), 1
-    depth = max(box.depth, 1)
-    lens = [max(0, hi - lo + 1) for lo, hi in intervals[box.depth:]]
-    return depth, max([math.prod(lens[j] for j, _ in box.coefs[a.col] if box.depth + j >= depth)
-                       for a in prog.leaves if box.varies[a.col] or not box.depth] or [1])
-
-
-def _work_bound(prog, env):
-    """An upper bound on a summand's `_work` from its levels' `_intervals`."""
-    intervals = _intervals(prog.levels, env)
-    depth, total = _row_work(prog, intervals)
-    for lv, (least, most) in zip(prog.levels[:depth], intervals):
-        count = max(0, (most - least) // lv.stride + 1)
-        total *= min(count, 1) if lv.kind == "fixed" else count
-    return total
-
-
 def _work(prog, env):
-    """A summand's work per value of its outermost level (see `_row_work`):
-    (lo, work), with work[x] the work at value lo + x, summed over the rows
-    of the last counted level by value of level 0.  Those rows' counts come
-    from `_ranges`, which ignores that level's guards: an upper bound."""
-    depth, per_row = _row_work(prog, _intervals(prog.levels, env))
+    """A summand's points per value of its outermost level: (lo, work), with
+    work[x] the points at value lo + x, summed over its innermost rows by
+    value of level 0.  Those rows' counts come from `_ranges`, which ignores
+    that level's guards: an upper bound."""
     top = prog.levels[0]
     lo, hi = (int(x) for x in _level_range(top, {}, env))
     work = np.zeros(max(hi - lo + 1, 0))
-    if depth == 1:   # level 0's values are the rows
-        work[::top.stride] = per_row
+    if len(prog.levels) == 1:   # level 0's values are the rows
+        work[::top.stride] = 1
         return lo, work
     # no index columns and no extent checks; every level below 0 carries its value
     levels = [lv._replace(terms=(), extents=(), keep=None if lv.keep is None else tuple(
         {d for d in lv.keep if isinstance(d, str)} | ({top.var} if k else set())))
-        for k, lv in enumerate(prog.levels[:depth])]
+        for k, lv in enumerate(prog.levels)]
     for block, n, _, counts in _rows(levels, {}, env):
-        work += np.bincount(_column(block[top.var], n) - lo,
-                            _column(counts, n) * per_row, len(work))
+        work += np.bincount(_column(block[top.var], n) - lo, _column(counts, n), len(work))
     return lo, work
 
 
@@ -973,9 +925,7 @@ def _run_box(prog, env, arrays):
     `_expand`, and each slice of an outer block (at most BLOCK_POINTS gathered
     values per varying access, unless one row has more) gathers every input
     at base[row] + offset[box point], contracts them and adds the result to
-    the output at its base[row] + offset; where rows can share an output
-    base, rows next to each other that do are summed first, and only bases
-    that still repeat pay `np.add.at`.  Every index is checked, once per
+    the output at its base[row] + offset.  Every index is checked, once per
     outer block, before the first store read that uses it."""
     box, out = prog.box, arrays[0]
     outer = prog.levels[:box.depth]
@@ -1012,20 +962,12 @@ def _run_box(prog, env, arrays):
                     res = res * rows
                 out[bases[0] + grids[0].off] += res.reshape(-1)
                 continue
-            o = base[0][s:s + rows]
+            idx = base[0][s:s + rows, None] + grids[0].off
             res = res.reshape(rows if per_row else 1, -1)
-            if box.repeat and rows > 1:   # sum neighbouring rows that share a base
-                brk = o[1:] != o[:-1]
-                if not brk.all():
-                    starts = np.flatnonzero(np.concatenate(([True], brk)))
-                    res = (np.add.reduceat(res, starts) if per_row
-                           else res * np.diff(starts, append=rows)[:, None])
-                    o = o[starts]
-                if len(o) > 1 and not (o[1:] > o[:-1]).all():   # a base may still repeat
-                    idx = o[:, None] + grids[0].off
-                    np.add.at(out, idx, np.broadcast_to(res, idx.shape))
-                    continue
-            out[o[:, None] + grids[0].off] += res
+            if box.repeat:
+                np.add.at(out, idx, np.broadcast_to(res, idx.shape))
+            else:
+                out[idx] += res
 
 
 def _run_summand(prog, env, arrays):
@@ -1113,11 +1055,6 @@ def _run_chunks(plan, env, store, chunks, outputs):
 _FORK_STATE = None
 
 
-def _processes(cap, work):
-    """The processes `work` repays: at most cap, each with FORK_POINTS."""
-    return min(cap, int(work) // FORK_POINTS) if FORK_POINTS else cap
-
-
 def _fork_worker(chunks):
     """Run chunks into zeroed outputs shaped like the parent's."""
     plan, env, store, (dense_out, comp) = _FORK_STATE
@@ -1130,16 +1067,18 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
     """Run every summand; returns zero-initialized-then-accumulated outputs.
 
     With workers > 1 the call forks only where its parallelizable summands
-    hold FORK_POINTS of work (`_work`) per process, for at most `workers`
-    processes and the CPUs this process may use, the parent among them;
-    a smaller call runs in-process, and a cheap bound (`_work_bound`)
-    settles most of those before any walk.  Each process takes a share of
-    every parallelizable summand's outermost range, cut where the work
-    summed along that range crosses k/processes of its total, and writes
-    disjoint output slices, so results are bitwise identical to the
-    in-process path for integer data.  Index ranges that can overflow int64
-    and a dense input shorter than its shape raise IndexingFault before any
-    output is allocated.
+    off a box hold, per process, FORK_POINTS points (`_work`) plus
+    FORK_OUTPUT_POINTS per output value, for at most `workers` processes
+    and the CPUs this process may use, the parent among them; a smaller
+    call, or one whose points fill fewer than two shares, runs in-process.
+    A box summand runs in the parent: forked, TTM_UT and MTT_J ran slower
+    at every size swept, up to 8M and 16M gathered values per process.
+    Each process takes a share of every split summand's outermost range,
+    cut where the points summed along that range cross k/processes of their
+    total, and writes disjoint output slices, so results are bitwise
+    identical to the in-process path for integer data.
+    Index ranges that can overflow int64 and a dense input shorter than its
+    shape raise IndexingFault before any output is allocated.
     """
     binding = {k: int(v) for k, v in binding.items()}
     env = {**binding, **{(t, axis): int(e) for t, shape in shapes.items()
@@ -1154,43 +1093,41 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
                                 f"fewer than its shape {tuple(shapes[t])}")
     dense_out, comp = _zero_outputs(plan, shapes, binding, dtype)
 
-    par = {si: plan.summands[si].program for si in live if plan.summands[si].parallelizable}
-    procs, work = 1, {}
-    if workers > 1 and par:
-        cap = min(workers, len(os.sched_getaffinity(0)))
-        # the bound settles a small call before any walk
-        if _processes(cap, sum(_work_bound(p, env) for p in par.values())) > 1:
-            work = {si: _work(p, env) for si, p in par.items()}
-            procs = _processes(cap, sum(w.sum() for _, w in work.values()))
-    if procs <= 1:
+    cap = min(workers, len(os.sched_getaffinity(0)))
+    work = {si: _work(plan.summands[si].program, env) for si in live if cap > 1
+            and plan.summands[si].parallelizable and plan.summands[si].program.box is None}
+    sent = sum(x.size for x in (dense_out, *comp.values()) if x is not None)
+    procs = min(cap, int(sum(w.sum() for _, w in work.values()))
+                // max(FORK_POINTS + FORK_OUTPUT_POINTS * sent, 1))
+    shares = []
+    if procs > 1:
+        shares = [[] for _ in range(procs)]
+        for si, (lo, w) in work.items():
+            if not len(w):
+                continue
+            # value x joins the share whose part of the total holds the middle
+            # of its work: each cut lies within half a value's work of k/procs
+            cum = np.cumsum(w)
+            cuts = [0, *np.searchsorted(procs * (2 * cum - w), 2 * cum[-1] * np.arange(1, procs)),
+                    len(w)]
+            for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+                if b > a:
+                    shares[k].append((si, (lo + int(a), lo + int(b) - 1)))
+        shares = [share for share in shares if share]
+    if len(shares) < 2:
         return ExecResult(*_run_chunks(plan, env, store,
                                        [(si, None) for si in live], (dense_out, comp)))
-
-    per_worker = [[] for _ in range(procs)]
-    for si in live:
-        if si not in work:
-            per_worker[0].append((si, None))
-            continue
-        lo, w = work[si]
-        if not len(w):
-            continue
-        # value x joins the share whose part of the total holds the middle of
-        # its work: each cut lies within half a value's work of k/procs
-        cum = np.cumsum(w)
-        cuts = [0, *np.searchsorted(procs * (2 * cum - w), 2 * cum[-1] * np.arange(1, procs)),
-                len(w)]
-        for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
-            if b > a:
-                per_worker[k].append((si, (lo + int(a), lo + int(b) - 1)))
+    # the parent runs the summands that do not split beside the first share
+    shares[0] += [(si, None) for si in live if si not in work]
 
     global _FORK_STATE
     _FORK_STATE = (plan, env, store, (dense_out, comp))
     try:
         import multiprocessing
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=procs - 1) as pool:
-            pending = pool.map_async(_fork_worker, per_worker[1:])
-            _run_chunks(plan, env, store, per_worker[0], (dense_out, comp))
+        with ctx.Pool(processes=len(shares) - 1) as pool:
+            pending = pool.map_async(_fork_worker, shares[1:])
+            _run_chunks(plan, env, store, shares[0], (dense_out, comp))
             results = pending.get()
     finally:
         _FORK_STATE = None

@@ -214,11 +214,12 @@ def endtoend(built):
             for level, plan in plans.items():
                 store = build_store(plan, tensors, binding)
                 # at the default floor workers > 1 runs in-process at these
-                # sizes; at floor 0 it forks
+                # sizes; at floor 0 it forks wherever points split
                 for workers, floor in ((1, None), (2, None), (8, None), (2, 0), (8, 0)):
                     with pytest.MonkeyPatch.context() as mp:
                         if floor is not None:
                             mp.setattr(codegen, "FORK_POINTS", floor)
+                            mp.setattr(codegen, "FORK_OUTPUT_POINTS", floor)
                         res = execute(plan, store, shapes, binding,
                                       workers=workers, dtype=dtype)
                     out = gather_output(plan, res, shapes[kern.rule], binding).data

@@ -213,14 +213,22 @@ def unpack_output(plan, res, shapes, binding, rule, dtype):
     return out
 
 
-def both_floors(monkeypatch):
-    """Yield twice: at the default FORK_POINTS, where a small `workers > 1`
-    call runs in-process, then at 0, where it forks."""
-    floor = codegen.FORK_POINTS
-    yield
+def no_floor(monkeypatch):
+    """Set FORK_POINTS and FORK_OUTPUT_POINTS to 0: a `workers > 1` call
+    forks wherever its points fill two shares."""
     monkeypatch.setattr(codegen, "FORK_POINTS", 0)
+    monkeypatch.setattr(codegen, "FORK_OUTPUT_POINTS", 0)
+
+
+def both_floors(monkeypatch):
+    """Yield twice: at the default floor, where a small `workers > 1` call
+    runs in-process, then at 0 (`no_floor`), where it forks."""
+    floors = codegen.FORK_POINTS, codegen.FORK_OUTPUT_POINTS
     yield
-    monkeypatch.setattr(codegen, "FORK_POINTS", floor)
+    no_floor(monkeypatch)
+    yield
+    monkeypatch.setattr(codegen, "FORK_POINTS", floors[0])
+    monkeypatch.setattr(codegen, "FORK_OUTPUT_POINTS", floors[1])
 
 
 def run_and_compare(text, rule, shapes, binding, compression, workers=1,
@@ -676,10 +684,11 @@ class InProcessPool:
         return type("Done", (), {"get": lambda _: results})()
 
 
-def default_run(name, level, dtype=np.int64):
-    """A builtin at its default binding: (plan, store, shapes, binding)."""
+def default_run(name, level, dtype=np.int64, **sizes):
+    """A builtin at its default binding, with `sizes` put over it: (plan,
+    store, shapes, binding)."""
     kern = BUILTIN_KERNELS[name]
-    binding = dict(kern.defaults)
+    binding = {**kern.defaults, **sizes}
     shapes = {t: tuple(binding[s] for s in syms) for t, syms in kern.shapes.items()}
     plan = build_plan(parse_program(kern.text), kern.rule, level)
     rng = np.random.default_rng(17)
@@ -723,7 +732,7 @@ class TestFork:
         store = pack_store(plan, shapes, dense, binding, np.int64)
         del dense
         seq = execute(plan, store, shapes, binding, dtype=np.int64)
-        monkeypatch.setattr(codegen, "FORK_POINTS", 0)
+        no_floor(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         ctx = multiprocessing.get_context("fork")
         pools, parent, real_pool, real_run = [], [], ctx.Pool, codegen._run_chunks
@@ -756,32 +765,64 @@ class TestFork:
         plan, store, shapes, binding = default_run("SpMV_UT", "input+output")
         want = execute(plan, store, shapes, binding, dtype=np.int64)
         counts = []
-        monkeypatch.setattr(codegen, "FORK_POINTS", 0)
+        no_floor(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool(counts))
         got = execute(plan, store, shapes, binding, workers=workers, dtype=np.int64)
         assert counts == ([] if pool is None else [pool])
         assert same_result(got, want)
 
+    @pytest.mark.parametrize("name,sizes", [("SpMV_UT", {"n_i": 1, "n_j": 64}),
+                                            ("TTM_UT", {}), ("MTT_J", {})])
+    def test_unsplit_call_starts_no_process(self, name, sizes, monkeypatch):
+        # with the floor at 0, points that one outermost value holds fill
+        # one share only, and a box summand never splits: the call runs
+        # in-process
+        import multiprocessing
+        plan, store, shapes, binding = default_run(name, "input+output", **sizes)
+        assert plan.summands[0].parallelizable
+        want = execute(plan, store, shapes, binding, dtype=np.int64)
+
+        def no_fork(*args):
+            raise AssertionError("a process pool was requested")
+        no_floor(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        assert same_result(execute(plan, store, shapes, binding, workers=2, dtype=np.int64),
+                           want)
+
+    @pytest.mark.parametrize("name,pool", [("SpMV_UT", [1]), ("SpMV_D", [])])
+    def test_outputs_weigh_against_points(self, name, pool, monkeypatch):
+        # with FORK_POINTS at 0, a process must still hold FORK_OUTPUT_POINTS
+        # points per output value: at n = 64, SpMV_UT's 2080 points over 64
+        # outputs fork, SpMV_D's 64 points over 64 outputs do not
+        import multiprocessing
+        plan, store, shapes, binding = default_run(name, "input+output", n_i=64, n_j=64)
+        want = execute(plan, store, shapes, binding, dtype=np.int64)
+        counts = []
+        monkeypatch.setattr(codegen, "FORK_POINTS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool(counts))
+        got = execute(plan, store, shapes, binding, workers=2, dtype=np.int64)
+        assert counts == pool
+        assert same_result(got, want)
+
     @pytest.mark.parametrize("level", LEVELS)
-    def test_work_bounds_points(self, level):
-        # the cheap bound is never below the walked work, and off a box the
-        # work per outermost value is never below that value's points
+    def test_work_counts_points(self, level):
+        # the work per outermost value of a summand off a box is never
+        # below that value's points
         for name, kern in BUILTIN_KERNELS.items():
             plan, _, shapes, binding = default_run(name, level)
             env = {**binding, **{(t, a): e for t, sh in shapes.items() for a, e in enumerate(sh)}}
             summands = build_compressed_summands(parse_program(kern.text), kern.rule)
             for sp, summand in zip(plan.summands, summands):
-                if not sp.parallelizable:
+                if not sp.parallelizable or sp.program.box is not None:
                     continue
-                prog = sp.program
-                lo, work = codegen._work(prog, env)
-                assert codegen._work_bound(prog, env) >= work.sum() > 0, name
-                if prog.box is None:
-                    pts = enumerate_points(iteration_space(summand), binding)
-                    values, counts = np.unique(pts[:, 0], return_counts=True)
-                    assert (work[values - lo] >= counts).all(), name
-                    assert work.sum() == len(pts), name   # no innermost guards here
+                lo, work = codegen._work(sp.program, env)
+                pts = enumerate_points(iteration_space(summand), binding)
+                values, counts = np.unique(pts[:, 0], return_counts=True)
+                assert (work[values - lo] >= counts).all(), name
+                assert work.sum() == len(pts) > 0, name   # no innermost guards here
 
 
 def test_levels_share_one_registry(monkeypatch):
@@ -881,9 +922,9 @@ class TestBox:
 
     @pytest.mark.parametrize("level", LEVELS)
     @pytest.mark.parametrize("sizes", [(8, 8, 8), (12, 5, 9), (13, 13, 2), (56, 56, 56)])
-    def test_repeated_output_rows_summed(self, sizes, level):
+    def test_repeated_output_rows_added(self, sizes, level):
         # MTT_JUT's outer rows (i, J, k) repeat A[i, J] next to each other:
-        # they are summed before one scatter
+        # np.add.at adds every one of them
         kern = BUILTIN_KERNELS["MTT_JUT"]
         n_i, n_k, n_l = sizes
         binding = {**kern.defaults, "n_i": n_i, "n_k": n_k, "n_l": n_l}
@@ -895,7 +936,7 @@ class TestBox:
 
     def test_repeated_output_rows_apart(self):
         # outer rows (i, j) with j >= i repeat A[j] one i apart, not only
-        # next to each other: those bases still take np.add.at
+        # next to each other
         space = Polyhedron.build(("i", "j", "k"), ("n", "m"), [
             ge(v("i")), ge(v("j") - v("i")), ge(v("n") - k(1) - v("j")),
             ge(v("k")), ge(v("m") - k(1) - v("k"))])
