@@ -2,11 +2,11 @@
 
 A summand's iteration space becomes one nest of levels (loop / fixed /
 strided, `_Level`) whose bounds, guards and phases are integer polynomials
-from the start; every tensor access becomes either a compressed-buffer
-index plan (the rank polynomial, split by loop level) or a dense row-major
-offset, both lowered to integer polynomials once per plan.  One frontier
-expander walks a nest level by level over int64 columns.  Every level is a
-set of rows: each frontier row has a first value and a count there
+from the start; every tensor access's index is one integer polynomial, a
+compressed buffer's scaled rank or a dense row-major offset, split once per
+plan by loop level (`indexing.hoist_schedule`).  One frontier expander
+walks a nest level by level over int64 columns.  Every level is a set of
+rows: each frontier row has a first value and a count there
 (`_ranges`, which checks a level without guards against the dense extents
 its var indexes once per row), and one cutter splits the rows into blocks
 of at most BLOCK_POINTS points (`_row_blocks`).  The expander yields the
@@ -451,7 +451,6 @@ class AccessPlan:
     layout: str            # "compressed" | "dense"
     names: tuple           # iterator name per tensor axis
     rank: object = None    # PiecewiseQuasiPolynomial in iterator names
-    plan: object = None    # HoistPlan when the rank is a single polynomial
     scale: int = 1         # lcm of rank denominators
     strides: tuple = None  # dense: env name of each axis's stride (None: row-major)
 
@@ -483,7 +482,7 @@ class KernelPlan:
     compression: str       # "none" | "input" | "input+output"
 
 
-def _access_plan(registry, si, slot, acc, compression, space):
+def _access_plan(registry, si, slot, acc, compression):
     bid = registry.assignment[(si, slot)]
     buf = registry.buffers[bid]
     wants = (compression == "input+output") if slot == "out" else (compression != "none")
@@ -493,16 +492,13 @@ def _access_plan(registry, si, slot, acc, compression, space):
     mapping = {d: acc.index_names[buf.axes[p]]
                for p, d in enumerate(buf.accessed.dims)}
     return _rank_access(acc.tensor, bid, tuple(acc.index_names),
-                        buf.index.rank.rename(mapping), space.dims)
+                        buf.index.rank.rename(mapping))
 
 
-def _rank_access(tensor, bid, names, rank, dims):
-    """A compressed access whose rank is hoisted over the nest dims."""
-    poly = rank.single_polynomial()
-    plan = hoist_schedule(poly, dims) if poly is not None else None
+def _rank_access(tensor, bid, names, rank):
+    """A compressed access, scaled by the lcm of its rank's denominators."""
     scale = math.lcm(*(p.denominator_lcm() for _, p in rank.pieces))
-    return AccessPlan(tensor, bid, "compressed", names,
-                      rank=rank, plan=plan, scale=int(scale))
+    return AccessPlan(tensor, bid, "compressed", names, rank=rank, scale=int(scale))
 
 
 def copy_program(index):
@@ -520,7 +516,7 @@ def copy_program(index):
     dims, tensor = index.accessed.dims, index.tensor
     view = AccessPlan(tensor, None, "dense", dims,
                       strides=tuple((tensor, p, "stride") for p in range(len(dims))))
-    rank = _rank_access(tensor, 0, dims, index.rank, dims)
+    rank = _rank_access(tensor, 0, dims, index.rank)
     return _program(build_loop_nest(index.accessed), Statement(view, (rank,)), contract=False)
 
 
@@ -533,10 +529,9 @@ def build_plan(program, rule, compression="input+output"):
     summands, registry = program.compiled[rule]
     plans = []
     for si, s in enumerate(summands):
-        space = iteration_space(s)
-        nest = build_loop_nest(space)
-        out_plan = _access_plan(registry, si, "out", s.output, compression, space)
-        ins = tuple(_access_plan(registry, si, f"in{k}", a, compression, space)
+        nest = build_loop_nest(iteration_space(s))
+        out_plan = _access_plan(registry, si, "out", s.output, compression)
+        ins = tuple(_access_plan(registry, si, f"in{k}", a, compression)
                     for k, a in enumerate(s.inputs))
         stmt = Statement(out_plan, ins)
         par = (not nest.empty and len(nest.levels) > 0
@@ -601,13 +596,15 @@ _Box = namedtuple("_Box", "depth coefs varies repeat spec matmul")
 def _program(nest, stmt, contract=True):
     """A nest and a statement's accesses in integer form for `execute`.
 
-    Every access whose rank is one polynomial carries its index down the
-    levels as an accumulator column: the scaled rank's `HoistPlan` terms
-    for a compressed access, strides for a dense one (row-major, products
-    of (tensor, axis) extents, unless the access names its own), and each
-    level learns the dense extents its var indexes.  Inner levels run as a
-    box when they form one and `contract` is set, else the innermost level
-    is walked as runs when it is a run level.
+    Every access whose index is one polynomial carries it down the levels
+    as an accumulator column: the integer poly, the scaled rank of a
+    compressed access or the offset of a dense one (row-major, products of
+    (tensor, axis) extents, unless the access names its own strides), is
+    split once by `hoist_schedule` into the parameter-only root and each
+    level's terms, and each level learns the dense extents its var
+    indexes.  The int64 rule bounds the unsplit poly.  Inner levels run as
+    a box when they form one and `contract` is set, else the innermost
+    level is walked as runs when it is a run level.
     """
     if nest.empty:
         return None
@@ -619,27 +616,22 @@ def _program(nest, stmt, contract=True):
     for col, a in enumerate((stmt.output,) + tuple(stmt.inputs)):
         pieces = None
         if a.layout == "dense":
-            const, stride = [], ()
+            poly, stride = (), ()
             for axis in reversed(range(len(a.names))):
                 it = a.names[axis]
                 step = stride if a.strides is None else ((a.strides[axis], 1),)
-                if it in dims:
-                    terms[dims.index(it)].append((col, 1, ((1, step),)))
-                    extents[dims.index(it)].add((a.tensor, (a.tensor, axis)))
-                else:
-                    const.append((1, step + ((it, 1),)))
+                poly += ((1, step + ((it, 1),)),)
+                extents[dims.index(it)].add((a.tensor, (a.tensor, axis)))
                 stride += (((a.tensor, axis), 1),)
-            root[col] = tuple(const)
-        elif a.plan is not None:
-            root[col] = int_poly(a.plan.const, a.scale)
-            for k, parts in enumerate(a.plan.levels):
-                terms[k].extend((col, e, int_poly(c, a.scale)) for e, c in parts)
+        elif (single := a.rank.single_polynomial()) is not None:
+            poly = int_poly(single, a.scale)
         else:
             pieces = a.rank.lowered[1]
-        polys = [p for _, p, _ in pieces] if pieces else [root[col] + tuple(
-            (c, mono + ((levels[k].var, e),))
-            for k in range(len(levels)) for t, e, p in terms[k] if t == col
-            for c, mono in p)]
+        if pieces is None:
+            root[col], split = hoist_schedule(poly, dims)
+            for k, parts in enumerate(split):
+                terms[k].extend((col, e, p) for e, p in parts)
+        polys = [p for _, p, _ in pieces] if pieces else [poly]
         # an iterator is bounded by the extent of the axis it indexes here
         own = dict(reversed([(it, (a.tensor, axis)) for axis, it in enumerate(a.names)]))
         bounds.append((a.tensor, tuple(tuple((c, tuple((own.get(v, v), e) for v, e in mono))

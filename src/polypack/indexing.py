@@ -6,17 +6,16 @@ indexes a dense 1-d buffer holding exactly the region's values.  Accesses
 whose regions provably coincide share one buffer; distinct regions of a
 tensor must be provably disjoint, otherwise the whole tensor falls back to a
 dense uncompressed layout (the safe path when regions partially overlap).
+`hoist_schedule` splits an access's index, as an integer polynomial, by
+loop level, so each part is computed at the outermost level it can be.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .counting import (
-    QuasiPolynomial, count_points, fuse_piecewise, pqp_add, pqp_constant,
-)
+from .counting import count_points, fuse_piecewise, pqp_add, pqp_constant
 from .polyhedra import (
     AccessMap, AffineExpr, Polyhedron, _empty_cache, _rationally_infeasible,
     ge, image, implies, iteration_space, preceding_slices,
@@ -203,44 +202,26 @@ def build_registry(summands):
 # Loop-invariant hoisting
 
 
-@dataclass(frozen=True)
-class HoistPlan:
-    """Rank polynomial split by deepest loop level.
+def hoist_schedule(poly, dims):
+    """Split an integer poly (`counting.int_poly`'s form) by loop level.
 
-    const depends on params only and hoists above all loops; levels[k] is a
-    tuple of (exponent, coefficient) pairs for dims[k], every coefficient
-    depending only on params and dims before k.  Summing all level terms
-    reproduces the polynomial exactly.
+    Returns (root, levels): root holds the monomials that read no dim, so
+    it hoists above all loops; levels[k] holds (exponent, coefficient)
+    pairs for dims[k], by rising exponent, from the monomials whose deepest
+    dim is dims[k], each coefficient an integer poly over the params and
+    the dims before k.  root plus every coefficient * dims[k]**exponent is
+    the poly again.  A monomial's other factors keep their order, and each
+    coefficient's monomials keep their order in the poly.
     """
-
-    dims: tuple
-    const: QuasiPolynomial
-    levels: tuple
-
-    def evaluate(self, binding):
-        total = self.const.evaluate(binding)
-        for var, parts in zip(self.dims, self.levels):
-            for e, coeff in parts:
-                total += coeff.evaluate(binding) * Fraction(binding[var]) ** e
-        return total
-
-
-def hoist_schedule(rank, dims):
-    dims = tuple(dims)
     depth = {d: k for k, d in enumerate(dims)}
-    const = QuasiPolynomial()
-    buckets = [QuasiPolynomial() for _ in dims]
-    for mono, coeff in rank.terms.items():
-        term = QuasiPolynomial({mono: coeff})
-        levels_hit = [depth[v] for v, _ in mono if v in depth]
-        if not levels_hit:
-            const = const + term
-        else:
-            k = max(levels_hit)
-            buckets[k] = buckets[k] + term
-    levels = []
-    for k, var in enumerate(dims):
-        parts = tuple(sorted(buckets[k].coeffs_in(var).items()))
-        assert all(e >= 1 for e, _ in parts)
-        levels.append(parts)
-    return HoistPlan(dims, const, tuple(levels))
+    root, parts = [], [{} for _ in dims]
+    for c, mono in poly:
+        k = max((depth[v] for v, _ in mono if v in depth), default=None)
+        if k is None:
+            root.append((c, mono))
+            continue
+        e = sum(x for v, x in mono if v == dims[k])
+        rest = tuple(f for f in mono if f[0] != dims[k])
+        parts[k].setdefault(e, []).append((c, rest))
+    return tuple(root), tuple(tuple((e, tuple(p)) for e, p in sorted(ps.items()))
+                              for ps in parts)

@@ -1015,7 +1015,7 @@ class TestBox:
         space = space_of(text)
         dims = ("y", "z", "x")
         nest = build_loop_nest(Polyhedron.build(dims, space.params, space.constraints))
-        rank = codegen._rank_access("B", buf.id, ("x", "y", "z"), buf.index.rank, dims)
+        rank = codegen._rank_access("B", buf.id, ("x", "y", "z"), buf.index.rank)
         assert rank.scale == 2
         stmt = Statement(AccessPlan("A", 0, "dense", ("x",)), (
             rank, AccessPlan("C", 1, "dense", ("y", "z"))))

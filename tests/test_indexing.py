@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polypack.counting import QuasiPolynomial
+from polypack.counting import QuasiPolynomial, int_poly
 from polypack.indexing import (
     build_registry, hoist_schedule, regions_equal, symbolic_indexing,
 )
 from polypack.polyhedra import (
     AccessMap, AffineExpr, Polyhedron, enumerate_points, ge, image,
-    iteration_space,
+    iteration_space, poly_values,
 )
 from polypack.stur import build_compressed_summands, parse_program
 
@@ -267,49 +267,94 @@ class TestRegistry:
         )
 
 
+def unsplit(root, levels, dims, env):
+    """root plus every level's coefficient * dim**exponent, at env."""
+    return poly_values(root, {}, env) + sum(
+        poly_values(c, {}, env) * env[d] ** e
+        for d, parts in zip(dims, levels) for e, c in parts)
+
+
 class TestHoist:
+    """`hoist_schedule` splits an integer poly into a root and per-level
+    (exponent, coefficient) terms."""
+
     def prism_poly(self):
+        # 2 * the prism's rank, as `codegen._program` lowers it
         n, qq, i, j, l = q("N"), q("Q"), q("i"), q("j"), q("l")
         return (n - HALF) * qq * i - HALF * qq * i.power(2) + qq * j + l
 
     def test_prism_plan_hoists_param_coefficient(self):
-        plan = hoist_schedule(self.prism_poly(), ("i", "j", "l"))
-        assert plan.const.is_zero
-        parts_i = dict(plan.levels[0])
-        assert parts_i[1] == (q("N") - HALF) * q("Q")
-        assert parts_i[2] == QuasiPolynomial.constant(-HALF) * q("Q")
+        root, levels = hoist_schedule(int_poly(self.prism_poly(), 2), ("i", "j", "l"))
+        assert root == ()
+        parts_i = dict(levels[0])
+        assert parts_i[1] == int_poly((q("N") - HALF) * q("Q"), 2)
+        assert parts_i[2] == int_poly(-HALF * q("Q"), 2)
         # loop-invariant coefficients: params only, computable above all loops
-        assert all(c.variables() <= {"N", "Q"} for c in parts_i.values())
-        assert plan.levels[1] == ((1, q("Q")),)
-        assert plan.levels[2] == ((1, QuasiPolynomial.constant(1)),)
+        assert all(v in {"N", "Q"} for c in parts_i.values() for _, mono in c for v, _ in mono)
+        assert levels[1] == ((1, ((2, (("Q", 1),)),)),)
+        assert levels[2] == ((1, ((2, ()),)),)
 
     def test_single_loop_identity(self):
-        plan = hoist_schedule(q("j"), ("j",))
-        assert plan.const.is_zero
-        assert plan.levels == (((1, QuasiPolynomial.constant(1)),),)
+        assert hoist_schedule(((1, (("j", 1),)),), ("j",)) == ((), (((1, ((1, ()),)),),))
 
     def test_triangle_levels(self):
-        poly = HALF * q("i") + HALF * q("i").power(2) + q("j")
-        plan = hoist_schedule(poly, ("i", "j"))
-        assert dict(plan.levels[0]) == {
-            1: QuasiPolynomial.constant(HALF), 2: QuasiPolynomial.constant(HALF)}
-        assert plan.levels[1] == ((1, QuasiPolynomial.constant(1)),)
+        poly = int_poly(HALF * q("i") + HALF * q("i").power(2) + q("j"), 2)
+        root, levels = hoist_schedule(poly, ("i", "j"))
+        assert root == ()
+        assert levels[0] == ((1, ((1, ()),)), (2, ((1, ()),)))
+        assert levels[1] == ((1, ((2, ()),)),)
 
     def test_innermost_increment_is_linear(self):
-        plan = hoist_schedule(self.prism_poly(), ("i", "j", "l"))
-        assert max(e for e, _ in plan.levels[-1]) == 1
+        _, levels = hoist_schedule(int_poly(self.prism_poly(), 2), ("i", "j", "l"))
+        assert max(e for e, _ in levels[-1]) == 1
 
     def test_plan_matches_polynomial(self):
         poly = self.prism_poly()
-        plan = hoist_schedule(poly, ("i", "j", "l"))
+        dims = ("i", "j", "l")
+        root, levels = hoist_schedule(int_poly(poly, 2), dims)
         binding = {"N": 7, "Q": 4}
         for i in range(0, 16, 3):
             for j in range(0, 16, 3):
                 for l in range(0, 16, 5):
                     env = {**binding, "i": i, "j": j, "l": l}
-                    assert plan.evaluate(env) == poly.evaluate(env)
+                    assert unsplit(root, levels, dims, env) == 2 * poly.evaluate(env)
 
     def test_constant_term_hoisted(self):
-        poly = q("n") * q("n") + q("i") + QuasiPolynomial.constant(3)
-        plan = hoist_schedule(poly, ("i",))
-        assert plan.const == q("n") * q("n") + QuasiPolynomial.constant(3)
+        poly = int_poly(q("n") * q("n") + q("i") + QuasiPolynomial.constant(3), 1)
+        root, _ = hoist_schedule(poly, ("i",))
+        assert root == int_poly(q("n") * q("n") + QuasiPolynomial.constant(3), 1)
+
+    def test_dense_offset_strides(self):
+        # A(i, j)'s row-major offset, extents named (tensor, axis)
+        poly = ((1, (("j", 1),)), (1, ((("A", 1), 1), ("i", 1))))
+        assert hoist_schedule(poly, ("i", "j")) == (
+            (), (((1, ((1, ((("A", 1), 1),)),)),), ((1, ((1, ()),)),)))
+
+    def test_factor_and_monomial_order_kept(self):
+        poly = ((3, (("i", 1), ("n", 1))), (-1, (("m", 2), ("i", 1))), (5, (("n", 1),)))
+        root, levels = hoist_schedule(poly, ("i",))
+        assert root == ((5, (("n", 1),)),)
+        assert levels == (((1, ((3, (("n", 1),)), (-1, (("m", 2),)))),),)
+
+    _NAMES = ("i", "j", "k", "N", "n", ("A", 0), ("A", 1), ("B", 0, "stride"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_split_property(self, data):
+        dims = data.draw(st.permutations(("i", "j", "k")))[:data.draw(st.integers(2, 3))]
+        names = [x for x in self._NAMES if x not in ("i", "j", "k") or x in dims]
+        mono = st.lists(st.tuples(st.sampled_from(names), st.integers(1, 3)),
+                        max_size=4, unique_by=lambda f: f[0]).map(tuple)
+        poly = tuple(data.draw(st.lists(st.tuples(
+            st.integers(-9, 9).filter(bool), mono), max_size=6)))
+        root, levels = hoist_schedule(poly, dims)
+        assert len(levels) == len(dims)
+        assert not any(v in dims for _, mono in root for v, _ in mono)
+        for k, parts in enumerate(levels):
+            assert all(e >= 1 for e, _ in parts)
+            # a level's coefficients read parameters and outer dims only
+            read = {v for _, c in parts for _, m in c for v, _ in m}
+            assert not read & set(dims[k:])
+        env = dict(zip(names, data.draw(st.lists(
+            st.integers(-4, 4), min_size=len(names), max_size=len(names)))))
+        assert unsplit(root, levels, dims, env) == poly_values(poly, {}, env)
