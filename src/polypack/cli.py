@@ -21,6 +21,7 @@ from .codegen import (
     emit_c_files, execute, reference_execute,
 )
 from .counting import CountingError, DomainError
+from .native import compiler
 from .polyhedra import AccessMap, PolyhedronError, image, iteration_space
 from .runtime import (
     build_store, footprint_report, gather_output, random_tensor,
@@ -236,6 +237,11 @@ def cmd_compile(args):
     return 0
 
 
+def _backend(args):
+    """The backend flag, by default "c" where gcc is on PATH, else "numpy"."""
+    return args.backend or ("c" if compiler() else "numpy")
+
+
 def cmd_run(args):
     cfg = _resolve(args)
     _refuse_redundancy_maps(cfg)
@@ -246,7 +252,7 @@ def cmd_run(args):
     if args.corrupt_index:
         _corrupt_store(store)
     result = execute(plan, store, cfg.shapes, cfg.binding,
-                     workers=args.workers, dtype=dtype)
+                     workers=args.workers, dtype=dtype, backend=_backend(args))
     out = gather_output(plan, result, cfg.shapes[cfg.rule], cfg.binding)
     ref = reference_execute(cfg.program, cfg.rule, cfg.shapes,
                             {t: tensors[t].data for t in cfg.inputs},
@@ -263,11 +269,13 @@ def _bench_one(cfg, compression, args):
     tensors = _make_inputs(cfg, args.seed, dtype)
     store = build_store(plan, tensors, cfg.binding)
 
+    backend = _backend(args)
+
     def once():
         return execute(plan, store, cfg.shapes, cfg.binding,
-                       workers=args.workers, dtype=dtype)
+                       workers=args.workers, dtype=dtype, backend=backend)
 
-    once()  # warm-up, untimed
+    once()  # warm-up, untimed: the first call of a plan on C may build its library
     times = []
     for _ in range(3):
         t0 = time.perf_counter_ns()
@@ -286,6 +294,7 @@ def _bench_one(cfg, compression, args):
         "kernel": cfg.name,
         "binding": ";".join(f"{k}={v}" for k, v in sorted(cfg.binding.items())),
         "compression": compression,
+        "backend": backend,
         "workers": args.workers,
         "runtime_ns": int(statistics.median(times)),
         "elements_dense": report.dense_total(),
@@ -295,7 +304,7 @@ def _bench_one(cfg, compression, args):
     }
 
 
-CSV_COLUMNS = ["kernel", "binding", "compression", "workers", "runtime_ns",
+CSV_COLUMNS = ["kernel", "binding", "compression", "backend", "workers", "runtime_ns",
                "elements_dense", "elements_compressed", "rate", "verify"]
 
 
@@ -365,11 +374,15 @@ def _parser():
                         help="print buffers, polynomials, and each summand's C")
     pc.add_argument("--emit-c", metavar="DIR",
                     help="write one C file per summand into DIR")
-    pr = sub.add_parser("run", parents=[common],
+    backend = argparse.ArgumentParser(add_help=False)
+    backend.add_argument("--backend", choices=["c", "numpy"],
+                         help="run summands off a box as compiled C (needs gcc), or all on "
+                              "NumPy (default: c where gcc is on PATH)")
+    pr = sub.add_parser("run", parents=[common, backend],
                         help="execute and verify against the dense reference")
     pr.add_argument("--corrupt-index", action="store_true",
                     help=argparse.SUPPRESS)
-    pb = sub.add_parser("bench", parents=[common],
+    pb = sub.add_parser("bench", parents=[common, backend],
                         help="median-of-3 timings and footprint CSV")
     pb.add_argument("--csv", metavar="FILE", help="write CSV here, not stdout")
     return p

@@ -17,11 +17,11 @@ so a size polynomial is evaluated only where an array is allocated (a
 compressed output here, an input in `runtime.pack`); every index must fit
 int64 by its program's bounds, and every dense input must hold its shape's
 values, before anything is allocated.  A `workers > 1` call forks only
-where the points of its summands off a box (`_work`, per value of the
-outermost level) give each process FORK_POINTS, plus FORK_OUTPUT_POINTS
-per output value it sends back; each process then takes a share of a
-summand's outermost range, balanced by those points, as two more bounds on
-that level.
+where the points of its summands on this walk and off a box (`_work`, per
+value of the outermost level) give each process FORK_POINTS, plus
+FORK_OUTPUT_POINTS per output value it sends back; each process then takes
+a share of a summand's outermost range, balanced by those points, as two
+more bounds on that level.
 Where a summand's innermost levels form a box (parameter bounds, stride 1,
 no guards, degree-1 index terms with parameter-only coefficients), the
 expander walks only the levels above it: each access's index is then
@@ -41,14 +41,18 @@ by point, and equal output indices next to each other are summed first.
 region's rank and its tensor's dense offset (`copy_program`).  `build_plan`
 renders each summand's lowered program once as C (`SummandPlan.source`):
 the same integer bounds, guards and index terms in int64_t, each scaled
-rank divided exactly at its leaf and every dense index checked against its
-extent, so C and `execute` share one lowering; `emit_c` assembles those
-texts and `polypack compile` prints them.  The compressed summands and the buffer registry are built once per
-(program, rule) and shared by all three compression levels.
+rank divided exactly and every index checked, once per row on a run level,
+each failed check returned as a status, so C and the walk share one
+lowering; `emit_c` assembles those texts and `polypack compile` prints
+them.  `execute` runs every summand off a box through that C where gcc
+exists (`native`), and the rest on the walk above.  The compressed
+summands and the buffer registry are built once per (program, rule) and
+shared by all three compression levels.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 from collections import namedtuple
@@ -57,6 +61,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from . import native
 from .counting import CountingError, DomainError, int_poly
 from .indexing import build_registry, hoist_schedule
 from .polyhedra import (
@@ -197,8 +202,9 @@ def build_loop_nest(space):
 BLOCK_POINTS = 1 << 13
 
 # Least points (`_work`) per process for a `workers > 1` call to fork; with
-# fewer it runs in-process.  SpMV_UT swept with the floor at 0 on a 2-vCPU
-# guest (f64, min of 7 calls, workers 1 over 2; a pool costs about 10 ms):
+# fewer it runs in-process.  Only summands on the NumPy walk fork, and this
+# was measured there: SpMV_UT swept with the floor at 0 on a 2-vCPU guest
+# (f64, min of 7 calls, workers 1 over 2; a pool costs about 10 ms):
 #   points per worker   1.0M       2.0M       3.0M       4.0M       16.7M
 #   second vCPU free    0.73       1.10       1.12       1.20       1.90
 #   host under load     0.54-0.62  0.61-0.73  0.78-0.82  0.75-0.84  1.60
@@ -473,6 +479,12 @@ class SummandPlan:
         """The summand lowered for `execute` (see `_program`)."""
         return _program(self.nest, self.statement)
 
+    @cached_property
+    def c_args(self):
+        """Where each argument of the summand's C function comes from, in
+        order (see `_c_signature`)."""
+        return tuple(src for _, src in _c_signature(self.nest.params, self.statement))
+
 
 @dataclass(frozen=True)
 class KernelPlan:
@@ -480,6 +492,11 @@ class KernelPlan:
     summands: tuple
     registry: object
     compression: str       # "none" | "input" | "input+output"
+
+    @cached_property
+    def c_text(self):
+        """The plan's C: the prelude and every summand's function."""
+        return _c_text(*(sp.source for sp in self.summands))
 
 
 def _access_plan(registry, si, slot, acc, compression):
@@ -856,8 +873,9 @@ def _box_base(a, base, grid, array):
 
 # Where an access's values lie relative to its base, over a box at one
 # binding: off, the flat offsets in row-major box order; least and most,
-# their extremes; shape, the extent of each box dim it reads.
-_Grid = namedtuple("_Grid", "off least most shape")
+# their extremes; shape, the extent of each box dim it reads; flat, whether
+# off is 0, 1, ..., len(off) - 1.
+_Grid = namedtuple("_Grid", "off least most shape flat")
 
 
 def _box_grids(prog, env):
@@ -876,14 +894,21 @@ def _box_grids(prog, env):
     values = [np.arange(lo, hi + 1) for lo, hi in ranges]
     grids = []
     for a in prog.leaves:
+        coefs = [(j, poly_values(p, {}, env)) for j, p in box.coefs[a.col]]
+        # flat when each box dim steps by the points of the dims after it,
+        # from 0 (a dim of one value can step by anything)
+        flat, points = True, 1
+        for j, c in reversed(coefs):
+            flat = flat and (c == points or len(values[j]) == 1)
+            points *= len(values[j])
         off, least, most = _ORIGIN, 0, 0
-        for j, p in box.coefs[a.col]:
-            c = poly_values(p, {}, env)
+        for j, c in coefs:
             ends = (c * ranges[j][0], c * ranges[j][1])
             least, most = least + min(ends), most + max(ends)
             step = values[j] if c == 1 else c * values[j]
             off = step if off is _ORIGIN else (off[:, None] + step).ravel()
-        grids.append(_Grid(off, least, most, tuple(len(values[j]) for j, _ in box.coefs[a.col])))
+        grids.append(_Grid(off, least, most, tuple(len(values[j]) for j, _ in coefs),
+                           flat and least == 0))
     return grids
 
 
@@ -912,13 +937,33 @@ def _box_call(prog, env, arrays, block):
     return grids, bases, consts, matrix
 
 
+def _abut(base, width):
+    """Whether each row's base lies `width` past the one before; the ends
+    are compared first, which rules most non-abutting blocks out."""
+    return len(base) == 1 or (base[-1] - base[0] == (len(base) - 1) * width
+                              and (base[1:] - base[:-1] == width).all())
+
+
+def _box_rows(array, base, grid, s, rows, slab):
+    """Rows s..s+rows-1 of a varying access under a box, as (rows, box
+    points): one slice of `array` where its rows abut (`slab`), else a
+    gather at base[row] + offset[box point]."""
+    if slab:
+        first = int(base[s])
+        return array[first:first + rows * len(grid.off)].reshape(rows, -1)
+    return array[base[s:s + rows, None] + grid.off]
+
+
 def _run_box(prog, env, arrays):
     """Accumulate a summand through its box (`_Box`): the outer levels run on
     `_expand`, and each slice of an outer block (at most BLOCK_POINTS gathered
-    values per varying access, unless one row has more) gathers every input
-    at base[row] + offset[box point], contracts them and adds the result to
-    the output at its base[row] + offset.  Every index is checked, once per
-    outer block, before the first store read that uses it."""
+    values per varying access, unless one row has more) reads every input at
+    base[row] + offset[box point], contracts them and adds the result to the
+    output at its base[row] + offset.  Where an access's offsets are flat
+    and its rows in the block abut, as a packed buffer's do when its rank
+    follows the walk, those reads and adds are one slice.  Every index is
+    checked, once per outer block, before the first store read that uses
+    it."""
     box, out = prog.box, arrays[0]
     outer = prog.levels[:box.depth]
     root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
@@ -935,10 +980,12 @@ def _run_box(prog, env, arrays):
         grids, bases, consts, matrix = state
         base = {a.col: _box_base(a, _column(block[a.col], m), grids[a.col], arrays[a.col])
                 for a in moving}
+        slab = {a.col for a in moving
+                if grids[a.col].flat and _abut(base[a.col], len(grids[a.col].off))}
         for s in range(0, m, rows_per):
             rows = min(m, s + rows_per) - s
             ops = [consts[a.col] if a.col in consts
-                   else arrays[a.col][base[a.col][s:s + rows, None] + grids[a.col].off]
+                   else _box_rows(arrays[a.col], base[a.col], grids[a.col], s, rows, a.col in slab)
                    for a in prog.leaves[1:]]
             if matrix is not None:
                 res = ops[box.matmul[0] - 1] @ matrix
@@ -954,8 +1001,11 @@ def _run_box(prog, env, arrays):
                     res = res * rows
                 out[bases[0] + grids[0].off] += res.reshape(-1)
                 continue
-            idx = base[0][s:s + rows, None] + grids[0].off
             res = res.reshape(rows if per_row else 1, -1)
+            if 0 in slab:   # abutting rows: no index repeats
+                _box_rows(out, base[0], grids[0], s, rows, True)[...] += res
+                continue
+            idx = base[0][s:s + rows, None] + grids[0].off
             if box.repeat:
                 np.add.at(out, idx, np.broadcast_to(res, idx.shape))
             else:
@@ -1024,9 +1074,11 @@ def _zero_outputs(plan, shapes, binding, dtype):
 _SHARE = ("share.lo", "share.hi")
 
 
-def _run_chunks(plan, env, store, chunks, outputs):
-    """Run (summand index, share) chunks into outputs = (dense, compressed);
-    a share (lo, hi) is two more bounds on the summand's outermost level."""
+def _run_chunks(plan, env, store, chunks, outputs, calls):
+    """Run (summand index, share) chunks into outputs = (dense, compressed):
+    a whole summand through its C function in `calls` when every array it
+    reads has the output's dtype and is contiguous, else on the NumPy walk,
+    where a share (lo, hi) is two more bounds on its outermost level."""
     dense_out, comp = outputs
     for si, share in chunks:
         sp = plan.summands[si]
@@ -1034,6 +1086,10 @@ def _run_chunks(plan, env, store, chunks, outputs):
         prog, run_env = sp.program, env
         arrays = (dense_out if o.layout == "dense" else comp[o.buffer_id],
                   *[store[a.key] for a in prog.leaves[1:]])
+        if si in calls and all(x.dtype == arrays[0].dtype and x.flags.c_contiguous
+                               for x in arrays[1:]):
+            _run_c(calls[si], sp, arrays, env)
+            continue
         if share is not None:
             lo, hi = (int_form(AffineExpr.var(name)) for name in _SHARE)
             top = prog.levels[0]
@@ -1052,19 +1108,80 @@ def _fork_worker(chunks):
     plan, env, store, (dense_out, comp) = _FORK_STATE
     outputs = (None if dense_out is None else np.zeros_like(dense_out),
                {bid: np.zeros_like(x) for bid, x in comp.items()})
-    return _run_chunks(plan, env, store, chunks, outputs)
+    return _run_chunks(plan, env, store, chunks, outputs, {})
 
 
-def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
+# Box summands run on NumPy: a block's `matmul` or einsum beats the plain C
+# loops, TTM_UT at n=32 packed 0.39-0.57 ms against 1.42-1.50 ms in C
+# (gcc -O2, 2-vCPU guest).  Tests set this to cross-check the box's C too.
+C_BOXES = False
+
+# The C element type of each dtype the emitted C is built for
+_C_ELEMENTS = {np.dtype(np.float64): "double", np.dtype(np.int64): "int64_t"}
+
+
+def _c_kernels(plan, live, dtype, backend):
+    """{summand index: C function} for the live summands that run on C: by
+    default those off a box, where a compiler exists and a library builds
+    for the dtype; none with backend "numpy"; with backend "c", a missing
+    compiler or a failed build raises CodegenError."""
+    if backend == "numpy":
+        return {}
+    if backend not in (None, "c"):
+        raise CodegenError(f"unknown backend {backend!r}")
+    if native.compiler() is None:
+        if backend == "c":
+            raise CodegenError("backend 'c' needs a C compiler, and gcc is not on PATH")
+        return {}
+    elem = _C_ELEMENTS.get(np.dtype(dtype))
+    on_c = [si for si in live if C_BOXES or plan.summands[si].program.box is None]
+    if elem is None or not on_c:
+        return {}
+    try:
+        lib = native.library(plan.c_text, elem)
+    except native.BuildError as e:
+        if backend == "c":
+            raise CodegenError(str(e)) from e
+        return {}
+    calls = {}
+    for si in on_c:
+        fn = calls[si] = getattr(lib, _c_function(plan.rule, si))
+        if fn.argtypes is None:   # the first call into this library
+            fn.argtypes = [ctypes.c_void_p if kind == "ptr" else ctypes.c_int64
+                           for kind, _ in plan.summands[si].c_args]
+            fn.restype = ctypes.c_int   # the status (`_faults`)
+    return calls
+
+
+def _run_c(fn, sp, arrays, env):
+    """Call a summand's C function on the arrays at its leaf columns, and
+    raise the IndexingFault its status names."""
+    status = fn(*[arrays[x].ctypes.data if kind == "ptr" else len(arrays[x]) if kind == "len"
+                  else env[x] for kind, x in sp.c_args])
+    if status:
+        raise IndexingFault(_faults(sp.statement)[status - 1])
+
+
+def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=None):
     """Run every summand; returns zero-initialized-then-accumulated outputs.
 
+    Each live summand off a box runs through its compiled C function
+    (`SummandPlan.source`, built once per plan text and element type by
+    `native.library`) where the dtype is float64 or int64 and gcc is on
+    PATH; a box summand, and every summand without gcc or with backend
+    "numpy", runs on the NumPy walk.  Backend "c" raises CodegenError
+    without gcc.  Both backends raise the same IndexingFault on a bad index.
+
     With workers > 1 the call forks only where its parallelizable summands
-    off a box hold, per process, FORK_POINTS points (`_work`) plus
-    FORK_OUTPUT_POINTS per output value, for at most `workers` processes
-    and the CPUs this process may use, the parent among them; a smaller
-    call, or one whose points fill fewer than two shares, runs in-process.
-    A box summand runs in the parent: forked, TTM_UT and MTT_J ran slower
-    at every size swept, up to 8M and 16M gathered values per process.
+    on the NumPy walk and off a box hold, per process, FORK_POINTS points
+    (`_work`) plus FORK_OUTPUT_POINTS per output value, for at most
+    `workers` processes and the CPUs this process may use, the parent among
+    them; a smaller call, or one whose points fill fewer than two shares,
+    runs in-process.  A box summand runs in the parent: forked, TTM_UT and
+    MTT_J ran slower at every size swept, up to 8M and 16M gathered values
+    per process.  So does a summand on C: one C call beat forked NumPy
+    shares at every size the floor admits (SpMV_UT at n=8192: about 50 ms
+    in C, 0.18 s forked on 2 vCPUs).
     Each process takes a share of every split summand's outermost range,
     cut where the points summed along that range cross k/processes of their
     total, and writes disjoint output slices, so results are bitwise
@@ -1077,6 +1194,7 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
                          for axis, e in enumerate(shape)}}
     live = [si for si, sp in enumerate(plan.summands)
             if sp.program is not None and guards_mask(sp.program.guards, {}, env)]
+    calls = _c_kernels(plan, live, dtype, backend)
     _check_int64([plan.summands[si].program for si in live], env)
     for t in sorted({a.tensor for si in live for a in plan.summands[si].statement.inputs
                      if a.layout == "dense"}):
@@ -1086,7 +1204,7 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
     dense_out, comp = _zero_outputs(plan, shapes, binding, dtype)
 
     cap = min(workers, len(os.sched_getaffinity(0)))
-    work = {si: _work(plan.summands[si].program, env) for si in live if cap > 1
+    work = {si: _work(plan.summands[si].program, env) for si in live if cap > 1 and si not in calls
             and plan.summands[si].parallelizable and plan.summands[si].program.box is None}
     sent = sum(x.size for x in (dense_out, *comp.values()) if x is not None)
     procs = min(cap, int(sum(w.sum() for _, w in work.values()))
@@ -1107,9 +1225,10 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
                     shares[k].append((si, (lo + int(a), lo + int(b) - 1)))
         shares = [share for share in shares if share]
     if len(shares) < 2:
-        return ExecResult(*_run_chunks(plan, env, store,
-                                       [(si, None) for si in live], (dense_out, comp)))
-    # the parent runs the summands that do not split beside the first share
+        return ExecResult(*_run_chunks(plan, env, store, [(si, None) for si in live],
+                                       (dense_out, comp), calls))
+    # the parent runs the summands that do not split, C ones among them,
+    # beside the first share
     shares[0] += [(si, None) for si in live if si not in work]
 
     global _FORK_STATE
@@ -1119,7 +1238,7 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64):
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=len(shares) - 1) as pool:
             pending = pool.map_async(_fork_worker, shares[1:])
-            _run_chunks(plan, env, store, shares[0], (dense_out, comp))
+            _run_chunks(plan, env, store, shares[0], (dense_out, comp), calls)
             results = pending.get()
     finally:
         _FORK_STATE = None
@@ -1201,27 +1320,59 @@ def _c_bound(bound, rounding):
     return _c_int(poly) if k == 1 else f"{rounding}({_c_int(poly)}, {k})"
 
 
-def _c_exact(e, scale):
-    """e / scale, aborting on a remainder: a rank is integral."""
-    return e if scale == 1 else f"EXACTD({e}, {scale})"
-
-
 def _c_operand(a):
     """An access's array in C: a compressed one is named after its buffer,
     since one tensor can have several."""
     return a.tensor if a.layout == "dense" else f"{a.tensor}_{a.buffer_id}"
 
 
+def _c_function(rule, si):
+    return f"{rule.lower()}_s{si}"
+
+
+def _c_signature(params, stmt):
+    """(declaration, source) per argument of a summand's C function, in
+    order: the output's array, each distinct input array, the parameters,
+    then each dense access's extents and each compressed access's buffer
+    length.  A source is ("ptr", column) for the array at a leaf column,
+    ("len", column) for its length, or ("env", name) for an int of env."""
+    accesses = (stmt.output,) + tuple(stmt.inputs)
+    sig = {f"ELEM* {_c_operand(stmt.output)}": ("ptr", 0)}
+    for col, a in enumerate(accesses[1:], 1):
+        sig.setdefault(f"const ELEM* {_c_operand(a)}", ("ptr", col))
+    for p in params:
+        sig[f"int64_t {p}"] = ("env", p)
+    for col, a in enumerate(accesses):
+        if a.layout == "dense":
+            for axis in range(len(a.names)):
+                sig.setdefault(f"int64_t n_{a.tensor}{axis}", ("env", (a.tensor, axis)))
+        else:
+            sig.setdefault(f"int64_t len{a.buffer_id}", ("len", col))
+    return tuple(sig.items())
+
+
+def _faults(stmt):
+    """The IndexingFault message of each nonzero status a summand's C
+    function returns, status 1 first: a non-integer rank, then per access
+    an index out of its compressed buffer or out of its tensor's dense
+    extents."""
+    return tuple(dict.fromkeys(["non-integer index"] + [
+        f"an index of {a.tensor} leaves its dense extent" if a.layout == "dense"
+        else f"index out of range for buffer {a.buffer_id}"
+        for a in (stmt.output,) + tuple(stmt.inputs)]))
+
+
 _C_PRELUDE = [
     "/* generated kernel code */",
     "#include <stdint.h>",
-    "#include <stdlib.h>",
+    "#ifndef ELEM   /* the element type */",
+    "#define ELEM double",
+    "#endif",
     "#define MAX2(a, b) ((a) > (b) ? (a) : (b))",
     "#define MIN2(a, b) ((a) < (b) ? (a) : (b))",
     "#define MODP(a, m) ((((a) % (m)) + (m)) % (m))",
     "#define FLOORD(a, k) (((a) >= 0 ? (a) : (a) - (k) + 1) / (k))",
     "#define CEILD(a, k) (-FLOORD(-(a), (k)))",
-    "#define EXACTD(a, k) ((a) % (k) ? (abort(), 0) : (a) / (k))",
     "",
 ]
 
@@ -1233,7 +1384,7 @@ def _c_text(*sources):
 
 def emit_c(plan):
     """Freestanding C99 text mirroring the plan, one function per summand."""
-    return _c_text(*(sp.source for sp in plan.summands))
+    return plan.c_text
 
 
 def emit_c_files(plan):
@@ -1245,37 +1396,65 @@ def emit_c_files(plan):
 def _emit_c_summand(rule, si, params, stmt, prog):
     """A summand's C function, rendered from its lowered `_Program` (None
     when the nest is empty): the integer bounds, guards and index terms that
-    `execute` walks, with every index accumulated in int64_t."""
+    `execute` walks, with every index accumulated in int64_t.
+
+    The function returns 0, or at the first failing check the status whose
+    message `_faults` gives, before the store read that check guards.  On a
+    run level (`prog.run`) each row's first index of every access is
+    divided exactly once, the row's first and last index checked against
+    the buffer length or the level's value range against the dense
+    extents, and the inner loop reads base + step * (j - lo) unchecked;
+    where the output is fixed along every run (`prog.reduce`) the row's sum
+    is added to it once.  Any other innermost level checks every point.
+    """
     accesses = (stmt.output,) + tuple(stmt.inputs)
-    args = [f"double* {_c_operand(stmt.output)}"]
-    args += dict.fromkeys(f"const double* {_c_operand(a)}" for a in stmt.inputs)
-    args += [f"int64_t {p}" for p in params]
-    for a in accesses:
-        for arg in ([f"int64_t n_{a.tensor}{axis}" for axis in range(len(a.names))]
-                    if a.layout == "dense" else [f"int64_t len{a.buffer_id}"]):
-            if arg not in args:
-                args.append(arg)
-    out = [f"void {rule.lower()}_s{si}({', '.join(args)}) {{"]
+    args = ", ".join(decl for decl, _ in _c_signature(params, stmt))
+    out = [f"int {_c_function(rule, si)}({args}) {{"]
     if prog is None:
-        return out + ["}"]
+        return out + ["  return 0;", "}"]
+    faults = _faults(stmt)
     depth = 1
 
     def put(s):
         out.append("  " * depth + s)
 
+    def fail(message):
+        return f"return {faults.index(message) + 1};"
+
+    def exact(scale, e, key):
+        """key = e / scale, failing on a remainder: a rank is integral."""
+        if scale == 1:
+            return put(f"int64_t {key} = {e};")
+        e = e if e.isidentifier() else f"({e})"
+        put(f"if ({e} % {scale}) {fail(faults[0])}")
+        put(f"int64_t {key} = {e} / {scale};")
+
+    def bounds(lv):
+        lo = reduce(lambda x, y: f"MAX2({x}, {y})", [_c_bound(b, "CEILD") for b in lv.lowers])
+        hi = reduce(lambda x, y: f"MIN2({x}, {y})", [_c_bound(b, "FLOORD") for b in lv.uppers])
+        return lo, hi
+
+    def advance(lv, k, at):
+        # each column so far plus this level's terms, poly(outer) * at**e
+        for col in dict.fromkeys(t for t, _, _ in lv.terms):
+            step = ((1, ((acc[col], 1),)),) + tuple(
+                (c, mono + ((at, e),)) for t, e, p in lv.terms if t == col for c, mono in p)
+            put(f"int64_t r{col}_{k} = {_c_int(step)};")
+            acc[col] = f"r{col}_{k}"
+
     for g in prog.guards:
-        put(f"if (!({_c_guard(g)})) return;")
+        put(f"if (!({_c_guard(g)})) return 0;")
     acc = {}   # column -> the C variable holding its index so far
     for col, poly in prog.root.items():
         acc[col] = f"r{col}"
         put(f"int64_t r{col} = {_c_int(poly)};")
-    for k, lv in enumerate(prog.levels):
+    walked = prog.levels if prog.run is None else prog.levels[:-1]
+    for k, lv in enumerate(walked):
         v = lv.var
         if lv.single:
             put(f"int64_t {v} = {_c_int(lv.lowers[0][1])};")
         else:
-            lo = reduce(lambda x, y: f"MAX2({x}, {y})", [_c_bound(b, "CEILD") for b in lv.lowers])
-            hi = reduce(lambda x, y: f"MIN2({x}, {y})", [_c_bound(b, "FLOORD") for b in lv.uppers])
+            lo, hi = bounds(lv)
             if lv.phase is not None:
                 put(f"int64_t {v}_lo = {lo};")
                 put(f"{v}_lo += MODP({_c_int(lv.phase)} - {v}_lo, {lv.stride});")
@@ -1284,30 +1463,75 @@ def _emit_c_summand(rule, si, params, stmt, prog):
             put(f"for (int64_t {v} = {lo}; {v} <= {hi}; {step}) {{")
             depth += 1
         for g in lv.guards:   # outside every loop, skipping the point ends the call
-            put(f"if (!({_c_guard(g)})) {'continue' if depth > 1 else 'return'};")
-        for _, extent in lv.extents:   # the values the guards keep, as `execute` checks
-            put(f"if ({v} < 0 || {v} >= {_c_name(extent)}) abort();")
-        for col in dict.fromkeys(t for t, _, _ in lv.terms):
-            # the column so far plus this level's terms, poly(outer) * v**e
-            step = ((1, ((acc[col], 1),)),) + tuple(
-                (c, mono + ((v, e),)) for t, e, p in lv.terms if t == col for c, mono in p)
-            put(f"int64_t r{col}_{k} = {_c_int(step)};")
-            acc[col] = f"r{col}_{k}"
-    for a, leaf in zip(accesses, prog.leaves):
-        key = f"k{leaf.col}"
-        if leaf.pieces is None:
-            put(f"int64_t {key} = {_c_exact(acc[leaf.col], leaf.scale)};")
-        else:
-            put(f"int64_t {key} = -1;")
-            for guards, poly, s in leaf.pieces:
-                cond = " && ".join(f"({_c_guard(g)})" for g in guards) or "1"
-                put(f"if ({cond}) {key} = {_c_exact(_c_int(poly), s)};")
-        if a.layout == "compressed":
-            put(f"if ({key} < 0 || {key} >= len{a.buffer_id}) abort();")
-    prod = " * ".join(f"{_c_operand(a)}[k{col}]" for col, a in enumerate(accesses) if col)
-    put(f"{_c_operand(stmt.output)}[k0] += {prod or 1};")
+            put(f"if (!({_c_guard(g)})) {'continue' if depth > 1 else 'return 0'};")
+        for tensor, extent in lv.extents:   # the values the guards keep, as `execute` checks
+            put(f"if ({v} < 0 || {v} >= {_c_name(extent)}) "
+                f"{fail(f'an index of {tensor} leaves its dense extent')}")
+        advance(lv, k, v)
+    if prog.run is None:
+        for a, leaf in zip(accesses, prog.leaves):
+            key = f"k{leaf.col}"
+            if leaf.pieces is None:
+                exact(leaf.scale, acc[leaf.col], key)
+            else:
+                put(f"int64_t {key} = -1;")
+                for guards, poly, s in leaf.pieces:
+                    cond = " && ".join(f"({_c_guard(g)})" for g in guards) or "1"
+                    put(f"if ({cond}) {{")
+                    depth += 1
+                    exact(s, _c_int(poly), f"{key}_")
+                    put(f"{key} = {key}_;")
+                    depth -= 1
+                    put("}")
+            if a.layout == "compressed":
+                put(f"if ({key} < 0 || {key} >= len{a.buffer_id}) "
+                    f"{fail(f'index out of range for buffer {a.buffer_id}')}")
+        index = {col: f"k{col}" for col in range(len(accesses))}
+    else:
+        lv, k = prog.levels[-1], len(prog.levels) - 1
+        v = lv.var
+        lo, hi = bounds(lv)
+        put(f"int64_t {v}_lo = {lo};")
+        put(f"int64_t {v}_hi = {hi};")
+        put(f"if ({v}_lo <= {v}_hi) {{")
+        depth += 1
+        for tensor, extent in lv.extents:
+            put(f"if ({v}_lo < 0 || {v}_hi >= {_c_name(extent)}) "
+                f"{fail(f'an index of {tensor} leaves its dense extent')}")
+        advance(lv, k, f"{v}_lo")
+
+        def along(key, step, at):
+            """key + step * (at - lo): an index `at` on the row."""
+            return _c_int(((1, ((key, 1),)),) + tuple(
+                (c * sign, mono + ((x, 1),)) for c, mono in step
+                for x, sign in ((at, 1), (f"{v}_lo", -1))))
+        index = {}
+        for a, leaf, step in zip(accesses, prog.leaves, prog.run):
+            key = f"k{leaf.col}"
+            exact(leaf.scale, acc[leaf.col], key)
+            if a.layout == "compressed":
+                low = high = key
+                if step:
+                    put(f"int64_t {key}_hi = {along(key, step, f'{v}_hi')};")
+                    low, high = key, f"{key}_hi"
+                    if any(mono or c < 0 for c, mono in step):   # a step of unknown sign
+                        low, high = f"MIN2({key}, {key}_hi)", f"MAX2({key}, {key}_hi)"
+                put(f"if ({low} < 0 || {high} >= len{a.buffer_id}) "
+                    f"{fail(f'index out of range for buffer {a.buffer_id}')}")
+            index[leaf.col] = along(key, step, v)
+    prod = " * ".join(f"{_c_operand(a)}[{index[col]}]" for col, a in enumerate(accesses) if col)
+    target = f"{_c_operand(stmt.output)}[{index[0]}]"
+    if prog.run is not None and prog.reduce:
+        put("ELEM sum = 0;")
+        put(f"for (int64_t {v} = {v}_lo; {v} <= {v}_hi; {v}++) sum += {prod or 1};")
+        put(f"{target} += sum;")
+    elif prog.run is not None:
+        put(f"for (int64_t {v} = {v}_lo; {v} <= {v}_hi; {v}++) {target} += {prod or 1};")
+    else:
+        put(f"{target} += {prod or 1};")
     while depth > 1:
         depth -= 1
         put("}")
+    out.append("  return 0;")
     out.append("}")
     return out

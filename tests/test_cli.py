@@ -46,8 +46,8 @@ class TestCompile:
         out = capsys.readouterr().out
         # i <= j < n_j implies i < n_j; the projected bound keeps it
         assert "for (int64_t i = 0; i <= MIN2(-1 + n_i, -1 + n_j); i++) {" in out
-        assert "for (int64_t j = i; j <= -1 + n_j; j++) {" in out
-        assert "A_0[k0] += B_1[k1] * C_2[k2];" in out
+        assert "int64_t j_lo = i;\n" in out and "int64_t j_hi = -1 + n_j;\n" in out
+        assert "sum += B_1[k1 + j - j_lo] * C_2[k2 + j - j_lo];" in out
 
     def test_contracted_block_marked(self, capsys):
         assert run_cli("compile", "--kernel", "TTM_UT") == 0
@@ -72,7 +72,7 @@ class TestCompile:
             assert len(shown) == len(files), name
             for text, (_, c_text) in zip(shown, files):
                 body = "\n".join(line[2:] for line in text.splitlines()[1:])
-                assert "void " + c_text.partition("\nvoid ")[2] == body + "\n", name
+                assert "int " + c_text.partition("\nint ")[2] == body + "\n", name
 
     def test_stur_shapes_at_large_binding(self, tmp_path, capsys):
         # compiling is symbolic: a 10^8-point bounding box must not matter
@@ -82,7 +82,7 @@ class TestCompile:
         shapes = derive_shapes(parse_program(TRIANGLE), "A", {"n": 10000})
         assert shapes == {"A": (10000,), "B": (10000, 10000), "C": (10000,)}
         assert run_cli("compile", "--stur", path, "--bind", "n=10000") == 0
-        assert "void a_s0(" in capsys.readouterr().out
+        assert "int a_s0(" in capsys.readouterr().out
 
     def test_stur_shapes_walk_rows(self):
         # a triangle of 4.5e8 points: only its 30000 rows are walked
@@ -136,7 +136,7 @@ class TestCompile:
         assert names == ["A_0.c", "A_1.c"]
         text = open(os.path.join(target, "A_1.c")).read()
         assert text.startswith("/* generated kernel code */")
-        assert "void a_s1(" in text
+        assert "int a_s1(" in text
         gcc = shutil.which("gcc")
         if gcc is None:
             pytest.skip("no gcc to compile the emitted C")
@@ -183,6 +183,21 @@ class TestRun:
             run_cli("run", "--kernel", "SpMV_D", "--workers", workers)
         assert exit_info.value.code == 2
         assert "at least 1 worker" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    def test_backend_flag(self, backend, capsys):
+        if backend == "c" and shutil.which("gcc") is None:
+            pytest.skip("no gcc to compile the emitted C")
+        assert run_cli("run", "--kernel", "SpMV_UT", "--dtype", "i64",
+                       "--backend", backend) == 0
+        assert "VERIFY: PASS maxrel=0.000e+00" in capsys.readouterr().out
+
+    def test_backend_c_without_gcc_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PATH", str(tmp_path))   # no gcc there
+        assert run_cli("run", "--kernel", "SpMV_UT", "--backend", "c") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: backend 'c' needs a C compiler")
+        assert "Traceback" not in err
 
     def test_corrupt_index_fails_with_exit_1(self, capsys):
         assert run_cli("run", "--kernel", "SpMV_UT", "--dtype", "i64",
@@ -238,6 +253,14 @@ class TestBench:
         assert [r["kernel"] for r in rows] == \
             ["SpMV_D", "SpMV_D", "SpMV_UT", "SpMV_UT"]
         assert all(r["verify"] == "PASS" for r in rows)
+        want = "c" if shutil.which("gcc") else "numpy"
+        assert all(r["backend"] == want for r in rows)
+
+    def test_backend_column_follows_the_flag(self, capsys):
+        assert run_cli("bench", "--kernel", "SpMV_UT", "--dtype", "i64",
+                       "--backend", "numpy") == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert row["backend"] == "numpy" and row["verify"] == "PASS"
 
     def test_rate_column_exact_rational(self, capsys):
         assert run_cli("bench", "--kernel", "SpMV_D", "--dtype", "i64") == 0

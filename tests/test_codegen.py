@@ -5,22 +5,21 @@ exactly the enumerated points in order, and compressed execution must
 reproduce the dense reference result built by direct gather/accumulate.
 """
 
-import ctypes
 import os
 import re
 import shutil
-import signal
 import subprocess
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polypack import codegen
+from polypack import codegen, native
 from polypack.cli import BUILTIN_KERNELS
 from polypack.codegen import (
-    BLOCK_POINTS, IndexingFault, KernelPlan, LoopNest, SummandPlan, Statement,
+    BLOCK_POINTS, CodegenError, IndexingFault, KernelPlan, LoopNest, SummandPlan, Statement,
     AccessPlan, _c_bound, _c_int, build_loop_nest, build_plan, emit_c, execute,
     iter_point_chunks, reference_execute,
 )
@@ -48,6 +47,12 @@ B_U(i, j, l) := (0 <= l) * (Q > l) * (i <= j) * (N > j) * (0 <= i)
 """
 
 LEVELS = ("none", "input", "input+output")
+
+GCC = shutil.which("gcc")
+needs_gcc = pytest.mark.skipif(GCC is None, reason="no gcc to compile the emitted C")
+
+# "c" runs each summand off a box through its compiled C function
+BACKENDS = ["numpy", pytest.param("c", marks=needs_gcc)]
 
 SPMV_D = "A(i)=B(i,j)*C(j); B_U: (0<=i<n_i)*(i=j)"
 
@@ -213,6 +218,14 @@ def unpack_output(plan, res, shapes, binding, rule, dtype):
     return out
 
 
+def kernel_plan(nest, stmt, parallel=False, registry=None, level="none"):
+    """A plan of rule A with one summand built by hand, its C emitted as
+    `build_plan` emits it."""
+    prog = codegen._program(nest, stmt)
+    source = "\n".join(codegen._emit_c_summand("A", 0, nest.params, stmt, prog))
+    return KernelPlan("A", (SummandPlan(nest, stmt, parallel, source),), registry, level)
+
+
 def no_floor(monkeypatch):
     """Set FORK_POINTS and FORK_OUTPUT_POINTS to 0: a `workers > 1` call
     forks wherever its points fill two shares."""
@@ -232,9 +245,10 @@ def both_floors(monkeypatch):
 
 
 def run_and_compare(text, rule, shapes, binding, compression, workers=1,
-                    dtype=np.int64, seed=0, run=execute):
-    """(got, want) for a rule run by `run` and by the dense reference; `text`
-    is STUR text or a parsed program, whose levels share one registry."""
+                    dtype=np.int64, seed=0, backend=None):
+    """(got, want) for a rule run by `execute` on a backend and by the dense
+    reference; `text` is STUR text or a parsed program, whose levels share
+    one registry."""
     program = parse_program(text) if isinstance(text, str) else text
     plan = build_plan(program, rule, compression)
     rng = np.random.default_rng(seed)
@@ -245,7 +259,7 @@ def run_and_compare(text, rule, shapes, binding, compression, workers=1,
         vals = rng.integers(-3, 4, size=n)
         dense[t] = vals.astype(dtype)
     store = pack_store(plan, shapes, dense, binding, dtype)
-    res = run(plan, store, shapes, binding, workers=workers, dtype=dtype)
+    res = execute(plan, store, shapes, binding, workers=workers, dtype=dtype, backend=backend)
     got = unpack_output(plan, res, shapes, binding, rule, dtype)
     want = reference_execute(program, rule, shapes, dense, binding, dtype=dtype)
     return got, want
@@ -538,7 +552,8 @@ class TestExecute:
         plan = build_plan(parse_program(UNPROVED_EQUAL), "A", "input+output")
         assert "tensor=B id=1 dense reason=partial-overlap" in plan.registry.dump()
 
-    def test_indexing_fault_on_short_buffer(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_indexing_fault_on_short_buffer(self, backend):
         # B's packed diagonal one slot short: the point walk's last index
         # is checked against the array it reads
         program = parse_program(SPMV_D)
@@ -551,7 +566,7 @@ class TestExecute:
         b = plan.summands[0].statement.inputs[0].buffer_id
         store[b] = store[b][:-1]
         with pytest.raises(IndexingFault, match=f"buffer {b}$"):
-            execute(plan, store, shapes, binding)
+            execute(plan, store, shapes, binding, backend=backend)
 
     def test_int64_overflow_raises_before_allocating(self, monkeypatch):
         kern = BUILTIN_KERNELS["SpMV_UT"]
@@ -581,8 +596,9 @@ class TestExecute:
         with pytest.raises(IndexingFault, match=r"dense input B holds 35 values"):
             execute(plan, store, shapes, {"n_i": 6, "n_j": 6}, workers=workers)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shape_b,workers", [((8, 4), 1), ((8, 4), 2), ((4, 8), 1)])
-    def test_dense_access_outside_extent_raises(self, shape_b, workers, monkeypatch):
+    def test_dense_access_outside_extent_raises(self, shape_b, workers, backend, monkeypatch):
         # j (inner) or i (outer) runs past B's short axis: B[i, j] would
         # read the next row instead
         kern = BUILTIN_KERNELS["SpMV_UT"]
@@ -591,9 +607,11 @@ class TestExecute:
         shapes = {"A": (6,), "B": shape_b, "C": (6,)}
         for _ in both_floors(monkeypatch):
             with pytest.raises(IndexingFault, match="of B "):
-                execute(plan, store, shapes, {"n_i": 6, "n_j": 6}, workers=workers)
+                execute(plan, store, shapes, {"n_i": 6, "n_j": 6}, workers=workers,
+                        backend=backend)
 
-    def test_guard_drops_every_value_outside_extent(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_guard_drops_every_value_outside_extent(self, backend):
         # j in [0, 5] leaves B's axis of extent 2, but 3*j <= i <= 5 drops
         # every j >= 2 before the check
         program = parse_program(THIRD_GUARD)
@@ -602,7 +620,7 @@ class TestExecute:
         shapes = {"A": (6,), "B": (6, 2)}
         binding = {"n": 6, "m": 6}
         dense = {"B": np.arange(12, dtype=np.int64)}
-        got = execute(plan, dense, shapes, binding, dtype=np.int64).dense
+        got = execute(plan, dense, shapes, binding, dtype=np.int64, backend=backend).dense
         want = reference_execute(program, "A", shapes, dense, binding, dtype=np.int64)
         assert np.array_equal(got, want)
 
@@ -617,7 +635,7 @@ class TestExecute:
         stmt = Statement(AccessPlan("A", 0, "dense", ("i",)), (
             AccessPlan("B", 1, "dense", ("i", "j")),
             AccessPlan("C", 2, "dense", ("j",))))
-        plan = KernelPlan("A", (SummandPlan(nest, stmt, True),), None, "none")
+        plan = kernel_plan(nest, stmt, True)
         n = 302
         rng = np.random.default_rng(5)
         store = {"B": rng.integers(-3, 4, n * n), "C": rng.integers(-3, 4, n)}
@@ -719,8 +737,9 @@ class TestFork:
             assert same_result(execute(*run, workers=2, dtype=np.int64), want[name]), name
 
     def test_shares_balance_points(self, monkeypatch):
-        # with the floor at 0, SpMV_UT at n=2000 forks; rows i hold n - i
-        # points, and the two shares differ by at most the row at the cut
+        # with the floor at 0, SpMV_UT at n=2000 forks on the NumPy walk;
+        # rows i hold n - i points, and the two shares differ by at most the
+        # row at the cut
         import multiprocessing
         kern = BUILTIN_KERNELS["SpMV_UT"]
         plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
@@ -741,12 +760,12 @@ class TestFork:
             pools.append(processes)
             return real_pool(processes)
 
-        def run_chunks(plan, env, store, chunks, outputs):
+        def run_chunks(plan, env, store, chunks, outputs, calls):
             parent.append(chunks)
-            return real_run(plan, env, store, chunks, outputs)
+            return real_run(plan, env, store, chunks, outputs, calls)
         monkeypatch.setattr(ctx, "Pool", pool)
         monkeypatch.setattr(codegen, "_run_chunks", run_chunks)
-        par = execute(plan, store, shapes, binding, workers=2, dtype=np.int64)
+        par = execute(plan, store, shapes, binding, workers=2, dtype=np.int64, backend="numpy")
         assert pools == [1]
         (chunk,), = parent   # the parent runs the first share, a child the rest
         si, (lo, hi) = chunk
@@ -759,8 +778,8 @@ class TestFork:
     @pytest.mark.parametrize("workers,cpus,pool", [(8, 3, 2), (2, 3, 1), (8, 1, None),
                                                    (3, 8, 2)])
     def test_processes_capped_at_cpus(self, workers, cpus, pool, monkeypatch):
-        # the parent and at most cpus - 1 pool processes, never `workers` of
-        # them; the pool stands in and runs its work here
+        # on the NumPy walk, the parent and at most cpus - 1 pool processes,
+        # never `workers` of them; the pool stands in and runs its work here
         import multiprocessing
         plan, store, shapes, binding = default_run("SpMV_UT", "input+output")
         want = execute(plan, store, shapes, binding, dtype=np.int64)
@@ -768,7 +787,8 @@ class TestFork:
         no_floor(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool(counts))
-        got = execute(plan, store, shapes, binding, workers=workers, dtype=np.int64)
+        got = execute(plan, store, shapes, binding, workers=workers, dtype=np.int64,
+                      backend="numpy")
         assert counts == ([] if pool is None else [pool])
         assert same_result(got, want)
 
@@ -793,9 +813,10 @@ class TestFork:
 
     @pytest.mark.parametrize("name,pool", [("SpMV_UT", [1]), ("SpMV_D", [])])
     def test_outputs_weigh_against_points(self, name, pool, monkeypatch):
-        # with FORK_POINTS at 0, a process must still hold FORK_OUTPUT_POINTS
-        # points per output value: at n = 64, SpMV_UT's 2080 points over 64
-        # outputs fork, SpMV_D's 64 points over 64 outputs do not
+        # on the NumPy walk with FORK_POINTS at 0, a process must still hold
+        # FORK_OUTPUT_POINTS points per output value: at n = 64, SpMV_UT's
+        # 2080 points over 64 outputs fork, SpMV_D's 64 points over 64
+        # outputs do not
         import multiprocessing
         plan, store, shapes, binding = default_run(name, "input+output", n_i=64, n_j=64)
         want = execute(plan, store, shapes, binding, dtype=np.int64)
@@ -803,7 +824,7 @@ class TestFork:
         monkeypatch.setattr(codegen, "FORK_POINTS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool(counts))
-        got = execute(plan, store, shapes, binding, workers=2, dtype=np.int64)
+        got = execute(plan, store, shapes, binding, workers=2, dtype=np.int64, backend="numpy")
         assert counts == pool
         assert same_result(got, want)
 
@@ -892,8 +913,7 @@ class TestBox:
         stmt = Statement(AccessPlan("A", 0, "dense", ("j",)), tuple(
             AccessPlan(t, c + 1, "dense", names)
             for c, (t, names) in enumerate(zip("BC", inputs))))
-        plan = KernelPlan("A", (SummandPlan(build_loop_nest(space), stmt, False),),
-                          None, "none")
+        plan = kernel_plan(build_loop_nest(space), stmt)
         box = plan.summands[0].program.box
         assert box.depth == 1 and not box.varies[0]
         n = 10
@@ -906,6 +926,46 @@ class TestBox:
         else:
             want = len(range(1, n, 3)) * store["B"]
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("level,slab", [("none", False), ("input+output", True)])
+    def test_abutting_rows_read_as_one_slice(self, level, slab, monkeypatch):
+        # TTM_UT's packed A and B hold each outer row (i, j) as one run of
+        # n values in rank order, so every block's rows are one slice; dense
+        # rows jump at every i, so a block spanning two i is gathered.  At
+        # 20 points a block, 21 rows split into blocks and slices of three
+        monkeypatch.setattr(codegen, "BLOCK_POINTS", 20)
+        flags, real = [], codegen._box_rows
+
+        def spy(array, base, grid, s, rows, abut):
+            flags.append(abut)
+            return real(array, base, grid, s, rows, abut)
+        monkeypatch.setattr(codegen, "_box_rows", spy)
+        kern = BUILTIN_KERNELS["TTM_UT"]
+        binding = {**kern.defaults, "n_i": 6, "n_j": 6, "n_k": 6, "n_l": 6}
+        shapes = {t: tuple(binding[s] for s in syms) for t, syms in kern.shapes.items()}
+        got, want = run_and_compare(kern.text, kern.rule, shapes, binding, level)
+        assert np.array_equal(got, want)
+        assert len(flags) > 8 and (set(flags) == {True} if slab else False in flags)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_flat_grids(self, level):
+        # `flat`, read off the box coefficients, says whether the offsets
+        # are 0, 1, ..., len - 1; STRIDED_BOX's dense B steps by its last
+        # extent
+        runs = [default_run(name, level) for name in sorted(BUILTIN_KERNELS)]
+        program = parse_program(STRIDED_BOX)
+        binding = {"n": 6, "m": 4}
+        runs.append((build_plan(program, "A", level), None,
+                     {"A": (6, 6), "B": (6, 4, 6), "C": (4,)}, binding))
+        seen = set()
+        for plan, _, shapes, binding in runs:
+            env = {**binding, **{(t, a): e for t, sh in shapes.items() for a, e in enumerate(sh)}}
+            for sp in plan.summands:
+                if sp.program is not None and sp.program.box is not None:
+                    for g in codegen._box_grids(sp.program, env):
+                        assert g.flat == np.array_equal(g.off, np.arange(len(g.off)))
+                        seen.add(g.flat)
+        assert True in seen and (level != "none" or False in seen)
 
     def test_grids_follow_the_binding(self):
         # one plan run at alternating bindings, shapes and worker counts
@@ -942,7 +1002,7 @@ class TestBox:
             ge(v("k")), ge(v("m") - k(1) - v("k"))])
         stmt = Statement(AccessPlan("A", 0, "dense", ("j",)), (
             AccessPlan("B", 1, "dense", ("i", "j", "k")), AccessPlan("C", 2, "dense", ("k",))))
-        plan = KernelPlan("A", (SummandPlan(build_loop_nest(space), stmt, False),), None, "none")
+        plan = kernel_plan(build_loop_nest(space), stmt)
         box = plan.summands[0].program.box
         assert box.depth == 2 and box.repeat and box.varies[0]
         n, m = 7, 4
@@ -1019,19 +1079,19 @@ class TestBox:
         assert rank.scale == 2
         stmt = Statement(AccessPlan("A", 0, "dense", ("x",)), (
             rank, AccessPlan("C", 1, "dense", ("y", "z"))))
-        sp = SummandPlan(nest, stmt, False)
-        assert sp.program.box is None
+        kp = kernel_plan(nest, stmt, registry=plan.registry, level="input")
+        assert kp.summands[0].program.box is None
         dense_b = Statement(stmt.output, (AccessPlan("B", 1, "dense", ("x", "y", "z")),
                                           stmt.inputs[1]))
         assert SummandPlan(nest, dense_b, False).program.box.depth == 2
         binding, shapes = {"m": 5, "n": 4}, {"A": (5,), "B": (5, 4, 4), "C": (4, 4)}
         rng = np.random.default_rng(3)
         dense = {t: rng.integers(-3, 4, int(np.prod(shapes[t]))) for t in "BC"}
-        kp = KernelPlan("A", (sp,), plan.registry, "input")
         store = pack_store(kp, shapes, dense, binding, np.int64)
-        got = execute(kp, store, shapes, binding, dtype=np.int64).dense
         want = reference_execute(program, "A", shapes, dense, binding, dtype=np.int64)
-        assert np.array_equal(got, want)
+        for backend in ("numpy", "c") if GCC else ("numpy",):
+            got = execute(kp, store, shapes, binding, dtype=np.int64, backend=backend).dense
+            assert np.array_equal(got, want), backend
 
 
 def walk_of(prog, reduce=False):
@@ -1095,19 +1155,22 @@ class TestRuns:
                     runs += 1
         assert runs == 31
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("level", ["none", "input", "input+output"])
     @pytest.mark.parametrize("n,m", [(6, 5), (6, 8), (6, 13), (5, 2)])
-    def test_ragged_rows(self, n, m, level, dtype):
+    def test_ragged_rows(self, n, m, level, dtype, backend):
         plan = build_plan(parse_program(RAGGED), "A", level)
         assert walk_of(plan.summands[0].program) == "run"
         shapes = {"A": (n,), "B": (n, m), "C": (m,)}
-        got, want = run_and_compare(RAGGED, "A", shapes, {"n": n, "m": m}, level, dtype=dtype)
+        got, want = run_and_compare(RAGGED, "A", shapes, {"n": n, "m": m}, level, dtype=dtype,
+                                    backend=backend)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_rows_empty_after_rounding(self, workers, dtype, monkeypatch):
+    def test_rows_empty_after_rounding(self, workers, dtype, backend, monkeypatch):
         # j runs over [ceil(i/3), floor((i+1)/3)], which holds no integer when
         # i = 1 mod 3: the projection keeps those i, so their rows are empty.
         # Then a strided innermost level, walked point by point: j = 1 mod 3
@@ -1125,7 +1188,7 @@ class TestRuns:
             nest = build_loop_nest(space)
             stmt = Statement(AccessPlan("A", 0, "dense", ("i",)), (
                 AccessPlan("B", 1, "dense", ("i", "j")), AccessPlan("C", 2, "dense", ("j",))))
-            plan = KernelPlan("A", (SummandPlan(nest, stmt, True),), None, "none")
+            plan = kernel_plan(nest, stmt, True)
             assert walk_of(plan.summands[0].program) == walked
             pts = enumerate_points(space, {"n": n})
             assert sorted(set(range(n)) - set(pts[:, 0].tolist())) == empty
@@ -1137,7 +1200,8 @@ class TestRuns:
             np.add.at(want, pts[:, 0],
                       store["B"][pts[:, 0] * n + pts[:, 1]] * store["C"][pts[:, 1]])
             for _ in both_floors(monkeypatch):
-                got = execute(plan, store, shapes, {"n": n}, workers=workers, dtype=dtype).dense
+                got = execute(plan, store, shapes, {"n": n}, workers=workers, dtype=dtype,
+                              backend=backend).dense
                 assert np.array_equal(got, want)
             assert codegen.dim_ranges(nest, {"n": n}) == {
                 d: (int(pts[:, c].min()), int(pts[:, c].max())) for c, d in enumerate("ij")}
@@ -1145,9 +1209,9 @@ class TestRuns:
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("level", ["none", "input", "input+output"])
     def test_blocks_split_rows(self, level, dtype, monkeypatch):
-        # at 7 points a block, SpMV_UT's rows of 12..7 points each take a
-        # block longer than BLOCK_POINTS, and the shorter rows of one outer
-        # block are split between several
+        # on the NumPy walk at 7 points a block, SpMV_UT's rows of 12..7
+        # points each take a block longer than BLOCK_POINTS, and the shorter
+        # rows of one outer block are split between several
         monkeypatch.setattr(codegen, "BLOCK_POINTS", 7)
         blocks, real = [], codegen._leaf_blocks
 
@@ -1157,14 +1221,16 @@ class TestRuns:
                 yield idx, m, starts
         monkeypatch.setattr(codegen, "_leaf_blocks", recorded)
         shapes = {"A": (12,), "B": (12, 12), "C": (12,)}
-        got, want = run_and_compare(SPMV_UT, "A", shapes, {"n": 12}, level, dtype=dtype)
+        got, want = run_and_compare(SPMV_UT, "A", shapes, {"n": 12}, level, dtype=dtype,
+                                    backend="numpy")
         assert np.array_equal(got, want)
         assert [m for m, _ in blocks] == [12, 11, 10, 9, 8, 7, 6, 5, 7, 3]
         assert all(m <= 7 or rows == 1 for m, rows in blocks)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("n,w", [(7, 3), (9, 1), (4, 8)])
-    def test_transposed_packed_step(self, n, w, dtype):
+    def test_transposed_packed_step(self, n, w, dtype, backend):
         plan = build_plan(parse_program(BAND_BOTH_WAYS), "A", "input+output")
         sp = plan.summands[1]
         assert sp.statement.inputs[0].layout == "compressed"
@@ -1172,7 +1238,7 @@ class TestRuns:
         size = n + w - 1
         shapes = {"A": (size,), "B": (size, size), "C": (size,)}
         got, want = run_and_compare(BAND_BOTH_WAYS, "A", shapes, {"n": n, "w": w},
-                                    "input+output", dtype=dtype)
+                                    "input+output", dtype=dtype, backend=backend)
         assert np.array_equal(got, want)
 
     def spmv_ut(self):
@@ -1185,31 +1251,36 @@ class TestRuns:
                            np.float64)
         return plan, store, shapes, binding
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_short_packed_input_raises(self, workers, monkeypatch):
+    def test_short_packed_input_raises(self, workers, backend, monkeypatch):
         # B's packed triangle one slot short: the last row's last index
         plan, store, shapes, binding = self.spmv_ut()
         b = plan.summands[0].statement.inputs[0].buffer_id
         store[b] = store[b][:-1]
         for _ in both_floors(monkeypatch):
             with pytest.raises(IndexingFault, match=f"buffer {b}$"):
-                execute(plan, store, shapes, binding, workers=workers)
+                execute(plan, store, shapes, binding, workers=workers, backend=backend)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shift,error", [(1, "non-integer index"),
                                              (-2, "index out of range for buffer")])
-    def test_row_base_checked(self, shift, error):
+    def test_row_base_checked(self, shift, error, backend):
         # B's scaled rank moved by half a slot, or by one slot down: the
-        # first row's base is no integer, or lies before the buffer
+        # first row's base is no integer, or lies before the buffer; the C
+        # is emitted again from the moved program
         plan, store, shapes, binding = self.spmv_ut()
         sp = plan.summands[0]
         assert sp.program.leaves[1].scale == 2
         prog = sp.program
-        sp.__dict__["program"] = prog._replace(root={**prog.root, 1: prog.root[1] + ((shift, ()),)})
+        prog = prog._replace(root={**prog.root, 1: prog.root[1] + ((shift, ()),)})
+        source = "\n".join(codegen._emit_c_summand("A", 0, sp.nest.params, sp.statement, prog))
+        moved = SummandPlan(sp.nest, sp.statement, sp.parallelizable, source)
+        moved.__dict__["program"] = prog
+        plan = KernelPlan("A", (moved,), plan.registry, plan.compression)
         with pytest.raises(IndexingFault, match=error):
-            execute(plan, store, shapes, binding)
+            execute(plan, store, shapes, binding, backend=backend)
 
-
-GCC = shutil.which("gcc")
 
 # B is read through two buffers, one per access: the C names each
 TWO_BUFFERS = """
@@ -1230,60 +1301,18 @@ B_U(i, j) := ((j - i) % 4 = 1)
 """
 
 
-def c_execute(tmp_path):
-    """An `execute` on f64 data that compiles the plan's emitted C with gcc
-    and calls each summand's function through ctypes.
-
-    Each argument comes from its name in the signature: the output pointer
-    first, then <tensor> for a dense input, <tensor>_<b> for buffer b,
-    len<b> for its length, a parameter, or n_<tensor><axis> for an extent."""
-    def run(plan, store, shapes, binding, workers=1, dtype=np.float64):
-        # one library per level: dlopen would return the first one loaded
-        src, lib = (tmp_path / f"{plan.compression}{ext}" for ext in (".c", ".so"))
-        text = emit_c(plan)
-        src.write_text(text)
-        subprocess.run([GCC, "-std=c99", "-Wall", "-Werror", "-Wno-unused-variable", "-O0",
-                        "-shared", "-fPIC", "-o", str(lib), str(src)], check=True)
-        so = ctypes.CDLL(str(lib))
-        lengths = {a.buffer_id: int(plan.registry.buffers[a.buffer_id].index.size.evaluate(binding))
-                   for sp in plan.summands for a in (sp.statement.output, *sp.statement.inputs)
-                   if a.layout == "compressed"}
-        res = codegen.ExecResult(None, {})
-        for fname, sig in re.findall(r"^void (\w+)\((.*)\) \{$", text, re.M):
-            args = []
-            for ctype, name in (arg.rsplit(" ", 1) for arg in sig.split(", ")):
-                tensor, _, bid = name.rpartition("_")
-                if ctype == "double*" and tensor:
-                    args.append(res.compressed.setdefault(int(bid), np.zeros(lengths[int(bid)])))
-                elif ctype == "double*":
-                    if res.dense is None:
-                        res.dense = np.zeros(int(np.prod(shapes[name])))
-                    args.append(res.dense)
-                elif ctype == "const double*":
-                    args.append(store[int(bid)] if tensor else store[name])
-                elif name in binding:
-                    args.append(binding[name])
-                elif name.startswith("len"):
-                    args.append(lengths[int(name[3:])])
-                else:
-                    t, axis = re.fullmatch(r"n_(.+?)(\d+)", name).groups()
-                    args.append(shapes[t][int(axis)])
-            getattr(so, fname)(*(
-                a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-                if isinstance(a, np.ndarray) else ctypes.c_int64(int(a)) for a in args))
-        return res
-    return run
-
-
 class TestEmitC:
     def test_ranks_are_exact_integers(self):
         # FIG3's ranks have denominator 2: accumulated as 2*rank in int64_t
         # and divided exactly, never held in a double
         text = emit_c(build_plan(parse_program(FIG3), "A", "input+output"))
         assert "int64_t r0_0 = r0 + 2*N*P*i - P*i - P*i*i;" in text
-        assert "int64_t k0 = EXACTD(r0_2, 2);" in text
+        assert "if (r0_2 % 2) return 1;\n" in text
+        assert "int64_t k0 = r0_2 / 2;" in text
         assert "(long)" not in text
-        assert re.findall(r"double\b\S*", text) == ["double*"] * 3
+        body = text.split("#endif", 1)[1]
+        assert "double" not in body
+        assert re.findall(r"\bELEM\b\S*", body) == ["ELEM*"] * 3
 
     def test_fixed_level_fragment(self):
         plan = build_plan(parse_program(DIAG_HADAMARD), "T", "input+output")
@@ -1303,7 +1332,7 @@ class TestEmitC:
 
     def test_non_unit_bound_rounds_in_c(self, tmp_path):
         plan = build_plan(parse_program(HALF_BOUND), "A", "input+output")
-        assert "j <= FLOORD(i, 2); j++)" in emit_c(plan)
+        assert "int64_t j_hi = FLOORD(i, 2);" in emit_c(plan)
         gcc = shutil.which("gcc") or shutil.which("cc")
         if gcc is None:
             pytest.skip("no C compiler")
@@ -1329,34 +1358,30 @@ int main(void) {
         src = "\n".join(codegen._emit_c_summand("A", 0, nest.params, stmt, None))
         plan = KernelPlan("A", (SummandPlan(nest, stmt, False, src),), None, "none")
         text = emit_c(plan)
-        assert "void a_s0" in text
-        body = text.split("void a_s0", 1)[1]
-        assert body.split("{", 1)[1].strip().startswith("}")
+        assert "int a_s0" in text
+        body = text.split("int a_s0", 1)[1]
+        assert body.split("{", 1)[1].split() == ["return", "0;", "}"]
 
-    @pytest.mark.skipif(GCC is None, reason="no gcc to compile the emitted C")
-    @pytest.mark.parametrize("n_b1,aborts", [(2, True), (6, False)])
-    def test_dense_extent_aborts(self, n_b1, aborts, tmp_path):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n_b1", [2, 6])
+    def test_dense_extent_checked_per_row(self, n_b1, backend):
         # j runs to n_j - 1 = 5 over B's second axis: past an extent of 2
-        # the C must abort where `execute` raises, not read past B
+        # both backends raise the same fault; the C checks each row's range
+        # before the loop that reads it, so it never reads past B
         kern = BUILTIN_KERNELS["SpMV_UT"]
         plan = build_plan(parse_program(kern.text), kern.rule, "none")
-        src = tmp_path / "extent.c"
-        src.write_text(emit_c(plan) + f"""
-int main(void) {{
-  static double A[6], B[36], C[6];
-  a_s0(A, B, C, 6, 6, 6, 6, {n_b1}, 6);
-  return 0;
-}}
-""")
-        exe = tmp_path / "extent"
-        subprocess.run([GCC, "-std=c99", "-Wall", "-Werror", "-Wno-unused-variable",
-                        "-o", str(exe), str(src)], check=True)
-        assert subprocess.run([str(exe)]).returncode == (-signal.SIGABRT if aborts else 0)
-        if aborts:
-            store = {"B": np.zeros(6 * n_b1), "C": np.zeros(6)}
-            with pytest.raises(IndexingFault, match="of B "):
-                execute(plan, store, {"A": (6,), "B": (6, n_b1), "C": (6,)},
-                        {"n_i": 6, "n_j": 6})
+        source = plan.summands[0].source
+        check = source.index("if (j_lo < 0 || j_hi >= n_B1) return ")
+        assert check < source.index("for (int64_t j = j_lo; j <= j_hi; j++)")
+        assert "for (int64_t j" not in source[:check]
+        store = {"B": np.ones(6 * n_b1), "C": np.ones(6)}
+        shapes = {"A": (6,), "B": (6, n_b1), "C": (6,)}
+        if n_b1 == 2:
+            with pytest.raises(IndexingFault, match="an index of B leaves its dense extent"):
+                execute(plan, store, shapes, {"n_i": 6, "n_j": 6}, backend=backend)
+        else:
+            got = execute(plan, store, shapes, {"n_i": 6, "n_j": 6}, backend=backend).dense
+            assert got.tolist() == [6, 5, 4, 3, 2, 1]
 
     def test_operands_named_after_their_buffers(self):
         plan = build_plan(parse_program(TWO_BUFFERS), "A", "input")
@@ -1364,33 +1389,55 @@ int main(void) {{
         assert [(a.tensor, a.layout) for a in ins] == [("B", "compressed")] * 2
         b1, b2 = (a.buffer_id for a in ins)
         assert b1 != b2
-        assert f"const double* B_{b1}, const double* B_{b2}," in plan.summands[0].source
-        assert f"A[k0] += B_{b1}[k1] * B_{b2}[k2];" in plan.summands[0].source
+        source = plan.summands[0].source
+        assert f"const ELEM* B_{b1}, const ELEM* B_{b2}," in source
+        assert f"sum += B_{b1}[k1 + j - j_lo] * B_{b2}[k2 + j - j_lo];" in source
+
+    def test_run_level_checks_once_per_row(self):
+        # SpMV_UT packed: every check and the exact division sit before the
+        # row's loop, which reads base + (j - lo) and sums into one local
+        plan = build_plan(parse_program(BUILTIN_KERNELS["SpMV_UT"].text), "A", "input+output")
+        source = plan.summands[0].source
+        loop = "for (int64_t j = j_lo; j <= j_hi; j++) sum += B_1[k1 + j - j_lo] * C_2[k2 + j - j_lo];"
+        assert loop in source
+        before, after = source.split(loop)
+        assert before.count("return") == 4 and "return" not in after.replace("return 0;", "")
+        assert "if (MIN2" not in source   # a positive constant step: first and last in order
+        assert "if (k1 < 0 || k1_hi >= len1) return 3;" in before
+        assert after.split("\n")[1].strip() == "A_0[k0] += sum;"
 
 
-@pytest.mark.skipif(GCC is None, reason="no gcc to compile the emitted C")
+@needs_gcc
 class TestEmitCMatchesReference:
-    """The emitted C, compiled and called, against the dense reference."""
+    """`execute(backend="c")` against the dense reference, on f64 and
+    bitwise on i64; with C_BOXES set, box summands run their C too."""
 
+    @pytest.fixture(params=[False, True], ids=["boxes_numpy", "boxes_c"])
+    def boxes(self, request, monkeypatch):
+        monkeypatch.setattr(codegen, "C_BOXES", request.param)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("name", sorted(BUILTIN_KERNELS))
-    def test_builtin(self, name, tmp_path):
+    def test_builtin(self, name, dtype, boxes):
         kern = BUILTIN_KERNELS[name]
         program = parse_program(kern.text)
         binding = {s: 11 if s.startswith("n_") else v for s, v in kern.defaults.items()}
         shapes = {t: tuple(binding[s] for s in syms) for t, syms in kern.shapes.items()}
         for level in LEVELS:
             got, want = run_and_compare(program, kern.rule, shapes, binding, level,
-                                        dtype=np.float64, run=c_execute(tmp_path))
+                                        dtype=dtype, backend="c")
             assert np.array_equal(got, want), level
 
-    def test_tetrahedron(self, tmp_path):
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    def test_tetrahedron(self, dtype, boxes):
         # i*i*i/6 and its kin: 112 of the 200 outputs were wrong when the
         # rank was a truncated double
         shapes = {"A": (200,), "B": (200,) * 3, "C": (200,)}
         got, want = run_and_compare(TETRAHEDRON, "A", shapes, {"n": 200}, "input",
-                                    dtype=np.float64, run=c_execute(tmp_path))
+                                    dtype=dtype, backend="c")
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("level", LEVELS)
     @pytest.mark.parametrize("text,shapes,binding", [
         (LESLIE, {"A": (7,), "B": (7, 6), "C": (6,)}, {"n_i": 7, "n_j": 6}),
@@ -1402,7 +1449,136 @@ class TestEmitCMatchesReference:
         (TWO_BUFFERS, {"A": (9,), "B": (9, 9)}, {"n": 9}),
     ], ids=["leslie", "bands", "banded", "half_bound", "third_guard",
             "strided_box", "two_buffers"])
-    def test_rule(self, text, shapes, binding, level, tmp_path):
+    def test_rule(self, text, shapes, binding, level, dtype, boxes):
         got, want = run_and_compare(text, "A", shapes, binding, level,
-                                    dtype=np.float64, run=c_execute(tmp_path))
+                                    dtype=dtype, backend="c")
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_backends_agree_bitwise(self, level):
+        # every builtin on i64 at its default binding: the same outputs,
+        # bit for bit, from either backend
+        for name in sorted(BUILTIN_KERNELS):
+            run = default_run(name, level)
+            numpy = execute(*run, dtype=np.int64, backend="numpy")
+            assert same_result(execute(*run, dtype=np.int64, backend="c"), numpy), name
+
+    def test_c_summand_never_forks(self, monkeypatch):
+        # with the floor at 0, SpMV_UT forks on the NumPy walk; on C it
+        # runs whole in the parent
+        import multiprocessing
+        plan, store, shapes, binding = default_run("SpMV_UT", "input+output", n_i=64, n_j=64)
+        want = execute(plan, store, shapes, binding, dtype=np.int64, backend="numpy")
+        counts = []
+        no_floor(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool(counts))
+        assert same_result(execute(plan, store, shapes, binding, workers=2, dtype=np.int64,
+                                   backend="numpy"), want)
+        assert counts == [1]
+        assert same_result(execute(plan, store, shapes, binding, workers=2, dtype=np.int64),
+                           want)
+        assert counts == [1]
+
+    def test_other_dtypes_walk_numpy(self, monkeypatch):
+        # float32 has no C build: it runs on the NumPy walk, also for "c"
+        def no_c(*args):
+            raise AssertionError("a C function was called")
+        plan, store, shapes, binding = default_run("SpMV_UT", "input+output", dtype=np.float32)
+        want = execute(plan, store, shapes, binding, dtype=np.float32, backend="numpy")
+        monkeypatch.setattr(codegen, "_run_c", no_c)
+        assert same_result(execute(plan, store, shapes, binding, dtype=np.float32,
+                                   backend="c"), want)
+
+
+class TestLibraryCache:
+    """Where the C backend finds a compiler and keeps its libraries."""
+
+    @pytest.fixture
+    def fresh(self, tmp_path, monkeypatch):
+        """An empty cache directory, an empty temp directory and no library
+        loaded in this process; (plan, run, numpy result) of SpMV_UT."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(native, "_LOADED", {})
+        run = default_run("SpMV_UT", "input+output")
+        return run, execute(*run, dtype=np.int64, backend="numpy")
+
+    def calls_c(self, monkeypatch):
+        """Record each C call; returns the list."""
+        calls, real = [], codegen._run_c
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(codegen, "_run_c", counted)
+        return calls
+
+    def test_no_compiler_default_walks_numpy(self, fresh, tmp_path, monkeypatch):
+        run, want = fresh
+        monkeypatch.setenv("PATH", str(tmp_path))   # no gcc there
+        calls = self.calls_c(monkeypatch)
+        assert same_result(execute(*run, dtype=np.int64), want)
+        assert calls == [] and native._LOADED == {}
+
+    def test_no_compiler_backend_c_raises(self, fresh, tmp_path, monkeypatch):
+        run, _ = fresh
+        monkeypatch.setenv("PATH", str(tmp_path))
+        with pytest.raises(CodegenError, match="gcc is not on PATH"):
+            execute(*run, dtype=np.int64, backend="c")
+
+    def test_unknown_backend_raises(self, fresh):
+        run, _ = fresh
+        with pytest.raises(CodegenError, match="unknown backend 'fortran'"):
+            execute(*run, dtype=np.int64, backend="fortran")
+
+    @needs_gcc
+    def test_built_once_then_loaded_from_disk(self, fresh, tmp_path, monkeypatch):
+        run, want = fresh
+        calls = self.calls_c(monkeypatch)
+        assert same_result(execute(*run, dtype=np.int64), want)
+        assert len(calls) == 1
+        cache = tmp_path / "cache" / "polypack"
+        assert sorted(p.suffix for p in cache.iterdir()) == [".c", ".so"]
+        c_file, = cache.glob("*.c")
+        assert c_file.read_text() == run[0].c_text
+        # a new process: no gcc run, the stored library is loaded
+        monkeypatch.setattr(native, "_LOADED", {})
+        monkeypatch.setattr(subprocess, "run", lambda *a, **k: pytest.fail("gcc ran"))
+        assert same_result(execute(*run, dtype=np.int64), want)
+        assert len(calls) == 2
+
+    @needs_gcc
+    def test_stored_text_must_match(self, fresh, tmp_path, monkeypatch):
+        # a stored .c that differs from the text is not trusted: rebuilt
+        run, want = fresh
+        execute(*run, dtype=np.int64)
+        c_file, = (tmp_path / "cache" / "polypack").glob("*.c")
+        c_file.write_text("/* some other text */\n")
+        monkeypatch.setattr(native, "_LOADED", {})
+        assert same_result(execute(*run, dtype=np.int64, backend="c"), want)
+        assert c_file.read_text() == run[0].c_text
+
+    @needs_gcc
+    def test_unwritable_cache_uses_temp_dir(self, fresh, tmp_path, monkeypatch):
+        run, want = fresh
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file" / "cache"))
+        calls = self.calls_c(monkeypatch)
+        assert same_result(execute(*run, dtype=np.int64), want)
+        assert len(calls) == 1
+        temp = tmp_path / "tmp" / f"polypack-{os.getuid()}"
+        assert sorted(p.suffix for p in temp.iterdir()) == [".c", ".so"]
+
+    @needs_gcc
+    def test_no_usable_directory(self, fresh, tmp_path, monkeypatch):
+        run, want = fresh
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file" / "cache"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "file" / "tmp"))
+        calls = self.calls_c(monkeypatch)
+        assert same_result(execute(*run, dtype=np.int64), want)
+        assert calls == []
+        with pytest.raises(CodegenError, match="no writable directory"):
+            execute(*run, dtype=np.int64, backend="c")
