@@ -19,7 +19,6 @@ from __future__ import annotations
 import ctypes
 import os
 import shutil
-import subprocess
 import tempfile
 import zlib
 
@@ -98,6 +97,8 @@ def _load_or_compile(gcc, flags, data, path):
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
+        # imported only to build: it adds 0.5 MB of peak RSS to every process
+        import subprocess
         done = subprocess.run([gcc, *flags, "-o", tmp_lib, tmp_src],
                               capture_output=True, text=True)
         if done.returncode:
