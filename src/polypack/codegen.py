@@ -894,20 +894,19 @@ def _box_grids(prog, env):
     values = [np.arange(lo, hi + 1) for lo, hi in ranges]
     grids = []
     for a in prog.leaves:
-        coefs = [(j, poly_values(p, {}, env)) for j, p in box.coefs[a.col]]
-        # flat when each box dim steps by the points of the dims after it,
-        # from 0 (a dim of one value can step by anything)
-        flat, points = True, 1
-        for j, c in reversed(coefs):
-            flat = flat and (c == points or len(values[j]) == 1)
-            points *= len(values[j])
-        off, least, most = _ORIGIN, 0, 0
-        for j, c in coefs:
+        # row-major offsets, built from the innermost box dim out; flat while
+        # each dim steps by the points of the dims after it (a dim of one
+        # value can step by anything), from 0
+        off, least, most, points, flat = _ORIGIN, 0, 0, 1, True
+        for j, p in reversed(box.coefs[a.col]):
+            c = poly_values(p, {}, env)
             ends = (c * ranges[j][0], c * ranges[j][1])
             least, most = least + min(ends), most + max(ends)
             step = values[j] if c == 1 else c * values[j]
-            off = step if off is _ORIGIN else (off[:, None] + step).ravel()
-        grids.append(_Grid(off, least, most, tuple(len(values[j]) for j, _ in coefs),
+            off = step if off is _ORIGIN else (step[:, None] + off).ravel()
+            flat = flat and (c == points or len(values[j]) == 1)
+            points *= len(values[j])
+        grids.append(_Grid(off, least, most, tuple(len(values[j]) for j, _ in box.coefs[a.col]),
                            flat and least == 0))
     return grids
 
@@ -938,10 +937,13 @@ def _box_call(prog, env, arrays, block):
 
 
 def _abut(base, width):
-    """Whether each row's base lies `width` past the one before; the ends
-    are compared first, which rules most non-abutting blocks out."""
-    return len(base) == 1 or (base[-1] - base[0] == (len(base) - 1) * width
-                              and (base[1:] - base[:-1] == width).all())
+    """Whether each row's base lies `width` past the one before, asked only
+    of a block of at least BLOCK_POINTS // 2 values: the check costs a few
+    µs an access, more than the gathers of a smaller block it would save.
+    The ends are compared first, which rules most other blocks out."""
+    n = len(base)
+    return n * width >= BLOCK_POINTS // 2 and (n == 1 or (
+        base[-1] - base[0] == (n - 1) * width and (base[1:] - base[:-1] == width).all()))
 
 
 def _box_rows(array, base, grid, s, rows, slab):
@@ -1129,13 +1131,11 @@ def _c_kernels(plan, live, dtype, backend):
         return {}
     if backend not in (None, "c"):
         raise CodegenError(f"unknown backend {backend!r}")
-    if native.compiler() is None:
-        if backend == "c":
-            raise CodegenError("backend 'c' needs a C compiler, and gcc is not on PATH")
-        return {}
     elem = _C_ELEMENTS.get(np.dtype(dtype))
     on_c = [si for si in live if C_BOXES or plan.summands[si].program.box is None]
-    if elem is None or not on_c:
+    if backend == "c" and native.compiler() is None:
+        raise CodegenError("backend 'c' needs a C compiler, and gcc is not on PATH")
+    if elem is None or not on_c or native.compiler() is None:
         return {}
     try:
         lib = native.library(plan.c_text, elem)

@@ -932,8 +932,9 @@ class TestBox:
         # TTM_UT's packed A and B hold each outer row (i, j) as one run of
         # n values in rank order, so every block's rows are one slice; dense
         # rows jump at every i, so a block spanning two i is gathered.  At
-        # 20 points a block, 21 rows split into blocks and slices of three
-        monkeypatch.setattr(codegen, "BLOCK_POINTS", 20)
+        # 12 points a block, 21 rows split into blocks and slices of two, and
+        # every block holds the BLOCK_POINTS // 2 values that pay the check
+        monkeypatch.setattr(codegen, "BLOCK_POINTS", 12)
         flags, real = [], codegen._box_rows
 
         def spy(array, base, grid, s, rows, abut):
