@@ -21,7 +21,6 @@ from .codegen import (
     emit_c_files, execute, reference_execute,
 )
 from .counting import CountingError, DomainError
-from .native import compiler
 from .polyhedra import AccessMap, PolyhedronError, image, iteration_space
 from .runtime import (
     build_store, footprint_report, gather_output, random_tensor,
@@ -237,11 +236,6 @@ def cmd_compile(args):
     return 0
 
 
-def _backend(args):
-    """The backend flag, by default "c" where gcc is on PATH, else "numpy"."""
-    return args.backend or ("c" if compiler() else "numpy")
-
-
 def cmd_run(args):
     cfg = _resolve(args)
     _refuse_redundancy_maps(cfg)
@@ -252,7 +246,7 @@ def cmd_run(args):
     if args.corrupt_index:
         _corrupt_store(store)
     result = execute(plan, store, cfg.shapes, cfg.binding,
-                     workers=args.workers, dtype=dtype, backend=_backend(args))
+                     workers=args.workers, dtype=dtype, backend=args.backend)
     out = gather_output(plan, result, cfg.shapes[cfg.rule], cfg.binding)
     ref = reference_execute(cfg.program, cfg.rule, cfg.shapes,
                             {t: tensors[t].data for t in cfg.inputs},
@@ -269,11 +263,9 @@ def _bench_one(cfg, compression, args):
     tensors = _make_inputs(cfg, args.seed, dtype)
     store = build_store(plan, tensors, cfg.binding)
 
-    backend = _backend(args)
-
     def once():
         return execute(plan, store, cfg.shapes, cfg.binding,
-                       workers=args.workers, dtype=dtype, backend=backend)
+                       workers=args.workers, dtype=dtype, backend=args.backend)
 
     once()  # warm-up, untimed: the first call of a plan on C may build its library
     times = []
@@ -294,7 +286,7 @@ def _bench_one(cfg, compression, args):
         "kernel": cfg.name,
         "binding": ";".join(f"{k}={v}" for k, v in sorted(cfg.binding.items())),
         "compression": compression,
-        "backend": backend,
+        "backend": "+".join(sorted(result.backends)) or "none",
         "workers": args.workers,
         "runtime_ns": int(statistics.median(times)),
         "elements_dense": report.dense_total(),
@@ -376,8 +368,9 @@ def _parser():
                     help="write one C file per summand into DIR")
     backend = argparse.ArgumentParser(add_help=False)
     backend.add_argument("--backend", choices=["c", "numpy"],
-                         help="run summands off a box as compiled C (needs gcc), or all on "
-                              "NumPy (default: c where gcc is on PATH)")
+                         help="run every summand as compiled C (needs gcc), or all on NumPy "
+                              "(default: summands off a box on C where gcc is on PATH and a "
+                              "library builds, the rest on NumPy)")
     pr = sub.add_parser("run", parents=[common, backend],
                         help="execute and verify against the dense reference")
     pr.add_argument("--corrupt-index", action="store_true",

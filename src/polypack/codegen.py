@@ -45,9 +45,9 @@ rank divided exactly and every index checked, once per row on a run level,
 each failed check returned as a status, so C and the walk share one
 lowering; `emit_c` assembles those texts and `polypack compile` prints
 them.  `execute` runs every summand off a box through that C where gcc
-exists (`native`), and the rest on the walk above.  The compressed
-summands and the buffer registry are built once per (program, rule) and
-shared by all three compression levels.
+exists (`native`), and the rest on the walk above; backend "c" runs every
+summand on C.  The compressed summands and the buffer registry are built
+once per (program, rule) and shared by all three compression levels.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -873,9 +874,8 @@ def _box_base(a, base, grid, array):
 
 # Where an access's values lie relative to its base, over a box at one
 # binding: off, the flat offsets in row-major box order; least and most,
-# their extremes; shape, the extent of each box dim it reads; flat, whether
-# off is 0, 1, ..., len(off) - 1.
-_Grid = namedtuple("_Grid", "off least most shape flat")
+# their extremes; shape, the extent of each box dim it reads.
+_Grid = namedtuple("_Grid", "off least most shape")
 
 
 def _box_grids(prog, env):
@@ -894,20 +894,14 @@ def _box_grids(prog, env):
     values = [np.arange(lo, hi + 1) for lo, hi in ranges]
     grids = []
     for a in prog.leaves:
-        # row-major offsets, built from the innermost box dim out; flat while
-        # each dim steps by the points of the dims after it (a dim of one
-        # value can step by anything), from 0
-        off, least, most, points, flat = _ORIGIN, 0, 0, 1, True
-        for j, p in reversed(box.coefs[a.col]):
+        off, least, most = _ORIGIN, 0, 0
+        for j, p in box.coefs[a.col]:
             c = poly_values(p, {}, env)
             ends = (c * ranges[j][0], c * ranges[j][1])
             least, most = least + min(ends), most + max(ends)
             step = values[j] if c == 1 else c * values[j]
-            off = step if off is _ORIGIN else (step[:, None] + off).ravel()
-            flat = flat and (c == points or len(values[j]) == 1)
-            points *= len(values[j])
-        grids.append(_Grid(off, least, most, tuple(len(values[j]) for j, _ in box.coefs[a.col]),
-                           flat and least == 0))
+            off = step if off is _ORIGIN else (off[:, None] + step).ravel()
+        grids.append(_Grid(off, least, most, tuple(len(values[j]) for j, _ in box.coefs[a.col])))
     return grids
 
 
@@ -936,36 +930,13 @@ def _box_call(prog, env, arrays, block):
     return grids, bases, consts, matrix
 
 
-def _abut(base, width):
-    """Whether each row's base lies `width` past the one before, asked only
-    of a block of at least BLOCK_POINTS // 2 values: the check costs a few
-    µs an access, more than the gathers of a smaller block it would save.
-    The ends are compared first, which rules most other blocks out."""
-    n = len(base)
-    return n * width >= BLOCK_POINTS // 2 and (n == 1 or (
-        base[-1] - base[0] == (n - 1) * width and (base[1:] - base[:-1] == width).all()))
-
-
-def _box_rows(array, base, grid, s, rows, slab):
-    """Rows s..s+rows-1 of a varying access under a box, as (rows, box
-    points): one slice of `array` where its rows abut (`slab`), else a
-    gather at base[row] + offset[box point]."""
-    if slab:
-        first = int(base[s])
-        return array[first:first + rows * len(grid.off)].reshape(rows, -1)
-    return array[base[s:s + rows, None] + grid.off]
-
-
 def _run_box(prog, env, arrays):
     """Accumulate a summand through its box (`_Box`): the outer levels run on
     `_expand`, and each slice of an outer block (at most BLOCK_POINTS gathered
-    values per varying access, unless one row has more) reads every input at
-    base[row] + offset[box point], contracts them and adds the result to the
-    output at its base[row] + offset.  Where an access's offsets are flat
-    and its rows in the block abut, as a packed buffer's do when its rank
-    follows the walk, those reads and adds are one slice.  Every index is
-    checked, once per outer block, before the first store read that uses
-    it."""
+    values per varying access, unless one row has more) gathers every input
+    at base[row] + offset[box point], contracts them and adds the result to
+    the output at its base[row] + offset.  Every index is checked, once per
+    outer block, before the first store read that uses it."""
     box, out = prog.box, arrays[0]
     outer = prog.levels[:box.depth]
     root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
@@ -982,12 +953,10 @@ def _run_box(prog, env, arrays):
         grids, bases, consts, matrix = state
         base = {a.col: _box_base(a, _column(block[a.col], m), grids[a.col], arrays[a.col])
                 for a in moving}
-        slab = {a.col for a in moving
-                if grids[a.col].flat and _abut(base[a.col], len(grids[a.col].off))}
         for s in range(0, m, rows_per):
             rows = min(m, s + rows_per) - s
             ops = [consts[a.col] if a.col in consts
-                   else _box_rows(arrays[a.col], base[a.col], grids[a.col], s, rows, a.col in slab)
+                   else arrays[a.col][base[a.col][s:s + rows, None] + grids[a.col].off]
                    for a in prog.leaves[1:]]
             if matrix is not None:
                 res = ops[box.matmul[0] - 1] @ matrix
@@ -1003,11 +972,8 @@ def _run_box(prog, env, arrays):
                     res = res * rows
                 out[bases[0] + grids[0].off] += res.reshape(-1)
                 continue
-            res = res.reshape(rows if per_row else 1, -1)
-            if 0 in slab:   # abutting rows: no index repeats
-                _box_rows(out, base[0], grids[0], s, rows, True)[...] += res
-                continue
             idx = base[0][s:s + rows, None] + grids[0].off
+            res = res.reshape(rows if per_row else 1, -1)
             if box.repeat:
                 np.add.at(out, idx, np.broadcast_to(res, idx.shape))
             else:
@@ -1041,6 +1007,7 @@ def _run_summand(prog, env, arrays):
 class ExecResult:
     dense: object          # flat ndarray or None
     compressed: dict       # output buffer id -> flat ndarray
+    backends: frozenset = frozenset()   # where summands ran: "c", "numpy"
 
 
 def buffer_length(index, binding):
@@ -1076,11 +1043,12 @@ def _zero_outputs(plan, shapes, binding, dtype):
 _SHARE = ("share.lo", "share.hi")
 
 
-def _run_chunks(plan, env, store, chunks, outputs, calls):
+def _run_chunks(plan, env, store, chunks, outputs, calls, ran):
     """Run (summand index, share) chunks into outputs = (dense, compressed):
     a whole summand through its C function in `calls` when every array it
     reads has the output's dtype and is contiguous, else on the NumPy walk,
-    where a share (lo, hi) is two more bounds on its outermost level."""
+    where a share (lo, hi) is two more bounds on its outermost level.  Adds
+    the backend each chunk ran on to the set `ran`."""
     dense_out, comp = outputs
     for si, share in chunks:
         sp = plan.summands[si]
@@ -1091,6 +1059,7 @@ def _run_chunks(plan, env, store, chunks, outputs, calls):
         if si in calls and all(x.dtype == arrays[0].dtype and x.flags.c_contiguous
                                for x in arrays[1:]):
             _run_c(calls[si], sp, arrays, env)
+            ran.add("c")
             continue
         if share is not None:
             lo, hi = (int_form(AffineExpr.var(name)) for name in _SHARE)
@@ -1099,6 +1068,7 @@ def _run_chunks(plan, env, store, chunks, outputs, calls):
             prog = prog._replace(levels=(top,) + prog.levels[1:])
             run_env = {**env, **dict(zip(_SHARE, share))}
         _run_summand(prog, run_env, arrays)
+        ran.add("numpy")
     return outputs
 
 
@@ -1110,29 +1080,27 @@ def _fork_worker(chunks):
     plan, env, store, (dense_out, comp) = _FORK_STATE
     outputs = (None if dense_out is None else np.zeros_like(dense_out),
                {bid: np.zeros_like(x) for bid, x in comp.items()})
-    return _run_chunks(plan, env, store, chunks, outputs, {})
+    return _run_chunks(plan, env, store, chunks, outputs, {}, set())
 
-
-# Box summands run on NumPy: a block's `matmul` or einsum beats the plain C
-# loops, TTM_UT at n=32 packed 0.39-0.57 ms against 1.42-1.50 ms in C
-# (gcc -O2, 2-vCPU guest).  Tests set this to cross-check the box's C too.
-C_BOXES = False
 
 # The C element type of each dtype the emitted C is built for
 _C_ELEMENTS = {np.dtype(np.float64): "double", np.dtype(np.int64): "int64_t"}
 
 
 def _c_kernels(plan, live, dtype, backend):
-    """{summand index: C function} for the live summands that run on C: by
-    default those off a box, where a compiler exists and a library builds
-    for the dtype; none with backend "numpy"; with backend "c", a missing
-    compiler or a failed build raises CodegenError."""
+    """{summand index: C function} for the live summands that run on C,
+    where a compiler exists and a library builds for the dtype: by default
+    those off a box, since a box's `matmul` or einsum beats the plain C
+    loops (TTM_UT at n=32 packed 0.39-0.57 ms against 1.42-1.50 ms in C,
+    gcc -O2, 2-vCPU guest); none with backend "numpy"; every one with
+    backend "c", where a missing compiler or a failed build raises
+    CodegenError."""
     if backend == "numpy":
         return {}
     if backend not in (None, "c"):
         raise CodegenError(f"unknown backend {backend!r}")
     elem = _C_ELEMENTS.get(np.dtype(dtype))
-    on_c = [si for si in live if C_BOXES or plan.summands[si].program.box is None]
+    on_c = [si for si in live if backend == "c" or plan.summands[si].program.box is None]
     if backend == "c" and native.compiler() is None:
         raise CodegenError("backend 'c' needs a C compiler, and gcc is not on PATH")
     if elem is None or not on_c or native.compiler() is None:
@@ -1165,12 +1133,15 @@ def _run_c(fn, sp, arrays, env):
 def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=None):
     """Run every summand; returns zero-initialized-then-accumulated outputs.
 
-    Each live summand off a box runs through its compiled C function
-    (`SummandPlan.source`, built once per plan text and element type by
-    `native.library`) where the dtype is float64 or int64 and gcc is on
-    PATH; a box summand, and every summand without gcc or with backend
-    "numpy", runs on the NumPy walk.  Backend "c" raises CodegenError
-    without gcc.  Both backends raise the same IndexingFault on a bad index.
+    By default each live summand off a box runs through its compiled C
+    function (`SummandPlan.source`, built once per plan text and element
+    type by `native.library`) where the dtype is float64 or int64 and gcc
+    is on PATH; a box summand, and every summand without gcc or without a
+    library, runs on the NumPy walk.  Backend "numpy" runs every summand on
+    the walk; backend "c" runs every one on C, box summands too, and raises
+    CodegenError without gcc or without a library.  Both backends raise the
+    same IndexingFault on a bad index.  The result's `backends` names the
+    ones that ran.
 
     With workers > 1 the call forks only where its parallelizable summands
     on the NumPy walk and off a box hold, per process, FORK_POINTS points
@@ -1224,9 +1195,10 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=N
                 if b > a:
                     shares[k].append((si, (lo + int(a), lo + int(b) - 1)))
         shares = [share for share in shares if share]
+    ran = set()
     if len(shares) < 2:
-        return ExecResult(*_run_chunks(plan, env, store, [(si, None) for si in live],
-                                       (dense_out, comp), calls))
+        _run_chunks(plan, env, store, [(si, None) for si in live], (dense_out, comp), calls, ran)
+        return ExecResult(dense_out, comp, frozenset(ran))
     # the parent runs the summands that do not split, C ones among them,
     # beside the first share
     shares[0] += [(si, None) for si in live if si not in work]
@@ -1238,7 +1210,7 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=N
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(processes=len(shares) - 1) as pool:
             pending = pool.map_async(_fork_worker, shares[1:])
-            _run_chunks(plan, env, store, shares[0], (dense_out, comp), calls)
+            _run_chunks(plan, env, store, shares[0], (dense_out, comp), calls, ran)
             results = pending.get()
     finally:
         _FORK_STATE = None
@@ -1247,7 +1219,7 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=N
             dense_out += d
         for bid, arr in c.items():
             comp[bid] += arr
-    return ExecResult(dense_out, comp)
+    return ExecResult(dense_out, comp, frozenset(ran | {"numpy"}))
 
 
 # ---------------------------------------------------------------------------
@@ -1534,4 +1506,14 @@ def _emit_c_summand(rule, si, params, stmt, prog):
         put("}")
     out.append("  return 0;")
     out.append("}")
+    # a name of the rule that the emitter also declares (`sum`, `r0`, a
+    # var's `_lo` ...) would be shadowed or redeclared, and the C could
+    # compute something else: such a function must not build
+    declared = re.findall(r"\b(?:int64_t|ELEM\*?) (\w+)", "\n".join(out))
+    ours = {*params, *(lv.var for lv in prog.levels),
+            *(a.tensor for a in accesses if a.layout == "dense")}
+    clash = sorted({n for n in declared if n in ours and declared.count(n) > 1})
+    if clash:
+        out.insert(1, "#error names of the rule clash with names the emitter declares: "
+                   + ", ".join(clash))
     return out

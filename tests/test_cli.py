@@ -10,6 +10,7 @@ import pytest
 
 import numpy as np
 
+from polypack import native
 from polypack.cli import BUILTIN_KERNELS, CSV_COLUMNS, derive_shapes, main
 from polypack.codegen import CodegenError, build_plan, emit_c_files
 from polypack.polyhedra import enumerate_points, iteration_space
@@ -22,6 +23,9 @@ B_U(i, j, l) := (0 <= i < M) * (i <= j < N) * (0 <= l < Q)
 TRIANGLE = """A(i) := B(i, j) * C(j)
 B_U(i, j) := (0 <= i < n) * (i <= j < n)
 """
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
+                               reason="no gcc to compile the emitted C")
 
 
 def run_cli(*argv):
@@ -256,11 +260,33 @@ class TestBench:
         want = "c" if shutil.which("gcc") else "numpy"
         assert all(r["backend"] == want for r in rows)
 
-    def test_backend_column_follows_the_flag(self, capsys):
-        assert run_cli("bench", "--kernel", "SpMV_UT", "--dtype", "i64",
-                       "--backend", "numpy") == 0
+    @pytest.mark.parametrize("kernel,flag,want", [
+        ("SpMV_UT", "numpy", "numpy"),
+        ("TTM_UT", None, "numpy"),   # a box summand stays on NumPy by default
+        pytest.param("TTM_UT", "c", "c", marks=needs_gcc),
+    ])
+    def test_backend_column_names_what_ran(self, kernel, flag, want, capsys):
+        args = ["--backend", flag] if flag else []
+        assert run_cli("bench", "--kernel", kernel, "--dtype", "i64", *args) == 0
+        row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert row["backend"] == want and row["verify"] == "PASS"
+
+    @needs_gcc
+    def test_failed_build_falls_back_by_default(self, tmp_path, monkeypatch, capsys):
+        # a run var named `sum` clashes with the row's sum: the C does not
+        # build, so the default runs NumPy and --backend c exits 2
+        monkeypatch.setattr(native, "_LOADED", {})
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        path = os.path.join(tmp_path, "clash.stur")
+        with open(path, "w") as f:
+            f.write("A(i) := B(i, sum) * C(sum)\n"
+                    "B_U(i, sum) := (0 <= i < n) * (i <= sum < n)\n")
+        assert run_cli("bench", "--stur", path, "--bind", "n=6", "--dtype", "i64") == 0
         row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert row["backend"] == "numpy" and row["verify"] == "PASS"
+        assert run_cli("run", "--stur", path, "--bind", "n=6", "--backend", "c") == 2
+        assert "names of the rule clash with names the emitter declares: sum" \
+            in capsys.readouterr().err
 
     def test_rate_column_exact_rational(self, capsys):
         assert run_cli("bench", "--kernel", "SpMV_D", "--dtype", "i64") == 0

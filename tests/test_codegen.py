@@ -760,9 +760,9 @@ class TestFork:
             pools.append(processes)
             return real_pool(processes)
 
-        def run_chunks(plan, env, store, chunks, outputs, calls):
+        def run_chunks(plan, env, store, chunks, *rest):
             parent.append(chunks)
-            return real_run(plan, env, store, chunks, outputs, calls)
+            return real_run(plan, env, store, chunks, *rest)
         monkeypatch.setattr(ctx, "Pool", pool)
         monkeypatch.setattr(codegen, "_run_chunks", run_chunks)
         par = execute(plan, store, shapes, binding, workers=2, dtype=np.int64, backend="numpy")
@@ -926,47 +926,6 @@ class TestBox:
         else:
             want = len(range(1, n, 3)) * store["B"]
         assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("level,slab", [("none", False), ("input+output", True)])
-    def test_abutting_rows_read_as_one_slice(self, level, slab, monkeypatch):
-        # TTM_UT's packed A and B hold each outer row (i, j) as one run of
-        # n values in rank order, so every block's rows are one slice; dense
-        # rows jump at every i, so a block spanning two i is gathered.  At
-        # 12 points a block, 21 rows split into blocks and slices of two, and
-        # every block holds the BLOCK_POINTS // 2 values that pay the check
-        monkeypatch.setattr(codegen, "BLOCK_POINTS", 12)
-        flags, real = [], codegen._box_rows
-
-        def spy(array, base, grid, s, rows, abut):
-            flags.append(abut)
-            return real(array, base, grid, s, rows, abut)
-        monkeypatch.setattr(codegen, "_box_rows", spy)
-        kern = BUILTIN_KERNELS["TTM_UT"]
-        binding = {**kern.defaults, "n_i": 6, "n_j": 6, "n_k": 6, "n_l": 6}
-        shapes = {t: tuple(binding[s] for s in syms) for t, syms in kern.shapes.items()}
-        got, want = run_and_compare(kern.text, kern.rule, shapes, binding, level)
-        assert np.array_equal(got, want)
-        assert len(flags) > 8 and (set(flags) == {True} if slab else False in flags)
-
-    @pytest.mark.parametrize("level", LEVELS)
-    def test_flat_grids(self, level):
-        # `flat`, read off the box coefficients, says whether the offsets
-        # are 0, 1, ..., len - 1; STRIDED_BOX's dense B steps by its last
-        # extent
-        runs = [default_run(name, level) for name in sorted(BUILTIN_KERNELS)]
-        program = parse_program(STRIDED_BOX)
-        binding = {"n": 6, "m": 4}
-        runs.append((build_plan(program, "A", level), None,
-                     {"A": (6, 6), "B": (6, 4, 6), "C": (4,)}, binding))
-        seen = set()
-        for plan, _, shapes, binding in runs:
-            env = {**binding, **{(t, a): e for t, sh in shapes.items() for a, e in enumerate(sh)}}
-            for sp in plan.summands:
-                if sp.program is not None and sp.program.box is not None:
-                    for g in codegen._box_grids(sp.program, env):
-                        assert g.flat == np.array_equal(g.off, np.arange(len(g.off)))
-                        seen.add(g.flat)
-        assert True in seen and (level != "none" or False in seen)
 
     def test_grids_follow_the_binding(self):
         # one plan run at alternating bindings, shapes and worker counts
@@ -1410,16 +1369,12 @@ int main(void) {
 
 @needs_gcc
 class TestEmitCMatchesReference:
-    """`execute(backend="c")` against the dense reference, on f64 and
-    bitwise on i64; with C_BOXES set, box summands run their C too."""
-
-    @pytest.fixture(params=[False, True], ids=["boxes_numpy", "boxes_c"])
-    def boxes(self, request, monkeypatch):
-        monkeypatch.setattr(codegen, "C_BOXES", request.param)
+    """`execute(backend="c")`, which runs every summand on C, box summands
+    too, against the dense reference, on f64 and bitwise on i64."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("name", sorted(BUILTIN_KERNELS))
-    def test_builtin(self, name, dtype, boxes):
+    def test_builtin(self, name, dtype):
         kern = BUILTIN_KERNELS[name]
         program = parse_program(kern.text)
         binding = {s: 11 if s.startswith("n_") else v for s, v in kern.defaults.items()}
@@ -1430,7 +1385,7 @@ class TestEmitCMatchesReference:
             assert np.array_equal(got, want), level
 
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
-    def test_tetrahedron(self, dtype, boxes):
+    def test_tetrahedron(self, dtype):
         # i*i*i/6 and its kin: 112 of the 200 outputs were wrong when the
         # rank was a truncated double
         shapes = {"A": (200,), "B": (200,) * 3, "C": (200,)}
@@ -1450,7 +1405,7 @@ class TestEmitCMatchesReference:
         (TWO_BUFFERS, {"A": (9,), "B": (9, 9)}, {"n": 9}),
     ], ids=["leslie", "bands", "banded", "half_bound", "third_guard",
             "strided_box", "two_buffers"])
-    def test_rule(self, text, shapes, binding, level, dtype, boxes):
+    def test_rule(self, text, shapes, binding, level, dtype):
         got, want = run_and_compare(text, "A", shapes, binding, level,
                                     dtype=dtype, backend="c")
         assert np.array_equal(got, want)
@@ -1458,11 +1413,38 @@ class TestEmitCMatchesReference:
     @pytest.mark.parametrize("level", LEVELS)
     def test_backends_agree_bitwise(self, level):
         # every builtin on i64 at its default binding: the same outputs,
-        # bit for bit, from either backend
+        # bit for bit, from every backend, each reporting where it ran
         for name in sorted(BUILTIN_KERNELS):
             run = default_run(name, level)
             numpy = execute(*run, dtype=np.int64, backend="numpy")
-            assert same_result(execute(*run, dtype=np.int64, backend="c"), numpy), name
+            assert numpy.backends == {"numpy"}, name
+            c = execute(*run, dtype=np.int64, backend="c")
+            assert same_result(c, numpy) and c.backends == {"c"}, name
+            default = execute(*run, dtype=np.int64)
+            boxes = {sp.program.box is not None for sp in run[0].summands
+                     if sp.program is not None}
+            assert same_result(default, numpy), name
+            assert default.backends == {"numpy" if box else "c" for box in boxes}, name
+
+    @pytest.mark.parametrize("elem", ["double", "int64_t"])
+    def test_emitted_c_compiles_without_warnings(self, elem, tmp_path):
+        # every builtin at every level, the tetrahedron and the rule cases
+        # above, built as the backend builds them with warnings as errors
+        texts = [build_plan(parse_program(BUILTIN_KERNELS[name].text),
+                            BUILTIN_KERNELS[name].rule, level).c_text
+                 for name in sorted(BUILTIN_KERNELS) for level in LEVELS]
+        texts += [build_plan(parse_program(text), "A", level).c_text
+                  for text in (TETRAHEDRON, LESLIE, BANDS, BANDED, HALF_BOUND, THIRD_GUARD,
+                               STRIDED_BOX, TWO_BUFFERS) for level in LEVELS]
+        files = []
+        for i, text in enumerate(dict.fromkeys(texts)):
+            files.append(tmp_path / f"k{i}.c")
+            files[-1].write_text(text)
+        flags = [f for f in native.FLAGS if f not in ("-shared", "-fPIC")]
+        done = subprocess.run([GCC, *flags, "-Wall", "-Werror", "-Wno-unused-variable",
+                               f"-DELEM={elem}", "-c", *map(str, files)],
+                              cwd=tmp_path, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_c_summand_never_forks(self, monkeypatch):
         # with the floor at 0, SpMV_UT forks on the NumPy walk; on C it
@@ -1571,6 +1553,27 @@ class TestLibraryCache:
         assert len(calls) == 1
         temp = tmp_path / "tmp" / f"polypack-{os.getuid()}"
         assert sorted(p.suffix for p in temp.iterdir()) == [".c", ".so"]
+
+    @pytest.mark.parametrize("name,var", [("j", "sum"), ("i", "r0"), ("j", "k1"),
+                                          ("i", "j_lo")])
+    def test_clashing_names_do_not_build(self, name, var, fresh):
+        # SpMV_UT with a var renamed to a local the emitter declares:
+        # shadowed, the C would compute something else (a run var `sum`
+        # overwrote the row's sum and read past B), so it must not build;
+        # the default walks NumPy instead
+        plan = build_plan(parse_program(SPMV_UT.replace(name, var)), "A", "input+output")
+        assert "#error names of the rule clash with names the emitter declares: " \
+            + var in plan.c_text
+        shapes, binding = {"A": (9,), "B": (9, 9), "C": (9,)}, {"n": 9}
+        rng = np.random.default_rng(5)
+        dense = {t: rng.integers(-3, 4, int(np.prod(shapes[t]))) for t in "BC"}
+        store = pack_store(plan, shapes, dense, binding, np.int64)
+        want = execute(plan, store, shapes, binding, dtype=np.int64, backend="numpy")
+        got = execute(plan, store, shapes, binding, dtype=np.int64)
+        assert same_result(got, want) and got.backends == {"numpy"}
+        if GCC:
+            with pytest.raises(CodegenError, match=f"emitter declares: {var}"):
+                execute(plan, store, shapes, binding, dtype=np.int64, backend="c")
 
     @needs_gcc
     def test_no_usable_directory(self, fresh, tmp_path, monkeypatch):
