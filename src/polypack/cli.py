@@ -357,7 +357,7 @@ def _parser():
     common.add_argument("--dtype", choices=sorted(_DTYPES), default="f64")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--workers", type=_workers, default=1,
-                        help="processes for a large enough run (at most the usable CPUs)")
+                        help="threads for a large enough run (at most the usable CPUs)")
     common.add_argument("--compression", action="append",
                         choices=["none", "input", "input+output"],
                         help="layout level (repeatable for bench)")

@@ -16,12 +16,7 @@ Each compressed index is checked against `len()` of the array it indexes,
 so a size polynomial is evaluated only where an array is allocated (a
 compressed output here, an input in `runtime.pack`); every index must fit
 int64 by its program's bounds, and every dense input must hold its shape's
-values, before anything is allocated.  A `workers > 1` call forks only
-where the points of its summands on this walk and off a box (`_work`, per
-value of the outermost level) give each process FORK_POINTS, plus
-FORK_OUTPUT_POINTS per output value it sends back; each process then takes
-a share of a summand's outermost range, balanced by those points, as two
-more bounds on that level.
+values, before anything is allocated.
 Where a summand's innermost levels form a box (parameter bounds, stride 1,
 no guards, degree-1 index terms with parameter-only coefficients), the
 expander walks only the levels above it: each access's index is then
@@ -46,7 +41,11 @@ each failed check returned as a status, so C and the walk share one
 lowering; `emit_c` assembles those texts and `polypack compile` prints
 them.  `execute` runs every summand off a box through that C where gcc
 exists (`native`), and the rest on the walk above; backend "c" runs every
-summand on C.  The compressed summands and the buffer registry are built
+summand on C.  A parallelizable summand's C function takes a share of its
+outermost range as two more bounds on that level, so a `workers > 1` call
+can run the shares on threads, cut where its points (`_work`, per value of
+that level) balance, wherever they give each thread THREAD_POINTS; the
+walk never splits.  The compressed summands and the buffer registry are built
 once per (program, rule) and shared by all three compression levels.
 """
 
@@ -56,6 +55,7 @@ import ctypes
 import math
 import os
 import re
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
@@ -202,23 +202,15 @@ def build_loop_nest(space):
 # expanded whole.  Bounds the frontier's memory at any depth.
 BLOCK_POINTS = 1 << 13
 
-# Least points (`_work`) per process for a `workers > 1` call to fork; with
-# fewer it runs in-process.  Only summands on the NumPy walk fork, and this
-# was measured there: SpMV_UT swept with the floor at 0 on a 2-vCPU guest
-# (f64, min of 7 calls, workers 1 over 2; a pool costs about 10 ms):
-#   points per worker   1.0M       2.0M       3.0M       4.0M       16.7M
-#   second vCPU free    0.73       1.10       1.12       1.20       1.90
-#   host under load     0.54-0.62  0.61-0.73  0.78-0.82  0.75-0.84  1.60
-# (6.0M and 8.0M read 1.45 and 1.22 free, 0.89 and 0.88 under load.)  Below
-# about 2M the fork never repays its start; up to about 5M it repays it only
-# while the host leaves the second vCPU free.
-FORK_POINTS = 5_000_000
-
-# More points each process must hold per output value, since a child sends
-# its whole outputs back through a pipe: 100-140 ns a value on the same
-# guest, against 9 ns a point on SpMV_UT's run walk.  SpMV_D, one output
-# value per point, ran 2.8-4x slower forked at 1M to 8M points per process.
-FORK_OUTPUT_POINTS = 16
+# Least points (`_work`) per thread for a `workers > 1` call to split a
+# summand on C; with fewer it runs whole in the calling thread.  Measured
+# on SpMV_UT's emitted C with two share bounds on a 2-vCPU guest (f64, min
+# of 15 calls, 2 threads over 1):
+#   points per thread    62K        1.0M       4M         16.8M
+#   second vCPU busy     0.76-0.83  0.89-1.00  1.00-1.08  0.98-0.99
+#   second vCPU free     0.76-0.83  1.80-1.95  2.0-2.3    1.75-1.95
+# From 5M points a thread the split is never measurably slower.
+THREAD_POINTS = 5_000_000
 
 # [0]: the start of a block's only row, and the offsets of an access that
 # no box dim moves
@@ -484,7 +476,19 @@ class SummandPlan:
     def c_args(self):
         """Where each argument of the summand's C function comes from, in
         order (see `_c_signature`)."""
-        return tuple(src for _, src in _c_signature(self.nest.params, self.statement))
+        return tuple(src for _, src in _c_signature(self.nest.params, self.statement,
+                                                    self.parallelizable))
+
+    @cached_property
+    def axes(self):
+        """Per level that is not fixed, the env names of the extents of the
+        tensor axes its var indexes: the product over levels of the least
+        of them bounds the summand's points while every iterator lies
+        inside the extents it indexes."""
+        accesses = (self.statement.output, *self.statement.inputs)
+        return tuple(tuple((a.tensor, axis) for a in accesses
+                           for axis, it in enumerate(a.names) if it == lv.var)
+                     for lv in self.nest.levels if lv.kind != "fixed")
 
 
 @dataclass(frozen=True)
@@ -557,7 +561,7 @@ def build_plan(program, rule, compression="input+output"):
                and nest.dims[0] in s.output.index_names)
         prog = _program(nest, stmt)
         sp = SummandPlan(nest, stmt, par,
-                         "\n".join(_emit_c_summand(rule, si, nest.params, stmt, prog)))
+                         "\n".join(_emit_c_summand(rule, si, nest.params, stmt, prog, par)))
         sp.__dict__["program"] = prog   # lowered once, at compile time, for C and `execute`
         plans.append(sp)
     return KernelPlan(rule, tuple(plans), registry, compression)
@@ -1038,51 +1042,6 @@ def _zero_outputs(plan, shapes, binding, dtype):
     return dense_out, comp
 
 
-# The env names of a worker's share [lo, hi] of a summand's outermost
-# range: no STUR identifier and no (tensor, axis) extent takes them.
-_SHARE = ("share.lo", "share.hi")
-
-
-def _run_chunks(plan, env, store, chunks, outputs, calls, ran):
-    """Run (summand index, share) chunks into outputs = (dense, compressed):
-    a whole summand through its C function in `calls` when every array it
-    reads has the output's dtype and is contiguous, else on the NumPy walk,
-    where a share (lo, hi) is two more bounds on its outermost level.  Adds
-    the backend each chunk ran on to the set `ran`."""
-    dense_out, comp = outputs
-    for si, share in chunks:
-        sp = plan.summands[si]
-        o = sp.statement.output
-        prog, run_env = sp.program, env
-        arrays = (dense_out if o.layout == "dense" else comp[o.buffer_id],
-                  *[store[a.key] for a in prog.leaves[1:]])
-        if si in calls and all(x.dtype == arrays[0].dtype and x.flags.c_contiguous
-                               for x in arrays[1:]):
-            _run_c(calls[si], sp, arrays, env)
-            ran.add("c")
-            continue
-        if share is not None:
-            lo, hi = (int_form(AffineExpr.var(name)) for name in _SHARE)
-            top = prog.levels[0]
-            top = top._replace(lowers=top.lowers + (lo,), uppers=top.uppers + (hi,))
-            prog = prog._replace(levels=(top,) + prog.levels[1:])
-            run_env = {**env, **dict(zip(_SHARE, share))}
-        _run_summand(prog, run_env, arrays)
-        ran.add("numpy")
-    return outputs
-
-
-_FORK_STATE = None
-
-
-def _fork_worker(chunks):
-    """Run chunks into zeroed outputs shaped like the parent's."""
-    plan, env, store, (dense_out, comp) = _FORK_STATE
-    outputs = (None if dense_out is None else np.zeros_like(dense_out),
-               {bid: np.zeros_like(x) for bid, x in comp.items()})
-    return _run_chunks(plan, env, store, chunks, outputs, {}, set())
-
-
 # The C element type of each dtype the emitted C is built for
 _C_ELEMENTS = {np.dtype(np.float64): "double", np.dtype(np.int64): "int64_t"}
 
@@ -1121,13 +1080,62 @@ def _c_kernels(plan, live, dtype, backend):
     return calls
 
 
-def _run_c(fn, sp, arrays, env):
-    """Call a summand's C function on the arrays at its leaf columns, and
-    raise the IndexingFault its status names."""
-    status = fn(*[arrays[x].ctypes.data if kind == "ptr" else len(arrays[x]) if kind == "len"
-                  else env[x] for kind, x in sp.c_args])
-    if status:
-        raise IndexingFault(_faults(sp.statement)[status - 1])
+# The share of a summand's outermost range that a call of its C function
+# runs when the summand is not split: two bounds that bind nothing (unread
+# where the summand is not parallelizable, whose function takes none)
+_WHOLE = (-_INT64_MAX - 1, _INT64_MAX)
+
+
+def _shares(sp, env, threads):
+    """The shares [lo, hi] of a summand's outermost range that its C calls
+    run, one per thread of at most `threads`: where it is parallelizable,
+    cut where its points (`_work`) summed along that range cross k/threads
+    of their total, wherever they give each thread THREAD_POINTS; else the
+    whole range.  `_work` is walked only when the extents that bound the
+    points (`SummandPlan.axes`) allow two threads."""
+    if threads < 2 or not sp.parallelizable or math.prod(
+            min((env[x] for x in names if x in env), default=math.inf)
+            for names in sp.axes) < 2 * THREAD_POINTS:
+        return [_WHOLE]
+    lo, work = _work(sp.program, env)
+    threads = min(threads, int(work.sum()) // max(THREAD_POINTS, 1))
+    if threads < 2:
+        return [_WHOLE]
+    # value x joins the share whose part of the total holds the middle of
+    # its work: each cut lies within half a value's work of k/threads
+    cum = np.cumsum(work)
+    cuts = [0, *np.searchsorted(threads * (2 * cum - work), 2 * cum[-1] * np.arange(1, threads)),
+            len(work)]
+    return [(lo + int(a), lo + int(b) - 1) for a, b in zip(cuts, cuts[1:]) if b > a]
+
+
+def _run_c(fn, sp, arrays, env, shares):
+    """Call a summand's C function on the arrays at its leaf columns, once
+    per share of its outermost range (`_shares`): the first in this thread
+    and each other on a thread of its own, every one joined before this
+    returns.  Shares write disjoint output values of the same arrays.
+    Raises the IndexingFault whose status the first failing share, in
+    order, returned."""
+    args = [[arrays[x].ctypes.data if kind == "ptr" else len(arrays[x]) if kind == "len"
+             else share[x] if kind == "share" else env[x] for kind, x in sp.c_args]
+            for share in shares]
+    status = [0] * len(shares)
+
+    def call(k):
+        status[k] = fn(*args[k])
+    others = []
+    try:
+        for k in range(1, len(shares)):
+            t = threading.Thread(target=call, args=(k,))
+            t.start()
+            others.append(t)
+        call(0)
+    finally:
+        for t in others:
+            t.join()
+    failed = next((s for s in status if s), 0)
+    if failed:
+        raise IndexingFault(_faults(sp.statement)[failed - 1])
 
 
 def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=None):
@@ -1143,20 +1151,14 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=N
     same IndexingFault on a bad index.  The result's `backends` names the
     ones that ran.
 
-    With workers > 1 the call forks only where its parallelizable summands
-    on the NumPy walk and off a box hold, per process, FORK_POINTS points
-    (`_work`) plus FORK_OUTPUT_POINTS per output value, for at most
-    `workers` processes and the CPUs this process may use, the parent among
-    them; a smaller call, or one whose points fill fewer than two shares,
-    runs in-process.  A box summand runs in the parent: forked, TTM_UT and
-    MTT_J ran slower at every size swept, up to 8M and 16M gathered values
-    per process.  So does a summand on C: one C call beat forked NumPy
-    shares at every size the floor admits (SpMV_UT at n=8192: about 50 ms
-    in C, 0.18 s forked on 2 vCPUs).
-    Each process takes a share of every split summand's outermost range,
-    cut where the points summed along that range cross k/processes of their
-    total, and writes disjoint output slices, so results are bitwise
-    identical to the in-process path for integer data.
+    With workers > 1 a parallelizable summand on C runs on up to `workers`
+    threads, capped at the CPUs this process may use, the calling thread
+    among them, wherever its points (`_work`) give each THREAD_POINTS (see
+    `_shares`); every share of a summand is joined before the next summand
+    starts, since two summands can write one output value.  A share writes
+    disjoint output values in place and sums each one's terms in the same
+    order, so results are bitwise identical to `workers=1`.  The NumPy walk
+    never splits.
     Index ranges that can overflow int64 and a dense input shorter than its
     shape raise IndexingFault before any output is allocated.
     """
@@ -1173,53 +1175,22 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=N
             raise IndexingFault(f"dense input {t} holds {len(store[t])} values, "
                                 f"fewer than its shape {tuple(shapes[t])}")
     dense_out, comp = _zero_outputs(plan, shapes, binding, dtype)
-
-    cap = min(workers, len(os.sched_getaffinity(0)))
-    work = {si: _work(plan.summands[si].program, env) for si in live if cap > 1 and si not in calls
-            and plan.summands[si].parallelizable and plan.summands[si].program.box is None}
-    sent = sum(x.size for x in (dense_out, *comp.values()) if x is not None)
-    procs = min(cap, int(sum(w.sum() for _, w in work.values()))
-                // max(FORK_POINTS + FORK_OUTPUT_POINTS * sent, 1))
-    shares = []
-    if procs > 1:
-        shares = [[] for _ in range(procs)]
-        for si, (lo, w) in work.items():
-            if not len(w):
-                continue
-            # value x joins the share whose part of the total holds the middle
-            # of its work: each cut lies within half a value's work of k/procs
-            cum = np.cumsum(w)
-            cuts = [0, *np.searchsorted(procs * (2 * cum - w), 2 * cum[-1] * np.arange(1, procs)),
-                    len(w)]
-            for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
-                if b > a:
-                    shares[k].append((si, (lo + int(a), lo + int(b) - 1)))
-        shares = [share for share in shares if share]
+    threads = min(workers, len(os.sched_getaffinity(0)))
     ran = set()
-    if len(shares) < 2:
-        _run_chunks(plan, env, store, [(si, None) for si in live], (dense_out, comp), calls, ran)
-        return ExecResult(dense_out, comp, frozenset(ran))
-    # the parent runs the summands that do not split, C ones among them,
-    # beside the first share
-    shares[0] += [(si, None) for si in live if si not in work]
-
-    global _FORK_STATE
-    _FORK_STATE = (plan, env, store, (dense_out, comp))
-    try:
-        import multiprocessing
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=len(shares) - 1) as pool:
-            pending = pool.map_async(_fork_worker, shares[1:])
-            _run_chunks(plan, env, store, shares[0], (dense_out, comp), calls, ran)
-            results = pending.get()
-    finally:
-        _FORK_STATE = None
-    for d, c in results:
-        if d is not None:
-            dense_out += d
-        for bid, arr in c.items():
-            comp[bid] += arr
-    return ExecResult(dense_out, comp, frozenset(ran | {"numpy"}))
+    for si in live:
+        sp = plan.summands[si]
+        o = sp.statement.output
+        arrays = (dense_out if o.layout == "dense" else comp[o.buffer_id],
+                  *[store[a.key] for a in sp.program.leaves[1:]])
+        # C reads every array as the output's dtype, contiguous
+        if si in calls and all(x.dtype == arrays[0].dtype and x.flags.c_contiguous
+                               for x in arrays[1:]):
+            _run_c(calls[si], sp, arrays, env, _shares(sp, env, threads))
+            ran.add("c")
+        else:
+            _run_summand(sp.program, env, arrays)
+            ran.add("numpy")
+    return ExecResult(dense_out, comp, frozenset(ran))
 
 
 # ---------------------------------------------------------------------------
@@ -1302,12 +1273,14 @@ def _c_function(rule, si):
     return f"{rule.lower()}_s{si}"
 
 
-def _c_signature(params, stmt):
+def _c_signature(params, stmt, share):
     """(declaration, source) per argument of a summand's C function, in
     order: the output's array, each distinct input array, the parameters,
     then each dense access's extents and each compressed access's buffer
-    length.  A source is ("ptr", column) for the array at a leaf column,
-    ("len", column) for its length, or ("env", name) for an int of env."""
+    length, and with `share` the first and last outermost value to run.  A
+    source is ("ptr", column) for the array at a leaf column, ("len",
+    column) for its length, ("env", name) for an int of env, or ("share",
+    0 or 1) for an end of the share."""
     accesses = (stmt.output,) + tuple(stmt.inputs)
     sig = {f"ELEM* {_c_operand(stmt.output)}": ("ptr", 0)}
     for col, a in enumerate(accesses[1:], 1):
@@ -1320,7 +1293,9 @@ def _c_signature(params, stmt):
                 sig.setdefault(f"int64_t n_{a.tensor}{axis}", ("env", (a.tensor, axis)))
         else:
             sig.setdefault(f"int64_t len{a.buffer_id}", ("len", col))
-    return tuple(sig.items())
+    # never merged with a parameter of the same name: that clash must show
+    ends = (("int64_t share_lo", ("share", 0)), ("int64_t share_hi", ("share", 1)))
+    return tuple(sig.items()) + (ends if share else ())
 
 
 def _faults(stmt):
@@ -1365,10 +1340,12 @@ def emit_c_files(plan):
             for si, sp in enumerate(plan.summands)]
 
 
-def _emit_c_summand(rule, si, params, stmt, prog):
+def _emit_c_summand(rule, si, params, stmt, prog, share):
     """A summand's C function, rendered from its lowered `_Program` (None
     when the nest is empty): the integer bounds, guards and index terms that
-    `execute` walks, with every index accumulated in int64_t.
+    `execute` walks, with every index accumulated in int64_t.  With `share`
+    the outermost level has two more bounds, the arguments share_lo and
+    share_hi, so that a call runs only that share of its range.
 
     The function returns 0, or at the first failing check the status whose
     message `_faults` gives, before the store read that check guards.  On a
@@ -1380,7 +1357,7 @@ def _emit_c_summand(rule, si, params, stmt, prog):
     is added to it once.  Any other innermost level checks every point.
     """
     accesses = (stmt.output,) + tuple(stmt.inputs)
-    args = ", ".join(decl for decl, _ in _c_signature(params, stmt))
+    args = ", ".join(decl for decl, _ in _c_signature(params, stmt, share))
     out = [f"int {_c_function(rule, si)}({args}) {{"]
     if prog is None:
         return out + ["  return 0;", "}"]
@@ -1402,8 +1379,12 @@ def _emit_c_summand(rule, si, params, stmt, prog):
         put(f"int64_t {key} = {e} / {scale};")
 
     def bounds(lv):
-        lo = reduce(lambda x, y: f"MAX2({x}, {y})", [_c_bound(b, "CEILD") for b in lv.lowers])
-        hi = reduce(lambda x, y: f"MIN2({x}, {y})", [_c_bound(b, "FLOORD") for b in lv.uppers])
+        # the outermost level of a share also lies in [share_lo, share_hi]
+        ends = ["share_lo", "share_hi"] if share and lv is prog.levels[0] else []
+        lo = reduce(lambda x, y: f"MAX2({x}, {y})",
+                    [_c_bound(b, "CEILD") for b in lv.lowers] + ends[:1])
+        hi = reduce(lambda x, y: f"MIN2({x}, {y})",
+                    [_c_bound(b, "FLOORD") for b in lv.uppers] + ends[1:])
         return lo, hi
 
     def advance(lv, k, at):

@@ -6,6 +6,7 @@ miss, never failed, because the reference machine is not guaranteed here.
 """
 
 import itertools
+import os
 import time
 import warnings
 from fractions import Fraction
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from polypack.cli import BUILTIN_KERNELS
-from polypack import codegen
+from polypack import codegen, native
 from polypack.codegen import build_plan, execute, reference_execute
 from polypack.counting import (
     QuasiPolynomial, count_points, fuse_piecewise, pqp_add,
@@ -192,11 +193,24 @@ def test_criterion_4_counting_oracle(built, sweep):
           t0, budget=60.0)
 
 
+# (backend, workers, floor) per end-to-end run of a plan, workers=1 first
+# on each backend; "c" only where gcc is on PATH
+RUNS = [(backend, workers, floor) for backend in (None, "numpy", "c")
+        if backend != "c" or native.compiler()
+        for workers, floor in ((1, None), (2, None), (8, None), (2, 0), (8, 0))]
+
+
 @pytest.fixture(scope="module")
 def endtoend(built):
     t0 = time.monotonic()
     results = {"exec_failures": [], "hoist_checks": 0, "hoist_failures": [],
-               "runs": 0}
+               "runs": 0, "splits": 0}
+    real_shares = codegen._shares
+
+    def counted_shares(*args):
+        shares = real_shares(*args)
+        results["splits"] += len(shares) > 1
+        return shares
     for name, kern in BUILTIN_KERNELS.items():
         binding = _binding_for(kern)
         shapes = _shapes_for(kern, binding)
@@ -213,25 +227,31 @@ def endtoend(built):
                                     binding, dtype)
             for level, plan in plans.items():
                 store = build_store(plan, tensors, binding)
-                # at the default floor workers > 1 runs in-process at these
-                # sizes; at floor 0 it forks wherever points split
-                for workers, floor in ((1, None), (2, None), (8, None), (2, 0), (8, 0)):
+                # at the default floor workers > 1 runs whole at these
+                # sizes; at floor 0, on 8 usable CPUs, a parallelizable
+                # summand on C splits into threads wherever its points fill
+                # two shares, and gives workers=1's output on its backend
+                # bitwise: one output value's terms never span two shares
+                for backend, workers, floor in RUNS:
                     with pytest.MonkeyPatch.context() as mp:
                         if floor is not None:
-                            mp.setattr(codegen, "FORK_POINTS", floor)
-                            mp.setattr(codegen, "FORK_OUTPUT_POINTS", floor)
+                            mp.setattr(codegen, "THREAD_POINTS", floor)
+                            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+                            mp.setattr(codegen, "_shares", counted_shares)
                         res = execute(plan, store, shapes, binding,
-                                      workers=workers, dtype=dtype)
+                                      workers=workers, dtype=dtype, backend=backend)
                     out = gather_output(plan, res, shapes[kern.rule], binding).data
                     results["runs"] += 1
+                    if workers == 1:
+                        seq = out
                     if dtype is np.int64:
                         ok = np.array_equal(out, ref)
                     else:
                         scale = max(float(np.max(np.abs(ref))), 1e-30)
                         ok = float(np.max(np.abs(out - ref))) / scale <= 1e-12
-                    if not ok:
+                    if not ok or not np.array_equal(out, seq):
                         results["exec_failures"].append(
-                            (name, level, workers, floor, str(dtype)))
+                            (name, level, backend, workers, floor, str(dtype)))
         # the lowered programs that `execute` and the C walk: at every point
         # the kernel visits, root plus each level's terms is the scaled rank
         # of a single-polynomial access and the offset of a dense one
@@ -265,8 +285,11 @@ def endtoend(built):
 def test_criterion_5_end_to_end(built, endtoend):
     t0 = time.monotonic() - endtoend["elapsed"] - built["elapsed"]
     assert endtoend["exec_failures"] == []
-    _pass(5, f"{endtoend['runs']} runs = 12 kernels x 2 dtypes x 3 levels "
-             "x workers {1,2,8}, and {2,8} forked at floor 0, match the dense reference",
+    assert endtoend["splits"] > 0 or not native.compiler()
+    _pass(5, f"{endtoend['runs']} runs = 12 kernels x 2 dtypes x 3 levels x "
+             f"{len(RUNS) // 5} backends x workers {{1,2,8}}, and {{2,8}} at floor 0 "
+             f"({endtoend['splits']} summand calls split into threads), "
+             "match the dense reference, and workers=1 bitwise",
           t0, budget=120.0)
 
 
@@ -366,7 +389,6 @@ def test_criterion_7_performance_substitute():
     notes.append(f"7b n={n}: 1 worker {t_1 * 1e3:.1f}ms vs 8 workers "
                  f"{t_8 * 1e3:.1f}ms, ratio {ratio_b:.2f}")
     if ratio_b < 2.0:
-        import os
         cpus = os.cpu_count()
         warnings.warn(f"7b: 8-worker speedup {ratio_b:.2f} < 2 on this "
                       f"machine ({cpus} CPU(s) visible; soft criterion)")

@@ -48,8 +48,10 @@ class TestCompile:
     def test_loop_nest_c(self, capsys):
         assert run_cli("compile", "--kernel", "SpMV_UT") == 0
         out = capsys.readouterr().out
-        # i <= j < n_j implies i < n_j; the projected bound keeps it
-        assert "for (int64_t i = 0; i <= MIN2(-1 + n_i, -1 + n_j); i++) {" in out
+        # i <= j < n_j implies i < n_j; the projected bound keeps it, and
+        # the share bounds follow
+        assert ("for (int64_t i = MAX2(0, share_lo); "
+                "i <= MIN2(MIN2(-1 + n_i, -1 + n_j), share_hi); i++) {") in out
         assert "int64_t j_lo = i;\n" in out and "int64_t j_hi = -1 + n_j;\n" in out
         assert "sum += B_1[k1 + j - j_lo] * C_2[k2 + j - j_lo];" in out
 

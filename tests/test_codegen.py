@@ -10,6 +10,7 @@ import re
 import shutil
 import subprocess
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -222,26 +223,39 @@ def kernel_plan(nest, stmt, parallel=False, registry=None, level="none"):
     """A plan of rule A with one summand built by hand, its C emitted as
     `build_plan` emits it."""
     prog = codegen._program(nest, stmt)
-    source = "\n".join(codegen._emit_c_summand("A", 0, nest.params, stmt, prog))
+    source = "\n".join(codegen._emit_c_summand("A", 0, nest.params, stmt, prog, parallel))
     return KernelPlan("A", (SummandPlan(nest, stmt, parallel, source),), registry, level)
 
 
 def no_floor(monkeypatch):
-    """Set FORK_POINTS and FORK_OUTPUT_POINTS to 0: a `workers > 1` call
-    forks wherever its points fill two shares."""
-    monkeypatch.setattr(codegen, "FORK_POINTS", 0)
-    monkeypatch.setattr(codegen, "FORK_OUTPUT_POINTS", 0)
+    """Set THREAD_POINTS to 0 and let the process use two CPUs: a
+    `workers > 1` call splits a summand on C wherever its points fill two
+    shares."""
+    monkeypatch.setattr(codegen, "THREAD_POINTS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
 def both_floors(monkeypatch):
     """Yield twice: at the default floor, where a small `workers > 1` call
-    runs in-process, then at 0 (`no_floor`), where it forks."""
-    floors = codegen.FORK_POINTS, codegen.FORK_OUTPUT_POINTS
+    runs whole, then at 0 (`no_floor`), where it splits."""
+    floor, cpus = codegen.THREAD_POINTS, os.sched_getaffinity
     yield
     no_floor(monkeypatch)
     yield
-    monkeypatch.setattr(codegen, "FORK_POINTS", floors[0])
-    monkeypatch.setattr(codegen, "FORK_OUTPUT_POINTS", floors[1])
+    monkeypatch.setattr(codegen, "THREAD_POINTS", floor)
+    monkeypatch.setattr(os, "sched_getaffinity", cpus)
+
+
+def record_threads(monkeypatch):
+    """Record every thread that starts; returns the list."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
 
 
 def run_and_compare(text, rule, shapes, binding, compression, workers=1,
@@ -583,7 +597,7 @@ class TestExecute:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_short_dense_input_raises(self, workers, monkeypatch):
         # B at `none` holds 35 of its 6x6 values: typed, before any output
-        # is allocated or a worker forked
+        # is allocated or a thread started
         kern = BUILTIN_KERNELS["SpMV_UT"]
         plan = build_plan(parse_program(kern.text), kern.rule, "none")
         assert plan.summands[0].program.box is None
@@ -605,10 +619,14 @@ class TestExecute:
         plan = build_plan(parse_program(kern.text), kern.rule, "none")
         store = {"B": np.arange(32.0), "C": np.ones(6)}
         shapes = {"A": (6,), "B": shape_b, "C": (6,)}
+        started = record_threads(monkeypatch)
         for _ in both_floors(monkeypatch):
             with pytest.raises(IndexingFault, match="of B "):
                 execute(plan, store, shapes, {"n_i": 6, "n_j": 6}, workers=workers,
                         backend=backend)
+        # at floor 0 on C the call split, and every share's thread is done
+        assert len(started) == (workers > 1 and backend == "c")
+        assert not any(t.is_alive() for t in started)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_guard_drops_every_value_outside_extent(self, backend):
@@ -659,17 +677,16 @@ class TestExecute:
     @pytest.mark.parametrize("name", sorted(BUILTIN_KERNELS))
     def test_sizes_evaluated_for_outputs_only(self, name, workers, monkeypatch):
         # an input's length is its packed array's: execute evaluates a size
-        # polynomial once per compressed output buffer, and a fork worker none
+        # polynomial once per compressed output buffer
         kern = BUILTIN_KERNELS[name]
         binding = {s: 7 if s.startswith("n_") else x for s, x in kern.defaults.items()}
         shapes = {t: tuple(binding[s] for s in syms) for t, syms in kern.shapes.items()}
         plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
         dense = {t: np.ones(int(np.prod(shapes[t]))) for t in shapes if t != kern.rule}
         store = pack_store(plan, shapes, dense, binding, np.float64)
-        parent, calls, real = os.getpid(), [], codegen.buffer_length
+        calls, real = [], codegen.buffer_length
 
         def counted(index, binding):
-            assert os.getpid() == parent, "a fork worker evaluated a size"
             calls.append(index)
             return real(index, binding)
         monkeypatch.setattr(codegen, "buffer_length", counted)
@@ -678,28 +695,6 @@ class TestExecute:
                 if sp.statement.output.layout == "compressed"}
         assert outs and sorted(res.compressed) == sorted(outs)
         assert sorted(map(id, calls)) == sorted(id(plan.registry.buffers[b].index) for b in outs)
-
-
-class InProcessPool:
-    """A stand-in for the fork context's Pool that records its process count
-    and runs the mapped work in this process."""
-
-    def __init__(self, counts):
-        self.counts = counts
-
-    def __call__(self, processes):
-        self.counts.append(processes)
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map_async(self, fn, items):
-        results = [fn(x) for x in items]
-        return type("Done", (), {"get": lambda _: results})()
 
 
 def default_run(name, level, dtype=np.int64, **sizes):
@@ -721,123 +716,121 @@ def same_result(a, b):
         and all(np.array_equal(a.compressed[k], b.compressed[k]) for k in a.compressed)
 
 
-class TestFork:
+class TestThreads:
+    @pytest.mark.parametrize("backend", [None, pytest.param("c", marks=needs_gcc)])
     @pytest.mark.parametrize("level", LEVELS)
-    def test_small_call_starts_no_process(self, level, monkeypatch):
-        # every builtin at its default binding is far below FORK_POINTS:
-        # workers=2 runs in-process and gives workers=1's output bitwise
-        import multiprocessing
-
-        def no_fork(*args):
-            raise AssertionError("a process pool was requested")
+    def test_small_call_starts_no_thread(self, level, backend, monkeypatch):
+        # every builtin at its default binding is far below THREAD_POINTS:
+        # workers=2 walks no `_work`, starts no thread and gives workers=1's
+        # output bitwise
+        def no_work(*args):
+            raise AssertionError("the points of a summand were walked")
         runs = {name: default_run(name, level) for name in BUILTIN_KERNELS}
-        want = {name: execute(*run, dtype=np.int64) for name, run in runs.items()}
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        want = {name: execute(*run, dtype=np.int64, backend=backend)
+                for name, run in runs.items()}
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(codegen, "_work", no_work)
+        started = record_threads(monkeypatch)
         for name, run in runs.items():
-            assert same_result(execute(*run, workers=2, dtype=np.int64), want[name]), name
+            got = execute(*run, workers=2, dtype=np.int64, backend=backend)
+            assert same_result(got, want[name]), name
+        assert started == []
 
+    @needs_gcc
     def test_shares_balance_points(self, monkeypatch):
-        # with the floor at 0, SpMV_UT at n=2000 forks on the NumPy walk;
-        # rows i hold n - i points, and the two shares differ by at most the
-        # row at the cut
-        import multiprocessing
-        kern = BUILTIN_KERNELS["SpMV_UT"]
-        plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
+        # at floor 0, SpMV_UT at n=2000 splits on C; rows i hold n - i
+        # points, and the two shares differ by at most the row at the cut
         n = 2000
-        binding = {"n_i": n, "n_j": n}
-        shapes = {"A": (n,), "B": (n, n), "C": (n,)}
-        rng = np.random.default_rng(19)
-        dense = {"B": rng.integers(-3, 4, n * n), "C": rng.integers(-3, 4, n)}
-        store = pack_store(plan, shapes, dense, binding, np.int64)
-        del dense
+        plan, store, shapes, binding = default_run("SpMV_UT", "input+output", n_i=n, n_j=n)
         seq = execute(plan, store, shapes, binding, dtype=np.int64)
         no_floor(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        ctx = multiprocessing.get_context("fork")
-        pools, parent, real_pool, real_run = [], [], ctx.Pool, codegen._run_chunks
+        shares, real = [], codegen._shares
 
-        def pool(processes):
-            pools.append(processes)
-            return real_pool(processes)
-
-        def run_chunks(plan, env, store, chunks, *rest):
-            parent.append(chunks)
-            return real_run(plan, env, store, chunks, *rest)
-        monkeypatch.setattr(ctx, "Pool", pool)
-        monkeypatch.setattr(codegen, "_run_chunks", run_chunks)
-        par = execute(plan, store, shapes, binding, workers=2, dtype=np.int64, backend="numpy")
-        assert pools == [1]
-        (chunk,), = parent   # the parent runs the first share, a child the rest
-        si, (lo, hi) = chunk
-        assert (si, lo) == (0, 0) and 0 < hi < n - 1
+        def recorded(*args):
+            shares.append(real(*args))
+            return shares[-1]
+        monkeypatch.setattr(codegen, "_shares", recorded)
+        started = record_threads(monkeypatch)
+        par = execute(plan, store, shapes, binding, workers=2, dtype=np.int64)
+        assert par.backends == {"c"} and len(started) == 1
+        [(lo, hi), (after, last)], = shares   # the caller runs the first
+        assert (lo, after, last) == (0, hi + 1, n - 1)
         first = sum(n - i for i in range(lo, hi + 1))
         rest = n * (n + 1) // 2 - first
         assert abs(first - rest) <= n - hi
         assert same_result(par, seq)
 
-    @pytest.mark.parametrize("workers,cpus,pool", [(8, 3, 2), (2, 3, 1), (8, 1, None),
-                                                   (3, 8, 2)])
-    def test_processes_capped_at_cpus(self, workers, cpus, pool, monkeypatch):
-        # on the NumPy walk, the parent and at most cpus - 1 pool processes,
-        # never `workers` of them; the pool stands in and runs its work here
-        import multiprocessing
+    @needs_gcc
+    @pytest.mark.parametrize("workers,cpus,threads", [(8, 3, 2), (2, 3, 1), (8, 1, 0),
+                                                      (3, 8, 2)])
+    def test_threads_capped_at_cpus(self, workers, cpus, threads, monkeypatch):
+        # the calling thread and at most cpus - 1 more, never `workers` of
+        # them
         plan, store, shapes, binding = default_run("SpMV_UT", "input+output")
         want = execute(plan, store, shapes, binding, dtype=np.int64)
-        counts = []
         no_floor(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool(counts))
-        got = execute(plan, store, shapes, binding, workers=workers, dtype=np.int64,
-                      backend="numpy")
-        assert counts == ([] if pool is None else [pool])
+        started = record_threads(monkeypatch)
+        got = execute(plan, store, shapes, binding, workers=workers, dtype=np.int64)
+        assert len(started) == threads
         assert same_result(got, want)
 
     @pytest.mark.parametrize("name,sizes", [("SpMV_UT", {"n_i": 1, "n_j": 64}),
                                             ("TTM_UT", {}), ("MTT_J", {})])
-    def test_unsplit_call_starts_no_process(self, name, sizes, monkeypatch):
-        # with the floor at 0, points that one outermost value holds fill
-        # one share only, and a box summand never splits: the call runs
-        # in-process
-        import multiprocessing
+    def test_unsplit_call_starts_no_thread(self, name, sizes, monkeypatch):
+        # at floor 0, points that one outermost value holds fill one share
+        # only, and a box summand runs on NumPy by default: nothing splits
         plan, store, shapes, binding = default_run(name, "input+output", **sizes)
         assert plan.summands[0].parallelizable
         want = execute(plan, store, shapes, binding, dtype=np.int64)
-
-        def no_fork(*args):
-            raise AssertionError("a process pool was requested")
         no_floor(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        started = record_threads(monkeypatch)
         assert same_result(execute(plan, store, shapes, binding, workers=2, dtype=np.int64),
                            want)
+        assert started == []
 
-    @pytest.mark.parametrize("name,pool", [("SpMV_UT", [1]), ("SpMV_D", [])])
-    def test_outputs_weigh_against_points(self, name, pool, monkeypatch):
-        # on the NumPy walk with FORK_POINTS at 0, a process must still hold
-        # FORK_OUTPUT_POINTS points per output value: at n = 64, SpMV_UT's
-        # 2080 points over 64 outputs fork, SpMV_D's 64 points over 64
-        # outputs do not
-        import multiprocessing
-        plan, store, shapes, binding = default_run(name, "input+output", n_i=64, n_j=64)
-        want = execute(plan, store, shapes, binding, dtype=np.int64)
-        counts = []
-        monkeypatch.setattr(codegen, "FORK_POINTS", 0)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool(counts))
-        got = execute(plan, store, shapes, binding, workers=2, dtype=np.int64, backend="numpy")
-        assert counts == pool
-        assert same_result(got, want)
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_numpy_walk_never_splits(self, level, monkeypatch):
+        # backend "numpy" at floor 0: every builtin runs in the calling
+        # thread and gives workers=1's output bitwise
+        runs = {name: default_run(name, level) for name in BUILTIN_KERNELS}
+        want = {name: execute(*run, dtype=np.int64, backend="numpy")
+                for name, run in runs.items()}
+        no_floor(monkeypatch)
+        started = record_threads(monkeypatch)
+        for name, run in runs.items():
+            got = execute(*run, workers=8, dtype=np.int64, backend="numpy")
+            assert same_result(got, want[name]) and got.backends == {"numpy"}, name
+        assert started == []
+
+    def test_extents_gate_the_walk_of_points(self, monkeypatch):
+        # SpMV_UT's extents bound its points by n * n: at n = 2000 (4M)
+        # they cannot give two threads THREAD_POINTS, and `_work` is not
+        # walked; at n = 8192 its 33.5M points make two shares
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        sp, = build_plan(parse_program(kern.text), kern.rule, "input+output").summands
+        walked, real = [], codegen._work
+
+        def counted(*args):
+            walked.append(args)
+            return real(*args)
+        monkeypatch.setattr(codegen, "_work", counted)
+        for n, shares in ((2000, 1), (8192, 2)):
+            env = {"n_i": n, "n_j": n, ("A", 0): n, ("B", 0): n, ("B", 1): n, ("C", 0): n}
+            assert len(codegen._shares(sp, env, 2)) == shares
+            assert len(walked) == shares - 1
+        assert codegen._shares(sp, env, 1) == [codegen._WHOLE]
 
     @pytest.mark.parametrize("level", LEVELS)
     def test_work_counts_points(self, level):
-        # the work per outermost value of a summand off a box is never
-        # below that value's points
+        # the work per outermost value of a summand is never below that
+        # value's points
         for name, kern in BUILTIN_KERNELS.items():
             plan, _, shapes, binding = default_run(name, level)
             env = {**binding, **{(t, a): e for t, sh in shapes.items() for a, e in enumerate(sh)}}
             summands = build_compressed_summands(parse_program(kern.text), kern.rule)
             for sp, summand in zip(plan.summands, summands):
-                if not sp.parallelizable or sp.program.box is not None:
+                if not sp.parallelizable:
                     continue
                 lo, work = codegen._work(sp.program, env)
                 pts = enumerate_points(iteration_space(summand), binding)
@@ -1218,9 +1211,13 @@ class TestRuns:
         plan, store, shapes, binding = self.spmv_ut()
         b = plan.summands[0].statement.inputs[0].buffer_id
         store[b] = store[b][:-1]
+        started = record_threads(monkeypatch)
         for _ in both_floors(monkeypatch):
             with pytest.raises(IndexingFault, match=f"buffer {b}$"):
                 execute(plan, store, shapes, binding, workers=workers, backend=backend)
+        # at floor 0 on C the call split, and every share's thread is done
+        assert len(started) == (workers > 1 and backend == "c")
+        assert not any(t.is_alive() for t in started)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("shift,error", [(1, "non-integer index"),
@@ -1234,7 +1231,8 @@ class TestRuns:
         assert sp.program.leaves[1].scale == 2
         prog = sp.program
         prog = prog._replace(root={**prog.root, 1: prog.root[1] + ((shift, ()),)})
-        source = "\n".join(codegen._emit_c_summand("A", 0, sp.nest.params, sp.statement, prog))
+        source = "\n".join(codegen._emit_c_summand("A", 0, sp.nest.params, sp.statement, prog,
+                                                    sp.parallelizable))
         moved = SummandPlan(sp.nest, sp.statement, sp.parallelizable, source)
         moved.__dict__["program"] = prog
         plan = KernelPlan("A", (moved,), plan.registry, plan.compression)
@@ -1287,7 +1285,9 @@ class TestEmitC:
     def test_loop_bound_fragment(self):
         plan = build_plan(parse_program(FIG3), "A", "input+output")
         text = emit_c(plan)
-        assert "for (int64_t i = 0; i <= MIN2(-1 + M, -1 + N); i++)" in text
+        # i, in A, is split into shares; j is not
+        assert ("for (int64_t i = MAX2(0, share_lo); "
+                "i <= MIN2(MIN2(-1 + M, -1 + N), share_hi); i++)") in text
         assert "for (int64_t j = i; j <= -1 + N; j++)" in text
 
     def test_non_unit_bound_rounds_in_c(self, tmp_path):
@@ -1315,7 +1315,7 @@ int main(void) {
     def test_empty_summand_function_body(self):
         nest = LoopNest(("i",), (), (), (), empty=True)
         stmt = Statement(AccessPlan("A", 0, "dense", ("i",)), ())
-        src = "\n".join(codegen._emit_c_summand("A", 0, nest.params, stmt, None))
+        src = "\n".join(codegen._emit_c_summand("A", 0, nest.params, stmt, None, False))
         plan = KernelPlan("A", (SummandPlan(nest, stmt, False, src),), None, "none")
         text = emit_c(plan)
         assert "int a_s0" in text
@@ -1446,23 +1446,6 @@ class TestEmitCMatchesReference:
                               cwd=tmp_path, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
-    def test_c_summand_never_forks(self, monkeypatch):
-        # with the floor at 0, SpMV_UT forks on the NumPy walk; on C it
-        # runs whole in the parent
-        import multiprocessing
-        plan, store, shapes, binding = default_run("SpMV_UT", "input+output", n_i=64, n_j=64)
-        want = execute(plan, store, shapes, binding, dtype=np.int64, backend="numpy")
-        counts = []
-        no_floor(monkeypatch)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(multiprocessing.get_context("fork"), "Pool", InProcessPool(counts))
-        assert same_result(execute(plan, store, shapes, binding, workers=2, dtype=np.int64,
-                                   backend="numpy"), want)
-        assert counts == [1]
-        assert same_result(execute(plan, store, shapes, binding, workers=2, dtype=np.int64),
-                           want)
-        assert counts == [1]
-
     def test_other_dtypes_walk_numpy(self, monkeypatch):
         # float32 has no C build: it runs on the NumPy walk, also for "c"
         def no_c(*args):
@@ -1555,7 +1538,7 @@ class TestLibraryCache:
         assert sorted(p.suffix for p in temp.iterdir()) == [".c", ".so"]
 
     @pytest.mark.parametrize("name,var", [("j", "sum"), ("i", "r0"), ("j", "k1"),
-                                          ("i", "j_lo")])
+                                          ("i", "j_lo"), ("i", "share_lo")])
     def test_clashing_names_do_not_build(self, name, var, fresh):
         # SpMV_UT with a var renamed to a local the emitter declares:
         # shadowed, the C would compute something else (a run var `sum`
