@@ -21,9 +21,9 @@ from .codegen import (
     emit_c_files, execute, reference_execute,
 )
 from .counting import CountingError, DomainError
-from .polyhedra import AccessMap, PolyhedronError, image, iteration_space
+from .polyhedra import PolyhedronError, iteration_space
 from .runtime import (
-    build_store, footprint_report, gather_output, random_tensor,
+    _frac, build_store, footprint_report, gather_output, random_tensor,
 )
 from .stur import SturError, build_compressed_summands, parse_program
 
@@ -107,21 +107,19 @@ def derive_shapes(program, rule, binding):
     """Tight dense extents from the accessed regions at one binding.
 
     File-loaded programs carry no shape declarations, so the dense side is
-    sized to the bounding box of everything the rule touches: the least and
-    most value of each dim on the region's loop nest, walked by rows where
-    its innermost level has no guards (`codegen.dim_ranges`).
+    sized to the bounding box of everything the rule touches: one past the
+    most value of each access's iterators on its summand's loop nest, walked
+    once by rows where its innermost level has no guards (`dim_ranges`).
     """
     extents = {}
     for s in build_compressed_summands(program, rule):
-        space = iteration_space(s)
+        nest = build_loop_nest(iteration_space(s))
+        missing = [p for p in nest.params if p not in binding]
+        if missing:
+            raise CodegenError(f"bindings missing parameters {missing}")
+        ranges = dim_ranges(nest, binding)
         for acc in (s.output, *s.inputs):
-            amap = AccessMap.from_indices(space.dims, acc.index_names)
-            img = image(space, amap)
-            missing = [p for p in img.params if p not in binding]
-            if missing:
-                raise CodegenError(f"bindings missing parameters {missing}")
             ext = extents.setdefault(acc.tensor, [0] * len(acc.index_names))
-            ranges = dim_ranges(build_loop_nest(img), binding)
             for a, name in enumerate(acc.index_names):
                 if name not in ranges:
                     continue
@@ -140,11 +138,11 @@ class Resolved:
     program: object
     rule: str
     binding: dict
-    shapes: dict      # tensor -> tuple of ints
+    shapes: dict      # tensor -> tuple of ints; None for compile
     inputs: tuple     # input tensor names, sorted
 
 
-def _resolve(args, kernel_name=None):
+def _resolve(args, kernel_name=None, with_shapes=True):
     binds = dict(args.bind or [])
     if args.stur:
         with open(args.stur) as f:
@@ -153,7 +151,7 @@ def _resolve(args, kernel_name=None):
             raise SturError(f"{args.stur}: no rules defined")
         rule = program.rules[0].name
         binding = binds
-        shapes = derive_shapes(program, rule, binding)
+        shapes = derive_shapes(program, rule, binding) if with_shapes else None
         name = os.path.basename(args.stur)
     else:
         name = kernel_name or (args.kernel[-1] if args.kernel else None)
@@ -165,7 +163,7 @@ def _resolve(args, kernel_name=None):
         binding = dict(k.defaults)
         binding.update(binds)
         shapes = {t: tuple(int(binding[s]) for s in syms)
-                  for t, syms in k.shapes.items()}
+                  for t, syms in k.shapes.items()} if with_shapes else None
     inputs = tuple(sorted({a.tensor for s in program.rule(rule).summands
                            for a in s.inputs}))
     return Resolved(name, program, rule, binding, shapes, inputs)
@@ -211,7 +209,7 @@ def _refuse_redundancy_maps(cfg):
 
 
 def cmd_compile(args):
-    cfg = _resolve(args)
+    cfg = _resolve(args, with_shapes=False)   # compile prints symbolic output only
     plan = build_plan(cfg.program, cfg.rule, args.compression[-1])
     print(f"rule {cfg.rule}  compression={plan.compression}")
     print(plan.registry.dump())
@@ -279,9 +277,6 @@ def _bench_one(cfg, compression, args):
                             cfg.binding, dtype)
     ok, _ = _verify(out.data, ref, dtype)
     report = footprint_report(plan.registry, cfg.binding, cfg.shapes, cfg.rule)
-    rate = report.rate(compression)
-    rate_str = (str(rate.numerator) if rate.denominator == 1
-                else f"{rate.numerator}/{rate.denominator}")
     return {
         "kernel": cfg.name,
         "binding": ";".join(f"{k}={v}" for k, v in sorted(cfg.binding.items())),
@@ -291,7 +286,7 @@ def _bench_one(cfg, compression, args):
         "runtime_ns": int(statistics.median(times)),
         "elements_dense": report.dense_total(),
         "elements_compressed": report.stored_total(compression),
-        "rate": rate_str,
+        "rate": _frac(report.rate(compression)),
         "verify": "PASS" if ok else "FAIL",
     }
 

@@ -9,9 +9,9 @@ walks a nest level by level over int64 columns.  Every level is a set of
 rows: each frontier row has a first value and a count there
 (`_ranges`, which checks a level without guards against the dense extents
 its var indexes once per row), and one cutter splits the rows into blocks
-of at most BLOCK_POINTS points (`_row_blocks`).  The expander yields the
-points to `iter_point_chunks`, and under `execute` it carries each access's
-hoisted index as a column, adding every level's terms as array operations.
+of at most BLOCK_POINTS points (`_row_blocks`).  Under `execute` the
+expander carries each access's hoisted index as a column, adding every
+level's terms as array operations.
 Each compressed index is checked against `len()` of the array it indexes,
 so a size polynomial is evaluated only where an array is allocated (a
 compressed output here, an input in `runtime.pack`); every index must fit
@@ -33,20 +33,22 @@ first and last index checked once per row, and a block's indices are one
 along every run is added to once per row.  Any other level is walked point
 by point, and equal output indices next to each other are summed first.
 `runtime.pack` and `unpack` consume the same blocks, as a copy between a
-region's rank and its tensor's dense offset (`copy_program`).  `build_plan`
-renders each summand's lowered program once as C (`SummandPlan.source`):
-the same integer bounds, guards and index terms in int64_t, each scaled
-rank divided exactly and every index checked, once per row on a run level,
-each failed check returned as a status, so C and the walk share one
-lowering; `emit_c` assembles those texts and `polypack compile` prints
-them.  `execute` runs every summand off a box through that C where gcc
-exists (`native`), and the rest on the walk above; backend "c" runs every
-summand on C.  A parallelizable summand's C function takes a share of its
-outermost range as two more bounds on that level, so a `workers > 1` call
-can run the shares on threads, cut where its points (`_work`, per value of
-that level) balance, wherever they give each thread THREAD_POINTS; the
-walk never splits.  The compressed summands and the buffer registry are built
-once per (program, rule) and shared by all three compression levels.
+region's rank and its tensor's dense offset (`copy_program`), and a
+redundancy map's expansion as a copy from the rank at the map's image,
+each lowered once.  `build_plan` renders each summand's lowered program
+once as C (`SummandPlan.source`): the same integer bounds, guards and
+index terms in int64_t, each scaled rank divided exactly and every index
+checked, once per row on a run level (a box's too), each failed check
+returned as a status, so C and the walk share one lowering; `emit_c`
+assembles those texts and `polypack compile` prints them.  `execute` runs
+every summand off a box through that C where gcc exists (`native`), and
+the rest on the walk above; backend "c" runs every summand on C.  A
+parallelizable summand's C function takes a share of its outermost range
+as two more bounds on that level, so a `workers > 1` call can run the
+shares on threads, cut where its points (`_work`, per value of that level)
+balance, wherever they give each thread THREAD_POINTS; the walk never
+splits.  The compressed summands and the buffer registry are built once
+per (program, rule) and shared by all three compression levels.
 """
 
 from __future__ import annotations
@@ -66,8 +68,8 @@ from . import native
 from .counting import CountingError, DomainError, int_poly
 from .indexing import build_registry, hoist_schedule
 from .polyhedra import (
-    EQ0, FALSE, GE0, MODEQ, AffineExpr, PolyhedronError, UnboundedError,
-    enumerate_points, fm_eliminate, guards_mask, int_form, int_guard,
+    EQ0, FALSE, GE0, MODEQ, AffineExpr, Polyhedron, PolyhedronError, UnboundedError,
+    enumerate_points, fm_eliminate, ge, guards_mask, int_form, int_guard,
     iteration_space, poly_values,
 )
 from .stur import build_compressed_summands
@@ -427,9 +429,8 @@ def dim_ranges(nest, binding):
 def iter_point_chunks(nest, binding):
     """Yield the visited points in lexicographic order as int64 matrices
     (columns = nest dims), at most BLOCK_POINTS rows each unless one row is
-    longer.  Used by unpack's redundancy map, which cannot afford the
-    box-scan enumerator.
-    """
+    longer.  Not called in the package: tests walk nests with it, and
+    tracers hook it by its name in `polypack.runtime`."""
     if nest.empty:
         return
     env = {p: int(binding[p]) for p in nest.params if p in binding}
@@ -523,7 +524,11 @@ def _rank_access(tensor, bid, names, rank):
     return AccessPlan(tensor, bid, "compressed", names, rank=rank, scale=int(scale))
 
 
-def copy_program(index):
+# The env name of a dense tensor's axis extent in a redundancy map's copy
+_AXIS_EXTENT = "@{}"
+
+
+def copy_program(index, redmap=None, axes=None):
     """The copy between an `IndexFunction`'s rank and its tensor's dense
     row-major offset, lowered once for `runtime.pack` and `unpack`.
 
@@ -534,12 +539,31 @@ def copy_program(index):
     the length of the buffer it indexes.  Both must fit int64 by the
     program's bounds, as a summand's indices must (`_check_int64`).  A copy
     has no box; its innermost level is walked as runs where it qualifies.
+
+    With a redundancy map, the copy is out to the positions the map sends
+    into the region, region dim p read along tensor axis axes[p]: the nest
+    is the map's domain within the tensor's extents (axis a's read from env
+    at `_AXIS_EXTENT.format(a)`), and the rank is read at the map's image,
+    guarded by the region's constraints (`PiecewiseQuasiPolynomial.substitute`):
+    an image outside the region or between integer points fails its check.
     """
-    dims, tensor = index.accessed.dims, index.tensor
-    view = AccessPlan(tensor, None, "dense", dims,
-                      strides=tuple((tensor, p, "stride") for p in range(len(dims))))
-    rank = _rank_access(tensor, 0, dims, index.rank)
-    return _program(build_loop_nest(index.accessed), Statement(view, (rank,)), contract=False)
+    tensor = index.tensor
+    if redmap is None:
+        space, names, rank = index.accessed, index.accessed.dims, index.rank
+    else:
+        cons = list(redmap.domain)
+        for a, d in enumerate(redmap.iters):
+            x = AffineExpr.var(d)
+            cons += [ge(x), ge(AffineExpr.var(_AXIS_EXTENT.format(a)) - x - 1)]
+        space = Polyhedron.build(redmap.iters, sorted(
+            {v for c in cons for v in c.variables()} - set(redmap.iters)), cons)
+        names = tuple(redmap.iters[a] for a in axes)
+        rank = index.rank.substitute({d: redmap.substitution[redmap.primed[a]]
+                                      for d, a in zip(index.accessed.dims, axes)}, space)
+    view = AccessPlan(tensor, None, "dense", names,
+                      strides=tuple((tensor, p, "stride") for p in range(len(names))))
+    rank = _rank_access(tensor, 0, names, rank)
+    return _program(build_loop_nest(space), Statement(view, (rank,)), contract=False)
 
 
 def build_plan(program, rule, compression="input+output"):
@@ -592,9 +616,9 @@ _Leaf = namedtuple("_Leaf", "col key scale pieces")
 # over them, a bound through the largest env value (both None for a copy,
 # see `copy_program`); box: the inner levels that run as one array
 # contraction, or None; run: per leaf, the int poly step of its index along
-# the innermost level when that level is walked as runs (`_run_steps`), else
-# None; reduce: the output index is fixed along every run (no run, no
-# reduce: the point walk collapses equal output indices instead).
+# the innermost level when it is walked as runs (`_run_steps`; under a box,
+# by C only), else None; reduce: the output index is fixed along every run
+# (no run, no reduce: the point walk collapses equal output indices instead).
 _Program = namedtuple("_Program", "guards levels root leaves bounds crude reduce box run")
 
 # The deepest suffix of a nest's levels (from `depth` on) that is a box:
@@ -625,8 +649,8 @@ def _program(nest, stmt, contract=True):
     split once by `hoist_schedule` into the parameter-only root and each
     level's terms, and each level learns the dense extents its var
     indexes.  The int64 rule bounds the unsplit poly.  Inner levels run as
-    a box when they form one and `contract` is set, else the innermost
-    level is walked as runs when it is a run level.
+    a box when they form one and `contract` is set; the innermost level is
+    walked as runs when it is a run level (in C only, under a box).
     """
     if nest.empty:
         return None
@@ -665,7 +689,7 @@ def _program(nest, stmt, contract=True):
              max((sum(e for _, e in mono) for _, mono in every), default=0))
 
     box = _box(dims, levels, terms, leaves, stmt.output.names) if contract else None
-    run = _run_steps(dims, levels, terms, leaves) if box is None else None
+    run = _run_steps(dims, levels, terms, leaves)
     # the columns each level's points must carry, innermost level first
     dims = set(dims)  # membership only from here on
     piece_polys = [p for a in leaves for gs, poly, _ in a.pieces or ()
@@ -1049,11 +1073,11 @@ _C_ELEMENTS = {np.dtype(np.float64): "double", np.dtype(np.int64): "int64_t"}
 def _c_kernels(plan, live, dtype, backend):
     """{summand index: C function} for the live summands that run on C,
     where a compiler exists and a library builds for the dtype: by default
-    those off a box, since a box's `matmul` or einsum beats the plain C
-    loops (TTM_UT at n=32 packed 0.39-0.57 ms against 1.42-1.50 ms in C,
-    gcc -O2, 2-vCPU guest); none with backend "numpy"; every one with
-    backend "c", where a missing compiler or a failed build raises
-    CodegenError."""
+    those off a box, whose `matmul` or einsum can beat its C at larger sizes
+    (packed f64, min of 15 calls, gcc -O2, 2-vCPU guest: TTM_UT n=32 0.54 ms
+    in C against 0.46 ms on NumPy, TTM_DP n=80 0.62 against 0.21, MTT_J n=56
+    0.20 against 0.86; at n=8 C is 3-5x faster); none with backend "numpy";
+    every one with backend "c", where no compiler or build raises CodegenError."""
     if backend == "numpy":
         return {}
     if backend not in (None, "c"):
@@ -1281,21 +1305,19 @@ def _c_signature(params, stmt, share):
     source is ("ptr", column) for the array at a leaf column, ("len",
     column) for its length, ("env", name) for an int of env, or ("share",
     0 or 1) for an end of the share."""
-    accesses = (stmt.output,) + tuple(stmt.inputs)
-    sig = {f"ELEM* {_c_operand(stmt.output)}": ("ptr", 0)}
-    for col, a in enumerate(accesses[1:], 1):
-        sig.setdefault(f"const ELEM* {_c_operand(a)}", ("ptr", col))
-    for p in params:
-        sig[f"int64_t {p}"] = ("env", p)
-    for col, a in enumerate(accesses):
+    arrays, sizes = {f"ELEM* {_c_operand(stmt.output)}": ("ptr", 0)}, {}
+    for col, a in enumerate((stmt.output,) + tuple(stmt.inputs)):
+        if col:
+            arrays.setdefault(f"const ELEM* {_c_operand(a)}", ("ptr", col))
         if a.layout == "dense":
             for axis in range(len(a.names)):
-                sig.setdefault(f"int64_t n_{a.tensor}{axis}", ("env", (a.tensor, axis)))
+                sizes.setdefault(f"int64_t n_{a.tensor}{axis}", ("env", (a.tensor, axis)))
         else:
-            sig.setdefault(f"int64_t len{a.buffer_id}", ("len", col))
-    # never merged with a parameter of the same name: that clash must show
+            sizes.setdefault(f"int64_t len{a.buffer_id}", ("len", col))
+    # a parameter is never merged with an emitted argument of its name: that clash must show
     ends = (("int64_t share_lo", ("share", 0)), ("int64_t share_hi", ("share", 1)))
-    return tuple(sig.items()) + (ends if share else ())
+    return (*arrays.items(), *((f"int64_t {p}", ("env", p)) for p in params),
+            *sizes.items(), *(ends if share else ()))
 
 
 def _faults(stmt):

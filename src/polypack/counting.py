@@ -31,7 +31,7 @@ import numpy as np
 
 from .polyhedra import (
     EQ0, FALSE, GE0, MODEQ, AffineExpr, Constraint, Polyhedron, eq, ge,
-    enumerate_points, guards_mask, implies, int_guard, is_empty,
+    enumerate_points, guards_mask, implies, int_guard, is_empty, modeq,
     normalize_constraints, poly_values,
 )
 
@@ -136,14 +136,14 @@ class QuasiPolynomial:
             out = out * self
         return out
 
-    def substitute(self, var, replacement):
-        """Replace var by another QuasiPolynomial."""
+    def substitute(self, mapping):
+        """Replace each var of `mapping` by its QuasiPolynomial, all at once."""
         out = QuasiPolynomial()
         for m, c in self.terms.items():
-            term = QuasiPolynomial({tuple((v, e) for v, e in m if v != var): c})
-            exp = dict(m).get(var, 0)
-            if exp:
-                term = term * replacement.power(exp)
+            term = QuasiPolynomial({tuple((v, e) for v, e in m if v not in mapping): c})
+            for v, e in m:
+                if v in mapping:
+                    term = term * mapping[v].power(e)
             out = out + term
         return out
 
@@ -356,9 +356,23 @@ class PiecewiseQuasiPolynomial:
         return out
 
     def single_polynomial(self):
-        if len(self.pieces) != 1:
+        """The polynomial of the one piece when it has no guards, else None."""
+        if len(self.pieces) != 1 or self.pieces[0][0].constraints:
             return None
         return self.pieces[0][1]
+
+    def substitute(self, mapping, context):
+        """This value at an affine image, over `context`'s points: each dim of
+        this value's context becomes mapping[dim] (AffineExprs, all at once),
+        and every piece keeps that context and the image's integrality as
+        guards, so an image outside it or between integer points has none."""
+        region = [c.substitute(mapping) for c in self.context.constraints] + [
+            modeq(e, k, 0) for e, k in map(AffineExpr.scaled_integer, mapping.values()) if k > 1]
+        polys = {d: QuasiPolynomial.from_affine(e) for d, e in mapping.items()}
+        names = context.dims + context.params
+        return PiecewiseQuasiPolynomial(tuple(
+            (Polyhedron.build((), names, [c.substitute(mapping) for c in dom.constraints] + region),
+             poly.substitute(polys)) for dom, poly in self.pieces), context)
 
     def rename(self, mapping):
         pieces = tuple(
@@ -400,7 +414,7 @@ def _restrict(poly, constraints):
             var = next((u for u in units if u in work.variables()), units[0])
             a = c.expr.coeff(var)
             rhs = (c.expr.drop(var)) * Fraction(-1, a)
-            work = work.substitute(var, QuasiPolynomial.from_affine(rhs))
+            work = work.substitute({var: QuasiPolynomial.from_affine(rhs)})
             eqs = [k.substitute({var: rhs}) if var in k.expr.coeffs else k
                    for k in eqs if k is not c]
             done = False
@@ -637,7 +651,7 @@ def count_points(p, context=None):
                         rest.append(c)
                     else:
                         rest.append(c.substitute({var: rhs}))
-                w = weight.substitute(var, QuasiPolynomial.from_affine(rhs))
+                w = weight.substitute({var: QuasiPolynomial.from_affine(rhs)})
                 if live(rest):
                     new_terms.append((rest, w))
                 continue

@@ -38,6 +38,15 @@ class IndexFunction:
         from .codegen import copy_program  # codegen imports this module
         return copy_program(self)
 
+    def mapped_program(self, redmap, axes):
+        """The copy out to the positions a redundancy map sends into the
+        region (`codegen.copy_program`), lowered once per (map, axes) by value."""
+        key, programs = (redmap, axes), self.__dict__.setdefault("mapped_programs", {})
+        if key not in programs:
+            from .codegen import copy_program
+            programs[key] = copy_program(self, redmap, axes)
+        return programs[key]
+
 
 def _positivity(params):
     return Polyhedron.build(
@@ -66,10 +75,6 @@ def symbolic_indexing(accessed, tensor):
 # Region comparison (tensor-coordinate space)
 
 
-def _axis_name(k):
-    return f"@{k}"
-
-
 def _canonical_region(img, index_names):
     """The region in tensor coordinates, dims ordered by axis.
 
@@ -77,7 +82,7 @@ def _canonical_region(img, index_names):
     which iterators an access happens to use: X(i, j) and X(j, i) can name
     the same cells.  Axis-canonical form makes the comparison honest.
     """
-    mapping = {d: _axis_name(index_names.index(d)) for d in img.dims}
+    mapping = {d: f"@{index_names.index(d)}" for d in img.dims}
     renamed = img.rename(mapping)
     dims = tuple(sorted(renamed.dims, key=lambda d: int(d[1:])))
     return Polyhedron.build(dims, renamed.params, renamed.constraints)

@@ -2,13 +2,13 @@
 
 Packing gathers the accessed positions of a dense tensor into rank order;
 unpacking scatters a buffer back out, optionally expanding redundant
-positions through a redundancy map.  Both are a copy statement between the
-compressed rank and the dense row-major offset, lowered once per index
-function (`IndexFunction.program`) and walked by the same blocks of
-checked indices as `codegen.execute` (`codegen._leaf_blocks`): a region
-whose innermost level is a plain loop is walked as runs, one checked base
-per row, and any other point by point; the copy's rank and offset are
-bounded by the same int64 rule as a summand's indices
+positions through a redundancy map.  Each is a copy statement between a
+compressed rank and a dense row-major offset, lowered once per index
+function (`IndexFunction.program`) or (map, axes) (`mapped_program`), and
+walked by the same blocks of checked indices as `codegen.execute`
+(`_leaf_blocks`): a region whose innermost level is a plain loop is walked
+as runs, one checked base per row, and any other point by point.  A copy's
+rank and offset are bounded by the same int64 rule as a summand's indices
 (`codegen._check_int64`) before any array is allocated, and each rank is
 checked against the compressed array it indexes.  The footprint report
 prices a registry's layout choices in exact element counts.
@@ -22,13 +22,11 @@ from fractions import Fraction
 
 import numpy as np
 
+# iter_point_chunks is not called here: tracers hook it by this name
 from .codegen import (
-    IndexingFault, _check_int64, _leaf_blocks, buffer_length, build_loop_nest,
-    iter_point_chunks,
+    _AXIS_EXTENT, IndexingFault, _check_int64, _leaf_blocks, buffer_length, iter_point_chunks,
 )
-from .polyhedra import (
-    GE0, AffineExpr, Constraint, Polyhedron, guards_mask, int_form, poly_values,
-)
+from .polyhedra import guards_mask
 
 
 @dataclass
@@ -43,24 +41,12 @@ class DenseTensor:
             raise ValueError(
                 f"flat length {len(self.data)} != product of shape {self.shape}")
 
-    @staticmethod
-    def zeros(shape, dtype=np.float64):
-        return DenseTensor(tuple(shape), np.zeros(math.prod(
-            int(e) for e in shape), dtype=dtype))
-
 
 @dataclass
 class CompressedBuffer:
     id: int
     length: int
     data: np.ndarray
-
-
-def _flat_offsets(coords, shape):
-    off = np.zeros(len(coords), dtype=np.int64)
-    for a, extent in enumerate(shape):
-        off = off * int(extent) + coords[:, a]
-    return off
 
 
 def _copy_env(index, shape, axes, binding):
@@ -76,23 +62,22 @@ def _copy_env(index, shape, axes, binding):
     return env
 
 
-def _copies(index, env, data):
-    """(rank, dense offset) int64 columns per block of the accessed region,
-    walked as `execute` walks a summand.
+def _copies(prog, env, data, tensor=None):
+    """(rank, dense offset) int64 columns per block of a copy program (see
+    `codegen.copy_program`), walked as `execute` walks a summand.
 
     Ranks are checked against the compressed array `data` and positions
-    against the dense shape before a block is yielded; the ranks must cover
-    all of `data`.
+    against the dense shape before a block is yielded; given the `tensor`
+    of an index's own copy, its ranks must cover all of `data`.
     """
-    prog = index.program
     written = 0
     if prog is not None and guards_mask(prog.guards, {}, env):
         for (offset, rank), m, _ in _leaf_blocks(prog, env, (None, data)):
             written += m
             yield rank, offset
-    if written != len(data):
+    if tensor is not None and written != len(data):
         raise IndexingFault(
-            f"{written} of {len(data)} slots of {index.tensor} visited; "
+            f"{written} of {len(data)} slots of {tensor} visited; "
             "rank map does not cover the buffer")
 
 
@@ -103,33 +88,18 @@ def pack(tensor, index, binding, axes=None, buffer_id=0):
     is written exactly once; a rank or coordinate out of range, or a rank
     that could overflow int64, aborts rather than wrap.
     """
-    if axes is None:
-        axes = tuple(range(len(tensor.shape)))
+    axes = tuple(range(len(tensor.shape))) if axes is None else axes
     env = _copy_env(index, tensor.shape, axes, binding)
     length = buffer_length(index, {p: int(v) for p, v in binding.items()})
     out = np.zeros(length, dtype=tensor.data.dtype)
-    for rank, offset in _copies(index, env, out):
+    for rank, offset in _copies(index.program, env, out, index.tensor):
         out[rank] = tensor.data[offset]
     return CompressedBuffer(buffer_id, length, out)
 
 
-def _redmap_domain(rm, shape):
-    cons = list(rm.domain)
-    for a, name in enumerate(rm.iters):
-        v = AffineExpr({name: Fraction(1)}, Fraction(0))
-        cons.append(Constraint(GE0, v))
-        cons.append(Constraint(GE0, AffineExpr(
-            {name: Fraction(-1)}, Fraction(int(shape[a]) - 1))))
-    names = set()
-    for c in cons:
-        names |= c.variables()
-    params = tuple(sorted(names - set(rm.iters)))
-    return Polyhedron.build(rm.iters, params, cons)
-
-
-def _scatter(data, index, env, out):
-    """Write every slot of a compressed array to its flat position in `out`."""
-    for rank, offset in _copies(index, env, data):
+def _scatter(data, prog, env, out, tensor=None):
+    """Write each slot of `data` that `_copies` reaches to its place in `out`."""
+    for rank, offset in _copies(prog, env, data, tensor):
         out[offset] = data[rank]
 
 
@@ -137,31 +107,20 @@ def unpack(buf, index, shape, binding, axes=None, redmap=None):
     """Scatter a compressed buffer back into a dense tensor.
 
     Positions off the accessed set stay zero unless a redundancy map sends
-    them to a stored position; a mapped image outside the accessed set
-    raises (DomainError from the rank evaluation).
+    them to a stored position (`IndexFunction.mapped_program`); an image
+    outside the accessed set or between integer positions raises
+    IndexingFault before any wrong slot is read.
     """
     shape = tuple(int(e) for e in shape)
-    if axes is None:
-        axes = tuple(range(len(shape)))
+    axes = tuple(range(len(shape))) if axes is None else tuple(axes)
     env = _copy_env(index, shape, axes, binding)
+    mapped = None if redmap is None else index.mapped_program(redmap, axes)
+    if mapped is not None:   # its nest reads each axis's extent by axis
+        env.update((_AXIS_EXTENT.format(a), e) for a, e in enumerate(shape))
+        _check_int64([mapped], env)
     out = np.zeros(math.prod(shape), dtype=buf.data.dtype)
-    _scatter(buf.data, index, env, out)
-    if redmap is not None:
-        dom = _redmap_domain(redmap, shape)
-        subs = [int_form(redmap.substitution[p]) for p in redmap.primed]
-        for pts in iter_point_chunks(build_loop_nest(dom), binding):
-            cols = {d: pts[:, k] for k, d in enumerate(redmap.iters)}
-            image = np.empty_like(pts)
-            for k, (scale, poly) in enumerate(subs):
-                vals = np.broadcast_to(poly_values(poly, cols, binding), len(pts))
-                if (vals % scale).any():
-                    raise IndexingFault("redundancy map lands between integer positions")
-                image[:, k] = vals // scale
-            acc = np.empty_like(image)
-            for pos, ax in enumerate(axes):
-                acc[:, pos] = image[:, ax]
-            ranks = index.rank.evaluate_many(acc, binding)
-            out[_flat_offsets(pts, shape)] = buf.data[ranks]
+    _scatter(buf.data, index.program, env, out, index.tensor)
+    _scatter(buf.data, mapped, env, out)
     return DenseTensor(shape, out)
 
 
@@ -198,12 +157,12 @@ def gather_output(plan, result, shape, binding):
         b = plan.registry.buffers[bid]
         copies.append((data, b.index, _copy_env(b.index, shape, b.axes, binding)))
     if not copies:
-        return DenseTensor.zeros(shape)
+        return DenseTensor(shape, np.zeros(math.prod(shape)))
     total = np.zeros(math.prod(shape), dtype=copies[0][0].dtype)
     # output buffers are disjoint, or the registry would have demoted the
     # tensor: each position is written by one buffer at most
     for data, index, env in copies:
-        _scatter(data, index, env, total)
+        _scatter(data, index.program, env, total, index.tensor)
     return DenseTensor(shape, total)
 
 

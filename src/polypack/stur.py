@@ -117,6 +117,10 @@ class RedundancyMap:
     domain: tuple
     substitution: dict  # primed name -> AffineExpr over unprimed iters
 
+    def __hash__(self):   # by value, so a map's lowered copy is cached by value
+        return hash((self.tensor, self.iters, self.primed, self.domain,
+                     tuple(sorted(self.substitution.items()))))
+
 
 @dataclass(frozen=True)
 class Program:

@@ -90,6 +90,13 @@ class TestCompile:
         assert run_cli("compile", "--stur", path, "--bind", "n=10000") == 0
         assert "int a_s0(" in capsys.readouterr().out
 
+    def test_compile_needs_no_bindings(self, tmp_path, capsys):
+        path = os.path.join(tmp_path, "prism.stur")
+        with open(path, "w") as f:
+            f.write(PRISM)
+        assert run_cli("compile", "--stur", path) == 0
+        assert "int a_s0(" in capsys.readouterr().out
+
     def test_stur_shapes_walk_rows(self):
         # a triangle of 4.5e8 points: only its 30000 rows are walked
         shapes = derive_shapes(parse_program(TRIANGLE), "A", {"n": 30000})
@@ -228,7 +235,17 @@ class TestRun:
         with open(path, "w") as f:
             f.write(PRISM)
         assert run_cli("run", "--stur", path) == 2
-        assert "bindings missing parameters" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bindings missing parameters" in err and "'N'" in err
+
+    def test_parameter_named_like_an_argument(self, tmp_path, capsys):
+        # len1 is also the emitted name of buffer 1's length: by default the
+        # run falls back to NumPy and verifies (see test_codegen)
+        path = os.path.join(tmp_path, "len.stur")
+        with open(path, "w") as f:
+            f.write(TRIANGLE.replace("n)", "len1)"))
+        assert run_cli("run", "--stur", path, "--bind", "len1=9", "--dtype", "i64") == 0
+        assert "PASS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["run", "bench"])
     def test_redundancy_map_rejected(self, command, tmp_path, capsys):

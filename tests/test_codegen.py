@@ -1262,7 +1262,8 @@ B_U(i, j) := ((j - i) % 4 = 1)
 class TestEmitC:
     def test_ranks_are_exact_integers(self):
         # FIG3's ranks have denominator 2: accumulated as 2*rank in int64_t
-        # and divided exactly, never held in a double
+        # and divided exactly, never held in a double; values are ELEM, in
+        # the three arrays and the row's sum of the run over l
         text = emit_c(build_plan(parse_program(FIG3), "A", "input+output"))
         assert "int64_t r0_0 = r0 + 2*N*P*i - P*i - P*i*i;" in text
         assert "if (r0_2 % 2) return 1;\n" in text
@@ -1270,7 +1271,7 @@ class TestEmitC:
         assert "(long)" not in text
         body = text.split("#endif", 1)[1]
         assert "double" not in body
-        assert re.findall(r"\bELEM\b\S*", body) == ["ELEM*"] * 3
+        assert re.findall(r"\bELEM\b\S*", body) == ["ELEM*"] * 3 + ["ELEM"]
 
     def test_fixed_level_fragment(self):
         plan = build_plan(parse_program(DIAG_HADAMARD), "T", "input+output")
@@ -1556,6 +1557,26 @@ class TestLibraryCache:
         assert same_result(got, want) and got.backends == {"numpy"}
         if GCC:
             with pytest.raises(CodegenError, match=f"emitter declares: {var}"):
+                execute(plan, store, shapes, binding, dtype=np.int64, backend="c")
+
+    def test_parameter_named_like_an_argument(self, fresh):
+        # a parameter len1 beside buffer 1's length argument len1: both are
+        # declared, so the clash shows; merged, one int64_t len1 held the
+        # parameter (9), not B's length (45), and C raised a false fault
+        text = "A(i) := B(i, j) * C(j)\nB_U(i, j) := (0 <= i < len1) * (i <= j < len1)\n"
+        plan = build_plan(parse_program(text), "A", "input+output")
+        assert plan.summands[0].source.count("int64_t len1") == 2
+        assert "#error names of the rule clash with names the emitter declares: len1" \
+            in plan.c_text
+        shapes, binding = {"A": (9,), "B": (9, 9), "C": (9,)}, {"len1": 9}
+        rng = np.random.default_rng(5)
+        dense = {t: rng.integers(-3, 4, int(np.prod(shapes[t]))) for t in "BC"}
+        store = pack_store(plan, shapes, dense, binding, np.int64)
+        want = execute(plan, store, shapes, binding, dtype=np.int64, backend="numpy")
+        got = execute(plan, store, shapes, binding, dtype=np.int64)
+        assert same_result(got, want) and got.backends == {"numpy"}
+        if GCC:
+            with pytest.raises(CodegenError, match="emitter declares: len1"):
                 execute(plan, store, shapes, binding, dtype=np.int64, backend="c")
 
     @needs_gcc

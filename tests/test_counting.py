@@ -61,8 +61,13 @@ class TestQuasiPolynomial:
 
     def test_substitute(self):
         p = q("i").power(2)
-        got = p.substitute("i", q("j") + 1)
+        got = p.substitute({"i": q("j") + 1})
         assert got == q("j").power(2) + 2 * q("j") + 1
+
+    def test_substitute_is_simultaneous(self):
+        # a swap: substituted one var at a time it would read i*i
+        p = q("i") * q("j").power(2)
+        assert p.substitute({"i": q("j"), "j": q("i")}) == q("j") * q("i").power(2)
 
     def test_coeffs_in(self):
         p = q("i").power(2) * q("j") + 2 * q("i") + QuasiPolynomial.constant(3)
@@ -268,6 +273,22 @@ class TestPiecewiseArithmetic:
         assert t.evaluate({"j": 4}) == 2
         with pytest.raises(CountingError):
             t.evaluate({"j": 3})
+
+    def test_substitute_guards_the_image(self):
+        # j over 0 <= j < n, read at j = (n - 1 - i) / 2 for i in [0, 9]:
+        # defined where the image is an integer inside the old context
+        ctx = Polyhedron.build(("j",), ("n",), interval("j"))
+        t = PiecewiseQuasiPolynomial((self.piece([], q("j") * 3, ctx),), ctx)
+        assert t.single_polynomial() == q("j") * 3
+        at = Polyhedron.build(("i",), ("n",), [ge(v("i")), ge(k(9) - v("i"))])
+        got = t.substitute({"j": (v("n") - v("i") - k(1)) * HALF}, at)
+        assert got.context == at and got.single_polynomial() is None
+        for i in range(10):
+            if i % 2 or i > 4:   # odd n - 1 - i, or an image below 0
+                with pytest.raises(DomainError):
+                    got.evaluate({"i": i, "n": 5})
+            else:
+                assert got.evaluate({"i": i, "n": 5}) == 3 * (4 - i) // 2
 
 
 class TestFusion:

@@ -1,23 +1,28 @@
 """Dense <-> compressed movement, redundancy expansion, footprint math."""
 
 import math
+from dataclasses import replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from dataclasses import replace
-from types import SimpleNamespace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polypack import codegen, polyhedra, runtime
 from polypack.cli import BUILTIN_KERNELS
 from polypack.codegen import IndexingFault, build_plan, execute, reference_execute
 from polypack.counting import DomainError, PiecewiseQuasiPolynomial, pqp_constant
 from polypack.indexing import symbolic_indexing
-from polypack.polyhedra import AccessMap, enumerate_points, image, iteration_space
+from polypack.polyhedra import (
+    AccessMap, AffineExpr, enumerate_points, image, iteration_space,
+)
 from polypack.runtime import (
     CompressedBuffer, DenseTensor, build_store, footprint_report,
     gather_output, pack, random_tensor, unpack,
 )
-from polypack.stur import build_compressed_summands, parse_program
+from polypack.stur import RedundancyMap, build_compressed_summands, parse_program
 
 from helpers import dense_tensor, reshaped
 
@@ -203,6 +208,33 @@ def naive_copy(data, index, shape, binding, axes):
     return buf, dense
 
 
+def naive_unpack(data, index, shape, binding, axes, redmap):
+    """unpack(redmap=...) by the oracle: each position of the region and of
+    the map's domain within `shape` (`enumerate_points`) takes the slot
+    whose rank (`evaluate_many`) is at the position, or at its image under
+    the map's substitution."""
+    out = np.zeros(math.prod(shape), dtype=data.dtype)
+    pts = enumerate_points(index.accessed, binding)
+    if len(pts):
+        flat = np.ravel_multi_index(tuple(pts[:, np.argsort(axes)].T), shape)
+        out[flat] = data[index.rank.evaluate_many(pts, binding)]
+    cons = list(redmap.domain)
+    for a, d in enumerate(redmap.iters):
+        cons += [polyhedra.ge(AffineExpr.var(d)),
+                 polyhedra.ge(AffineExpr.constant(shape[a] - 1) - AffineExpr.var(d))]
+    pos = enumerate_points(polyhedra.Polyhedron.build(redmap.iters, tuple(binding), cons), binding)
+    if len(pos):
+        point = {**binding, **{d: pos[:, a] for a, d in enumerate(redmap.iters)}}
+        image = np.zeros_like(pos)
+        for a, p in enumerate(redmap.primed):
+            e = redmap.substitution[p]
+            value = e.const + sum(k * point[d] for d, k in e.coeffs.items())
+            image[:, a] = np.broadcast_to(np.asarray(value, dtype=object), len(pos))
+        ranks = index.rank.evaluate_many(image[:, list(axes)], binding)
+        out[np.ravel_multi_index(tuple(pos.T), shape)] = data[ranks]
+    return out
+
+
 def oracle_cases():
     """(label, index, binding, shape, axes) for every compressed buffer of
     the builtins at sizes 1, 2, 5, 9, and of BANDED and BANDS."""
@@ -331,13 +363,101 @@ class TestUnpack:
         assert reshaped(full).tolist() == s.tolist()
 
     def test_redundant_image_outside_region_is_an_error(self):
+        # V's rank is one polynomial; the region's constraints still guard it
         bad = SYMMETRIC.replace("(x' = y) * (y' = x)", "(x' = x) * (y' = y)")
         prog = parse_program(bad)
         f = findex(SYMMETRIC, "V")
+        assert f.rank.single_polynomial() is not None
         buf = pack(dense_tensor(np.eye(4, dtype=np.int64)),
                    f, {"n": 4})
-        with pytest.raises(DomainError):
+        with pytest.raises(IndexingFault):
             unpack(buf, f, (4, 4), {"n": 4}, redmap=prog.redundancy_maps["V"])
+
+    def test_image_between_integer_positions_is_an_error(self):
+        # (x, y) -> (y / 2, x) on y >= 2x lands in the region {y' <= x'},
+        # on an integer position only where y is even
+        rm = parse_program(SYMMETRIC).redundancy_maps["V"]
+        x, y = AffineExpr.var("x"), AffineExpr.var("y")
+        half = replace(rm, domain=(polyhedra.ge(y - x * 2),),
+                       substitution={"x'": y * Fraction(1, 2), "y'": x})
+        even = replace(half, domain=half.domain + (polyhedra.modeq(y, 2, 0),))
+        f = findex(SYMMETRIC, "V")
+        buf = pack(dense_tensor(np.arange(16).reshape(4, 4)), f, {"n": 4})
+        assert np.array_equal(unpack(buf, f, (4, 4), {"n": 4}, redmap=even).data,
+                              naive_unpack(buf.data, f, (4, 4), {"n": 4}, (0, 1), even))
+        with pytest.raises(IndexingFault):
+            unpack(buf, f, (4, 4), {"n": 4}, redmap=half)   # (0, 1) -> (1/2, 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 400])
+    @pytest.mark.parametrize("axes", [(0, 1), (1, 0)])
+    def test_expansion_matches_naive_oracle(self, n, axes):
+        # with axes (1, 0) V's region is stored transposed, as its upper
+        # triangle, and the map sends the lower one to it
+        text = SYMMETRIC if axes == (0, 1) else SYMMETRIC.replace("(x < y)", "(y < x)")
+        rm = parse_program(text).redundancy_maps["V"]
+        f = findex(SYMMETRIC, "V")
+        w = np.random.default_rng(n).integers(-2 ** 61, 2 ** 61, size=(n, n))
+        s = w + w.T
+        buf = pack(dense_tensor(s), f, {"n": n}, axes=axes)
+        want = naive_unpack(buf.data, f, (n, n), {"n": n}, axes, rm)
+        assert np.array_equal(want, s.ravel())
+        got = unpack(buf, f, (n, n), {"n": n}, axes=axes, redmap=rm)
+        assert got.data.dtype == np.int64 and np.array_equal(got.data, want)
+
+    def test_lowered_once(self, monkeypatch):
+        rm = parse_program(SYMMETRIC).redundancy_maps["V"]
+        f = findex(SYMMETRIC, "V")
+        s = np.arange(36).reshape(6, 6)
+        s = s + s.T
+        unpack(pack(dense_tensor(s[:4, :4]), f, {"n": 4}), f, (4, 4), {"n": 4}, redmap=rm)
+        buf = pack(dense_tensor(s), f, {"n": 6})
+
+        def no_lowering(*args, **kwargs):
+            raise AssertionError("lowered again")
+        for mod in (codegen, polyhedra, runtime):
+            for name in ("build_loop_nest", "fm_eliminate", "image"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, no_lowering)
+        for name in ("evaluate", "evaluate_many", "substitute"):
+            monkeypatch.setattr(PiecewiseQuasiPolynomial, name, no_lowering)
+        # an equal map and axes given as a list hit the same lowered copy
+        again = parse_program(SYMMETRIC).redundancy_maps["V"]
+        got = unpack(buf, f, (6, 6), {"n": 6}, axes=[0, 1], redmap=again)
+        assert np.array_equal(got.data, s.ravel())
+
+    # a bound of y besides 0 <= y < n: None, or the offset c of x + c
+    _Y_BOUND = st.one_of(st.none(), st.integers(-2, 2))
+    _UNIT = st.sampled_from((-1, 0, 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(lo=_Y_BOUND, hi=_Y_BOUND, transpose=st.booleans(),
+           dom=st.tuples(_UNIT, _UNIT, st.integers(-3, 3)), n=st.integers(1, 7),
+           seed=st.integers(0, 2 ** 16))
+    def test_random_maps_match_naive_oracle(self, lo, hi, transpose, dom, n, seed):
+        # a region 0 <= x < n, 0 <= y < n, optionally x + lo <= y <= x + hi;
+        # the map (x, y) -> (y, x) or (n - 1 - x, y) on a*x + b*y + c >= 0:
+        # unpack matches the oracle, or both refuse an image off the region
+        x, y = AffineExpr.var("x"), AffineExpr.var("y")
+        nn = AffineExpr.var("n")
+        ge = polyhedra.ge
+        cons = [ge(x), ge(nn - x - 1), ge(y), ge(nn - y - 1)]
+        if lo is not None:
+            cons.append(ge(y - x - lo))
+        if hi is not None:
+            cons.append(ge(x + hi - y))
+        f = symbolic_indexing(polyhedra.Polyhedron.build(("x", "y"), ("n",), cons), "T")
+        a, b, c = dom
+        rm = RedundancyMap("T", ("x", "y"), ("x'", "y'"), (ge(x * a + y * b + c),),
+                           {"x'": y, "y'": x} if transpose else {"x'": nn - x - 1, "y'": y})
+        data = np.random.default_rng(seed).integers(-2 ** 62, 2 ** 62, size=n * n)
+        buf = pack(DenseTensor((n, n), data), f, {"n": n})
+        try:
+            want = naive_unpack(buf.data, f, (n, n), {"n": n}, (0, 1), rm)
+        except DomainError:
+            with pytest.raises(IndexingFault):
+                unpack(buf, f, (n, n), {"n": n}, redmap=rm)
+            return
+        assert np.array_equal(unpack(buf, f, (n, n), {"n": n}, redmap=rm).data, want)
 
 
 class TestFootprint:
