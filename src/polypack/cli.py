@@ -213,15 +213,13 @@ def cmd_compile(args):
     plan = build_plan(cfg.program, cfg.rule, args.compression[-1])
     print(f"rule {cfg.rule}  compression={plan.compression}")
     print(plan.registry.dump())
-    for si, sp in enumerate(plan.summands):
+    shown = [(f"summand {si}:", sp) for si, sp in enumerate(plan.summands)]
+    shown += [(f"gather buffer {bid}:", g) for bid, g in plan.gathers.items()]
+    for header, sp in shown:
         tag = " (parallel outer loop)" if sp.parallelizable else ""
-        box = sp.program and sp.program.box
-        if box is not None:
-            inner = ", ".join(lv.var for lv in sp.program.levels[box.depth:])
-            tag += f" ({inner} contracted as one block)"
-        elif sp.program and sp.program.run is not None:
+        if sp.program and sp.program.run is not None:
             tag += f" ({sp.program.levels[-1].var} walked as runs)"
-        print(f"summand {si}:{tag}")
+        print(header + tag)
         for line in sp.source.splitlines():
             print(f"  {line}")
     if args.emit_c:
@@ -358,14 +356,15 @@ def _parser():
                         help="layout level (repeatable for bench)")
 
     pc = sub.add_parser("compile", parents=[common],
-                        help="print buffers, polynomials, and each summand's C")
+                        help="print buffers, polynomials, and each summand's and "
+                             "gather's C")
     pc.add_argument("--emit-c", metavar="DIR",
-                    help="write one C file per summand into DIR")
+                    help="write one C file per summand and per gather into DIR")
     backend = argparse.ArgumentParser(add_help=False)
     backend.add_argument("--backend", choices=["c", "numpy"],
-                         help="run every summand as compiled C (needs gcc), or all on NumPy "
-                              "(default: summands off a box on C where gcc is on PATH and a "
-                              "library builds, the rest on NumPy)")
+                         help="run every summand and gather as compiled C (needs gcc), or "
+                              "all on NumPy (default: C where gcc is on PATH and a library "
+                              "builds, else NumPy)")
     pr = sub.add_parser("run", parents=[common, backend],
                         help="execute and verify against the dense reference")
     pr.add_argument("--corrupt-index", action="store_true",

@@ -17,38 +17,35 @@ so a size polynomial is evaluated only where an array is allocated (a
 compressed output here, an input in `runtime.pack`); every index must fit
 int64 by its program's bounds, and every dense input must hold its shape's
 values, before anything is allocated.
-Where a summand's innermost levels form a box (parameter bounds, stride 1,
-no guards, degree-1 index terms with parameter-only coefficients), the
-expander walks only the levels above it: each access's index is then
-base[outer row] + offset[box point], and every
-block of outer rows is one gather, one `matmul` or `einsum` and one scatter
-(`_Box`, lowered once per plan; the offsets are built on each call,
-`_Grid`).  Elsewhere, an innermost loop without guards whose bounds may
-read outer vars, and on which every index term is degree 1 with a
-parameter-only coefficient that is a multiple of its access's scale, is
-walked as runs: the expander stops at its rows, each access's index on a
-row is base + step * (j - lo), each base is divided exactly and each run's
-first and last index checked once per row, and a block's indices are one
-`repeat` plus one `arange` (`_rows`, `_leaf_blocks`); an output index fixed
-along every run is added to once per row.  Any other level is walked point
-by point, and equal output indices next to each other are summed first.
+An innermost loop without guards whose bounds may read outer vars, and on
+which every index term is degree 1 with a parameter-only coefficient that
+is a multiple of its access's scale, is walked as runs: the expander stops
+at its rows, each access's index on a row is base + step * (j - lo), each
+base is divided exactly and each run's first and last index checked once
+per row, and a block's indices are one `repeat` plus one `arange`
+(`_rows`, `_leaf_blocks`); an output index fixed along every run is added
+to once per row.  Any other level is walked point by point, and equal
+output indices next to each other are summed first.
 `runtime.pack` and `unpack` consume the same blocks, as a copy between a
 region's rank and its tensor's dense offset (`copy_program`), and a
 redundancy map's expansion as a copy from the rank at the map's image,
 each lowered once.  `build_plan` renders each summand's lowered program
 once as C (`SummandPlan.source`): the same integer bounds, guards and
 index terms in int64_t, each scaled rank divided exactly and every index
-checked, once per row on a run level (a box's too), each failed check
-returned as a status, so C and the walk share one lowering; `emit_c`
-assembles those texts and `polypack compile` prints them.  `execute` runs
-every summand off a box through that C where gcc exists (`native`), and
-the rest on the walk above; backend "c" runs every summand on C.  A
-parallelizable summand's C function takes a share of its outermost range
-as two more bounds on that level, so a `workers > 1` call can run the
-shares on threads, cut where its points (`_work`, per value of that level)
-balance, wherever they give each thread THREAD_POINTS; the walk never
-splits.  The compressed summands and the buffer registry are built once
-per (program, rule) and shared by all three compression levels.
+checked, once per row on a run level, each failed check returned as a
+status, so C and the walk share one lowering; `emit_c` assembles those
+texts and `polypack compile` prints them.  A compressed output's copy into
+the dense output is one more such statement, dense T += T_b over the
+buffer's region (`KernelPlan.gathers`), lowered on first use into the
+same library.  `execute` runs every summand through that C where gcc
+exists (`native`), and on the walk above without it; backend "c" requires
+C, backend "numpy" the walk.  A parallelizable summand's C function takes
+a share of its outermost range as two more bounds on that level, so a
+`workers > 1` call can run the shares on threads, cut where its points
+(`_work`, per value of that level) balance, wherever they give each thread
+THREAD_POINTS; the walk never splits.  The compressed summands and the
+buffer registry are built once per (program, rule) and shared by all three
+compression levels.
 """
 
 from __future__ import annotations
@@ -214,8 +211,7 @@ BLOCK_POINTS = 1 << 13
 # From 5M points a thread the split is never measurably slower.
 THREAD_POINTS = 5_000_000
 
-# [0]: the start of a block's only row, and the offsets of an access that
-# no box dim moves
+# [0]: the start of a block's only row
 _ORIGIN = np.zeros(1, dtype=np.int64)
 
 def _level_range(lv, cols, env):
@@ -467,6 +463,7 @@ class SummandPlan:
     statement: Statement
     parallelizable: bool
     source: str = field(compare=False, default="")   # the summand's C function
+    counted: bool = False   # its C function adds the points it visits to *count
 
     @cached_property
     def program(self):
@@ -478,7 +475,7 @@ class SummandPlan:
         """Where each argument of the summand's C function comes from, in
         order (see `_c_signature`)."""
         return tuple(src for _, src in _c_signature(self.nest.params, self.statement,
-                                                    self.parallelizable))
+                                                    self.parallelizable, self.counted))
 
     @cached_property
     def axes(self):
@@ -500,9 +497,31 @@ class KernelPlan:
     compression: str       # "none" | "input" | "input+output"
 
     @cached_property
+    def gathers(self):
+        """{buffer id: SummandPlan} per compressed output buffer b of
+        tensor T: dense T(names) += T_b(names) over b's region, read through
+        the rank access of the first summand that writes b, as the C
+        function `<rule>_g<b>`, which counts its points.  Lowered on first
+        use, so that `build_plan` does not pay for them."""
+        plans = {}
+        for sp in self.summands:
+            out = sp.statement.output
+            if out.layout == "compressed" and out.buffer_id not in plans:
+                buf = self.registry.buffers[out.buffer_id]
+                space = buf.accessed.rename({d: out.names[buf.axes[p]]
+                                             for p, d in enumerate(buf.accessed.dims)})
+                plans[out.buffer_id] = _lowered(
+                    _c_function(self.rule, f"g{out.buffer_id}"), build_loop_nest(space),
+                    Statement(AccessPlan(out.tensor, None, "dense", out.names), (out,)),
+                    False, counted=True)
+        return dict(sorted(plans.items()))
+
+    @cached_property
     def c_text(self):
-        """The plan's C: the prelude and every summand's function."""
-        return _c_text(*(sp.source for sp in self.summands))
+        """The plan's C: the prelude, every summand's function, then every
+        gather's."""
+        return _c_text(*(sp.source for sp in self.summands),
+                       *(g.source for g in self.gathers.values()))
 
 
 def _access_plan(registry, si, slot, acc, compression):
@@ -537,8 +556,9 @@ def copy_program(index, redmap=None, axes=None):
     and its stride from env[(tensor, p, "stride")], so the tensor's shape
     and axis order come with each call; leaf 1 is the rank, checked against
     the length of the buffer it indexes.  Both must fit int64 by the
-    program's bounds, as a summand's indices must (`_check_int64`).  A copy
-    has no box; its innermost level is walked as runs where it qualifies.
+    program's bounds, as a summand's indices must (`_check_int64`).  Its
+    innermost level is walked as runs where it qualifies; the rank is keyed
+    buffer 0, which `runtime._copies` relabels.
 
     With a redundancy map, the copy is out to the positions the map sends
     into the region, region dim p read along tensor axis axes[p]: the nest
@@ -563,7 +583,7 @@ def copy_program(index, redmap=None, axes=None):
     view = AccessPlan(tensor, None, "dense", names,
                       strides=tuple((tensor, p, "stride") for p in range(len(names))))
     rank = _rank_access(tensor, 0, names, rank)
-    return _program(build_loop_nest(space), Statement(view, (rank,)), contract=False)
+    return _program(build_loop_nest(space), Statement(view, (rank,)))
 
 
 def build_plan(program, rule, compression="input+output"):
@@ -583,12 +603,18 @@ def build_plan(program, rule, compression="input+output"):
         par = (not nest.empty and len(nest.levels) > 0
                and nest.levels[0].kind != "fixed"
                and nest.dims[0] in s.output.index_names)
-        prog = _program(nest, stmt)
-        sp = SummandPlan(nest, stmt, par,
-                         "\n".join(_emit_c_summand(rule, si, nest.params, stmt, prog, par)))
-        sp.__dict__["program"] = prog   # lowered once, at compile time, for C and `execute`
-        plans.append(sp)
+        plans.append(_lowered(_c_function(rule, f"s{si}"), nest, stmt, par))
     return KernelPlan(rule, tuple(plans), registry, compression)
+
+
+def _lowered(name, nest, stmt, parallel, counted=False):
+    """A SummandPlan whose program is lowered once, for C and `execute`,
+    and rendered as the C function `name`."""
+    prog = _program(nest, stmt)
+    sp = SummandPlan(nest, stmt, parallel, "\n".join(
+        _emit_c_summand(name, nest.params, stmt, prog, parallel, counted)), counted)
+    sp.__dict__["program"] = prog
+    return sp
 
 
 # ---------------------------------------------------------------------------
@@ -607,39 +633,22 @@ def _magnitude(poly, ext):
 
 
 # An access at the frontier's leaves: column `col` carries its index unless
-# `pieces` evaluate it; `key` is its store key, a buffer id when compressed.
-_Leaf = namedtuple("_Leaf", "col key scale pieces")
+# `pieces` evaluate it; `key` is its store key, a buffer id when compressed,
+# and `tensor` the tensor it reads.
+_Leaf = namedtuple("_Leaf", "col key scale pieces tensor")
 
 # guards: the nest's parameter-only guards; root: column -> parameter-only
 # part of each carried index; bounds: per access, its tensor and the polys
 # over env names that must fit int64; crude: (sum of |coeff|, top degree)
-# over them, a bound through the largest env value (both None for a copy,
-# see `copy_program`); box: the inner levels that run as one array
-# contraction, or None; run: per leaf, the int poly step of its index along
-# the innermost level when it is walked as runs (`_run_steps`; under a box,
-# by C only), else None; reduce: the output index is fixed along every run
-# (no run, no reduce: the point walk collapses equal output indices instead).
-_Program = namedtuple("_Program", "guards levels root leaves bounds crude reduce box run")
-
-# The deepest suffix of a nest's levels (from `depth` on) that is a box:
-# loop levels of stride 1 without guards, bounded by parameters only, on
-# which every access's terms are degree 1 with parameter-only coefficients.
-# An access's index is then base[outer row] + offset[box point].
-# - coefs: per leaf column, (box dim, int poly) for each box dim the access
-#   reads, in order: the sum of its terms there, divided by the access's
-#   scale.
-# - varies: per leaf column, whether its base differs between outer rows
-#   (else the access is gathered once per call); repeat: outer rows can
-#   share an output index.
-# - spec: the einsum over the inputs, with a row axis "r" on each varying
-#   one and box dims as capitals.
-# - matmul: (column, einsum) when the one varying input with box dims runs
-#   as (rows, X) @ (X, Y), the einsum folding the constant inputs into that
-#   (X, Y) matrix and any other varying input scaling each row; else None.
-_Box = namedtuple("_Box", "depth coefs varies repeat spec matmul")
+# over them, a bound through the largest env value; run: per leaf, the int
+# poly step of its index along the innermost level when it is walked as
+# runs (`_run_steps`), else None; reduce: the output index is fixed along
+# every run (no run, no reduce: the point walk collapses equal output
+# indices instead).
+_Program = namedtuple("_Program", "guards levels root leaves bounds crude reduce run")
 
 
-def _program(nest, stmt, contract=True):
+def _program(nest, stmt):
     """A nest and a statement's accesses in integer form for `execute`.
 
     Every access whose index is one polynomial carries it down the levels
@@ -648,9 +657,8 @@ def _program(nest, stmt, contract=True):
     (tensor, axis) extents, unless the access names its own strides), is
     split once by `hoist_schedule` into the parameter-only root and each
     level's terms, and each level learns the dense extents its var
-    indexes.  The int64 rule bounds the unsplit poly.  Inner levels run as
-    a box when they form one and `contract` is set; the innermost level is
-    walked as runs when it is a run level (in C only, under a box).
+    indexes.  The int64 rule bounds the unsplit poly.  The innermost level
+    is walked as runs when it is a run level (`_run_steps`).
     """
     if nest.empty:
         return None
@@ -683,12 +691,11 @@ def _program(nest, stmt, contract=True):
         bounds.append((a.tensor, tuple(tuple((c, tuple((own.get(v, v), e) for v, e in mono))
                                              for c, mono in p) for p in polys)))
         leaves.append(_Leaf(col, a.tensor if a.layout == "dense" else a.buffer_id,
-                            a.scale if pieces is None else 1, pieces))
+                            a.scale if pieces is None else 1, pieces, a.tensor))
     every = [t for _, polys in bounds for p in polys for t in p]
     crude = (sum(abs(c) for c, _ in every),
              max((sum(e for _, e in mono) for _, mono in every), default=0))
 
-    box = _box(dims, levels, terms, leaves, stmt.output.names) if contract else None
     run = _run_steps(dims, levels, terms, leaves)
     # the columns each level's points must carry, innermost level first
     dims = set(dims)  # membership only from here on
@@ -703,7 +710,7 @@ def _program(nest, stmt, contract=True):
         need = set(keep) | _poly_names(*(p for _, p in lv.lowers + lv.uppers),
                                        lv.phase or (), *(p for *_, p in terms[k])) & dims
     return _Program(nest.guards, tuple(levels), root, tuple(leaves), tuple(bounds), crude,
-                    run is not None and not run[0], box, run)
+                    run is not None and not run[0], run)
 
 
 def _is_run_level(lv):
@@ -728,64 +735,6 @@ def _run_steps(dims, levels, terms, leaves):
     return tuple(steps)
 
 
-def _box(dims, levels, terms, leaves, out_names):
-    """The `_Box` of a nest's levels and their terms, or None when its
-    deepest level is no box level, a rank is piecewise, a box term is not a
-    multiple of its access's scale, or an input reads no box dim that the
-    box has (the contraction would have to count repeats)."""
-    dims = set(dims)
-
-    def is_box(k):
-        lv = levels[k]
-        return (lv.kind == "loop" and not lv.guards
-                and not _poly_names(*(p for _, p in lv.lowers + lv.uppers)) & dims
-                and all(e == 1 and not _poly_names(p) & dims for _, e, p in terms[k]))
-    depth = len(levels)
-    while depth and is_box(depth - 1):
-        depth -= 1
-    if depth == len(levels) or any(a.pieces is not None for a in leaves):
-        return None
-    coefs = [{} for _ in leaves]
-    for k in range(depth, len(levels)):
-        for col, _, p in terms[k]:
-            if any(c % leaves[col].scale for c, _ in p):
-                return None
-            coefs[col][k - depth] = coefs[col].get(k - depth, ()) + tuple(
-                (c // leaves[col].scale, mono) for c, mono in p)
-    coefs = tuple(tuple(cs.items()) for cs in coefs)
-    box_dims = [tuple(j for j, _ in cs) for cs in coefs]
-    if set().union(*box_dims[1:]) != set(range(len(levels) - depth)):
-        return None
-    # rows differ in the outer levels' values, except where a level is
-    # fixed by the parameters and the fixed levels above it
-    moving = set()
-    for k in range(depth):
-        lv = levels[k]
-        if (lv.kind != "fixed" or not lv.single
-                or _poly_names(lv.lowers[0][1]) & moving):
-            moving.add(lv.var)
-    varies = tuple(any(t == a.col and (levels[k].var in moving or _poly_names(p) & moving)
-                       for k in range(depth) for t, _, p in terms[k]) for a in leaves)
-    repeat = any(levels[k].kind != "fixed" and levels[k].var not in out_names
-                 for k in range(depth))
-
-    def sub(js):
-        return "".join(chr(ord("A") + j) for j in js)
-    rowwise = varies[0] and any(varies[1:])
-    ins = [("r" if v else "") + sub(d) for v, d in zip(varies[1:], box_dims[1:])]
-    res = ("r" if rowwise else "") + sub(box_dims[0])
-    spec = ",".join(ins) + "->" + res
-    matmul = None
-    shaped = [c for c in range(1, len(leaves)) if varies[c] and box_dims[c]]
-    if rowwise and len(shaped) == 1:
-        v = shaped[0]
-        fixed = [box_dims[c] for c in range(1, len(leaves)) if not varies[c]]
-        if fixed and not set(box_dims[v]) & set(box_dims[0]) \
-                and set().union(*fixed) == set(box_dims[v]) | set(box_dims[0]):
-            matmul = (v, ",".join(map(sub, fixed)) + "->" + sub(box_dims[v]) + sub(box_dims[0]))
-    return _Box(depth, coefs, varies, repeat, spec, matmul)
-
-
 def _check_int64(progs, env):
     """Raise IndexingFault when an index of one of the programs can exceed
     int64 for iterators within the shape extents they index, at the env's
@@ -798,6 +747,11 @@ def _check_int64(progs, env):
             for tensor, polys in prog.bounds:
                 if any(_magnitude(p, ext) > _INT64_MAX for p in polys):
                     raise IndexingFault(f"an index of {tensor} can exceed int64 at this binding")
+
+
+def _range_fault(bid, tensor):
+    """The message of an index of `tensor` outside its buffer `bid`."""
+    return f"index out of range for buffer {bid} of {tensor}"
 
 
 def _exact(v, scale):
@@ -827,7 +781,7 @@ def _leaf_index(a, cols, n, env, array):
                                                    int(mask.sum())), s)
     # as uint64 a negative index is huge: one pass checks both ends
     if isinstance(a.key, int) and idx.view(np.uint64).max() >= len(array):
-        raise IndexingFault(f"index out of range for buffer {a.key}")
+        raise IndexingFault(_range_fault(a.key, a.tensor))
     return idx
 
 
@@ -882,138 +836,13 @@ def _run_base(a, base, step, width, array):
         last = base + step * width if step else base
         low, high = (base, last) if step >= 0 else (last, base)
         if _least(low) < 0 or _most(high) >= len(array):
-            raise IndexingFault(f"index out of range for buffer {a.key}")
+            raise IndexingFault(_range_fault(a.key, a.tensor))
     return base
-
-
-def _box_base(a, base, grid, array):
-    """An access's base index (an int, or a column over rows) under a box
-    whose offsets to it span [grid.least, grid.most], checked against the
-    array it indexes when compressed."""
-    base = _exact(base, a.scale)
-    if isinstance(a.key, int):
-        # every row's first index must lie in [0, span)
-        first, span = base + grid.least, len(array) - (grid.most - grid.least)
-        if span <= 0 or (first.view(np.uint64).max() >= span if isinstance(first, np.ndarray)
-                         else not 0 <= first < span):
-            raise IndexingFault(f"index out of range for buffer {a.key}")
-    return base
-
-
-# Where an access's values lie relative to its base, over a box at one
-# binding: off, the flat offsets in row-major box order; least and most,
-# their extremes; shape, the extent of each box dim it reads.
-_Grid = namedtuple("_Grid", "off least most shape")
-
-
-def _box_grids(prog, env):
-    """Per leaf, the `_Grid` of a box at a binding, after checking the box
-    ranges against their dense extents; None when the box is empty."""
-    box = prog.box
-    inner = prog.levels[box.depth:]
-    ranges = []
-    for lv in inner:
-        lo, hi = _level_range(lv, {}, env)
-        if lo > hi:
-            return None
-        ranges.append((int(lo), int(hi)))
-    for lv, (lo, hi) in zip(inner, ranges):
-        _check_extents(lv, lo, hi, env)
-    values = [np.arange(lo, hi + 1) for lo, hi in ranges]
-    grids = []
-    for a in prog.leaves:
-        off, least, most = _ORIGIN, 0, 0
-        for j, p in box.coefs[a.col]:
-            c = poly_values(p, {}, env)
-            ends = (c * ranges[j][0], c * ranges[j][1])
-            least, most = least + min(ends), most + max(ends)
-            step = values[j] if c == 1 else c * values[j]
-            off = step if off is _ORIGIN else (off[:, None] + step).ravel()
-        grids.append(_Grid(off, least, most, tuple(len(values[j]) for j, _ in box.coefs[a.col])))
-    return grids
-
-
-def _box_call(prog, env, arrays, block):
-    """What a box needs once per call, from the first block of outer rows:
-    its `_Grid`s, the checked bases of the accesses that do not vary by row,
-    the gathered constant inputs and the matmul's folded matrix.  None when
-    the box is empty."""
-    box = prog.box
-    grids = _box_grids(prog, env)
-    if grids is None:
-        return None
-    bases, consts = {}, {}
-    for a, g in zip(prog.leaves, grids):
-        if not box.varies[a.col]:
-            base = block[a.col]
-            base = int(base[0]) if isinstance(base, np.ndarray) else int(base)
-            bases[a.col] = base = _box_base(a, base, g, arrays[a.col])
-            if a.col:
-                consts[a.col] = arrays[a.col][base + g.off].reshape(g.shape)
-    matrix = None
-    if box.matmul is not None:
-        col, spec = box.matmul
-        matrix = np.einsum(spec, *consts.values(), optimize=False).reshape(
-            math.prod(grids[col].shape), -1)
-    return grids, bases, consts, matrix
-
-
-def _run_box(prog, env, arrays):
-    """Accumulate a summand through its box (`_Box`): the outer levels run on
-    `_expand`, and each slice of an outer block (at most BLOCK_POINTS gathered
-    values per varying access, unless one row has more) gathers every input
-    at base[row] + offset[box point], contracts them and adds the result to
-    the output at its base[row] + offset.  Every index is checked, once per
-    outer block, before the first store read that uses it."""
-    box, out = prog.box, arrays[0]
-    outer = prog.levels[:box.depth]
-    root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
-    state = rows_per = None
-    moving = [a for a in prog.leaves if box.varies[a.col]]
-    per_row = any(box.varies[1:])
-    for block, m in _expand(outer, root, 1, env):
-        if rows_per is None:
-            state = _box_call(prog, env, arrays, block)
-            rows_per = max(1, BLOCK_POINTS // max(
-                [math.prod(state[0][a.col].shape) for a in moving] or [1])) if state else 0
-        if state is None:
-            continue   # an empty box: the outer walk still checks its extents
-        grids, bases, consts, matrix = state
-        base = {a.col: _box_base(a, _column(block[a.col], m), grids[a.col], arrays[a.col])
-                for a in moving}
-        for s in range(0, m, rows_per):
-            rows = min(m, s + rows_per) - s
-            ops = [consts[a.col] if a.col in consts
-                   else arrays[a.col][base[a.col][s:s + rows, None] + grids[a.col].off]
-                   for a in prog.leaves[1:]]
-            if matrix is not None:
-                res = ops[box.matmul[0] - 1] @ matrix
-                for a in moving:   # the other varying inputs are one value per row
-                    if a.col and a.col != box.matmul[0]:
-                        res = res * ops[a.col - 1]
-            else:
-                ops = [op if a.col in consts else op.reshape((rows,) + grids[a.col].shape)
-                       for a, op in zip(prog.leaves[1:], ops)]
-                res = np.einsum(box.spec, *ops, optimize=False)
-            if not box.varies[0]:
-                if not per_row:
-                    res = res * rows
-                out[bases[0] + grids[0].off] += res.reshape(-1)
-                continue
-            idx = base[0][s:s + rows, None] + grids[0].off
-            res = res.reshape(rows if per_row else 1, -1)
-            if box.repeat:
-                np.add.at(out, idx, np.broadcast_to(res, idx.shape))
-            else:
-                out[idx] += res
 
 
 def _run_summand(prog, env, arrays):
     """Accumulate one summand into arrays[0], reading each input access from
     the array at its leaf's position."""
-    if prog.box is not None:
-        _run_box(prog, env, arrays)
-        return
     out = arrays[0]
     # every index is checked before the first store read
     for idx, m, starts in _leaf_blocks(prog, env, arrays):
@@ -1071,22 +900,17 @@ _C_ELEMENTS = {np.dtype(np.float64): "double", np.dtype(np.int64): "int64_t"}
 
 
 def _c_kernels(plan, live, dtype, backend):
-    """{summand index: C function} for the live summands that run on C,
-    where a compiler exists and a library builds for the dtype: by default
-    those off a box, whose `matmul` or einsum can beat its C at larger sizes
-    (packed f64, min of 15 calls, gcc -O2, 2-vCPU guest: TTM_UT n=32 0.54 ms
-    in C against 0.46 ms on NumPy, TTM_DP n=80 0.62 against 0.21, MTT_J n=56
-    0.20 against 0.86; at n=8 C is 3-5x faster); none with backend "numpy";
-    every one with backend "c", where no compiler or build raises CodegenError."""
+    """{summand index: C function} for the live summands, where a compiler
+    exists and a library builds for the dtype; none with backend "numpy";
+    with backend "c", no compiler or no build raises CodegenError."""
     if backend == "numpy":
         return {}
     if backend not in (None, "c"):
         raise CodegenError(f"unknown backend {backend!r}")
-    elem = _C_ELEMENTS.get(np.dtype(dtype))
-    on_c = [si for si in live if backend == "c" or plan.summands[si].program.box is None]
     if backend == "c" and native.compiler() is None:
         raise CodegenError("backend 'c' needs a C compiler, and gcc is not on PATH")
-    if elem is None or not on_c or native.compiler() is None:
+    elem = _C_ELEMENTS.get(np.dtype(dtype))
+    if elem is None or not live or native.compiler() is None:
         return {}
     try:
         lib = native.library(plan.c_text, elem)
@@ -1094,14 +918,30 @@ def _c_kernels(plan, live, dtype, backend):
         if backend == "c":
             raise CodegenError(str(e)) from e
         return {}
-    calls = {}
-    for si in on_c:
-        fn = calls[si] = getattr(lib, _c_function(plan.rule, si))
-        if fn.argtypes is None:   # the first call into this library
-            fn.argtypes = [ctypes.c_void_p if kind == "ptr" else ctypes.c_int64
-                           for kind, _ in plan.summands[si].c_args]
-            fn.restype = ctypes.c_int   # the status (`_faults`)
-    return calls
+    return {si: _c_call(lib, _c_function(plan.rule, f"s{si}"), plan.summands[si].c_args)
+            for si in live}
+
+
+def _c_call(lib, name, c_args):
+    """The function `name` of a loaded library, typed on first use by its
+    arguments' sources (`_c_signature`) and its int status (`_faults`)."""
+    fn = getattr(lib, name)
+    if fn.argtypes is None:
+        fn.argtypes = [ctypes.c_void_p if kind == "ptr" else ctypes.c_int64
+                       for kind, _ in c_args]
+        fn.restype = ctypes.c_int
+    return fn
+
+
+def _c_gather(plan, bid, data, out, env):
+    """Copy output buffer `bid` (`data`) into the dense output `out` by its
+    gather's C function (`KernelPlan.gathers`) in the library `execute`
+    loaded for their dtype; returns the points it visited."""
+    g, count = plan.gathers[bid], np.zeros(1, dtype=np.int64)
+    lib = native.library(plan.c_text, _C_ELEMENTS[out.dtype])
+    _run_c(_c_call(lib, _c_function(plan.rule, f"g{bid}"), g.c_args), g,
+           (out, data, count), env, [_WHOLE])
+    return int(count[0])
 
 
 # The share of a summand's outermost range that a call of its C function
@@ -1165,15 +1005,15 @@ def _run_c(fn, sp, arrays, env, shares):
 def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=None):
     """Run every summand; returns zero-initialized-then-accumulated outputs.
 
-    By default each live summand off a box runs through its compiled C
-    function (`SummandPlan.source`, built once per plan text and element
-    type by `native.library`) where the dtype is float64 or int64 and gcc
-    is on PATH; a box summand, and every summand without gcc or without a
-    library, runs on the NumPy walk.  Backend "numpy" runs every summand on
-    the walk; backend "c" runs every one on C, box summands too, and raises
-    CodegenError without gcc or without a library.  Both backends raise the
-    same IndexingFault on a bad index.  The result's `backends` names the
-    ones that ran.
+    By default every live summand runs through its compiled C function
+    (`SummandPlan.source`, built once per plan text and element type by
+    `native.library`) where the dtype is float64 or int64 and gcc is on
+    PATH; without gcc or without a library, every summand runs on the
+    NumPy walk.  Backend "numpy" runs every summand on the walk; backend
+    "c" runs every one on C and raises CodegenError without gcc or without
+    a library.  Both backends raise the same IndexingFault on a bad index.
+    The result's `backends` names the ones that ran, and `gather_output`
+    gathers on C where it names "c".
 
     With workers > 1 a parallelizable summand on C runs on up to `workers`
     threads, capped at the CPUs this process may use, the calling thread
@@ -1293,18 +1133,21 @@ def _c_operand(a):
     return a.tensor if a.layout == "dense" else f"{a.tensor}_{a.buffer_id}"
 
 
-def _c_function(rule, si):
-    return f"{rule.lower()}_s{si}"
+def _c_function(rule, tag):
+    """The name of a plan's C function: tag s<index> for a summand,
+    g<buffer id> for a gather."""
+    return f"{rule.lower()}_{tag}"
 
 
-def _c_signature(params, stmt, share):
+def _c_signature(params, stmt, share, counted=False):
     """(declaration, source) per argument of a summand's C function, in
     order: the output's array, each distinct input array, the parameters,
     then each dense access's extents and each compressed access's buffer
-    length, and with `share` the first and last outermost value to run.  A
-    source is ("ptr", column) for the array at a leaf column, ("len",
-    column) for its length, ("env", name) for an int of env, or ("share",
-    0 or 1) for an end of the share."""
+    length, with `share` the first and last outermost value to run, and
+    with `counted` the int64 that counts the points.  A source is ("ptr",
+    column) for the array at a leaf column (the count's follows the last
+    access's), ("len", column) for its length, ("env", name) for an int of
+    env, or ("share", 0 or 1) for an end of the share."""
     arrays, sizes = {f"ELEM* {_c_operand(stmt.output)}": ("ptr", 0)}, {}
     for col, a in enumerate((stmt.output,) + tuple(stmt.inputs)):
         if col:
@@ -1316,8 +1159,9 @@ def _c_signature(params, stmt, share):
             sizes.setdefault(f"int64_t len{a.buffer_id}", ("len", col))
     # a parameter is never merged with an emitted argument of its name: that clash must show
     ends = (("int64_t share_lo", ("share", 0)), ("int64_t share_hi", ("share", 1)))
+    count = ("int64_t* count", ("ptr", len(stmt.inputs) + 1))
     return (*arrays.items(), *((f"int64_t {p}", ("env", p)) for p in params),
-            *sizes.items(), *(ends if share else ()))
+            *sizes.items(), *(ends if share else ()), *((count,) if counted else ()))
 
 
 def _faults(stmt):
@@ -1327,7 +1171,7 @@ def _faults(stmt):
     extents."""
     return tuple(dict.fromkeys(["non-integer index"] + [
         f"an index of {a.tensor} leaves its dense extent" if a.layout == "dense"
-        else f"index out of range for buffer {a.buffer_id}"
+        else _range_fault(a.buffer_id, a.tensor)
         for a in (stmt.output,) + tuple(stmt.inputs)]))
 
 
@@ -1352,22 +1196,26 @@ def _c_text(*sources):
 
 
 def emit_c(plan):
-    """Freestanding C99 text mirroring the plan, one function per summand."""
+    """Freestanding C99 text mirroring the plan: one function per summand,
+    then one per gather."""
     return plan.c_text
 
 
 def emit_c_files(plan):
-    """(filename, text) per summand, named <rule>_<summand index>.c."""
-    return [(f"{plan.rule}_{si}.c", _c_text(sp.source))
-            for si, sp in enumerate(plan.summands)]
+    """(filename, text) per summand, named <rule>_<summand index>.c, then
+    per gather, named <rule>_g<buffer id>.c."""
+    return [(f"{plan.rule}_{si}.c", _c_text(sp.source)) for si, sp in enumerate(plan.summands)] \
+        + [(f"{plan.rule}_g{bid}.c", _c_text(g.source)) for bid, g in plan.gathers.items()]
 
 
-def _emit_c_summand(rule, si, params, stmt, prog, share):
-    """A summand's C function, rendered from its lowered `_Program` (None
-    when the nest is empty): the integer bounds, guards and index terms that
-    `execute` walks, with every index accumulated in int64_t.  With `share`
-    the outermost level has two more bounds, the arguments share_lo and
-    share_hi, so that a call runs only that share of its range.
+def _emit_c_summand(name, params, stmt, prog, share, counted=False):
+    """A summand's C function `name`, rendered from its lowered `_Program`
+    (None when the nest is empty): the integer bounds, guards and index
+    terms that `execute` walks, with every index accumulated in int64_t.
+    With `share` the outermost level has two more bounds, the arguments
+    share_lo and share_hi, so that a call runs only that share of its
+    range; with `counted` every point that passes its checks adds 1 to
+    *count (a run, its length).
 
     The function returns 0, or at the first failing check the status whose
     message `_faults` gives, before the store read that check guards.  On a
@@ -1379,8 +1227,8 @@ def _emit_c_summand(rule, si, params, stmt, prog, share):
     is added to it once.  Any other innermost level checks every point.
     """
     accesses = (stmt.output,) + tuple(stmt.inputs)
-    args = ", ".join(decl for decl, _ in _c_signature(params, stmt, share))
-    out = [f"int {_c_function(rule, si)}({args}) {{"]
+    args = ", ".join(decl for decl, _ in _c_signature(params, stmt, share, counted))
+    out = [f"int {name}({args}) {{"]
     if prog is None:
         return out + ["  return 0;", "}"]
     faults = _faults(stmt)
@@ -1460,7 +1308,7 @@ def _emit_c_summand(rule, si, params, stmt, prog, share):
                     put("}")
             if a.layout == "compressed":
                 put(f"if ({key} < 0 || {key} >= len{a.buffer_id}) "
-                    f"{fail(f'index out of range for buffer {a.buffer_id}')}")
+                    f"{fail(_range_fault(a.buffer_id, a.tensor))}")
         index = {col: f"k{col}" for col in range(len(accesses))}
     else:
         lv, k = prog.levels[-1], len(prog.levels) - 1
@@ -1492,10 +1340,12 @@ def _emit_c_summand(rule, si, params, stmt, prog, share):
                     if any(mono or c < 0 for c, mono in step):   # a step of unknown sign
                         low, high = f"MIN2({key}, {key}_hi)", f"MAX2({key}, {key}_hi)"
                 put(f"if ({low} < 0 || {high} >= len{a.buffer_id}) "
-                    f"{fail(f'index out of range for buffer {a.buffer_id}')}")
+                    f"{fail(_range_fault(a.buffer_id, a.tensor))}")
             index[leaf.col] = along(key, step, v)
     prod = " * ".join(f"{_c_operand(a)}[{index[col]}]" for col, a in enumerate(accesses) if col)
     target = f"{_c_operand(stmt.output)}[{index[0]}]"
+    if counted:
+        put("*count += 1;" if prog.run is None else f"*count += {v}_hi - {v}_lo + 1;")
     if prog.run is not None and prog.reduce:
         put("ELEM sum = 0;")
         put(f"for (int64_t {v} = {v}_lo; {v} <= {v}_hi; {v}++) sum += {prod or 1};")
@@ -1512,7 +1362,7 @@ def _emit_c_summand(rule, si, params, stmt, prog, share):
     # a name of the rule that the emitter also declares (`sum`, `r0`, a
     # var's `_lo` ...) would be shadowed or redeclared, and the C could
     # compute something else: such a function must not build
-    declared = re.findall(r"\b(?:int64_t|ELEM\*?) (\w+)", "\n".join(out))
+    declared = re.findall(r"\b(?:int64_t|ELEM)\*? (\w+)", "\n".join(out))
     ours = {*params, *(lv.var for lv in prog.levels),
             *(a.tensor for a in accesses if a.layout == "dense")}
     clash = sorted({n for n in declared if n in ours and declared.count(n) > 1})

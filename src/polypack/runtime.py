@@ -7,11 +7,14 @@ compressed rank and a dense row-major offset, lowered once per index
 function (`IndexFunction.program`) or (map, axes) (`mapped_program`), and
 walked by the same blocks of checked indices as `codegen.execute`
 (`_leaf_blocks`): a region whose innermost level is a plain loop is walked
-as runs, one checked base per row, and any other point by point.  A copy's
-rank and offset are bounded by the same int64 rule as a summand's indices
-(`codegen._check_int64`) before any array is allocated, and each rank is
-checked against the compressed array it indexes.  The footprint report
-prices a registry's layout choices in exact element counts.
+as runs, one checked base per row, and any other point by point.  Gathering
+a result's compressed outputs runs each buffer's copy as the C function
+that the plan's library holds (`KernelPlan.gathers`) where the result ran
+on C, and on that walk otherwise.  A copy's rank and offset are bounded by
+the same int64 rule as a summand's indices (`codegen._check_int64`) before
+any array is allocated, each rank is checked against the compressed array
+it indexes, and a copy from a buffer must visit every slot.  The footprint
+report prices a registry's layout choices in exact element counts.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ import numpy as np
 
 # iter_point_chunks is not called here: tracers hook it by this name
 from .codegen import (
-    _AXIS_EXTENT, IndexingFault, _check_int64, _leaf_blocks, buffer_length, iter_point_chunks,
+    _AXIS_EXTENT, _C_ELEMENTS, IndexingFault, _c_gather, _check_int64, _leaf_blocks,
+    buffer_length, iter_point_chunks,
 )
 from .polyhedra import guards_mask
 
@@ -62,20 +66,28 @@ def _copy_env(index, shape, axes, binding):
     return env
 
 
-def _copies(prog, env, data, tensor=None):
+def _copies(prog, env, data, buffer_id, tensor=None):
     """(rank, dense offset) int64 columns per block of a copy program (see
     `codegen.copy_program`), walked as `execute` walks a summand.
 
-    Ranks are checked against the compressed array `data` and positions
-    against the dense shape before a block is yielded; given the `tensor`
-    of an index's own copy, its ranks must cover all of `data`.
+    Ranks are checked against the compressed array `data`, a fault naming
+    it buffer `buffer_id`, and positions against the dense shape before a
+    block is yielded; given the `tensor` of an index's own copy, its ranks
+    must cover all of `data`.
     """
     written = 0
     if prog is not None and guards_mask(prog.guards, {}, env):
+        prog = prog._replace(leaves=(prog.leaves[0], prog.leaves[1]._replace(key=buffer_id)))
         for (offset, rank), m, _ in _leaf_blocks(prog, env, (None, data)):
             written += m
             yield rank, offset
-    if tensor is not None and written != len(data):
+    if tensor is not None:
+        _check_covered(written, data, tensor)
+
+
+def _check_covered(written, data, tensor):
+    """Raise IndexingFault unless a copy visited every slot of `data`."""
+    if written != len(data):
         raise IndexingFault(
             f"{written} of {len(data)} slots of {tensor} visited; "
             "rank map does not cover the buffer")
@@ -92,14 +104,14 @@ def pack(tensor, index, binding, axes=None, buffer_id=0):
     env = _copy_env(index, tensor.shape, axes, binding)
     length = buffer_length(index, {p: int(v) for p, v in binding.items()})
     out = np.zeros(length, dtype=tensor.data.dtype)
-    for rank, offset in _copies(index.program, env, out, index.tensor):
+    for rank, offset in _copies(index.program, env, out, buffer_id, index.tensor):
         out[rank] = tensor.data[offset]
     return CompressedBuffer(buffer_id, length, out)
 
 
-def _scatter(data, prog, env, out, tensor=None):
+def _scatter(data, prog, env, out, buffer_id, tensor=None):
     """Write each slot of `data` that `_copies` reaches to its place in `out`."""
-    for rank, offset in _copies(prog, env, data, tensor):
+    for rank, offset in _copies(prog, env, data, buffer_id, tensor):
         out[offset] = data[rank]
 
 
@@ -119,8 +131,8 @@ def unpack(buf, index, shape, binding, axes=None, redmap=None):
         env.update((_AXIS_EXTENT.format(a), e) for a, e in enumerate(shape))
         _check_int64([mapped], env)
     out = np.zeros(math.prod(shape), dtype=buf.data.dtype)
-    _scatter(buf.data, index.program, env, out, index.tensor)
-    _scatter(buf.data, mapped, env, out)
+    _scatter(buf.data, index.program, env, out, buf.id, index.tensor)
+    _scatter(buf.data, mapped, env, out, buf.id)
     return DenseTensor(shape, out)
 
 
@@ -148,21 +160,39 @@ def build_store(plan, tensors, binding):
 
 
 def gather_output(plan, result, shape, binding):
-    """Collect an ExecResult into one dense tensor for the rule output."""
+    """Collect an ExecResult into one dense tensor for the rule output.
+
+    Each compressed output buffer is copied to its positions: where the
+    result ran on C ("c" in its `backends`), by its gather's C function
+    (`codegen._c_gather`), else by its index's copy walk.  Either way the
+    copy is bounded by the int64 rule before the output is allocated, each
+    rank is checked against the buffer and each position against `shape`,
+    and every slot of the buffer must be visited.
+    """
     shape = tuple(int(e) for e in shape)
     if result.dense is not None:
         return DenseTensor(shape, result.dense)
-    copies = []
-    for bid, data in sorted(result.compressed.items()):
-        b = plan.registry.buffers[bid]
-        copies.append((data, b.index, _copy_env(b.index, shape, b.axes, binding)))
-    if not copies:
+    bufs, buffers = sorted(result.compressed.items()), plan.registry.buffers
+    if not bufs:
         return DenseTensor(shape, np.zeros(math.prod(shape)))
-    total = np.zeros(math.prod(shape), dtype=copies[0][0].dtype)
+    dtype = bufs[0][1].dtype   # C reads every buffer as this dtype, contiguous
+    on_c = "c" in result.backends and dtype in _C_ELEMENTS and all(
+        d.dtype == dtype and d.flags.c_contiguous for _, d in bufs)
+    if on_c:
+        env = {**{p: int(v) for p, v in binding.items()},
+               **{(plan.rule, a): e for a, e in enumerate(shape)}}
+        _check_int64([g.program for g in plan.gathers.values() if g.program is not None], env)
+    else:
+        envs = {bid: _copy_env(buffers[bid].index, shape, buffers[bid].axes, binding)
+                for bid, _ in bufs}
+    total = np.zeros(math.prod(shape), dtype=dtype)
     # output buffers are disjoint, or the registry would have demoted the
     # tensor: each position is written by one buffer at most
-    for data, index, env in copies:
-        _scatter(data, index.program, env, total, index.tensor)
+    for bid, data in bufs:
+        if on_c:
+            _check_covered(_c_gather(plan, bid, data, total, env), data, buffers[bid].tensor)
+        else:
+            _scatter(data, buffers[bid].index.program, envs[bid], total, bid, buffers[bid].tensor)
     return DenseTensor(shape, total)
 
 

@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import re
 import shutil
 import subprocess
 
@@ -56,29 +57,37 @@ class TestCompile:
         assert "sum += B_1[k1 + j - j_lo] * C_2[k2 + j - j_lo];" in out
 
     def test_contracted_block_marked(self, capsys):
+        # TTM_UT's innermost l is walked as runs, as SpMV_UT's j is; its
+        # output's gather walks A's region with k as runs
         assert run_cli("compile", "--kernel", "TTM_UT") == 0
         out = capsys.readouterr().out
-        assert "summand 0: (parallel outer loop) (k, l contracted as one block)\n" in out
+        assert "summand 0: (parallel outer loop) (l walked as runs)\n" in out
+        assert "gather buffer 0: (k walked as runs)\n" in out
         assert "for (int64_t k = 0; k <= -1 + n_k; k++) {" in out
         assert "for (int64_t j = i; j <= -1 + n_j; j++) {" in out
+        assert "contracted" not in out
         assert run_cli("compile", "--kernel", "SpMV_UT") == 0
         out = capsys.readouterr().out
-        assert "contracted" not in out
         assert "summand 0: (parallel outer loop) (j walked as runs)\n" in out
 
     @pytest.mark.parametrize("level", ["none", "input", "input+output"])
     def test_prints_the_emitted_c(self, level, capsys):
-        # the functions `compile` shows are the ones `--emit-c` writes
+        # the functions `compile` shows, each summand's and then each
+        # compressed output's gather, are the ones `--emit-c` writes
+        gathers = 0
         for name in sorted(BUILTIN_KERNELS):
             kern = BUILTIN_KERNELS[name]
             assert run_cli("compile", "--kernel", name, "--compression", level) == 0
-            shown = capsys.readouterr().out.split("\nsummand ")[1:]
+            shown = re.split(r"\n(?:summand \d+|gather buffer \d+):",
+                             capsys.readouterr().out)[1:]
             plan = build_plan(parse_program(kern.text), kern.rule, level)
             files = emit_c_files(plan)
+            gathers += sum(f.startswith(f"{kern.rule}_g") for f, _ in files)
             assert len(shown) == len(files), name
             for text, (_, c_text) in zip(shown, files):
                 body = "\n".join(line[2:] for line in text.splitlines()[1:])
                 assert "int " + c_text.partition("\nint ")[2] == body + "\n", name
+        assert (gathers > 0) == (level == "input+output")
 
     def test_stur_shapes_at_large_binding(self, tmp_path, capsys):
         # compiling is symbolic: a 10^8-point bounding box must not matter
@@ -146,7 +155,7 @@ class TestCompile:
         assert run_cli("compile", "--kernel", "SpMV_L",
                        "--emit-c", target) == 0
         names = sorted(os.listdir(target))
-        assert names == ["A_0.c", "A_1.c"]
+        assert names == ["A_0.c", "A_1.c", "A_g0.c", "A_g3.c"]   # and the gathers
         text = open(os.path.join(target, "A_1.c")).read()
         assert text.startswith("/* generated kernel code */")
         assert "int a_s1(" in text
@@ -281,7 +290,7 @@ class TestBench:
 
     @pytest.mark.parametrize("kernel,flag,want", [
         ("SpMV_UT", "numpy", "numpy"),
-        ("TTM_UT", None, "numpy"),   # a box summand stays on NumPy by default
+        ("TTM_UT", None, "c" if shutil.which("gcc") else "numpy"),   # C where gcc is
         pytest.param("TTM_UT", "c", "c", marks=needs_gcc),
     ])
     def test_backend_column_names_what_ran(self, kernel, flag, want, capsys):

@@ -1,6 +1,7 @@
 """Dense <-> compressed movement, redundancy expansion, footprint math."""
 
 import math
+import shutil
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -25,6 +26,9 @@ from polypack.runtime import (
 from polypack.stur import RedundancyMap, build_compressed_summands, parse_program
 
 from helpers import dense_tensor, reshaped
+
+needs_gcc = pytest.mark.skipif(shutil.which("gcc") is None,
+                               reason="no gcc to compile the emitted C")
 
 LOWER = """
 A(i) := B(i, j)
@@ -179,8 +183,11 @@ class TestPack:
             pack(tensor, b.index, binding, axes=b.axes)
         with pytest.raises(IndexingFault, match="of B "):
             unpack(buf, b.index, (n, n), binding, axes=b.axes)
-        with pytest.raises(IndexingFault, match="of A "):
-            gather_output(ttm, result, (n, n, n), {f"n_{d}": n for d in "ijkl"})
+        # on the copy walk, and on A's gather function for a result run on C
+        for ran in ("numpy", "c"):
+            with pytest.raises(IndexingFault, match="of A "):
+                gather_output(ttm, replace(result, backends=frozenset({ran})), (n, n, n),
+                              {f"n_{d}": n for d in "ijkl"})
 
     def test_empty_region(self):
         f = findex(HIGH_BAND, "B")
@@ -313,7 +320,6 @@ class TestAgainstOracle:
         # pack and unpack bound the rank and the dense offset through the
         # program's int64 bounds, as execute bounds a summand's indices
         prog = findex(PRISM, "B").program
-        assert prog.box is None
         assert [t for t, _ in prog.bounds] == ["B", "B"] and prog.crude is not None
 
 
@@ -369,8 +375,9 @@ class TestUnpack:
         f = findex(SYMMETRIC, "V")
         assert f.rank.single_polynomial() is not None
         buf = pack(dense_tensor(np.eye(4, dtype=np.int64)),
-                   f, {"n": 4})
-        with pytest.raises(IndexingFault):
+                   f, {"n": 4}, buffer_id=3)
+        # the image (x, y) of a point x < y lies outside V's region {y <= x}
+        with pytest.raises(IndexingFault, match="index out of range for buffer 3 of V$"):
             unpack(buf, f, (4, 4), {"n": 4}, redmap=prog.redundancy_maps["V"])
 
     def test_image_between_integer_positions_is_an_error(self):
@@ -555,6 +562,117 @@ class TestStoreAssembly:
                                 {"B": tensors["B"].data, "C": tensors["C"].data},
                                 {"n_i": n}, np.int64)
         assert out.data.tolist() == ref.tolist()
+
+
+def record(monkeypatch, name):
+    """Record each call of runtime's `name`; returns the list."""
+    calls, real = [], getattr(runtime, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(runtime, name, counted)
+    return calls
+
+
+def builtin_case(name, dtype, n=None):
+    """(program, rule, binding, shapes, tensors) of a builtin, every n_*
+    symbol at n when given."""
+    kern = BUILTIN_KERNELS[name]
+    binding = {s: n if n and s.startswith("n_") else x for s, x in kern.defaults.items()}
+    shapes = {t: tuple(binding[s] for s in syms) for t, syms in kern.shapes.items()}
+    tensors = {t: random_tensor(shapes[t], 40 + k, dtype)
+               for k, t in enumerate(sorted(shapes)) if t != kern.rule}
+    return parse_program(kern.text), kern.rule, binding, shapes, tensors
+
+
+@needs_gcc
+class TestGather:
+    """`gather_output` copies each compressed output buffer on its C
+    function where the result ran on C, and on the copy walk otherwise."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_KERNELS))
+    def test_backends_agree(self, name, dtype, monkeypatch):
+        # every level: the default runs on C, and its result and backend
+        # "numpy"'s gather to the reference, bitwise on i64; the same result
+        # gathers bitwise alike on both paths
+        program, rule, binding, shapes, tensors = builtin_case(name, dtype)
+        want = reference_execute(program, rule, shapes,
+                                 {t: x.data for t, x in tensors.items()}, binding, dtype)
+        on_c, walked = record(monkeypatch, "_c_gather"), record(monkeypatch, "_scatter")
+        for level in ("none", "input", "input+output"):
+            plan = build_plan(program, rule, level)
+            store = build_store(plan, tensors, binding)
+            outs = {}
+            for backend in (None, "numpy"):
+                res = execute(plan, store, shapes, binding, dtype=dtype, backend=backend)
+                assert res.backends == {backend or "c"}
+                del on_c[:], walked[:]
+                outs[backend] = gather_output(plan, res, shapes[rule], binding).data
+                assert len(walked if backend else on_c) == len(res.compressed)
+                assert not (on_c if backend else walked)
+                if dtype == np.int64:
+                    assert np.array_equal(outs[backend], want), (level, backend)
+                else:
+                    assert np.allclose(outs[backend], want, rtol=1e-12, atol=1e-12)
+            if res.compressed:
+                walk = gather_output(plan, replace(res, backends=frozenset({"numpy"})),
+                                     shapes[rule], binding)
+                ran_c = gather_output(plan, replace(res, backends=frozenset({"c"})),
+                                      shapes[rule], binding)
+                assert np.array_equal(walk.data, ran_c.data), level
+
+    def ttm_ut(self, backend):
+        """TTM_UT packed at n=6, run on a backend: (plan, result, shape,
+        binding, the output buffer's id)."""
+        program, rule, binding, shapes, tensors = builtin_case("TTM_UT", np.int64, n=6)
+        plan = build_plan(program, rule, "input+output")
+        res = execute(plan, build_store(plan, tensors, binding), shapes, binding,
+                      dtype=np.int64, backend=backend)
+        bid, = res.compressed
+        return plan, res, shapes[rule], binding, bid
+
+    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    @pytest.mark.parametrize("fault", ["short", "shape"])
+    def test_faults_on_both_paths(self, fault, backend):
+        # A's buffer one slot short (a rank past it), or a dense shape too
+        # small for the region
+        plan, res, shape, binding, bid = self.ttm_ut(backend)
+        if fault == "short":
+            res.compressed[bid] = res.compressed[bid][:-1]
+            match = f"index out of range for buffer {bid} of A$"
+        else:
+            shape, match = (6, 6, 5), "an index of A leaves its dense extent"
+        with pytest.raises(IndexingFault, match=match):
+            gather_output(plan, res, shape, binding)
+
+    @pytest.mark.parametrize("backend", ["c", "numpy"])
+    def test_coverage_mismatch_raises(self, backend, monkeypatch):
+        # output buffers allocated one slot longer than their size: execute
+        # runs, and the gather finds a slot that no rank reaches
+        real = codegen.buffer_length
+        monkeypatch.setattr(codegen, "buffer_length", lambda index, b: real(index, b) + 1)
+        plan, res, shape, binding, bid = self.ttm_ut(backend)
+        n = len(res.compressed[bid]) - 1
+        with pytest.raises(IndexingFault, match=f"^{n} of {n + 1} slots of A visited; "
+                                                "rank map does not cover the buffer$"):
+            gather_output(plan, res, shape, binding)
+
+    def test_other_dtypes_gather_on_numpy(self, monkeypatch):
+        # float32 has no C build: its result gathers on the walk, even one
+        # that claims to have run on C
+        program, rule, binding, shapes, tensors = builtin_case("TTM_UT", np.float32)
+        plan = build_plan(program, rule, "input+output")
+        res = execute(plan, build_store(plan, tensors, binding), shapes, binding,
+                      dtype=np.float32)
+        assert res.backends == {"numpy"}
+        on_c = record(monkeypatch, "_c_gather")
+        want = gather_output(plan, res, shapes[rule], binding)
+        got = gather_output(plan, replace(res, backends=frozenset({"c"})), shapes[rule],
+                            binding)
+        assert on_c == [] and got.data.dtype == np.float32
+        assert np.array_equal(got.data, want.data)
 
 
 class TestGenerated:
