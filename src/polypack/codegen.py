@@ -26,26 +26,25 @@ per row, and a block's indices are one `repeat` plus one `arange`
 (`_rows`, `_leaf_blocks`); an output index fixed along every run is added
 to once per row.  Any other level is walked point by point, and equal
 output indices next to each other are summed first.
-`runtime.pack` and `unpack` consume the same blocks, as a copy between a
-region's rank and its tensor's dense offset (`copy_program`), and a
-redundancy map's expansion as a copy from the rank at the map's image,
-each lowered once.  `build_plan` renders each summand's lowered program
-once as C (`SummandPlan.source`): the same integer bounds, guards and
-index terms in int64_t, each scaled rank divided exactly and every index
-checked, once per row on a run level, each failed check returned as a
-status, so C and the walk share one lowering; `emit_c` assembles those
-texts and `polypack compile` prints them.  A compressed output's copy into
-the dense output is one more such statement, dense T += T_b over the
-buffer's region (`KernelPlan.gathers`), lowered on first use into the
-same library.  `execute` runs every summand through that C where gcc
-exists (`native`), and on the walk above without it; backend "c" requires
-C, backend "numpy" the walk.  A parallelizable summand's C function takes
-a share of its outermost range as two more bounds on that level, so a
+Every copy between a buffer and its dense tensor is one statement,
+dense T += T_b over the buffer's region (`copy_statement`), lowered once
+per buffer (`IndexFunction.copy`): `runtime.pack`, `unpack` and the
+NumPy gather walk its blocks, and a compressed output's gather renders it
+as one more C function (`KernelPlan.gathers`).  `build_plan` renders each
+summand's lowered program once as C (`SummandPlan.source`): the same
+integer bounds, guards and index terms in int64_t, each scaled rank
+divided exactly and every index checked, once per row on a run level,
+each failed check returned as a status, so C and the walk share one
+lowering; `emit_c` assembles those texts and `polypack compile` prints
+them.  `execute` runs every summand through that C where gcc exists
+(`native`), and on the walk above without it; backend "c" requires C,
+backend "numpy" the walk.  A parallelizable summand's C function takes a
+share of its outermost range as two more bounds on that level, so a
 `workers > 1` call can run the shares on threads, cut where its points
-(`_work`, per value of that level) balance, wherever they give each thread
-THREAD_POINTS; the walk never splits.  The compressed summands and the
-buffer registry are built once per (program, rule) and shared by all three
-compression levels.
+(`_work`, per value of that level) balance, wherever they give each
+thread THREAD_POINTS; the walk never splits.  The compressed summands
+and the buffer registry are built once per (program, rule) and shared by
+all three compression levels.
 """
 
 from __future__ import annotations
@@ -448,7 +447,6 @@ class AccessPlan:
     names: tuple           # iterator name per tensor axis
     rank: object = None    # PiecewiseQuasiPolynomial in iterator names
     scale: int = 1         # lcm of rank denominators
-    strides: tuple = None  # dense: env name of each axis's stride (None: row-major)
 
 
 @dataclass(frozen=True)
@@ -498,23 +496,18 @@ class KernelPlan:
 
     @cached_property
     def gathers(self):
-        """{buffer id: SummandPlan} per compressed output buffer b of
-        tensor T: dense T(names) += T_b(names) over b's region, read through
-        the rank access of the first summand that writes b, as the C
-        function `<rule>_g<b>`, which counts its points.  Lowered on first
-        use, so that `build_plan` does not pay for them."""
+        """{buffer id: SummandPlan} per compressed output buffer b: its
+        index's copy (`IndexFunction.copy`, dense T(names) += T_b(names)
+        over b's region), rendered as the C function `<rule>_g<b>`, which
+        counts its points.  Rendered on first use, so that `build_plan`
+        does not pay for them."""
         plans = {}
-        for sp in self.summands:
-            out = sp.statement.output
-            if out.layout == "compressed" and out.buffer_id not in plans:
-                buf = self.registry.buffers[out.buffer_id]
-                space = buf.accessed.rename({d: out.names[buf.axes[p]]
-                                             for p, d in enumerate(buf.accessed.dims)})
-                plans[out.buffer_id] = _lowered(
-                    _c_function(self.rule, f"g{out.buffer_id}"), build_loop_nest(space),
-                    Statement(AccessPlan(out.tensor, None, "dense", out.names), (out,)),
-                    False, counted=True)
-        return dict(sorted(plans.items()))
+        for bid in sorted({sp.statement.output.buffer_id for sp in self.summands
+                           if sp.statement.output.layout == "compressed"}):
+            buf = self.registry.buffers[bid]
+            plans[bid] = _lowered(_c_function(self.rule, f"g{bid}"),
+                                  *buf.index.lowered_copy(buf.axes, bid), False, counted=True)
+        return plans
 
     @cached_property
     def c_text(self):
@@ -547,43 +540,35 @@ def _rank_access(tensor, bid, names, rank):
 _AXIS_EXTENT = "@{}"
 
 
-def copy_program(index, redmap=None, axes=None):
-    """The copy between an `IndexFunction`'s rank and its tensor's dense
-    row-major offset, lowered once for `runtime.pack` and `unpack`.
-
-    The nest walks the accessed region; leaf 0 is the dense offset, whose
-    axis p is the region's dim p, with its extent read from env[(tensor, p)]
-    and its stride from env[(tensor, p, "stride")], so the tensor's shape
-    and axis order come with each call; leaf 1 is the rank, checked against
-    the length of the buffer it indexes.  Both must fit int64 by the
-    program's bounds, as a summand's indices must (`_check_int64`).  Its
-    innermost level is walked as runs where it qualifies; the rank is keyed
-    buffer 0, which `runtime._copies` relabels.
+def copy_statement(index, axes, bid, redmap=None):
+    """(nest, statement) of the copy between an `IndexFunction`'s buffer
+    `bid` and its tensor, region dim p read along tensor axis axes[p]:
+    dense T(names) += T_b(names) over the region, as a gather is, so leaf 0
+    is the dense row-major offset over (tensor, axis) extents and leaf 1
+    the rank, checked against the length of the buffer it indexes.
 
     With a redundancy map, the copy is out to the positions the map sends
-    into the region, region dim p read along tensor axis axes[p]: the nest
-    is the map's domain within the tensor's extents (axis a's read from env
-    at `_AXIS_EXTENT.format(a)`), and the rank is read at the map's image,
-    guarded by the region's constraints (`PiecewiseQuasiPolynomial.substitute`):
-    an image outside the region or between integer points fails its check.
+    into the region: the nest is the map's domain within the tensor's
+    extents (axis a's read from env at `_AXIS_EXTENT.format(a)`), and the
+    rank is read at the map's image, guarded by the region's constraints
+    (`PiecewiseQuasiPolynomial.substitute`): an image outside the region
+    or between integer points fails its check.
     """
-    tensor = index.tensor
     if redmap is None:
-        space, names, rank = index.accessed, index.accessed.dims, index.rank
+        space, rank = index.accessed, index.rank
+        names = tuple(index.accessed.dims[axes.index(a)] for a in range(len(axes)))
     else:
-        cons = list(redmap.domain)
-        for a, d in enumerate(redmap.iters):
+        cons, names = list(redmap.domain), redmap.iters
+        for a, d in enumerate(names):
             x = AffineExpr.var(d)
             cons += [ge(x), ge(AffineExpr.var(_AXIS_EXTENT.format(a)) - x - 1)]
-        space = Polyhedron.build(redmap.iters, sorted(
-            {v for c in cons for v in c.variables()} - set(redmap.iters)), cons)
-        names = tuple(redmap.iters[a] for a in axes)
+        space = Polyhedron.build(names, sorted(
+            {v for c in cons for v in c.variables()} - set(names)), cons)
         rank = index.rank.substitute({d: redmap.substitution[redmap.primed[a]]
                                       for d, a in zip(index.accessed.dims, axes)}, space)
-    view = AccessPlan(tensor, None, "dense", names,
-                      strides=tuple((tensor, p, "stride") for p in range(len(names))))
-    rank = _rank_access(tensor, 0, names, rank)
-    return _program(build_loop_nest(space), Statement(view, (rank,)))
+    return build_loop_nest(space), Statement(
+        AccessPlan(index.tensor, None, "dense", names),
+        (_rank_access(index.tensor, bid, names, rank),))
 
 
 def build_plan(program, rule, compression="input+output"):
@@ -603,14 +588,13 @@ def build_plan(program, rule, compression="input+output"):
         par = (not nest.empty and len(nest.levels) > 0
                and nest.levels[0].kind != "fixed"
                and nest.dims[0] in s.output.index_names)
-        plans.append(_lowered(_c_function(rule, f"s{si}"), nest, stmt, par))
+        plans.append(_lowered(_c_function(rule, f"s{si}"), nest, stmt, _program(nest, stmt), par))
     return KernelPlan(rule, tuple(plans), registry, compression)
 
 
-def _lowered(name, nest, stmt, parallel, counted=False):
-    """A SummandPlan whose program is lowered once, for C and `execute`,
-    and rendered as the C function `name`."""
-    prog = _program(nest, stmt)
+def _lowered(name, nest, stmt, prog, parallel, counted=False):
+    """A SummandPlan whose lowered program, read by C and `execute` alike,
+    is rendered as the C function `name`."""
     sp = SummandPlan(nest, stmt, parallel, "\n".join(
         _emit_c_summand(name, nest.params, stmt, prog, parallel, counted)), counted)
     sp.__dict__["program"] = prog
@@ -654,11 +638,11 @@ def _program(nest, stmt):
     Every access whose index is one polynomial carries it down the levels
     as an accumulator column: the integer poly, the scaled rank of a
     compressed access or the offset of a dense one (row-major, products of
-    (tensor, axis) extents, unless the access names its own strides), is
-    split once by `hoist_schedule` into the parameter-only root and each
-    level's terms, and each level learns the dense extents its var
-    indexes.  The int64 rule bounds the unsplit poly.  The innermost level
-    is walked as runs when it is a run level (`_run_steps`).
+    (tensor, axis) extents), is split once by `hoist_schedule` into the
+    parameter-only root and each level's terms, and each level learns the
+    dense extents its var indexes.  The int64 rule bounds the unsplit
+    poly.  The innermost level is walked as runs when it is a run level
+    (`_run_steps`).
     """
     if nest.empty:
         return None
@@ -673,8 +657,7 @@ def _program(nest, stmt):
             poly, stride = (), ()
             for axis in reversed(range(len(a.names))):
                 it = a.names[axis]
-                step = stride if a.strides is None else ((a.strides[axis], 1),)
-                poly += ((1, step + ((it, 1),)),)
+                poly += ((1, stride + ((it, 1),)),)
                 extents[dims.index(it)].add((a.tensor, (a.tensor, axis)))
                 stride += (((a.tensor, axis), 1),)
         elif (single := a.rank.single_polynomial()) is not None:
@@ -736,14 +719,13 @@ def _run_steps(dims, levels, terms, leaves):
 
 
 def _check_int64(progs, env):
-    """Raise IndexingFault when an index of one of the programs can exceed
-    int64 for iterators within the shape extents they index, at the env's
-    values."""
+    """Raise IndexingFault when an index of one of the programs (None for
+    an empty nest) can exceed int64 for iterators within the shape extents
+    they index, at the env's values."""
     ext = {name: abs(v) for name, v in env.items()}
     top = max([1, *ext.values()])
     for prog in progs:
-        coeffs, degree = prog.crude
-        if coeffs * top ** degree > _INT64_MAX:
+        if prog is not None and prog.crude[0] * top ** prog.crude[1] > _INT64_MAX:
             for tensor, polys in prog.bounds:
                 if any(_magnitude(p, ext) > _INT64_MAX for p in polys):
                     raise IndexingFault(f"an index of {tensor} can exceed int64 at this binding")
@@ -882,7 +864,8 @@ def buffer_length(index, binding):
 
 def _zero_outputs(plan, shapes, binding, dtype):
     """The zeroed outputs (dense, compressed): a compressed output's length
-    is its size polynomial at the binding, evaluated here only."""
+    is its size polynomial at the binding, evaluated here only.  A plan
+    without summands writes the rule's dense output, all zeros."""
     dense_out, comp = None, {}
     for sp in plan.summands:
         o = sp.statement.output
@@ -892,6 +875,8 @@ def _zero_outputs(plan, shapes, binding, dtype):
         elif o.buffer_id not in comp:
             index = plan.registry.buffers[o.buffer_id].index
             comp[o.buffer_id] = np.zeros(buffer_length(index, binding), dtype=dtype)
+    if not plan.summands:   # a rule without summands is dense zeros
+        dense_out = np.zeros(math.prod(shapes[plan.rule]), dtype=dtype)
     return dense_out, comp
 
 

@@ -13,7 +13,6 @@ loop level, so each part is computed at the outermost level it can be.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .counting import count_points, fuse_piecewise, pqp_add, pqp_constant
 from .polyhedra import (
@@ -31,21 +30,21 @@ class IndexFunction:
     rank: object   # PiecewiseQuasiPolynomial over accessed.dims + params
     size: object   # PiecewiseQuasiPolynomial over params only
 
-    @cached_property
-    def program(self):
-        """The copy between rank and dense offset, lowered once for pack and
-        unpack (see `codegen.copy_program`); None when the region is empty."""
-        from .codegen import copy_program  # codegen imports this module
-        return copy_program(self)
+    def copy(self, axes, bid, redmap=None):
+        """The `_Program` of `codegen.copy_statement` for buffer `bid`, None
+        when the region is empty."""
+        return self.lowered_copy(axes, bid, redmap)[2]
 
-    def mapped_program(self, redmap, axes):
-        """The copy out to the positions a redundancy map sends into the
-        region (`codegen.copy_program`), lowered once per (map, axes) by value."""
-        key, programs = (redmap, axes), self.__dict__.setdefault("mapped_programs", {})
-        if key not in programs:
-            from .codegen import copy_program
-            programs[key] = copy_program(self, redmap, axes)
-        return programs[key]
+    def lowered_copy(self, axes, bid, redmap=None):
+        """(nest, statement, program) of a copy, lowered once per (axes,
+        buffer id, map) by value and cached here: pack, unpack and the
+        plan's gathers (`KernelPlan.gathers`) read the same lowering."""
+        key, copies = (tuple(axes), bid, redmap), self.__dict__.setdefault("copies", {})
+        if key not in copies:
+            from .codegen import _program, copy_statement  # codegen imports this module
+            nest, stmt = copy_statement(self, *key)
+            copies[key] = nest, stmt, _program(nest, stmt)
+        return copies[key]
 
 
 def _positivity(params):

@@ -2,19 +2,22 @@
 
 Packing gathers the accessed positions of a dense tensor into rank order;
 unpacking scatters a buffer back out, optionally expanding redundant
-positions through a redundancy map.  Each is a copy statement between a
-compressed rank and a dense row-major offset, lowered once per index
-function (`IndexFunction.program`) or (map, axes) (`mapped_program`), and
-walked by the same blocks of checked indices as `codegen.execute`
-(`_leaf_blocks`): a region whose innermost level is a plain loop is walked
-as runs, one checked base per row, and any other point by point.  Gathering
-a result's compressed outputs runs each buffer's copy as the C function
-that the plan's library holds (`KernelPlan.gathers`) where the result ran
-on C, and on that walk otherwise.  A copy's rank and offset are bounded by
-the same int64 rule as a summand's indices (`codegen._check_int64`) before
-any array is allocated, each rank is checked against the compressed array
-it indexes, and a copy from a buffer must visit every slot.  The footprint
-report prices a registry's layout choices in exact element counts.
+positions through a redundancy map.  Each is one copy statement, dense
+T(names) += T_b(names) over the buffer's region (leaf 0 the dense
+row-major offset, leaf 1 the rank), lowered once per (index, axes, buffer
+id, map) and cached on the index (`IndexFunction.copy`), and walked by the
+same blocks of checked indices as `codegen.execute` (`_leaf_blocks`) under
+its env, the binding plus (tensor, axis) extents: a region whose innermost
+level is a plain loop is walked as runs, one checked base per row, and any
+other point by point; pack walks it the other way round (`_copy`).
+Gathering a result's compressed outputs runs the same copy as the C
+function that the plan's library renders from it (`KernelPlan.gathers`)
+where the result ran on C, and on that walk otherwise.  A copy's rank and
+offset are bounded by the same int64 rule as a summand's indices
+(`codegen._check_int64`) before any array is allocated, each rank is
+checked against the compressed array it indexes, and a copy from a buffer
+must visit every slot.  The footprint report prices a registry's layout
+choices in exact element counts.
 """
 
 from __future__ import annotations
@@ -53,36 +56,21 @@ class CompressedBuffer:
     data: np.ndarray
 
 
-def _copy_env(index, shape, axes, binding):
-    """The env of a copy between an index's region and a dense tensor of
-    `shape` read along `axes` (see `codegen.copy_program`), after checking
-    that no rank or dense offset can exceed int64 there."""
-    env = {p: int(v) for p, v in binding.items()}
-    for p, ax in enumerate(axes):
-        env[(index.tensor, p)] = int(shape[ax])
-        env[(index.tensor, p, "stride")] = math.prod(int(e) for e in shape[ax + 1:])
-    if index.program is not None:
-        _check_int64([index.program], env)
-    return env
-
-
-def _copies(prog, env, data, buffer_id, tensor=None):
-    """(rank, dense offset) int64 columns per block of a copy program (see
-    `codegen.copy_program`), walked as `execute` walks a summand.
-
-    Ranks are checked against the compressed array `data`, a fault naming
-    it buffer `buffer_id`, and positions against the dense shape before a
-    block is yielded; given the `tensor` of an index's own copy, its ranks
-    must cover all of `data`.
-    """
-    written = 0
+def _copy(prog, env, dense, data, into_buffer=False):
+    """Walk a copy program (`IndexFunction.copy`) as `execute` walks a
+    summand, doing dense[offset] = data[rank] on each block, or the reverse
+    `into_buffer`; returns the points it visited.  Every rank is checked
+    against `data` and every position against the dense extents before the
+    block is copied."""
+    visited = 0
     if prog is not None and guards_mask(prog.guards, {}, env):
-        prog = prog._replace(leaves=(prog.leaves[0], prog.leaves[1]._replace(key=buffer_id)))
-        for (offset, rank), m, _ in _leaf_blocks(prog, env, (None, data)):
-            written += m
-            yield rank, offset
-    if tensor is not None:
-        _check_covered(written, data, tensor)
+        for (offset, rank), m, _ in _leaf_blocks(prog, env, (dense, data)):
+            visited += m
+            if into_buffer:
+                data[rank] = dense[offset]
+            else:
+                dense[offset] = data[rank]
+    return visited
 
 
 def _check_covered(written, data, tensor):
@@ -96,43 +84,42 @@ def _check_covered(written, data, tensor):
 def pack(tensor, index, binding, axes=None, buffer_id=0):
     """Gather accessed positions of a dense tensor into rank order.
 
-    The rank map is a bijection onto [0, size), so every compressed slot
-    is written exactly once; a rank or coordinate out of range, or a rank
-    that could overflow int64, aborts rather than wrap.
+    The copy (`IndexFunction.copy`) is walked from the tensor into the
+    buffer.  The rank map is a bijection onto [0, size), so every
+    compressed slot is written exactly once; a rank or coordinate out of
+    range, or a rank that could overflow int64, aborts rather than wrap.
     """
     axes = tuple(range(len(tensor.shape))) if axes is None else axes
-    env = _copy_env(index, tensor.shape, axes, binding)
-    length = buffer_length(index, {p: int(v) for p, v in binding.items()})
+    prog, binding = index.copy(axes, buffer_id), {p: int(v) for p, v in binding.items()}
+    env = {**binding, **{(index.tensor, a): e for a, e in enumerate(tensor.shape)}}
+    _check_int64([prog], env)
+    length = buffer_length(index, binding)
     out = np.zeros(length, dtype=tensor.data.dtype)
-    for rank, offset in _copies(index.program, env, out, buffer_id, index.tensor):
-        out[rank] = tensor.data[offset]
+    _check_covered(_copy(prog, env, tensor.data, out, into_buffer=True), out, index.tensor)
     return CompressedBuffer(buffer_id, length, out)
-
-
-def _scatter(data, prog, env, out, buffer_id, tensor=None):
-    """Write each slot of `data` that `_copies` reaches to its place in `out`."""
-    for rank, offset in _copies(prog, env, data, buffer_id, tensor):
-        out[offset] = data[rank]
 
 
 def unpack(buf, index, shape, binding, axes=None, redmap=None):
     """Scatter a compressed buffer back into a dense tensor.
 
-    Positions off the accessed set stay zero unless a redundancy map sends
-    them to a stored position (`IndexFunction.mapped_program`); an image
-    outside the accessed set or between integer positions raises
-    IndexingFault before any wrong slot is read.
+    The buffer's copy (`IndexFunction.copy`, keyed by `buf.id`) is walked
+    from the buffer into the tensor.  Positions off the accessed set stay
+    zero unless a redundancy map sends them to a stored position (the copy
+    through the map); an image outside the accessed set or between integer
+    positions raises IndexingFault before any wrong slot is read.
     """
     shape = tuple(int(e) for e in shape)
-    axes = tuple(range(len(shape))) if axes is None else tuple(axes)
-    env = _copy_env(index, shape, axes, binding)
-    mapped = None if redmap is None else index.mapped_program(redmap, axes)
-    if mapped is not None:   # its nest reads each axis's extent by axis
-        env.update((_AXIS_EXTENT.format(a), e) for a, e in enumerate(shape))
-        _check_int64([mapped], env)
+    axes = tuple(range(len(shape))) if axes is None else axes
+    prog = index.copy(axes, buf.id)
+    mapped = None if redmap is None else index.copy(axes, buf.id, redmap)
+    env = {**{p: int(v) for p, v in binding.items()},
+           **{(index.tensor, a): e for a, e in enumerate(shape)},
+           # the map's nest reads each axis's extent by axis
+           **{_AXIS_EXTENT.format(a): e for a, e in enumerate(shape)}}
+    _check_int64([prog, mapped], env)
     out = np.zeros(math.prod(shape), dtype=buf.data.dtype)
-    _scatter(buf.data, index.program, env, out, buf.id, index.tensor)
-    _scatter(buf.data, mapped, env, out, buf.id)
+    _check_covered(_copy(prog, env, out, buf.data), buf.data, index.tensor)
+    _copy(mapped, env, out, buf.data)
     return DenseTensor(shape, out)
 
 
@@ -142,19 +129,13 @@ def unpack(buf, index, shape, binding, axes=None, redmap=None):
 def build_store(plan, tensors, binding):
     """Pack what a kernel plan reads: compressed slots keyed by buffer id,
     flat dense arrays keyed by tensor name."""
-    comp_ids, dense_names = set(), set()
-    for sp in plan.summands:
-        for a in sp.statement.inputs:
-            if a.layout == "compressed":
-                comp_ids.add(a.buffer_id)
-            else:
-                dense_names.add(a.tensor)
+    inputs = [a for sp in plan.summands for a in sp.statement.inputs]
     store = {}
-    for bid in sorted(comp_ids):
+    for bid in sorted({a.buffer_id for a in inputs if a.layout == "compressed"}):
         b = plan.registry.buffers[bid]
         store[bid] = pack(tensors[b.tensor], b.index, binding,
                           axes=b.axes, buffer_id=bid).data
-    for t in sorted(dense_names):
+    for t in sorted({a.tensor for a in inputs if a.layout == "dense"}):
         store[t] = np.ascontiguousarray(tensors[t].data)
     return store
 
@@ -162,37 +143,32 @@ def build_store(plan, tensors, binding):
 def gather_output(plan, result, shape, binding):
     """Collect an ExecResult into one dense tensor for the rule output.
 
-    Each compressed output buffer is copied to its positions: where the
-    result ran on C ("c" in its `backends`), by its gather's C function
-    (`codegen._c_gather`), else by its index's copy walk.  Either way the
-    copy is bounded by the int64 rule before the output is allocated, each
-    rank is checked against the buffer and each position against `shape`,
-    and every slot of the buffer must be visited.
+    Each compressed output buffer is copied to its positions by its
+    index's copy (`IndexFunction.copy`): where the result ran on C ("c" in
+    its `backends`), as its gather's C function (`codegen._c_gather`),
+    else on the copy walk.  Either way the copy is bounded by the int64
+    rule before the output is allocated, each rank is checked against the
+    buffer and each position against `shape`, and every slot of the buffer
+    must be visited.
     """
     shape = tuple(int(e) for e in shape)
     if result.dense is not None:
         return DenseTensor(shape, result.dense)
     bufs, buffers = sorted(result.compressed.items()), plan.registry.buffers
-    if not bufs:
-        return DenseTensor(shape, np.zeros(math.prod(shape)))
     dtype = bufs[0][1].dtype   # C reads every buffer as this dtype, contiguous
     on_c = "c" in result.backends and dtype in _C_ELEMENTS and all(
         d.dtype == dtype and d.flags.c_contiguous for _, d in bufs)
-    if on_c:
-        env = {**{p: int(v) for p, v in binding.items()},
-               **{(plan.rule, a): e for a, e in enumerate(shape)}}
-        _check_int64([g.program for g in plan.gathers.values() if g.program is not None], env)
-    else:
-        envs = {bid: _copy_env(buffers[bid].index, shape, buffers[bid].axes, binding)
-                for bid, _ in bufs}
+    env = {**{p: int(v) for p, v in binding.items()},
+           **{(plan.rule, a): e for a, e in enumerate(shape)}}
+    progs = {bid: buffers[bid].index.copy(buffers[bid].axes, bid) for bid, _ in bufs}
+    _check_int64(progs.values(), env)
     total = np.zeros(math.prod(shape), dtype=dtype)
     # output buffers are disjoint, or the registry would have demoted the
     # tensor: each position is written by one buffer at most
     for bid, data in bufs:
-        if on_c:
-            _check_covered(_c_gather(plan, bid, data, total, env), data, buffers[bid].tensor)
-        else:
-            _scatter(data, buffers[bid].index.program, envs[bid], total, bid, buffers[bid].tensor)
+        visited = (_c_gather(plan, bid, data, total, env) if on_c
+                   else _copy(progs[bid], env, total, data))
+        _check_covered(visited, data, buffers[bid].tensor)
     return DenseTensor(shape, total)
 
 

@@ -680,7 +680,9 @@ class TestExecute:
         program = parse_program(text)
         plan = build_plan(program, "A", "input+output")
         res = execute(plan, {}, {"A": (4,)}, {"n": 4})
-        assert res.dense is None and res.compressed == {}
+        # no summand writes A: its output is dense zeros in the call's dtype
+        assert res.compressed == {} and res.dense.dtype == np.float64
+        assert res.dense.tolist() == [0.0] * 4
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("name", sorted(BUILTIN_KERNELS))
@@ -1073,7 +1075,8 @@ class TestRuns:
                 # the per-row reduction rides on runs only; the point walk
                 # sums equal output indices itself
                 progs = [sp.program for sp in plan.summands] + [
-                    b.index.program for b in plan.registry.buffers if b.layout == "compressed"]
+                    b.index.copy(b.axes, b.id) for b in plan.registry.buffers
+                    if b.layout == "compressed"]
                 assert all(p is None or p.run is not None or not p.reduce for p in progs), name
             got[name] = [walk_of(sp.program, reduce=True)
                          for sp in plans["input+output"].summands]
@@ -1086,7 +1089,7 @@ class TestRuns:
         for name, kern in BUILTIN_KERNELS.items():
             plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
             for b in plan.registry.buffers:
-                prog = b.index.program if b.layout == "compressed" else None
+                prog = b.index.copy(b.axes, b.id) if b.layout == "compressed" else None
                 if prog is not None and codegen._is_run_level(prog.levels[-1]):
                     assert walk_of(prog) == "run", (name, b.tensor)
                     runs += 1

@@ -61,6 +61,12 @@ A(i) := B(i, j) * C(j)
 B_U(i, j) := (0 <= i < n_i) * (i = j)
 """
 
+# B's region is empty, so the rule has no summands
+EMPTY = """
+A(i) := B(i) * C(i)
+B_U(i) := (5 <= i) * (i < 3)
+"""
+
 HIGH_BAND = """
 A(i) := B(i)
 B_U(i) := (5 <= i) * (i < n)
@@ -300,6 +306,13 @@ class TestAgainstOracle:
         binding = {"M": 3, "N": 4, "Q": 2}
         t = dense_tensor(np.arange(24).reshape(3, 4, 2))
         first = pack(t, f, binding)
+        # A's output buffer: its copy is lowered by the first gather
+        plan = build_plan(parse_program(PRISM), "A", "input+output")
+        shapes = {"A": (3, 4), "B": (3, 4, 2), "C": (4, 2)}
+        tensors = {"B": t, "C": dense_tensor(np.arange(8).reshape(4, 2))}
+        res = execute(plan, build_store(plan, tensors, binding), shapes, binding,
+                      dtype=np.int64, backend="numpy")
+        gathered = gather_output(plan, res, shapes["A"], binding)
 
         def no_lowering(*args, **kwargs):
             raise AssertionError("lowered again")
@@ -314,12 +327,14 @@ class TestAgainstOracle:
         assert np.array_equal(again.data, first.data)
         back = unpack(again, f, (3, 4, 2), binding)
         assert np.array_equal(pack(back, f, binding).data, first.data)
+        assert np.array_equal(gather_output(plan, res, shapes["A"], binding).data,
+                              gathered.data)
 
 
     def test_copy_keeps_int64_bounds(self):
         # pack and unpack bound the rank and the dense offset through the
         # program's int64 bounds, as execute bounds a summand's indices
-        prog = findex(PRISM, "B").program
+        prog = findex(PRISM, "B").copy((0, 1, 2), 0)
         assert [t for t, _ in prog.bounds] == ["B", "B"] and prog.crude is not None
 
 
@@ -339,7 +354,7 @@ class TestRuns:
         # take a block of their own
         monkeypatch.setattr(codegen, "BLOCK_POINTS", block)
         f = findex(text, "B")
-        assert f.program.run is not None
+        assert f.copy((0, 1), 0).run is not None
         data = np.random.default_rng(5).integers(-9, 10, size=math.prod(shape)).astype(dtype)
         want = naive_copy(data, f, shape, binding, (0, 1))
         buf = pack(DenseTensor(shape, data), f, binding)
@@ -355,6 +370,15 @@ class TestUnpack:
                    f, {"n": 3})
         back = unpack(buf, f, (3, 3), {"n": 3})
         assert reshaped(back).tolist() == [[1, 0, 0], [4, 5, 0], [7, 8, 9]]
+
+    def test_fault_names_the_buffer_id(self):
+        # the copy is lowered per buffer id: a short buffer 7 faults as 7,
+        # and the same index unpacked as buffer 0 faults as 0
+        f, binding = findex(LOWER, "B"), {"n": 4}
+        data = pack(dense_tensor(np.arange(16).reshape(4, 4)), f, binding).data[:-1]
+        for bid in (7, 0):
+            with pytest.raises(IndexingFault, match=f"buffer {bid} of B$"):
+                unpack(CompressedBuffer(bid, len(data), data), f, (4, 4), binding)
 
     def test_symmetric_expansion(self):
         prog = parse_program(SYMMETRIC)
@@ -563,14 +587,38 @@ class TestStoreAssembly:
                                 {"n_i": n}, np.int64)
         assert out.data.tolist() == ref.tolist()
 
+    @pytest.mark.parametrize("backend", [
+        "numpy", pytest.param("c", marks=needs_gcc)])
+    def test_empty_rule_gathers_in_call_dtype(self, backend):
+        # no summand writes A: execute still returns its dense zeros, in
+        # the call's dtype, and the gather keeps them
+        prog = parse_program(EMPTY)
+        shapes = {"A": (6,), "B": (6,), "C": (6,)}
+        for level in ("none", "input+output"):
+            plan = build_plan(prog, "A", level)
+            assert plan.summands == ()
+            res = execute(plan, {}, shapes, {}, dtype=np.int64, backend=backend)
+            out = gather_output(plan, res, shapes["A"], {})
+            assert out.data.dtype == np.int64 and out.data.tolist() == [0] * 6
+
+    def test_gathers_render_the_copies(self):
+        # a gather's C and the copy walk read one lowering per buffer
+        for name, kern in BUILTIN_KERNELS.items():
+            program = parse_program(kern.text)
+            for level in ("none", "input", "input+output"):
+                plan = build_plan(program, kern.rule, level)
+                for b, g in plan.gathers.items():
+                    buf = plan.registry.buffers[b]
+                    assert g.program is buf.index.copy(buf.axes, b), (name, level, b)
+
 
 def record(monkeypatch, name):
     """Record each call of runtime's `name`; returns the list."""
     calls, real = [], getattr(runtime, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return real(*args)
+        return real(*args, **kwargs)
     monkeypatch.setattr(runtime, name, counted)
     return calls
 
@@ -600,7 +648,7 @@ class TestGather:
         program, rule, binding, shapes, tensors = builtin_case(name, dtype)
         want = reference_execute(program, rule, shapes,
                                  {t: x.data for t, x in tensors.items()}, binding, dtype)
-        on_c, walked = record(monkeypatch, "_c_gather"), record(monkeypatch, "_scatter")
+        on_c, walked = record(monkeypatch, "_c_gather"), record(monkeypatch, "_copy")
         for level in ("none", "input", "input+output"):
             plan = build_plan(program, rule, level)
             store = build_store(plan, tensors, binding)
