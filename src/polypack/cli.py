@@ -215,6 +215,7 @@ def cmd_compile(args):
     print(plan.registry.dump())
     shown = [(f"summand {si}:", sp) for si, sp in enumerate(plan.summands)]
     shown += [(f"gather buffer {bid}:", g) for bid, g in plan.gathers.items()]
+    shown += [(f"pack buffer {bid}:", p) for bid, p in plan.packs.items()]
     for header, sp in shown:
         tag = " (parallel outer loop)" if sp.parallelizable else ""
         if sp.program and sp.program.run is not None:
@@ -238,7 +239,7 @@ def cmd_run(args):
     dtype = _DTYPES[args.dtype]
     plan = build_plan(cfg.program, cfg.rule, args.compression[-1])
     tensors = _make_inputs(cfg, args.seed, dtype)
-    store = build_store(plan, tensors, cfg.binding)
+    store = build_store(plan, tensors, cfg.binding, backend=args.backend)
     if args.corrupt_index:
         _corrupt_store(store)
     result = execute(plan, store, cfg.shapes, cfg.binding,
@@ -257,7 +258,7 @@ def _bench_one(cfg, compression, args):
     dtype = _DTYPES[args.dtype]
     plan = build_plan(cfg.program, cfg.rule, compression)
     tensors = _make_inputs(cfg, args.seed, dtype)
-    store = build_store(plan, tensors, cfg.binding)
+    store = build_store(plan, tensors, cfg.binding, backend=args.backend)
 
     def once():
         return execute(plan, store, cfg.shapes, cfg.binding,

@@ -29,14 +29,16 @@ output indices next to each other are summed first.
 Every copy between a buffer and its dense tensor is one statement,
 dense T += T_b over the buffer's region (`copy_statement`), lowered once
 per buffer (`IndexFunction.copy`): `runtime.pack`, `unpack` and the
-NumPy gather walk its blocks, and a compressed output's gather renders it
-as one more C function (`KernelPlan.gathers`).  `build_plan` renders each
-summand's lowered program once as C (`SummandPlan.source`): the same
-integer bounds, guards and index terms in int64_t, each scaled rank
-divided exactly and every index checked, once per row on a run level,
-each failed check returned as a status, so C and the walk share one
-lowering; `emit_c` assembles those texts and `polypack compile` prints
-them.  `execute` runs every summand through that C where gcc exists
+NumPy gather walk its blocks, a compressed output's gather renders it
+as one more C function (`KernelPlan.gathers`), and a compressed input's
+pack renders it the other way round (`KernelPlan.packs`); a copy
+assigns, on C as on the walk, since it writes each slot once.
+`build_plan` renders each summand's lowered program once as C
+(`SummandPlan.source`): the same integer bounds, guards and index terms
+in int64_t, each scaled rank divided exactly and every index checked,
+once per row on a run level, each failed check returned as a status, so
+C and the walk share one lowering; `emit_c` assembles those texts and
+`polypack compile` prints them.  `execute` runs every summand through that C where gcc exists
 (`native`), and on the walk above without it; backend "c" requires C,
 backend "numpy" the walk.  A parallelizable summand's C function takes a
 share of its outermost range as two more bounds on that level, so a
@@ -461,7 +463,10 @@ class SummandPlan:
     statement: Statement
     parallelizable: bool
     source: str = field(compare=False, default="")   # the summand's C function
-    counted: bool = False   # its C function adds the points it visits to *count
+    # None for a summand, which adds into leaf 0; for a copy, the leaf its C
+    # function assigns to (0 the dense tensor, 1 the buffer), counting its
+    # points into *count
+    into: int | None = None
 
     @cached_property
     def program(self):
@@ -473,7 +478,7 @@ class SummandPlan:
         """Where each argument of the summand's C function comes from, in
         order (see `_c_signature`)."""
         return tuple(src for _, src in _c_signature(self.nest.params, self.statement,
-                                                    self.parallelizable, self.counted))
+                                                    self.parallelizable, self.into))
 
     @cached_property
     def axes(self):
@@ -497,24 +502,37 @@ class KernelPlan:
     @cached_property
     def gathers(self):
         """{buffer id: SummandPlan} per compressed output buffer b: its
-        index's copy (`IndexFunction.copy`, dense T(names) += T_b(names)
+        index's copy (`IndexFunction.copy`, dense T(names) = T_b(names)
         over b's region), rendered as the C function `<rule>_g<b>`, which
         counts its points.  Rendered on first use, so that `build_plan`
         does not pay for them."""
+        return self._copies([sp.statement.output for sp in self.summands], "g", 0)
+
+    @cached_property
+    def packs(self):
+        """{buffer id: SummandPlan} per compressed input buffer b: the same
+        copy the other way round, T_b(names) = T(names), rendered as the C
+        function `<rule>_p<b>`, which counts its points."""
+        return self._copies([a for sp in self.summands for a in sp.statement.inputs], "p", 1)
+
+    def _copies(self, accesses, tag, into):
+        """{buffer id: SummandPlan} of the copies of the compressed buffers
+        among `accesses`, each rendered as `<rule>_<tag><b>` assigning to
+        leaf `into`."""
         plans = {}
-        for bid in sorted({sp.statement.output.buffer_id for sp in self.summands
-                           if sp.statement.output.layout == "compressed"}):
+        for bid in sorted({a.buffer_id for a in accesses if a.layout == "compressed"}):
             buf = self.registry.buffers[bid]
-            plans[bid] = _lowered(_c_function(self.rule, f"g{bid}"),
-                                  *buf.index.lowered_copy(buf.axes, bid), False, counted=True)
+            plans[bid] = _lowered(_c_function(self.rule, f"{tag}{bid}"),
+                                  *buf.index.lowered_copy(buf.axes, bid), False, into)
         return plans
 
     @cached_property
     def c_text(self):
         """The plan's C: the prelude, every summand's function, then every
-        gather's."""
+        gather's and every pack's."""
         return _c_text(*(sp.source for sp in self.summands),
-                       *(g.source for g in self.gathers.values()))
+                       *(g.source for g in self.gathers.values()),
+                       *(p.source for p in self.packs.values()))
 
 
 def _access_plan(registry, si, slot, acc, compression):
@@ -543,9 +561,11 @@ _AXIS_EXTENT = "@{}"
 def copy_statement(index, axes, bid, redmap=None):
     """(nest, statement) of the copy between an `IndexFunction`'s buffer
     `bid` and its tensor, region dim p read along tensor axis axes[p]:
-    dense T(names) += T_b(names) over the region, as a gather is, so leaf 0
-    is the dense row-major offset over (tensor, axis) extents and leaf 1
-    the rank, checked against the length of the buffer it indexes.
+    dense T(names) += T_b(names) over the region, so leaf 0 is the dense
+    row-major offset over (tensor, axis) extents and leaf 1 the rank,
+    checked against the length of the buffer it indexes.  The walk and a
+    copy's C function (`KernelPlan.gathers`, `packs`) assign either leaf
+    from the other.
 
     With a redundancy map, the copy is out to the positions the map sends
     into the region: the nest is the map's domain within the tensor's
@@ -592,11 +612,11 @@ def build_plan(program, rule, compression="input+output"):
     return KernelPlan(rule, tuple(plans), registry, compression)
 
 
-def _lowered(name, nest, stmt, prog, parallel, counted=False):
+def _lowered(name, nest, stmt, prog, parallel, into=None):
     """A SummandPlan whose lowered program, read by C and `execute` alike,
-    is rendered as the C function `name`."""
+    is rendered as the C function `name` (a copy's when `into` is set)."""
     sp = SummandPlan(nest, stmt, parallel, "\n".join(
-        _emit_c_summand(name, nest.params, stmt, prog, parallel, counted)), counted)
+        _emit_c_summand(name, nest.params, stmt, prog, parallel, into)), into)
     sp.__dict__["program"] = prog
     return sp
 
@@ -884,27 +904,35 @@ def _zero_outputs(plan, shapes, binding, dtype):
 _C_ELEMENTS = {np.dtype(np.float64): "double", np.dtype(np.int64): "int64_t"}
 
 
-def _c_kernels(plan, live, dtype, backend):
-    """{summand index: C function} for the live summands, where a compiler
-    exists and a library builds for the dtype; none with backend "numpy";
-    with backend "c", no compiler or no build raises CodegenError."""
+def _c_library(plan, dtype, backend):
+    """The plan's library for the dtype (`native.library`), or None where
+    the walk runs: backend "numpy", a dtype of None or without a C element
+    type, no compiler, or by default no build.  With backend "c", no
+    compiler or no build raises CodegenError."""
     if backend == "numpy":
-        return {}
+        return None
     if backend not in (None, "c"):
         raise CodegenError(f"unknown backend {backend!r}")
     if backend == "c" and native.compiler() is None:
         raise CodegenError("backend 'c' needs a C compiler, and gcc is not on PATH")
-    elem = _C_ELEMENTS.get(np.dtype(dtype))
-    if elem is None or not live or native.compiler() is None:
-        return {}
+    elem = None if dtype is None else _C_ELEMENTS.get(np.dtype(dtype))
+    if elem is None or native.compiler() is None:
+        return None
     try:
-        lib = native.library(plan.c_text, elem)
+        return native.library(plan.c_text, elem)
     except native.BuildError as e:
         if backend == "c":
             raise CodegenError(str(e)) from e
-        return {}
-    return {si: _c_call(lib, _c_function(plan.rule, f"s{si}"), plan.summands[si].c_args)
-            for si in live}
+        return None
+
+
+def _c_kernels(plan, live, dtype, backend):
+    """{summand index: C function} for the live summands, where the plan's
+    library runs them (`_c_library`); none without live summands."""
+    lib = _c_library(plan, dtype if live else None, backend)
+    return {} if lib is None else {
+        si: _c_call(lib, _c_function(plan.rule, f"s{si}"), plan.summands[si].c_args)
+        for si in live}
 
 
 def _c_call(lib, name, c_args):
@@ -918,14 +946,17 @@ def _c_call(lib, name, c_args):
     return fn
 
 
-def _c_gather(plan, bid, data, out, env):
-    """Copy output buffer `bid` (`data`) into the dense output `out` by its
-    gather's C function (`KernelPlan.gathers`) in the library `execute`
-    loaded for their dtype; returns the points it visited."""
-    g, count = plan.gathers[bid], np.zeros(1, dtype=np.int64)
-    lib = native.library(plan.c_text, _C_ELEMENTS[out.dtype])
-    _run_c(_c_call(lib, _c_function(plan.rule, f"g{bid}"), g.c_args), g,
-           (out, data, count), env, [_WHOLE])
+def _c_copy(plan, bid, dense, data, env, into_buffer=False):
+    """Copy buffer `bid` (`data`) into its dense tensor `dense` by its
+    gather's C function (`KernelPlan.gathers`), or the reverse
+    `into_buffer` by its pack's (`KernelPlan.packs`), in the plan's library
+    for their dtype, which `execute` or `_c_library` loaded; returns the
+    points it visited."""
+    sp, tag = (plan.packs[bid], "p") if into_buffer else (plan.gathers[bid], "g")
+    count = np.zeros(1, dtype=np.int64)
+    lib = native.library(plan.c_text, _C_ELEMENTS[dense.dtype])
+    _run_c(_c_call(lib, _c_function(plan.rule, f"{tag}{bid}"), sp.c_args), sp,
+           (dense, data, count), env, [_WHOLE])
     return int(count[0])
 
 
@@ -1120,23 +1151,25 @@ def _c_operand(a):
 
 def _c_function(rule, tag):
     """The name of a plan's C function: tag s<index> for a summand,
-    g<buffer id> for a gather."""
+    g<buffer id> for a gather, p<buffer id> for a pack."""
     return f"{rule.lower()}_{tag}"
 
 
-def _c_signature(params, stmt, share, counted=False):
+def _c_signature(params, stmt, share, into=None):
     """(declaration, source) per argument of a summand's C function, in
     order: the output's array, each distinct input array, the parameters,
     then each dense access's extents and each compressed access's buffer
     length, with `share` the first and last outermost value to run, and
-    with `counted` the int64 that counts the points.  A source is ("ptr",
-    column) for the array at a leaf column (the count's follows the last
-    access's), ("len", column) for its length, ("env", name) for an int of
-    env, or ("share", 0 or 1) for an end of the share."""
-    arrays, sizes = {f"ELEM* {_c_operand(stmt.output)}": ("ptr", 0)}, {}
+    for a copy (`into` the leaf it writes) the int64 that counts the
+    points.  Only the written array, the output's for a summand, is not
+    const.  A source is ("ptr", column) for the array at a leaf column (the
+    count's follows the last access's), ("len", column) for its length,
+    ("env", name) for an int of env, or ("share", 0 or 1) for an end of the
+    share."""
+    arrays, sizes = {}, {}
     for col, a in enumerate((stmt.output,) + tuple(stmt.inputs)):
-        if col:
-            arrays.setdefault(f"const ELEM* {_c_operand(a)}", ("ptr", col))
+        const = "" if col == (into or 0) else "const "
+        arrays.setdefault(f"{const}ELEM* {_c_operand(a)}", ("ptr", col))
         if a.layout == "dense":
             for axis in range(len(a.names)):
                 sizes.setdefault(f"int64_t n_{a.tensor}{axis}", ("env", (a.tensor, axis)))
@@ -1146,7 +1179,7 @@ def _c_signature(params, stmt, share, counted=False):
     ends = (("int64_t share_lo", ("share", 0)), ("int64_t share_hi", ("share", 1)))
     count = ("int64_t* count", ("ptr", len(stmt.inputs) + 1))
     return (*arrays.items(), *((f"int64_t {p}", ("env", p)) for p in params),
-            *sizes.items(), *(ends if share else ()), *((count,) if counted else ()))
+            *sizes.items(), *(ends if share else ()), *((count,) if into is not None else ()))
 
 
 def _faults(stmt):
@@ -1182,25 +1215,30 @@ def _c_text(*sources):
 
 def emit_c(plan):
     """Freestanding C99 text mirroring the plan: one function per summand,
-    then one per gather."""
+    then one per gather and one per pack."""
     return plan.c_text
 
 
 def emit_c_files(plan):
     """(filename, text) per summand, named <rule>_<summand index>.c, then
-    per gather, named <rule>_g<buffer id>.c."""
+    per gather and per pack, named <rule>_g<buffer id>.c and
+    <rule>_p<buffer id>.c."""
     return [(f"{plan.rule}_{si}.c", _c_text(sp.source)) for si, sp in enumerate(plan.summands)] \
-        + [(f"{plan.rule}_g{bid}.c", _c_text(g.source)) for bid, g in plan.gathers.items()]
+        + [(f"{plan.rule}_{tag}{bid}.c", _c_text(sp.source))
+           for tag, copies in (("g", plan.gathers), ("p", plan.packs))
+           for bid, sp in copies.items()]
 
 
-def _emit_c_summand(name, params, stmt, prog, share, counted=False):
+def _emit_c_summand(name, params, stmt, prog, share, into=None):
     """A summand's C function `name`, rendered from its lowered `_Program`
     (None when the nest is empty): the integer bounds, guards and index
     terms that `execute` walks, with every index accumulated in int64_t.
     With `share` the outermost level has two more bounds, the arguments
     share_lo and share_hi, so that a call runs only that share of its
-    range; with `counted` every point that passes its checks adds 1 to
-    *count (a run, its length).
+    range.  A summand adds the product of its inputs into its output; a
+    copy (`into` the leaf it writes: 0 the dense tensor, 1 the buffer)
+    assigns the other leaf's value, as the copy walk does, and every point
+    that passes its checks adds 1 to *count (a run, its length).
 
     The function returns 0, or at the first failing check the status whose
     message `_faults` gives, before the store read that check guards.  On a
@@ -1212,7 +1250,7 @@ def _emit_c_summand(name, params, stmt, prog, share, counted=False):
     is added to it once.  Any other innermost level checks every point.
     """
     accesses = (stmt.output,) + tuple(stmt.inputs)
-    args = ", ".join(decl for decl, _ in _c_signature(params, stmt, share, counted))
+    args = ", ".join(decl for decl, _ in _c_signature(params, stmt, share, into))
     out = [f"int {name}({args}) {{"]
     if prog is None:
         return out + ["  return 0;", "}"]
@@ -1327,18 +1365,21 @@ def _emit_c_summand(name, params, stmt, prog, share, counted=False):
                 put(f"if ({low} < 0 || {high} >= len{a.buffer_id}) "
                     f"{fail(_range_fault(a.buffer_id, a.tensor))}")
             index[leaf.col] = along(key, step, v)
-    prod = " * ".join(f"{_c_operand(a)}[{index[col]}]" for col, a in enumerate(accesses) if col)
-    target = f"{_c_operand(stmt.output)}[{index[0]}]"
-    if counted:
+    written = into or 0
+    prod = " * ".join(f"{_c_operand(a)}[{index[col]}]"
+                      for col, a in enumerate(accesses) if col != written)
+    target = f"{_c_operand(accesses[written])}[{index[written]}]"
+    store = "+=" if into is None else "="
+    if into is not None:
         put("*count += 1;" if prog.run is None else f"*count += {v}_hi - {v}_lo + 1;")
-    if prog.run is not None and prog.reduce:
+    if prog.run is not None and prog.reduce:   # never a copy: its dense offset moves on a run
         put("ELEM sum = 0;")
         put(f"for (int64_t {v} = {v}_lo; {v} <= {v}_hi; {v}++) sum += {prod or 1};")
         put(f"{target} += sum;")
     elif prog.run is not None:
-        put(f"for (int64_t {v} = {v}_lo; {v} <= {v}_hi; {v}++) {target} += {prod or 1};")
+        put(f"for (int64_t {v} = {v}_lo; {v} <= {v}_hi; {v}++) {target} {store} {prod or 1};")
     else:
-        put(f"{target} += {prod or 1};")
+        put(f"{target} {store} {prod or 1};")
     while depth > 1:
         depth -= 1
         put("}")

@@ -9,9 +9,11 @@ beside a `.so` is compared byte for byte with the text before the `.so` is
 trusted.  Both are compiled and written under temporary names and
 published with `os.replace`, `.so` first, so a concurrent process never
 loads half a file.  Loaded libraries stay in a dict keyed by text and type
-for the life of the process.  A first build costs one gcc run: 52-85 ms
-(median 64 ms) for a builtin plan on a 2-vCPU guest, against about 0.3 ms
-to load a cached library.
+for the life of the process.  A plan's text holds its summands', gathers'
+and packs' functions, so whichever of `runtime.build_store` and
+`codegen.execute` first runs a plan on C builds or loads its library.  A
+first build costs one gcc run: 52-85 ms (median 64 ms) for a builtin plan
+on a 2-vCPU guest, against about 0.3 ms to load a cached library.
 """
 
 from __future__ import annotations

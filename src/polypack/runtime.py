@@ -10,14 +10,18 @@ same blocks of checked indices as `codegen.execute` (`_leaf_blocks`) under
 its env, the binding plus (tensor, axis) extents: a region whose innermost
 level is a plain loop is walked as runs, one checked base per row, and any
 other point by point; pack walks it the other way round (`_copy`).
-Gathering a result's compressed outputs runs the same copy as the C
-function that the plan's library renders from it (`KernelPlan.gathers`)
-where the result ran on C, and on that walk otherwise.  A copy's rank and
-offset are bounded by the same int64 rule as a summand's indices
+Packing a plan's inputs (`build_store`) runs each buffer's copy as the C
+function that the plan's library renders from it (`KernelPlan.packs`)
+where `execute` would run C, and gathering a result's compressed outputs
+runs it as another (`KernelPlan.gathers`) where the result ran on C; each
+runs on that walk otherwise, and the first pack of a plan on C builds or
+loads the library `execute` then calls.  Unpack always walks.  A copy's
+rank and offset are bounded by the same int64 rule as a summand's indices
 (`codegen._check_int64`) before any array is allocated, each rank is
-checked against the compressed array it indexes, and a copy from a buffer
-must visit every slot.  The footprint report prices a registry's layout
-choices in exact element counts.
+checked against the compressed array it indexes, each position against
+the shape, and every copy must visit every slot of its buffer.  The
+footprint report prices a registry's layout choices in exact element
+counts.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ import numpy as np
 
 # iter_point_chunks is not called here: tracers hook it by this name
 from .codegen import (
-    _AXIS_EXTENT, _C_ELEMENTS, IndexingFault, _c_gather, _check_int64, _leaf_blocks,
-    buffer_length, iter_point_chunks,
+    _AXIS_EXTENT, _C_ELEMENTS, IndexingFault, _c_copy, _c_library, _check_int64,
+    _leaf_blocks, buffer_length, iter_point_chunks,
 )
 from .polyhedra import guards_mask
 
@@ -81,13 +85,16 @@ def _check_covered(written, data, tensor):
             "rank map does not cover the buffer")
 
 
-def pack(tensor, index, binding, axes=None, buffer_id=0):
+def pack(tensor, index, binding, axes=None, buffer_id=0, plan=None, backend=None):
     """Gather accessed positions of a dense tensor into rank order.
 
-    The copy (`IndexFunction.copy`) is walked from the tensor into the
-    buffer.  The rank map is a bijection onto [0, size), so every
-    compressed slot is written exactly once; a rank or coordinate out of
-    range, or a rank that could overflow int64, aborts rather than wrap.
+    The copy (`IndexFunction.copy`) runs from the tensor into the buffer:
+    given the `plan` that reads the buffer, as its pack's C function
+    (`KernelPlan.packs`) where `backend` allows, as `execute`'s does (gcc
+    on PATH, float64 or int64 data, contiguous), else on the copy walk.
+    The rank map is a bijection onto [0, size), so every compressed slot
+    is written exactly once; a rank or coordinate out of range, or a rank
+    that could overflow int64, aborts rather than wrap.
     """
     axes = tuple(range(len(tensor.shape))) if axes is None else axes
     prog, binding = index.copy(axes, buffer_id), {p: int(v) for p, v in binding.items()}
@@ -95,7 +102,12 @@ def pack(tensor, index, binding, axes=None, buffer_id=0):
     _check_int64([prog], env)
     length = buffer_length(index, binding)
     out = np.zeros(length, dtype=tensor.data.dtype)
-    _check_covered(_copy(prog, env, tensor.data, out, into_buffer=True), out, index.tensor)
+    if plan is not None and tensor.data.flags.c_contiguous \
+            and _c_library(plan, out.dtype, backend) is not None:
+        visited = _c_copy(plan, buffer_id, tensor.data, out, env, into_buffer=True)
+    else:
+        visited = _copy(prog, env, tensor.data, out, into_buffer=True)
+    _check_covered(visited, out, index.tensor)
     return CompressedBuffer(buffer_id, length, out)
 
 
@@ -126,15 +138,18 @@ def unpack(buf, index, shape, binding, axes=None, redmap=None):
 # ---------------------------------------------------------------------------
 # Store assembly around an execution plan
 
-def build_store(plan, tensors, binding):
+def build_store(plan, tensors, binding, backend=None):
     """Pack what a kernel plan reads: compressed slots keyed by buffer id,
-    flat dense arrays keyed by tensor name."""
+    flat dense arrays keyed by tensor name.  Each buffer is packed by
+    `pack` through the plan, on C or the walk as `backend` chooses
+    (`execute`'s argument, with its meaning)."""
+    _c_library(plan, None, backend)   # an unknown backend, or "c" without gcc, raises
     inputs = [a for sp in plan.summands for a in sp.statement.inputs]
     store = {}
     for bid in sorted({a.buffer_id for a in inputs if a.layout == "compressed"}):
         b = plan.registry.buffers[bid]
-        store[bid] = pack(tensors[b.tensor], b.index, binding,
-                          axes=b.axes, buffer_id=bid).data
+        store[bid] = pack(tensors[b.tensor], b.index, binding, axes=b.axes,
+                          buffer_id=bid, plan=plan, backend=backend).data
     for t in sorted({a.tensor for a in inputs if a.layout == "dense"}):
         store[t] = np.ascontiguousarray(tensors[t].data)
     return store
@@ -145,7 +160,7 @@ def gather_output(plan, result, shape, binding):
 
     Each compressed output buffer is copied to its positions by its
     index's copy (`IndexFunction.copy`): where the result ran on C ("c" in
-    its `backends`), as its gather's C function (`codegen._c_gather`),
+    its `backends`), as its gather's C function (`codegen._c_copy`),
     else on the copy walk.  Either way the copy is bounded by the int64
     rule before the output is allocated, each rank is checked against the
     buffer and each position against `shape`, and every slot of the buffer
@@ -166,7 +181,7 @@ def gather_output(plan, result, shape, binding):
     # output buffers are disjoint, or the registry would have demoted the
     # tensor: each position is written by one buffer at most
     for bid, data in bufs:
-        visited = (_c_gather(plan, bid, data, total, env) if on_c
+        visited = (_c_copy(plan, bid, total, data, env) if on_c
                    else _copy(progs[bid], env, total, data))
         _check_covered(visited, data, buffers[bid].tensor)
     return DenseTensor(shape, total)

@@ -11,7 +11,7 @@ import pytest
 
 import numpy as np
 
-from polypack import native
+from polypack import native, runtime
 from polypack.cli import BUILTIN_KERNELS, CSV_COLUMNS, derive_shapes, main
 from polypack.codegen import CodegenError, build_plan, emit_c_files
 from polypack.polyhedra import enumerate_points, iteration_space
@@ -72,22 +72,25 @@ class TestCompile:
 
     @pytest.mark.parametrize("level", ["none", "input", "input+output"])
     def test_prints_the_emitted_c(self, level, capsys):
-        # the functions `compile` shows, each summand's and then each
-        # compressed output's gather, are the ones `--emit-c` writes
-        gathers = 0
+        # the functions `compile` shows, each summand's, then each
+        # compressed output's gather and each compressed input's pack, are
+        # the ones `--emit-c` writes
+        gathers = packs = 0
         for name in sorted(BUILTIN_KERNELS):
             kern = BUILTIN_KERNELS[name]
             assert run_cli("compile", "--kernel", name, "--compression", level) == 0
-            shown = re.split(r"\n(?:summand \d+|gather buffer \d+):",
+            shown = re.split(r"\n(?:summand \d+|gather buffer \d+|pack buffer \d+):",
                              capsys.readouterr().out)[1:]
             plan = build_plan(parse_program(kern.text), kern.rule, level)
             files = emit_c_files(plan)
             gathers += sum(f.startswith(f"{kern.rule}_g") for f, _ in files)
+            packs += sum(f.startswith(f"{kern.rule}_p") for f, _ in files)
             assert len(shown) == len(files), name
             for text, (_, c_text) in zip(shown, files):
                 body = "\n".join(line[2:] for line in text.splitlines()[1:])
                 assert "int " + c_text.partition("\nint ")[2] == body + "\n", name
         assert (gathers > 0) == (level == "input+output")
+        assert (packs > 0) == (level != "none")
 
     def test_stur_shapes_at_large_binding(self, tmp_path, capsys):
         # compiling is symbolic: a 10^8-point bounding box must not matter
@@ -155,7 +158,8 @@ class TestCompile:
         assert run_cli("compile", "--kernel", "SpMV_L",
                        "--emit-c", target) == 0
         names = sorted(os.listdir(target))
-        assert names == ["A_0.c", "A_1.c", "A_g0.c", "A_g3.c"]   # and the gathers
+        # and the gathers and the packs
+        assert names == ["A_0.c", "A_1.c", "A_g0.c", "A_g3.c", "A_p1.c", "A_p4.c"]
         text = open(os.path.join(target, "A_1.c")).read()
         assert text.startswith("/* generated kernel code */")
         assert "int a_s1(" in text
@@ -213,6 +217,16 @@ class TestRun:
         assert run_cli("run", "--kernel", "SpMV_UT", "--dtype", "i64",
                        "--backend", backend) == 0
         assert "VERIFY: PASS maxrel=0.000e+00" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_backend_numpy_packs_on_the_walk(self, command, monkeypatch, capsys):
+        # --backend reaches build_store: no copy, pack or gather, runs on C
+        def no_c(*args, **kwargs):
+            raise AssertionError("a copy ran on C")
+        monkeypatch.setattr(runtime, "_c_copy", no_c)
+        assert run_cli(command, "--kernel", "SpMV_UT", "--dtype", "i64",
+                       "--backend", "numpy") == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_backend_c_without_gcc_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PATH", str(tmp_path))   # no gcc there

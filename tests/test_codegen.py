@@ -1246,15 +1246,17 @@ class TestEmitC:
         # FIG3's ranks have denominator 2: accumulated as 2*rank in int64_t
         # and divided exactly, never held in a double; values are ELEM, in
         # the summand's three arrays and the row's sum of the run over l,
-        # then the two arrays of the output's gather
-        text = emit_c(build_plan(parse_program(FIG3), "A", "input+output"))
+        # then the two arrays of the output's gather and of each input's pack
+        plan = build_plan(parse_program(FIG3), "A", "input+output")
+        text = emit_c(plan)
         assert "int64_t r0_0 = r0 + 2*N*P*i - P*i - P*i*i;" in text
         assert "if (r0_2 % 2) return 1;\n" in text
         assert "int64_t k0 = r0_2 / 2;" in text
         assert "(long)" not in text
         body = text.split("#endif", 1)[1]
         assert "double" not in body
-        assert re.findall(r"\bELEM\b\S*", body) == ["ELEM*"] * 3 + ["ELEM"] + ["ELEM*"] * 2
+        assert len(plan.packs) == 2
+        assert re.findall(r"\bELEM\b\S*", body) == ["ELEM*"] * 3 + ["ELEM"] + ["ELEM*"] * 6
 
     def test_fixed_level_fragment(self):
         plan = build_plan(parse_program(DIAG_HADAMARD), "T", "input+output")

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from polypack import codegen, polyhedra, runtime
 from polypack.cli import BUILTIN_KERNELS
-from polypack.codegen import IndexingFault, build_plan, execute, reference_execute
+from polypack.codegen import (
+    CodegenError, IndexingFault, build_plan, execute, reference_execute,
+)
 from polypack.counting import DomainError, PiecewiseQuasiPolynomial, pqp_constant
 from polypack.indexing import symbolic_indexing
 from polypack.polyhedra import (
@@ -249,8 +251,9 @@ def naive_unpack(data, index, shape, binding, axes, redmap):
 
 
 def oracle_cases():
-    """(label, index, binding, shape, axes) for every compressed buffer of
-    the builtins at sizes 1, 2, 5, 9, and of BANDED and BANDS."""
+    """(label, plan, buffer, binding, shape) for every compressed buffer of
+    the builtins at sizes 1, 2, 5, 9, and of BANDED and BANDS, with the
+    `input+output` plan that holds it."""
     for name, kern in sorted(BUILTIN_KERNELS.items()):
         plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
         for size in (1, 2, 5, 9):
@@ -259,21 +262,34 @@ def oracle_cases():
             for b in plan.registry.buffers:
                 if b.layout == "compressed":
                     shape = tuple(binding[s] for s in kern.shapes[b.tensor])
-                    yield f"{name}.{b.id}.{size}", b.index, binding, shape, b.axes
+                    yield f"{name}.{b.id}.{size}", plan, b, binding, shape
     for name, text, sizes in (("BANDED", BANDED, (1, 2, 5, 9)), ("BANDS", BANDS, (9,))):
         plan = build_plan(parse_program(text), "A", "input+output")
         for size in sizes:
             binding = {"n": size} if text is BANDED else {}
             for b in plan.registry.buffers:
                 if b.layout == "compressed" and b.tensor == "B":
-                    yield f"{name}.{b.id}.{size}", b.index, binding, (size, size), b.axes
+                    yield f"{name}.{b.id}.{size}", plan, b, binding, (size, size)
+
+
+def covers(seen, label, index, axes):
+    """Add to `seen` what a non-empty buffer's case covers: its kernel,
+    permuted axes, a piecewise rank, fixed levels."""
+    seen.add(label.split(".")[0])
+    if axes != tuple(sorted(axes)):
+        seen.add("permuted")
+    if len(index.rank.pieces) > 1:
+        seen.add("piecewise")
+    if any(lv.kind == "fixed" for lv in codegen.build_loop_nest(index.accessed).levels):
+        seen.add("fixed")
 
 
 class TestAgainstOracle:
     def test_pack_and_unpack_match_naive_copy(self):
         seen = set()
         rng = np.random.default_rng(17)
-        for label, index, binding, shape, axes in oracle_cases():
+        for label, _, b, binding, shape in oracle_cases():
+            index, axes = b.index, b.axes
             data = rng.integers(-2 ** 62, 2 ** 62, size=math.prod(shape))
             want = naive_copy(data, index, shape, binding, axes)
             tensor = DenseTensor(shape, data)
@@ -287,15 +303,8 @@ class TestAgainstOracle:
             back = unpack(buf, index, shape, binding, axes=axes)
             assert np.array_equal(back.data, want[1]), label
             assert np.array_equal(pack(back, index, binding, axes=axes).data, buf.data)
-            if not len(buf.data):
-                continue
-            seen.add(label.split(".")[0])
-            if axes != tuple(sorted(axes)):
-                seen.add("permuted")
-            if len(index.rank.pieces) > 1:
-                seen.add("piecewise")
-            if any(lv.kind == "fixed" for lv in codegen.build_loop_nest(index.accessed).levels):
-                seen.add("fixed")
+            if len(buf.data):
+                covers(seen, label, index, axes)
         # the cases cover every builtin, permuted axes (MTT's C(k, j)),
         # fixed levels, a piecewise rank and the bands of a mod constraint
         assert seen >= set(BUILTIN_KERNELS) | {"BANDED", "BANDS", "permuted", "piecewise",
@@ -602,12 +611,13 @@ class TestStoreAssembly:
             assert out.data.dtype == np.int64 and out.data.tolist() == [0] * 6
 
     def test_gathers_render_the_copies(self):
-        # a gather's C and the copy walk read one lowering per buffer
+        # a gather's or a pack's C and the copy walk read one lowering per
+        # buffer
         for name, kern in BUILTIN_KERNELS.items():
             program = parse_program(kern.text)
             for level in ("none", "input", "input+output"):
                 plan = build_plan(program, kern.rule, level)
-                for b, g in plan.gathers.items():
+                for b, g in [*plan.gathers.items(), *plan.packs.items()]:
                     buf = plan.registry.buffers[b]
                     assert g.program is buf.index.copy(buf.axes, b), (name, level, b)
 
@@ -648,7 +658,7 @@ class TestGather:
         program, rule, binding, shapes, tensors = builtin_case(name, dtype)
         want = reference_execute(program, rule, shapes,
                                  {t: x.data for t, x in tensors.items()}, binding, dtype)
-        on_c, walked = record(monkeypatch, "_c_gather"), record(monkeypatch, "_copy")
+        on_c, walked = record(monkeypatch, "_c_copy"), record(monkeypatch, "_copy")
         for level in ("none", "input", "input+output"):
             plan = build_plan(program, rule, level)
             store = build_store(plan, tensors, binding)
@@ -670,6 +680,19 @@ class TestGather:
                 ran_c = gather_output(plan, replace(res, backends=frozenset({"c"})),
                                       shapes[rule], binding)
                 assert np.array_equal(walk.data, ran_c.data), level
+
+    def test_negative_zero_gathers_alike(self):
+        # the C gather assigns, as the walk does: a -0.0 in an f64 output
+        # buffer stays -0.0 (0.0 + -0.0 would give +0.0)
+        program, rule, binding, shapes, tensors = builtin_case("TTM_UT", np.float64, n=6)
+        plan = build_plan(program, rule, "input+output")
+        res = execute(plan, build_store(plan, tensors, binding), shapes, binding)
+        bid, = res.compressed
+        res.compressed[bid][::3] = -0.0
+        outs = [gather_output(plan, replace(res, backends=frozenset({ran})), shapes[rule],
+                              binding).data for ran in ("c", "numpy")]
+        assert np.signbit(outs[0]).sum() >= len(res.compressed[bid][::3])
+        assert np.array_equal(outs[0].view(np.int64), outs[1].view(np.int64))
 
     def ttm_ut(self, backend):
         """TTM_UT packed at n=6, run on a backend: (plan, result, shape,
@@ -715,12 +738,109 @@ class TestGather:
         res = execute(plan, build_store(plan, tensors, binding), shapes, binding,
                       dtype=np.float32)
         assert res.backends == {"numpy"}
-        on_c = record(monkeypatch, "_c_gather")
+        on_c = record(monkeypatch, "_c_copy")
         want = gather_output(plan, res, shapes[rule], binding)
         got = gather_output(plan, replace(res, backends=frozenset({"c"})), shapes[rule],
                             binding)
         assert on_c == [] and got.data.dtype == np.float32
         assert np.array_equal(got.data, want.data)
+
+
+def signed_values(rng, n, dtype):
+    """n values of a dtype: int64 over most of its range, or float64 with
+    about a quarter of them -0.0."""
+    if dtype == np.int64:
+        return rng.integers(-2 ** 62, 2 ** 62, size=n)
+    data = rng.uniform(-1.0, 1.0, size=n)
+    data[rng.random(n) < 0.25] = -0.0
+    return data
+
+
+class TestPackOnC:
+    """`pack` given a plan copies each input buffer by its C function
+    (`KernelPlan.packs`) where `execute` would run C, and on the walk
+    otherwise; `build_store` packs through the plan."""
+
+    @needs_gcc
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_matches_walk(self, dtype, monkeypatch):
+        # every input buffer of the oracle cases: bitwise the walk's, -0.0
+        # included, or the walk's IndexingFault message
+        on_c, walked = record(monkeypatch, "_c_copy"), record(monkeypatch, "_copy")
+        rng = np.random.default_rng(29)
+        seen, faults = set(), 0
+        for label, plan, b, binding, shape in oracle_cases():
+            if b.id not in plan.packs:
+                continue
+            tensor = DenseTensor(shape, signed_values(rng, math.prod(shape), dtype))
+            args = (tensor, b.index, binding)
+            kwargs = dict(axes=b.axes, buffer_id=b.id)
+            try:
+                want = pack(*args, **kwargs).data
+            except IndexingFault as e:
+                want = e
+            del on_c[:], walked[:]
+            if isinstance(want, IndexingFault):
+                with pytest.raises(IndexingFault) as fault:
+                    pack(*args, **kwargs, plan=plan)
+                assert str(fault.value) == str(want), label
+                assert len(on_c) == 1 and walked == [], label
+                faults += 1
+                continue
+            got = pack(*args, **kwargs, plan=plan).data
+            assert len(on_c) == 1 and walked == [], label
+            assert got.dtype == dtype
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), label
+            if len(got):
+                covers(seen, label, b.index, b.axes)
+        assert seen >= {"BANDS", "permuted", "piecewise", "fixed"}
+        assert faults > 0   # size 1 puts some regions outside their shapes
+        if dtype == np.float64:
+            assert np.signbit(got).any()
+
+    @needs_gcc
+    @pytest.mark.parametrize("name", sorted(BUILTIN_KERNELS))
+    def test_store_backends_agree(self, name, monkeypatch):
+        # by default every input buffer packs on C, with "numpy" on the
+        # walk, bitwise alike
+        program, rule, binding, shapes, tensors = builtin_case(name, np.float64)
+        on_c, walked = record(monkeypatch, "_c_copy"), record(monkeypatch, "_copy")
+        for level in ("none", "input", "input+output"):
+            plan = build_plan(program, rule, level)
+            stores = {}
+            for backend in (None, "c", "numpy"):
+                del on_c[:], walked[:]
+                stores[backend] = build_store(plan, tensors, binding, backend=backend)
+                assert len(walked if backend == "numpy" else on_c) == len(plan.packs)
+                assert not (on_c if backend == "numpy" else walked)
+            for backend in ("c", "numpy"):
+                assert stores[backend].keys() == stores[None].keys()
+                for k, data in stores[None].items():
+                    assert np.array_equal(data.view(np.int64),
+                                          stores[backend][k].view(np.int64)), (level, k)
+
+    @pytest.mark.parametrize("why", ["no gcc", "float32", "numpy", "strided"])
+    def test_walks_where_c_does_not_run(self, why, tmp_path, monkeypatch):
+        program, rule, binding, shapes, tensors = builtin_case(
+            "SpMV_UT", np.float32 if why == "float32" else np.float64)
+        plan = build_plan(program, rule, "input")
+        if why == "no gcc":
+            monkeypatch.setenv("PATH", str(tmp_path))
+        if why == "strided":   # the same values, every other one of a longer array
+            tensors = {t: DenseTensor(x.shape, np.repeat(x.data, 2)[::2])
+                       for t, x in tensors.items()}
+        want = build_store(plan, tensors, binding, backend="numpy")
+        on_c, walked = record(monkeypatch, "_c_copy"), record(monkeypatch, "_copy")
+        got = build_store(plan, tensors, binding, backend="numpy" if why == "numpy" else None)
+        assert on_c == [] and len(walked) == len(plan.packs) > 0
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+    def test_backend_c_without_gcc_raises(self, tmp_path, monkeypatch):
+        program, rule, binding, shapes, tensors = builtin_case("SpMV_UT", np.float64)
+        monkeypatch.setenv("PATH", str(tmp_path))   # no gcc there
+        for level in ("none", "input"):
+            with pytest.raises(CodegenError, match="backend 'c' needs a C compiler"):
+                build_store(build_plan(program, rule, level), tensors, binding, backend="c")
 
 
 class TestGenerated:
