@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codegen import (
-    CodegenError, IndexingFault, build_loop_nest, build_plan, dim_ranges,
-    emit_c_files, execute, reference_execute,
+    JAM, CodegenError, IndexingFault, build_loop_nest, build_plan, dim_ranges,
+    emit_c_files, execute, jam_level, reference_execute,
 )
 from .counting import CountingError, DomainError
 from .polyhedra import PolyhedronError, iteration_space
@@ -220,6 +220,8 @@ def cmd_compile(args):
         tag = " (parallel outer loop)" if sp.parallelizable else ""
         if sp.program and sp.program.run is not None:
             tag += f" ({sp.program.levels[-1].var} walked as runs)"
+        if (jammed := jam_level(sp.program, sp.into)) is not None:
+            tag += f" ({jammed.var} jammed by {JAM})"
         print(header + tag)
         for line in sp.source.splitlines():
             print(f"  {line}")

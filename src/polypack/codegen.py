@@ -34,11 +34,14 @@ as one more C function (`KernelPlan.gathers`), and a compressed input's
 pack renders it the other way round (`KernelPlan.packs`); a copy
 assigns, on C as on the walk, since it writes each slot once.
 `build_plan` renders each summand's lowered program once as C
-(`SummandPlan.source`): the same integer bounds, guards and index terms
-in int64_t, each scaled rank divided exactly and every index checked,
-once per row on a run level, each failed check returned as a status, so
-C and the walk share one lowering; `emit_c` assembles those texts and
-`polypack compile` prints them.  `execute` runs every summand through that C where gcc exists
+(`SummandPlan.source`): the same integer bounds, guards and
+index terms in int64_t, each scaled rank divided exactly and every index
+checked, once per row on a run level, each failed check returned as a
+status, so C and the walk share one lowering; where a run reduces under a
+plain loop, that loop's rows are jammed by JAM over one pass of the
+run, every output value summing its terms in the same order.  `emit_c`
+assembles those texts and `polypack compile` prints them.  `execute`
+runs every summand through that C where gcc exists
 (`native`), and on the walk above without it; backend "c" requires C,
 backend "numpy" the walk.  A parallelizable summand's C function takes a
 share of its outermost range as two more bounds on that level, so a
@@ -54,7 +57,6 @@ from __future__ import annotations
 import ctypes
 import math
 import os
-import re
 import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -1111,6 +1113,15 @@ def reference_execute(program, rule, shapes, dense, binding, dtype=np.float64):
 # ---------------------------------------------------------------------------
 # C emission
 
+# Rows of the loop just outside a reducing run that one pass of the run
+# feeds (`jam_level`).  Measured over 2, 4 and 8 on TTM_UT, TTM_DP, TTM_J,
+# MTT_J and MTT_JUT in-process on a 2-vCPU guest (6 alternating rounds,
+# min of 21 calls): 2 left packed TTM_UT at n=64 at 2.9-3.5 ms against
+# 2.2-2.7 ms for 4; 8 read within 10% of 4 (a little faster on TTM_DP and
+# on TTM_UT at n=32, the same elsewhere) for twice the group's text and 16%
+# more cold gcc time over the builtin plans.
+JAM = 4
+
 
 def _c_name(v):
     """The C name of an int poly's name: (tensor, axis) is that axis's extent."""
@@ -1229,6 +1240,19 @@ def emit_c_files(plan):
            for bid, sp in copies.items()]
 
 
+def jam_level(prog, into=None):
+    """The level whose rows a summand's C jams by JAM over one pass of its
+    run, or None.  Jammed: a summand's (`into` None) reducing run
+    (`prog.reduce`) under a plain loop (stride 1, no phase, no guards)
+    whose var is in no bound of the run level, so every row's run has the
+    same range.  That var need not index the output."""
+    if prog is None or not prog.reduce or into is not None or len(prog.levels) < 2:
+        return None
+    outer, run = prog.levels[-2:]
+    bounded = {v for _, p in run.lowers + run.uppers for _, mono in p for v, _ in mono}
+    return None if outer.kind != "loop" or outer.guards or outer.var in bounded else outer
+
+
 def _emit_c_summand(name, params, stmt, prog, share, into=None):
     """A summand's C function `name`, rendered from its lowered `_Program`
     (None when the nest is empty): the integer bounds, guards and index
@@ -1248,17 +1272,47 @@ def _emit_c_summand(name, params, stmt, prog, share, into=None):
     extents, and the inner loop reads base + step * (j - lo) unchecked;
     where the output is fixed along every run (`prog.reduce`) the row's sum
     is added to it once.  Any other innermost level checks every point.
+
+    Where `jam_level` names the level v just outside such a run, the run's
+    range is computed once above v's loop, and while that range is not
+    empty and JAM values of v remain from v_j, one pass of the run serves
+    rows v_j .. v_j + JAM - 1: each row gets its own suffixed locals (v_u,
+    the indices, the checks) in row order, the run loop adds each row's
+    product into its own sum_u, and the sums are added to their outputs in
+    row order.  The remainder loop from v_j is the same row at width 1.
+    Each output value still sums its terms in the order the unjammed loop
+    does, so results are bitwise the same.  Every check of a group, in the
+    order the unjammed rows make them, runs before the group's first read:
+    a failing check returns its usual status with the group's earlier rows
+    not yet added to the output, which `execute` raises either way.
     """
     accesses = (stmt.output,) + tuple(stmt.inputs)
-    args = ", ".join(decl for decl, _ in _c_signature(params, stmt, share, into))
-    out = [f"int {name}({args}) {{"]
+    sig = _c_signature(params, stmt, share, into)
+    out = [f"int {name}({', '.join(decl for decl, _ in sig)}) {{"]
     if prog is None:
         return out + ["  return 0;", "}"]
     faults = _faults(stmt)
+    declared = [decl.split()[-1] for decl, _ in sig]
     depth = 1
+    jammed = jam_level(prog, into)
+    run = prog.levels[-1] if prog.run is not None else None
 
     def put(s):
         out.append("  " * depth + s)
+
+    def let(key, e):
+        declared.append(key)
+        put(f"int64_t {key} = {e};")
+
+    def block(header):
+        nonlocal depth
+        put(header + " {")
+        depth += 1
+
+    def close():
+        nonlocal depth
+        depth -= 1
+        put("}")
 
     def fail(message):
         return f"return {faults.index(message) + 1};"
@@ -1266,10 +1320,10 @@ def _emit_c_summand(name, params, stmt, prog, share, into=None):
     def exact(scale, e, key):
         """key = e / scale, failing on a remainder: a rank is integral."""
         if scale == 1:
-            return put(f"int64_t {key} = {e};")
+            return let(key, e)
         e = e if e.isidentifier() else f"({e})"
         put(f"if ({e} % {scale}) {fail(faults[0])}")
-        put(f"int64_t {key} = {e} / {scale};")
+        let(key, f"{e} / {scale}")
 
     def bounds(lv):
         # the outermost level of a share also lies in [share_lo, share_hi]
@@ -1280,118 +1334,166 @@ def _emit_c_summand(name, params, stmt, prog, share, into=None):
                     [_c_bound(b, "FLOORD") for b in lv.uppers] + ends[1:])
         return lo, hi
 
-    def advance(lv, k, at):
+    def extents(lv, lo, hi):
+        # the values the guards keep, as `execute` checks
+        for tensor, extent in lv.extents:
+            put(f"if ({lo} < 0 || {hi} >= {_c_name(extent)}) "
+                f"{fail(f'an index of {tensor} leaves its dense extent')}")
+
+    def advance(acc, lv, k, at, sfx=""):
         # each column so far plus this level's terms, poly(outer) * at**e
         for col in dict.fromkeys(t for t, _, _ in lv.terms):
             step = ((1, ((acc[col], 1),)),) + tuple(
                 (c, mono + ((at, e),)) for t, e, p in lv.terms if t == col for c, mono in p)
-            put(f"int64_t r{col}_{k} = {_c_int(step)};")
-            acc[col] = f"r{col}_{k}"
+            let(f"r{col}_{k}{sfx}", _c_int(step))
+            acc[col] = f"r{col}_{k}{sfx}"
+
+    def run_range():
+        for end, bound in zip(("lo", "hi"), bounds(run)):
+            let(f"{run.var}_{end}", bound)
+
+    def along(key, step, at):
+        """key + step * (at - lo): an index `at` on the run's row."""
+        return _c_int(((1, ((key, 1),)),) + tuple(
+            (c * sign, mono + ((x, 1),)) for c, mono in step
+            for x, sign in ((at, 1), (f"{run.var}_lo", -1))))
+
+    def run_rows(acc, width):
+        """Each row's index per leaf on the run, its checks made: `width`
+        rows of the jammed level from its v_j, their locals suffixed _u, or
+        at width 1 the row of the enclosing loop's own var."""
+        v, k = run.var, len(prog.levels) - 1
+        rows = []
+        for u in range(width):
+            sfx = f"_{u}" if width > 1 else ""
+            row = dict(acc)
+            if width > 1:
+                x = f"{jammed.var}_{u}"
+                let(x, f"{jammed.var}_j + {u}" if u else f"{jammed.var}_j")
+                extents(jammed, x, x)
+                advance(row, jammed, k - 1, x, sfx)
+            if not u:
+                if jammed is None:
+                    run_range()
+                if width == 1:   # a jammed group runs only where the run is not empty
+                    block(f"if ({v}_lo <= {v}_hi)")
+                extents(run, f"{v}_lo", f"{v}_hi")
+            advance(row, run, k, f"{v}_lo", sfx)
+            index = {}
+            for a, leaf, step in zip(accesses, prog.leaves, prog.run):
+                key = f"k{leaf.col}{sfx}"
+                exact(leaf.scale, row[leaf.col], key)
+                if a.layout == "compressed":
+                    low = high = key
+                    if step:
+                        let(f"{key}_hi", along(key, step, f"{v}_hi"))
+                        low, high = key, f"{key}_hi"
+                        if any(mono or c < 0 for c, mono in step):   # a step of unknown sign
+                            low, high = f"MIN2({key}, {key}_hi)", f"MAX2({key}, {key}_hi)"
+                    put(f"if ({low} < 0 || {high} >= len{a.buffer_id}) "
+                        f"{fail(_range_fault(a.buffer_id, a.tensor))}")
+                index[leaf.col] = along(key, step, v)
+            rows.append(index)
+        return rows
+
+    def statement(rows):
+        """Each row's product into its output, or for a copy the other
+        leaf's value assigned; on a reducing run, through one sum per row."""
+        written = into or 0
+        prods = [" * ".join(f"{_c_operand(a)}[{index[col]}]"
+                            for col, a in enumerate(accesses) if col != written) or "1"
+                 for index in rows]
+        targets = [f"{_c_operand(accesses[written])}[{index[written]}]" for index in rows]
+        if into is not None:
+            put("*count += 1;" if run is None else f"*count += {run.var}_hi - {run.var}_lo + 1;")
+        if run is None:
+            put(f"{targets[0]} {'+=' if into is None else '='} {prods[0]};")
+            return
+        v = run.var
+        declared.append(v)
+        header = f"for (int64_t {v} = {v}_lo; {v} <= {v}_hi; {v}++)"
+        if not prog.reduce:   # a copy, or a summand whose output moves along the run
+            put(f"{header} {targets[0]} {'+=' if into is None else '='} {prods[0]};")
+            return
+        sums = ["sum"] if len(rows) == 1 else [f"sum_{u}" for u in range(len(rows))]
+        declared.extend(sums)
+        put("ELEM " + ", ".join(f"{s} = 0" for s in sums) + ";")
+        adds = [f"{s} += {p};" for s, p in zip(sums, prods)]
+        if len(adds) == 1:
+            put(f"{header} {adds[0]}")
+        else:
+            block(header)
+            for add in adds:
+                put(add)
+            close()
+        for t, s in zip(targets, sums):
+            put(f"{t} += {s};")
 
     for g in prog.guards:
         put(f"if (!({_c_guard(g)})) return 0;")
     acc = {}   # column -> the C variable holding its index so far
     for col, poly in prog.root.items():
         acc[col] = f"r{col}"
-        put(f"int64_t r{col} = {_c_int(poly)};")
-    walked = prog.levels if prog.run is None else prog.levels[:-1]
-    for k, lv in enumerate(walked):
+        let(f"r{col}", _c_int(poly))
+    for k, lv in enumerate(prog.levels if run is None else prog.levels[:-1]):
         v = lv.var
         if lv.single:
-            put(f"int64_t {v} = {_c_int(lv.lowers[0][1])};")
+            let(v, _c_int(lv.lowers[0][1]))
+        elif lv is jammed:   # groups of JAM rows from v_j, then the rows left one by one
+            lo, hi = bounds(lv)
+            run_range()
+            let(f"{v}_j", lo)
+            block(f"for (; {run.var}_lo <= {run.var}_hi && {v}_j <= {hi} - {JAM - 1}; "
+                  f"{v}_j += {JAM})")
+            statement(run_rows(acc, JAM))
+            close()
+            declared.append(v)
+            block(f"for (int64_t {v} = {v}_j; {v} <= {hi}; {v}++)")
         else:
             lo, hi = bounds(lv)
             if lv.phase is not None:
-                put(f"int64_t {v}_lo = {lo};")
+                let(f"{v}_lo", lo)
                 put(f"{v}_lo += MODP({_c_int(lv.phase)} - {v}_lo, {lv.stride});")
                 lo = f"{v}_lo"
-            step = f"{v}++" if lv.stride == 1 else f"{v} += {lv.stride}"
-            put(f"for (int64_t {v} = {lo}; {v} <= {hi}; {step}) {{")
-            depth += 1
+            declared.append(v)
+            block(f"for (int64_t {v} = {lo}; {v} <= {hi}; "
+                  f"{f'{v}++' if lv.stride == 1 else f'{v} += {lv.stride}'})")
         for g in lv.guards:   # outside every loop, skipping the point ends the call
             put(f"if (!({_c_guard(g)})) {'continue' if depth > 1 else 'return 0'};")
-        for tensor, extent in lv.extents:   # the values the guards keep, as `execute` checks
-            put(f"if ({v} < 0 || {v} >= {_c_name(extent)}) "
-                f"{fail(f'an index of {tensor} leaves its dense extent')}")
-        advance(lv, k, v)
-    if prog.run is None:
+        extents(lv, v, v)
+        advance(acc, lv, k, v)
+    if run is not None:
+        statement(run_rows(acc, 1))
+    else:
+        index = {}
         for a, leaf in zip(accesses, prog.leaves):
             key = f"k{leaf.col}"
             if leaf.pieces is None:
                 exact(leaf.scale, acc[leaf.col], key)
             else:
-                put(f"int64_t {key} = -1;")
+                let(key, "-1")
                 for guards, poly, s in leaf.pieces:
-                    cond = " && ".join(f"({_c_guard(g)})" for g in guards) or "1"
-                    put(f"if ({cond}) {{")
-                    depth += 1
+                    block(f"if ({' && '.join(f'({_c_guard(g)})' for g in guards) or '1'})")
                     exact(s, _c_int(poly), f"{key}_")
                     put(f"{key} = {key}_;")
-                    depth -= 1
-                    put("}")
+                    close()
             if a.layout == "compressed":
                 put(f"if ({key} < 0 || {key} >= len{a.buffer_id}) "
                     f"{fail(_range_fault(a.buffer_id, a.tensor))}")
-        index = {col: f"k{col}" for col in range(len(accesses))}
-    else:
-        lv, k = prog.levels[-1], len(prog.levels) - 1
-        v = lv.var
-        lo, hi = bounds(lv)
-        put(f"int64_t {v}_lo = {lo};")
-        put(f"int64_t {v}_hi = {hi};")
-        put(f"if ({v}_lo <= {v}_hi) {{")
-        depth += 1
-        for tensor, extent in lv.extents:
-            put(f"if ({v}_lo < 0 || {v}_hi >= {_c_name(extent)}) "
-                f"{fail(f'an index of {tensor} leaves its dense extent')}")
-        advance(lv, k, f"{v}_lo")
-
-        def along(key, step, at):
-            """key + step * (at - lo): an index `at` on the row."""
-            return _c_int(((1, ((key, 1),)),) + tuple(
-                (c * sign, mono + ((x, 1),)) for c, mono in step
-                for x, sign in ((at, 1), (f"{v}_lo", -1))))
-        index = {}
-        for a, leaf, step in zip(accesses, prog.leaves, prog.run):
-            key = f"k{leaf.col}"
-            exact(leaf.scale, acc[leaf.col], key)
-            if a.layout == "compressed":
-                low = high = key
-                if step:
-                    put(f"int64_t {key}_hi = {along(key, step, f'{v}_hi')};")
-                    low, high = key, f"{key}_hi"
-                    if any(mono or c < 0 for c, mono in step):   # a step of unknown sign
-                        low, high = f"MIN2({key}, {key}_hi)", f"MAX2({key}, {key}_hi)"
-                put(f"if ({low} < 0 || {high} >= len{a.buffer_id}) "
-                    f"{fail(_range_fault(a.buffer_id, a.tensor))}")
-            index[leaf.col] = along(key, step, v)
-    written = into or 0
-    prod = " * ".join(f"{_c_operand(a)}[{index[col]}]"
-                      for col, a in enumerate(accesses) if col != written)
-    target = f"{_c_operand(accesses[written])}[{index[written]}]"
-    store = "+=" if into is None else "="
-    if into is not None:
-        put("*count += 1;" if prog.run is None else f"*count += {v}_hi - {v}_lo + 1;")
-    if prog.run is not None and prog.reduce:   # never a copy: its dense offset moves on a run
-        put("ELEM sum = 0;")
-        put(f"for (int64_t {v} = {v}_lo; {v} <= {v}_hi; {v}++) sum += {prod or 1};")
-        put(f"{target} += sum;")
-    elif prog.run is not None:
-        put(f"for (int64_t {v} = {v}_lo; {v} <= {v}_hi; {v}++) {target} {store} {prod or 1};")
-    else:
-        put(f"{target} {store} {prod or 1};")
+            index[leaf.col] = key
+        statement([index])
     while depth > 1:
-        depth -= 1
-        put("}")
+        close()
     out.append("  return 0;")
     out.append("}")
     # a name of the rule that the emitter also declares (`sum`, `r0`, a
     # var's `_lo` ...) would be shadowed or redeclared, and the C could
-    # compute something else: such a function must not build
-    declared = re.findall(r"\b(?:int64_t|ELEM)\*? (\w+)", "\n".join(out))
+    # compute something else: such a function must not build.  A jammed
+    # group's run loop and the remainder's, siblings, each declare the run's var
     ours = {*params, *(lv.var for lv in prog.levels),
             *(a.tensor for a in accesses if a.layout == "dense")}
-    clash = sorted({n for n in declared if n in ours and declared.count(n) > 1})
+    twice = run.var if jammed is not None else None
+    clash = sorted({n for n in declared if n in ours and declared.count(n) > 1 + (n == twice)})
     if clash:
         out.insert(1, "#error names of the rule clash with names the emitter declares: "
                    + ", ".join(clash))

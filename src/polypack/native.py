@@ -12,8 +12,9 @@ loads half a file.  Loaded libraries stay in a dict keyed by text and type
 for the life of the process.  A plan's text holds its summands', gathers'
 and packs' functions, so whichever of `runtime.build_store` and
 `codegen.execute` first runs a plan on C builds or loads its library.  A
-first build costs one gcc run: 52-85 ms (median 64 ms) for a builtin plan
-on a 2-vCPU guest, against about 0.3 ms to load a cached library.
+first build costs one gcc run: 44-230 ms (median 87-105 ms in two runs of
+all 36 builtin plans) on a 2-vCPU guest, against about 0.3 ms to load a
+cached library.
 """
 
 from __future__ import annotations
@@ -24,7 +25,11 @@ import shutil
 import tempfile
 import zlib
 
-FLAGS = ("-std=c99", "-O2", "-fwrapv", "-shared", "-fPIC")
+# -falign-loops=32 starts every loop on a 32-byte boundary, so where a hot
+# loop's branches fall does not move with the code around it: without it,
+# packed TTM_UT on C ran 1.4-1.9x its dense C in-process, with the two inner
+# loops compiled alike
+FLAGS = ("-std=c99", "-O2", "-fwrapv", "-falign-loops=32", "-shared", "-fPIC")
 
 
 class BuildError(RuntimeError):

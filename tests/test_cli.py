@@ -13,7 +13,7 @@ import numpy as np
 
 from polypack import native, runtime
 from polypack.cli import BUILTIN_KERNELS, CSV_COLUMNS, derive_shapes, main
-from polypack.codegen import CodegenError, build_plan, emit_c_files
+from polypack.codegen import JAM, CodegenError, build_plan, emit_c_files
 from polypack.polyhedra import enumerate_points, iteration_space
 from polypack.stur import build_compressed_summands, parse_program
 
@@ -61,7 +61,7 @@ class TestCompile:
         # output's gather walks A's region with k as runs
         assert run_cli("compile", "--kernel", "TTM_UT") == 0
         out = capsys.readouterr().out
-        assert "summand 0: (parallel outer loop) (l walked as runs)\n" in out
+        assert f"summand 0: (parallel outer loop) (l walked as runs) (k jammed by {JAM})\n" in out
         assert "gather buffer 0: (k walked as runs)\n" in out
         assert "for (int64_t k = 0; k <= -1 + n_k; k++) {" in out
         assert "for (int64_t j = i; j <= -1 + n_j; j++) {" in out
@@ -69,6 +69,19 @@ class TestCompile:
         assert run_cli("compile", "--kernel", "SpMV_UT") == 0
         out = capsys.readouterr().out
         assert "summand 0: (parallel outer loop) (j walked as runs)\n" in out
+
+    def test_jammed_level_marked(self, capsys):
+        # TTM_UT's reducing run over l takes JAM rows of k per pass, and
+        # only its summand is jammed (copies assign); SpMV_UT's run over j
+        # starts at i, so nothing there is jammed
+        assert run_cli("compile", "--kernel", "TTM_UT") == 0
+        out = capsys.readouterr().out
+        assert out.count(" jammed by ") == 1
+        assert f"(l walked as runs) (k jammed by {JAM})\n" in out
+        assert run_cli("compile", "--kernel", "SpMV_UT") == 0
+        out = capsys.readouterr().out
+        assert "summand 0: (parallel outer loop) (j walked as runs)\n" in out
+        assert "jammed" not in out
 
     @pytest.mark.parametrize("level", ["none", "input", "input+output"])
     def test_prints_the_emitted_c(self, level, capsys):

@@ -1245,8 +1245,9 @@ class TestEmitC:
     def test_ranks_are_exact_integers(self):
         # FIG3's ranks have denominator 2: accumulated as 2*rank in int64_t
         # and divided exactly, never held in a double; values are ELEM, in
-        # the summand's three arrays and the row's sum of the run over l,
-        # then the two arrays of the output's gather and of each input's pack
+        # the summand's three arrays, the sums of the run over l (one line
+        # for the rows of k jammed, one for a remainder row), then the two
+        # arrays of the output's gather and of each input's pack
         plan = build_plan(parse_program(FIG3), "A", "input+output")
         text = emit_c(plan)
         assert "int64_t r0_0 = r0 + 2*N*P*i - P*i - P*i*i;" in text
@@ -1256,7 +1257,7 @@ class TestEmitC:
         body = text.split("#endif", 1)[1]
         assert "double" not in body
         assert len(plan.packs) == 2
-        assert re.findall(r"\bELEM\b\S*", body) == ["ELEM*"] * 3 + ["ELEM"] + ["ELEM*"] * 6
+        assert re.findall(r"\bELEM\b\S*", body) == ["ELEM*"] * 3 + ["ELEM"] * 2 + ["ELEM*"] * 6
 
     def test_fixed_level_fragment(self):
         plan = build_plan(parse_program(DIAG_HADAMARD), "T", "input+output")
@@ -1574,3 +1575,163 @@ class TestLibraryCache:
         assert calls == []
         with pytest.raises(CodegenError, match="no writable directory"):
             execute(*run, dtype=np.int64, backend="c")
+
+
+# the builtins whose reducing run is jammed
+JAMMED = ("MTT_J", "MTT_JUT", "TTM_DP", "TTM_J", "TTM_UT")
+
+
+def jammed_vars(plan):
+    """Per summand, the var of the level its C jams (`codegen.jam_level`), or None."""
+    return [getattr(codegen.jam_level(sp.program, sp.into), "var", None) for sp in plan.summands]
+
+
+def unjammed_plan(monkeypatch, text, rule, level):
+    """The plan of a rule built with no level jammed: every reducing run's
+    C one row at a time, as it was before the jam."""
+    with monkeypatch.context() as m:
+        m.setattr(codegen, "jam_level", lambda prog, into=None: None)
+        return build_plan(parse_program(text), rule, level)
+
+
+def builtin_case(name, size):
+    """A builtin's binding and shapes with every extent at `size`."""
+    kern = BUILTIN_KERNELS[name]
+    binding = {s: size if s.startswith("n_") else v for s, v in kern.defaults.items()}
+    return binding, {t: tuple(binding[s] for s in syms) for t, syms in kern.shapes.items()}
+
+
+def seeded(shapes, rule, dtype, uniform=False):
+    """Dense inputs: small integers, whose sums are exact in any order, or
+    uniform values in [-1, 1), whose last bits show the order of the adds."""
+    rng = np.random.default_rng(7)
+    return {t: (rng.uniform(-1, 1, n) if uniform else rng.integers(-3, 4, n)).astype(dtype)
+            for t, n in ((t, int(np.prod(s))) for t, s in shapes.items() if t != rule)}
+
+
+def run_on(plan, backend, shapes, dense, binding, dtype, **kw):
+    return execute(plan, pack_store(plan, shapes, dense, binding, dtype), shapes, binding,
+                   dtype=dtype, backend=backend, **kw)
+
+
+@needs_gcc
+class TestJam:
+    """Rows of the loop just outside a reducing run jammed by `codegen.JAM`
+    over one pass of the run: each output value still sums its terms in the
+    order of the rows one at a time, so the C is bitwise the walk's on
+    exact sums and the unjammed C's on any."""
+
+    def test_which_summands_jam(self):
+        # the five builtins whose run reduces under a plain loop jam k, at
+        # every level; SpMV_UT's run starts at i, and nothing else reduces
+        for name in sorted(BUILTIN_KERNELS):
+            kern = BUILTIN_KERNELS[name]
+            for level in LEVELS:
+                plan = build_plan(parse_program(kern.text), kern.rule, level)
+                want = ["k"] if name in JAMMED else [None] * len(plan.summands)
+                assert jammed_vars(plan) == want, (name, level)
+                assert ("sum_0" in plan.c_text) == (name in JAMMED), (name, level)
+        # copies assign and never jam
+        plan = build_plan(parse_program(BUILTIN_KERNELS["TTM_UT"].text), "A", "input+output")
+        assert all(codegen.jam_level(sp.program, sp.into) is None
+                   for sp in (*plan.gathers.values(), *plan.packs.values()))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.int64])
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("name", JAMMED)
+    def test_builtin_matches_walk(self, name, level, dtype):
+        # extents of 11: two groups of k and a remainder of three
+        binding, shapes = builtin_case(name, 11)
+        plan = build_plan(parse_program(BUILTIN_KERNELS[name].text), BUILTIN_KERNELS[name].rule, level)
+        dense = seeded(shapes, plan.rule, dtype)
+        got = run_on(plan, "c", shapes, dense, binding, dtype)
+        assert got.backends == {"c"}
+        assert same_result(got, run_on(plan, "numpy", shapes, dense, binding, dtype))
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("name", JAMMED)
+    def test_builtin_bitwise_as_unjammed(self, name, level, monkeypatch):
+        # random f64, where a change in the order of the adds would show
+        binding, shapes = builtin_case(name, 11)
+        kern = BUILTIN_KERNELS[name]
+        plans = (build_plan(parse_program(kern.text), kern.rule, level),
+                 unjammed_plan(monkeypatch, kern.text, kern.rule, level))
+        assert "sum_0" in plans[0].c_text and "sum_0" not in plans[1].c_text
+        dense = seeded(shapes, kern.rule, np.float64, uniform=True)
+        assert same_result(*(run_on(p, "c", shapes, dense, binding, np.float64) for p in plans))
+
+    @pytest.mark.parametrize("p", [1, 3, codegen.JAM, codegen.JAM + 1, 13])
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_jammed_extents(self, p, level, monkeypatch):
+        # FIG3 jams k over P values: no group, one group exactly, groups
+        # and a remainder; the walk's output on exact sums (f64 and i64),
+        # the unjammed C's on random f64
+        shapes = {"A": (3, 4, p), "B": (3, 4, 5), "C": (p, 5)}
+        binding = {"M": 3, "N": 4, "P": p, "Q": 5}
+        plan = build_plan(parse_program(FIG3), "A", level)
+        assert jammed_vars(plan) == ["k"]
+        for dtype in (np.float64, np.int64):
+            dense = seeded(shapes, "A", dtype)
+            assert same_result(run_on(plan, "c", shapes, dense, binding, dtype),
+                               run_on(plan, "numpy", shapes, dense, binding, dtype))
+        dense = seeded(shapes, "A", np.float64, uniform=True)
+        assert same_result(run_on(plan, "c", shapes, dense, binding, np.float64),
+                           run_on(unjammed_plan(monkeypatch, FIG3, "A", level), "c", shapes,
+                                  dense, binding, np.float64))
+
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("name", JAMMED)
+    def test_shares_bitwise_as_one(self, name, level, monkeypatch):
+        # at floor 0, workers=2 splits the outermost level on threads and
+        # gives workers=1's output bit for bit, on random f64
+        binding, shapes = builtin_case(name, 11)
+        plan = build_plan(parse_program(BUILTIN_KERNELS[name].text), BUILTIN_KERNELS[name].rule, level)
+        dense = seeded(shapes, plan.rule, np.float64, uniform=True)
+        want = run_on(plan, "c", shapes, dense, binding, np.float64)
+        no_floor(monkeypatch)
+        started = record_threads(monkeypatch)
+        got = run_on(plan, "c", shapes, dense, binding, np.float64, workers=2)
+        assert started and same_result(got, want)
+
+    @pytest.mark.parametrize("p", [codegen.JAM, codegen.JAM + 1])
+    @pytest.mark.parametrize("fault,tensor", [("short", "B"), ("short", "C"), ("extent", "C")])
+    def test_faults_as_unjammed(self, fault, tensor, p, monkeypatch):
+        # a packed buffer one value short, or C's dense shape one row short
+        # of k: the jammed C, the unjammed C and the walk raise the same
+        # IndexingFault
+        level = "none" if fault == "extent" else "input+output"
+        shapes = {"A": (3, 4, p), "B": (3, 4, 5), "C": (p - (fault == "extent"), 5)}
+        binding = {"M": 3, "N": 4, "P": p, "Q": 5}
+        dense = seeded(shapes, "A", np.int64)
+        plans = (build_plan(parse_program(FIG3), "A", level),
+                 unjammed_plan(monkeypatch, FIG3, "A", level))
+        messages = []
+        for plan, backend in ((plans[0], "c"), (plans[1], "c"), (plans[0], "numpy")):
+            store = pack_store(plan, shapes, dense, binding, np.int64)
+            if fault == "short":
+                a = plan.summands[0].statement.inputs["BC".index(tensor)]
+                assert a.layout == "compressed"
+                store[a.buffer_id] = store[a.buffer_id][:-1]
+            with pytest.raises(IndexingFault) as err:
+                execute(plan, store, shapes, binding, dtype=np.int64, backend=backend)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == messages[2]
+        assert f" {tensor} " in messages[0] or messages[0].endswith(f" {tensor}")
+
+    @pytest.mark.parametrize("name,var", [("k", "sum_0"), ("l", "sum_3"), ("i", "k_j")])
+    def test_clashing_names_do_not_build(self, name, var):
+        # FIG3 with a var renamed to a local of the jammed group (a row's
+        # sum, the group's first k): the C must not build, and the default
+        # walks NumPy instead
+        text = re.sub(rf"\b{name}\b", var, FIG3)
+        plan = build_plan(parse_program(text), "A", "input+output")
+        assert "#error names of the rule clash with names the emitter declares: " \
+            + var + "\n" in plan.c_text
+        shapes = {"A": (3, 4, 6), "B": (3, 4, 5), "C": (6, 5)}
+        binding = {"M": 3, "N": 4, "P": 6, "Q": 5}
+        dense = seeded(shapes, "A", np.int64)
+        want = run_on(plan, "numpy", shapes, dense, binding, np.int64)
+        got = run_on(plan, None, shapes, dense, binding, np.int64)
+        assert same_result(got, want) and got.backends == {"numpy"}
+        with pytest.raises(CodegenError, match=f"emitter declares: {var}"):
+            run_on(plan, "c", shapes, dense, binding, np.int64)
