@@ -235,48 +235,42 @@ def cmd_compile(args):
     return 0
 
 
-def cmd_run(args):
-    cfg = _resolve(args)
-    _refuse_redundancy_maps(cfg)
-    dtype = _DTYPES[args.dtype]
-    plan = build_plan(cfg.program, cfg.rule, args.compression[-1])
-    tensors = _make_inputs(cfg, args.seed, dtype)
-    store = build_store(plan, tensors, cfg.binding, backend=args.backend)
-    if args.corrupt_index:
-        _corrupt_store(store)
-    result = execute(plan, store, cfg.shapes, cfg.binding,
-                     workers=args.workers, dtype=dtype, backend=args.backend)
-    out = gather_output(plan, result, cfg.shapes[cfg.rule], cfg.binding)
-    ref = reference_execute(cfg.program, cfg.rule, cfg.shapes,
-                            {t: tensors[t].data for t in cfg.inputs},
-                            cfg.binding, dtype)
-    ok, rel = _verify(out.data, ref, dtype)
-    print(f"VERIFY: {'PASS' if ok else 'FAIL'} maxrel={rel:.3e}")
-    return 0 if ok else 1
-
-
-def _bench_one(cfg, compression, args):
+def _run_verified(cfg, compression, args, timed=0, corrupt=False):
+    """One kernel end to end: build its plan, pack random inputs (damaged
+    when `corrupt`), execute once and then `timed` more times, gather, and
+    verify against the dense reference.  Returns (plan, the last result,
+    the timed calls' ns, ok, maxrel)."""
     _refuse_redundancy_maps(cfg)
     dtype = _DTYPES[args.dtype]
     plan = build_plan(cfg.program, cfg.rule, compression)
     tensors = _make_inputs(cfg, args.seed, dtype)
     store = build_store(plan, tensors, cfg.binding, backend=args.backend)
-
-    def once():
-        return execute(plan, store, cfg.shapes, cfg.binding,
-                       workers=args.workers, dtype=dtype, backend=args.backend)
-
-    once()  # warm-up, untimed: the first call of a plan on C may build its library
+    if corrupt:
+        _corrupt_store(store)
     times = []
-    for _ in range(3):
+    # the first call is untimed: the first call of a plan on C may build its library
+    for _ in range(1 + timed):
         t0 = time.perf_counter_ns()
-        result = once()
+        result = execute(plan, store, cfg.shapes, cfg.binding,
+                         workers=args.workers, dtype=dtype, backend=args.backend)
         times.append(time.perf_counter_ns() - t0)
     out = gather_output(plan, result, cfg.shapes[cfg.rule], cfg.binding)
     ref = reference_execute(cfg.program, cfg.rule, cfg.shapes,
                             {t: tensors[t].data for t in cfg.inputs},
                             cfg.binding, dtype)
-    ok, _ = _verify(out.data, ref, dtype)
+    ok, rel = _verify(out.data, ref, dtype)
+    return plan, result, times[1:], ok, rel
+
+
+def cmd_run(args):
+    *_, ok, rel = _run_verified(_resolve(args), args.compression[-1], args,
+                                corrupt=args.corrupt_index)
+    print(f"VERIFY: {'PASS' if ok else 'FAIL'} maxrel={rel:.3e}")
+    return 0 if ok else 1
+
+
+def _bench_one(cfg, compression, args):
+    plan, result, times, ok, _ = _run_verified(cfg, compression, args, timed=3)
     report = footprint_report(plan.registry, cfg.binding, cfg.shapes, cfg.rule)
     return {
         "kernel": cfg.name,

@@ -28,10 +28,9 @@ to once per row.  Any other level is walked point by point, and equal
 output indices next to each other are summed first.
 Every copy between a buffer and its dense tensor is one statement,
 dense T += T_b over the buffer's region (`copy_statement`), lowered once
-per buffer (`IndexFunction.copy`): `runtime.pack`, `unpack` and the
-NumPy gather walk its blocks, a compressed output's gather renders it
-as one more C function (`KernelPlan.gathers`), and a compressed input's
-pack renders it the other way round (`KernelPlan.packs`); a copy
+per buffer (`IndexFunction.copy`); a compressed output's gather renders
+it as one more C function (`KernelPlan.gathers`), and a compressed
+input's pack renders it the other way round (`KernelPlan.packs`); a copy
 assigns, on C as on the walk, since it writes each slot once.
 `build_plan` renders each summand's lowered program once as C
 (`SummandPlan.source`): the same integer bounds, guards and
@@ -40,14 +39,19 @@ checked, once per row on a run level, each failed check returned as a
 status, so C and the walk share one lowering; where a run reduces under a
 plain loop, that loop's rows are jammed by JAM over one pass of the
 run, every output value summing its terms in the same order.  `emit_c`
-assembles those texts and `polypack compile` prints them.  `execute`
-runs every summand through that C where gcc exists
-(`native`), and on the walk above without it; backend "c" requires C,
-backend "numpy" the walk.  A parallelizable summand's C function takes a
-share of its outermost range as two more bounds on that level, so a
-`workers > 1` call can run the shares on threads, cut where its points
-(`_work`, per value of that level) balance, wherever they give each
-thread THREAD_POINTS; the walk never splits.  The compressed summands
+assembles those texts and `polypack compile` prints them.
+Every lowered program, a summand's under `execute` or a copy's under
+`runtime.pack`, `unpack` and `gather_output`, runs through one runner
+(`_run`): its C function in the plan's library (`native`), or the walk
+above, which adds a summand's product or assigns a copy's leaf.  One rule
+(`_c_library`) picks C for a call where gcc is on PATH, the plan's
+library builds, and every array the call reads and writes has the
+output's dtype, float64 or int64, and is C-contiguous; backend "c"
+requires C, backend "numpy" the walk.  A parallelizable summand's C
+function takes a share of its outermost range as two more bounds on that
+level, so a `workers > 1` call can run the shares on threads, cut where
+its points (`_work`, per value of that level) balance, wherever they give
+each thread THREAD_POINTS; the walk never splits.  The compressed summands
 and the buffer registry are built once per (program, rule) and shared by
 all three compression levels.
 """
@@ -476,6 +480,13 @@ class SummandPlan:
         return _program(self.nest, self.statement)
 
     @cached_property
+    def name(self):
+        """The name of the summand's C function, as its source declares it:
+        <rule>_s<index> for a summand, <rule>_g<buffer id> for a gather and
+        <rule>_p<buffer id> for a pack, the rule in lower case."""
+        return self.source[len("int "):self.source.index("(")]
+
+    @cached_property
     def c_args(self):
         """Where each argument of the summand's C function comes from, in
         order (see `_c_signature`)."""
@@ -524,7 +535,7 @@ class KernelPlan:
         plans = {}
         for bid in sorted({a.buffer_id for a in accesses if a.layout == "compressed"}):
             buf = self.registry.buffers[bid]
-            plans[bid] = _lowered(_c_function(self.rule, f"{tag}{bid}"),
+            plans[bid] = _lowered(f"{self.rule.lower()}_{tag}{bid}",
                                   *buf.index.lowered_copy(buf.axes, bid), False, into)
         return plans
 
@@ -610,14 +621,15 @@ def build_plan(program, rule, compression="input+output"):
         par = (not nest.empty and len(nest.levels) > 0
                and nest.levels[0].kind != "fixed"
                and nest.dims[0] in s.output.index_names)
-        plans.append(_lowered(_c_function(rule, f"s{si}"), nest, stmt, _program(nest, stmt), par))
+        plans.append(_lowered(f"{rule.lower()}_s{si}", nest, stmt, _program(nest, stmt), par))
     return KernelPlan(rule, tuple(plans), registry, compression)
 
 
 def _lowered(name, nest, stmt, prog, parallel, into=None):
-    """A SummandPlan whose lowered program, read by C and `execute` alike,
-    is rendered as the C function `name` (a copy's when `into` is set)."""
-    sp = SummandPlan(nest, stmt, parallel, "\n".join(
+    """A SummandPlan whose lowered program, read by its C function and the
+    walk alike, is rendered as the C function `name` (a copy's when `into`
+    is set), or without a name is only walked."""
+    sp = SummandPlan(nest, stmt, parallel, name and "\n".join(
         _emit_c_summand(name, nest.params, stmt, prog, parallel, into)), into)
     sp.__dict__["program"] = prog
     return sp
@@ -844,26 +856,6 @@ def _run_base(a, base, step, width, array):
     return base
 
 
-def _run_summand(prog, env, arrays):
-    """Accumulate one summand into arrays[0], reading each input access from
-    the array at its leaf's position."""
-    out = arrays[0]
-    # every index is checked before the first store read
-    for idx, m, starts in _leaf_blocks(prog, env, arrays):
-        prod = np.ones(m, dtype=out.dtype) if len(idx) == 1 else None
-        for x, i in zip(arrays[1:], idx[1:]):
-            prod = x[i] if prod is None else prod * x[i]
-        o = idx[0]
-        if starts is None:   # collapse runs of equal output index; others may repeat
-            brk = o[1:] != o[:-1]
-            if brk.all():
-                np.add.at(out, o, prod)
-                continue
-            starts = np.flatnonzero(np.concatenate(([True], brk)))
-            o = o[starts]
-        np.add.at(out, o, np.add.reduceat(prod, starts))
-
-
 @dataclass
 class ExecResult:
     dense: object          # flat ndarray or None
@@ -906,19 +898,23 @@ def _zero_outputs(plan, shapes, binding, dtype):
 _C_ELEMENTS = {np.dtype(np.float64): "double", np.dtype(np.int64): "int64_t"}
 
 
-def _c_library(plan, dtype, backend):
-    """The plan's library for the dtype (`native.library`), or None where
-    the walk runs: backend "numpy", a dtype of None or without a C element
-    type, no compiler, or by default no build.  With backend "c", no
-    compiler or no build raises CodegenError."""
-    if backend == "numpy":
+def _c_library(plan, backend, arrays):
+    """The plan's library (`native.library`) where C runs one call that
+    reads and writes `arrays`, else None, the walk: C runs where gcc is on
+    PATH, the library builds, and every array has the first's dtype, which
+    has a C element type, and is C-contiguous.  Backend "numpy", or no
+    plan, always walks; backend "c" raises CodegenError without gcc or
+    without a library, and any other backend raises too."""
+    if backend == "numpy" or plan is None:
         return None
     if backend not in (None, "c"):
         raise CodegenError(f"unknown backend {backend!r}")
-    if backend == "c" and native.compiler() is None:
+    gcc = native.compiler()
+    if backend == "c" and gcc is None:
         raise CodegenError("backend 'c' needs a C compiler, and gcc is not on PATH")
-    elem = None if dtype is None else _C_ELEMENTS.get(np.dtype(dtype))
-    if elem is None or native.compiler() is None:
+    elem = _C_ELEMENTS.get(arrays[0].dtype) if arrays else None
+    if elem is None or gcc is None or not all(
+            x.dtype == arrays[0].dtype and x.flags.c_contiguous for x in arrays):
         return None
     try:
         return native.library(plan.c_text, elem)
@@ -926,40 +922,6 @@ def _c_library(plan, dtype, backend):
         if backend == "c":
             raise CodegenError(str(e)) from e
         return None
-
-
-def _c_kernels(plan, live, dtype, backend):
-    """{summand index: C function} for the live summands, where the plan's
-    library runs them (`_c_library`); none without live summands."""
-    lib = _c_library(plan, dtype if live else None, backend)
-    return {} if lib is None else {
-        si: _c_call(lib, _c_function(plan.rule, f"s{si}"), plan.summands[si].c_args)
-        for si in live}
-
-
-def _c_call(lib, name, c_args):
-    """The function `name` of a loaded library, typed on first use by its
-    arguments' sources (`_c_signature`) and its int status (`_faults`)."""
-    fn = getattr(lib, name)
-    if fn.argtypes is None:
-        fn.argtypes = [ctypes.c_void_p if kind == "ptr" else ctypes.c_int64
-                       for kind, _ in c_args]
-        fn.restype = ctypes.c_int
-    return fn
-
-
-def _c_copy(plan, bid, dense, data, env, into_buffer=False):
-    """Copy buffer `bid` (`data`) into its dense tensor `dense` by its
-    gather's C function (`KernelPlan.gathers`), or the reverse
-    `into_buffer` by its pack's (`KernelPlan.packs`), in the plan's library
-    for their dtype, which `execute` or `_c_library` loaded; returns the
-    points it visited."""
-    sp, tag = (plan.packs[bid], "p") if into_buffer else (plan.gathers[bid], "g")
-    count = np.zeros(1, dtype=np.int64)
-    lib = native.library(plan.c_text, _C_ELEMENTS[dense.dtype])
-    _run_c(_c_call(lib, _c_function(plan.rule, f"{tag}{bid}"), sp.c_args), sp,
-           (dense, data, count), env, [_WHOLE])
-    return int(count[0])
 
 
 # The share of a summand's outermost range that a call of its C function
@@ -991,47 +953,88 @@ def _shares(sp, env, threads):
     return [(lo + int(a), lo + int(b) - 1) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
-def _run_c(fn, sp, arrays, env, shares):
-    """Call a summand's C function on the arrays at its leaf columns, once
-    per share of its outermost range (`_shares`): the first in this thread
-    and each other on a thread of its own, every one joined before this
-    returns.  Shares write disjoint output values of the same arrays.
-    Raises the IndexingFault whose status the first failing share, in
-    order, returned."""
-    args = [[arrays[x].ctypes.data if kind == "ptr" else len(arrays[x]) if kind == "len"
-             else share[x] if kind == "share" else env[x] for kind, x in sp.c_args]
-            for share in shares]
-    status = [0] * len(shares)
+def _run(sp, lib, arrays, env, threads=1):
+    """Run a summand, or a copy (`sp.into` set), on the arrays at its leaf
+    columns; returns the points a copy visited.
 
-    def call(k):
-        status[k] = fn(*args[k])
-    others = []
-    try:
-        for k in range(1, len(shares)):
-            t = threading.Thread(target=call, args=(k,))
-            t.start()
-            others.append(t)
-        call(0)
-    finally:
-        for t in others:
-            t.join()
-    failed = next((s for s in status if s), 0)
-    if failed:
-        raise IndexingFault(_faults(sp.statement)[failed - 1])
+    With a library (`_c_library`) its C function runs once per share of its
+    outermost range (`_shares`, of at most `threads`): the first in this
+    thread and each other on a thread of its own, every one joined before
+    this returns.  Shares write disjoint output values of the same arrays.
+    A nonzero status raises the IndexingFault of the first failing share,
+    in order.  Without, the program is walked by `_leaf_blocks`, every
+    index checked before the block reads a store: a summand adds the
+    product of its inputs into leaf 0, equal output indices next to each
+    other summed first, and a copy assigns leaf `into` from the other.
+    """
+    prog, into = sp.program, sp.into
+    if lib is not None:
+        if into is not None:   # its C function counts the points into one more array
+            arrays = (*arrays, np.zeros(1, dtype=np.int64))
+        fn = getattr(lib, sp.name)
+        if fn.argtypes is None:
+            fn.argtypes = [ctypes.c_void_p if kind == "ptr" else ctypes.c_int64
+                           for kind, _ in sp.c_args]
+            fn.restype = ctypes.c_int
+        shares = _shares(sp, env, threads)
+        args = [[arrays[x].ctypes.data if kind == "ptr" else len(arrays[x]) if kind == "len"
+                 else share[x] if kind == "share" else env[x] for kind, x in sp.c_args]
+                for share in shares]
+        status = [0] * len(shares)
+
+        def call(k):
+            status[k] = fn(*args[k])
+        others = []
+        try:
+            for k in range(1, len(shares)):
+                t = threading.Thread(target=call, args=(k,))
+                t.start()
+                others.append(t)
+            call(0)
+        finally:
+            for t in others:
+                t.join()
+        failed = next((s for s in status if s), 0)
+        if failed:
+            raise IndexingFault(_faults(sp.statement)[failed - 1])
+        return 0 if into is None else int(arrays[-1][0])
+    visited = 0
+    if prog is None or not guards_mask(prog.guards, {}, env):
+        return visited
+    out = arrays[0]
+    for idx, m, starts in _leaf_blocks(prog, env, arrays):
+        visited += m
+        if into is not None:
+            arrays[into][idx[into]] = arrays[1 - into][idx[1 - into]]
+            continue
+        prod = np.ones(m, dtype=out.dtype) if len(idx) == 1 else None
+        for x, i in zip(arrays[1:], idx[1:]):
+            prod = x[i] if prod is None else prod * x[i]
+        o = idx[0]
+        if starts is None:   # collapse runs of equal output index; others may repeat
+            brk = o[1:] != o[:-1]
+            if brk.all():
+                np.add.at(out, o, prod)
+                continue
+            starts = np.flatnonzero(np.concatenate(([True], brk)))
+            o = o[starts]
+        np.add.at(out, o, np.add.reduceat(prod, starts))
+    return visited
 
 
 def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=None):
     """Run every summand; returns zero-initialized-then-accumulated outputs.
 
-    By default every live summand runs through its compiled C function
+    Each live summand runs through `_run`, on its compiled C function
     (`SummandPlan.source`, built once per plan text and element type by
-    `native.library`) where the dtype is float64 or int64 and gcc is on
-    PATH; without gcc or without a library, every summand runs on the
-    NumPy walk.  Backend "numpy" runs every summand on the walk; backend
-    "c" runs every one on C and raises CodegenError without gcc or without
-    a library.  Both backends raise the same IndexingFault on a bad index.
-    The result's `backends` names the ones that ran, and `gather_output`
-    gathers on C where it names "c".
+    `native.library`) where `_c_library` allows: by default where gcc is
+    on PATH, a library builds, and the output and the store arrays it
+    reads are all float64 or all int64 and contiguous; else on the NumPy
+    walk.  Backend "numpy" runs every summand on the walk; backend "c"
+    raises CodegenError without gcc or without a library.  Both raise the
+    same IndexingFault on a bad index.  The result's `backends` names the
+    ones that ran, and `gather_output` gathers by the same rule where it
+    names "c", else on the walk.
 
     With workers > 1 a parallelizable summand on C runs on up to `workers`
     threads, capped at the CPUs this process may use, the calling thread
@@ -1049,7 +1052,7 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=N
                          for axis, e in enumerate(shape)}}
     live = [si for si, sp in enumerate(plan.summands)
             if sp.program is not None and guards_mask(sp.program.guards, {}, env)]
-    calls = _c_kernels(plan, live, dtype, backend)
+    _c_library(plan, backend, ())   # an unknown backend, or "c" without gcc, raises
     _check_int64([plan.summands[si].program for si in live], env)
     for t in sorted({a.tensor for si in live for a in plan.summands[si].statement.inputs
                      if a.layout == "dense"}):
@@ -1064,14 +1067,9 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=N
         o = sp.statement.output
         arrays = (dense_out if o.layout == "dense" else comp[o.buffer_id],
                   *[store[a.key] for a in sp.program.leaves[1:]])
-        # C reads every array as the output's dtype, contiguous
-        if si in calls and all(x.dtype == arrays[0].dtype and x.flags.c_contiguous
-                               for x in arrays[1:]):
-            _run_c(calls[si], sp, arrays, env, _shares(sp, env, threads))
-            ran.add("c")
-        else:
-            _run_summand(sp.program, env, arrays)
-            ran.add("numpy")
+        lib = _c_library(plan, backend, arrays)
+        _run(sp, lib, arrays, env, threads)
+        ran.add("numpy" if lib is None else "c")
     return ExecResult(dense_out, comp, frozenset(ran))
 
 
@@ -1158,12 +1156,6 @@ def _c_operand(a):
     """An access's array in C: a compressed one is named after its buffer,
     since one tensor can have several."""
     return a.tensor if a.layout == "dense" else f"{a.tensor}_{a.buffer_id}"
-
-
-def _c_function(rule, tag):
-    """The name of a plan's C function: tag s<index> for a summand,
-    g<buffer id> for a gather, p<buffer id> for a pack."""
-    return f"{rule.lower()}_{tag}"
 
 
 def _c_signature(params, stmt, share, into=None):

@@ -5,23 +5,23 @@ unpacking scatters a buffer back out, optionally expanding redundant
 positions through a redundancy map.  Each is one copy statement, dense
 T(names) += T_b(names) over the buffer's region (leaf 0 the dense
 row-major offset, leaf 1 the rank), lowered once per (index, axes, buffer
-id, map) and cached on the index (`IndexFunction.copy`), and walked by the
-same blocks of checked indices as `codegen.execute` (`_leaf_blocks`) under
-its env, the binding plus (tensor, axis) extents: a region whose innermost
-level is a plain loop is walked as runs, one checked base per row, and any
-other point by point; pack walks it the other way round (`_copy`).
-Packing a plan's inputs (`build_store`) runs each buffer's copy as the C
-function that the plan's library renders from it (`KernelPlan.packs`)
-where `execute` would run C, and gathering a result's compressed outputs
-runs it as another (`KernelPlan.gathers`) where the result ran on C; each
-runs on that walk otherwise, and the first pack of a plan on C builds or
-loads the library `execute` then calls.  Unpack always walks.  A copy's
-rank and offset are bounded by the same int64 rule as a summand's indices
-(`codegen._check_int64`) before any array is allocated, each rank is
-checked against the compressed array it indexes, each position against
-the shape, and every copy must visit every slot of its buffer.  The
-footprint report prices a registry's layout choices in exact element
-counts.
+id, map) and cached on the index (`IndexFunction.copy`), under the env of
+the binding plus (tensor, axis) extents.  pack, unpack and gather_output
+share one copy driver (`_run_copies`): the int64 rule
+(`codegen._check_int64`, the one a summand's indices obey) bounds every
+copy's rank and offset before the array is allocated, each copy runs by
+codegen's one runner (`_run`) on C or its walk as codegen's one rule
+(`_c_library`) decides, and every copy of a buffer must visit every slot.
+Packing a plan's inputs (`build_store`) runs each buffer's copy as the
+plan's pack (`KernelPlan.packs`) with `execute`'s backend, so the first
+pack of a plan on C builds or loads the library `execute` then calls;
+gathering a result's compressed outputs runs them as its gathers
+(`KernelPlan.gathers`), where the result ran on C ("c" in
+`ExecResult.backends`) by that rule and else on the walk.  pack without a
+plan and unpack, which has none, walk.  Either way each rank is checked
+against the compressed array it indexes and each position against the
+shape.  The footprint report prices a registry's layout choices in exact
+element counts.
 """
 
 from __future__ import annotations
@@ -34,10 +34,9 @@ import numpy as np
 
 # iter_point_chunks is not called here: tracers hook it by this name
 from .codegen import (
-    _AXIS_EXTENT, _C_ELEMENTS, IndexingFault, _c_copy, _c_library, _check_int64,
-    _leaf_blocks, buffer_length, iter_point_chunks,
+    _AXIS_EXTENT, IndexingFault, _c_library, _check_int64, _lowered, _run, buffer_length,
+    iter_point_chunks,
 )
-from .polyhedra import guards_mask
 
 
 @dataclass
@@ -60,55 +59,42 @@ class CompressedBuffer:
     data: np.ndarray
 
 
-def _copy(prog, env, dense, data, into_buffer=False):
-    """Walk a copy program (`IndexFunction.copy`) as `execute` walks a
-    summand, doing dense[offset] = data[rank] on each block, or the reverse
-    `into_buffer`; returns the points it visited.  Every rank is checked
-    against `data` and every position against the dense extents before the
-    block is copied."""
-    visited = 0
-    if prog is not None and guards_mask(prog.guards, {}, env):
-        for (offset, rank), m, _ in _leaf_blocks(prog, env, (dense, data)):
-            visited += m
-            if into_buffer:
-                data[rank] = dense[offset]
-            else:
-                dense[offset] = data[rank]
-    return visited
-
-
-def _check_covered(written, data, tensor):
-    """Raise IndexingFault unless a copy visited every slot of `data`."""
-    if written != len(data):
-        raise IndexingFault(
-            f"{written} of {len(data)} slots of {tensor} visited; "
-            "rank map does not cover the buffer")
+def _run_copies(copies, env, length, dtype, plan=None, backend=None):
+    """Run copies into one new zeroed array of `length` and `dtype`, which
+    each copy (sp, array, tensor) writes from `array`, and return it.  The
+    copies' indices are bounded by the int64 rule before the array is
+    allocated; each runs on C or the walk by one rule (`codegen._c_library`
+    of `plan` and `backend`), and one that names its buffer's `tensor` must
+    visit every slot of that buffer."""
+    _check_int64([sp.program for sp, _, _ in copies], env)
+    out = np.zeros(length, dtype=dtype)
+    for sp, array, tensor in copies:
+        arrays = (array, out) if sp.into else (out, array)
+        visited = _run(sp, _c_library(plan, backend, arrays), arrays, env)
+        if tensor is not None and visited != len(arrays[1]):
+            raise IndexingFault(f"{visited} of {len(arrays[1])} slots of {tensor} visited; "
+                                "rank map does not cover the buffer")
+    return out
 
 
 def pack(tensor, index, binding, axes=None, buffer_id=0, plan=None, backend=None):
     """Gather accessed positions of a dense tensor into rank order.
 
     The copy (`IndexFunction.copy`) runs from the tensor into the buffer:
-    given the `plan` that reads the buffer, as its pack's C function
-    (`KernelPlan.packs`) where `backend` allows, as `execute`'s does (gcc
-    on PATH, float64 or int64 data, contiguous), else on the copy walk.
-    The rank map is a bijection onto [0, size), so every compressed slot
-    is written exactly once; a rank or coordinate out of range, or a rank
-    that could overflow int64, aborts rather than wrap.
+    given the `plan` that reads the buffer, as its pack (`KernelPlan.packs`)
+    on C where `backend` and the arrays allow (`codegen._c_library`), else
+    on the copy walk.  The rank map is a bijection onto [0, size), so every
+    compressed slot is written exactly once; a rank or coordinate out of
+    range, or a rank that could overflow int64, aborts rather than wrap.
     """
     axes = tuple(range(len(tensor.shape))) if axes is None else axes
-    prog, binding = index.copy(axes, buffer_id), {p: int(v) for p, v in binding.items()}
+    binding = {p: int(v) for p, v in binding.items()}
+    sp = plan.packs[buffer_id] if plan is not None else _lowered(
+        "", *index.lowered_copy(axes, buffer_id), False, 1)
     env = {**binding, **{(index.tensor, a): e for a, e in enumerate(tensor.shape)}}
-    _check_int64([prog], env)
-    length = buffer_length(index, binding)
-    out = np.zeros(length, dtype=tensor.data.dtype)
-    if plan is not None and tensor.data.flags.c_contiguous \
-            and _c_library(plan, out.dtype, backend) is not None:
-        visited = _c_copy(plan, buffer_id, tensor.data, out, env, into_buffer=True)
-    else:
-        visited = _copy(prog, env, tensor.data, out, into_buffer=True)
-    _check_covered(visited, out, index.tensor)
-    return CompressedBuffer(buffer_id, length, out)
+    out = _run_copies([(sp, tensor.data, index.tensor)], env, buffer_length(index, binding),
+                      tensor.data.dtype, plan, backend)
+    return CompressedBuffer(buffer_id, len(out), out)
 
 
 def unpack(buf, index, shape, binding, axes=None, redmap=None):
@@ -122,17 +108,16 @@ def unpack(buf, index, shape, binding, axes=None, redmap=None):
     """
     shape = tuple(int(e) for e in shape)
     axes = tuple(range(len(shape))) if axes is None else axes
-    prog = index.copy(axes, buf.id)
-    mapped = None if redmap is None else index.copy(axes, buf.id, redmap)
+    copies = [(_lowered("", *index.lowered_copy(axes, buf.id), False, 0),
+               buf.data, index.tensor)]
+    if redmap is not None:   # no coverage: the map need not reach every slot
+        copies.append((_lowered("", *index.lowered_copy(axes, buf.id, redmap), False, 0),
+                       buf.data, None))
     env = {**{p: int(v) for p, v in binding.items()},
            **{(index.tensor, a): e for a, e in enumerate(shape)},
            # the map's nest reads each axis's extent by axis
            **{_AXIS_EXTENT.format(a): e for a, e in enumerate(shape)}}
-    _check_int64([prog, mapped], env)
-    out = np.zeros(math.prod(shape), dtype=buf.data.dtype)
-    _check_covered(_copy(prog, env, out, buf.data), buf.data, index.tensor)
-    _copy(mapped, env, out, buf.data)
-    return DenseTensor(shape, out)
+    return DenseTensor(shape, _run_copies(copies, env, math.prod(shape), buf.data.dtype))
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +128,7 @@ def build_store(plan, tensors, binding, backend=None):
     flat dense arrays keyed by tensor name.  Each buffer is packed by
     `pack` through the plan, on C or the walk as `backend` chooses
     (`execute`'s argument, with its meaning)."""
-    _c_library(plan, None, backend)   # an unknown backend, or "c" without gcc, raises
+    _c_library(plan, backend, ())   # an unknown backend, or "c" without gcc, raises
     inputs = [a for sp in plan.summands for a in sp.statement.inputs]
     store = {}
     for bid in sorted({a.buffer_id for a in inputs if a.layout == "compressed"}):
@@ -159,32 +144,24 @@ def gather_output(plan, result, shape, binding):
     """Collect an ExecResult into one dense tensor for the rule output.
 
     Each compressed output buffer is copied to its positions by its
-    index's copy (`IndexFunction.copy`): where the result ran on C ("c" in
-    its `backends`), as its gather's C function (`codegen._c_copy`),
-    else on the copy walk.  Either way the copy is bounded by the int64
-    rule before the output is allocated, each rank is checked against the
-    buffer and each position against `shape`, and every slot of the buffer
-    must be visited.
+    gather (`KernelPlan.gathers`): where the result ran on C ("c" in its
+    `backends`) by the rule `execute` follows (`codegen._c_library`), else
+    on the copy walk.  Either way the copies are bounded by the int64 rule
+    before the output is allocated, each rank is checked against the
+    buffer and each position against `shape`, and every slot of each
+    buffer must be visited.
     """
     shape = tuple(int(e) for e in shape)
     if result.dense is not None:
         return DenseTensor(shape, result.dense)
-    bufs, buffers = sorted(result.compressed.items()), plan.registry.buffers
-    dtype = bufs[0][1].dtype   # C reads every buffer as this dtype, contiguous
-    on_c = "c" in result.backends and dtype in _C_ELEMENTS and all(
-        d.dtype == dtype and d.flags.c_contiguous for _, d in bufs)
+    bufs = sorted(result.compressed.items())
     env = {**{p: int(v) for p, v in binding.items()},
            **{(plan.rule, a): e for a, e in enumerate(shape)}}
-    progs = {bid: buffers[bid].index.copy(buffers[bid].axes, bid) for bid, _ in bufs}
-    _check_int64(progs.values(), env)
-    total = np.zeros(math.prod(shape), dtype=dtype)
     # output buffers are disjoint, or the registry would have demoted the
     # tensor: each position is written by one buffer at most
-    for bid, data in bufs:
-        visited = (_c_copy(plan, bid, total, data, env) if on_c
-                   else _copy(progs[bid], env, total, data))
-        _check_covered(visited, data, buffers[bid].tensor)
-    return DenseTensor(shape, total)
+    copies = [(plan.gathers[bid], data, plan.registry.buffers[bid].tensor) for bid, data in bufs]
+    return DenseTensor(shape, _run_copies(copies, env, math.prod(shape), bufs[0][1].dtype, plan,
+                                          None if "c" in result.backends else "numpy"))
 
 
 # ---------------------------------------------------------------------------

@@ -234,9 +234,13 @@ class TestRun:
     @pytest.mark.parametrize("command", ["run", "bench"])
     def test_backend_numpy_packs_on_the_walk(self, command, monkeypatch, capsys):
         # --backend reaches build_store: no copy, pack or gather, runs on C
-        def no_c(*args, **kwargs):
-            raise AssertionError("a copy ran on C")
-        monkeypatch.setattr(runtime, "_c_copy", no_c)
+        real = runtime._run
+
+        def no_c(sp, lib, *args):
+            if lib is not None:
+                raise AssertionError("a copy ran on C")
+            return real(sp, lib, *args)
+        monkeypatch.setattr(runtime, "_run", no_c)
         assert run_cli(command, "--kernel", "SpMV_UT", "--dtype", "i64",
                        "--backend", "numpy") == 0
         assert "PASS" in capsys.readouterr().out

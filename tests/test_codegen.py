@@ -1434,11 +1434,15 @@ class TestEmitCMatchesReference:
 
     def test_other_dtypes_walk_numpy(self, monkeypatch):
         # float32 has no C build: it runs on the NumPy walk, also for "c"
-        def no_c(*args):
-            raise AssertionError("a C function was called")
+        real = codegen._run
+
+        def no_c(sp, lib, *args):
+            if lib is not None:
+                raise AssertionError("a C function was called")
+            return real(sp, lib, *args)
         plan, store, shapes, binding = default_run("SpMV_UT", "input+output", dtype=np.float32)
         want = execute(plan, store, shapes, binding, dtype=np.float32, backend="numpy")
-        monkeypatch.setattr(codegen, "_run_c", no_c)
+        monkeypatch.setattr(codegen, "_run", no_c)
         assert same_result(execute(plan, store, shapes, binding, dtype=np.float32,
                                    backend="c"), want)
 
@@ -1458,13 +1462,14 @@ class TestLibraryCache:
         return run, execute(*run, dtype=np.int64, backend="numpy")
 
     def calls_c(self, monkeypatch):
-        """Record each C call; returns the list."""
-        calls, real = [], codegen._run_c
+        """Record each run on C; returns the list."""
+        calls, real = [], codegen._run
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-        monkeypatch.setattr(codegen, "_run_c", counted)
+        def counted(sp, lib, *args):
+            if lib is not None:
+                calls.append((sp, lib, *args))
+            return real(sp, lib, *args)
+        monkeypatch.setattr(codegen, "_run", counted)
         return calls
 
     def test_no_compiler_default_walks_numpy(self, fresh, tmp_path, monkeypatch):

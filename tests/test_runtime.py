@@ -622,15 +622,17 @@ class TestStoreAssembly:
                     assert g.program is buf.index.copy(buf.axes, b), (name, level, b)
 
 
-def record(monkeypatch, name):
-    """Record each call of runtime's `name`; returns the list."""
-    calls, real = [], getattr(runtime, name)
+def record(monkeypatch):
+    """Record each run of a summand or a copy (`codegen._run`, as `execute`
+    and runtime call it); returns the lists (on C, walked)."""
+    on_c, walked, real = [], [], codegen._run
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(runtime, name, counted)
-    return calls
+    def counted(sp, lib, *args):
+        (walked if lib is None else on_c).append((sp, lib, *args))
+        return real(sp, lib, *args)
+    for module in (codegen, runtime):
+        monkeypatch.setattr(module, "_run", counted)
+    return on_c, walked
 
 
 def builtin_case(name, dtype, n=None):
@@ -658,7 +660,7 @@ class TestGather:
         program, rule, binding, shapes, tensors = builtin_case(name, dtype)
         want = reference_execute(program, rule, shapes,
                                  {t: x.data for t, x in tensors.items()}, binding, dtype)
-        on_c, walked = record(monkeypatch, "_c_copy"), record(monkeypatch, "_copy")
+        on_c, walked = record(monkeypatch)
         for level in ("none", "input", "input+output"):
             plan = build_plan(program, rule, level)
             store = build_store(plan, tensors, binding)
@@ -738,7 +740,7 @@ class TestGather:
         res = execute(plan, build_store(plan, tensors, binding), shapes, binding,
                       dtype=np.float32)
         assert res.backends == {"numpy"}
-        on_c = record(monkeypatch, "_c_copy")
+        on_c, _ = record(monkeypatch)
         want = gather_output(plan, res, shapes[rule], binding)
         got = gather_output(plan, replace(res, backends=frozenset({"c"})), shapes[rule],
                             binding)
@@ -759,14 +761,15 @@ def signed_values(rng, n, dtype):
 class TestPackOnC:
     """`pack` given a plan copies each input buffer by its C function
     (`KernelPlan.packs`) where `execute` would run C, and on the walk
-    otherwise; `build_store` packs through the plan."""
+    otherwise; `build_store` packs through the plan, and it, `execute`
+    and `gather_output` pick C or the walk by one rule."""
 
     @needs_gcc
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_matches_walk(self, dtype, monkeypatch):
         # every input buffer of the oracle cases: bitwise the walk's, -0.0
         # included, or the walk's IndexingFault message
-        on_c, walked = record(monkeypatch, "_c_copy"), record(monkeypatch, "_copy")
+        on_c, walked = record(monkeypatch)
         rng = np.random.default_rng(29)
         seen, faults = set(), 0
         for label, plan, b, binding, shape in oracle_cases():
@@ -804,7 +807,7 @@ class TestPackOnC:
         # by default every input buffer packs on C, with "numpy" on the
         # walk, bitwise alike
         program, rule, binding, shapes, tensors = builtin_case(name, np.float64)
-        on_c, walked = record(monkeypatch, "_c_copy"), record(monkeypatch, "_copy")
+        on_c, walked = record(monkeypatch)
         for level in ("none", "input", "input+output"):
             plan = build_plan(program, rule, level)
             stores = {}
@@ -819,21 +822,71 @@ class TestPackOnC:
                     assert np.array_equal(data.view(np.int64),
                                           stores[backend][k].view(np.int64)), (level, k)
 
-    @pytest.mark.parametrize("why", ["no gcc", "float32", "numpy", "strided"])
-    def test_walks_where_c_does_not_run(self, why, tmp_path, monkeypatch):
-        program, rule, binding, shapes, tensors = builtin_case(
-            "SpMV_UT", np.float32 if why == "float32" else np.float64)
-        plan = build_plan(program, rule, "input")
+    def callers(self, why, tmp_path, monkeypatch):
+        """SpMV_UT packed at both ends through build_store, execute and
+        gather_output, as `why` has it: per caller, the runs it made (on
+        C, walked) and what it returned; and the same three all on the
+        walk."""
+        dtype = {"float32": np.float32, "i64": np.int64}.get(why, np.float64)
+        program, rule, binding, shapes, tensors = builtin_case("SpMV_UT", dtype)
+        plan = build_plan(program, rule, "input+output")
+        store = build_store(plan, tensors, binding, backend="numpy")
+        res = execute(plan, store, shapes, binding, dtype=dtype, backend="numpy")
+        want = [store, res, gather_output(plan, res, shapes[rule], binding).data]
         if why == "no gcc":
             monkeypatch.setenv("PATH", str(tmp_path))
-        if why == "strided":   # the same values, every other one of a longer array
-            tensors = {t: DenseTensor(x.shape, np.repeat(x.data, 2)[::2])
-                       for t, x in tensors.items()}
-        want = build_store(plan, tensors, binding, backend="numpy")
-        on_c, walked = record(monkeypatch, "_c_copy"), record(monkeypatch, "_copy")
-        got = build_store(plan, tensors, binding, backend="numpy" if why == "numpy" else None)
-        assert on_c == [] and len(walked) == len(plan.packs) > 0
-        assert all(np.array_equal(got[k], want[k]) for k in want)
+        backend = "numpy" if why == "numpy" else None
+
+        def strided(x):   # the same values, every other one of a longer array
+            return np.repeat(x, 2)[::2] if why == "strided" else x
+        tensors = {t: DenseTensor(x.shape, strided(x.data)) for t, x in tensors.items()}
+        on_c, walked = record(monkeypatch)
+        runs, got = [], []
+
+        def ran(result):
+            runs.append((len(on_c), len(walked)))
+            got.append(result)
+            del on_c[:], walked[:]
+        ran(build_store(plan, tensors, binding, backend=backend))
+        store = {k: strided(x) for k, x in got[0].items()}
+        ran(execute(plan, store, shapes, binding, dtype=dtype, backend=backend))
+        # but for backend "numpy", a result that claims to have run on C:
+        # the gather's own rule decides
+        res = got[1] if why == "numpy" else replace(
+            got[1], compressed={k: strided(x) for k, x in got[1].compressed.items()},
+            backends=frozenset({"c"}))
+        ran(gather_output(plan, res, shapes[rule], binding).data)
+        return plan, runs, got, want
+
+    @pytest.mark.parametrize("why", ["no gcc", "float32", "numpy", "strided"])
+    def test_walks_where_c_does_not_run(self, why, tmp_path, monkeypatch):
+        # each caller walks every copy or summand, bitwise as all-walk does
+        plan, runs, got, want = self.callers(why, tmp_path, monkeypatch)
+        assert runs == [(0, len(plan.packs)), (0, len(plan.summands)), (0, len(plan.gathers))]
+        assert len(plan.packs) > 0 and len(plan.gathers) > 0
+        assert got[1].backends == {"numpy"}
+        assert all(np.array_equal(got[0][k], want[0][k]) for k in want[0])
+        assert all(np.array_equal(got[1].compressed[k], want[1].compressed[k])
+                   for k in want[1].compressed)
+        assert np.array_equal(got[2], want[2])
+
+    @needs_gcc
+    @pytest.mark.parametrize("why", ["f64", "i64"])
+    def test_runs_on_c_with_gcc(self, why, tmp_path, monkeypatch):
+        # each caller runs every copy or summand on C; its results equal the
+        # walk's: bitwise for copies and on i64, within rounding on f64
+        plan, runs, got, want = self.callers(why, tmp_path, monkeypatch)
+        assert runs == [(len(plan.packs), 0), (len(plan.summands), 0), (len(plan.gathers), 0)]
+        assert got[1].backends == {"c"}
+        assert all(np.array_equal(got[0][k].view(np.int64), want[0][k].view(np.int64))
+                   for k in want[0])
+
+        def close(a, b):
+            return np.array_equal(a, b) if why == "i64" else np.allclose(a, b, rtol=1e-12,
+                                                                         atol=1e-12)
+        assert all(close(got[1].compressed[k], want[1].compressed[k])
+                   for k in want[1].compressed)
+        assert close(got[2], want[2])
 
     def test_backend_c_without_gcc_raises(self, tmp_path, monkeypatch):
         program, rule, binding, shapes, tensors = builtin_case("SpMV_UT", np.float64)
