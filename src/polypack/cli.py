@@ -191,7 +191,10 @@ def _verify(got, ref, dtype):
 
 
 def _corrupt_store(store):
-    # negative control: damage packed values, which must surface as FAIL
+    # negative control: damage packed values, which must surface as FAIL.
+    # Out of place: a buffer that is its tensor (`runtime.aliases`) is the
+    # caller's input array, which the reference reads too, so damage done
+    # in place would reach both sides and verify
     for key in sorted(k for k in store if isinstance(k, int)):
         if len(store[key]):
             store[key] = store[key] + 1

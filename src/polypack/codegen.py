@@ -28,8 +28,8 @@ to once per row.  Any other level is walked point by point, and equal
 output indices next to each other are summed first.
 Every copy between a buffer and its dense tensor is one statement,
 dense T += T_b over the buffer's region (`copy_statement`), lowered once
-per buffer (`IndexFunction.copy`); a compressed output's gather renders
-it as one more C function (`KernelPlan.gathers`), and a compressed
+per buffer (`IndexFunction.lowered_copy`); a compressed output's gather
+renders it as one more C function (`KernelPlan.gathers`), and a compressed
 input's pack renders it the other way round (`KernelPlan.packs`); a copy
 assigns, on C as on the walk, since it writes each slot once.
 `build_plan` renders each summand's lowered program once as C
@@ -515,10 +515,10 @@ class KernelPlan:
     @cached_property
     def gathers(self):
         """{buffer id: SummandPlan} per compressed output buffer b: its
-        index's copy (`IndexFunction.copy`, dense T(names) = T_b(names)
-        over b's region), rendered as the C function `<rule>_g<b>`, which
-        counts its points.  Rendered on first use, so that `build_plan`
-        does not pay for them."""
+        index's copy (`IndexFunction.lowered_copy`, dense T(names) =
+        T_b(names) over b's region), rendered as the C function
+        `<rule>_g<b>`, which counts its points.  Rendered on first use, so
+        that `build_plan` does not pay for them."""
         return self._copies([sp.statement.output for sp in self.summands], "g", 0)
 
     @cached_property

@@ -12,12 +12,15 @@ loop level, so each part is computed at the outermost level it can be.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property
 
-from .counting import count_points, fuse_piecewise, pqp_add, pqp_constant
+from .counting import QuasiPolynomial, count_points, fuse_piecewise, pqp_add, pqp_constant
 from .polyhedra import (
-    AccessMap, AffineExpr, Polyhedron, _empty_cache, _rationally_infeasible,
-    ge, image, implies, iteration_space, preceding_slices,
+    GE0, AccessMap, AffineExpr, Polyhedron, _empty_cache, _rationally_infeasible,
+    ge, image, implies, int_form, iteration_space, preceding_slices,
 )
 
 
@@ -29,11 +32,17 @@ class IndexFunction:
     accessed: Polyhedron
     rank: object   # PiecewiseQuasiPolynomial over accessed.dims + params
     size: object   # PiecewiseQuasiPolynomial over params only
+    # the alias proof (`identity_extents`): per tensor axis, the
+    # AffineExprs over params whose least is the axis's extent; None
+    # without a proof
+    extents: tuple = None
 
-    def copy(self, axes, bid, redmap=None):
-        """The `_Program` of `codegen.copy_statement` for buffer `bid`, None
-        when the region is empty."""
-        return self.lowered_copy(axes, bid, redmap)[2]
+    @cached_property
+    def int_extents(self):
+        """`extents` as integer polys (`polyhedra.int_form`), which
+        `poly_values` evaluates: each bound is a normalized integer row's,
+        so its scale is 1."""
+        return tuple(tuple(int_form(u)[1] for u in us) for us in self.extents)
 
     def lowered_copy(self, axes, bid, redmap=None):
         """(nest, statement, program) of a copy, lowered once per (axes,
@@ -68,6 +77,48 @@ def symbolic_indexing(accessed, tensor):
     rank = fuse_piecewise(total)
     size = count_points(accessed, context=_positivity(accessed.params))
     return IndexFunction(tensor, accessed, rank, size)
+
+
+def identity_extents(index, axes, order):
+    """The alias proof of a buffer of a tensor of `order` axes whose region
+    dim p reads tensor axis axes[p], or None.
+
+    It holds where the axes are in order, the region lies in a box
+    0 <= x_a <= U_a - 1 with each U_a over params only, and every rank
+    piece is the row-major offset over the box, sum_a x_a * prod_{b>a} U_b,
+    as a polynomial identity (never sampled).  It returns, per axis, the
+    bounds U_a whose least is the axis's extent: the first axis's is not in
+    the offset, so it keeps every bound the region has (SpMV_UT's A lies
+    below n_i and n_j), and each later axis keeps the one the identity holds
+    with.  At a binding where every extent is the tensor's and the buffer
+    holds as many values as the tensor (`runtime.aliases`), the region is
+    the whole box, and the buffer is the tensor in row-major order.
+    """
+    region = index.accessed
+    if axes != tuple(range(order)):
+        return None
+    bounds = []
+    for d in region.dims:
+        x = AffineExpr.var(d)
+        ups = tuple(c.expr + x + AffineExpr.constant(1) for c in region.constraints
+                    if c.kind == GE0 and c.expr.coeff(d) == -1
+                    and c.variables() - {d} <= set(region.params))
+        if not ups:
+            return None
+        bounds.append(ups)
+    xs = [QuasiPolynomial.var(d) for d in region.dims]
+
+    def row_major(later):
+        us = [QuasiPolynomial.from_affine(u) for u in later]
+        offset = sum((x * math.prod(us[a:], start=QuasiPolynomial.constant(1))
+                      for a, x in enumerate(xs)), QuasiPolynomial())
+        return all(poly == offset for _, poly in index.rank.pieces)
+    # the lower bounds last: `implies` is the dearest test
+    later = next(filter(row_major, itertools.product(*bounds[1:])), None)
+    if later is None or not all(implies(region.constraints, ge(AffineExpr.var(d)))
+                                for d in region.dims):
+        return None
+    return (*bounds[:1], *((u,) for u in later))
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +183,12 @@ class BufferRegistry:
                 continue
             order = b.accessed.dims
             domain = " and ".join(str(c) for c in b.accessed.constraints)
+            alias = "" if b.index.extents is None else " alias=({})".format(", ".join(
+                str(us[0]) if len(us) == 1 else f"min({', '.join(map(str, us))})"
+                for us in b.index.extents))
             lines.append(
                 f"tensor={b.tensor} id={b.id} size={b.index.size.to_str(order)} "
-                f"rank={b.index.rank.to_str(order)} domain={domain}")
+                f"rank={b.index.rank.to_str(order)} domain={domain}{alias}")
         return "\n".join(lines)
 
 
@@ -143,20 +197,27 @@ def build_registry(summands):
 
     Equal regions share; unequal regions of one tensor must be provably
     disjoint or the tensor is demoted to a dense layout for all accesses
-    (reason "partial-overlap").  Index functions are only computed for
-    regions that survive as compressed buffers.  The emptiness cache is
-    cleared first, so it holds one build's systems at most.
+    (reason "partial-overlap").  A tensor with an access region that FM
+    projected inexactly (`Polyhedron.exact` unset: the region may hold
+    points no iteration reaches) is demoted too (reason
+    "inexact-projection").  Index functions, each with its alias proof
+    (`identity_extents`), are only computed for regions that survive as
+    compressed buffers.  The emptiness cache is cleared first, so it holds
+    one build's systems at most.
     """
     _empty_cache.clear()
     drafts = []      # per future buffer: dict of the data needed later
     assignment = {}
     by_tensor = {}
+    demoted = {}     # tensor -> reason
 
     for si, s in enumerate(summands):
         space = iteration_space(s)
         slots = [("out", s.output)] + [(f"in{k}", a) for k, a in enumerate(s.inputs)]
         for slot, acc in slots:
             img = image(space, AccessMap.from_indices(space.dims, acc.index_names))
+            if not img.exact:
+                demoted[acc.tensor] = "inexact-projection"
             canon = _canonical_region(img, acc.index_names)
             hit = None
             for bi in by_tensor.get(acc.tensor, []):
@@ -168,17 +229,17 @@ def build_registry(summands):
                 drafts.append({
                     "tensor": acc.tensor, "img": img, "canon": canon,
                     "axes": tuple(acc.index_names.index(d) for d in img.dims),
+                    "order": len(acc.index_names),
                 })
                 by_tensor.setdefault(acc.tensor, []).append(hit)
             assignment[(si, slot)] = hit
 
-    demoted = set()
     for tensor, idxs in by_tensor.items():
         for x in range(len(idxs)):
             for y in range(x + 1, len(idxs)):
                 a, b = drafts[idxs[x]]["canon"], drafts[idxs[y]]["canon"]
                 if a.dims != b.dims or not regions_disjoint(a, b):
-                    demoted.add(tensor)
+                    demoted.setdefault(tensor, "partial-overlap")
 
     buffers = []
     remap = {}
@@ -189,10 +250,11 @@ def build_registry(summands):
                 dense_id[d["tensor"]] = len(buffers)
                 buffers.append(Buffer(
                     id=len(buffers), tensor=d["tensor"], layout="dense",
-                    accessed=None, axes=None, index=None, reason="partial-overlap"))
+                    accessed=None, axes=None, index=None, reason=demoted[d["tensor"]]))
             remap[bi] = dense_id[d["tensor"]]
             continue
         ix = symbolic_indexing(d["img"], d["tensor"])
+        ix = replace(ix, extents=identity_extents(ix, d["axes"], d["order"]))
         remap[bi] = len(buffers)
         buffers.append(Buffer(
             id=len(buffers), tensor=d["tensor"], layout="compressed",

@@ -5,9 +5,9 @@ unpacking scatters a buffer back out, optionally expanding redundant
 positions through a redundancy map.  Each is one copy statement, dense
 T(names) += T_b(names) over the buffer's region (leaf 0 the dense
 row-major offset, leaf 1 the rank), lowered once per (index, axes, buffer
-id, map) and cached on the index (`IndexFunction.copy`), under the env of
-the binding plus (tensor, axis) extents.  pack, unpack and gather_output
-share one copy driver (`_run_copies`): the int64 rule
+id, map) and cached on the index (`IndexFunction.lowered_copy`), under the
+env of the binding plus (tensor, axis) extents.  pack, unpack and
+gather_output share one copy driver (`_run_copies`): the int64 rule
 (`codegen._check_int64`, the one a summand's indices obey) bounds every
 copy's rank and offset before the array is allocated, each copy runs by
 codegen's one runner (`_run`) on C or its walk as codegen's one rule
@@ -20,8 +20,16 @@ gathering a result's compressed outputs runs them as its gathers
 `ExecResult.backends`) by that rule and else on the walk.  pack without a
 plan and unpack, which has none, walk.  Either way each rank is checked
 against the compressed array it indexes and each position against the
-shape.  The footprint report prices a registry's layout choices in exact
-element counts.
+shape.  No copy runs for a buffer that is its tensor in row-major order
+(`aliases`): the registry proves, once per buffer, that its region lies
+in a box from 0 whose extents read parameters only and that its rank is
+the row-major offset over that box (`indexing.identity_extents`); a call
+checks in integers that each extent is the tensor's and that the buffer
+holds as many values as the tensor, so the region is the whole box.
+There `build_store` puts the tensor's own flat array in the store, and
+`gather_output` returns a lone such output buffer as the output.  The
+footprint report prices a registry's layout choices in exact element
+counts.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ from .codegen import (
     _AXIS_EXTENT, IndexingFault, _c_library, _check_int64, _lowered, _run, buffer_length,
     iter_point_chunks,
 )
+from .polyhedra import poly_values
 
 
 @dataclass
@@ -80,12 +89,13 @@ def _run_copies(copies, env, length, dtype, plan=None, backend=None):
 def pack(tensor, index, binding, axes=None, buffer_id=0, plan=None, backend=None):
     """Gather accessed positions of a dense tensor into rank order.
 
-    The copy (`IndexFunction.copy`) runs from the tensor into the buffer:
-    given the `plan` that reads the buffer, as its pack (`KernelPlan.packs`)
-    on C where `backend` and the arrays allow (`codegen._c_library`), else
-    on the copy walk.  The rank map is a bijection onto [0, size), so every
-    compressed slot is written exactly once; a rank or coordinate out of
-    range, or a rank that could overflow int64, aborts rather than wrap.
+    The copy (`IndexFunction.lowered_copy`) runs from the tensor into the
+    buffer: given the `plan` that reads the buffer, as its pack
+    (`KernelPlan.packs`) on C where `backend` and the arrays allow
+    (`codegen._c_library`), else on the copy walk.  The rank map is a
+    bijection onto [0, size), so every compressed slot is written exactly
+    once; a rank or coordinate out of range, or a rank that could overflow
+    int64, aborts rather than wrap.
     """
     axes = tuple(range(len(tensor.shape))) if axes is None else axes
     binding = {p: int(v) for p, v in binding.items()}
@@ -100,11 +110,11 @@ def pack(tensor, index, binding, axes=None, buffer_id=0, plan=None, backend=None
 def unpack(buf, index, shape, binding, axes=None, redmap=None):
     """Scatter a compressed buffer back into a dense tensor.
 
-    The buffer's copy (`IndexFunction.copy`, keyed by `buf.id`) is walked
-    from the buffer into the tensor.  Positions off the accessed set stay
-    zero unless a redundancy map sends them to a stored position (the copy
-    through the map); an image outside the accessed set or between integer
-    positions raises IndexingFault before any wrong slot is read.
+    The buffer's copy (`IndexFunction.lowered_copy`, keyed by `buf.id`) is
+    walked from the buffer into the tensor.  Positions off the accessed set
+    stay zero unless a redundancy map sends them to a stored position (the
+    copy through the map); an image outside the accessed set or between
+    integer positions raises IndexingFault before any wrong slot is read.
     """
     shape = tuple(int(e) for e in shape)
     axes = tuple(range(len(shape))) if axes is None else axes
@@ -123,18 +133,39 @@ def unpack(buf, index, shape, binding, axes=None, redmap=None):
 # ---------------------------------------------------------------------------
 # Store assembly around an execution plan
 
+def aliases(index, shape, binding):
+    """Whether a buffer is its tensor of `shape` in row-major order at an
+    int binding: its index has an alias proof (`IndexFunction.extents`),
+    each axis's extent is the shape's, and the buffer holds as many values
+    as the shape.  The proof puts the region in the box of the extents,
+    and a region as large as its box is the box, so the rank is the
+    row-major offset and a copy either way would move every value to the
+    slot it came from."""
+    return (index.extents is not None and len(index.extents) == len(shape)
+            and all(min(poly_values(u, {}, binding) for u in us) == e
+                    for us, e in zip(index.int_extents, shape))
+            and buffer_length(index, binding) == math.prod(shape))
+
+
 def build_store(plan, tensors, binding, backend=None):
     """Pack what a kernel plan reads: compressed slots keyed by buffer id,
-    flat dense arrays keyed by tensor name.  Each buffer is packed by
+    flat dense arrays keyed by tensor name.  A buffer that is its tensor
+    (`aliases`) is the tensor's flat array, not a copy, so the store may
+    share memory with the caller's inputs; each other buffer is packed by
     `pack` through the plan, on C or the walk as `backend` chooses
     (`execute`'s argument, with its meaning)."""
     _c_library(plan, backend, ())   # an unknown backend, or "c" without gcc, raises
+    binding = {p: int(v) for p, v in binding.items()}
     inputs = [a for sp in plan.summands for a in sp.statement.inputs]
     store = {}
     for bid in sorted({a.buffer_id for a in inputs if a.layout == "compressed"}):
         b = plan.registry.buffers[bid]
-        store[bid] = pack(tensors[b.tensor], b.index, binding, axes=b.axes,
-                          buffer_id=bid, plan=plan, backend=backend).data
+        t = tensors[b.tensor]
+        if aliases(b.index, t.shape, binding):
+            store[bid] = np.ascontiguousarray(t.data)
+        else:
+            store[bid] = pack(t, b.index, binding, axes=b.axes, buffer_id=bid, plan=plan,
+                              backend=backend).data
     for t in sorted({a.tensor for a in inputs if a.layout == "dense"}):
         store[t] = np.ascontiguousarray(tensors[t].data)
     return store
@@ -143,8 +174,11 @@ def build_store(plan, tensors, binding, backend=None):
 def gather_output(plan, result, shape, binding):
     """Collect an ExecResult into one dense tensor for the rule output.
 
-    Each compressed output buffer is copied to its positions by its
-    gather (`KernelPlan.gathers`): where the result ran on C ("c" in its
+    A dense result, or a lone compressed output buffer that is the output
+    (`aliases`) and holds its full length, is returned as it is: the
+    tensor may be the result's own buffer.  Otherwise each compressed
+    output buffer is copied to its positions by its gather
+    (`KernelPlan.gathers`): where the result ran on C ("c" in its
     `backends`) by the rule `execute` follows (`codegen._c_library`), else
     on the copy walk.  Either way the copies are bounded by the int64 rule
     before the output is allocated, each rank is checked against the
@@ -155,8 +189,11 @@ def gather_output(plan, result, shape, binding):
     if result.dense is not None:
         return DenseTensor(shape, result.dense)
     bufs = sorted(result.compressed.items())
-    env = {**{p: int(v) for p, v in binding.items()},
-           **{(plan.rule, a): e for a, e in enumerate(shape)}}
+    binding = {p: int(v) for p, v in binding.items()}
+    if len(bufs) == 1 and len(bufs[0][1]) == math.prod(shape) and aliases(
+            plan.registry.buffers[bufs[0][0]].index, shape, binding):
+        return DenseTensor(shape, bufs[0][1])
+    env = {**binding, **{(plan.rule, a): e for a, e in enumerate(shape)}}
     # output buffers are disjoint, or the registry would have demoted the
     # tensor: each position is written by one buffer at most
     copies = [(plan.gathers[bid], data, plan.registry.buffers[bid].tensor) for bid, data in bufs]

@@ -11,7 +11,7 @@ import pytest
 
 import numpy as np
 
-from polypack import native, runtime
+from polypack import cli, native, runtime
 from polypack.cli import BUILTIN_KERNELS, CSV_COLUMNS, derive_shapes, main
 from polypack.codegen import JAM, CodegenError, build_plan, emit_c_files
 from polypack.polyhedra import enumerate_points, iteration_space
@@ -39,6 +39,19 @@ class TestCompile:
         out = capsys.readouterr().out
         assert "size=n_i rank=i" in out
         assert "j = i" in out  # degenerate level shown as an assignment
+
+    def test_marks_alias_proofs_with_their_extents(self, capsys):
+        # B of MTT_J is its tensor wherever its extents are B's shape; C and
+        # D are slices; SpMV_UT's A lies below both n_i and n_j
+        assert run_cli("compile", "--kernel", "MTT_J") == 0
+        marked = [line for line in capsys.readouterr().out.splitlines() if "alias=" in line]
+        assert len(marked) == 1 and marked[0].startswith("tensor=B id=1 ")
+        assert marked[0].endswith(" alias=(n_i, n_k, n_l)")
+        assert run_cli("compile", "--kernel", "SpMV_UT") == 0
+        out = capsys.readouterr().out
+        assert re.search(r"^tensor=A id=0 .* alias=\(min\(n_i, n_j\)\)$", out, re.M)
+        assert re.search(r"^tensor=C id=2 .* alias=\(n_j\)$", out, re.M)
+        assert "tensor=B" in out and len(re.findall("alias=", out)) == 2
 
     def test_ttm_ut_prints_the_linearization_polynomial(self, capsys):
         assert run_cli("compile", "--kernel", "TTM_UT") == 0
@@ -256,6 +269,32 @@ class TestRun:
         assert run_cli("run", "--kernel", "SpMV_UT", "--dtype", "i64",
                        "--seed", "3", "--corrupt-index") == 1
         assert "VERIFY: FAIL" in capsys.readouterr().out
+
+    def test_corrupt_index_leaves_aliased_inputs_alone(self, monkeypatch, capsys):
+        # MTT_J's B, the first compressed key, is its tensor: the store holds
+        # the caller's array, which the damage must not reach, or the
+        # reference would read it too and verify
+        made, stores = [], []
+        real_inputs, real_store = cli._make_inputs, cli.build_store
+
+        def inputs(*args):
+            tensors = real_inputs(*args)
+            made.append((tensors, {t: x.data.copy() for t, x in tensors.items()}))
+            return tensors
+
+        def store(*args, **kwargs):
+            kept = real_store(*args, **kwargs)
+            stores.append(dict(kept))   # as built, before the damage
+            return kept
+        monkeypatch.setattr(cli, "_make_inputs", inputs)
+        monkeypatch.setattr(cli, "build_store", store)
+        assert run_cli("run", "--kernel", "MTT_J", "--compression", "input",
+                       "--corrupt-index") == 1
+        assert "VERIFY: FAIL" in capsys.readouterr().out
+        (tensors, before), = made
+        assert min(k for k in stores[0] if isinstance(k, int)) == 1   # B's buffer
+        assert np.shares_memory(stores[0][1], tensors["B"].data)
+        assert all(np.array_equal(x.data, before[t]) for t, x in tensors.items())
 
     def test_corrupt_index_needs_compressed_inputs(self, capsys):
         assert run_cli("run", "--kernel", "SpMV_UT", "--compression", "none",

@@ -1075,7 +1075,7 @@ class TestRuns:
                 # the per-row reduction rides on runs only; the point walk
                 # sums equal output indices itself
                 progs = [sp.program for sp in plan.summands] + [
-                    b.index.copy(b.axes, b.id) for b in plan.registry.buffers
+                    b.index.lowered_copy(b.axes, b.id)[2] for b in plan.registry.buffers
                     if b.layout == "compressed"]
                 assert all(p is None or p.run is not None or not p.reduce for p in progs), name
             got[name] = [walk_of(sp.program, reduce=True)
@@ -1089,7 +1089,7 @@ class TestRuns:
         for name, kern in BUILTIN_KERNELS.items():
             plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
             for b in plan.registry.buffers:
-                prog = b.index.copy(b.axes, b.id) if b.layout == "compressed" else None
+                prog = b.index.lowered_copy(b.axes, b.id)[2] if b.layout == "compressed" else None
                 if prog is not None and codegen._is_run_level(prog.levels[-1]):
                     assert walk_of(prog) == "run", (name, b.tensor)
                     runs += 1

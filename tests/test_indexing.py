@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polypack.codegen import build_plan, execute, reference_execute
 from polypack.counting import QuasiPolynomial, int_poly
 from polypack.indexing import (
     build_registry, hoist_schedule, regions_equal, symbolic_indexing,
@@ -20,6 +21,7 @@ from polypack.polyhedra import (
     AccessMap, AffineExpr, Polyhedron, enumerate_points, ge, image,
     iteration_space, poly_values,
 )
+from polypack.runtime import DenseTensor, build_store, gather_output
 from polypack.stur import build_compressed_summands, parse_program
 
 from helpers import buffer_for, dense_tensors
@@ -49,6 +51,12 @@ SPMV_D = "A(i)=B(i,j)*C(j); B_U: (0<=i<n_i)*(i=j)"
 LESLIE = """
 A(i) := B(i, j) * C(j)
 B_U(i, j) := (i = 0) * (0 <= j < n_j) + (1 <= i < n_i) * (j = i - 1)
+"""
+
+# The first summand's space is test_integer_core's integer-slack system:
+# x/2 <= y <= (x + 1)/3 has a rational y at x = 1 but no integer one
+SLACK = """
+A(x) := B(x, y) * (0 <= x <= n) * (x <= 2*y) * (3*y <= x + 1) + B(x, y) * (0 <= y <= x) * (x <= n)
 """
 
 
@@ -193,6 +201,44 @@ class TestRegistry:
         assert sorted(b.tensor for b in reg.buffers) == ["A", "B", "C"]
         assert all(b.layout == "compressed" for b in reg.buffers)
 
+    @pytest.mark.parametrize("text, extents", [
+        ("A(i, j) := B(i, j) * (0 <= i < n) * (0 <= j < m)", ((v("n"),), (v("m"),))),
+        # the first axis keeps every bound: its extent is their least
+        ("A(i, j) := B(i, j) * (0 <= i < n) * (i < p) * (0 <= j < m)",
+         ((v("n"), v("p")), (v("m"),))),
+        ("A(i, j) := B(j, i) * (0 <= i < n) * (0 <= j < m)", None),   # axes out of order
+        ("A(i, j) := B(i, j) * (1 <= i < n) * (0 <= j < m)", None),   # the box starts at 1
+        ("A(i, j) := B(i, j) * (0 <= i < n) * (0 <= j <= i)", None),  # a triangle's rank
+        # a row length that is min(m, p): two rank pieces, not one offset
+        ("A(i, j) := B(i, j) * (0 <= i < n) * (0 <= j < m) * (j < p)", None),
+    ])
+    def test_alias_proof(self, text, extents):
+        # B's buffer is proved to be B in row-major order, or not
+        b = buffer_for(build_registry(summands(text)), 0, "in0")
+        assert b.layout == "compressed" and b.index.extents == extents
+
+    def test_inexact_projection_demotes_tensor(self):
+        # A's first region, FM's projection of the slack system onto x,
+        # holds x = 1, which no iteration writes: A is kept dense
+        ss = summands(SLACK)
+        space = iteration_space(ss[0])
+        assert not image(space, AccessMap.from_indices(space.dims, ["x"])).exact
+        reg = build_registry(ss)
+        a = buffer_for(reg, 0, "out")
+        assert (a.layout, a.reason) == ("dense", "inexact-projection")
+        assert buffer_for(reg, 1, "out") is a
+        assert buffer_for(reg, 0, "in0").reason == "partial-overlap"   # B's regions overlap
+        # and the dense plan is right, x = 1 included (B[1, 0] + B[1, 1])
+        program, binding, shapes = parse_program(SLACK), {"n": 7}, {"A": (8,), "B": (8, 8)}
+        data = np.arange(64, dtype=np.int64)
+        plan = build_plan(program, "A")
+        res = execute(plan, build_store(plan, {"B": DenseTensor((8, 8), data)}, binding),
+                      shapes, binding, dtype=np.int64)
+        got = gather_output(plan, res, (8,), binding).data
+        assert got[1] == 17
+        assert np.array_equal(got, reference_execute(program, "A", shapes, {"B": data},
+                                                     binding, np.int64))
+
     def test_leslie_partial_overlap_demotes_tensor(self):
         reg = build_registry(summands(LESLIE))
         assert dense_tensors(reg) == ["C"]
@@ -260,10 +306,12 @@ class TestRegistry:
     def test_dump_golden_spmv_diagonal(self):
         reg = build_registry(summands(SPMV_D))
         assert reg.dump() == (
-            "tensor=A id=0 size=n_i rank=i domain=i >= 0 and -i + n_i - 1 >= 0\n"
+            "tensor=A id=0 size=n_i rank=i domain=i >= 0 and -i + n_i - 1 >= 0 "
+            "alias=(n_i)\n"
             "tensor=B id=1 size=n_i rank=i domain="
             "i >= 0 and -i + n_i - 1 >= 0 and i - j = 0\n"
-            "tensor=C id=2 size=n_i rank=j domain=j >= 0 and -j + n_i - 1 >= 0"
+            "tensor=C id=2 size=n_i rank=j domain=j >= 0 and -j + n_i - 1 >= 0 "
+            "alias=(n_i)"
         )
 
 

@@ -343,7 +343,7 @@ class TestAgainstOracle:
     def test_copy_keeps_int64_bounds(self):
         # pack and unpack bound the rank and the dense offset through the
         # program's int64 bounds, as execute bounds a summand's indices
-        prog = findex(PRISM, "B").copy((0, 1, 2), 0)
+        prog = findex(PRISM, "B").lowered_copy((0, 1, 2), 0)[2]
         assert [t for t, _ in prog.bounds] == ["B", "B"] and prog.crude is not None
 
 
@@ -363,7 +363,7 @@ class TestRuns:
         # take a block of their own
         monkeypatch.setattr(codegen, "BLOCK_POINTS", block)
         f = findex(text, "B")
-        assert f.copy((0, 1), 0).run is not None
+        assert f.lowered_copy((0, 1), 0)[2].run is not None
         data = np.random.default_rng(5).integers(-9, 10, size=math.prod(shape)).astype(dtype)
         want = naive_copy(data, f, shape, binding, (0, 1))
         buf = pack(DenseTensor(shape, data), f, binding)
@@ -619,7 +619,7 @@ class TestStoreAssembly:
                 plan = build_plan(program, kern.rule, level)
                 for b, g in [*plan.gathers.items(), *plan.packs.items()]:
                     buf = plan.registry.buffers[b]
-                    assert g.program is buf.index.copy(buf.axes, b), (name, level, b)
+                    assert g.program is buf.index.lowered_copy(buf.axes, b)[2], (name, level, b)
 
 
 def record(monkeypatch):
@@ -635,15 +635,23 @@ def record(monkeypatch):
     return on_c, walked
 
 
-def builtin_case(name, dtype, n=None):
+def builtin_case(name, dtype, n=None, **extents):
     """(program, rule, binding, shapes, tensors) of a builtin, every n_*
-    symbol at n when given."""
+    symbol at n when given, and each symbol of `extents` at its value."""
     kern = BUILTIN_KERNELS[name]
     binding = {s: n if n and s.startswith("n_") else x for s, x in kern.defaults.items()}
+    binding.update(extents)
     shapes = {t: tuple(binding[s] for s in syms) for t, syms in kern.shapes.items()}
     tensors = {t: random_tensor(shapes[t], 40 + k, dtype)
                for k, t in enumerate(sorted(shapes)) if t != kern.rule}
     return parse_program(kern.text), kern.rule, binding, shapes, tensors
+
+
+def copied(plan, bids, shapes, binding):
+    """The buffers among `bids` that a store or a gather copies: those that
+    are not their tensor at the binding (`runtime.aliases`)."""
+    bufs = [plan.registry.buffers[b] for b in bids]
+    return [b.id for b in bufs if not runtime.aliases(b.index, shapes[b.tensor], binding)]
 
 
 @needs_gcc
@@ -670,7 +678,8 @@ class TestGather:
                 assert res.backends == {backend or "c"}
                 del on_c[:], walked[:]
                 outs[backend] = gather_output(plan, res, shapes[rule], binding).data
-                assert len(walked if backend else on_c) == len(res.compressed)
+                assert len(walked if backend else on_c) == len(
+                    copied(plan, res.compressed, shapes, binding))
                 assert not (on_c if backend else walked)
                 if dtype == np.int64:
                     assert np.array_equal(outs[backend], want), (level, backend)
@@ -814,7 +823,8 @@ class TestPackOnC:
             for backend in (None, "c", "numpy"):
                 del on_c[:], walked[:]
                 stores[backend] = build_store(plan, tensors, binding, backend=backend)
-                assert len(walked if backend == "numpy" else on_c) == len(plan.packs)
+                assert len(walked if backend == "numpy" else on_c) == len(
+                    copied(plan, plan.packs, shapes, binding))
                 assert not (on_c if backend == "numpy" else walked)
             for backend in ("c", "numpy"):
                 assert stores[backend].keys() == stores[None].keys()
@@ -856,13 +866,17 @@ class TestPackOnC:
             got[1], compressed={k: strided(x) for k, x in got[1].compressed.items()},
             backends=frozenset({"c"}))
         ran(gather_output(plan, res, shapes[rule], binding).data)
+        # B packs; A and C are their tensors at n_i = n_j, so neither is
+        # copied (`TestAlias` gathers A at n_i = 9)
+        assert copied(plan, plan.packs, shapes, binding) == [1]
+        assert copied(plan, plan.gathers, shapes, binding) == []
         return plan, runs, got, want
 
     @pytest.mark.parametrize("why", ["no gcc", "float32", "numpy", "strided"])
     def test_walks_where_c_does_not_run(self, why, tmp_path, monkeypatch):
         # each caller walks every copy or summand, bitwise as all-walk does
         plan, runs, got, want = self.callers(why, tmp_path, monkeypatch)
-        assert runs == [(0, len(plan.packs)), (0, len(plan.summands)), (0, len(plan.gathers))]
+        assert runs == [(0, 1), (0, len(plan.summands)), (0, 0)]
         assert len(plan.packs) > 0 and len(plan.gathers) > 0
         assert got[1].backends == {"numpy"}
         assert all(np.array_equal(got[0][k], want[0][k]) for k in want[0])
@@ -876,7 +890,7 @@ class TestPackOnC:
         # each caller runs every copy or summand on C; its results equal the
         # walk's: bitwise for copies and on i64, within rounding on f64
         plan, runs, got, want = self.callers(why, tmp_path, monkeypatch)
-        assert runs == [(len(plan.packs), 0), (len(plan.summands), 0), (len(plan.gathers), 0)]
+        assert runs == [(1, 0), (len(plan.summands), 0), (0, 0)]
         assert got[1].backends == {"c"}
         assert all(np.array_equal(got[0][k].view(np.int64), want[0][k].view(np.int64))
                    for k in want[0])
@@ -894,6 +908,139 @@ class TestPackOnC:
         for level in ("none", "input"):
             with pytest.raises(CodegenError, match="backend 'c' needs a C compiler"):
                 build_store(build_plan(program, rule, level), tensors, binding, backend="c")
+
+
+# (builtin, tensor) whose buffer is the tensor at the builtin's bindings
+ALIASED = {("MTT_J", "B"), ("SpMV_D", "A"), ("SpMV_D", "C"), ("SpMV_UT", "A"),
+           ("SpMV_UT", "C"), ("TTM_DP", "C"), ("TTM_J", "C"), ("TTM_UT", "C")}
+
+
+class TestAlias:
+    """A buffer that is its tensor in row-major order at a call's binding
+    (`runtime.aliases`) is not copied: the store holds the caller's array,
+    and a lone such output buffer is the gathered output."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("name", sorted(BUILTIN_KERNELS))
+    def test_builtins_alias_without_copies(self, name, dtype, monkeypatch):
+        # every level: the copies that run are those of the buffers that do
+        # not alias, and every buffer, aliased or not, is bitwise what an
+        # explicit pack (an input) or unpack (an output) gives
+        program, rule, binding, shapes, tensors = builtin_case(name, dtype)
+        on_c, walked = record(monkeypatch)
+        seen = set()
+        for level in ("none", "input", "input+output"):
+            plan = build_plan(program, rule, level)
+            del on_c[:], walked[:]
+            store = build_store(plan, tensors, binding)
+            packed = copied(plan, plan.packs, shapes, binding)
+            assert [sp for sp, *_ in on_c + walked] == [plan.packs[b] for b in packed], level
+            res = execute(plan, store, shapes, binding, dtype=dtype)
+            del on_c[:], walked[:]
+            out = gather_output(plan, res, shapes[rule], binding).data
+            gathered = copied(plan, res.compressed, shapes, binding)
+            assert [sp for sp, *_ in on_c + walked] == [plan.gathers[b] for b in gathered]
+            for bid in plan.packs:
+                b = plan.registry.buffers[bid]
+                x = tensors[b.tensor]
+                want = pack(x, b.index, binding, axes=b.axes, buffer_id=bid)
+                assert np.array_equal(store[bid].view(np.int64), want.data.view(np.int64))
+                assert np.shares_memory(store[bid], x.data) == (bid not in packed), (level, bid)
+                if bid not in packed:
+                    seen.add(b.tensor)
+            # output buffers are disjoint: their unpacks sum to the output
+            want = np.zeros_like(out)
+            for bid, data in res.compressed.items():
+                b = plan.registry.buffers[bid]
+                want += unpack(CompressedBuffer(bid, len(data), data), b.index, shapes[rule],
+                               binding, axes=b.axes).data
+                assert np.shares_memory(out, data) == (bid not in gathered), (level, bid)
+                if bid not in gathered:
+                    seen.add(b.tensor)
+            if res.compressed:
+                assert np.array_equal(out.view(np.int64), want.view(np.int64)), level
+        assert {(name, t) for t in seen} == {x for x in ALIASED if x[0] == name}
+
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_spmv_ut_with_more_rows_than_columns(self, backend, monkeypatch):
+        # n_i = 9 > n_j = 8: A's buffer holds n_j = 8 values of its 9, so A
+        # is gathered; C's extent is still n_j, so C is its tensor
+        program, rule, binding, shapes, tensors = builtin_case("SpMV_UT", np.int64, n_i=9)
+        plan = build_plan(program, rule, "input+output")
+        a, b, c = (plan.registry.buffers[k] for k in range(3))
+        assert (a.tensor, b.tensor, c.tensor) == ("A", "B", "C")
+        on_c, walked = record(monkeypatch)
+        store = build_store(plan, tensors, binding, backend=backend)
+        assert [sp for sp, *_ in on_c + walked] == [plan.packs[b.id]]
+        assert np.shares_memory(store[c.id], tensors["C"].data)
+        assert not np.shares_memory(store[b.id], tensors["B"].data)
+        res = execute(plan, store, shapes, binding, dtype=np.int64, backend=backend)
+        del on_c[:], walked[:]
+        out = gather_output(plan, res, shapes[rule], binding)
+        assert [sp for sp, *_ in on_c + walked] == [plan.gathers[a.id]]
+        assert len(res.compressed[a.id]) == 8 and len(out.data) == 9
+        assert not np.shares_memory(out.data, res.compressed[a.id])
+        want = reference_execute(program, rule, shapes,
+                                 {t: x.data for t, x in tensors.items()}, binding, np.int64)
+        assert np.array_equal(out.data, want)
+
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_ttm_with_an_extra_column_in_c(self, backend, monkeypatch):
+        # C's shape is (n_k, n_l + 1): its region, the whole (n_k, n_l)
+        # box, is not the whole tensor, so C is packed as before
+        program, rule, binding, shapes, tensors = builtin_case("TTM_J", np.int64)
+        shapes["C"] = (binding["n_k"], binding["n_l"] + 1)
+        tensors["C"] = random_tensor(shapes["C"], 7, np.int64)
+        plan = build_plan(program, rule, "input+output")
+        c = next(b for b in plan.registry.buffers if b.tensor == "C")
+        assert c.index.extents is not None   # it has the proof; the binding fails it
+        on_c, walked = record(monkeypatch)
+        store = build_store(plan, tensors, binding, backend=backend)
+        assert plan.packs[c.id] in [sp for sp, *_ in on_c + walked]
+        assert not np.shares_memory(store[c.id], tensors["C"].data)
+        assert len(store[c.id]) == binding["n_k"] * binding["n_l"]
+        res = execute(plan, store, shapes, binding, dtype=np.int64, backend=backend)
+        out = gather_output(plan, res, shapes[rule], binding)
+        want = reference_execute(program, rule, shapes,
+                                 {t: x.data for t, x in tensors.items()}, binding, np.int64)
+        assert np.array_equal(out.data, want)
+
+    @pytest.mark.parametrize("p, aliased", [(1, False), (3, True)])
+    def test_a_region_empty_at_the_binding_is_not_its_tensor(self, p, aliased):
+        # the region is B's whole box where p >= 3 and empty elsewhere: the
+        # extents match the shape either way, the size only where p >= 3
+        program = parse_program("A(i) := B(i) * (0 <= i < n) * (3 <= p)")
+        plan = build_plan(program, "A", "input+output")
+        binding, shapes = {"n": 5, "p": p}, {"A": (5,), "B": (5,)}
+        b = DenseTensor((5,), np.arange(1, 6, dtype=np.int64))
+        store = build_store(plan, {"B": b}, binding)
+        assert np.shares_memory(store[1], b.data) == aliased
+        assert len(store[1]) == (5 if aliased else 0)
+        res = execute(plan, store, shapes, binding, dtype=np.int64)
+        out = gather_output(plan, res, shapes["A"], binding).data
+        assert np.shares_memory(out, res.compressed[0]) == aliased
+        assert out.tolist() == ([1, 2, 3, 4, 5] if aliased else [0] * 5)
+
+    def test_a_short_output_buffer_is_gathered_and_faults(self):
+        # SpMV_UT's A is its output, but a result whose A buffer lost a slot
+        # is not: its gather finds a rank past the buffer, as before
+        program, rule, binding, shapes, tensors = builtin_case("SpMV_UT", np.int64)
+        plan = build_plan(program, rule, "input+output")
+        res = execute(plan, build_store(plan, tensors, binding), shapes, binding,
+                      dtype=np.int64)
+        res.compressed[0] = res.compressed[0][:-1]
+        with pytest.raises(IndexingFault, match="index out of range for buffer 0 of A$"):
+            gather_output(plan, res, shapes[rule], binding)
+
+    def test_same_count_other_extents_is_packed(self):
+        # C's shape (4, 16) holds as many values as its (8, 8) region, but
+        # its extents are not the region's: C is packed, and the pack finds
+        # l past the shape's second extent
+        program, rule, binding, shapes, tensors = builtin_case("TTM_J", np.int64)
+        tensors["C"] = random_tensor((4, 16), 7, np.int64)
+        plan = build_plan(program, rule, "input+output")
+        with pytest.raises(IndexingFault, match="leaves its dense extent"):
+            build_store(plan, tensors, binding)
 
 
 class TestGenerated:
