@@ -17,15 +17,12 @@ so a size polynomial is evaluated only where an array is allocated (a
 compressed output here, an input in `runtime.pack`); every index must fit
 int64 by its program's bounds, and every dense input must hold its shape's
 values, before anything is allocated.
-An innermost loop without guards whose bounds may read outer vars, and on
-which every index term is degree 1 with a parameter-only coefficient that
-is a multiple of its access's scale, is walked as runs: the expander stops
-at its rows, each access's index on a row is base + step * (j - lo), each
-base is divided exactly and each run's first and last index checked once
-per row, and a block's indices are one `repeat` plus one `arange`
-(`_rows`, `_leaf_blocks`); an output index fixed along every run is added
-to once per row.  Any other level is walked point by point, and equal
-output indices next to each other are summed first.
+The walk expands every point and checks each of its indices
+(`_leaf_blocks`); equal output indices next to each other are summed
+first.  Runs are the C's: an innermost loop without guards on which every
+index term is degree 1 with a parameter-only coefficient that is a
+multiple of its access's scale (`_Program.run`) is emitted as one checked
+base per row and an unchecked inner loop.
 Every copy between a buffer and its dense tensor is one statement,
 dense T += T_b over the buffer's region (`copy_statement`), lowered once
 per buffer (`IndexFunction.lowered_copy`); a compressed output's gather
@@ -326,12 +323,8 @@ def _expand(levels, cols, n, env, k=0):
     coefs = [(col, e, poly_values(p, cols, env)) for col, e, p in lv.terms]
     names = cols if lv.keep is None else lv.keep
     lo, counts = _ranges(lv, cols, n, env)
-    # a single-valued level whose frontier fits is one block of its own rows
-    single = lv.single and n <= BLOCK_POINTS
-    for s, e, starts, m in ((0, n, None, n),) if single else _row_blocks(counts, n):
-        if single:   # point p is row p
-            rows, x = None, _column(lo, n)
-        elif e - s == 1:   # one row: its values in every column broadcast
+    for s, e, starts, m in _row_blocks(counts, n):
+        if e - s == 1:   # one row: its values in every column broadcast
             first = _take(lo, s)
             rows, x = s, np.arange(first, first + m * lv.stride, lv.stride)
         else:
@@ -343,7 +336,7 @@ def _expand(levels, cols, n, env, k=0):
         block[lv.var] = x
         if lv.guards:
             keep = guards_mask(lv.guards, block, env)
-            rows = np.flatnonzero(keep) if rows is None else _take(rows, keep)
+            rows = _take(rows, keep)
             block = {d: _take(c, keep) for d, c in block.items()}
             x = block[lv.var]
             if lv.extents and len(x):
@@ -659,10 +652,10 @@ _Leaf = namedtuple("_Leaf", "col key scale pieces tensor")
 # part of each carried index; bounds: per access, its tensor and the polys
 # over env names that must fit int64; crude: (sum of |coeff|, top degree)
 # over them, a bound through the largest env value; run: per leaf, the int
-# poly step of its index along the innermost level when it is walked as
-# runs (`_run_steps`), else None; reduce: the output index is fixed along
-# every run (no run, no reduce: the point walk collapses equal output
-# indices instead).
+# poly step of its index along the innermost level when the C runs it
+# (`_run_steps`), else None; reduce: the output index is fixed along every
+# run.  Only the C emitter, `jam_level` and `polypack compile` read run and
+# reduce: the walk expands every point.
 _Program = namedtuple("_Program", "guards levels root leaves bounds crude reduce run")
 
 
@@ -675,7 +668,7 @@ def _program(nest, stmt):
     (tensor, axis) extents), is split once by `hoist_schedule` into the
     parameter-only root and each level's terms, and each level learns the
     dense extents its var indexes.  The int64 rule bounds the unsplit
-    poly.  The innermost level is walked as runs when it is a run level
+    poly.  The C runs the innermost level as runs when it is a run level
     (`_run_steps`).
     """
     if nest.empty:
@@ -802,58 +795,13 @@ def _leaf_index(a, cols, n, env, array):
 
 
 def _leaf_blocks(prog, env, arrays):
-    """Walk a program's points from its root in lexicographic order, and
-    yield (idx, m, starts) per block of m points: idx holds each leaf's
-    int64 index, every one checked before the block is yielded.  Where the
-    output is fixed along every run (`reduce`), idx[0] holds one index per
-    row, whose points start at `starts` in the block; else starts is None.
-
-    On a run level (`prog.run`) only the rows are expanded: each access's
-    index on a row is base + step * (j - lo), its base divided exactly by
-    its scale and the run's first and last index checked against the array
-    it reads, once per row (`_run_base`); a block's indices are then one
-    `repeat` of the row bases plus one `arange`.  Elsewhere every point is
-    expanded and its indices checked (`_leaf_index`).
-    """
+    """Walk a program's points from its root in lexicographic order, every
+    one expanded (`_expand`), and yield (idx, m) per block of m points:
+    idx holds each leaf's int64 index, every one checked against the array
+    it reads before the block is yielded (`_leaf_index`)."""
     root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
-    if prog.run is None:
-        for block, m in _expand(prog.levels, root, 1, env):
-            yield [_leaf_index(a, block, m, env, x) for a, x in zip(prog.leaves, arrays)], m, None
-        return
-    steps = [poly_values(p, {}, env) for p in prog.run]
-    for block, n, lo, counts in _rows(prog.levels, root, env):
-        width = counts - 1
-        bases = [_run_base(a, block[a.col] + step * a.scale * lo if step else block[a.col],
-                           step, width, x)
-                 for a, step, x in zip(prog.leaves, steps, arrays)]
-        for s, e, starts, m in _row_blocks(counts, n):
-            repeats = counts[s:e] if isinstance(counts, np.ndarray) else counts
-            at = np.arange(m)
-            idx = []
-            for a, base, step in zip(prog.leaves, bases, steps):
-                rows = base[s:e] if isinstance(base, np.ndarray) else base
-                if prog.reduce and not a.col:
-                    idx.append(_column(rows, e - s))
-                elif e - s == 1 and step:   # one row: its base broadcast over the steps
-                    idx.append(rows + (at if step == 1 else step * at))
-                else:   # each row's index at the block's point 0, were the row that long
-                    i = np.repeat(rows - (starts if step == 1 else step * starts), repeats)
-                    idx.append(i + at if step == 1 else i + step * at if step else i)
-            yield idx, m, starts if prog.reduce else None
-
-
-def _run_base(a, base, step, width, array):
-    """An access's index at the first point of each run (an int, or a column
-    over rows) from its scaled value there, divided exactly by its scale;
-    when compressed, each run's first and last index (width steps on) is
-    checked against the array it indexes."""
-    base = _exact(base, a.scale)
-    if isinstance(a.key, int):
-        last = base + step * width if step else base
-        low, high = (base, last) if step >= 0 else (last, base)
-        if _least(low) < 0 or _most(high) >= len(array):
-            raise IndexingFault(_range_fault(a.key, a.tensor))
-    return base
+    for block, m in _expand(prog.levels, root, 1, env):
+        yield [_leaf_index(a, block, m, env, x) for a, x in zip(prog.leaves, arrays)], m
 
 
 @dataclass
@@ -962,10 +910,11 @@ def _run(sp, lib, arrays, env, threads=1):
     thread and each other on a thread of its own, every one joined before
     this returns.  Shares write disjoint output values of the same arrays.
     A nonzero status raises the IndexingFault of the first failing share,
-    in order.  Without, the program is walked by `_leaf_blocks`, every
-    index checked before the block reads a store: a summand adds the
-    product of its inputs into leaf 0, equal output indices next to each
-    other summed first, and a copy assigns leaf `into` from the other.
+    in order.  Without, every point of the program is walked by
+    `_leaf_blocks`, every index checked before the block reads a store: a
+    summand adds the product of its inputs into leaf 0, equal output
+    indices next to each other summed first, and a copy assigns leaf
+    `into` from the other.
     """
     prog, into = sp.program, sp.into
     if lib is not None:
@@ -1002,7 +951,7 @@ def _run(sp, lib, arrays, env, threads=1):
     if prog is None or not guards_mask(prog.guards, {}, env):
         return visited
     out = arrays[0]
-    for idx, m, starts in _leaf_blocks(prog, env, arrays):
+    for idx, m in _leaf_blocks(prog, env, arrays):
         visited += m
         if into is not None:
             arrays[into][idx[into]] = arrays[1 - into][idx[1 - into]]
@@ -1010,15 +959,14 @@ def _run(sp, lib, arrays, env, threads=1):
         prod = np.ones(m, dtype=out.dtype) if len(idx) == 1 else None
         for x, i in zip(arrays[1:], idx[1:]):
             prod = x[i] if prod is None else prod * x[i]
+        # collapse runs of equal output index; others may repeat
         o = idx[0]
-        if starts is None:   # collapse runs of equal output index; others may repeat
-            brk = o[1:] != o[:-1]
-            if brk.all():
-                np.add.at(out, o, prod)
-                continue
-            starts = np.flatnonzero(np.concatenate(([True], brk)))
-            o = o[starts]
-        np.add.at(out, o, np.add.reduceat(prod, starts))
+        brk = o[1:] != o[:-1]
+        if brk.all():
+            np.add.at(out, o, prod)
+            continue
+        starts = np.flatnonzero(np.concatenate(([True], brk)))
+        np.add.at(out, o[starts], np.add.reduceat(prod, starts))
     return visited
 
 
@@ -1037,13 +985,13 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=N
     names "c", else on the walk.
 
     With workers > 1 a parallelizable summand on C runs on up to `workers`
-    threads, capped at the CPUs this process may use, the calling thread
-    among them, wherever its points (`_work`) give each THREAD_POINTS (see
-    `_shares`); every share of a summand is joined before the next summand
-    starts, since two summands can write one output value.  A share writes
-    disjoint output values in place and sums each one's terms in the same
-    order, so results are bitwise identical to `workers=1`.  The NumPy walk
-    never splits.
+    threads, capped at the CPUs this process may use (the machine's where
+    the OS cannot tell), the calling thread among them, wherever its points
+    (`_work`) give each THREAD_POINTS (see `_shares`); every share of a
+    summand is joined before the next summand starts, since two summands
+    can write one output value.  A share writes disjoint output values in
+    place and sums each one's terms in the same order, so results are
+    bitwise identical to `workers=1`.  The NumPy walk never splits.
     Index ranges that can overflow int64 and a dense input shorter than its
     shape raise IndexingFault before any output is allocated.
     """
@@ -1060,7 +1008,10 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=N
             raise IndexingFault(f"dense input {t} holds {len(store[t])} values, "
                                 f"fewer than its shape {tuple(shapes[t])}")
     dense_out, comp = _zero_outputs(plan, shapes, binding, dtype)
-    threads = min(workers, len(os.sched_getaffinity(0)))
+    threads = 1
+    if workers > 1:   # os.sched_getaffinity exists on Linux only
+        threads = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                      else os.cpu_count() or 1)
     ran = set()
     for si in live:
         sp = plan.summands[si]

@@ -3,18 +3,19 @@
 One library per (C text, element type): the text is compiled by the gcc on
 PATH with FLAGS, `-DELEM=<type>` choosing the element type, into the first
 usable of $XDG_CACHE_HOME/polypack (default ~/.cache/polypack) and a
-private directory under `tempfile.gettempdir()`.  A file is named by the
-crc32 of text, flags and type and by the text's length; the `.c` stored
-beside a `.so` is compared byte for byte with the text before the `.so` is
-trusted.  Both are compiled and written under temporary names and
-published with `os.replace`, `.so` first, so a concurrent process never
-loads half a file.  Loaded libraries stay in a dict keyed by text and type
-for the life of the process.  A plan's text holds its summands', gathers'
-and packs' functions, so whichever of `runtime.build_store` and
-`codegen.execute` first runs a plan on C builds or loads its library.  A
-first build costs one gcc run: 44-230 ms (median 87-105 ms in two runs of
-all 36 builtin plans) on a 2-vCPU guest, against about 0.3 ms to load a
-cached library.
+private directory under `tempfile.gettempdir()`, each owned by the
+calling user; where `os.getuid` is missing (Windows) nothing is built.  A
+file is named by the crc32 of text, flags and type and by the text's
+length; the `.c` stored beside a `.so` is compared byte for byte with the
+text before the `.so` is trusted.  Both are compiled and written under
+temporary names and published with `os.replace`, `.so` first, so a
+concurrent process never loads half a file.  Loaded libraries stay in a
+dict keyed by text and type for the life of the process.  A plan's text
+holds its summands', gathers' and packs' functions, so whichever of
+`runtime.build_store` and `codegen.execute` first runs a plan on C builds
+or loads its library.  A first build costs one gcc run: 44-230 ms (median
+87-105 ms in two runs of all 36 builtin plans) on a 2-vCPU guest, against
+about 0.3 ms to load a cached library.
 """
 
 from __future__ import annotations
@@ -65,6 +66,9 @@ def library(text, elem):
 
 
 def _cache_dirs():
+    # without a user id (Windows) no directory can be checked to be ours
+    if not hasattr(os, "getuid"):
+        raise BuildError("no private directory for compiled kernels: os.getuid is missing")
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
     return (os.path.join(base, "polypack"),
             os.path.join(tempfile.gettempdir(), f"polypack-{os.getuid()}"))

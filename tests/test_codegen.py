@@ -29,6 +29,7 @@ from polypack.polyhedra import (
     AffineExpr, Polyhedron, UnboundedError, enumerate_points, eq, ge,
     iteration_space, modeq,
 )
+from polypack.runtime import DenseTensor, build_store, gather_output
 from polypack.stur import build_compressed_summands, parse_program
 
 from helpers import buffer_for
@@ -801,6 +802,23 @@ class TestThreads:
                            want)
         assert len(started) == (binding["n_i"] > 1 and GCC is not None)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("cpus", [2, None])
+    def test_no_affinity(self, cpus, workers, backend, monkeypatch):
+        # off Linux os has no sched_getaffinity: a call runs all the same,
+        # its threads capped at os.cpu_count(), or 1 where that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(codegen, "THREAD_POINTS", 0)
+        started = record_threads(monkeypatch)
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        binding, shapes = builtin_case("SpMV_UT", 8)
+        got, want = run_and_compare(kern.text, kern.rule, shapes, binding, "input+output",
+                                    workers=workers, backend=backend)
+        assert np.array_equal(got, want)
+        assert len(started) == (workers == 2 and cpus == 2 and backend == "c")
+
     @pytest.mark.parametrize("level", LEVELS)
     def test_numpy_walk_never_splits(self, level, monkeypatch):
         # backend "numpy" at floor 0: every builtin runs in the calling
@@ -1035,8 +1053,8 @@ class TestBox:
 
 
 def walk_of(prog, reduce=False):
-    """How `execute` walks a summand's innermost levels; with `reduce`, a run
-    walk whose output index is fixed along every run reads "run+reduce"."""
+    """How the emitted C walks a program's innermost level; with `reduce`, a
+    run whose output index is fixed along every run reads "run+reduce"."""
     if prog.run is None:
         return "point"
     return "run+reduce" if reduce and prog.reduce else "run"
@@ -1057,11 +1075,56 @@ B_U(i, j) := (0 <= i < n) * (i <= j < i + w)
 """
 
 
+def wrong_runs(prog):
+    """A program whose run analysis is wrong everywhere: every leaf's step
+    one more (a program without runs gets a step of 1) and `reduce`
+    flipped."""
+    if prog is None:
+        return None
+    steps = prog.run or ((),) * len(prog.leaves)
+    return prog._replace(run=tuple(step + ((1, ()),) for step in steps), reduce=not prog.reduce)
+
+
+@pytest.mark.parametrize("name", ["TTM_UT", "MTT_J", "SpMV_UT", "THP_J"])
+def test_walk_reads_no_run_analysis(name):
+    # the walk is the oracle the C is checked against, so it must not share
+    # the C's run analysis: with every summand's, pack's and gather's run
+    # steps and reduce made wrong, the walk's pack, execute and gather
+    # still give the reference's output
+    kern = BUILTIN_KERNELS[name]
+    binding, shapes = builtin_case(name, 5)
+    program = parse_program(kern.text)
+    plan = build_plan(program, kern.rule, "input+output")
+    copies = (*plan.summands, *plan.packs.values(), *plan.gathers.values())
+    assert any(sp.program.run is not None for sp in copies)
+    for sp in copies:
+        sp.__dict__["program"] = wrong_runs(sp.program)
+    dense = seeded(shapes, kern.rule, np.int64)
+    tensors = {t: DenseTensor(shapes[t], x) for t, x in dense.items()}
+    store = build_store(plan, tensors, binding, backend="numpy")
+    res = execute(plan, store, shapes, binding, dtype=np.int64, backend="numpy")
+    got = gather_output(plan, res, shapes[kern.rule], binding)
+    want = reference_execute(program, kern.rule, shapes, dense, binding, dtype=np.int64)
+    assert res.backends == {"numpy"} and np.array_equal(got.data, want)
+
+
+def record_blocks(monkeypatch):
+    """Record every (idx, m) block the NumPy walk yields; returns the list."""
+    blocks, real = [], codegen._leaf_blocks
+
+    def recorded(prog, env, arrays):
+        for idx, m in real(prog, env, arrays):
+            blocks.append((idx, m))
+            yield idx, m
+    monkeypatch.setattr(codegen, "_leaf_blocks", recorded)
+    return blocks
+
+
 class TestRuns:
     def test_which_builtins_walk_runs(self):
-        # the walk of every summand at input+output, on C and on NumPy: a
-        # silent fallback to the point walk, or losing an output add per
-        # row where the output is fixed along the innermost level, fails here
+        # how the C walks every summand at input+output: a silent fallback
+        # to the point walk, or losing an output add per row where the
+        # output is fixed along the innermost level, fails here
         want = {"TTM_DP": ["run+reduce"], "TTM_J": ["run+reduce"], "TTM_UT": ["run+reduce"],
                 "THP_DP": ["run"], "THP_I": ["run"], "THP_J": ["run"],
                 "MTT_J": ["run+reduce"], "MTT_JUT": ["run+reduce"], "MTT_D": ["point"],
@@ -1072,8 +1135,7 @@ class TestRuns:
             program = parse_program(kern.text)
             plans = {level: build_plan(program, kern.rule, level) for level in LEVELS}
             for plan in plans.values():
-                # the per-row reduction rides on runs only; the point walk
-                # sums equal output indices itself
+                # the per-row reduction rides on runs only
                 progs = [sp.program for sp in plan.summands] + [
                     b.index.lowered_copy(b.axes, b.id)[2] for b in plan.registry.buffers
                     if b.layout == "compressed"]
@@ -1149,23 +1211,37 @@ class TestRuns:
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("level", ["none", "input", "input+output"])
     def test_blocks_split_rows(self, level, dtype, monkeypatch):
-        # on the NumPy walk at 7 points a block, SpMV_UT's rows of 12..7
+        # on the NumPy walk at 7 points a block, SpMV_UT's rows of 12..8
         # points each take a block longer than BLOCK_POINTS, and the shorter
-        # rows of one outer block are split between several
+        # rows of one outer block are split between several; every point
+        # is walked, in order
         monkeypatch.setattr(codegen, "BLOCK_POINTS", 7)
-        blocks, real = [], codegen._leaf_blocks
-
-        def recorded(prog, env, arrays):
-            for idx, m, starts in real(prog, env, arrays):
-                blocks.append((m, len(starts)))
-                yield idx, m, starts
-        monkeypatch.setattr(codegen, "_leaf_blocks", recorded)
+        blocks = record_blocks(monkeypatch)
         shapes = {"A": (12,), "B": (12, 12), "C": (12,)}
         got, want = run_and_compare(SPMV_UT, "A", shapes, {"n": 12}, level, dtype=dtype,
                                     backend="numpy")
         assert np.array_equal(got, want)
-        assert [m for m, _ in blocks] == [12, 11, 10, 9, 8, 7, 6, 5, 7, 3]
-        assert all(m <= 7 or rows == 1 for m, rows in blocks)
+        assert [m for _, m in blocks] == [12, 11, 10, 9, 8, 7, 6, 5, 7, 3]
+        # A's and C's indices are i and j at every level
+        points = [(int(i), int(j)) for idx, _ in blocks for i, j in zip(idx[0], idx[2])]
+        assert points == [(i, j) for i in range(12) for j in range(i, 12)]
+        # a block longer than 7 points is one row: one value of i
+        assert all(m <= 7 or len(set(idx[0].tolist())) == 1 for idx, m in blocks)
+
+    @pytest.mark.parametrize("level", ["none", "input", "input+output"])
+    def test_blocks_split_reduced_rows(self, level, monkeypatch):
+        # MTT_J's output A(i, J) is fixed along k and l: at 7 points a
+        # block its 9 points per i straddle blocks, each block's share
+        # summed apart, and i64 sums still equal the reference's
+        monkeypatch.setattr(codegen, "BLOCK_POINTS", 7)
+        blocks = record_blocks(monkeypatch)
+        kern = BUILTIN_KERNELS["MTT_J"]
+        binding, shapes = builtin_case("MTT_J", 3)
+        got, want = run_and_compare(kern.text, kern.rule, shapes, binding, level,
+                                    backend="numpy")
+        assert np.array_equal(got, want)
+        assert sum(m for _, m in blocks) == 27
+        assert any(a[0][-1] == b[0][0] for (a, _), (b, _) in zip(blocks, blocks[1:]))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
@@ -1489,6 +1565,25 @@ class TestLibraryCache:
         run, _ = fresh
         with pytest.raises(CodegenError, match="unknown backend 'fortran'"):
             execute(*run, dtype=np.int64, backend="fortran")
+
+    def test_no_user_id_walks_numpy(self, fresh, monkeypatch):
+        # where os has no getuid (Windows) no directory can be checked to
+        # be ours: nothing is built, the default walks and backend "c"
+        # raises
+        monkeypatch.delattr(os, "getuid")
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        binding, shapes = builtin_case("SpMV_UT", 8)
+        plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
+        dense = seeded(shapes, kern.rule, np.int64)
+        store = pack_store(plan, shapes, dense, binding, np.int64)
+        got = execute(plan, store, shapes, binding, dtype=np.int64)
+        assert got.backends == {"numpy"}
+        assert np.array_equal(unpack_output(plan, got, shapes, binding, kern.rule, np.int64),
+                              reference_execute(parse_program(kern.text), kern.rule, shapes,
+                                                dense, binding, dtype=np.int64))
+        if GCC:
+            with pytest.raises(CodegenError, match="os.getuid is missing"):
+                execute(plan, store, shapes, binding, dtype=np.int64, backend="c")
 
     @needs_gcc
     def test_built_once_then_loaded_from_disk(self, fresh, tmp_path, monkeypatch):
