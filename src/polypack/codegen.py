@@ -35,7 +35,8 @@ index terms in int64_t, each scaled rank divided exactly and every index
 checked, once per row on a run level, each failed check returned as a
 status, so C and the walk share one lowering; where a run reduces under a
 plain loop, that loop's rows are jammed by JAM over one pass of the
-run, every output value summing its terms in the same order.  `emit_c`
+run, each row peeling the ends of its own range around the pass (a
+triangle), every output value summing its terms in the same order.  `emit_c`
 assembles those texts and `polypack compile` prints them.
 Every lowered program, a summand's under `execute` or a copy's under
 `runtime.pack`, `unpack` and `gather_output`, runs through one runner
@@ -1186,14 +1187,22 @@ def emit_c_files(plan):
 def jam_level(prog, into=None):
     """The level whose rows a summand's C jams by JAM over one pass of its
     run, or None.  Jammed: a summand's (`into` None) reducing run
-    (`prog.reduce`) under a plain loop (stride 1, no phase, no guards)
-    whose var is in no bound of the run level, so every row's run has the
-    same range.  That var need not index the output."""
+    (`prog.reduce`) under a plain loop (stride 1, no phase, no guards).
+    The run's bounds may read that loop's var, so that each row's run has
+    its own range (a triangle, a band); that var need not index the
+    output."""
     if prog is None or not prog.reduce or into is not None or len(prog.levels) < 2:
         return None
-    outer, run = prog.levels[-2:]
-    bounded = {v for _, p in run.lowers + run.uppers for _, mono in p for v, _ in mono}
-    return None if outer.kind != "loop" or outer.guards or outer.var in bounded else outer
+    outer = prog.levels[-2]
+    return None if outer.kind != "loop" or outer.guards else outer
+
+
+def _renamed(bound, names):
+    """A lowered (k, poly) bound with each name of `names` (a dict) read as its value."""
+    if not names:
+        return bound
+    k, poly = bound
+    return k, tuple((c, tuple((names.get(y, y), e) for y, e in mono)) for c, mono in poly)
 
 
 def _emit_c_summand(name, params, stmt, prog, share, into=None):
@@ -1216,18 +1225,22 @@ def _emit_c_summand(name, params, stmt, prog, share, into=None):
     where the output is fixed along every run (`prog.reduce`) the row's sum
     is added to it once.  Any other innermost level checks every point.
 
-    Where `jam_level` names the level v just outside such a run, the run's
-    range is computed once above v's loop, and while that range is not
-    empty and JAM values of v remain from v_j, one pass of the run serves
-    rows v_j .. v_j + JAM - 1: each row gets its own suffixed locals (v_u,
-    the indices, the checks) in row order, the run loop adds each row's
-    product into its own sum_u, and the sums are added to their outputs in
-    row order.  The remainder loop from v_j is the same row at width 1.
-    Each output value still sums its terms in the order the unjammed loop
-    does, so results are bitwise the same.  Every check of a group, in the
-    order the unjammed rows make them, runs before the group's first read:
-    a failing check returns its usual status with the group's earlier rows
-    not yet added to the output, which `execute` raises either way.
+    Where `jam_level` names the level v just outside such a run, rows
+    v_j .. v_j + JAM - 1 form a group.  An end of the run's range whose
+    bounds read no v is computed once above v's loop; each row v_u of a
+    group computes the others itself (lo_u, hi_u), and the group runs while
+    JAM values of v remain and the rows' common range [max lo_u, min hi_u]
+    is not empty.  Each row gets its own suffixed locals (v_u, the indices,
+    the checks) in row order; its sum_u adds its front peel [lo_u, lo),
+    then one pass over the common range feeds every sum_u, then each row
+    adds its back peel (hi, hi_u], and the sums are added to their outputs
+    in row order.  A rectangle, where no end reads v, peels nothing.  The
+    remainder loop from v_j is the same row at width 1.  Each output value
+    still sums its terms in the order the unjammed loop does, so results
+    are bitwise the same.  Every check of a group, in the order the
+    unjammed rows make them, runs before the group's first read: a failing
+    check returns its usual status with the group's earlier rows not yet
+    added to the output, which `execute` raises either way.
     """
     accesses = (stmt.output,) + tuple(stmt.inputs)
     sig = _c_signature(params, stmt, share, into)
@@ -1236,9 +1249,14 @@ def _emit_c_summand(name, params, stmt, prog, share, into=None):
         return out + ["  return 0;", "}"]
     faults = _faults(stmt)
     declared = [decl.split()[-1] for decl, _ in sig]
+    loops = []   # the var of every loop header written
     depth = 1
     jammed = jam_level(prog, into)
     run = prog.levels[-1] if prog.run is not None else None
+    # the run's ends ("lo", "hi") that each row computes itself: both
+    # unjammed, else those whose bounds read the jammed var
+    own = [end for end, b in (("lo", run.lowers), ("hi", run.uppers)) if jammed is None
+           or any(x == jammed.var for _, p in b for _, mono in p for x, _ in mono)] if run else []
 
     def put(s):
         out.append("  " * depth + s)
@@ -1268,14 +1286,22 @@ def _emit_c_summand(name, params, stmt, prog, share, into=None):
         put(f"if ({e} % {scale}) {fail(faults[0])}")
         let(key, f"{e} / {scale}")
 
-    def bounds(lv):
-        # the outermost level of a share also lies in [share_lo, share_hi]
+    def bounds(lv, names=None):
+        # the outermost level of a share also lies in [share_lo, share_hi];
+        # `names` renames vars, as a jammed row reads its own
         ends = ["share_lo", "share_hi"] if share and lv is prog.levels[0] else []
         lo = reduce(lambda x, y: f"MAX2({x}, {y})",
-                    [_c_bound(b, "CEILD") for b in lv.lowers] + ends[:1])
+                    [_c_bound(_renamed(b, names), "CEILD") for b in lv.lowers] + ends[:1])
         hi = reduce(lambda x, y: f"MIN2({x}, {y})",
-                    [_c_bound(b, "FLOORD") for b in lv.uppers] + ends[1:])
+                    [_c_bound(_renamed(b, names), "FLOORD") for b in lv.uppers] + ends[1:])
         return lo, hi
+
+    def loop(v, first, last, step=1):
+        """The header of a loop declaring v; sibling loops may declare one var."""
+        declared.append(v)
+        loops.append(v)
+        inc = "++" if step == 1 else f" += {step}"
+        return f"for (int64_t {v} = {first}; {v} <= {last}; {v}{inc})"
 
     def extents(lv, lo, hi):
         # the values the guards keep, as `execute` checks
@@ -1291,15 +1317,24 @@ def _emit_c_summand(name, params, stmt, prog, share, into=None):
             let(f"r{col}_{k}{sfx}", _c_int(step))
             acc[col] = f"r{col}_{k}{sfx}"
 
-    def run_range():
-        for end, bound in zip(("lo", "hi"), bounds(run)):
-            let(f"{run.var}_{end}", bound)
+    def run_range(ends, sfx=""):
+        """The run's `ends` as v_lo / v_hi, or with `sfx` (_u) a jammed
+        row's own, read at its var."""
+        names = {jammed.var: jammed.var + sfx} if sfx else None
+        for end, bound in zip(("lo", "hi"), bounds(run, names)):
+            if end in ends:
+                let(f"{run.var}_{end}{sfx}", bound)
 
-    def along(key, step, at):
-        """key + step * (at - lo): an index `at` on the run's row."""
+    def span(sfx):
+        """A row's run range: the ends it computes itself suffixed as its
+        locals, the ends its group shares not."""
+        return [f"{run.var}_{end}{sfx if end in own else ''}" for end in ("lo", "hi")]
+
+    def along(key, step, at, lo):
+        """key + step * (at - lo): an index `at` on a row whose run starts at lo."""
         return _c_int(((1, ((key, 1),)),) + tuple(
             (c * sign, mono + ((x, 1),)) for c, mono in step
-            for x, sign in ((at, 1), (f"{run.var}_lo", -1))))
+            for x, sign in ((at, 1), (lo, -1))))
 
     def run_rows(acc, width):
         """Each row's index per leaf on the run, its checks made: `width`
@@ -1309,19 +1344,20 @@ def _emit_c_summand(name, params, stmt, prog, share, into=None):
         rows = []
         for u in range(width):
             sfx = f"_{u}" if width > 1 else ""
+            lo, hi = span(sfx)
             row = dict(acc)
             if width > 1:
                 x = f"{jammed.var}_{u}"
-                let(x, f"{jammed.var}_j + {u}" if u else f"{jammed.var}_j")
+                if not own:   # else the group named its rows before their ranges
+                    let(x, f"{jammed.var}_j + {u}" if u else f"{jammed.var}_j")
                 extents(jammed, x, x)
                 advance(row, jammed, k - 1, x, sfx)
-            if not u:
-                if jammed is None:
-                    run_range()
-                if width == 1:   # a jammed group runs only where the run is not empty
-                    block(f"if ({v}_lo <= {v}_hi)")
-                extents(run, f"{v}_lo", f"{v}_hi")
-            advance(row, run, k, f"{v}_lo", sfx)
+            if width == 1:   # a jammed group runs only where every row's run is not empty
+                run_range(own)
+                block(f"if ({v}_lo <= {v}_hi)")
+            if not u or own:
+                extents(run, lo, hi)
+            advance(row, run, k, lo, sfx)
             index = {}
             for a, leaf, step in zip(accesses, prog.leaves, prog.run):
                 key = f"k{leaf.col}{sfx}"
@@ -1329,13 +1365,13 @@ def _emit_c_summand(name, params, stmt, prog, share, into=None):
                 if a.layout == "compressed":
                     low = high = key
                     if step:
-                        let(f"{key}_hi", along(key, step, f"{v}_hi"))
+                        let(f"{key}_hi", along(key, step, hi, lo))
                         low, high = key, f"{key}_hi"
                         if any(mono or c < 0 for c, mono in step):   # a step of unknown sign
                             low, high = f"MIN2({key}, {key}_hi)", f"MAX2({key}, {key}_hi)"
                     put(f"if ({low} < 0 || {high} >= len{a.buffer_id}) "
                         f"{fail(_range_fault(a.buffer_id, a.tensor))}")
-                index[leaf.col] = along(key, step, v)
+                index[leaf.col] = along(key, step, v, lo)
             rows.append(index)
         return rows
 
@@ -1353,22 +1389,28 @@ def _emit_c_summand(name, params, stmt, prog, share, into=None):
             put(f"{targets[0]} {'+=' if into is None else '='} {prods[0]};")
             return
         v = run.var
-        declared.append(v)
-        header = f"for (int64_t {v} = {v}_lo; {v} <= {v}_hi; {v}++)"
         if not prog.reduce:   # a copy, or a summand whose output moves along the run
-            put(f"{header} {targets[0]} {'+=' if into is None else '='} {prods[0]};")
+            put(f"{loop(v, f'{v}_lo', f'{v}_hi')} {targets[0]} "
+                f"{'+=' if into is None else '='} {prods[0]};")
             return
         sums = ["sum"] if len(rows) == 1 else [f"sum_{u}" for u in range(len(rows))]
         declared.extend(sums)
         put("ELEM " + ", ".join(f"{s} = 0" for s in sums) + ";")
         adds = [f"{s} += {p};" for s, p in zip(sums, prods)]
+        spans = [span(f"_{u}" if len(rows) > 1 else "") for u in range(len(rows))]
+        for (lo, _), add in zip(spans, adds):   # each row's front peel, before the common range
+            if lo != f"{v}_lo":
+                put(f"{loop(v, lo, f'{v}_lo - 1')} {add}")
         if len(adds) == 1:
-            put(f"{header} {adds[0]}")
+            put(f"{loop(v, f'{v}_lo', f'{v}_hi')} {adds[0]}")
         else:
-            block(header)
+            block(loop(v, f"{v}_lo", f"{v}_hi"))
             for add in adds:
                 put(add)
             close()
+        for (_, hi), add in zip(spans, adds):   # and its back peel, after it
+            if hi != f"{v}_hi":
+                put(f"{loop(v, f'{v}_hi + 1', hi)} {add}")
         for t, s in zip(targets, sums):
             put(f"{t} += {s};")
 
@@ -1384,23 +1426,31 @@ def _emit_c_summand(name, params, stmt, prog, share, into=None):
             let(v, _c_int(lv.lowers[0][1]))
         elif lv is jammed:   # groups of JAM rows from v_j, then the rows left one by one
             lo, hi = bounds(lv)
-            run_range()
+            r = run.var
+            run_range([end for end in ("lo", "hi") if end not in own])   # every row's alike
             let(f"{v}_j", lo)
-            block(f"for (; {run.var}_lo <= {run.var}_hi && {v}_j <= {hi} - {JAM - 1}; "
-                  f"{v}_j += {JAM})")
+            if not own:
+                block(f"for (; {r}_lo <= {r}_hi && {v}_j <= {hi} - {JAM - 1}; {v}_j += {JAM})")
+            else:   # each row's own range; the group runs on their common range
+                block(f"for (; {v}_j <= {hi} - {JAM - 1}; {v}_j += {JAM})")
+                for u in range(JAM):
+                    let(f"{v}_{u}", f"{v}_j + {u}" if u else f"{v}_j")
+                    run_range(own, f"_{u}")
+                for end, most in (("lo", "MAX2"), ("hi", "MIN2")):
+                    if end in own:
+                        let(f"{r}_{end}", reduce(lambda x, y: f"{most}({x}, {y})",
+                                                 [f"{r}_{end}_{u}" for u in range(JAM)]))
+                put(f"if ({r}_lo > {r}_hi) break;")
             statement(run_rows(acc, JAM))
             close()
-            declared.append(v)
-            block(f"for (int64_t {v} = {v}_j; {v} <= {hi}; {v}++)")
+            block(loop(v, f"{v}_j", hi))
         else:
             lo, hi = bounds(lv)
             if lv.phase is not None:
                 let(f"{v}_lo", lo)
                 put(f"{v}_lo += MODP({_c_int(lv.phase)} - {v}_lo, {lv.stride});")
                 lo = f"{v}_lo"
-            declared.append(v)
-            block(f"for (int64_t {v} = {lo}; {v} <= {hi}; "
-                  f"{f'{v}++' if lv.stride == 1 else f'{v} += {lv.stride}'})")
+            block(loop(v, lo, hi, lv.stride))
         for g in lv.guards:   # outside every loop, skipping the point ends the call
             put(f"if (!({_c_guard(g)})) {'continue' if depth > 1 else 'return 0'};")
         extents(lv, v, v)
@@ -1431,12 +1481,13 @@ def _emit_c_summand(name, params, stmt, prog, share, into=None):
     out.append("}")
     # a name of the rule that the emitter also declares (`sum`, `r0`, a
     # var's `_lo` ...) would be shadowed or redeclared, and the C could
-    # compute something else: such a function must not build.  A jammed
-    # group's run loop and the remainder's, siblings, each declare the run's var
+    # compute something else: such a function must not build.  Sibling
+    # loops (a jammed group's peels and pass, the remainder's) may each
+    # declare a var, so a var is declared once or by its loop headers alone
     ours = {*params, *(lv.var for lv in prog.levels),
             *(a.tensor for a in accesses if a.layout == "dense")}
-    twice = run.var if jammed is not None else None
-    clash = sorted({n for n in declared if n in ours and declared.count(n) > 1 + (n == twice)})
+    clash = sorted({n for n in declared
+                    if n in ours and declared.count(n) > max(1, loops.count(n))})
     if clash:
         out.insert(1, "#error names of the rule clash with names the emitter declares: "
                    + ", ".join(clash))

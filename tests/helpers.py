@@ -4,6 +4,10 @@ import numpy as np
 
 from polypack.runtime import DenseTensor
 
+# y = B x over a sub-triangle: row i's run over j starts at MAX2(0, i + N - k)
+SUBTRI = ("A(i) := B(i, j) * C(j)\n"
+          "B_U(i, j) := (0 <= i < N) * (0 <= j < N) * (j - i >= N - k)\n")
+
 
 def buffer_for(registry, summand_idx, slot):
     """The buffer a summand's slot ("out" or "in<k>") reads or writes."""

@@ -28,6 +28,8 @@ from polypack.polyhedra import (
 from polypack.runtime import build_store, footprint_report, gather_output, random_tensor
 from polypack.stur import build_compressed_summands, parse_program
 
+from helpers import SUBTRI
+
 HALF = Fraction(1, 2)
 
 
@@ -59,9 +61,6 @@ B_U(i, j, l) := (0 <= l) * (Q > l) * (i <= j) * (N > j) * (0 <= i)
 
 STRIDED = ("A(i) := B(i, j) * C(j)\n"
            "B_U(i, j) := (0 <= i < {n}) * (0 <= j < {n}) * ((j - i) % {n} = {s})\n")
-
-SUBTRI = ("A(i) := B(i, j) * C(j)\n"
-          "B_U(i, j) := (0 <= i < N) * (0 <= j < N) * (j - i >= N - k)\n")
 
 # sizes <= 32, deliberately unequal so axes cannot be confused
 RUN_BINDING = {"n_i": 9, "n_j": 12, "n_k": 7, "n_l": 5, "I": 2, "J": 3}

@@ -63,9 +63,11 @@ class TestCompile:
         assert run_cli("compile", "--kernel", "SpMV_UT") == 0
         out = capsys.readouterr().out
         # i <= j < n_j implies i < n_j; the projected bound keeps it, and
-        # the share bounds follow
-        assert ("for (int64_t i = MAX2(0, share_lo); "
-                "i <= MIN2(MIN2(-1 + n_i, -1 + n_j), share_hi); i++) {") in out
+        # the share bounds follow, on the jammed groups of i and the rows left
+        assert "int64_t i_j = MAX2(0, share_lo);\n" in out
+        assert (f"i_j <= MIN2(MIN2(-1 + n_i, -1 + n_j), share_hi) - {JAM - 1}; "
+                f"i_j += {JAM}) {{") in out
+        assert "for (int64_t i = i_j; i <= MIN2(MIN2(-1 + n_i, -1 + n_j), share_hi); i++) {" in out
         assert "int64_t j_lo = i;\n" in out and "int64_t j_hi = -1 + n_j;\n" in out
         assert "sum += B_1[k1 + j - j_lo] * C_2[k2 + j - j_lo];" in out
 
@@ -81,20 +83,20 @@ class TestCompile:
         assert "contracted" not in out
         assert run_cli("compile", "--kernel", "SpMV_UT") == 0
         out = capsys.readouterr().out
-        assert "summand 0: (parallel outer loop) (j walked as runs)\n" in out
+        assert f"summand 0: (parallel outer loop) (j walked as runs) (i jammed by {JAM})\n" in out
 
     def test_jammed_level_marked(self, capsys):
         # TTM_UT's reducing run over l takes JAM rows of k per pass, and
         # only its summand is jammed (copies assign); SpMV_UT's run over j
-        # starts at i, so nothing there is jammed
+        # starts at i, and its rows of i are jammed all the same
         assert run_cli("compile", "--kernel", "TTM_UT") == 0
         out = capsys.readouterr().out
         assert out.count(" jammed by ") == 1
         assert f"(l walked as runs) (k jammed by {JAM})\n" in out
         assert run_cli("compile", "--kernel", "SpMV_UT") == 0
         out = capsys.readouterr().out
-        assert "summand 0: (parallel outer loop) (j walked as runs)\n" in out
-        assert "jammed" not in out
+        assert out.count(" jammed by ") == 1
+        assert f"summand 0: (parallel outer loop) (j walked as runs) (i jammed by {JAM})\n" in out
 
     @pytest.mark.parametrize("level", ["none", "input", "input+output"])
     def test_prints_the_emitted_c(self, level, capsys):

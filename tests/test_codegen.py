@@ -32,7 +32,7 @@ from polypack.polyhedra import (
 from polypack.runtime import DenseTensor, build_store, gather_output
 from polypack.stur import build_compressed_summands, parse_program
 
-from helpers import buffer_for
+from helpers import SUBTRI, buffer_for
 
 
 def v(name):
@@ -1390,13 +1390,16 @@ int main(void) {
     def test_dense_extent_checked_per_row(self, n_b1, backend):
         # j runs to n_j - 1 = 5 over B's second axis: past an extent of 2
         # both backends raise the same fault; the C checks each row's range
-        # before the loop that reads it, so it never reads past B
+        # before the loop that reads it, so it never reads past B: every
+        # row of a jammed group before the group's first loop over j, and
+        # the remainder's row before its own
         kern = BUILTIN_KERNELS["SpMV_UT"]
         plan = build_plan(parse_program(kern.text), kern.rule, "none")
-        source = plan.summands[0].source
-        check = source.index("if (j_lo < 0 || j_hi >= n_B1) return ")
-        assert check < source.index("for (int64_t j = j_lo; j <= j_hi; j++)")
-        assert "for (int64_t j" not in source[:check]
+        group, rest = plan.summands[0].source.split("for (int64_t i = i_j;")
+        for part, rows in ((group, [f"_{u}" for u in range(codegen.JAM)]), (rest, [""])):
+            for u in rows:
+                assert part.index(f"if (j_lo{u} < 0 || j_hi >= n_B1) return ") \
+                    < part.index("for (int64_t j")
         store = {"B": np.ones(6 * n_b1), "C": np.ones(6)}
         shapes = {"A": (6,), "B": (6, n_b1), "C": (6,)}
         if n_b1 == 2:
@@ -1418,14 +1421,19 @@ int main(void) {
 
     def test_run_level_checks_once_per_row(self):
         # SpMV_UT packed: every check and the exact division sit before the
-        # row's loop, which reads base + (j - lo) and sums into one local
+        # row's loop, which reads base + (j - lo) and sums into one local;
+        # a jammed group's rows make theirs before the group's first loop
         plan = build_plan(parse_program(BUILTIN_KERNELS["SpMV_UT"].text), "A", "input+output")
         source = plan.summands[0].source
-        loop = "for (int64_t j = j_lo; j <= j_hi; j++) sum += B_1[k1 + j - j_lo] * C_2[k2 + j - j_lo];"
-        assert loop in source
-        before, after = source.split(loop)
-        assert before.count("return") == 4 and "return" not in after.replace("return 0;", "")
         assert "if (MIN2" not in source   # a positive constant step: first and last in order
+        group, rest = source.split("for (int64_t i = i_j;")
+        before, after = group.split("for (int64_t j", 1)
+        assert before.count("return") == 4 * codegen.JAM and "return" not in after
+        last = codegen.JAM - 1
+        assert f"if (k1_{last} < 0 || k1_{last}_hi >= len1) return 3;" in before
+        loop = "for (int64_t j = j_lo; j <= j_hi; j++) sum += B_1[k1 + j - j_lo] * C_2[k2 + j - j_lo];"
+        before, after = rest.split(loop)
+        assert before.count("return") == 4 and "return" not in after.replace("return 0;", "")
         assert "if (k1 < 0 || k1_hi >= len1) return 3;" in before
         assert after.split("\n")[1].strip() == "A_0[k0] += sum;"
 
@@ -1678,7 +1686,41 @@ class TestLibraryCache:
 
 
 # the builtins whose reducing run is jammed
-JAMMED = ("MTT_J", "MTT_JUT", "TTM_DP", "TTM_J", "TTM_UT")
+JAMMED = ("MTT_J", "MTT_JUT", "SpMV_UT", "TTM_DP", "TTM_J", "TTM_UT")
+
+
+def spmv_ut_case(n_i, n_j):
+    """SpMV_UT's (text, binding, shapes) at extents n_i and n_j."""
+    return BUILTIN_KERNELS["SpMV_UT"].text, {"n_i": n_i, "n_j": n_j}, \
+        {"A": (n_i,), "B": (n_i, n_j), "C": (n_j,)}
+
+
+def mv_case(mask, n):
+    """The (text, binding, shapes) of y = B x over the mask's region of B, at N = n."""
+    return "A(i) := B(i, j) * C(j)\n" + mask, {"N": n}, {"A": (n,), "B": (n, n), "C": (n,)}
+
+
+def fig3_case(p):
+    """FIG3's (text, binding, shapes) with P = p values of its jammed k."""
+    return FIG3, {"M": 3, "N": 4, "P": p, "Q": 5}, {"A": (3, 4, p), "B": (3, 4, 5), "C": (p, 5)}
+
+
+# (text, binding, shapes) of y = B x where the bounds of row i's run over j
+# read i, so that jammed rows differ in range: SpMV_UT's starts at i (a
+# front peel per row), SUBTRI's at MAX2(0, i + N - k), the lower
+# triangle's ends at i (a back peel; at N = 12 its last row, the only one
+# to read C's last value, is in a group), the band's moves at both ends,
+# and the bidiagonal band's rows share no range, so that its groups give
+# way to the remainder at once
+TRIANGLES = {
+    **{f"SpMV_UT-{a}x{b}": spmv_ut_case(a, b) for a, b in (
+        (1, 1), (3, 3), (codegen.JAM, codegen.JAM), (codegen.JAM + 1, codegen.JAM + 1),
+        (13, 13), (6, 11), (11, 6))},
+    "SUBTRI": (SUBTRI, {"N": 13, "k": 16}, {"A": (13,), "B": (13, 13), "C": (13,)}),
+    "lower": mv_case("B_U(i, j) := (0 <= i < N) * (0 <= j <= i)\n", 12),
+    "band": mv_case("B_U(i, j) := (0 <= i < N) * (0 <= j < N) * (i - 2 <= j <= i + 2)\n", 13),
+    "bidiagonal": mv_case("B_U(i, j) := (0 <= i < N) * (0 <= j < N) * (i <= j <= i + 1)\n", 13),
+}
 
 
 def jammed_vars(plan):
@@ -1722,13 +1764,15 @@ class TestJam:
     exact sums and the unjammed C's on any."""
 
     def test_which_summands_jam(self):
-        # the five builtins whose run reduces under a plain loop jam k, at
-        # every level; SpMV_UT's run starts at i, and nothing else reduces
+        # the six builtins whose run reduces under a plain loop jam it at
+        # every level, SpMV_UT's i though its run starts at i; nothing else
+        # reduces
         for name in sorted(BUILTIN_KERNELS):
             kern = BUILTIN_KERNELS[name]
             for level in LEVELS:
                 plan = build_plan(parse_program(kern.text), kern.rule, level)
-                want = ["k"] if name in JAMMED else [None] * len(plan.summands)
+                want = ["i" if name == "SpMV_UT" else "k"] if name in JAMMED \
+                    else [None] * len(plan.summands)
                 assert jammed_vars(plan) == want, (name, level)
                 assert ("sum_0" in plan.c_text) == (name in JAMMED), (name, level)
         # copies assign and never jam
@@ -1766,8 +1810,7 @@ class TestJam:
         # FIG3 jams k over P values: no group, one group exactly, groups
         # and a remainder; the walk's output on exact sums (f64 and i64),
         # the unjammed C's on random f64
-        shapes = {"A": (3, 4, p), "B": (3, 4, 5), "C": (p, 5)}
-        binding = {"M": 3, "N": 4, "P": p, "Q": 5}
+        _, binding, shapes = fig3_case(p)
         plan = build_plan(parse_program(FIG3), "A", level)
         assert jammed_vars(plan) == ["k"]
         for dtype in (np.float64, np.int64):
@@ -1793,18 +1836,44 @@ class TestJam:
         got = run_on(plan, "c", shapes, dense, binding, np.float64, workers=2)
         assert started and same_result(got, want)
 
-    @pytest.mark.parametrize("p", [codegen.JAM, codegen.JAM + 1])
-    @pytest.mark.parametrize("fault,tensor", [("short", "B"), ("short", "C"), ("extent", "C")])
-    def test_faults_as_unjammed(self, fault, tensor, p, monkeypatch):
-        # a packed buffer one value short, or C's dense shape one row short
-        # of k: the jammed C, the unjammed C and the walk raise the same
-        # IndexingFault
-        level = "none" if fault == "extent" else "input+output"
-        shapes = {"A": (3, 4, p), "B": (3, 4, 5), "C": (p - (fault == "extent"), 5)}
-        binding = {"M": 3, "N": 4, "P": p, "Q": 5}
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("case", TRIANGLES)
+    def test_triangle_bitwise(self, case, level, monkeypatch):
+        # rows whose runs differ in range: the jammed C gives the walk's
+        # output on exact i64 sums, and the unjammed C's and its own at
+        # workers=1 bit for bit on random f64 when workers=2 splits it
+        text, binding, shapes = TRIANGLES[case]
+        plan = build_plan(parse_program(text), "A", level)
+        # elsewhere B's rank has pieces, so the run is not one
+        if level == "none" or case.startswith("SpMV_UT") or case == "lower":
+            assert jammed_vars(plan) == ["i"] and "sum_0" in plan.c_text
         dense = seeded(shapes, "A", np.int64)
-        plans = (build_plan(parse_program(FIG3), "A", level),
-                 unjammed_plan(monkeypatch, FIG3, "A", level))
+        got = run_on(plan, "c", shapes, dense, binding, np.int64)
+        assert got.backends == {"c"}
+        assert same_result(got, run_on(plan, "numpy", shapes, dense, binding, np.int64))
+        dense = seeded(shapes, "A", np.float64, uniform=True)
+        want = run_on(plan, "c", shapes, dense, binding, np.float64)
+        assert same_result(want, run_on(unjammed_plan(monkeypatch, text, "A", level), "c",
+                                        shapes, dense, binding, np.float64))
+        no_floor(monkeypatch)
+        started = record_threads(monkeypatch)
+        got = run_on(plan, "c", shapes, dense, binding, np.float64, workers=2)
+        assert same_result(got, want)
+        assert started or case == "SpMV_UT-1x1"   # one row cannot split
+
+    @pytest.mark.parametrize("fault,tensor", [("short", "B"), ("short", "C"), ("extent", "C")])
+    @pytest.mark.parametrize("case", [f"FIG3-{codegen.JAM}", f"FIG3-{codegen.JAM + 1}", *TRIANGLES])
+    def test_faults_as_unjammed(self, case, fault, tensor, monkeypatch):
+        # a packed buffer one value short, or C's dense shape one row short,
+        # on FIG3 jammed over P = JAM or JAM + 1 values of k and on the triangles:
+        # the jammed C, the unjammed C and the walk raise the same
+        # IndexingFault
+        text, binding, shapes = TRIANGLES.get(case) or fig3_case(int(case[5:]))
+        level = "none" if fault == "extent" else "input+output"
+        shapes = dict(shapes, C=(shapes["C"][0] - (fault == "extent"), *shapes["C"][1:]))
+        dense = seeded(shapes, "A", np.int64)
+        plans = (build_plan(parse_program(text), "A", level),
+                 unjammed_plan(monkeypatch, text, "A", level))
         messages = []
         for plan, backend in ((plans[0], "c"), (plans[1], "c"), (plans[0], "numpy")):
             store = pack_store(plan, shapes, dense, binding, np.int64)
@@ -1818,17 +1887,20 @@ class TestJam:
         assert messages[0] == messages[1] == messages[2]
         assert f" {tensor} " in messages[0] or messages[0].endswith(f" {tensor}")
 
-    @pytest.mark.parametrize("name,var", [("k", "sum_0"), ("l", "sum_3"), ("i", "k_j")])
-    def test_clashing_names_do_not_build(self, name, var):
-        # FIG3 with a var renamed to a local of the jammed group (a row's
-        # sum, the group's first k): the C must not build, and the default
-        # walks NumPy instead
-        text = re.sub(rf"\b{name}\b", var, FIG3)
+    @pytest.mark.parametrize("case,name,var", [
+        ("FIG3", "k", "sum_0"), ("FIG3", "l", "sum_3"), ("FIG3", "i", "k_j"),
+        ("SpMV_UT-6x11", "n_j", "j_lo_3"), ("SpMV_UT-6x11", "n_i", "j_lo"),
+        ("SpMV_UT-6x11", "n_i", "i_2"), ("lower", "N", "j_hi_1")])
+    def test_clashing_names_do_not_build(self, case, name, var):
+        # a name of the rule renamed to a local of the jammed group (a row's
+        # sum, var or own range end, the group's first k or common range):
+        # the C must not build, and the default walks NumPy instead
+        text, binding, shapes = TRIANGLES.get(case) or fig3_case(6)
+        text = re.sub(rf"\b{name}\b", var, text)
+        binding = {var if s == name else s: n for s, n in binding.items()}
         plan = build_plan(parse_program(text), "A", "input+output")
         assert "#error names of the rule clash with names the emitter declares: " \
             + var + "\n" in plan.c_text
-        shapes = {"A": (3, 4, 6), "B": (3, 4, 5), "C": (6, 5)}
-        binding = {"M": 3, "N": 4, "P": 6, "Q": 5}
         dense = seeded(shapes, "A", np.int64)
         want = run_on(plan, "numpy", shapes, dense, binding, np.int64)
         got = run_on(plan, None, shapes, dense, binding, np.int64)
