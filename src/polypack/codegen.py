@@ -14,9 +14,10 @@ expander carries each access's hoisted index as a column, adding every
 level's terms as array operations.
 Each compressed index is checked against `len()` of the array it indexes,
 so a size polynomial is evaluated only where an array is allocated (a
-compressed output here, an input in `runtime.pack`); every index must fit
-int64 by its program's bounds, and every dense input must hold its shape's
-values, before anything is allocated.
+compressed output's here, once per binding and shapes of a plan in
+`_bind`; an input's in `runtime.pack`); every index must fit int64 by its
+program's bounds, and every dense input must hold its shape's values,
+before anything is allocated.
 The walk expands every point and checks each of its indices
 (`_leaf_blocks`); equal output indices next to each other are summed
 first.  Runs are the C's: an innermost loop without guards on which every
@@ -825,22 +826,55 @@ def buffer_length(index, binding):
     return length
 
 
-def _zero_outputs(plan, shapes, binding, dtype):
-    """The zeroed outputs (dense, compressed): a compressed output's length
-    is its size polynomial at the binding, evaluated here only.  A plan
+def _zero_outputs(lengths, dtype):
+    """The zeroed outputs at a bind's lengths (`_bind`), under the same keys."""
+    return {b: np.zeros(n, dtype=dtype) for b, n in lengths.items()}
+
+
+# A plan keeps its last _BINDS binds (`_bind`), the oldest dropped first
+_BINDS = 16
+
+# What `execute` needs of a plan that only the int binding and the shapes
+# decide: the env; per live summand, its plan, its output's key and the
+# store keys of its inputs; each dense input with the length its shape
+# needs; each output's length, keyed by its buffer id, the dense output's
+# by None
+_Bound = namedtuple("_Bound", "env live inputs lengths")
+
+
+def _bind(plan, shapes, binding):
+    """The plan's `_Bound` at a binding and shapes, memoised on the plan by
+    their values.  Building one finds the live summands (`guards_mask`),
+    raises IndexingFault where an index can overflow int64
+    (`_check_int64`), and evaluates each compressed output's size
+    polynomial (`buffer_length`); a bind that raises is not kept.  A plan
     without summands writes the rule's dense output, all zeros."""
-    dense_out, comp = None, {}
-    for sp in plan.summands:
+    key = (tuple(binding.items()), tuple(shapes), tuple(map(tuple, shapes.values())))
+    memo = plan.__dict__.setdefault("_binds", {})
+    bound = memo.get(key)
+    if bound is not None:
+        return bound
+    binding = {k: int(v) for k, v in binding.items()}
+    env = {**binding, **{(t, axis): int(e) for t, shape in shapes.items()
+                         for axis, e in enumerate(shape)}}
+    live = [sp for sp in plan.summands
+            if sp.program is not None and guards_mask(sp.program.guards, {}, env)]
+    _check_int64([sp.program for sp in live], env)
+
+    def out(sp):
         o = sp.statement.output
-        if o.layout == "dense":
-            if dense_out is None:
-                dense_out = np.zeros(math.prod(shapes[o.tensor]), dtype=dtype)
-        elif o.buffer_id not in comp:
-            index = plan.registry.buffers[o.buffer_id].index
-            comp[o.buffer_id] = np.zeros(buffer_length(index, binding), dtype=dtype)
-    if not plan.summands:   # a rule without summands is dense zeros
-        dense_out = np.zeros(math.prod(shapes[plan.rule]), dtype=dtype)
-    return dense_out, comp
+        return None if o.layout == "dense" else o.buffer_id
+    bound = _Bound(
+        env, tuple((sp, out(sp), tuple(a.key for a in sp.program.leaves[1:])) for sp in live),
+        tuple((t, math.prod(shapes[t])) for t in sorted(
+            {a.tensor for sp in live for a in sp.statement.inputs if a.layout == "dense"})),
+        {b: math.prod(shapes[plan.rule]) if b is None
+         else buffer_length(plan.registry.buffers[b].index, binding)
+         for b in dict.fromkeys(map(out, plan.summands)) or [None]})
+    memo[key] = bound
+    for old in list(memo)[:-_BINDS]:   # another thread may drop one first
+        memo.pop(old, None)
+    return bound
 
 
 # The C element type of each dtype the emitted C is built for
@@ -995,34 +1029,32 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=N
     bitwise identical to `workers=1`.  The NumPy walk never splits.
     Index ranges that can overflow int64 and a dense input shorter than its
     shape raise IndexingFault before any output is allocated.
+
+    What only the int binding and the shapes decide is checked once per
+    (binding, shapes) and kept on the plan (`_bind`): the live summands,
+    the int64 bound and each output's length.  What the store, PATH, the
+    loaded libraries or THREAD_POINTS can change is checked on every call:
+    the backend, each dense input's length against its shape, C or the
+    walk per summand (`_c_library`), the threads and each summand's shares.
     """
-    binding = {k: int(v) for k, v in binding.items()}
-    env = {**binding, **{(t, axis): int(e) for t, shape in shapes.items()
-                         for axis, e in enumerate(shape)}}
-    live = [si for si, sp in enumerate(plan.summands)
-            if sp.program is not None and guards_mask(sp.program.guards, {}, env)]
     _c_library(plan, backend, ())   # an unknown backend, or "c" without gcc, raises
-    _check_int64([plan.summands[si].program for si in live], env)
-    for t in sorted({a.tensor for si in live for a in plan.summands[si].statement.inputs
-                     if a.layout == "dense"}):
-        if len(store[t]) < math.prod(shapes[t]):
+    env, live, inputs, lengths = _bind(plan, shapes, binding)
+    for t, need in inputs:
+        if len(store[t]) < need:
             raise IndexingFault(f"dense input {t} holds {len(store[t])} values, "
                                 f"fewer than its shape {tuple(shapes[t])}")
-    dense_out, comp = _zero_outputs(plan, shapes, binding, dtype)
+    outs = _zero_outputs(lengths, dtype)
     threads = 1
     if workers > 1:   # os.sched_getaffinity exists on Linux only
         threads = min(workers, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                       else os.cpu_count() or 1)
     ran = set()
-    for si in live:
-        sp = plan.summands[si]
-        o = sp.statement.output
-        arrays = (dense_out if o.layout == "dense" else comp[o.buffer_id],
-                  *[store[a.key] for a in sp.program.leaves[1:]])
+    for sp, out, keys in live:
+        arrays = (outs[out], *[store[k] for k in keys])
         lib = _c_library(plan, backend, arrays)
         _run(sp, lib, arrays, env, threads)
         ran.add("numpy" if lib is None else "c")
-    return ExecResult(dense_out, comp, frozenset(ran))
+    return ExecResult(outs.pop(None, None), outs, frozenset(ran))
 
 
 # ---------------------------------------------------------------------------

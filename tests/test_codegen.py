@@ -5,10 +5,12 @@ exactly the enumerated points in order, and compressed execution must
 reproduce the dense reference result built by direct gather/accumulate.
 """
 
+import math
 import os
 import re
 import shutil
 import subprocess
+import sys
 import tempfile
 import threading
 
@@ -883,6 +885,168 @@ def test_levels_share_one_registry(monkeypatch):
     assert all(p.registry is built[0] for p in plans)
     again = build_plan(parse_program(SPMV_UT), "A", "input+output")
     assert len(built) == 2 and again.registry is built[1] is not built[0]
+
+
+class TestBind:
+    """`execute` binds a plan once per (binding, shapes) and checks what the
+    store, the environment and the module's state can change on every
+    call."""
+
+    def count_binds(self, monkeypatch):
+        """Count each call of what only a bind may call; returns the list."""
+        calls = []
+        for name in ("buffer_length", "_check_int64", "guards_mask"):
+            def counted(*args, _real=getattr(codegen, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(codegen, name, counted)
+        return calls
+
+    @needs_gcc
+    @pytest.mark.parametrize("level", LEVELS)
+    @pytest.mark.parametrize("name", ["TTM_UT", "MTT_D", "SpMV_UT"])
+    def test_second_call_binds_nothing(self, name, level, monkeypatch):
+        plan, store, shapes, binding = default_run(name, level)
+        first = execute(plan, store, shapes, binding, dtype=np.int64)
+        calls = self.count_binds(monkeypatch)
+        again = execute(plan, store, {**shapes}, {**binding}, dtype=np.int64)
+        assert calls == [] and again.backends == {"c"}
+        assert same_result(again, first)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_short_dense_input_on_a_hit_raises(self, workers):
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        plan = build_plan(parse_program(kern.text), kern.rule, "none")
+        shapes, binding = {"A": (6,), "B": (6, 6), "C": (6,)}, {"n_i": 6, "n_j": 6}
+        store = {"B": np.ones(36), "C": np.ones(6)}
+        execute(plan, store, shapes, binding, workers=workers)
+        store["B"] = store["B"][:35]
+        with pytest.raises(IndexingFault, match=r"dense input B holds 35 values"):
+            execute(plan, store, shapes, binding, workers=workers)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_short_buffer_on_a_hit_raises(self, backend):
+        plan = build_plan(parse_program(SPMV_D), "A", "input+output")
+        shapes, binding = {"A": (3,), "B": (3, 3), "C": (3,)}, {"n_i": 3}
+        store = pack_store(plan, shapes, {"B": np.ones(9), "C": np.ones(3)}, binding,
+                           np.float64)
+        execute(plan, store, shapes, binding, backend=backend)
+        b = plan.summands[0].statement.inputs[0].buffer_id
+        store[b] = store[b][:-1]
+        with pytest.raises(IndexingFault, match=f"buffer {b} of B$"):
+            execute(plan, store, shapes, binding, backend=backend)
+
+    @needs_gcc
+    @pytest.mark.parametrize("change", ["strided", "float32"])
+    def test_arrays_off_c_walk_on_a_hit(self, change):
+        plan, store, shapes, binding = default_run("SpMV_UT", "input+output",
+                                                   dtype=np.float64)
+        want = execute(plan, store, shapes, binding)
+        assert want.backends == {"c"}
+        dtype = np.float64
+        if change == "strided":
+            store = {k: np.repeat(x, 2)[::2] for k, x in store.items()}
+            assert not any(x.flags.c_contiguous for x in store.values())
+        else:
+            dtype, store = np.float32, {k: x.astype(np.float32) for k, x in store.items()}
+        got = execute(plan, store, shapes, binding, dtype=dtype)
+        assert got.backends == {"numpy"} and sorted(got.compressed) == sorted(want.compressed)
+        for b, x in want.compressed.items():
+            assert got.compressed[b].dtype == dtype
+            assert np.array_equal(got.compressed[b], x.astype(dtype))
+
+    def test_bindings_alternate_and_the_oldest_is_dropped(self, monkeypatch):
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        program = parse_program(kern.text)
+        plan = build_plan(program, kern.rule, "input+output")
+        rng = np.random.default_rng(4)
+
+        def run(n):
+            shapes = {"A": (n,), "B": (n, n), "C": (n,)}
+            binding = {"n_i": n, "n_j": n}
+            dense = {t: rng.integers(-3, 4, math.prod(shapes[t])) for t in ("B", "C")}
+            tensors = {t: DenseTensor(shapes[t], x) for t, x in dense.items()}
+            res = execute(plan, build_store(plan, tensors, binding), shapes, binding,
+                          dtype=np.int64)
+            got = gather_output(plan, res, shapes["A"], binding).data
+            want = reference_execute(program, kern.rule, shapes, dense, binding,
+                                     dtype=np.int64)
+            assert np.array_equal(got, want), n
+        for n in (5, 7, 5, 7):
+            run(n)
+        sizes = range(1, codegen._BINDS + 4)
+        for n in sizes:
+            run(n)
+        assert len(plan._binds) == codegen._BINDS
+        calls = self.count_binds(monkeypatch)
+        run(sizes[-1])
+        assert "buffer_length" not in calls
+        run(sizes[0])   # dropped as the oldest: bound again
+        assert "buffer_length" in calls and len(plan._binds) == codegen._BINDS
+
+    def test_threads_share_one_plan(self):
+        # four threads, more than the CPUs, call one plan at more bindings
+        # than the memo keeps, switching often: every result is right and
+        # the memo ends within its cap
+        plan = build_plan(parse_program(SPMV_D), "A", "input+output")
+        runs = []
+        for n in range(1, codegen._BINDS + 6):
+            shapes, binding = {"A": (n,), "B": (n, n), "C": (n,)}, {"n_i": n}
+            dense = {"B": np.arange(n * n), "C": np.arange(n) + 1}
+            store = pack_store(plan, shapes, dense, binding, np.int64)
+            want = dense["B"].reshape(n, n).diagonal() * dense["C"]
+            runs.append((store, shapes, binding, want))
+        wrong = []
+
+        def work(k):
+            for store, shapes, binding, want in runs[k:] + runs[:k]:
+                res = execute(plan, store, shapes, binding, dtype=np.int64)
+                if not np.array_equal(unpack_output(plan, res, shapes, binding, "A",
+                                                    np.int64), want):
+                    wrong.append(binding)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == [] and len(plan._binds) <= codegen._BINDS
+
+    def test_overflow_raises_on_every_call(self, monkeypatch):
+        kern = BUILTIN_KERNELS["SpMV_UT"]
+        plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
+        n = 2 ** 32
+
+        def no_alloc(*args):
+            raise AssertionError("an output buffer was allocated")
+        monkeypatch.setattr(codegen, "_zero_outputs", no_alloc)
+        for _ in range(2):
+            with pytest.raises(IndexingFault, match="of B "):
+                execute(plan, {}, {"A": (n,), "B": (n, n), "C": (n,)},
+                        {"n_i": n, "n_j": n})
+        assert plan.__dict__.get("_binds", {}) == {}
+
+    @needs_gcc
+    def test_no_compiler_after_a_c_call(self, tmp_path, monkeypatch):
+        plan, store, shapes, binding = default_run("SpMV_UT", "input+output")
+        want = execute(plan, store, shapes, binding, dtype=np.int64)
+        assert want.backends == {"c"}
+        monkeypatch.setenv("PATH", str(tmp_path))   # no gcc there
+        got = execute(plan, store, shapes, binding, dtype=np.int64)
+        assert got.backends == {"numpy"} and same_result(got, want)
+
+        def no_alloc(*args):
+            raise AssertionError("an output buffer was allocated")
+        monkeypatch.setattr(codegen, "_zero_outputs", no_alloc)
+        with pytest.raises(CodegenError, match="gcc is not on PATH"):
+            execute(plan, store, shapes, binding, dtype=np.int64, backend="c")
+        with pytest.raises(CodegenError, match="unknown backend 'cuda'"):
+            execute(plan, store, shapes, binding, dtype=np.int64, backend="cuda")
 
 
 class TestBox:
