@@ -5,13 +5,16 @@ strided, `_Level`) whose bounds, guards and phases are integer polynomials
 from the start; every tensor access's index is one integer polynomial, a
 compressed buffer's scaled rank or a dense row-major offset, split once per
 plan by loop level (`indexing.hoist_schedule`).  One frontier expander
-walks a nest level by level over int64 columns.  Every level is a set of
-rows: each frontier row has a first value and a count there
-(`_ranges`, which checks a level without guards against the dense extents
-its var indexes once per row), and one cutter splits the rows into blocks
-of at most BLOCK_POINTS points (`_row_blocks`).  Under `execute` the
-expander carries each access's hoisted index as a column, adding every
-level's terms as array operations.
+walks a nest level by level; every value on its frontier is an int64
+column with one entry per frontier row, and every column is carried to
+the leaves.
+Every level is a set of rows: each frontier row has a first value and a
+count there (`_ranges`), and one cutter splits the rows into blocks of at
+most BLOCK_POINTS points (`_row_blocks`).  Each block drops the points
+its level's guards reject and checks the values it keeps against the
+dense extents its var indexes, once per block, whatever the level's kind.
+Under `execute` the expander carries each access's hoisted index as a
+column, adding every level's terms as array operations.
 Each compressed index is checked against `len()` of the array it indexes,
 so a size polynomial is evaluated only where an array is allocated (a
 compressed output's here, once per binding and shapes of a plan in
@@ -97,11 +100,9 @@ class IndexingFault(RuntimeError):
 # or "fixed" (a single pass, whose expr is its only lower and upper bound;
 # `single` when that expr is integral).  A bound (k, poly) is poly/k,
 # rounded inward.  `_program` fills the rest: a term (column, exp, poly)
-# adds poly(parent row) * var**exp to the column; keep names the parent
-# columns the level's points still need (None: all); extents are the
-# (tensor, env name of an axis extent) the level's var indexes in a dense
-# access.
-_Level = namedtuple("_Level", "var kind stride lowers uppers phase guards single terms keep extents")
+# adds poly(parent row) * var**exp to the column; extents are the (tensor,
+# env name of an axis extent) the level's var indexes in a dense access.
+_Level = namedtuple("_Level", "var kind stride lowers uppers phase guards single terms extents")
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,7 @@ def _level(var, kind, lowers, uppers, guards, stride=1, phase=None):
     lowers, uppers = tuple(map(int_form, lowers)), tuple(map(int_form, uppers))
     phase = None if phase is None else int_form(phase)[1]
     return _Level(var, kind, stride, lowers, uppers, phase, tuple(map(int_guard, guards)),
-                  kind == "fixed" and lowers[0][0] == 1, (), None, ())
+                  kind == "fixed" and lowers[0][0] == 1, (), ())
 
 
 def _solve(c, v):
@@ -217,8 +218,6 @@ BLOCK_POINTS = 1 << 13
 # From 5M points a thread the split is never measurably slower.
 THREAD_POINTS = 5_000_000
 
-# [0]: the start of a block's only row
-_ORIGIN = np.zeros(1, dtype=np.int64)
 
 def _level_range(lv, cols, env):
     """Inclusive [lo, hi] of a level over frontier columns (plain ints when
@@ -232,167 +231,103 @@ def _level_range(lv, cols, env):
 
 
 def _column(v, n):
+    """v as an int64 column of n rows: an int (a value that reads no
+    column) repeated, a column as it is."""
     return v if isinstance(v, np.ndarray) else np.full(n, v, dtype=np.int64)
 
 
-def _take(c, rows):
-    return c[rows] if rows is not None and isinstance(c, np.ndarray) else c
-
-
-def _leaves_extents(lv, lo, hi, env):
-    """The tensor of the first dense extent that a level value in [lo, hi]
-    can leave along the axes the level's var indexes, else None."""
-    for tensor, extent in lv.extents:
-        if lo < 0 or hi >= env[extent]:
-            return tensor
-    return None
-
-
-def _check_extents(lv, lo, hi, env):
-    tensor = _leaves_extents(lv, lo, hi, env)
-    if tensor is not None:
-        raise IndexingFault(f"an index of {tensor} leaves its dense extent")
-
-
-def _least(v):
-    return v.min() if isinstance(v, np.ndarray) else v
-
-
-def _most(v):
-    return v.max() if isinstance(v, np.ndarray) else v
-
-
 def _ranges(lv, cols, n, env):
-    """(lo, counts): a level's first value and number of values on each of
-    n frontier rows, ints when no bound reads a column.  Without guards,
-    every value is checked against the level's dense extents here, once per
-    row."""
+    """(lo, counts): int64 columns of a level's first value and number of
+    values on each of n frontier rows."""
     if lv.single:
         lo = hi = poly_values(lv.lowers[0][1], cols, env)
-        counts = 1
     else:
         lo, hi = _level_range(lv, cols, env)
-        counts = (hi - lo) // lv.stride + 1
-        counts = np.maximum(counts, 0) if isinstance(counts, np.ndarray) else max(counts, 0)
-    # every row's [lo, hi] inside is the common case; else check the values
-    # of the nonempty rows
-    if lv.extents and not lv.guards and _leaves_extents(lv, _least(lo), _most(hi), env):
-        full = _column(counts, n) > 0
-        if full.any():
-            first = _column(lo, n)[full]
-            _check_extents(lv, first.min(),
-                           (first + (_column(counts, n)[full] - 1) * lv.stride).max(), env)
-    return lo, counts
+    return _column(lo, n), _column(np.maximum((hi - lo) // lv.stride + 1, 0), n)
 
 
 def _row_blocks(counts, n):
-    """(s, e, starts, m) per block of rows s..e-1 of n rows of `counts`
-    points each (an int for every row, or a column): m points in all, at
-    most BLOCK_POINTS unless one row is longer, each row's first at
-    `starts` in the block."""
-    if not isinstance(counts, np.ndarray):
-        counts = int(counts)
-        per = max(1, BLOCK_POINTS // max(counts, 1))
-        for s in range(0, n if counts > 0 else 0, per):
-            e = min(n, s + per)
-            m = counts * (e - s)
-            yield s, e, _ORIGIN if e - s == 1 else np.arange(0, m, counts), m
-        return
+    """(s, e, starts, m) per block of rows s..e-1 of n rows with `counts`
+    points each: m points in all, at most BLOCK_POINTS unless one row is
+    longer, each row's first at `starts` in the block."""
     ends = np.cumsum(counts)
     s = done = 0
     while s < n:
         e = n if int(ends[-1]) - done <= BLOCK_POINTS else max(
             int(np.searchsorted(ends, done + BLOCK_POINTS, "right")), s + 1)
         stop = int(ends[e - 1])
-        yield s, e, _ORIGIN if e - s == 1 else ends[s:e] - counts[s:e] - done, stop - done
+        yield s, e, ends[s:e] - counts[s:e] - done, stop - done
         s, done = e, stop
 
 
 def _expand(levels, cols, n, env, k=0):
-    """Expand a frontier of n > 0 rows (cols: name -> int64 column, or an
-    int shared by every row) that has set every level above k, in blocks
-    and in lexicographic order.
+    """Expand a frontier of n > 0 rows (cols: name -> int64 column of n
+    rows) that has set every level above k, in blocks and in lexicographic
+    order.
 
     Each row is repeated over its level's values (`_ranges`), cut into
-    blocks (`_row_blocks`); the level's guards drop points, the values kept
-    are checked against the level's extents and its terms are added to
-    their columns.  Yields (block, m) per innermost block of m points.
+    blocks (`_row_blocks`), with every column of the frontier; the level's
+    guards drop points, the values kept are checked against the level's
+    dense extents once per block, and its terms are added to their
+    columns.  Yields (block, m) per innermost block of m points.
     """
     if k == len(levels):
         yield cols, n
         return
     lv = levels[k]
-    coefs = [(col, e, poly_values(p, cols, env)) for col, e, p in lv.terms]
-    names = cols if lv.keep is None else lv.keep
+    coefs = [(col, e, _column(poly_values(p, cols, env), n)) for col, e, p in lv.terms]
     lo, counts = _ranges(lv, cols, n, env)
     for s, e, starts, m in _row_blocks(counts, n):
-        if e - s == 1:   # one row: its values in every column broadcast
-            first = _take(lo, s)
-            rows, x = s, np.arange(first, first + m * lv.stride, lv.stride)
-        else:
-            repeats = counts[s:e] if isinstance(counts, np.ndarray) else counts
-            rows = np.repeat(np.arange(s, e), repeats)
-            x = np.repeat(_take(lo, slice(s, e)) - starts * lv.stride, repeats)
-            x += np.arange(0, m * lv.stride, lv.stride)
-        block = {d: _take(cols[d], rows) for d in names}
+        rows = np.repeat(np.arange(s, e), counts[s:e])
+        x = np.repeat(lo[s:e] - starts * lv.stride, counts[s:e])
+        x += np.arange(0, m * lv.stride, lv.stride)
+        block = {d: c[rows] for d, c in cols.items()}
         block[lv.var] = x
         if lv.guards:
             keep = guards_mask(lv.guards, block, env)
-            rows = _take(rows, keep)
-            block = {d: _take(c, keep) for d, c in block.items()}
-            x = block[lv.var]
-            if lv.extents and len(x):
-                _check_extents(lv, x.min(), x.max(), env)
+            rows, x = rows[keep], x[keep]
+            block = {d: c[keep] for d, c in block.items()}
         if not len(x):
             continue
+        if lv.extents:
+            least, most = x.min(), x.max()
+            for tensor, extent in lv.extents:
+                if least < 0 or most >= env[extent]:
+                    raise IndexingFault(f"an index of {tensor} leaves its dense extent")
         for col, exp, c in coefs:
-            term = x if exp == 1 else x ** exp
-            if isinstance(c, np.ndarray) or c != 1:
-                term = _take(c, rows) * term
-            block[col] = block[col] + term
-        if k + 1 < len(levels):
-            yield from _expand(levels, block, len(x), env, k + 1)
-        else:
-            yield block, len(x)
+            block[col] = block[col] + c[rows] * (x if exp == 1 else x ** exp)
+        yield from _expand(levels, block, len(x), env, k + 1)
 
 
 def _rows(levels, cols, env):
     """Expand every level above the last of `levels` from one row of
     columns `cols`, and yield (block, n, lo, counts) per block of n rows on
-    which the last level has points: `_ranges` of that level with its empty
-    rows dropped."""
+    which the last level has points, every column of the block kept:
+    `_ranges` of that level with its empty rows dropped."""
     lv = levels[-1]
     for block, n in _expand(levels[:-1], cols, 1, env):
         lo, counts = _ranges(lv, block, n, env)
-        if isinstance(counts, np.ndarray):
-            if counts.min() <= 0:
-                rows = np.flatnonzero(counts)
-                if not len(rows):
-                    continue
-                block = {d: _take(c, rows) for d, c in block.items()}
-                lo, counts, n = _take(lo, rows), counts[rows], len(rows)
-        elif counts <= 0:
-            continue
-        yield block, n, lo, counts
+        rows = np.flatnonzero(counts)
+        if len(rows):
+            yield {d: c[rows] for d, c in block.items()}, len(rows), lo[rows], counts[rows]
 
 
 def _work(prog, env):
     """A summand's points per value of its outermost level: (lo, work), with
     work[x] the points at value lo + x, summed over its innermost rows by
-    value of level 0.  Those rows' counts come from `_ranges`, which ignores
-    that level's guards: an upper bound."""
+    value of level 0, level 0's value read from each row's column.  Those
+    rows' counts come from `_ranges`, which ignores that level's guards: an
+    upper bound."""
     top = prog.levels[0]
     lo, hi = (int(x) for x in _level_range(top, {}, env))
     work = np.zeros(max(hi - lo + 1, 0))
     if len(prog.levels) == 1:   # level 0's values are the rows
         work[::top.stride] = 1
         return lo, work
-    # no index columns and no extent checks; every level below 0 carries its value
-    levels = [lv._replace(terms=(), extents=(), keep=None if lv.keep is None else tuple(
-        {d for d in lv.keep if isinstance(d, str)} | ({top.var} if k else set())))
-        for k, lv in enumerate(prog.levels)]
-    for block, n, _, counts in _rows(levels, {}, env):
-        work += np.bincount(_column(block[top.var], n) - lo, _column(counts, n), len(work))
+    # no index columns and no extent checks
+    levels = [lv._replace(terms=(), extents=()) for lv in prog.levels]
+    for block, _, _, counts in _rows(levels, {}, env):
+        work += np.bincount(block[top.var] - lo, counts, len(work))
     return lo, work
 
 
@@ -400,7 +335,8 @@ def dim_ranges(nest, binding):
     """{dim: (least, most)} over a nest's points at a binding, {} when it
     visits none.  On an innermost level without guards only the rows are
     walked, each row's first and last value standing for its points
-    (`_rows`); else every point is."""
+    (`_rows`); else every point is.  Each dim's range is the least and most
+    of its column over every block."""
     ranges = {}
     if nest.empty or not nest.levels:
         return ranges
@@ -417,7 +353,7 @@ def dim_ranges(nest, binding):
     for block, lo, hi in blocks:
         for d in nest.dims:
             least, most = (lo, hi) if d == inner else (block[d], block[d])
-            least, most = int(_least(least)), int(_most(most))
+            least, most = int(least.min()), int(most.max())
             if d in ranges:
                 least, most = min(least, ranges[d][0]), max(most, ranges[d][1])
             ranges[d] = least, most
@@ -434,8 +370,7 @@ def iter_point_chunks(nest, binding):
     env = {p: int(binding[p]) for p in nest.params if p in binding}
     if guards_mask(nest.guards, {}, env):
         for block, n in _expand(nest.levels, {}, 1, env):
-            yield np.array([_column(block[d], n) for d in nest.dims],
-                           dtype=np.int64).reshape(-1, n).T
+            yield np.array([block[d] for d in nest.dims], dtype=np.int64).reshape(-1, n).T
 
 
 # ---------------------------------------------------------------------------
@@ -709,19 +644,9 @@ def _program(nest, stmt):
              max((sum(e for _, e in mono) for _, mono in every), default=0))
 
     run = _run_steps(dims, levels, terms, leaves)
-    # the columns each level's points must carry, innermost level first
-    dims = set(dims)  # membership only from here on
-    piece_polys = [p for a in leaves for gs, poly, _ in a.pieces or ()
-                   for p in (poly, *(g[1] for g in gs))]
-    need = set(root) | (_poly_names(*piece_polys) & dims)
-    for k in reversed(range(len(levels))):
-        lv = levels[k]
-        keep = tuple((need | _poly_names(*(g[1] for g in lv.guards)) & dims) - {lv.var})
-        levels[k] = lv._replace(terms=tuple(terms[k]), keep=keep,
-                                extents=tuple(sorted(extents[k])))
-        need = set(keep) | _poly_names(*(p for _, p in lv.lowers + lv.uppers),
-                                       lv.phase or (), *(p for *_, p in terms[k])) & dims
-    return _Program(nest.guards, tuple(levels), root, tuple(leaves), tuple(bounds), crude,
+    levels = tuple(lv._replace(terms=tuple(t), extents=tuple(sorted(x)))
+                   for lv, t, x in zip(levels, terms, extents))
+    return _Program(nest.guards, levels, root, tuple(leaves), tuple(bounds), crude,
                     run is not None and not run[0], run)
 
 
@@ -766,12 +691,12 @@ def _range_fault(bid, tensor):
 
 
 def _exact(v, scale):
-    """v / scale for an int or a column v, raising on any remainder: a rank
-    is integral."""
+    """v / scale for a column v, raising on any remainder: a rank is
+    integral."""
     if scale == 1:
         return v
     v, rest = divmod(v, scale)
-    if rest.any() if isinstance(rest, np.ndarray) else rest:
+    if rest.any():
         raise IndexingFault("non-integer index")
     return v
 
@@ -781,13 +706,13 @@ def _leaf_index(a, cols, n, env, array):
     against the array it indexes; a piecewise rank is evaluated piece by
     piece behind its masks, -1 where none covers."""
     if a.pieces is None:
-        idx = _exact(_column(cols[a.col], n), a.scale)
+        idx = _exact(cols[a.col], a.scale)
     else:
         idx = np.full(n, -1, dtype=np.int64)
         for guards, poly, s in a.pieces:
             mask = np.broadcast_to(guards_mask(guards, cols, env), n)
             if mask.any():
-                sub = {d: _take(c, mask) for d, c in cols.items() if isinstance(d, str)}
+                sub = {d: c[mask] for d, c in cols.items()}
                 idx[mask] = _exact(np.broadcast_to(poly_values(poly, sub, env),
                                                    int(mask.sum())), s)
     # as uint64 a negative index is huge: one pass checks both ends
@@ -797,11 +722,12 @@ def _leaf_index(a, cols, n, env, array):
 
 
 def _leaf_blocks(prog, env, arrays):
-    """Walk a program's points from its root in lexicographic order, every
-    one expanded (`_expand`), and yield (idx, m) per block of m points:
-    idx holds each leaf's int64 index, every one checked against the array
-    it reads before the block is yielded (`_leaf_index`)."""
-    root = {col: poly_values(p, {}, env) for col, p in prog.root.items()}
+    """Walk a program's points from its root, one row of columns, in
+    lexicographic order, every one expanded (`_expand`), and yield (idx,
+    m) per block of m points: idx holds each leaf's int64 index, every one
+    checked against the array it reads before the block is yielded
+    (`_leaf_index`)."""
+    root = {col: _column(poly_values(p, {}, env), 1) for col, p in prog.root.items()}
     for block, m in _expand(prog.levels, root, 1, env):
         yield [_leaf_index(a, block, m, env, x) for a, x in zip(prog.leaves, arrays)], m
 
@@ -885,13 +811,16 @@ def _c_library(plan, backend, arrays):
     """The plan's library (`native.library`) where C runs one call that
     reads and writes `arrays`, else None, the walk: C runs where gcc is on
     PATH, the library builds, and every array has the first's dtype, which
-    has a C element type, and is C-contiguous.  Backend "numpy", or no
-    plan, always walks; backend "c" raises CodegenError without gcc or
-    without a library, and any other backend raises too."""
-    if backend == "numpy" or plan is None:
-        return None
-    if backend not in (None, "c"):
+    has a C element type, and is C-contiguous.  Backend "numpy" always
+    walks, and so does None without a plan; backend "c" raises
+    CodegenError without a plan, without gcc or without a library, and
+    any other backend raises too."""
+    if backend not in (None, "c", "numpy"):
         raise CodegenError(f"unknown backend {backend!r}")
+    if backend == "numpy" or backend is None and plan is None:
+        return None
+    if plan is None:
+        raise CodegenError("backend 'c' needs a plan's library, and there is no plan")
     gcc = native.compiler()
     if backend == "c" and gcc is None:
         raise CodegenError("backend 'c' needs a C compiler, and gcc is not on PATH")
@@ -996,11 +925,7 @@ def _run(sp, lib, arrays, env, threads=1):
             prod = x[i] if prod is None else prod * x[i]
         # collapse runs of equal output index; others may repeat
         o = idx[0]
-        brk = o[1:] != o[:-1]
-        if brk.all():
-            np.add.at(out, o, prod)
-            continue
-        starts = np.flatnonzero(np.concatenate(([True], brk)))
+        starts = np.flatnonzero(np.concatenate(([True], o[1:] != o[:-1])))
         np.add.at(out, o[starts], np.add.reduceat(prod, starts))
     return visited
 

@@ -18,7 +18,8 @@ pack of a plan on C builds or loads the library `execute` then calls;
 gathering a result's compressed outputs runs them as its gathers
 (`KernelPlan.gathers`), where the result ran on C ("c" in
 `ExecResult.backends`) by that rule and else on the walk.  pack without a
-plan and unpack, which has none, walk.  Either way each rank is checked
+plan and unpack, which has none, walk; pack's backend "c" without a plan
+raises, as there is no library to run.  Either way each rank is checked
 against the compressed array it indexes and each position against the
 shape.  No copy runs for a buffer that is its tensor in row-major order
 (`aliases`): the registry proves, once per buffer, that its region lies
@@ -92,10 +93,11 @@ def pack(tensor, index, binding, axes=None, buffer_id=0, plan=None, backend=None
     The copy (`IndexFunction.lowered_copy`) runs from the tensor into the
     buffer: given the `plan` that reads the buffer, as its pack
     (`KernelPlan.packs`) on C where `backend` and the arrays allow
-    (`codegen._c_library`), else on the copy walk.  The rank map is a
-    bijection onto [0, size), so every compressed slot is written exactly
-    once; a rank or coordinate out of range, or a rank that could overflow
-    int64, aborts rather than wrap.
+    (`codegen._c_library`), else on the copy walk; without a plan,
+    backend "c" raises CodegenError.  The rank map is a bijection onto
+    [0, size), so every compressed slot is written exactly once; a rank or
+    coordinate out of range, or a rank that could overflow int64, aborts
+    rather than wrap.
     """
     axes = tuple(range(len(tensor.shape))) if axes is None else axes
     binding = {p: int(v) for p, v in binding.items()}

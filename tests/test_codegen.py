@@ -710,6 +710,50 @@ class TestExecute:
         assert outs and sorted(res.compressed) == sorted(outs)
         assert sorted(map(id, calls)) == sorted(id(plan.registry.buffers[b].index) for b in outs)
 
+    # j's level per kind over 0 <= i < n, each reaching j = n - 1 at n = 6;
+    # where a rule packs B with that level, its text
+    EXTENT_LEVELS = {
+        "loop": ([ge(v("j")), ge(v("n") - k(1) - v("j"))],
+                 "A(i) := B(i, j) * C(j)\nB_U(i, j) := (0 <= i < n) * (0 <= j < n)\n"),
+        "strided": ([ge(v("j")), ge(v("n") - k(1) - v("j")), modeq(v("j"), 2, 1)], None),
+        "fixed": ([eq(v("j") - v("i"))], SPMV_D.replace("n_i", "n")),
+        # the non-unit coefficient stays a guard: j runs to n - 1 from i = 4
+        "guarded": ([ge(v("j")), ge(v("n") - k(1) - v("j")),
+                     ge(v("i") + v("n") - v("j") * 2)], None),
+    }
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", sorted(EXTENT_LEVELS))
+    def test_dense_extent_checked_on_every_level_kind(self, kind, backend):
+        # B one short on the axis j indexes: each backend raises the same
+        # fault, and so do the pack of B and the gather of a short A where
+        # a rule packs them
+        n, (inner, text) = 6, self.EXTENT_LEVELS[kind]
+        space = Polyhedron.build(("i", "j"), ("n",), [
+            ge(v("i")), ge(v("n") - k(1) - v("i")), *inner])
+        nest = build_loop_nest(space)
+        assert nest.levels[1].kind == ("loop" if kind == "guarded" else kind)
+        assert bool(nest.levels[1].guards) == (kind == "guarded")
+        stmt = Statement(AccessPlan("A", 0, "dense", ("i",)), (
+            AccessPlan("B", 1, "dense", ("i", "j")), AccessPlan("C", 2, "dense", ("j",))))
+        store = {"B": np.ones(n * (n - 1)), "C": np.ones(n)}
+        shapes = {"A": (n,), "B": (n, n - 1), "C": (n,)}
+        with pytest.raises(IndexingFault, match="an index of B leaves its dense extent"):
+            execute(kernel_plan(nest, stmt), store, shapes, {"n": n}, backend=backend)
+        if text is None:
+            return
+        program, binding = parse_program(text), {"n": n}
+        short = {"B": DenseTensor((n, n - 1), store["B"]), "C": DenseTensor((n,), store["C"])}
+        with pytest.raises(IndexingFault, match="an index of B leaves its dense extent"):
+            build_store(build_plan(program, "A", "input"), short, binding, backend=backend)
+        plan = build_plan(program, "A", "input+output")
+        tensors = {**short, "B": DenseTensor((n, n), np.ones(n * n))}
+        res = execute(plan, build_store(plan, tensors, binding, backend=backend),
+                      {**shapes, "B": (n, n)}, binding, backend=backend)
+        assert plan.gathers and res.backends == {backend}
+        with pytest.raises(IndexingFault, match="an index of A leaves its dense extent"):
+            gather_output(plan, res, (n - 1,), binding)
+
 
 def default_run(name, level, dtype=np.int64, **sizes):
     """A builtin at its default binding, with `sizes` put over it: (plan,

@@ -909,6 +909,20 @@ class TestPackOnC:
             with pytest.raises(CodegenError, match="backend 'c' needs a C compiler"):
                 build_store(build_plan(program, rule, level), tensors, binding, backend="c")
 
+    def test_unknown_backend_raises_without_a_plan(self):
+        f = findex(LOWER, "B")
+        t = dense_tensor(np.arange(1, 10).reshape(3, 3))
+        with pytest.raises(CodegenError, match="unknown backend 'cuda'"):
+            pack(t, f, {"n": 3}, backend="cuda")
+
+    def test_backend_c_without_a_plan_raises(self):
+        # no plan, no library to run: "c" must not quietly walk
+        f = findex(LOWER, "B")
+        t = dense_tensor(np.arange(1, 10).reshape(3, 3))
+        with pytest.raises(CodegenError, match="backend 'c' needs a plan's library"):
+            pack(t, f, {"n": 3}, backend="c")
+        assert pack(t, f, {"n": 3}, backend="numpy").data.tolist() == [1, 4, 5, 7, 8, 9]
+
 
 # (builtin, tensor) whose buffer is the tensor at the builtin's bindings
 ALIASED = {("MTT_J", "B"), ("SpMV_D", "A"), ("SpMV_D", "C"), ("SpMV_UT", "A"),
