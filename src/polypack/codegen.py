@@ -51,11 +51,11 @@ library builds, and every array the call reads and writes has the
 output's dtype, float64 or int64, and is C-contiguous; backend "c"
 requires C, backend "numpy" the walk.  A parallelizable summand's C
 function takes a share of its outermost range as two more bounds on that
-level, so a `workers > 1` call can run the shares on threads, cut where
-its points (`_work`, per value of that level) balance, wherever they give
-each thread THREAD_POINTS; the walk never splits.  The compressed summands
-and the buffer registry are built once per (program, rule) and shared by
-all three compression levels.
+level, so a `workers > 1` call can run its shares on threads, wherever
+the extents that bound its points give each thread THREAD_POINTS: equal
+chunks of that range, CHUNKS a thread, dealt in snake order; the walk
+never splits.  The compressed summands and the buffer registry are built
+once per (program, rule) and shared by all three compression levels.
 """
 
 from __future__ import annotations
@@ -208,15 +208,21 @@ def build_loop_nest(space):
 # expanded whole.  Bounds the frontier's memory at any depth.
 BLOCK_POINTS = 1 << 13
 
-# Least points (`_work`) per thread for a `workers > 1` call to split a
-# summand on C; with fewer it runs whole in the calling thread.  Measured
-# on SpMV_UT's emitted C with two share bounds on a 2-vCPU guest (f64, min
-# of 15 calls, 2 threads over 1):
-#   points per thread    62K        1.0M       4M         16.8M
-#   second vCPU busy     0.76-0.83  0.89-1.00  1.00-1.08  0.98-0.99
-#   second vCPU free     0.76-0.83  1.80-1.95  2.0-2.3    1.75-1.95
-# From 5M points a thread the split is never measurably slower.
+# Least points per thread, as the extents bound them (`_shares`: twice a
+# triangle's points), for a `workers > 1` call to split a summand on C;
+# with fewer it runs whole in the calling thread.  SpMV_UT's emitted C in
+# chunks on a 2-vCPU guest (f64, min of 15 calls, workers=1 over workers=2):
+#   points per thread  62K        1.0M       2.5M       4M         5M         16.8M
+#   second vCPU busy   0.29-0.35  0.67-0.70  0.80-1.09  0.81-0.87  0.85-0.93  0.91-1.04
+#   second vCPU free   0.27       0.95-1.03  1.18-1.29  1.47-1.52  1.46-1.60  1.72-1.79
+# From 2.5M points a thread, where a triangle first splits, a free vCPU
+# pays; a busy one pays at no size, so a higher floor would not help it.
 THREAD_POINTS = 5_000_000
+
+# Chunks per thread that a split summand's outermost range is cut into
+# (`_shares`); even, so that every pass of the snake order is paired with
+# one dealt the other way round.
+CHUNKS = 8
 
 
 def _level_range(lv, cols, env):
@@ -299,44 +305,12 @@ def _expand(levels, cols, n, env, k=0):
         yield from _expand(levels, block, len(x), env, k + 1)
 
 
-def _rows(levels, cols, env):
-    """Expand every level above the last of `levels` from one row of
-    columns `cols`, and yield (block, n, lo, counts) per block of n rows on
-    which the last level has points, every column of the block kept:
-    `_ranges` of that level with its empty rows dropped."""
-    lv = levels[-1]
-    for block, n in _expand(levels[:-1], cols, 1, env):
-        lo, counts = _ranges(lv, block, n, env)
-        rows = np.flatnonzero(counts)
-        if len(rows):
-            yield {d: c[rows] for d, c in block.items()}, len(rows), lo[rows], counts[rows]
-
-
-def _work(prog, env):
-    """A summand's points per value of its outermost level: (lo, work), with
-    work[x] the points at value lo + x, summed over its innermost rows by
-    value of level 0, level 0's value read from each row's column.  Those
-    rows' counts come from `_ranges`, which ignores that level's guards: an
-    upper bound."""
-    top = prog.levels[0]
-    lo, hi = (int(x) for x in _level_range(top, {}, env))
-    work = np.zeros(max(hi - lo + 1, 0))
-    if len(prog.levels) == 1:   # level 0's values are the rows
-        work[::top.stride] = 1
-        return lo, work
-    # no index columns and no extent checks
-    levels = [lv._replace(terms=(), extents=()) for lv in prog.levels]
-    for block, _, _, counts in _rows(levels, {}, env):
-        work += np.bincount(block[top.var] - lo, counts, len(work))
-    return lo, work
-
-
 def dim_ranges(nest, binding):
     """{dim: (least, most)} over a nest's points at a binding, {} when it
     visits none.  On an innermost level without guards only the rows are
-    walked, each row's first and last value standing for its points
-    (`_rows`); else every point is.  Each dim's range is the least and most
-    of its column over every block."""
+    walked, each row's first and last value standing for its points (the
+    level's `_ranges`, its empty rows dropped); else every point is.  Each
+    dim's range is the least and most of its column over every block."""
     ranges = {}
     if nest.empty or not nest.levels:
         return ranges
@@ -345,12 +319,16 @@ def dim_ranges(nest, binding):
         return ranges
     last = nest.levels[-1]
     inner = last.var
-    if not last.guards:
-        blocks = ((b, lo, lo + (counts - 1) * last.stride)
-                  for b, _, lo, counts in _rows(nest.levels, {}, env))
-    else:
-        blocks = ((b, b[inner], b[inner]) for b, _ in _expand(nest.levels, {}, 1, env))
-    for block, lo, hi in blocks:
+    for block, n in _expand(nest.levels if last.guards else nest.levels[:-1], {}, 1, env):
+        if last.guards:
+            lo = hi = block[inner]
+        else:
+            lo, counts = _ranges(last, block, n, env)
+            rows = np.flatnonzero(counts)
+            if not len(rows):
+                continue
+            block = {d: c[rows] for d, c in block.items()}
+            lo, hi = lo[rows], lo[rows] + (counts[rows] - 1) * last.stride
         for d in nest.dims:
             least, most = (lo, hi) if d == inner else (block[d], block[d])
             least, most = int(least.min()), int(most.max())
@@ -843,42 +821,45 @@ _WHOLE = (-_INT64_MAX - 1, _INT64_MAX)
 
 
 def _shares(sp, env, threads):
-    """The shares [lo, hi] of a summand's outermost range that its C calls
-    run, one per thread of at most `threads`: where it is parallelizable,
-    cut where its points (`_work`) summed along that range cross k/threads
-    of their total, wherever they give each thread THREAD_POINTS; else the
-    whole range.  `_work` is walked only when the extents that bound the
-    points (`SummandPlan.axes`) allow two threads."""
-    if threads < 2 or not sp.parallelizable or math.prod(
-            min((env[x] for x in names if x in env), default=math.inf)
-            for names in sp.axes) < 2 * THREAD_POINTS:
-        return [_WHOLE]
-    lo, work = _work(sp.program, env)
-    threads = min(threads, int(work.sum()) // max(THREAD_POINTS, 1))
+    """The chunks [lo, hi] of a summand's outermost range that its C calls
+    run, one ascending list per thread of at most `threads`: where it is
+    parallelizable and the extents that bound its points (`SummandPlan.axes`)
+    give each thread THREAD_POINTS, CHUNKS near-equal runs of values a
+    thread (fewer where the range is shorter), chunk c dealt to thread c % T
+    on even passes and T - 1 - c % T on odd ones (snake order), so that a
+    triangle's rows even out unmeasured; else the whole range."""
+    if threads < 2 or not sp.parallelizable:
+        return [[_WHOLE]]
+    threads = min(threads, math.prod(min((env[x] for x in names if x in env), default=math.inf)
+                                     for names in sp.axes) // max(THREAD_POINTS, 1))
     if threads < 2:
-        return [_WHOLE]
-    # value x joins the share whose part of the total holds the middle of
-    # its work: each cut lies within half a value's work of k/threads
-    cum = np.cumsum(work)
-    cuts = [0, *np.searchsorted(threads * (2 * cum - work), 2 * cum[-1] * np.arange(1, threads)),
-            len(work)]
-    return [(lo + int(a), lo + int(b) - 1) for a, b in zip(cuts, cuts[1:]) if b > a]
+        return [[_WHOLE]]
+    lo, hi = (int(x) for x in _level_range(sp.program.levels[0], {}, env))
+    n = hi - lo + 1
+    k = min(threads * CHUNKS, n)
+    lists = [[] for _ in range(threads)]
+    for c in range(k):
+        t = c % threads if c // threads % 2 == 0 else threads - 1 - c % threads
+        lists[t].append((lo + n * c // k, lo + n * (c + 1) // k - 1))
+    lists = [chunks for chunks in lists if chunks]
+    return lists if len(lists) > 1 else [[_WHOLE]]
 
 
 def _run(sp, lib, arrays, env, threads=1):
     """Run a summand, or a copy (`sp.into` set), on the arrays at its leaf
     columns; returns the points a copy visited.
 
-    With a library (`_c_library`) its C function runs once per share of its
-    outermost range (`_shares`, of at most `threads`): the first in this
-    thread and each other on a thread of its own, every one joined before
-    this returns.  Shares write disjoint output values of the same arrays.
-    A nonzero status raises the IndexingFault of the first failing share,
-    in order.  Without, every point of the program is walked by
-    `_leaf_blocks`, every index checked before the block reads a store: a
-    summand adds the product of its inputs into leaf 0, equal output
-    indices next to each other summed first, and a copy assigns leaf
-    `into` from the other.
+    With a library (`_c_library`) its C function runs once per chunk of
+    its outermost range (`_shares`, dealt to at most `threads`): the first
+    thread's chunks in this thread and each other's on a thread of its own,
+    every one joined before this returns.  Each thread runs its chunks in
+    ascending order and stops at its first nonzero status; chunks write
+    disjoint output values of the same arrays.  The IndexingFault raised is
+    that of the lowest failing chunk, the one `workers=1` raises.  Without,
+    every point of the program is walked by `_leaf_blocks`, every index
+    checked before the block reads a store: a summand adds the product of
+    its inputs into leaf 0, equal output indices next to each other summed
+    first, and a copy assigns leaf `into` from the other.
     """
     prog, into = sp.program, sp.into
     if lib is not None:
@@ -889,27 +870,29 @@ def _run(sp, lib, arrays, env, threads=1):
             fn.argtypes = [ctypes.c_void_p if kind == "ptr" else ctypes.c_int64
                            for kind, _ in sp.c_args]
             fn.restype = ctypes.c_int
-        shares = _shares(sp, env, threads)
-        args = [[arrays[x].ctypes.data if kind == "ptr" else len(arrays[x]) if kind == "len"
-                 else share[x] if kind == "share" else env[x] for kind, x in sp.c_args]
-                for share in shares]
-        status = [0] * len(shares)
+        failed = []   # (chunk, status) per thread that stopped at a nonzero status
 
-        def call(k):
-            status[k] = fn(*args[k])
+        def call(chunks):
+            for share in chunks:
+                status = fn(*[
+                    arrays[x].ctypes.data if kind == "ptr" else len(arrays[x]) if kind == "len"
+                    else share[x] if kind == "share" else env[x] for kind, x in sp.c_args])
+                if status:
+                    failed.append((share, status))
+                    return
+        first, *rest = _shares(sp, env, threads)
         others = []
         try:
-            for k in range(1, len(shares)):
-                t = threading.Thread(target=call, args=(k,))
+            for chunks in rest:
+                t = threading.Thread(target=call, args=(chunks,))
                 t.start()
                 others.append(t)
-            call(0)
+            call(first)
         finally:
             for t in others:
                 t.join()
-        failed = next((s for s in status if s), 0)
         if failed:
-            raise IndexingFault(_faults(sp.statement)[failed - 1])
+            raise IndexingFault(_faults(sp.statement)[min(failed)[1] - 1])
         return 0 if into is None else int(arrays[-1][0])
     visited = 0
     if prog is None or not guards_mask(prog.guards, {}, env):
@@ -946,14 +929,16 @@ def execute(plan, store, shapes, binding, workers=1, dtype=np.float64, backend=N
 
     With workers > 1 a parallelizable summand on C runs on up to `workers`
     threads, capped at the CPUs this process may use (the machine's where
-    the OS cannot tell), the calling thread among them, wherever its points
-    (`_work`) give each THREAD_POINTS (see `_shares`); every share of a
-    summand is joined before the next summand starts, since two summands
-    can write one output value.  A share writes disjoint output values in
-    place and sums each one's terms in the same order, so results are
-    bitwise identical to `workers=1`.  The NumPy walk never splits.
-    Index ranges that can overflow int64 and a dense input shorter than its
-    shape raise IndexingFault before any output is allocated.
+    the OS cannot tell), the calling thread among them, wherever the
+    extents that bound its points give each THREAD_POINTS (see `_shares`):
+    equal chunks of its outermost range, dealt in snake order.  Every chunk
+    of a summand is joined before the next summand starts, since two
+    summands can write one output value.  A chunk writes disjoint output
+    values in place and sums each one's terms in the same order, so
+    results are bitwise identical to `workers=1`.  The NumPy walk never
+    splits.  Index ranges that can overflow int64 and a dense input
+    shorter than its shape raise IndexingFault before any output is
+    allocated.
 
     What only the int binding and the shapes decide is checked once per
     (binding, shapes) and kept on the plan (`_bind`): the live summands,

@@ -779,44 +779,47 @@ class TestThreads:
     @pytest.mark.parametrize("level", LEVELS)
     def test_small_call_starts_no_thread(self, level, backend, monkeypatch):
         # every builtin at its default binding is far below THREAD_POINTS:
-        # workers=2 walks no `_work`, starts no thread and gives workers=1's
-        # output bitwise
-        def no_work(*args):
-            raise AssertionError("the points of a summand were walked")
+        # workers=2 starts no thread and gives workers=1's output bitwise
         runs = {name: default_run(name, level) for name in BUILTIN_KERNELS}
         want = {name: execute(*run, dtype=np.int64, backend=backend)
                 for name, run in runs.items()}
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(codegen, "_work", no_work)
         started = record_threads(monkeypatch)
         for name, run in runs.items():
             got = execute(*run, workers=2, dtype=np.int64, backend=backend)
             assert same_result(got, want[name]), name
         assert started == []
 
-    @needs_gcc
-    def test_shares_balance_points(self, monkeypatch):
-        # at floor 0, SpMV_UT at n=2000 splits on C; rows i hold n - i
-        # points, and the two shares differ by at most the row at the cut
-        n = 2000
-        plan, store, shapes, binding = default_run("SpMV_UT", "input+output", n_i=n, n_j=n)
-        seq = execute(plan, store, shapes, binding, dtype=np.int64)
-        no_floor(monkeypatch)
-        shares, real = [], codegen._shares
-
-        def recorded(*args):
-            shares.append(real(*args))
-            return shares[-1]
-        monkeypatch.setattr(codegen, "_shares", recorded)
-        started = record_threads(monkeypatch)
-        par = execute(plan, store, shapes, binding, workers=2, dtype=np.int64)
-        assert par.backends == {"c"} and len(started) == 1
-        [(lo, hi), (after, last)], = shares   # the caller runs the first
-        assert (lo, after, last) == (0, hi + 1, n - 1)
-        first = sum(n - i for i in range(lo, hi + 1))
-        rest = n * (n + 1) // 2 - first
-        assert abs(first - rest) <= n - hi
-        assert same_result(par, seq)
+    @pytest.mark.parametrize("threads", [2, 4, 8])
+    @pytest.mark.parametrize("name,n", [("SpMV_UT", 2000), ("TTM_UT", 64)])
+    def test_shares_balance_points(self, name, n, threads, monkeypatch):
+        # at floor 0 the outermost range is cut into chunks that hold each
+        # of its values once, each thread's ascending, dealt in snake
+        # order; rows i hold points in proportion to n - i, and each
+        # thread's points, counted on the enumeration, lie within 2% of
+        # an equal share
+        plan, _, shapes, binding = default_run(name, "input+output",
+                                               **{s: n for s in BUILTIN_KERNELS[name].defaults})
+        env = {**binding, **{(t, a): e for t, sh in shapes.items() for a, e in enumerate(sh)}}
+        monkeypatch.setattr(codegen, "THREAD_POINTS", 0)
+        split = [sp for sp in plan.summands if sp.parallelizable]
+        assert split
+        for sp in split:
+            lists = codegen._shares(sp, env, threads)
+            assert len(lists) == threads
+            assert all(chunks == sorted(chunks) for chunks in lists)
+            dealt = sorted((chunk, t) for t, chunks in enumerate(lists) for chunk in chunks)
+            values = [x for (lo, hi), _ in dealt for x in range(lo, hi + 1)]
+            assert values == list(range(n))
+            for c, (_, t) in enumerate(dealt):
+                assert t == (c % threads if c // threads % 2 == 0
+                             else threads - 1 - c % threads)
+            points = np.zeros(n, dtype=np.int64)
+            for pts in iter_point_chunks(sp.nest, binding):
+                points += np.bincount(pts[:, 0], minlength=n)
+            for chunks in lists:
+                held = sum(int(points[lo:hi + 1].sum()) for lo, hi in chunks)
+                assert abs(held * threads / points.sum() - 1) <= 0.02, (sp.name, chunks)
 
     @needs_gcc
     @pytest.mark.parametrize("workers,cpus,threads", [(8, 3, 2), (2, 3, 1), (8, 1, 0),
@@ -881,38 +884,65 @@ class TestThreads:
 
     def test_extents_gate_the_walk_of_points(self, monkeypatch):
         # SpMV_UT's extents bound its points by n * n: at n = 2000 (4M)
-        # they cannot give two threads THREAD_POINTS, and `_work` is not
-        # walked; at n = 8192 its 33.5M points make two shares
+        # they cannot give two threads THREAD_POINTS; at n = 8192 (67M)
+        # they give two shares; no point or row is walked for either
         kern = BUILTIN_KERNELS["SpMV_UT"]
         sp, = build_plan(parse_program(kern.text), kern.rule, "input+output").summands
-        walked, real = [], codegen._work
 
-        def counted(*args):
-            walked.append(args)
-            return real(*args)
-        monkeypatch.setattr(codegen, "_work", counted)
+        def walked(*args):
+            raise AssertionError("the points of a summand were walked")
+        for fn_name in ("_expand", "dim_ranges", "_leaf_blocks"):
+            monkeypatch.setattr(codegen, fn_name, walked)
         for n, shares in ((2000, 1), (8192, 2)):
             env = {"n_i": n, "n_j": n, ("A", 0): n, ("B", 0): n, ("B", 1): n, ("C", 0): n}
             assert len(codegen._shares(sp, env, 2)) == shares
-            assert len(walked) == shares - 1
-        assert codegen._shares(sp, env, 1) == [codegen._WHOLE]
+        assert codegen._shares(sp, env, 1) == [[codegen._WHOLE]]
 
-    @pytest.mark.parametrize("level", LEVELS)
-    def test_work_counts_points(self, level):
-        # the work per outermost value of a summand is never below that
-        # value's points
-        for name, kern in BUILTIN_KERNELS.items():
-            plan, _, shapes, binding = default_run(name, level)
-            env = {**binding, **{(t, a): e for t, sh in shapes.items() for a, e in enumerate(sh)}}
-            summands = build_compressed_summands(parse_program(kern.text), kern.rule)
-            for sp, summand in zip(plan.summands, summands):
-                if not sp.parallelizable:
-                    continue
-                lo, work = codegen._work(sp.program, env)
-                pts = enumerate_points(iteration_space(summand), binding)
-                values, counts = np.unique(pts[:, 0], return_counts=True)
-                assert (work[values - lo] >= counts).all(), name
-                assert work.sum() == len(pts) > 0, name   # no innermost guards here
+    def test_fault_of_lowest_chunk(self, monkeypatch):
+        # a C function that fails at two outermost values with different
+        # faults, the lower in a chunk of the thread started second (three
+        # threads, CHUNKS a thread, dealt in snake order over 24 rows: row
+        # 3 is chunk 3, the third thread's) and the higher in one of the
+        # caller's (row 5): workers=3 raises workers=1's fault, row 3's
+        plan, store, shapes, binding = default_run("SpMV_UT", "input+output", n_i=24, n_j=24)
+        sp, = plan.summands
+        faults = {3: 3, 5: 2}    # row -> status
+        messages = codegen._faults(sp.statement)
+        assert messages[2] != messages[1]
+        ends = [k for k, (kind, _) in enumerate(sp.c_args) if kind == "share"]
+
+        class Function:
+            argtypes = restype = None
+
+            def __call__(self, *args):
+                lo, hi = max(args[ends[0]], 0), min(args[ends[1]], 23)
+                return next((faults[x] for x in range(lo, hi + 1) if x in faults), 0)
+
+        class Library:
+            pass
+        lib = Library()
+        setattr(lib, sp.name, Function())
+        env = codegen._bind(plan, shapes, binding).env
+        arrays = (np.zeros(24), *[store[a.key] for a in sp.program.leaves[1:]])
+        monkeypatch.setattr(codegen, "THREAD_POINTS", 0)
+        lists = codegen._shares(sp, env, 3)
+        assert (3, 3) in lists[2] and (5, 5) in lists[0]
+        raised = []
+        for threads in (1, 3):
+            with pytest.raises(IndexingFault) as err:
+                codegen._run(sp, lib, arrays, env, threads)
+            raised.append(str(err.value))
+        assert raised == [messages[2]] * 2
+        # eight threads on fewer CPUs, switching every microsecond: no
+        # thread's status is lost
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                with pytest.raises(IndexingFault, match=re.escape(messages[2])):
+                    codegen._run(sp, lib, arrays, env, 8)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 def test_levels_share_one_registry(monkeypatch):

@@ -5,7 +5,7 @@ the walk (`codegen._expand` and what drives it) is only the fallback where
 C cannot run and the oracle the C is checked against.  This pins that
 premise: each workload of `perfbench/workload.py`, run once in this process
 with a short execution phase, calls `codegen._run` and none of the walk's
-functions.  The workload script is only imported here.
+functions, also at floor 0, where its `workers=2` calls split on C.  The workload script is only imported here.
 """
 
 import importlib
@@ -22,7 +22,7 @@ from polypack import cli, codegen, counting, indexing, polyhedra, runtime, stur 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-WALK = ("_expand", "_rows", "_work", "dim_ranges", "_leaf_blocks")
+WALK = ("_expand", "dim_ranges", "_leaf_blocks")
 
 
 @pytest.fixture(scope="module")
@@ -53,3 +53,20 @@ def test_benchmark_never_walks(workload, name, monkeypatch):
     assert out["failed"] == 0
     assert calls["_run"] >= 1
     assert {f: calls[f] for f in WALK} == dict.fromkeys(WALK, 0)
+
+
+@pytest.mark.parametrize("name", ["compile-suite", "tri-bulk", "thin-slices"])
+def test_split_calls_never_walk(workload, name, monkeypatch):
+    # at floor 0 on two CPUs the workload's workers=2 calls split on C, and
+    # cutting a summand's shares walks none of its points or rows
+    real, splits = codegen._shares, []
+
+    def recorded(*args):
+        shares = real(*args)
+        splits.append(len(shares) > 1)
+        return shares
+    monkeypatch.setattr(codegen, "_shares", recorded)
+    monkeypatch.setattr(codegen, "THREAD_POINTS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    test_benchmark_never_walks(workload, name, monkeypatch)
+    assert any(splits)
