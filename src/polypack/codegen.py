@@ -115,19 +115,19 @@ class LoopNest:
 
 
 def _level(var, kind, lowers, uppers, guards, stride=1, phase=None):
-    """A `_Level` of AffineExpr bounds and phase and Constraint guards."""
-    lowers, uppers = tuple(map(int_form, lowers)), tuple(map(int_form, uppers))
-    phase = None if phase is None else int_form(phase)[1]
-    return _Level(var, kind, stride, lowers, uppers, phase, tuple(map(int_guard, guards)),
+    """A `_Level` of `_solve` bounds, an AffineExpr phase and Constraint guards."""
+    return _Level(var, kind, stride, tuple(lowers), tuple(uppers),
+                  None if phase is None else int_form(phase), tuple(map(int_guard, guards)),
                   kind == "fixed" and lowers[0][0] == 1, (), ())
 
 
 def _solve(c, v):
-    """a*v + e (>=|=) 0: the bound/value expr -e/a for v, rational unless
-    a = +-1 (a rational lower bound is rounded up, an upper one down)."""
-    rest = c.expr.drop(v)
+    """a*v + e (>=|=) 0 as the bound (|a|, poly of -e if a > 0 else e) on v,
+    -e/a rounded inward; c is normal, so its coefficients have no common
+    factor and |a| is the least scale that makes -e/a an integer poly."""
     a = c.expr.coeff(v)
-    return -rest if a == 1 else rest if a == -1 else rest * (-1 / a)
+    rest = c.expr.drop(v)
+    return abs(a), int_form(-rest if a > 0 else rest)
 
 
 def build_loop_nest(space):
@@ -493,7 +493,7 @@ def copy_statement(index, axes, bid, redmap=None):
     extents (axis a's read from env at `_AXIS_EXTENT.format(a)`), and the
     rank is read at the map's image, guarded by the region's constraints
     (`PiecewiseQuasiPolynomial.substitute`): an image outside the region
-    or between integer points fails its check.
+    fails its check.
     """
     if redmap is None:
         space, rank = index.accessed, index.rank
@@ -824,10 +824,10 @@ def _shares(sp, env, threads):
     """The chunks [lo, hi] of a summand's outermost range that its C calls
     run, one ascending list per thread of at most `threads`: where it is
     parallelizable and the extents that bound its points (`SummandPlan.axes`)
-    give each thread THREAD_POINTS, CHUNKS near-equal runs of values a
-    thread (fewer where the range is shorter), chunk c dealt to thread c % T
-    on even passes and T - 1 - c % T on odd ones (snake order), so that a
-    triangle's rows even out unmeasured; else the whole range."""
+    give each thread THREAD_POINTS, runs of n // (T * CHUNKS) of its n
+    values (at least one, the last run shorter), chunk c dealt to thread
+    c % T on even passes and T - 1 - c % T on odd ones (snake order), so
+    that a triangle's rows even out unmeasured; else the whole range."""
     if threads < 2 or not sp.parallelizable:
         return [[_WHOLE]]
     threads = min(threads, math.prod(min((env[x] for x in names if x in env), default=math.inf)
@@ -835,12 +835,11 @@ def _shares(sp, env, threads):
     if threads < 2:
         return [[_WHOLE]]
     lo, hi = (int(x) for x in _level_range(sp.program.levels[0], {}, env))
-    n = hi - lo + 1
-    k = min(threads * CHUNKS, n)
+    step = max(1, (hi - lo + 1) // (threads * CHUNKS))
     lists = [[] for _ in range(threads)]
-    for c in range(k):
+    for c, first in enumerate(range(lo, hi + 1, step)):
         t = c % threads if c // threads % 2 == 0 else threads - 1 - c % threads
-        lists[t].append((lo + n * c // k, lo + n * (c + 1) // k - 1))
+        lists[t].append((first, min(first + step - 1, hi)))
     lists = [chunks for chunks in lists if chunks]
     return lists if len(lists) > 1 else [[_WHOLE]]
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .polyhedra import (
     EQ0, FALSE, GE0, MODEQ, AffineExpr, Constraint, Polyhedron, eq, ge,
-    enumerate_points, guards_mask, implies, int_guard, is_empty, modeq,
+    enumerate_points, guards_mask, implies, int_guard, is_empty,
     normalize_constraints, poly_values,
 )
 
@@ -364,10 +364,9 @@ class PiecewiseQuasiPolynomial:
     def substitute(self, mapping, context):
         """This value at an affine image, over `context`'s points: each dim of
         this value's context becomes mapping[dim] (AffineExprs, all at once),
-        and every piece keeps that context and the image's integrality as
-        guards, so an image outside it or between integer points has none."""
-        region = [c.substitute(mapping) for c in self.context.constraints] + [
-            modeq(e, k, 0) for e, k in map(AffineExpr.scaled_integer, mapping.values()) if k > 1]
+        and every piece keeps that context as guards, so an image outside it
+        has none."""
+        region = [c.substitute(mapping) for c in self.context.constraints]
         polys = {d: QuasiPolynomial.from_affine(e) for d, e in mapping.items()}
         names = context.dims + context.params
         return PiecewiseQuasiPolynomial(tuple(
@@ -412,8 +411,7 @@ def _restrict(poly, constraints):
             if not units:
                 continue
             var = next((u for u in units if u in work.variables()), units[0])
-            a = c.expr.coeff(var)
-            rhs = (c.expr.drop(var)) * Fraction(-1, a)
+            rhs = c.expr.drop(var) * -c.expr.coeff(var)
             work = work.substitute({var: QuasiPolynomial.from_affine(rhs)})
             eqs = [k.substitute({var: rhs}) if var in k.expr.coeffs else k
                    for k in eqs if k is not c]
@@ -638,11 +636,11 @@ def count_points(p, context=None):
             if eqs:
                 c0 = min(eqs, key=lambda c: abs(c.expr.coeff(var)))
                 a = c0.expr.coeff(var)
-                rhs = (c0.expr.drop(var)) * Fraction(-1, a)
                 if abs(a) != 1:
-                    if any(f.denominator != 1
-                           for f in list(rhs.coeffs.values()) + [rhs.const]):
-                        raise PeriodicCountError(f"equality with coefficient {a} on {var}")
+                    # c0 is normal: its coefficients have no common factor,
+                    # so a does not divide them all and var is not integral
+                    raise PeriodicCountError(f"equality with coefficient {a} on {var}")
+                rhs = c0.expr.drop(var) * -a
                 rest = []
                 for c in cons:
                     if c is c0:

@@ -40,9 +40,8 @@ class IndexFunction:
     @cached_property
     def int_extents(self):
         """`extents` as integer polys (`polyhedra.int_form`), which
-        `poly_values` evaluates: each bound is a normalized integer row's,
-        so its scale is 1."""
-        return tuple(tuple(int_form(u)[1] for u in us) for us in self.extents)
+        `poly_values` evaluates."""
+        return tuple(tuple(map(int_form, us)) for us in self.extents)
 
     def lowered_copy(self, axes, bid, redmap=None):
         """(nest, statement, program) of a copy, lowered once per (axes,

@@ -1,4 +1,4 @@
-"""Exact-rational affine forms and parametric integer polyhedra.
+"""Integer affine forms and parametric integer polyhedra.
 
 The objects here are the substrate for everything else in the package:
 iteration spaces, accessed index sets, preceding-access slices and the
@@ -6,17 +6,17 @@ piece domains of counting results are all `Polyhedron` values, i.e.
 finite conjunctions of affine constraints over an ordered list of
 dimensions plus a list of symbolic size parameters.
 
-No floating point is introduced anywhere.  Affine expressions carry exact
-`fractions.Fraction` entries; normalizing a constraint gives it a
-canonical integer row (gcd-reduced integer coefficients sorted by name,
-integer constant, modulus and residue), and normalizing a normal
-constraint returns it unchanged.  Dedupe, parallel pruning, projection and
-the emptiness test all work on these rows with Python ints: projection is
-Fourier-Motzkin elimination with equality pre-substitution and gcd
-tightening, the real shadow of Pugh's Omega test (it has no dark or grey
-shadows).  Because FM over the rationals is not integer-exact in general,
-`image` records an exactness flag and the test suite re-validates
-projections against the brute-force enumerator below.
+No floating point or rational number is introduced anywhere.  Affine
+expressions carry Python ints; normalizing a constraint gives it a
+canonical integer row (gcd-reduced coefficients sorted by name, constant,
+modulus and residue), and normalizing a normal constraint returns it
+unchanged.  Dedupe, parallel pruning, projection and the emptiness test
+all work on these rows: projection is Fourier-Motzkin elimination with
+equality pre-substitution and gcd tightening, the real shadow of Pugh's
+Omega test (it has no dark or grey shadows).  Because FM over the
+rationals is not integer-exact in general, `image` records an exactness
+flag and the test suite re-validates projections against the brute-force
+enumerator below.
 
 `is_empty` decides by proof alone: a polyhedron is empty when FM derives a
 contradiction, and anything not proved empty is treated as possibly
@@ -27,8 +27,8 @@ the tests and of literal domains in counting, not a compiler decision.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+from operator import index
 
 import numpy as np
 
@@ -53,7 +53,8 @@ class ModBlockedError(PolyhedronError):
 
 
 class AffineExpr:
-    """Linear form sum(coeff_v * v) + const with exact rational entries."""
+    """Linear form sum(coeff_v * v) + const with int entries; a number that
+    is not an integer (a Fraction, a float) raises TypeError."""
 
     __slots__ = ("coeffs", "const", "_key")
 
@@ -61,16 +62,16 @@ class AffineExpr:
         cs = {}
         if coeffs:
             for v, a in coeffs.items():
-                a = Fraction(a)
-                if a != 0:
+                a = index(a)
+                if a:
                     cs[v] = a
         self.coeffs = cs
-        self.const = Fraction(const)
+        self.const = index(const)
         self._key = None
 
     @staticmethod
-    def var(name, coeff=1):
-        return AffineExpr({name: Fraction(coeff)})
+    def var(name):
+        return AffineExpr({name: 1})
 
     @staticmethod
     def constant(c):
@@ -92,7 +93,7 @@ class AffineExpr:
             other = AffineExpr.constant(other)
         cs = dict(self.coeffs)
         for v, a in other.coeffs.items():
-            cs[v] = cs.get(v, Fraction(0)) + a
+            cs[v] = cs.get(v, 0) + a
         return AffineExpr(cs, self.const + other.const)
 
     def __sub__(self, other):
@@ -101,7 +102,7 @@ class AffineExpr:
         return self + (other * -1)
 
     def __mul__(self, scalar):
-        s = Fraction(scalar)
+        s = index(scalar)
         return AffineExpr({v: a * s for v, a in self.coeffs.items()}, self.const * s)
 
     __rmul__ = __mul__
@@ -110,7 +111,7 @@ class AffineExpr:
         return self * -1
 
     def coeff(self, v):
-        return self.coeffs.get(v, Fraction(0))
+        return self.coeffs.get(v, 0)
 
     def drop(self, v):
         cs = dict(self.coeffs)
@@ -138,11 +139,6 @@ class AffineExpr:
 
     def variables(self):
         return set(self.coeffs)
-
-    def scaled_integer(self):
-        """Return (expr * k, k) with k > 0 minimal such that all entries are integers."""
-        k = lcm(*(f.denominator for f in list(self.coeffs.values()) + [self.const])) if (self.coeffs or self.const) else 1
-        return self * k, k
 
     def __str__(self):
         parts = []
@@ -225,17 +221,15 @@ class Constraint:
 
 
 def int_form(expr):
-    """(k, poly of k*expr) with k > 0 minimal, as in `scaled_integer`."""
-    scaled, k = expr.scaled_integer()
-    terms = [(int(scaled.const), ())] if scaled.const else []
-    terms += [(int(a), ((v, 1),)) for v, a in sorted(scaled.coeffs.items())]
-    return int(k), tuple(terms)
+    """An affine expr as an integer poly."""
+    terms = [(expr.const, ())] if expr.const else []
+    return tuple(terms + [(a, ((v, 1),)) for v, a in sorted(expr.coeffs.items())])
 
 
 def int_guard(c):
-    """A constraint as (kind, poly of k*expr, modulus, residue)."""
+    """A constraint as (kind, poly of its expr, modulus, residue)."""
     residue = c.residue % c.modulus if c.kind == MODEQ else 0
-    return c.kind, int_form(c.expr)[1], c.modulus, residue
+    return c.kind, int_form(c.expr), c.modulus, residue
 
 
 def poly_values(poly, cols, env):
@@ -322,10 +316,7 @@ def normalize_constraint(c):
     """Canonical integer form; returns None for constant-true, FALSE for constant-false."""
     if c.row is not None:
         return c
-    coeffs, const = c.expr.coeffs, c.expr.const
-    k = lcm(const.denominator, *(a.denominator for a in coeffs.values()))
-    row = _row(c.kind, {v: a.numerator * (k // a.denominator) for v, a in coeffs.items()},
-               const.numerator * (k // const.denominator), c.modulus, c.residue)
+    row = _row(c.kind, c.expr.coeffs, c.expr.const, c.modulus, c.residue)
     return None if row is None else _constraint(row)
 
 
@@ -578,27 +569,22 @@ def _refine_box(poly, binding):
     """Per-dim integer intervals via interval constraint propagation."""
     lo = {d: None for d in poly.dims}
     hi = {d: None for d in poly.dims}
-    rows = []
-    for c in poly.constraints:
-        if c.kind == MODEQ:
-            continue
-        rows.append(c)
-        if c.kind == EQ0:
-            rows.append(Constraint(GE0, -c.expr))
-    rows = [Constraint(GE0, c.expr) for c in rows]
-    for _ in range(4 * (len(poly.dims) + len(rows)) + 8):
+    # every expr here is >= 0: an equality gives two
+    exprs = [e for c in poly.constraints if c.kind != MODEQ
+             for e in ((c.expr, -c.expr) if c.kind == EQ0 else (c.expr,))]
+    for _ in range(4 * (len(poly.dims) + len(exprs)) + 8):
         changed = False
-        for c in rows:
-            const = c.expr.const
+        for e in exprs:
+            const = e.const
             terms = []
-            for v, a in c.expr.coeffs.items():
+            for v, a in e.coeffs.items():
                 if v in binding:
                     const += a * binding[v]
                 else:
                     terms.append((v, a))
             for v, a in terms:
                 # a*v >= -(const + sum of other terms); bound others from above
-                rest_hi = Fraction(0)
+                rest_hi = 0
                 ok = True
                 for u, b in terms:
                     if u == v:
@@ -610,14 +596,13 @@ def _refine_box(poly, binding):
                     rest_hi += b * bound
                 if not ok:
                     continue
-                limit = -(const + rest_hi) / a
                 if a > 0:
-                    new = -((-limit).__floor__())  # ceil
+                    new = -((const + rest_hi) // a)  # ceil(-(const + rest_hi) / a)
                     if lo[v] is None or new > lo[v]:
                         lo[v] = new
                         changed = True
                 else:
-                    new = limit.__floor__()
+                    new = (const + rest_hi) // -a
                     if hi[v] is None or new < hi[v]:
                         hi[v] = new
                         changed = True
@@ -648,22 +633,21 @@ def enumerate_points(poly, binding):
         return np.empty((0, n), dtype=np.int64)
     volume = 1
     for d in poly.dims:
-        volume *= int(hi[d] - lo[d] + 1)
+        volume *= hi[d] - lo[d] + 1
     if volume > MAX_BOX_POINTS:
         raise PolyhedronError(f"enumeration box too large ({volume} points)")
-    axes = [np.arange(int(lo[d]), int(hi[d]) + 1, dtype=np.int64) for d in poly.dims]
+    axes = [np.arange(lo[d], hi[d] + 1, dtype=np.int64) for d in poly.dims]
     grids = np.meshgrid(*axes, indexing="ij") if axes else []
     pts = (np.stack([g.ravel() for g in grids], axis=1)
            if axes else np.zeros((1, 0), dtype=np.int64))
     mask = np.ones(len(pts), dtype=bool)
     for c in poly.constraints:
-        expr, _ = c.expr.scaled_integer()
-        val = np.full(len(pts), int(expr.const), dtype=np.int64)
-        for v, a in expr.coeffs.items():
+        val = np.full(len(pts), c.expr.const, dtype=np.int64)
+        for v, a in c.expr.coeffs.items():
             if v in binding:
-                val += int(a) * binding[v]
+                val += a * binding[v]
             else:
-                val += int(a) * pts[:, poly.dims.index(v)]
+                val += a * pts[:, poly.dims.index(v)]
         if c.kind == GE0:
             mask &= val >= 0
         elif c.kind == EQ0:

@@ -115,8 +115,8 @@ def unpack(buf, index, shape, binding, axes=None, redmap=None):
     The buffer's copy (`IndexFunction.lowered_copy`, keyed by `buf.id`) is
     walked from the buffer into the tensor.  Positions off the accessed set
     stay zero unless a redundancy map sends them to a stored position (the
-    copy through the map); an image outside the accessed set or between
-    integer positions raises IndexingFault before any wrong slot is read.
+    copy through the map); an image outside the accessed set raises
+    IndexingFault before any wrong slot is read.
     """
     shape = tuple(int(e) for e in shape)
     axes = tuple(range(len(shape))) if axes is None else axes

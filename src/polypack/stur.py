@@ -532,7 +532,7 @@ def _literal_bounds(s, expr):
             return None
         vals_lo += a * (lo[var] if a > 0 else hi[var])
         vals_hi += a * (hi[var] if a > 0 else lo[var])
-    return int(vals_lo), int(vals_hi)
+    return vals_lo, vals_hi
 
 
 def split_mod_constraints(s):

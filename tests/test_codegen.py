@@ -5,6 +5,7 @@ exactly the enumerated points in order, and compressed execution must
 reproduce the dense reference result built by direct gather/accumulate.
 """
 
+import functools
 import math
 import os
 import re
@@ -145,8 +146,11 @@ def oracle(space, binding):
 def mixed_spaces(draw):
     """A 2- or 3-dim space over one parameter n whose nest mixes loop,
     strided and fixed levels, guards and rows left empty by a mod
-    constraint or a guard.  Every dim is bounded on both sides with unit
-    coefficient by a constant, n or an outer dim, so the space is bounded."""
+    constraint or a guard.  Every dim is bounded below with unit
+    coefficient by a constant or an outer dim, and above by n or an outer
+    dim x, as d <= x + e or, with c in {2, 3}, as c*d <= x + e; so the space
+    is bounded, and a level's upper side can be its non-unit inequality
+    alone, a bound (c, poly) whose constant takes either sign."""
     dims = ("a", "b", "c")[:draw(st.integers(2, 3))]
     cons = []
     for pos, d in enumerate(dims):
@@ -156,7 +160,8 @@ def mixed_spaces(draw):
             by = draw(st.sampled_from(names))
             e = k(draw(st.integers(-2, 2)))
             return e if by is None else e + v(by)
-        cons += [ge(v(d) - side((None,) + outer)), ge(side(("n",) + outer) - v(d))]
+        scale = draw(st.integers(2, 3)) if draw(st.booleans()) else 1
+        cons += [ge(v(d) - side((None,) + outer)), ge(side(("n",) + outer) - v(d) * scale)]
         kind = draw(st.sampled_from(["loop", "strided", "fixed"]))
         if kind == "fixed":   # the bounds above turn into its guards
             cons.append(eq(v(d) - side((None, "n") + outer)))
@@ -755,6 +760,22 @@ class TestExecute:
             gather_output(plan, res, (n - 1,), binding)
 
 
+@functools.cache
+def outer_points(name, n):
+    """Points of each parallelizable summand of a builtin with every size n,
+    per value of its outermost var, counted on the enumeration."""
+    kern = BUILTIN_KERNELS[name]
+    plan = build_plan(parse_program(kern.text), kern.rule, "input+output")
+    binding = {s: n for s in kern.defaults}
+    out = {}
+    for sp in plan.summands:
+        if sp.parallelizable:
+            out[sp.name] = np.zeros(n, dtype=np.int64)
+            for pts in iter_point_chunks(sp.nest, binding):
+                out[sp.name] += np.bincount(pts[:, 0], minlength=n)
+    return out
+
+
 def default_run(name, level, dtype=np.int64, **sizes):
     """A builtin at its default binding, with `sizes` put over it: (plan,
     store, shapes, binding)."""
@@ -790,14 +811,14 @@ class TestThreads:
             assert same_result(got, want[name]), name
         assert started == []
 
-    @pytest.mark.parametrize("threads", [2, 4, 8])
-    @pytest.mark.parametrize("name,n", [("SpMV_UT", 2000), ("TTM_UT", 64)])
+    @pytest.mark.parametrize("threads", range(2, 9))
+    @pytest.mark.parametrize("name,n", [("SpMV_UT", 2000), ("TTM_UT", 64), ("TTM_UT", 128)])
     def test_shares_balance_points(self, name, n, threads, monkeypatch):
         # at floor 0 the outermost range is cut into chunks that hold each
         # of its values once, each thread's ascending, dealt in snake
         # order; rows i hold points in proportion to n - i, and each
         # thread's points, counted on the enumeration, lie within 2% of
-        # an equal share
+        # an equal share, whether or not the threads divide the chunks
         plan, _, shapes, binding = default_run(name, "input+output",
                                                **{s: n for s in BUILTIN_KERNELS[name].defaults})
         env = {**binding, **{(t, a): e for t, sh in shapes.items() for a, e in enumerate(sh)}}
@@ -814,9 +835,7 @@ class TestThreads:
             for c, (_, t) in enumerate(dealt):
                 assert t == (c % threads if c // threads % 2 == 0
                              else threads - 1 - c % threads)
-            points = np.zeros(n, dtype=np.int64)
-            for pts in iter_point_chunks(sp.nest, binding):
-                points += np.bincount(pts[:, 0], minlength=n)
+            points = outer_points(name, n)[sp.name]
             for chunks in lists:
                 held = sum(int(points[lo:hi + 1].sum()) for lo, hi in chunks)
                 assert abs(held * threads / points.sum() - 1) <= 0.02, (sp.name, chunks)

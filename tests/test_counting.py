@@ -220,6 +220,13 @@ class TestCountPoints:
         with pytest.raises(PeriodicCountError):
             count_points(p)
 
+    def test_non_unit_equality_rejected(self):
+        # 2*j = i fixes j only at even i: no polynomial counts it
+        p = Polyhedron.build(("j",), ("i", "n"),
+                             interval("j") + [eq(v("j") * 2 - v("i"))])
+        with pytest.raises(PeriodicCountError, match=r"equality with coefficient -?2 on j"):
+            count_points(p)
+
     def test_unbounded_rejected(self):
         p = Polyhedron.build(("i",), (), [ge(v("i"))])
         with pytest.raises(CountingError):
@@ -275,20 +282,20 @@ class TestPiecewiseArithmetic:
             t.evaluate({"j": 3})
 
     def test_substitute_guards_the_image(self):
-        # j over 0 <= j < n, read at j = (n - 1 - i) / 2 for i in [0, 9]:
-        # defined where the image is an integer inside the old context
+        # j over 0 <= j < n, read at j = 2*i - 3 for i in [0, 9]: defined
+        # where the image lies inside the old context
         ctx = Polyhedron.build(("j",), ("n",), interval("j"))
         t = PiecewiseQuasiPolynomial((self.piece([], q("j") * 3, ctx),), ctx)
         assert t.single_polynomial() == q("j") * 3
         at = Polyhedron.build(("i",), ("n",), [ge(v("i")), ge(k(9) - v("i"))])
-        got = t.substitute({"j": (v("n") - v("i") - k(1)) * HALF}, at)
+        got = t.substitute({"j": v("i") * 2 - k(3)}, at)
         assert got.context == at and got.single_polynomial() is None
         for i in range(10):
-            if i % 2 or i > 4:   # odd n - 1 - i, or an image below 0
+            if i < 2 or i > 3:   # an image below 0 or at n and above
                 with pytest.raises(DomainError):
                     got.evaluate({"i": i, "n": 5})
             else:
-                assert got.evaluate({"i": i, "n": 5}) == 3 * (4 - i) // 2
+                assert got.evaluate({"i": i, "n": 5}) == 3 * (2 * i - 3)
 
 
 class TestFusion:

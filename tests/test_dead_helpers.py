@@ -2,7 +2,8 @@
 
 A module-level function, class or assignment whose name starts with "_"
 (a dunder such as `__version__` aside) is the package's own; one that is named nowhere in src/polypack outside its
-own definition is dead code, and this test names it.
+own definition is dead code, and this test names it.  So is a name that a
+module imports at module level and never uses.
 """
 
 import ast
@@ -60,3 +61,24 @@ def test_every_private_name_has_a_use():
     dead = [f"{module}:{lo} {name}" for module, name, lo, hi in defs
             if all(m == module and lo <= line <= hi for m, line in refs[name])]
     assert dead == []
+
+
+# Imported for others to find by name: perfbench's tracer hooks
+# `polypack.runtime.iter_point_chunks` (see test_traced_names.py).
+KEPT_IMPORTS = {("runtime.py", "iter_point_chunks")}
+
+
+def test_every_import_has_a_use():
+    unused = []
+    for p in sorted(SRC.glob("*.py")):
+        tree = ast.parse(p.read_text(), str(p))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used and (p.name, name) not in KEPT_IMPORTS:
+                        unused.append(f"{p.name}:{node.lineno} {name}")
+    assert unused == []

@@ -44,9 +44,17 @@ def as_set(pts):
 
 class TestAffineExpr:
     def test_arithmetic_is_exact(self):
-        e = v("i") * Fraction(1, 2) + v("j") - c(3)
-        assert e.coeff("i") == Fraction(1, 2)
-        assert (e + e).coeff("i") == 1
+        # integer arithmetic stays int; a number that is not an integer
+        # raises rather than being truncated
+        e = v("i") * 3 + v("j") - c(3)
+        twice = e + e
+        assert twice.coeff("i") == 6 and type(twice.coeff("i")) is int
+        assert twice.const == -6 and type(twice.const) is int
+        assert e.coeff("k") == 0
+        with pytest.raises(TypeError):
+            v("i") * Fraction(1, 2)
+        with pytest.raises(TypeError):
+            AffineExpr({"i": 0.5})
 
     def test_substitute(self):
         e = v("i") * 2 + v("j")

@@ -3,7 +3,6 @@
 import math
 import shutil
 from dataclasses import replace
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -412,21 +411,6 @@ class TestUnpack:
         # the image (x, y) of a point x < y lies outside V's region {y <= x}
         with pytest.raises(IndexingFault, match="index out of range for buffer 3 of V$"):
             unpack(buf, f, (4, 4), {"n": 4}, redmap=prog.redundancy_maps["V"])
-
-    def test_image_between_integer_positions_is_an_error(self):
-        # (x, y) -> (y / 2, x) on y >= 2x lands in the region {y' <= x'},
-        # on an integer position only where y is even
-        rm = parse_program(SYMMETRIC).redundancy_maps["V"]
-        x, y = AffineExpr.var("x"), AffineExpr.var("y")
-        half = replace(rm, domain=(polyhedra.ge(y - x * 2),),
-                       substitution={"x'": y * Fraction(1, 2), "y'": x})
-        even = replace(half, domain=half.domain + (polyhedra.modeq(y, 2, 0),))
-        f = findex(SYMMETRIC, "V")
-        buf = pack(dense_tensor(np.arange(16).reshape(4, 4)), f, {"n": 4})
-        assert np.array_equal(unpack(buf, f, (4, 4), {"n": 4}, redmap=even).data,
-                              naive_unpack(buf.data, f, (4, 4), {"n": 4}, (0, 1), even))
-        with pytest.raises(IndexingFault):
-            unpack(buf, f, (4, 4), {"n": 4}, redmap=half)   # (0, 1) -> (1/2, 0)
 
     @pytest.mark.parametrize("n", [1, 2, 8, 400])
     @pytest.mark.parametrize("axes", [(0, 1), (1, 0)])
