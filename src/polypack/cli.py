@@ -356,13 +356,13 @@ def _parser():
                         help="layout level (repeatable for bench)")
 
     pc = sub.add_parser("compile", parents=[common],
-                        help="print buffers, polynomials, and each summand's and "
-                             "gather's C")
+                        help="print buffers, polynomials, and each summand's, "
+                             "gather's and pack's C")
     pc.add_argument("--emit-c", metavar="DIR",
-                    help="write one C file per summand and per gather into DIR")
+                    help="write one C file per summand, per gather and per pack into DIR")
     backend = argparse.ArgumentParser(add_help=False)
     backend.add_argument("--backend", choices=["c", "numpy"],
-                         help="run every summand and gather as compiled C (needs gcc), or "
+                         help="run every pack, summand and gather as compiled C (needs gcc), or "
                               "all on NumPy (default: C where gcc is on PATH and a library "
                               "builds, else NumPy)")
     pr = sub.add_parser("run", parents=[common, backend],

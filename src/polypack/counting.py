@@ -30,8 +30,8 @@ from math import comb, lcm
 import numpy as np
 
 from .polyhedra import (
-    EQ0, FALSE, GE0, MODEQ, AffineExpr, Constraint, Polyhedron, eq, ge,
-    enumerate_points, guards_mask, implies, int_guard, is_empty,
+    EQ0, FALSE, GE0, MODEQ, AffineExpr, Constraint, Polyhedron, PolyhedronError,
+    eq, ge, enumerate_points, guards_mask, implies, int_guard, is_empty,
     normalize_constraints, poly_values,
 )
 
@@ -393,12 +393,6 @@ class PiecewiseQuasiPolynomial:
     __repr__ = to_str
 
 
-def _system(context, constraints):
-    return Polyhedron.build(
-        context.dims, context.params,
-        list(constraints) + list(context.constraints))
-
-
 def _restrict(poly, constraints):
     """Substitute the equality constraints of a region into the polynomial."""
     eqs = [c for c in constraints if c.kind == EQ0]
@@ -467,8 +461,7 @@ def _union_if_exact(da, db, context):
         for na in ca.negations():
             for cb in db.constraints:
                 for nb in cb.negations():
-                    if not is_empty(Polyhedron.build(context.dims, context.params,
-                                                     base + [na, nb])):
+                    if not is_empty(base + [na, nb]):
                         return None
     return Polyhedron.build(da.dims, da.params, survivors)
 
@@ -476,7 +469,7 @@ def _union_if_exact(da, db, context):
 def _live(pieces, context):
     """The pieces whose domain is not provably empty within the context."""
     return [(dom, poly) for dom, poly in pieces
-            if not is_empty(_system(context, dom.constraints))]
+            if not is_empty(dom.constraints + context.constraints)]
 
 
 def _tidy(pieces, context):
@@ -617,20 +610,15 @@ def count_points(p, context=None):
     if p.trivially_empty:
         terms = []
 
+    def live(cons):
+        return not is_empty(cons + list(context.constraints))
+
     for k in reversed(range(len(p.dims))):
         var = p.dims[k]
         new_terms = []
-
-        def live(cons):
-            sys = Polyhedron.build(
-                p.dims[:k],
-                tuple(dict.fromkeys(p.params + context.params + context.dims)),
-                list(cons) + list(context.constraints))
-            return not is_empty(sys)
-
         for cons, weight in terms:
             cons = list(normalize_constraints(cons))
-            if Polyhedron.build((), (), cons).trivially_empty:
+            if FALSE in cons:
                 continue
             eqs = [c for c in cons if c.kind == EQ0 and c.expr.coeff(var) != 0]
             if eqs:
@@ -639,7 +627,7 @@ def count_points(p, context=None):
                 if abs(a) != 1:
                     # c0 is normal: its coefficients have no common factor,
                     # so a does not divide them all and var is not integral
-                    raise PeriodicCountError(f"equality with coefficient {a} on {var}")
+                    raise PeriodicCountError(f"equality with coefficient {abs(a)} on {var}")
                 rhs = c0.expr.drop(var) * -a
                 rest = []
                 for c in cons:
@@ -714,12 +702,13 @@ def _difference_vanishes(diff, dom, context):
     restricted = _restrict(diff, cons)
     if restricted.is_zero:
         return True
-    sys = _system(context, dom.constraints)
+    sys = Polyhedron.build(context.dims, context.params,
+                           dom.constraints + context.constraints)
     if sys.params:
         return False
     try:
         pts = enumerate_points(sys, {})
-    except Exception:
+    except (PolyhedronError, MemoryError):   # box refused: too large or unbounded
         return False
     return all(
         diff.evaluate(dict(zip(sys.dims, (int(x) for x in row)))) == 0

@@ -19,8 +19,8 @@ from functools import cached_property
 
 from .counting import QuasiPolynomial, count_points, fuse_piecewise, pqp_add, pqp_constant
 from .polyhedra import (
-    GE0, AccessMap, AffineExpr, Polyhedron, _empty_cache, _rationally_infeasible,
-    ge, image, implies, int_form, iteration_space, preceding_slices,
+    GE0, AccessMap, AffineExpr, Polyhedron, _empty_cache, ge, image, implies,
+    int_form, is_empty, iteration_space, preceding_slices,
 )
 
 
@@ -149,11 +149,6 @@ def regions_equal(a, b):
             and all(implies(a.constraints, c) for c in b.constraints))
 
 
-def regions_disjoint(a, b):
-    """True only when provably disjoint; unknown counts as overlapping."""
-    return _rationally_infeasible(list(a.constraints) + list(b.constraints))
-
-
 # ---------------------------------------------------------------------------
 # Buffer registry
 
@@ -237,7 +232,8 @@ def build_registry(summands):
         for x in range(len(idxs)):
             for y in range(x + 1, len(idxs)):
                 a, b = drafts[idxs[x]]["canon"], drafts[idxs[y]]["canon"]
-                if a.dims != b.dims or not regions_disjoint(a, b):
+                # disjoint only when proved so: unknown counts as overlapping
+                if a.dims != b.dims or not is_empty(a.constraints + b.constraints):
                     demoted.setdefault(tensor, "partial-overlap")
 
     buffers = []

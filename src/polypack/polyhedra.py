@@ -18,10 +18,13 @@ rationals is not integer-exact in general, `image` records an exactness
 flag and the test suite re-validates projections against the brute-force
 enumerator below.
 
-`is_empty` decides by proof alone: a polyhedron is empty when FM derives a
-contradiction, and anything not proved empty is treated as possibly
-nonempty.  It never samples bindings; `enumerate_points` is the oracle of
-the tests and of literal domains in counting, not a compiler decision.
+`is_empty` is the one emptiness proof, and it decides by proof alone: a
+constraint system is empty when FM derives a contradiction, and anything
+not proved empty is treated as possibly nonempty.  Implication, region
+disjointness and summand infeasibility all ask it, and one registry build
+proves each normal system once.  It never samples bindings;
+`enumerate_points` is the oracle of the tests and of literal domains in
+counting, not a compiler decision.
 """
 
 from __future__ import annotations
@@ -664,35 +667,32 @@ def enumerate_points(poly, binding):
 _empty_cache = {}
 
 
-def _rationally_infeasible(constraints):
-    """Sound emptiness test: drop mod constraints, eliminate everything by FM."""
-    rows = [c.row for c in normalize_constraints(constraints) if c.kind != MODEQ]
-    try:
-        rows, _ = _project(rows, sorted({v for r in rows for v, _ in r[1]}))
-    except ModBlockedError:
-        return False
-    return _FALSE_ROW in rows
+def is_empty(constraints):
+    """True when the system provably has no integer point for any binding.
 
-
-def is_empty(poly):
-    """True when the polyhedron provably has no integer point for any binding.
-
-    The proof is rational: a FALSE constraint, or Fourier-Motzkin eliminating
-    every dim and parameter down to a contradiction.  False means not proved
-    empty, which callers treat as possibly nonempty.  Answers are cached per
-    constraint system; `indexing.build_registry` clears the cache when it
-    starts, so it holds one registry build's systems at most.
+    This is the package's one emptiness proof.  It is rational: mod
+    constraints are dropped and Fourier-Motzkin eliminates every variable,
+    in sorted order, down to a contradiction (a system that normalizes to
+    FALSE is one already).  False means not proved empty, which callers
+    treat as possibly nonempty.  Verdicts are cached by the system's normal
+    rows in order, since FM's equality substitution reads that order;
+    `indexing.build_registry` clears the cache when it starts, so it holds
+    one registry build's systems at most.
     """
-    key = (poly.dims, poly.params, poly.constraints)
-    hit = _empty_cache.get(key)
+    rows = tuple(c.row for c in normalize_constraints(constraints) if c.kind != MODEQ)
+    hit = _empty_cache.get(rows)
     if hit is None:
-        hit = _empty_cache[key] = (poly.trivially_empty
-                                   or _rationally_infeasible(poly.constraints))
+        try:
+            hit = _FALSE_ROW in _project(rows, sorted({v for r in rows for v, _ in r[1]}))[0]
+        except ModBlockedError:
+            hit = False
+        _empty_cache[rows] = hit
     return hit
 
 
 def implies(constraints, c):
-    """True when the system provably entails c (rational reasoning, sound)."""
+    """True when the system provably entails c: every branch of c's integer
+    complement joined to the system is proved empty (sound, not complete)."""
     if c.kind == MODEQ:
         return False
-    return all(_rationally_infeasible(list(constraints) + [n]) for n in c.negations())
+    return all(is_empty([*constraints, n]) for n in c.negations())

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 from .polyhedra import (
     EQ0, FALSE, GE0, MODEQ, AffineExpr, Constraint, Polyhedron, _refine_box,
-    _rationally_infeasible, eq, ge, implies, modeq, normalize_constraints,
+    eq, ge, implies, is_empty, modeq, normalize_constraints,
 )
 
 MAX_MOD_PIECES = 64
@@ -492,7 +492,7 @@ def simplify_summand(s):
     literal = [c for c in s.constraints if isinstance(c, Constraint)]
     symbolic = tuple(c for c in s.constraints if isinstance(c, SymbolicMod))
     cons = list(normalize_constraints(literal))
-    if FALSE in cons or _rationally_infeasible(cons):
+    if is_empty(cons):
         return replace(s, constraints=(FALSE,))
     keep = list(cons)
     for idx in reversed(range(len(keep))):

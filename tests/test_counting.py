@@ -12,13 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polypack import counting
 from polypack.counting import (
     CountingError, DegreeOverflowError, DomainError, PeriodicCountError,
     PiecewiseQuasiPolynomial, QuasiPolynomial, count_points, faulhaber_sum,
     fuse_piecewise, power_sum, pqp_add, pqp_constant,
 )
 from polypack.polyhedra import (
-    AffineExpr, Polyhedron, enumerate_points, eq, ge, modeq, preceding_slices,
+    AffineExpr, Polyhedron, PolyhedronError, UnboundedError, enumerate_points,
+    eq, ge, modeq, preceding_slices,
 )
 
 
@@ -224,7 +226,7 @@ class TestCountPoints:
         # 2*j = i fixes j only at even i: no polynomial counts it
         p = Polyhedron.build(("j",), ("i", "n"),
                              interval("j") + [eq(v("j") * 2 - v("i"))])
-        with pytest.raises(PeriodicCountError, match=r"equality with coefficient -?2 on j"):
+        with pytest.raises(PeriodicCountError, match=r"equality with coefficient 2 on j"):
             count_points(p)
 
     def test_unbounded_rejected(self):
@@ -345,6 +347,39 @@ class TestFusion:
             ctx)
         got = fuse_piecewise(t)
         assert len(got.pieces) == 2
+
+    def literal_pieces(self):
+        """j*(j - 1) on 0 <= j <= 1 beside 0 on 2 <= j <= 3, with no
+        symbol: the difference vanishes only point by point."""
+        ctx = Polyhedron.build(("j",), (), [ge(v("j")), ge(k(3) - v("j"))])
+        return PiecewiseQuasiPolynomial(
+            (self.piece([ge(k(1) - v("j"))],
+                        q("j") * (q("j") - QuasiPolynomial.constant(1)), ctx),
+             self.piece([ge(v("j") - k(2))], QuasiPolynomial(), ctx)),
+            ctx)
+
+    def test_fuses_literal_domain_by_enumeration(self):
+        got = fuse_piecewise(self.literal_pieces())
+        assert len(got.pieces) == 1
+        assert got.pieces[0][1].is_zero
+
+    @pytest.mark.parametrize("refusal", [
+        PolyhedronError("enumeration box too large"),
+        UnboundedError("unbounded under binding"), MemoryError()])
+    def test_refused_enumeration_keeps_pieces_apart(self, monkeypatch, refusal):
+        def refuse(poly, binding):
+            raise refusal
+        monkeypatch.setattr(counting, "enumerate_points", refuse)
+        assert len(fuse_piecewise(self.literal_pieces()).pieces) == 2
+
+    def test_enumeration_fault_propagates(self, monkeypatch):
+        """Only a refused box means "does not vanish"; any other error is a
+        fault and leaves fusion."""
+        def broken(poly, binding):
+            raise TypeError("broken enumerator")
+        monkeypatch.setattr(counting, "enumerate_points", broken)
+        with pytest.raises(TypeError, match="broken enumerator"):
+            fuse_piecewise(self.literal_pieces())
 
 
 def rank_of(accessed):

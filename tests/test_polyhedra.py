@@ -1,12 +1,17 @@
+import sys
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
+from polypack import codegen, polyhedra
+from polypack.cli import BUILTIN_KERNELS
 from polypack.polyhedra import (
     AccessMap, AffineExpr, Constraint, Polyhedron,
     UnboundedError, enumerate_points, eq, fm_eliminate, ge, image, implies,
     is_empty, modeq, normalize_constraints, preceding_slices,
 )
+from polypack.stur import parse_program
 
 
 def v(name):
@@ -203,23 +208,52 @@ class TestPrecedingSlices:
 class TestEmptiness:
     def test_contradiction(self):
         p = Polyhedron.build(("i",), (), [ge(v("i")), ge(-v("i") - c(1))])
-        assert is_empty(p)
+        assert is_empty(p.constraints)
 
     def test_interval_is_nonempty(self):
         p = Polyhedron.build(("i",), ("n",), box(0, "i", "n"))
-        assert not is_empty(p)
+        assert not is_empty(p.constraints)
         assert len(enumerate_points(p, {"n": 3})) == 3
 
     def test_contradiction_after_substitution(self):
         p = Polyhedron.build(
             ("i", "j"), (),
             [eq(v("i") - v("j")), ge(v("j") - v("i") - c(1))])
-        assert is_empty(p)
+        assert is_empty(p.constraints)
 
     def test_implies(self):
         cons = [eq(v("i") - v("j")), ge(v("i"))]
         assert implies(cons, ge(v("j")))
         assert not implies(cons, ge(v("j") - c(1)))
+
+    def test_each_system_is_proved_once_per_registry_build(self, monkeypatch):
+        """`is_empty` is the one proof behind implication, disjointness and
+        summand infeasibility: between two clears of its cache (one per
+        `build_registry`), no normal system reaches Fourier-Motzkin twice.
+        `fm_eliminate`'s projections are not proofs and are not counted."""
+        seen, again, proofs = set(), [], [0]
+        project, build_registry = polyhedra._project, codegen.build_registry
+
+        def recording_project(rows, eliminate):
+            if sys._getframe(1).f_code.co_name != "fm_eliminate":
+                proofs[0] += 1
+                key = tuple(rows)
+                if key in seen:
+                    again.append(key)
+                seen.add(key)
+            return project(rows, eliminate)
+
+        def clearing_build_registry(summands):
+            seen.clear()
+            return build_registry(summands)
+
+        monkeypatch.setattr(polyhedra, "_project", recording_project)
+        monkeypatch.setattr(codegen, "build_registry", clearing_build_registry)
+        polyhedra._empty_cache.clear()
+        for kern in BUILTIN_KERNELS.values():
+            codegen.build_plan(parse_program(kern.text), kern.rule, "input+output")
+        assert proofs[0] > 0
+        assert len(again) == 0, f"{len(again)} systems proved again"
 
 
 class TestFourierMotzkin:
